@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success (analysis holds), 1 on an analysis rejection
 (typing error, covering failure, simulation counterexample), 2 on usage
-or parse errors.
+or parse errors.  Usage errors name something the module does not
+declare (a global, process, system or type), leave the entry global
+ambiguous, give no role, or pass a bound below 1.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .guards import DomainDecl, Store
-from .projection import NonProjectable, participants, project, well_formed
+from .projection import NonProjectable, participants_ordered, project, well_formed
 from .pseudotype import normal_form, remove_guards
 from .semantics import system_steps, to_state
 from .syntax import parse_module, render_module, render_type
@@ -28,6 +30,10 @@ from .typecheck import (
 )
 from .syntax.ast import fU
 from .wsi import wsi_by_covering, wsi_by_typing
+
+
+class UsageError(Exception):
+    """A request the module cannot answer as asked (exit status 2)."""
 
 
 def _color(text: str, code: str) -> str:
@@ -51,16 +57,16 @@ def _load(path: str) -> ModuleDecl:
 def _the_global(module: ModuleDecl, name: str | None) -> GlobalDef:
     if name is not None:
         if name not in module.globals_:
-            raise SystemExit(f"error: no global type named {name!r}")
+            raise UsageError(f"no global type named {name!r}")
         return module.globals_[name]
     entries = [g for g in module.globals_.values() if g.params]
     if len(entries) != 1:
-        raise SystemExit("error: module declares several entry globals; "
+        raise UsageError("module declares several entry globals; "
                          "pick one with --global")
     return entries[0]
 
 
-def _shared_env(module: ModuleDecl, gdef: GlobalDef, term) -> dict:
+def _shared_env(gdef: GlobalDef, term) -> dict:
     return {u: gdef for u in fU(term)} or {"u": gdef}
 
 
@@ -98,7 +104,7 @@ def cmd_project(args) -> int:
     domains = DomainDecl.from_module(module)
     gdef = _the_global(module, args.global_name)
     g = instantiate(gdef, gdef.params)
-    if args.role not in participants(g):
+    if args.role not in participants_ordered(g):
         print(_bad(f"{args.role!r} is not a participant of {gdef.name}"))
         return 1
     violations = well_formed(g)
@@ -125,7 +131,7 @@ def cmd_normalize(args) -> int:
     out = {}
     for name in names:
         if name not in module.types:
-            raise SystemExit(f"error: no type named {name!r}")
+            raise UsageError(f"no type named {name!r}")
         out[name] = render_type(normal_form(module.types[name], domains))
     if args.json:
         print(json.dumps(out, indent=2))
@@ -164,14 +170,14 @@ def cmd_typecheck(args) -> int:
                 decl = module.processes[name]
                 gdef = module.globals_[decl.global_name] if decl.global_name \
                     else _the_global(module, None)
-                shared = _shared_env(module, gdef, decl.body)
+                shared = _shared_env(gdef, decl.body)
                 typecheck_process(gamma, TRUE, decl.body, shared, domains)
             else:
                 body = module.systems[name].body
                 # without --global, try each entry global until one fits
                 last_error = None
                 for gdef in system_global_candidates():
-                    shared = _shared_env(module, gdef, body)
+                    shared = _shared_env(gdef, body)
                     try:
                         typecheck_system(gamma, TRUE, body, shared, domains)
                         last_error = None
@@ -183,7 +189,7 @@ def cmd_typecheck(args) -> int:
             results[name] = {"ok": True}
             print(_ok(f"{name}: well typed"))
         except KeyError:
-            raise SystemExit(f"error: no {kind} named {name!r}")
+            raise UsageError(f"no {kind} named {name!r}")
         except TypingError as exc:
             results[name] = {"ok": False, **exc.to_json()}
             failures.append(name)
@@ -199,7 +205,7 @@ def cmd_simulate(args) -> int:
     module = _load(args.file)
     domains = DomainDecl.from_module(module)
     if args.system not in module.systems:
-        raise SystemExit(f"error: no system named {args.system!r}")
+        raise UsageError(f"no system named {args.system!r}")
     state = to_state(module.systems[args.system].body)
     rng = random.Random(args.seed)
     init_vars = {
@@ -217,9 +223,8 @@ def cmd_simulate(args) -> int:
             try:
                 gdef = _the_global(module, args.global_name)
                 g = instantiate(gdef, gdef.params)
-                from .typecheck import participants_ordered
                 participants[pid] = participants_ordered(g)[0]
-            except SystemExit:
+            except UsageError:
                 pass
 
     trace = []
@@ -288,7 +293,7 @@ def cmd_wsi(args) -> int:
     module = _load(args.file)
     domains = DomainDecl.from_module(module)
     if args.proc not in module.processes:
-        raise SystemExit(f"error: no process named {args.proc!r}")
+        raise UsageError(f"no process named {args.proc!r}")
     decl = module.processes[args.proc]
     gdef = module.globals_[decl.global_name] if decl.global_name \
         else _the_global(module, args.global_name)
@@ -296,7 +301,7 @@ def cmd_wsi(args) -> int:
     shared_name = shared[0]
     role = args.role or decl.role
     if role is None:
-        raise SystemExit("error: give --role or declare 'plays' on the process")
+        raise UsageError("give --role or declare 'plays' on the process")
 
     payload = {}
     code = 0
@@ -324,6 +329,17 @@ def cmd_wsi(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
+def _positive(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, "
+                                         f"got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="chorus-wsi",
@@ -341,9 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
         if role:
             p.add_argument("--role", default=None)
         if unfold:
-            p.add_argument("--unfold", type=int, default=2, metavar="K")
+            p.add_argument("--unfold", type=_positive, default=2, metavar="K")
         if steps:
-            p.add_argument("--steps", type=int, default=200, metavar="N")
+            p.add_argument("--steps", type=_positive, default=200, metavar="N")
         if seed:
             p.add_argument("--seed", type=int, default=0, metavar="S")
         if mode:
@@ -398,7 +414,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(_bad(f"{args.file}:{exc}"), file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UsageError) as exc:
         print(_bad(f"error: {exc}"), file=sys.stderr)
         return 2
 

@@ -69,6 +69,11 @@ class Store:
     def domain(self) -> frozenset:
         return frozenset(self.vars) | frozenset(self.sessions)
 
+    def key(self) -> tuple:
+        """A hashable form of the variable and session bindings."""
+        return (tuple(sorted(self.vars.items(), key=lambda kv: kv[0])),
+                tuple(sorted(self.sessions.items())))
+
 
 def _expect(lit: Lit, sort: Sort, what: str) -> Lit:
     if lit.sort != sort:
@@ -183,14 +188,6 @@ class DomainDecl:
             if base in domains:
                 domains[fresh] = domains[base]
         return cls(domains, dict(module.tables))
-
-    def declared(self, var: str) -> bool:
-        return var in self.domains
-
-    def domain_of(self, var: str) -> frozenset:
-        if var not in self.domains:
-            raise UndeclaredVariable({var})
-        return self.domains[var]
 
     def assignments(self, names):
         """All total stores over the given variables, in a fixed order."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pseudotype import NotMergeable, _merge, normal_form
+from .pseudotype import NotMergeable, merge, normal_form
 from .guards import EMPTY_DOMAINS
 from .syntax.ast import (
     GChoice, GEnd, GIter, GSeq, GlobalType, PseudoType, Sort, TBranch,
@@ -36,20 +36,30 @@ class Violation:
         return f"{self.kind}: {self.detail}"
 
 
+def participants_ordered(g: GlobalType) -> tuple:
+    """Participants in first-occurrence order; index 0 is the requester."""
+    seen: dict = {}  # an insertion-ordered set
+
+    def walk(node):
+        match node:
+            case GChoice(sender, branches):
+                seen.update(dict.fromkeys([sender] + [b.receiver for b in branches]))
+                for b in branches:
+                    walk(b.cont)
+            case GSeq(first, second):
+                walk(first)
+                walk(second)
+            case GIter(body, controller, term):
+                seen[controller] = None
+                walk(body)
+                seen.update(dict.fromkeys(p for p, _, _ in term))
+
+    walk(g)
+    return tuple(seen)
+
+
 def participants(g: GlobalType) -> frozenset:
-    match g:
-        case GEnd():
-            return frozenset()
-        case GChoice(sender, branches):
-            out = frozenset({sender})
-            for b in branches:
-                out |= frozenset({b.receiver}) | participants(b.cont)
-            return out
-        case GSeq(first, second):
-            return participants(first) | participants(second)
-        case GIter(body, controller, term):
-            return participants(body) | {controller} | frozenset(p for p, _, _ in term)
-    raise TypeError(f"not a global type: {g!r}")
+    return frozenset(participants_ordered(g))
 
 
 def ready(g: GlobalType) -> frozenset:
@@ -185,8 +195,7 @@ def project(g: GlobalType, p: str, path: tuple = ()) -> PseudoType:
             result = normal_form(parts[0], EMPTY_DOMAINS)
             for other in parts[1:]:
                 try:
-                    result = _merge(result, normal_form(other, EMPTY_DOMAINS),
-                                    EMPTY_DOMAINS, check_guards=True)
+                    result = merge(result, normal_form(other, EMPTY_DOMAINS))
                 except NotMergeable as exc:
                     raise NonProjectable(
                         f"cannot merge branches for uninvolved {p!r}: {exc}",

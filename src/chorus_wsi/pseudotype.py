@@ -2,7 +2,7 @@
 
 Normalization propagates guards of branches into their continuations
 and prunes alternatives whose guard conjunction is unsatisfiable; merge
-glues mergeable pseudo-types at choice points; guard removal recovers
+glues compatible pseudo-types at choice points; guard removal recovers
 plain local types by quotienting branches that share a channel.
 
 Equality of pseudo-types (as used by the algebraic property tests) is
@@ -25,10 +25,6 @@ class NotMergeable(Exception):
         super().__init__(f"{reason} (at {at})")
         self.reason = reason
         self.path = path
-
-
-class NotNormalForm(Exception):
-    pass
 
 
 def weight(t: PseudoType) -> int:
@@ -99,10 +95,6 @@ def normal_form(t: PseudoType, domains: DomainDecl = EMPTY_DOMAINS) -> PseudoTyp
     return normalize(TRUE, t, domains)
 
 
-def is_normal_form(t: PseudoType, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
-    return equiv(normal_form(t, domains), t, domains)
-
-
 # ----------------------------------------------------------------- merge
 
 def _align_external(b1: tuple, b2: tuple, path):
@@ -119,8 +111,11 @@ def _align_external(b1: tuple, b2: tuple, path):
     raise NotMergeable("external choices over different channels", path)
 
 
-def _merge(t1: PseudoType, t2: PseudoType, domains, check_guards: bool,
-           path: tuple = ()) -> PseudoType:
+def merge(t1: PseudoType, t2: PseudoType, domains: DomainDecl = EMPTY_DOMAINS,
+          check_guards: bool = True, path: tuple = ()) -> PseudoType:
+    """T1 |_| T2 on pseudo-types in normal form; raises NotMergeable.
+    Without check_guards, same-channel branches glue whatever their
+    guards (guard removal)."""
     if t1 == t2:
         # idempotence: identical sides glue to themselves, no exclusivity needed
         return t1
@@ -137,8 +132,8 @@ def _merge(t1: PseudoType, t2: PseudoType, domains, check_guards: bool,
                     raise NotMergeable(
                         f"guards of input branches on {left.channel!r} are not "
                         "mutually exclusive", path)
-                cont = _merge(left.cont, right.cont, domains, check_guards,
-                              path + (f".{left.channel}",))
+                cont = merge(left.cont, right.cont, domains, check_guards,
+                             path + (f".{left.channel}",))
                 merged.append(TBranch(disj(left.guard, right.guard),
                                       left.channel, left.sort, cont))
             return TExternal(tuple(merged))
@@ -159,61 +154,30 @@ def _merge(t1: PseudoType, t2: PseudoType, domains, check_guards: bool,
                             f"guards of output branches on {b.channel!r} are not "
                             "mutually exclusive", path)
                     # guard removal later re-merges same-channel branches
-                    _merge(twin.cont, b.cont, domains, check_guards,
-                           path + (f".{b.channel}",))
+                    merge(twin.cont, b.cont, domains, check_guards,
+                          path + (f".{b.channel}",))
             return TInternal(tuple(b1) + tuple(b2))
         case (TSeq(f1, s1), TSeq(f2, s2)):
-            return TSeq(_merge(f1, f2, domains, check_guards, path + (".first",)),
-                        _merge(s1, s2, domains, check_guards, path + (".second",)))
+            return TSeq(merge(f1, f2, domains, check_guards, path + (".first",)),
+                        merge(s1, s2, domains, check_guards, path + (".second",)))
         case (TIter(x1), TIter(x2)):
-            return TIter(_merge(x1, x2, domains, check_guards, path + (".body",)))
+            return TIter(merge(x1, x2, domains, check_guards, path + (".body",)))
     raise NotMergeable(
         f"shapes {type(t1).__name__} and {type(t2).__name__} do not match", path)
 
 
-def merge(t1: PseudoType, t2: PseudoType,
-          domains: DomainDecl = EMPTY_DOMAINS) -> PseudoType:
-    """T1 |_| T2 on mergeable pseudo-types (expects normal forms)."""
-    return _merge(t1, t2, domains, check_guards=True)
-
-
-def mergeable(t1: PseudoType, t2: PseudoType,
-              domains: DomainDecl = EMPTY_DOMAINS, *, check_nf: bool = True) -> bool:
-    if check_nf:
-        for t in (t1, t2):
-            if not is_normal_form(t, domains):
-                raise NotNormalForm(f"not in normal form: {t!r}")
-    try:
-        _merge(t1, t2, domains, check_guards=True)
-        return True
-    except NotMergeable:
-        return False
-
-
-def try_merge(t1: PseudoType, t2: PseudoType,
-              domains: DomainDecl = EMPTY_DOMAINS) -> PseudoType | None:
-    """Structural merge without the normal-form precondition; None when
-    the shapes (or guard exclusivity) do not allow it."""
-    try:
-        return _merge(t1, t2, domains, check_guards=True)
-    except NotMergeable:
-        return None
-
-
 # ---------------------------------------------------------- guard removal
 
-def remove_guards(t: PseudoType, domains: DomainDecl | None = None) -> PseudoType:
+def remove_guards(t: PseudoType) -> PseudoType:
     """Recover a local type by dropping guards, quotienting the branches
     of each choice by channel equality (merging their continuations)."""
-    check = domains is not None
-    doms = domains or EMPTY_DOMAINS
     match t:
         case TEnd():
             return TEnd(TRUE)
         case TSeq(first, second):
-            return TSeq(remove_guards(first, domains), remove_guards(second, domains))
+            return TSeq(remove_guards(first), remove_guards(second))
         case TIter(body):
-            return TIter(remove_guards(body, domains))
+            return TIter(remove_guards(body))
         case TInternal(branches) | TExternal(branches):
             classes: list = []
             index: dict = {}
@@ -232,10 +196,10 @@ def remove_guards(t: PseudoType, domains: DomainDecl | None = None) -> PseudoTyp
                             f"channel {rep.channel!r} used at different sorts")
                 cont = group[0].cont
                 for other in group[1:]:
-                    cont = _merge(cont, other.cont, doms, check_guards=check,
-                                  path=(f".{rep.channel}",))
+                    cont = merge(cont, other.cont, check_guards=False,
+                                 path=(f".{rep.channel}",))
                 new.append(TBranch(TRUE, rep.channel, rep.sort,
-                                   remove_guards(cont, domains)))
+                                   remove_guards(cont)))
             return type(t)(tuple(new))
     raise TypeError(f"not a pseudo-type: {t!r}")
 

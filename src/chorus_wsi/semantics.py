@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .guards import DomainDecl, EMPTY_DOMAINS, Store, eval_expr
-from .projection import NonProjectable, project
+from .projection import NonProjectable, participants_ordered, project
 from .pseudotype import normal_form
 from .syntax.ast import (
     Accept, Branch, Const, Expr, For, If, Lit, Par, Proc, Process, Queue,
@@ -29,7 +29,7 @@ from .syntax.ast import (
     TExternal, TInternal, TIter, TRUE, TSeq, conj, is_nil, neg,
 )
 from .syntax.subst import subst_process
-from .typecheck import SpecEnv, instantiate, participants_ordered
+from .typecheck import SpecEnv, instantiate
 
 
 # ----------------------------------------------------------------- labels
@@ -96,19 +96,6 @@ def proc_canon(p: Process) -> Process:
             return Seq(first, second)
         case _:
             return p
-
-
-def default_oracle(domains: DomainDecl, sorts: dict):
-    """Candidate receive values for open-process exploration: the
-    declared domain of the channel's payload sort."""
-
-    def oracle(channel: str):
-        sort = sorts.get(channel)
-        if sort is None:
-            return []
-        return domains.values_of_sort(sort)
-
-    return oracle
 
 
 def step_process(p: Process, store: Store, domains: DomainDecl = EMPTY_DOMAINS,
@@ -247,16 +234,14 @@ def _set_proc(procs: tuple, pid: int, p: Process) -> tuple:
 
 
 def system_steps(state: SysState, store: Store,
-                 domains: DomainDecl = EMPTY_DOMAINS, oracle=None) -> list:
+                 domains: DomainDecl = EMPTY_DOMAINS) -> list:
     """All one-step successors (label, state, store, detail)."""
     out: list = []
     queues = state.queue_map()
 
     def queue_oracle(channel):
-        if channel in queues:
-            q = queues[channel]
-            return [q[0]] if q else []
-        return oracle(channel) if oracle else []
+        q = queues.get(channel)
+        return [q[0]] if q else []
 
     requests: list = []
     accepts: dict = {}
@@ -364,14 +349,6 @@ def _merge_queues(queues: tuple, actuals: tuple) -> tuple:
     return tuple(sorted(qs.items()))
 
 
-def step_system(s: System | SysState, store: Store,
-                domains: DomainDecl = EMPTY_DOMAINS, oracle=None) -> list:
-    """Public variant returning (label, state, store) triples."""
-    state = s if isinstance(s, SysState) else to_state(s)
-    return [(label, st, sto) for label, st, sto, _ in
-            system_steps(state, store, domains, oracle)]
-
-
 # ----------------------------------------------------- specification stepping
 
 def _type_steps(t) -> list:
@@ -402,11 +379,7 @@ def _type_steps(t) -> list:
     raise TypeError(f"not a pseudo-type: {t!r}")
 
 
-def _spec_chan_counter(delta: SpecEnv) -> int:
-    return len(delta.session_channels())
-
-
-def step_spec(gamma: dict, delta: SpecEnv, domains: DomainDecl = EMPTY_DOMAINS,
+def step_spec(delta: SpecEnv, domains: DomainDecl = EMPTY_DOMAINS,
               init_chans: dict | None = None) -> list:
     """All one-step successors (SpecLabel, SpecEnv), working up to
     normal forms of the session pseudo-types."""
@@ -442,7 +415,7 @@ def step_spec(gamma: dict, delta: SpecEnv, domains: DomainDecl = EMPTY_DOMAINS,
 
     for u, gdef in shared.items():
         hint = (init_chans or {}).get(u)
-        chans = hint or tuple(f"{y}@{u}{_spec_chan_counter(delta)}"
+        chans = hint or tuple(f"{y}@{u}{len(delta.session_channels())}"
                               for y in gdef.params)
         g = instantiate(gdef, chans)
         parts = participants_ordered(g)
@@ -495,11 +468,6 @@ class Counterexample:
         return False
 
 
-def _store_key(store: Store):
-    return (tuple(sorted(store.vars.items(), key=lambda kv: kv[0])),
-            tuple(sorted(store.sessions.items())))
-
-
 def conditional_simulation(system: System | SysState, store: Store,
                            gamma: dict, delta: SpecEnv,
                            domains: DomainDecl = EMPTY_DOMAINS,
@@ -521,7 +489,7 @@ def conditional_simulation(system: System | SysState, store: Store,
         state, store, candidates, trace, fuel = frontier.popleft()
         if fuel <= 0:
             continue
-        key = (state, _store_key(store), candidates)
+        key = (state, store.key(), candidates)
         if key in visited:
             continue
         visited.add(key)
@@ -559,7 +527,7 @@ def _spec_answers(d: SpecEnv, detail: StepDetail, domains: DomainDecl) -> set:
     """Spec steps matching one system step, as (spec label, successor)."""
     action = detail.action
     out = set()
-    for label, d2 in step_spec({}, d, domains, _init_hint(detail)):
+    for label, d2 in step_spec(d, domains, _init_hint(detail)):
         if action.kind in ("out", "in"):
             pol = action.kind
             if label.comm is not None:

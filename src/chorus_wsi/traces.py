@@ -21,14 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .guards import DomainDecl, EMPTY_DOMAINS, Store
-from .projection import project, well_formed
+from .projection import participants_ordered, project, well_formed
 from .pseudotype import normal_form
 from .semantics import SysState, system_steps
 from .syntax.ast import (
     Event, GChoice, GEnd, GIter, GSeq, GlobalDef, GlobalType, TEnd,
-    TExternal, TInternal, TIter, TSeq, is_nil,
+    TExternal, TInternal, TIter, TSeq,
 )
-from .typecheck import SpecEnv, instantiate, participants_ordered, unique_role
+from .typecheck import SpecEnv, instantiate, unique_role
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,14 @@ def _nestings(body_runs: frozenset, k_max: int) -> frozenset:
     return frozenset(out)
 
 
-def runs_global(g: GlobalType, unfold: int = 2, check: bool = True) -> frozenset:
+def runs_global(g: GlobalType, unfold: int = 2) -> frozenset:
     """The annotated runs allowed by g, iterations unfolded at most
     `unfold` times, in the canonical interleaving of each rule."""
     if unfold < 1:
         raise ValueError("the unfold bound must be at least 1")
-    if check:
-        violations = well_formed(g)
-        if violations:
-            raise IllFormed("; ".join(str(v) for v in violations))
+    violations = well_formed(g)
+    if violations:
+        raise IllFormed("; ".join(str(v) for v in violations))
 
     def walk(node: GlobalType) -> frozenset:
         match node:
@@ -232,8 +231,7 @@ def _spec_runs(state, unfold: int, domains: DomainDecl, memo: dict) -> frozenset
 # -------------------------------------------------- runs of implementations
 
 def runs_impl(iota: dict, shared_name: str, gdef: GlobalDef,
-              domains: DomainDecl = EMPTY_DOMAINS, store: Store | None = None,
-              context: tuple = (), step_bound: int = 300,
+              domains: DomainDecl = EMPTY_DOMAINS, step_bound: int = 300,
               validate: bool = True) -> frozenset:
     """The runs of the iota-implementation initiated on the shared name,
     restricted to the session's channels, with sorts replacing values.
@@ -253,34 +251,21 @@ def runs_impl(iota: dict, shared_name: str, gdef: GlobalDef,
                 raise NotAnImplementation(
                     "unique-role", f"iota({p}) does not uniquely play {p!r} "
                     f"in {shared_name!r}")
-        for ctx_proc in context:
-            from .syntax.ast import fn
-            if shared_name in fn(ctx_proc):
-                raise NotAnImplementation(
-                    "context", "the context mentions the session's shared name")
 
-    components = []
-    tags = {}
-    for i, p in enumerate(parts):
-        tags[i] = p
-        components.append((i, iota[p]))
-    for j, ctx_proc in enumerate(context):
-        components.append((len(parts) + j, ctx_proc))
-    state = SysState(tuple(components), (), ())
-    store = store or Store(tables=domains.tables)
+    tags = dict(enumerate(parts))
+    state = SysState(tuple((i, iota[p]) for i, p in tags.items()), (), ())
+    store = Store(tables=domains.tables)
 
     memo: dict = {}
 
     def explore(state: SysState, store: Store, session: tuple | None,
                 fuel: int) -> frozenset:
-        key = (state, session,
-               tuple(sorted(store.vars.items(), key=lambda kv: kv[0])),
-               tuple(sorted(store.sessions.items())))
+        key = (state, session, store.key())
         if key in memo:
             return memo[key]
         memo[key] = frozenset()
         out: set = set()
-        done = all(is_nil(p) for i, p in state.procs if i in tags)
+        done = state.is_terminated()
         if session is not None:
             drained = all(not dict(state.queues).get(y, ()) for y in session)
             if done and drained:
@@ -297,7 +282,6 @@ def runs_impl(iota: dict, shared_name: str, gdef: GlobalDef,
                         and session is None:
                     session2 = action.chans
                 elif action.kind in ("out", "in") and session is not None \
-                        and detail.component in tags \
                         and action.channel in session:
                     chan_map = dict(zip(session, gdef.params))
                     ev = Event(tags[detail.component],

@@ -19,18 +19,18 @@ from dataclasses import dataclass, field
 
 from .guards import (
     DomainDecl, EMPTY_DOMAINS, EvalError, Store, Undefined, eval_expr,
-    is_unsat, list_condition_satisfiable, satisfiable,
+    is_unsat, list_condition_satisfiable,
 )
-from .projection import NonProjectable, channel_sorts, project
-from .pseudotype import (
-    NotMergeable, _merge, normal_form, normalize, remove_guards,
+from .projection import (
+    NonProjectable, channel_sorts, participants_ordered, project,
 )
+from .pseudotype import NotMergeable, merge, normal_form, normalize, remove_guards
 from .syntax.ast import (
     Accept, BOOL, Branch, Expr, For, GBranch, GChoice, GEnd, GIter, GSeq,
-    GlobalDef, GlobalType, If, INT, Lit, ListLit, Par, Proc, Process,
+    GlobalDef, GlobalType, If, INT, ListLit, Par, Proc, Process,
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, System, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
-    UnOp, Var, BinOp, Const, conj, expr_vars, fn, neg, pt_vars,
+    UnOp, Var, BinOp, Const, conj, fn, neg, pt_vars,
 )
 
 
@@ -96,18 +96,6 @@ class SpecEnv:
         return frozenset(out)
 
 
-def env_seq(d1: SpecEnv, d2: SpecEnv) -> SpecEnv:
-    """Delta1; Delta2 (sequential composition, pointwise on sessions)."""
-    if d1.shared != d2.shared or d1.queues != d2.queues:
-        raise TypingError("VSeq", "environments disagree on shared names or queues")
-    s1, s2 = d1.session_map(), d2.session_map()
-    if not set(s2) <= set(s1):
-        raise TypingError("VSeq", "second environment types sessions the first "
-                          f"does not: {sorted(set(s2) - set(s1))}")
-    merged = {k: (TSeq(t, s2[k]) if k in s2 else t) for k, t in s1.items()}
-    return SpecEnv.make(d1.shared_map(), merged, d1.queue_map())
-
-
 def independent(d1: SpecEnv, d2: SpecEnv) -> bool:
     if d1.shared != d2.shared:
         return False
@@ -131,60 +119,12 @@ def env_union(d1: SpecEnv, d2: SpecEnv) -> SpecEnv:
     return SpecEnv.make(d1.shared_map(), sessions, queues)
 
 
-def env_star(d: SpecEnv) -> SpecEnv:
-    return SpecEnv.make(d.shared_map(),
-                        {k: TIter(t) for k, t in d.sessions},
-                        d.queue_map())
-
-
 def env_restrict(d: SpecEnv, chans) -> SpecEnv:
     """Delta |_{-chans}: drop sessions and queues over the given names."""
     chans = set(chans)
     sessions = {k: t for k, t in d.sessions if not (set(k[0]) & chans)}
     queues = {y: q for y, q in d.queues if y not in chans}
     return SpecEnv.make(d.shared_map(), sessions, queues)
-
-
-def env_merge(d1: SpecEnv, d2: SpecEnv,
-              domains: DomainDecl = EMPTY_DOMAINS) -> SpecEnv:
-    """Delta1 |_| Delta2: merge the (normalized) session types pointwise."""
-    if d1.shared != d2.shared or d1.queues != d2.queues:
-        raise TypingError("VIf", "environments disagree on shared names or queues")
-    s1, s2 = d1.session_map(), d2.session_map()
-    if set(s1) != set(s2):
-        raise TypingError("VIf", "environments type different sessions")
-    merged = {}
-    for k, t1 in s1.items():
-        try:
-            merged[k] = _merge(normal_form(t1, domains), normal_form(s2[k], domains),
-                               domains, check_guards=True)
-        except NotMergeable as exc:
-            raise TypingError("VIf", f"session {k[1]} not mergeable: {exc}") from exc
-    return SpecEnv.make(d1.shared_map(), merged, d1.queue_map())
-
-
-def end_only(d: SpecEnv, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
-    return all(isinstance(normal_form(t, domains), TEnd) for _, t in d.sessions)
-
-
-def active(d: SpecEnv, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
-    return all(isinstance(normal_form(t, domains), TInternal) for _, t in d.sessions)
-
-
-def passively_compatible(d1: SpecEnv, d2: SpecEnv) -> bool:
-    """One distinguished session, both external, over disjoint channels."""
-    if d1.shared != d2.shared or d1.queues != d2.queues:
-        return False
-    s1, s2 = d1.session_map(), d2.session_map()
-    if set(s1) != set(s2) or len(s1) != 1:
-        return False
-    ((_, t1),) = s1.items()
-    ((_, t2),) = s2.items()
-    if not (isinstance(t1, TExternal) and isinstance(t2, TExternal)):
-        return False
-    c1 = {b.channel for b in t1.branches}
-    c2 = {b.channel for b in t2.branches}
-    return not (c1 & c2)
 
 
 # -------------------------------------------------------------- consistency
@@ -315,37 +255,6 @@ def _need(actual: Sort, wanted: Sort, what: str, path: tuple):
 
 
 # ----------------------------------------------------------- typing engine
-
-def participants_ordered(g: GlobalType) -> tuple:
-    """Participants in first-occurrence order; index 0 is the requester."""
-    seen: list = []
-
-    def note(p):
-        if p not in seen:
-            seen.append(p)
-
-    def walk(node):
-        match node:
-            case GEnd():
-                return
-            case GChoice(sender, branches):
-                note(sender)
-                for b in branches:
-                    note(b.receiver)
-                for b in branches:
-                    walk(b.cont)
-            case GSeq(first, second):
-                walk(first)
-                walk(second)
-            case GIter(body, controller, term):
-                note(controller)
-                walk(body)
-                for p, _, _ in term:
-                    note(p)
-
-    walk(g)
-    return tuple(seen)
-
 
 def instantiate(gdef: GlobalDef, chans: tuple) -> GlobalType:
     """The global type with its channel parameters replaced by chans."""
@@ -485,10 +394,9 @@ def _synth_process(ctx: _Ctx, p: Process) -> dict:
             out = {}
             for k in keys:
                 try:
-                    out[k] = _merge(
-                        normalize(e_then, s1[k], ctx.domains),
-                        normalize(e_else, s2[k], ctx.domains),
-                        ctx.domains, check_guards=True)
+                    out[k] = merge(normalize(e_then, s1[k], ctx.domains),
+                                   normalize(e_else, s2[k], ctx.domains),
+                                   ctx.domains)
                 except NotMergeable as exc:
                     raise ctx.err("VIf", f"branch types not mergeable: {exc}")
             return out
@@ -527,39 +435,43 @@ def _synth_process(ctx: _Ctx, p: Process) -> dict:
                 raise ctx.err("VLoop", "repeat body and until guard must use "
                               "disjoint channels (passive compatibility)")
             return {key: TSeq(TIter(t1), t2)}
-        case Request(shared, arity, chans, cont):  # VReq
-            return _synth_open(ctx, p, shared, None, arity, chans, cont)
-        case Accept(shared, role, chans, cont):  # VAcc
-            return _synth_open(ctx, p, shared, role, None, chans, cont)
+        case Request() | Accept():  # VReq / VAcc
+            return _synth_open(ctx, p)
     raise TypeError(f"not a process: {p!r}")
 
 
-def _synth_open(ctx: _Ctx, p: Process, shared: str, role: str | None,
-                arity: int | None, chans: tuple, cont: Process) -> dict:
-    rule = "VAcc" if role is not None else "VReq"
-    gdef = ctx.shared.get(shared)
+def _open_session(ctx: _Ctx, p: Request | Accept) -> tuple:
+    """VReq/VAcc up to the session body: (rule, gdef, g, key, body context)."""
+    rule = "VAcc" if isinstance(p, Accept) else "VReq"
+    gdef = ctx.shared.get(p.shared)
     if gdef is None:
-        raise ctx.err(rule, f"shared name {shared!r} has no global type")
-    g = instantiate(gdef, chans)
+        raise ctx.err(rule, f"shared name {p.shared!r} has no global type")
+    g = instantiate(gdef, p.chans)
     parts = participants_ordered(g)
-    if role is None:
+    if isinstance(p, Request):
         role = parts[0]
-        if arity != len(parts) - 1:
-            raise ctx.err(rule, f"request arity {arity}, but {gdef.name} has "
+        if p.arity != len(parts) - 1:
+            raise ctx.err(rule, f"request arity {p.arity}, but {gdef.name} has "
                           f"{len(parts) - 1} other participants")
     else:
+        role = p.role
         if role not in parts:
             raise ctx.err(rule, f"{role!r} is not a participant of {gdef.name}")
         if role == parts[0]:
             raise ctx.err(rule, f"role {role!r} initiates {gdef.name} and must "
                           "request, not accept")
-    key = (tuple(chans), role)
-    sorts = channel_sorts(g)
-    inner = ctx.with_session(key, sorts).at(f"{rule.lower()} {shared}[{role}]")
-    sessions = _synth_process(inner, cont)
+    key = (tuple(p.chans), role)
+    inner = ctx.with_session(key, channel_sorts(g))
+    return rule, gdef, g, key, inner.at(f"{rule.lower()} {p.shared}[{role}]")
+
+
+def _synth_open(ctx: _Ctx, p: Request | Accept) -> dict:
+    rule, gdef, g, key, inner = _open_session(ctx, p)
+    role = key[1]
+    sessions = _synth_process(inner, p.cont)
     t = sessions.pop(key, TEnd(ctx.assumption))
     for other_key in sessions:
-        if set(other_key[0]) & set(chans):
+        if set(other_key[0]) & set(p.chans):
             raise ctx.err(rule, "session channels leak into an enclosing session")
     try:
         expected = project(g, role)
@@ -656,20 +568,14 @@ def _describe(t: PseudoType) -> str:
 # ------------------------------------------------------------- entry points
 
 def typecheck_process(gamma: dict, e: Expr, p: Process, shared: dict,
-                      domains: DomainDecl = EMPTY_DOMAINS) -> SpecEnv:
-    """Synthesize the minimal specification validating Gamma; e |- P."""
-    ctx = _Ctx(dict(gamma), e, dict(shared), domains)
-    sessions = _synth_process(ctx, p)
-    return SpecEnv.make(dict(shared), sessions, {})
+                      domains: DomainDecl = EMPTY_DOMAINS,
+                      session: tuple | None = None) -> SpecEnv:
+    """Synthesize the minimal specification validating Gamma; e |- P.
 
-
-def synthesize_sessions(gamma: dict, e: Expr, p: Process, shared: dict,
-                        domains: DomainDecl = EMPTY_DOMAINS,
-                        session: tuple | None = None) -> SpecEnv:
-    """Like typecheck_process, but for open process terms whose session
-    channels are already bound: `session` is ((chans, role), chan->sort).
-    The session's synthesized pseudo-type stays in the result instead of
-    being checked against a projection."""
+    For an open process term whose session channels are already bound,
+    `session` is ((chans, role), chan->sort); that session's synthesized
+    pseudo-type stays in the result instead of being checked against a
+    projection."""
     ctx = _Ctx(dict(gamma), e, dict(shared), domains)
     if session is not None:
         key, sorts = session
@@ -685,15 +591,7 @@ def session_type_of(gamma: dict, e: Expr, p: Process, shared: dict,
     before the projection equation is checked)."""
     if not isinstance(p, (Request, Accept)):
         raise TypingError("VReq", "process does not open a session at its root")
-    ctx = _Ctx(dict(gamma), e, dict(shared), domains)
-    gdef = shared.get(p.shared)
-    if gdef is None:
-        raise TypingError("VReq", f"shared name {p.shared!r} has no global type")
-    g = instantiate(gdef, p.chans)
-    parts = participants_ordered(g)
-    role = parts[0] if isinstance(p, Request) else p.role
-    key = (tuple(p.chans), role)
-    inner = ctx.with_session(key, channel_sorts(g))
+    _, _, _, key, inner = _open_session(_Ctx(dict(gamma), e, dict(shared), domains), p)
     sessions = _synth_process(inner, p.cont)
     return key, sessions.pop(key, TEnd(e))
 

@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .guards import DomainDecl, EMPTY_DOMAINS
-from .projection import project
+from .projection import NonProjectable, participants_ordered, project
 from .pseudotype import viable
 from .syntax.ast import (
     Accept, Arm, Branch, Const, GlobalDef, Lit, Process, Request, Send,
@@ -26,9 +26,12 @@ from .traces import (
     MissingRun, covers, mandatory, run_str, runs_global, runs_impl,
 )
 from .typecheck import (
-    TypingError, gamma_from_domains, instantiate, participants_ordered,
-    typecheck_process,
+    TypingError, gamma_from_domains, instantiate, typecheck_process,
+    unique_role,
 )
+
+
+SEARCH_CAP = 256  # peer payload assignments tried per target run
 
 
 class NonViable(Exception):
@@ -68,11 +71,25 @@ class CoveringVerdict:
         return f"MissingRun {run_str(self.missing)}{detail}"
 
 
+def _role_problem(gdef: GlobalDef, role: str, proc: Process,
+                 shared_name: str) -> str | None:
+    """Why proc does not uniquely play the participant `role`, or None."""
+    parts = participants_ordered(instantiate(gdef, gdef.params))
+    if role not in parts:
+        return f"{role!r} is not a participant of {gdef.name}"
+    if not unique_role(proc, shared_name, role, role0=parts[0]):
+        return f"the process does not uniquely play {role!r} in {shared_name!r}"
+    return None
+
+
 def wsi_by_typing(gdef: GlobalDef, role: str, proc: Process,
                   domains: DomainDecl = EMPTY_DOMAINS,
                   shared_name: str = "u") -> TypingVerdict:
-    """WSI by typing: a well-typed process covers its role's whole
-    spectrum."""
+    """WSI by typing: a well-typed process that plays the role covers
+    the role's whole spectrum."""
+    problem = _role_problem(gdef, role, proc, shared_name)
+    if problem is not None:
+        return TypingVerdict(False, role, TypingError("role", problem))
     gamma = gamma_from_domains(domains)
     try:
         typecheck_process(gamma, TRUE, proc, {shared_name: gdef}, domains)
@@ -107,19 +124,24 @@ def _chain(events: list, values: dict, binder_seed: list) -> Process:
 
 def synthesize_contexts(gdef: GlobalDef, role: str, proc: Process,
                         domains: DomainDecl = EMPTY_DOMAINS, unfold: int = 1,
-                        search_cap: int = 256, shared_name: str = "u"):
+                        shared_name: str = "u"):
     """One candidate family of peer assignments per maximal run: a list
     of (target run, generator of iota mappings) where every iota maps
     the checked role to `proc` and each other role to a deterministic
     straight-line peer driving that run's mandatory events."""
+    problem = _role_problem(gdef, role, proc, shared_name)
+    if problem is not None:
+        raise NonViable(problem)
     g = instantiate(gdef, gdef.params)
     parts = participants_ordered(g)
-    if role not in parts:
-        raise NonViable(f"{role!r} is not a participant of {gdef.name}")
     for q in parts:
         if q == role:
             continue
-        if not viable(project(g, q), domains):
+        try:
+            local = project(g, q)
+        except NonProjectable as exc:
+            raise NonViable(f"{gdef.name} is not projectable on {q!r}: {exc}")
+        if not viable(local, domains):
             raise NonViable(f"projection of {gdef.name} on {q!r} is not viable")
 
     targets = sorted(runs_global(g, unfold), key=run_str)
@@ -131,13 +153,11 @@ def synthesize_contexts(gdef: GlobalDef, role: str, proc: Process,
             continue
         seen_skeletons.add(skeleton)
         jobs.append((target, _iota_candidates(
-            gdef, parts, role, proc, skeleton, domains, search_cap,
-            shared_name)))
+            gdef, parts, role, proc, skeleton, domains, shared_name)))
     return jobs
 
 
-def _iota_candidates(gdef, parts, role, proc, skeleton, domains, cap,
-                     shared_name):
+def _iota_candidates(gdef, parts, role, proc, skeleton, domains, shared_name):
     """Iota mappings for one target skeleton: the peers' control
     structure is fixed; their send payloads range over declared-domain
     candidates, with guard-steering sorts (Str, Bool) varying first."""
@@ -172,7 +192,7 @@ def _iota_candidates(gdef, parts, role, proc, skeleton, domains, cap,
     def gen():
         pools = [cands for _, _, _, cands in send_positions]
         for count, combo in enumerate(itertools.product(*pools)):
-            if count >= cap:
+            if count >= SEARCH_CAP:
                 return
             assignment = dict()
             for (q, idx, _, _), value in zip(send_positions, combo):
@@ -184,8 +204,8 @@ def _iota_candidates(gdef, parts, role, proc, skeleton, domains, cap,
 
 def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
                     domains: DomainDecl = EMPTY_DOMAINS, unfold: int = 1,
-                    step_bound: int = 300, shared_name: str = "u",
-                    search_cap: int = 256) -> CoveringVerdict:
+                    step_bound: int = 300,
+                    shared_name: str = "u") -> CoveringVerdict:
     """WSI via bounded trace covering over synthesized contexts."""
     g = instantiate(gdef, gdef.params)
     if participants_ordered(g) == ():
@@ -193,7 +213,7 @@ def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
         return CoveringVerdict(True, unfold, contexts=((),))
     try:
         jobs = synthesize_contexts(gdef, role, proc, domains, unfold,
-                                   search_cap, shared_name)
+                                   shared_name)
     except NonViable as exc:
         return CoveringVerdict(False, unfold, missing=(), reason=str(exc))
     achieved: set = set()

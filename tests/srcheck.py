@@ -27,8 +27,7 @@ from chorus_wsi.semantics import step_process, step_spec
 from chorus_wsi.syntax.ast import TRUE, conj
 from chorus_wsi.syntax.printer import render_type
 from chorus_wsi.typecheck import (
-    SpecEnv, consistent, gamma_from_domains, instantiate,
-    synthesize_sessions, typecheck_process,
+    SpecEnv, consistent, gamma_from_domains, instantiate, typecheck_process,
 )
 
 
@@ -92,7 +91,7 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
             hint = {label.shared: label.chans}
         answers = []
         for d in candidates:
-            for slabel, d2 in step_spec({}, d, domains, hint):
+            for slabel, d2 in step_spec(d, domains, hint):
                 if label.kind == "in":
                     if slabel.kind == "in" and slabel.channel == label.channel:
                         answers.append((slabel, d2))
@@ -144,8 +143,8 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
         # resolved.  Guard erasure makes the comparison
         # assumption-independent, and consistency below is checked at
         # the accumulated guard.
-        resynth = synthesize_sessions(gamma2, TRUE, p2, shared,
-                                      domains, session=session)
+        resynth = typecheck_process(gamma2, TRUE, p2, shared,
+                                    domains, session=session)
         want = _session_views(resynth, domains)
         survivors = set()
         for slabel, d2 in answers:

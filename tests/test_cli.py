@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from chorus_wsi.cli import main
 
 import conftest
@@ -7,6 +9,7 @@ import conftest
 POP2 = str(conftest.CORPUS / "pop2.chor")
 ATM = str(conftest.CORPUS / "atm.chor")
 NORM = str(conftest.CORPUS / "norm_eqs.chor")
+MP = str(conftest.CORPUS / "pop2_multiparty.chor")
 
 
 def run(capsys, *argv):
@@ -24,10 +27,10 @@ def test_parse_ok(capsys):
 def test_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.chor"
     bad.write_text("global G = p -> : { }\n")
-    code, _, err = run(capsys, "parse", str(bad))
+    code, out, err = run(capsys, "parse", str(bad))
     assert code == 2
-    assert "2" not in ""  # placeholder to keep err referenced
-    assert "expected" in err
+    assert out == ""
+    assert err.startswith(f"{bad}:") and "expected" in err
 
 
 def test_project_server_golden(capsys, pop2, pop2_domains):
@@ -151,3 +154,53 @@ def test_color_env_toggle(capsys, monkeypatch):
     monkeypatch.setenv("CHORUS_COLOR", "0")
     _, out, _ = run(capsys, "cover", ATM, "--unfold", "1")
     assert "\x1b[" not in out
+
+
+def _case(name, code, stderr, *argv):
+    return pytest.param(argv, code, stderr, id=name)
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    # holds, and analysis rejections
+    _case("holds", 0, "", "cover", ATM, "--unfold", "1"),
+    _case("type-error", 1, "", "typecheck", ATM, "--proc", "B2"),
+    _case("project-non-participant", 1, "", "project", POP2, "--role", "zz"),
+    _case("wsi-non-participant", 1, "",
+          "wsi", ATM, "--proc", "B1", "--role", "zz", "--unfold", "1"),
+    # usage errors: names the module does not declare
+    _case("unknown-global", 2, "error: no global type named 'NOPE'",
+          "project", POP2, "--role", "s", "--global", "NOPE"),
+    _case("unknown-proc", 2, "error: no process named 'NOPE'",
+          "typecheck", ATM, "--proc", "NOPE"),
+    _case("unknown-system", 2, "error: no system named 'NOPE'",
+          "typecheck", ATM, "--system", "NOPE"),
+    _case("simulate-unknown-system", 2, "error: no system named 'NOPE'",
+          "simulate", POP2, "--system", "NOPE"),
+    _case("unknown-type", 2, "error: no type named 'NOPE'",
+          "normalize", NORM, "--type", "NOPE"),
+    _case("wsi-unknown-proc", 2, "error: no process named 'NOPE'",
+          "wsi", ATM, "--proc", "NOPE"),
+    # usage errors: an ambiguous entry global, no role, a bound below 1
+    _case("ambiguous-global", 2, "error: module declares several entry globals",
+          "cover", MP),
+    _case("no-role", 2, "error: give --role", "wsi", POP2, "--proc", "Srv"),
+    _case("unfold-0", 2, "--unfold: expected an integer",
+          "cover", ATM, "--unfold", "0"),
+    _case("unfold-negative", 2, "--unfold: expected an integer",
+          "traces", ATM, "--unfold", "-1"),
+    _case("steps-0", 2, "--steps: expected an integer",
+          "wsi", ATM, "--proc", "B1", "--steps", "0"),
+    _case("steps-not-a-number", 2, "--steps: expected an integer",
+          "simulate", POP2, "--system", "POP_QUIT", "--steps", "x"),
+    _case("missing-file", 2, "error: ",
+          "parse", str(conftest.CORPUS / "missing.chor")),
+])
+def test_exit_code_contract(capsys, argv, code, stderr):
+    try:
+        got = main(list(argv))
+    except SystemExit as exc:  # argparse rejects its own arguments
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert stderr in err
+    assert "Traceback" not in err

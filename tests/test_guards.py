@@ -134,7 +134,7 @@ def test_str_domain_gets_other_value(pop2, pop2_domains):
 
 
 def test_bool_domain_defaults(multiparty, multiparty_domains):
-    assert multiparty_domains.domain_of("av") == frozenset(
+    assert multiparty_domains.domains["av"] == frozenset(
         {bool_lit(True), bool_lit(False)})
 
 

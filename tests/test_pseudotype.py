@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 import chorus_wsi.pseudotype as pt
 from chorus_wsi.guards import is_unsat, implies
 from chorus_wsi.pseudotype import (
-    NotMergeable, NotNormalForm, equiv, merge, mergeable, normal_form,
-    normalize, remove_guards, try_merge, viable, weight,
+    NotMergeable, equiv, merge, normal_form, normalize, remove_guards,
+    viable, weight,
 )
 from chorus_wsi.syntax import parse_expr, parse_type
 from chorus_wsi.syntax.ast import (
@@ -129,7 +129,7 @@ def test_normalize_remaining_equation_shapes(norm_eqs):
 # ------------------------------------------------------------------- merge
 
 def test_mergeable_ends():
-    assert mergeable(TEnd(XPOS), TEnd(XNEG), D)
+    assert isinstance(merge(TEnd(XPOS), TEnd(XNEG), D), TEnd)
 
 
 def test_merge_ends_disjoins_guards():
@@ -142,7 +142,6 @@ def test_merge_ends_disjoins_guards():
 def test_mergeable_internal_disjoint_channels():
     t1 = parse_type("a!(Int). end")
     t2 = parse_type("b!(Str). end")
-    assert mergeable(t1, t2, D)
     out = merge(t1, t2, D)
     assert [b.channel for b in out.branches] == ["a", "b"]
 
@@ -150,7 +149,6 @@ def test_mergeable_internal_disjoint_channels():
 def test_not_mergeable_external_overlapping_guards():
     t1 = normal_form(TExternal((TBranch(parse_expr("x > 0"), "y", INT, TEnd()),)), D)
     t2 = normal_form(TExternal((TBranch(parse_expr("x >= 1"), "y", INT, TEnd()),)), D)
-    assert not mergeable(t1, t2, D)
     with pytest.raises(NotMergeable):
         merge(t1, t2, D)
 
@@ -158,12 +156,6 @@ def test_not_mergeable_external_overlapping_guards():
 def test_merge_idempotent_on_local_types():
     t = parse_type("a?(Int). b!(Str). end (&) c?(). end")
     assert merge(t, t, D) == t
-
-
-def test_merge_requires_normal_form():
-    not_nf = TSeq(TEnd(), TEnd())
-    with pytest.raises(NotNormalForm):
-        mergeable(not_nf, not_nf, D)
 
 
 def test_merge_of_guarded_branches_matches_mailbox_type(pop2, pop2_domains):
@@ -337,14 +329,16 @@ def run_law_suite(n_cases: int, seed: int = 0):
             if not equiv(pt.strip_end_units(lhs), pt.strip_end_units(rhs), D):
                 failures.append(f"case {case}: nf-neutral-end-seq-right fails")
 
-        # merge/normalization commutation on mergeable inputs (merge is
+        # merge/normalization commutation where both merges succeed (merge is
         # defined on normal forms only, so both operands are normalized)
         left = normal_form(t, D)
         right = normal_form(gen.reguard(rng, left), D)
-        raw = try_merge(left, right, D)
         try:
-            cooked = pt._merge(normal_form(left, D), normal_form(right, D),
-                               D, check_guards=True)
+            raw = merge(left, right, D)
+        except NotMergeable:
+            raw = None
+        try:
+            cooked = merge(normal_form(left, D), normal_form(right, D), D)
         except NotMergeable:
             cooked = None
         if raw is not None and cooked is not None:

@@ -1,7 +1,7 @@
 from chorus_wsi.guards import Store
 from chorus_wsi.semantics import (
     Counterexample, Holds, conditional_simulation, step_process,
-    step_spec, step_system, system_steps, to_state,
+    step_spec, system_steps, to_state,
 )
 from chorus_wsi.syntax import parse_expr, parse_process, parse_module, parse_type
 from chorus_wsi.syntax.ast import Branch, INT, Proc, TRUE, int_lit
@@ -98,24 +98,24 @@ def test_system_queue_communication(pop2, pop2_domains):
 
 def test_closed_terminated_system_stuck():
     state = to_state(Proc(Branch(())))
-    assert step_system(state, Store(), D) == []
+    assert system_steps(state, Store(), D) == []
 
 
 def test_step_spec_internal_choice_per_live_branch():
     t = parse_type("e!(). end (+) r!(Int). end")
     delta = SpecEnv.make({}, {(("e", "r"), "s"): t}, {})
-    steps = step_spec({}, delta, D)
+    steps = step_spec(delta, D)
     outs = [(l.channel, str(l.sort)) for l, _ in steps if l.kind == "out"]
     assert sorted(outs) == [("e", "Unit"), ("r", "Int")]
 
 
 def test_step_spec_empty():
-    assert step_spec({}, SpecEnv.make({}, {}, {}), D) == []
+    assert step_spec(SpecEnv.make({}, {}, {}), D) == []
 
 
 def test_step_spec_tinit_adds_projections(pop2, pop2_domains):
     delta = SpecEnv.make({"u": pop2.globals_["G_POP"]}, {}, {})
-    steps = step_spec({}, delta, pop2_domains)
+    steps = step_spec(delta, pop2_domains)
     taus = [d for l, d in steps if l.kind == "tau" and l.shared == "u"]
     assert len(taus) == 1
     d2 = taus[0]
@@ -129,12 +129,12 @@ def test_step_spec_queue_communication():
     partner = parse_type("y?(Int). end")
     delta = SpecEnv.make({}, {(("y",), "p"): t, (("y",), "q"): partner},
                          {"y": ()})
-    first = step_spec({}, delta, D)
+    first = step_spec(delta, D)
     sends = [(l, d) for l, d in first if l.comm and l.comm[0] == "out"]
     assert len(sends) == 1
     label, d2 = sends[0]
     assert d2.queue_map()["y"] == (INT,)
-    second = step_spec({}, d2, D)
+    second = step_spec(d2, D)
     recvs = [(l, d) for l, d in second if l.comm and l.comm[0] == "in"]
     assert len(recvs) == 1
     assert recvs[0][1].queue_map()["y"] == ()

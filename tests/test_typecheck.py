@@ -1,19 +1,19 @@
 import pytest
 
 from chorus_wsi.guards import DomainDecl, Store
-from chorus_wsi.pseudotype import equiv, normal_form, normalize, remove_guards
+from chorus_wsi.pseudotype import (
+    equiv, normal_form, normalize, passively_compatible_types, remove_guards,
+)
 from chorus_wsi.syntax import parse_expr, parse_process, parse_type, render_type
 from chorus_wsi.syntax.ast import (
-    Branch, FALSE, INT, Send, Seq, TEnd, TExternal, TInternal, TIter, TRUE,
-    TSeq, UNIT, Var, bool_lit, int_lit, is_local,
+    Branch, FALSE, INT, STR, Send, Seq, TEnd, TExternal, TInternal, TIter,
+    TRUE, TSeq, UNIT, Var, bool_lit, int_lit, is_local,
 )
 from chorus_wsi.projection import project
 from chorus_wsi.typecheck import (
-    SpecEnv, TypingError, active, consistent, end_only, env_merge,
-    env_restrict, env_seq, env_star, env_union, gamma_from_domains,
-    independent, instantiate, participants_ordered, passively_compatible,
-    session_type_of, synthesize_sessions, typecheck_process,
-    typecheck_system, unique_role,
+    SpecEnv, TypingError, consistent, env_restrict, env_union,
+    gamma_from_domains, independent, instantiate, participants_ordered,
+    session_type_of, typecheck_process, typecheck_system, unique_role,
 )
 
 import gen
@@ -28,16 +28,18 @@ def _env(sessions=None, queues=None, shared=None):
 
 # -------------------------------------------------------- environment ops
 
+def _open_session_type(text, gamma=None):
+    """The pseudo-type synthesized for session KEY by an open process
+    whose channels a and b carry Int and Str."""
+    delta = typecheck_process(gamma or {}, TRUE, parse_process(text), {}, D,
+                              session=(KEY, {"a": INT, "b": STR}))
+    return delta.session_map()[KEY]
+
+
 def test_env_seq_pointwise():
     t1 = parse_type("a!(Int). end")
     t2 = parse_type("b?(Str). end")
-    d = env_seq(_env({KEY: t1}), _env({KEY: t2}))
-    assert d.session_map()[KEY] == TSeq(t1, t2)
-
-
-def test_env_seq_requires_domain_inclusion():
-    with pytest.raises(TypingError):
-        env_seq(_env({}), _env({KEY: TEnd()}))
+    assert _open_session_type("a!(1); b?(v). 0") == TSeq(t1, t2)
 
 
 def test_env_union_empty():
@@ -52,8 +54,7 @@ def test_env_union_rejects_same_role():
 
 def test_env_star():
     t = parse_type("a!(Int). end")
-    d = env_star(_env({KEY: t}))
-    assert d.session_map()[KEY] == TIter(t)
+    assert _open_session_type("for i in 1..2 { a!(1) }") == TIter(t)
 
 
 def test_env_restrict():
@@ -63,13 +64,8 @@ def test_env_restrict():
 
 
 def test_env_merge_normalizes_then_merges():
-    from chorus_wsi.syntax.ast import TBranch
-    xpos = parse_expr("x > 0")
-    xneg = parse_expr("not x > 0")
-    t1 = TInternal((TBranch(xpos, "a", INT, TEnd(xpos)),))
-    t2 = TInternal((TBranch(xneg, "b", INT, TEnd(xneg)),))
-    out = env_merge(_env({KEY: t1}), _env({KEY: t2}), D)
-    merged = out.session_map()[KEY]
+    merged = _open_session_type("if x > 0 then a!(1) else b!(\"s\")",
+                                gamma={"x": INT})
     assert isinstance(merged, TInternal)
     assert [b.channel for b in merged.branches] == ["a", "b"]
 
@@ -83,21 +79,19 @@ def test_independent():
 
 # ---------------------------------------------------------------- predicates
 
-def test_end_only_empty():
-    assert end_only(_env(), D)
-
-
 def test_active_internal_choice():
-    t = parse_type("e!(). end (+) r!(Int). end")
-    assert active(_env({KEY: t}), D)
-    assert not active(_env({KEY: parse_type("e?(). end")}), D)
+    assert isinstance(_open_session_type("for i in 1..2 { a!(1) }"), TIter)
+    with pytest.raises(TypingError) as err:
+        _open_session_type("for i in 1..2 { b?(v). 0 }")
+    assert err.value.rule == "VFor"
+    assert "must start with an output choice" in err.value.message
 
 
 def test_passively_compatible():
     body = parse_type("fold?(Str). end (&) read?(Int). end")
     exit_ = parse_type("quit?(). end")
-    assert passively_compatible(_env({KEY: body}), _env({KEY: exit_}))
-    assert not passively_compatible(_env({KEY: body}), _env({KEY: body}))
+    assert passively_compatible_types(body, exit_)
+    assert not passively_compatible_types(body, body)
 
 
 # --------------------------------------------------------------- consistency
@@ -180,8 +174,8 @@ def test_vif_rejects_inconsistent_assumption(atm_domains):
     p = parse_process("if x > 0 then { if x <= 0 then a!(1) else a!(2) } "
                       "else b!(3)")
     with pytest.raises(TypingError) as err:
-        synthesize_sessions(gamma, TRUE, p, {}, D,
-                            session=(((("a", "b"), "p")), {"a": INT, "b": INT}))
+        typecheck_process(gamma, TRUE, p, {}, D,
+                          session=(((("a", "b"), "p")), {"a": INT, "b": INT}))
     assert err.value.rule == "VIf"
 
 
@@ -272,7 +266,7 @@ def test_structural_congruence_stability(pop2_domains):
     types = []
     for text in variants:
         p = parse_process(text)
-        delta = synthesize_sessions({}, TRUE, p, {}, D, session=key)
+        delta = typecheck_process({}, TRUE, p, {}, D, session=key)
         types.append(delta.session_map()[(("a", "b"), "p")])
     base = normal_form(types[0], D)
     for t in types[1:]:
@@ -296,8 +290,8 @@ def test_guard_strengthening():
     p = parse_process("if flag then a!(1) else b!(2)")
     e2 = parse_expr("x > 0")
     gamma = {"flag": BOOL, "x": INT}
-    d_weak = synthesize_sessions(gamma, TRUE, p, {}, D, session=key)
-    d_strong = synthesize_sessions(gamma, e2, p, {}, D, session=key)
+    d_weak = typecheck_process(gamma, TRUE, p, {}, D, session=key)
+    d_strong = typecheck_process(gamma, e2, p, {}, D, session=key)
     t_weak = d_weak.session_map()[(("a", "b"), "p")]
     t_strong = d_strong.session_map()[(("a", "b"), "p")]
     assert equiv(normal_form(t_strong, D), normalize(e2, t_weak, D), D)
@@ -306,7 +300,7 @@ def test_guard_strengthening():
 def test_false_assumption_collapses_sessions():
     key = ((("a", "b"), "p"), {"a": INT, "b": INT})
     p = parse_process("a!(1)")
-    delta = synthesize_sessions({}, FALSE, p, {}, D, session=key)
+    delta = typecheck_process({}, FALSE, p, {}, D, session=key)
     t = delta.session_map()[(("a", "b"), "p")]
     nf = normal_form(t, D)
     assert isinstance(nf, TEnd)

@@ -140,3 +140,70 @@ def test_wsi_pop_quit_context_drives_exit_run(pop2, pop2_domains):
     exit_run = (Event("c", "!", "quit", UNIT), Event("s", "?", "quit", UNIT),
                 Event("s", "!", "bye", UNIT), Event("c", "?", "bye", UNIT))
     assert exit_run in runs
+
+
+def test_wsi_covering_unprojectable_peer_rejects(multiparty, multiparty_domains):
+    """G_POP_M does not project on the authorizer: covering Init2 answers
+    with a MissingRun naming the peer instead of raising."""
+    g = multiparty.globals_["G_POP_M"]
+    init2 = multiparty.processes["Init2"].body
+    with pytest.raises(NonViable, match="not projectable on 'a'"):
+        synthesize_contexts(g, "s", init2, multiparty_domains, unfold=1)
+    v = wsi_by_covering(g, "s", init2, multiparty_domains, unfold=1)
+    assert not v.holds()
+    assert str(v).startswith("MissingRun <empty>: G_POP_M is not projectable "
+                             "on 'a': ")
+
+
+def test_wsi_cli_init2_rejects_after_typing(capsys):
+    import conftest
+    from chorus_wsi.cli import main
+    mp = str(conftest.CORPUS / "pop2_multiparty.chor")
+    code = main(["wsi", mp, "--proc", "Init2", "--unfold", "1"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[0] == "typing:   Holds (typing validates the role 's')"
+    assert out[1].startswith("covering: MissingRun <empty>: G_POP_M is not "
+                             "projectable on 'a': ")
+
+
+@pytest.mark.parametrize("role, why", [
+    pytest.param("zz", "'zz' is not a participant of G_ATM", id="zz"),
+    pytest.param("c", "the process does not uniquely play 'c' in 'atm'",
+                 id="c"),
+])
+def test_wsi_both_paths_check_the_role(atm, atm_domains, role, why):
+    g = atm.globals_["G_ATM"]
+    b1 = atm.processes["B1"].body
+    typing = wsi_by_typing(g, role, b1, atm_domains, "atm")
+    assert not typing.holds()
+    assert str(typing) == f"Rejected: role: {why} (at <top>)"
+    covering = wsi_by_covering(g, role, b1, atm_domains, unfold=1,
+                               shared_name="atm")
+    assert not covering.holds()
+    assert str(covering) == f"MissingRun <empty>: {why}"
+
+
+@pytest.mark.parametrize("role", ["zz", "c"])
+def test_wsi_cli_wrong_role_exit_1(capsys, role):
+    import conftest
+    from chorus_wsi.cli import main
+    atm = str(conftest.CORPUS / "atm.chor")
+    code = main(["wsi", atm, "--proc", "B1", "--role", role, "--unfold", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Holds" not in captured.out
+    assert captured.err == ""
+
+
+def test_every_corpus_entry_process_plays_its_role(pop2, atm, multiparty):
+    """The role check rejects no declared entry process of the corpus."""
+    from chorus_wsi.syntax.ast import fU
+    from chorus_wsi.wsi import _role_problem
+    for module in (pop2, atm, multiparty):
+        for decl in module.processes.values():
+            if decl.role is None:
+                continue
+            gdef = module.globals_[decl.global_name]
+            shared = sorted(fU(decl.body))[0]
+            assert _role_problem(gdef, decl.role, decl.body, shared) is None
