@@ -314,13 +314,15 @@ def cmd_wsi(args) -> int:
         code = code or (0 if verdict.holds() else 1)
     if args.mode in ("covering", "both"):
         verdict = wsi_by_covering(gdef, role, decl.body, domains,
-                                  unfold=args.unfold, step_bound=args.steps,
+                                  step_bound=args.steps,
                                   shared_name=shared_name)
-        payload["covering"] = {"holds": verdict.holds(), "detail": str(verdict)}
+        # covering does not depend on the unfold bound: it only labels a Holds
+        detail = (f"Holds@{args.unfold} ({len(verdict.contexts)} contexts)"
+                  if verdict.holds() else str(verdict))
+        payload["covering"] = {"holds": verdict.holds(), "detail": detail}
         if not verdict.holds() and verdict.missing:
             payload["covering"]["missing"] = run_to_json(verdict.missing)
-        print(("covering: " + (_ok(str(verdict)) if verdict.holds()
-                               else _bad(str(verdict)))))
+        print("covering: " + (_ok(detail) if verdict.holds() else _bad(detail)))
         code = code or (0 if verdict.holds() else 1)
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -347,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "typing, and whole-spectrum implementation checking.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, role=False, unfold=False, steps=False, seed=False,
+    def common(p, *, role=False, unfold=None, steps=False, seed=False,
                glob=False, mode=False):
         p.add_argument("file", help="a .chor module")
         p.add_argument("--json", action="store_true", help="machine output")
@@ -357,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
         if role:
             p.add_argument("--role", default=None)
         if unfold:
-            p.add_argument("--unfold", type=_positive, default=2, metavar="K")
+            p.add_argument("--unfold", type=_positive, default=2, metavar="K",
+                           help=unfold)
         if steps:
             p.add_argument("--steps", type=_positive, default=200, metavar="N")
         if seed:
@@ -392,15 +395,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("traces", help="annotated runs of a global type")
-    common(p, unfold=True, glob=True)
+    common(p, unfold="iterations unfolded at most K times", glob=True)
     p.set_defaults(func=cmd_traces)
 
     p = sub.add_parser("cover", help="check runs(G) covered by its projections")
-    common(p, unfold=True, glob=True)
+    common(p, unfold="iterations unfolded at most K times in the runs "
+           "counted and compared", glob=True)
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("wsi", help="whole-spectrum implementation verdicts")
-    common(p, role=True, unfold=True, steps=True, glob=True, mode=True)
+    common(p, role=True, unfold="the bound a covering Holds is reported "
+           "at (Holds@K); the verdict does not depend on it", steps=True,
+           glob=True, mode=True)
     p.add_argument("--proc", required=True)
     p.set_defaults(func=cmd_wsi)
 

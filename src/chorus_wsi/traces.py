@@ -2,9 +2,16 @@
 
 Runs are tuples mixing events with optional segments (`Opt`).  Optional
 segments arise from unfolding iterations: the first execution of a loop
-body is mandatory, every further unfolding is wrapped as optional.  All
-enumerators bound iteration unfolding by K and produce complete runs
-(sessions terminated, queues drained).
+body is mandatory, every further unfolding is wrapped as optional.  The
+global-type and specification enumerators bound iteration unfolding by
+K; all enumerators produce complete runs (sessions terminated, queues
+drained).
+
+The preorder sees only a run's mandatory skeleton (its events outside
+optional segments), and each unfolding beyond the first only adds an
+optional segment, so the skeletons at every bound K are exactly the
+runs at K = 1.  Covering therefore compares skeletons, and no covering
+verdict depends on K.
 
 A trace stands for its equivalence class modulo permutation of causally
 independent events, where two events are independent iff they are by
@@ -373,7 +380,7 @@ def _embed(m1: tuple, m2: tuple) -> bool:
 
 @dataclass(frozen=True)
 class CoversHolds:
-    witnesses: tuple  # of (run, covering run)
+    witnesses: tuple  # of (skeleton, covering skeleton)
 
     def holds(self) -> bool:
         return True
@@ -392,21 +399,19 @@ class MissingRun:
 
 def covers(runs1, runs2) -> CoversHolds | MissingRun:
     """R1 is covered by R2 when every run of R1 is below some run of R2
-    in the trace preorder."""
+    in the trace preorder.  The preorder sees only mandatory events, so
+    both sides are reduced to their skeletons first: the witnesses are
+    pairs of skeletons, and a missing run is a skeleton of R1."""
+    skeletons2 = sorted({mandatory(r) for r in runs2}, key=run_str)
     index: dict = {}
-    for r2 in runs2:
-        index.setdefault(_foata(mandatory(r2)), r2)
+    for s2 in skeletons2:
+        index.setdefault(_foata(s2), s2)
     witnesses = []
-    others = list(runs2)
-    for r1 in sorted(runs1, key=run_str):
-        hit = index.get(_foata(mandatory(r1)))
-        if hit is not None:
-            witnesses.append((r1, hit))
-            continue
-        for r2 in others:
-            if trace_leq(r1, r2):
-                witnesses.append((r1, r2))
-                break
-        else:
-            return MissingRun(r1)
+    for s1 in sorted({mandatory(r) for r in runs1}, key=run_str):
+        hit = index.get(_foata(s1))
+        if hit is None:
+            hit = next((s2 for s2 in skeletons2 if trace_leq(s1, s2)), None)
+            if hit is None:
+                return MissingRun(s1)
+        witnesses.append((s1, hit))
     return CoversHolds(tuple(witnesses))

@@ -449,6 +449,8 @@ def _open_session(ctx: _Ctx, p: Request | Accept) -> tuple:
     g = instantiate(gdef, p.chans)
     parts = participants_ordered(g)
     if isinstance(p, Request):
+        if not parts:
+            raise ctx.err(rule, f"{gdef.name} has no participant to request")
         role = parts[0]
         if p.arity != len(parts) - 1:
             raise ctx.err(rule, f"request arity {p.arity}, but {gdef.name} has "

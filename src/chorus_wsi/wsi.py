@@ -1,13 +1,15 @@
 """The two whole-spectrum-implementation verdict paths.
 
 By typing: a process that typechecks against the global type is a WSI
-of its role.  By covering: synthesize, for every maximal run of the
-global type at the unfold bound, a deterministic set of peers that
-drives exactly that run's choices, execute the resulting
-implementations, and check that their runs cover the global type's
-runs.  Peer synthesis hardcodes branch decisions per target run;
-payload values that steer guarded branches of the candidate process
-are searched over the declared finite domains.
+of its role.  By covering: synthesize, for every mandatory skeleton of
+the global type's runs, a deterministic set of peers that drives
+exactly that skeleton's choices, execute the resulting implementations,
+and check that their runs cover every skeleton.  The trace preorder
+sees only skeletons, and the skeletons at any unfold bound are the runs
+at bound 1, so covering takes its targets from `runs_global(g, 1)` and
+no verdict depends on an unfold bound.  Peer synthesis hardcodes branch
+decisions per target; payload values that steer guarded branches of the
+candidate process are searched over the declared finite domains.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from .syntax.ast import (
     Accept, Arm, Branch, Const, GlobalDef, Lit, Process, Request, Send,
     Seq, TRUE,
 )
-from .traces import (
-    MissingRun, covers, mandatory, run_str, runs_global, runs_impl,
-)
+from .traces import covers, run_str, runs_global, runs_impl
 from .typecheck import (
     TypingError, gamma_from_domains, instantiate, typecheck_process,
     unique_role,
@@ -56,7 +56,6 @@ class TypingVerdict:
 @dataclass(frozen=True)
 class CoveringVerdict:
     ok: bool
-    unfold: int
     missing: tuple | None = None
     reason: str | None = None
     contexts: tuple = ()
@@ -66,7 +65,7 @@ class CoveringVerdict:
 
     def __str__(self) -> str:
         if self.ok:
-            return f"Holds@{self.unfold} ({len(self.contexts)} contexts)"
+            return f"Holds ({len(self.contexts)} contexts)"
         detail = f": {self.reason}" if self.reason else ""
         return f"MissingRun {run_str(self.missing)}{detail}"
 
@@ -123,12 +122,12 @@ def _chain(events: list, values: dict, binder_seed: list) -> Process:
 
 
 def synthesize_contexts(gdef: GlobalDef, role: str, proc: Process,
-                        domains: DomainDecl = EMPTY_DOMAINS, unfold: int = 1,
+                        domains: DomainDecl = EMPTY_DOMAINS,
                         shared_name: str = "u"):
-    """One candidate family of peer assignments per maximal run: a list
-    of (target run, generator of iota mappings) where every iota maps
-    the checked role to `proc` and each other role to a deterministic
-    straight-line peer driving that run's mandatory events."""
+    """One candidate family of peer assignments per mandatory skeleton:
+    a list of (target skeleton, generator of iota mappings) where every
+    iota maps the checked role to `proc` and each other role to a
+    deterministic straight-line peer driving that skeleton's events."""
     problem = _role_problem(gdef, role, proc, shared_name)
     if problem is not None:
         raise NonViable(problem)
@@ -144,17 +143,10 @@ def synthesize_contexts(gdef: GlobalDef, role: str, proc: Process,
         if not viable(local, domains):
             raise NonViable(f"projection of {gdef.name} on {q!r} is not viable")
 
-    targets = sorted(runs_global(g, unfold), key=run_str)
-    jobs = []
-    seen_skeletons = set()
-    for target in targets:
-        skeleton = mandatory(target)
-        if skeleton in seen_skeletons:
-            continue
-        seen_skeletons.add(skeleton)
-        jobs.append((target, _iota_candidates(
-            gdef, parts, role, proc, skeleton, domains, shared_name)))
-    return jobs
+    # a run at bound 1 has no optional segment: it is its own skeleton
+    return [(target, _iota_candidates(gdef, parts, role, proc, target,
+                                      domains, shared_name))
+            for target in sorted(runs_global(g, 1), key=run_str)]
 
 
 def _iota_candidates(gdef, parts, role, proc, skeleton, domains, shared_name):
@@ -203,43 +195,30 @@ def _iota_candidates(gdef, parts, role, proc, skeleton, domains, shared_name):
 
 
 def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
-                    domains: DomainDecl = EMPTY_DOMAINS, unfold: int = 1,
+                    domains: DomainDecl = EMPTY_DOMAINS,
                     step_bound: int = 300,
                     shared_name: str = "u") -> CoveringVerdict:
-    """WSI via bounded trace covering over synthesized contexts."""
-    g = instantiate(gdef, gdef.params)
-    if participants_ordered(g) == ():
-        # the finished choreography is covered by the empty context
-        return CoveringVerdict(True, unfold, contexts=((),))
+    """WSI via trace covering over synthesized contexts: Holds once
+    every target skeleton is covered by the runs of some context."""
     try:
-        jobs = synthesize_contexts(gdef, role, proc, domains, unfold,
-                                   shared_name)
+        jobs = synthesize_contexts(gdef, role, proc, domains, shared_name)
     except NonViable as exc:
-        return CoveringVerdict(False, unfold, missing=(), reason=str(exc))
+        return CoveringVerdict(False, missing=(), reason=str(exc))
     achieved: set = set()
     used = []
-    all_runs = runs_global(g, unfold)
     for target, candidates in jobs:
-        if any(covers([target], [r]).holds() for r in achieved):
+        if covers([target], achieved).holds():
             continue
-        found = False
         for iota in candidates():
             runs = runs_impl(iota, shared_name, gdef, domains,
                              step_bound=step_bound)
-            hits = [r for r in runs if covers([target], [r]).holds()]
-            if hits:
-                achieved |= set(runs)
+            if covers([target], runs).holds():
+                achieved |= runs
                 used.append(iota)
-                found = True
                 break
-        if not found:
+        else:
             return CoveringVerdict(
-                False, unfold, missing=target,
+                False, missing=target,
                 reason="branch unreachable under declared domains")
-    verdict = covers(all_runs, achieved)
-    if isinstance(verdict, MissingRun):
-        return CoveringVerdict(False, unfold, missing=verdict.run,
-                               reason="no synthesized context produced a "
-                               "covering run")
-    return CoveringVerdict(True, unfold, contexts=tuple(
+    return CoveringVerdict(True, contexts=tuple(
         tuple(sorted(i.keys())) for i in used))

@@ -193,8 +193,8 @@ def test_criterion_7_wsi_end_to_end(atm, atm_domains):
     g = atm.globals_["G_ATM"]
     b1 = atm.processes["B1"].body
     b2 = atm.processes["B2"].body
-    c1 = wsi_by_covering(g, "b", b1, atm_domains, unfold=1, shared_name="atm")
-    c2 = wsi_by_covering(g, "b", b2, atm_domains, unfold=1, shared_name="atm")
+    c1 = wsi_by_covering(g, "b", b1, atm_domains, shared_name="atm")
+    c2 = wsi_by_covering(g, "b", b2, atm_domains, shared_name="atm")
     t1 = wsi_by_typing(g, "b", b1, atm_domains, "atm")
     t2 = wsi_by_typing(g, "b", b2, atm_domains, "atm")
     missing_ok = (not c2.holds()) and \

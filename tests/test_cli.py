@@ -164,6 +164,8 @@ def _case(name, code, stderr, *argv):
     # holds, and analysis rejections
     _case("holds", 0, "", "cover", ATM, "--unfold", "1"),
     _case("type-error", 1, "", "typecheck", ATM, "--proc", "B2"),
+    _case("typecheck-no-participants", 1, "",
+          "typecheck", str(conftest.NO_PARTICIPANTS)),
     _case("project-non-participant", 1, "", "project", POP2, "--role", "zz"),
     _case("wsi-non-participant", 1, "",
           "wsi", ATM, "--proc", "B1", "--role", "zz", "--unfold", "1"),

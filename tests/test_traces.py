@@ -3,7 +3,8 @@ import random
 import pytest
 
 from chorus_wsi.guards import Store
-from chorus_wsi.syntax.ast import Event, GEnd, INT, UNIT, TEnd
+from chorus_wsi.projection import NonProjectable
+from chorus_wsi.syntax.ast import Event, GEnd, GlobalDef, INT, UNIT, TEnd
 from chorus_wsi.syntax import parse_type
 from chorus_wsi.traces import (
     MissingRun, Opt, all_events, covers, mandatory, projection_env,
@@ -84,6 +85,35 @@ def test_coverage_pop2(pop2, pop2_domains, unfold):
     rs = runs_spec(projection_env(gdef, pop2_domains), gdef.params, unfold,
                    pop2_domains)
     assert covers(rg, rs).holds()
+
+
+def _skeletons_are_runs_at_1(enumerate_at) -> bool:
+    """Every run at bound 1 is its own skeleton, and the skeletons of the
+    runs at bound 2 are exactly the runs at bound 1."""
+    at_1 = enumerate_at(1)
+    return (all(mandatory(r) == r for r in at_1)
+            and {mandatory(r) for r in enumerate_at(2)} == at_1)
+
+
+def test_skeletons_do_not_depend_on_the_unfold_bound():
+    """Covering compares skeletons and takes its targets from the runs
+    at bound 1, which is sound only if deeper unfoldings add optional
+    segments and nothing else, for global types and for the
+    specifications made of their projections."""
+    rng = random.Random(4242)
+    specs_checked = 0
+    for _ in range(300):
+        g = gen.gen_global(rng)
+        assert _skeletons_are_runs_at_1(lambda k: runs_global(g, k)), g
+        gdef = GlobalDef("G", ("a", "b", "c", "t"), g)
+        try:
+            delta = projection_env(gdef)
+        except NonProjectable:
+            continue
+        assert _skeletons_are_runs_at_1(
+            lambda k: runs_spec(delta, gdef.params, k)), g
+        specs_checked += 1
+    assert specs_checked > 150
 
 
 # --------------------------------------------------------------- runs_impl
@@ -370,3 +400,30 @@ def test_covers_reports_missing_run():
     verdict = covers(frozenset({r}), frozenset({()}))
     assert isinstance(verdict, MissingRun)
     assert verdict.run == r
+
+
+def test_covers_agrees_with_pairwise_trace_leq():
+    """Covering on skeletons with a Foata index gives the verdict of the
+    definition on annotated runs; a missing run is an uncovered skeleton
+    and every witness pair is ordered by the preorder."""
+    rng = random.Random(5151)
+    outcomes = set()
+    for _ in range(400):
+        runs1 = {gen.gen_run(rng, rng.randint(0, 4))
+                 for _ in range(rng.randint(0, 3))}
+        runs2 = {gen.gen_run(rng, rng.randint(0, 5))
+                 for _ in range(rng.randint(0, 4))}
+        verdict = covers(runs1, runs2)
+        expected = all(any(trace_leq(r1, r2) for r2 in runs2) for r1 in runs1)
+        assert verdict.holds() == expected
+        outcomes.add(expected)
+        skeletons1 = {mandatory(r) for r in runs1}
+        skeletons2 = {mandatory(r) for r in runs2}
+        if expected:
+            assert {s1 for s1, _ in verdict.witnesses} == skeletons1
+            assert all(trace_leq(s1, s2) and s2 in skeletons2
+                       for s1, s2 in verdict.witnesses)
+        else:
+            assert verdict.run in skeletons1
+            assert not any(trace_leq(verdict.run, r2) for r2 in runs2)
+    assert outcomes == {True, False}

@@ -1,7 +1,8 @@
 import pytest
 
 from chorus_wsi.syntax.ast import Event, GlobalDef, GEnd, UNIT, Branch
-from chorus_wsi.traces import covers, mandatory, runs_impl
+from chorus_wsi.traces import covers, mandatory, runs_global, runs_impl
+from chorus_wsi.typecheck import instantiate
 from chorus_wsi.wsi import (
     NonViable, synthesize_contexts, wsi_by_covering, wsi_by_typing,
 )
@@ -25,15 +26,14 @@ def test_wsi_typing_pop_init(pop2, pop2_domains):
 def test_wsi_covering_b1_holds(atm, atm_domains):
     g = atm.globals_["G_ATM"]
     v = wsi_by_covering(g, "b", atm.processes["B1"].body, atm_domains,
-                        unfold=1, shared_name="atm")
+                        shared_name="atm")
     assert v.holds()
-    assert v.unfold == 1
 
 
 def test_wsi_covering_b2_missing_ok(atm, atm_domains):
     g = atm.globals_["G_ATM"]
     v = wsi_by_covering(g, "b", atm.processes["B2"].body, atm_domains,
-                        unfold=1, shared_name="atm")
+                        shared_name="atm")
     assert not v.holds()
     assert Event("b", "!", "ok", UNIT) in mandatory(v.missing)
 
@@ -43,8 +43,7 @@ def test_typing_and_covering_agree_on_atm(atm, atm_domains):
     for name in ("B1", "B2"):
         proc = atm.processes[name].body
         t = wsi_by_typing(g, "b", proc, atm_domains, "atm")
-        c = wsi_by_covering(g, "b", proc, atm_domains, unfold=1,
-                            shared_name="atm")
+        c = wsi_by_covering(g, "b", proc, atm_domains, shared_name="atm")
         assert t.holds() == c.holds()
 
 
@@ -53,7 +52,7 @@ def test_context_synthesis_atm_credentials(atm, atm_domains):
     check-falsifying ones; both are found by domain enumeration."""
     g = atm.globals_["G_ATM"]
     jobs = synthesize_contexts(g, "b", atm.processes["B1"].body, atm_domains,
-                               unfold=1, shared_name="atm")
+                               shared_name="atm")
     assert len(jobs) == 3  # one per maximal run skeleton
     covered = []
     for target, candidates in jobs:
@@ -71,8 +70,7 @@ def test_context_synthesis_atm_credentials(atm, atm_domains):
 def test_contexts_bind_checked_role(atm, atm_domains):
     g = atm.globals_["G_ATM"]
     b1 = atm.processes["B1"].body
-    jobs = synthesize_contexts(g, "b", b1, atm_domains, unfold=1,
-                               shared_name="atm")
+    jobs = synthesize_contexts(g, "b", b1, atm_domains, shared_name="atm")
     for _, candidates in jobs:
         iota = next(iter(candidates()))
         assert iota["b"] is b1
@@ -85,7 +83,7 @@ def test_context_determinism(atm, atm_domains):
     from chorus_wsi.traces import _foata
     g = atm.globals_["G_ATM"]
     jobs = synthesize_contexts(g, "b", atm.processes["B1"].body, atm_domains,
-                               unfold=1, shared_name="atm")
+                               shared_name="atm")
     for _, candidates in jobs:
         iota = next(iter(candidates()))
         runs = runs_impl(iota, "atm", g, atm_domains)
@@ -97,13 +95,29 @@ def test_wsi_covering_role_not_participant(atm, atm_domains):
     g = atm.globals_["G_ATM"]
     with pytest.raises(NonViable):
         synthesize_contexts(g, "nobody", atm.processes["B1"].body,
-                            atm_domains, unfold=1)
+                            atm_domains)
 
 
 def test_wsi_covering_end_choreography(atm_domains):
+    """A global with no participants has no role to play: covering
+    rejects it as typing does."""
     gdef = GlobalDef("G0", (), GEnd())
-    v = wsi_by_covering(gdef, "p", Branch(()), atm_domains, unfold=1)
-    assert v.holds()
+    v = wsi_by_covering(gdef, "p", Branch(()), atm_domains)
+    assert not v.holds()
+    assert str(v) == "MissingRun <empty>: 'p' is not a participant of G0"
+
+
+def test_wsi_cli_no_participants_both_paths_reject(capsys):
+    import conftest
+    from chorus_wsi.cli import main
+    code = main(["wsi", str(conftest.NO_PARTICIPANTS), "--proc", "P"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == [
+        "typing:   Rejected: role: 'c' is not a participant of G0 (at <top>)",
+        "covering: MissingRun <empty>: 'c' is not a participant of G0",
+    ]
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("unfold", [1, 2])
@@ -111,7 +125,9 @@ def test_typing_implies_covering_across_corpus(pop2, pop2_domains, atm,
                                                atm_domains, multiparty,
                                                multiparty_domains, unfold):
     """Soundness at desk scale: every corpus process accepted by typing
-    is also accepted by bounded covering.  (Only processes whose guards
+    is also accepted by covering, and the runs of the contexts covering
+    picks cover every annotated run of the global at the bound K that
+    `wsi --unfold K` reports a Holds at.  (Only processes whose guards
     depend on received values qualify: covering runs start from the
     empty store.)"""
     cases = [
@@ -126,9 +142,20 @@ def test_typing_implies_covering_across_corpus(pop2, pop2_domains, atm,
     ]
     for gdef, role, proc, domains, shared in cases:
         assert wsi_by_typing(gdef, role, proc, domains, shared).holds()
-        verdict = wsi_by_covering(gdef, role, proc, domains, unfold=unfold,
+        verdict = wsi_by_covering(gdef, role, proc, domains,
                                   shared_name=shared)
         assert verdict.holds(), (gdef.name, role, str(verdict))
+        achieved = set()
+        for target, candidates in synthesize_contexts(gdef, role, proc,
+                                                      domains, shared):
+            for iota in candidates():
+                runs = runs_impl(iota, shared, gdef, domains)
+                if covers([target], runs).holds():
+                    achieved |= runs
+                    break
+        g = instantiate(gdef, gdef.params)
+        assert covers(runs_global(g, unfold), achieved).holds(), (
+            gdef.name, role)
 
 
 def test_wsi_pop_quit_context_drives_exit_run(pop2, pop2_domains):
@@ -148,8 +175,8 @@ def test_wsi_covering_unprojectable_peer_rejects(multiparty, multiparty_domains)
     g = multiparty.globals_["G_POP_M"]
     init2 = multiparty.processes["Init2"].body
     with pytest.raises(NonViable, match="not projectable on 'a'"):
-        synthesize_contexts(g, "s", init2, multiparty_domains, unfold=1)
-    v = wsi_by_covering(g, "s", init2, multiparty_domains, unfold=1)
+        synthesize_contexts(g, "s", init2, multiparty_domains)
+    v = wsi_by_covering(g, "s", init2, multiparty_domains)
     assert not v.holds()
     assert str(v).startswith("MissingRun <empty>: G_POP_M is not projectable "
                              "on 'a': ")
@@ -178,8 +205,7 @@ def test_wsi_both_paths_check_the_role(atm, atm_domains, role, why):
     typing = wsi_by_typing(g, role, b1, atm_domains, "atm")
     assert not typing.holds()
     assert str(typing) == f"Rejected: role: {why} (at <top>)"
-    covering = wsi_by_covering(g, role, b1, atm_domains, unfold=1,
-                               shared_name="atm")
+    covering = wsi_by_covering(g, role, b1, atm_domains, shared_name="atm")
     assert not covering.holds()
     assert str(covering) == f"MissingRun <empty>: {why}"
 
