@@ -229,17 +229,17 @@ def cmd_simulate(args) -> int:
 
     trace = []
     for step in range(args.steps):
-        succ = system_steps(state, store, domains)
+        succ = system_steps(state, store)
         if not succ:
             break
-        label, state2, store2, detail = succ[rng.randrange(len(succ))]
+        component, action, state2, store2 = succ[rng.randrange(len(succ))]
         delta_vars = {k: str(v) for k, v in store2.vars.items()
                       if store.vars.get(k) != v}
-        entry = {"label": str(detail.action),
-                 "component": detail.component,
+        entry = {"label": str(action),
+                 "component": component,
                  "store-delta": delta_vars}
-        if detail.component in participants:
-            entry["participant"] = participants[detail.component]
+        if component in participants:
+            entry["participant"] = participants[component]
         trace.append(entry)
         state, store = state2, store2
     terminated = state.is_terminated()

@@ -168,7 +168,7 @@ class DomainDecl:
 
     domains: dict = field(default_factory=dict)  # var -> frozenset[Lit]
     tables: dict = field(default_factory=dict)
-    _unsat_cache: dict = field(default_factory=dict, repr=False)
+    _unsat_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_module(cls, module: ModuleDecl) -> "DomainDecl":

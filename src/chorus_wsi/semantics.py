@@ -6,10 +6,15 @@ conjunction of the conditions taken by if-statements on the way to the
 action.  System steps resolve communication against per-channel queues
 (send appends, receive consumes the head) and synchronize one requester
 with all acceptors of a shared name, creating fresh session channels
-from a deterministic counter.  Specification steps rewrite normalized
-session pseudo-types; queue-mediated specification steps are silent but
-record the communication they perform, which is what the simulation
-checker matches system communications against.
+from a deterministic counter.  A system step is reported as the
+component that moved and its process-level label, which is all that
+the system explorers (covering's `traces.runs_impl`,
+`conditional_simulation` and `chorus-wsi simulate`) read.
+
+Specification steps rewrite normalized session pseudo-types;
+queue-mediated specification steps are silent but record the
+communication they perform, which is what the simulation checker
+matches system communications against.
 
 Structural congruence is applied as a normalization to canonical form
 (flattened parallel components, restrictions hoisted, idle processes
@@ -98,11 +103,10 @@ def proc_canon(p: Process) -> Process:
             return p
 
 
-def step_process(p: Process, store: Store, domains: DomainDecl = EMPTY_DOMAINS,
-                 oracle=None) -> list:
-    """All one-step successors (label, process, store)."""
+def step_process(p: Process, store: Store, oracle) -> list:
+    """All one-step successors (label, process, store); `oracle(channel)`
+    gives the values an input on the channel may receive."""
     p = proc_canon(p)
-    oracle = oracle or (lambda channel: [])
     out: list = []
     match p:
         case Branch(arms) if not arms:
@@ -125,12 +129,12 @@ def step_process(p: Process, store: Store, domains: DomainDecl = EMPTY_DOMAINS,
                     out.append((Label("in", channel=arm.channel, value=value),
                                 arm.cont, store.with_var(arm.binder, value)))
         case Seq(first, second):
-            for label, cont, store2 in step_process(first, store, domains, oracle):
+            for label, cont, store2 in step_process(first, store, oracle):
                 out.append((label, proc_canon(Seq(cont, second)), store2))
         case If(cond, then, orelse):
             test = eval_expr(cond, store)
             branch, guard = (then, cond) if test.value else (orelse, neg(cond))
-            for label, cont, store2 in step_process(branch, store, domains, oracle):
+            for label, cont, store2 in step_process(branch, store, oracle):
                 out.append((label.with_guard(guard), cont, store2))
         case For(binder, items, body):
             value = eval_expr(items, store)
@@ -140,15 +144,15 @@ def step_process(p: Process, store: Store, domains: DomainDecl = EMPTY_DOMAINS,
                 head, tail = value.value[0], Lit(value.sort, value.value[1:])
                 inner = store.with_var(binder, head)
                 rest = For(binder, Const(tail), body)
-                for label, cont, store2 in step_process(body, inner, domains, oracle):
+                for label, cont, store2 in step_process(body, inner, oracle):
                     out.append((label, proc_canon(Seq(cont, rest)), store2))
         case RepeatUntil(body, exit):
             exit_chans = {a.channel for a in exit.arms}
-            for label, cont, store2 in step_process(body, store, domains, oracle):
+            for label, cont, store2 in step_process(body, store, oracle):
                 if label.channel in exit_chans:
                     continue
                 out.append((label, proc_canon(Seq(cont, p)), store2))
-            for label, cont, store2 in step_process(exit, store, domains, oracle):
+            for label, cont, store2 in step_process(exit, store, oracle):
                 out.append((label, cont, store2))
     return out
 
@@ -191,14 +195,6 @@ class SysState:
         return all(is_nil(p) for _, p in self.procs)
 
 
-@dataclass(frozen=True)
-class StepDetail:
-    """Which component moved, with its underlying process-level label."""
-
-    component: int
-    action: Label
-
-
 def to_state(s: System) -> SysState:
     procs: list = []
     queues: dict = {}
@@ -223,9 +219,9 @@ def to_state(s: System) -> SysState:
                     tuple(restricted))
 
 
-def _set_queue(queues: tuple, chan: str, values: tuple) -> tuple:
+def _set_queues(queues: tuple, updates: dict) -> tuple:
     qs = dict(queues)
-    qs[chan] = values
+    qs.update(updates)
     return tuple(sorted(qs.items()))
 
 
@@ -233,15 +229,16 @@ def _set_proc(procs: tuple, pid: int, p: Process) -> tuple:
     return tuple((i, proc_canon(p) if i == pid else q) for i, q in procs)
 
 
-def system_steps(state: SysState, store: Store,
-                 domains: DomainDecl = EMPTY_DOMAINS) -> list:
-    """All one-step successors (label, state, store, detail)."""
+def system_steps(state: SysState, store: Store) -> list:
+    """All one-step successors (component, action, state, store): the
+    component that moved and its process-level label.  An output
+    appends to its channel's queue and an input consumes the head; a
+    session start is the requester's `req` over the actual channels."""
     out: list = []
     queues = state.queue_map()
 
-    def queue_oracle(channel):
-        q = queues.get(channel)
-        return [q[0]] if q else []
+    def queue_head(channel):
+        return queues.get(channel, ())[:1]
 
     requests: list = []
     accepts: dict = {}
@@ -253,49 +250,27 @@ def system_steps(state: SysState, store: Store,
         if isinstance(opener, Accept):
             accepts.setdefault(opener.shared, []).append(pid)
 
-        for label, cont, store2 in step_process(p, store, domains, queue_oracle):
-            detail = StepDetail(pid, label)
-            if label.kind == "out":
-                if label.channel in queues:
-                    new_q = _set_queue(state.queues, label.channel,
-                                       queues[label.channel] + (label.value,))
-                    sys_label = Label("tau", guard=label.guard)
-                    out.append((sys_label,
-                                SysState(_set_proc(state.procs, pid, cont),
-                                         new_q, state.restricted),
-                                store2, detail))
-                else:
-                    out.append((label, SysState(_set_proc(state.procs, pid, cont),
-                                                state.queues, state.restricted),
-                                store2, detail))
-            elif label.kind == "in":
-                if label.channel in queues:
-                    q = queues[label.channel]
-                    if not q or q[0] != label.value:
-                        continue
-                    new_q = _set_queue(state.queues, label.channel, q[1:])
-                    sys_label = Label("tau", guard=label.guard)
-                    out.append((sys_label,
-                                SysState(_set_proc(state.procs, pid, cont),
-                                         new_q, state.restricted),
-                                store2, detail))
-                else:
-                    out.append((label, SysState(_set_proc(state.procs, pid, cont),
-                                                state.queues, state.restricted),
-                                store2, detail))
-            elif label.kind == "tau":
-                out.append((label, SysState(_set_proc(state.procs, pid, cont),
-                                            state.queues, state.restricted),
-                            store2, detail))
-            # lone req/acc labels do not fire at system level: session
-            # initiation is the synchronous SInit step below
+        for action, cont, store2 in step_process(p, store, queue_head):
+            if action.kind in ("req", "acc"):
+                # lone req/acc labels do not fire at system level: session
+                # initiation is the synchronous SInit step below
+                continue
+            new_queues = state.queues
+            if action.channel in queues:
+                q = queues[action.channel]
+                q = q[1:] if action.kind == "in" else q + (action.value,)
+                new_queues = _set_queues(state.queues, {action.channel: q})
+            out.append((pid, action,
+                        SysState(_set_proc(state.procs, pid, cont), new_queues,
+                                 state.restricted),
+                        store2))
 
-    out.extend(_init_steps(state, store, domains, requests, accepts))
+    out.extend(_init_steps(state, store, requests, accepts))
     return out
 
 
-def _init_steps(state: SysState, store: Store, domains: DomainDecl,
-                requests: list, accepts: dict) -> list:
+def _init_steps(state: SysState, store: Store, requests: list,
+                accepts: dict) -> list:
     out = []
     procs = state.proc_map()
     for pid in requests:
@@ -332,21 +307,13 @@ def _init_steps(state: SysState, store: Store, domains: DomainDecl,
             if acc_prefix is not None:
                 cont = proc_canon(Seq(cont, acc_prefix))
             new_procs[q] = (q, cont)
-        queues = _merge_queues(state.queues, actuals)
-        store2 = store.with_session(p.shared, actuals)
+        queues = _set_queues(state.queues, dict.fromkeys(actuals, ()))
         new_state = SysState(tuple(new_procs), queues,
                              state.restricted + ((actuals, p.shared),))
-        out.append((Label("tau"), new_state, store2,
-                    StepDetail(pid, Label("req", shared=p.shared,
-                                          arity=p.arity, chans=actuals))))
+        out.append((pid, Label("req", shared=p.shared, arity=p.arity,
+                               chans=actuals),
+                    new_state, store.with_session(p.shared, actuals)))
     return out
-
-
-def _merge_queues(queues: tuple, actuals: tuple) -> tuple:
-    qs = dict(queues)
-    for y in actuals:
-        qs[y] = ()
-    return tuple(sorted(qs.items()))
 
 
 # ----------------------------------------------------- specification stepping
@@ -469,8 +436,7 @@ class Counterexample:
 
 
 def conditional_simulation(system: System | SysState, store: Store,
-                           gamma: dict, delta: SpecEnv,
-                           domains: DomainDecl = EMPTY_DOMAINS,
+                           delta: SpecEnv, domains: DomainDecl = EMPTY_DOMAINS,
                            depth: int = 40) -> Holds | Counterexample:
     """Bounded check that the specification conditionally simulates the
     system: inputs must be answered for well-sorted payloads only, all
@@ -494,11 +460,10 @@ def conditional_simulation(system: System | SysState, store: Store,
             continue
         visited.add(key)
         explored += 1
-        for label, state2, store2, detail in system_steps(state, store, domains):
-            action = detail.action
+        for _, action, state2, store2 in system_steps(state, store):
             answers = set()
             for d in candidates:
-                answers |= _spec_answers(d, detail, domains)
+                answers |= _spec_answers(d, action, domains)
             if not answers:
                 return Counterexample(trace, action,
                                       f"specification offers no matching step "
@@ -517,17 +482,16 @@ def conditional_simulation(system: System | SysState, store: Store,
     return Holds(explored)
 
 
-def _init_hint(detail: StepDetail) -> dict | None:
-    if detail.action.kind == "req" and detail.action.chans:
-        return {detail.action.shared: detail.action.chans}
+def _init_hint(action: Label) -> dict | None:
+    if action.kind == "req" and action.chans:
+        return {action.shared: action.chans}
     return None
 
 
-def _spec_answers(d: SpecEnv, detail: StepDetail, domains: DomainDecl) -> set:
-    """Spec steps matching one system step, as (spec label, successor)."""
-    action = detail.action
+def _spec_answers(d: SpecEnv, action: Label, domains: DomainDecl) -> set:
+    """Spec steps matching one system action, as (spec label, successor)."""
     out = set()
-    for label, d2 in step_spec(d, domains, _init_hint(detail)):
+    for label, d2 in step_spec(d, domains, _init_hint(action)):
         if action.kind in ("out", "in"):
             pol = action.kind
             if label.comm is not None:

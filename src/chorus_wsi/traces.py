@@ -238,8 +238,8 @@ def _spec_runs(state, unfold: int, domains: DomainDecl, memo: dict) -> frozenset
 # -------------------------------------------------- runs of implementations
 
 def runs_impl(iota: dict, shared_name: str, gdef: GlobalDef,
-              domains: DomainDecl = EMPTY_DOMAINS, step_bound: int = 300,
-              validate: bool = True) -> frozenset:
+              domains: DomainDecl = EMPTY_DOMAINS,
+              step_bound: int = 300) -> frozenset:
     """The runs of the iota-implementation initiated on the shared name,
     restricted to the session's channels, with sorts replacing values.
 
@@ -248,16 +248,15 @@ def runs_impl(iota: dict, shared_name: str, gdef: GlobalDef,
     """
     g = instantiate(gdef, gdef.params)
     parts = participants_ordered(g)
-    if validate:
-        if set(iota) != set(parts):
+    if set(iota) != set(parts):
+        raise NotAnImplementation(
+            "roles", f"iota covers {sorted(iota)}, the global type has "
+            f"{sorted(parts)}")
+    for p, proc in iota.items():
+        if not unique_role(proc, shared_name, p, role0=parts[0]):
             raise NotAnImplementation(
-                "roles", f"iota covers {sorted(iota)}, the global type has "
-                f"{sorted(parts)}")
-        for p, proc in iota.items():
-            if not unique_role(proc, shared_name, p, role0=parts[0]):
-                raise NotAnImplementation(
-                    "unique-role", f"iota({p}) does not uniquely play {p!r} "
-                    f"in {shared_name!r}")
+                "unique-role", f"iota({p}) does not uniquely play {p!r} "
+                f"in {shared_name!r}")
 
     tags = dict(enumerate(parts))
     state = SysState(tuple((i, iota[p]) for i, p in tags.items()), (), ())
@@ -272,26 +271,22 @@ def runs_impl(iota: dict, shared_name: str, gdef: GlobalDef,
             return memo[key]
         memo[key] = frozenset()
         out: set = set()
-        done = state.is_terminated()
-        if session is not None:
-            drained = all(not dict(state.queues).get(y, ()) for y in session)
-            if done and drained:
-                out.add(())
-        elif done:
-            # the session never started: its queues are trivially empty
+        # every role is uniquely played, so no iota terminates before
+        # the session starts
+        if session is not None and state.is_terminated() \
+                and all(not dict(state.queues).get(y, ()) for y in session):
             out.add(())
         if fuel > 0:
-            for label, state2, store2, detail in system_steps(state, store, domains):
+            for component, action, state2, store2 in system_steps(state, store):
                 ev = None
                 session2 = session
-                action = detail.action
                 if action.kind == "req" and action.shared == shared_name \
                         and session is None:
                     session2 = action.chans
                 elif action.kind in ("out", "in") and session is not None \
                         and action.channel in session:
                     chan_map = dict(zip(session, gdef.params))
-                    ev = Event(tags[detail.component],
+                    ev = Event(tags[component],
                                "!" if action.kind == "out" else "?",
                                chan_map[action.channel], action.value.sort)
                 for rest in explore(state2, store2, session2, fuel - 1):

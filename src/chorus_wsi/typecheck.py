@@ -157,8 +157,7 @@ def _cons_type(store: Store, t: PseudoType) -> bool:
     raise TypeError(f"not a pseudo-type: {t!r}")
 
 
-def consistent(store: Store, gamma: dict, e: Expr, delta: SpecEnv,
-               domains: DomainDecl = EMPTY_DOMAINS) -> tuple:
+def consistent(store: Store, gamma: dict, e: Expr, delta: SpecEnv) -> tuple:
     """The four consistency clauses; returns (ok, list of failures)."""
     problems = []
     bound = store.domain() | frozenset(
@@ -481,8 +480,7 @@ def _synth_open(ctx: _Ctx, p: Request | Accept) -> dict:
         raise ctx.err(rule, f"{gdef.name} is not projectable on {role!r}: {exc}")
     got_local = remove_guards(normal_form(t, ctx.domains))
     want_local = remove_guards(normal_form(expected, EMPTY_DOMAINS))
-    _match_local(got_local, want_local, ctx.at(f"session of {role}"),
-                 ctx.domains)
+    _match_local(got_local, want_local, ctx.at(f"session of {role}"))
     return sessions
 
 
@@ -501,7 +499,7 @@ def _head_rule(t: PseudoType) -> str:
     return "V?"
 
 
-def _match_local(got: PseudoType, want: PseudoType, ctx: _Ctx, domains):
+def _match_local(got: PseudoType, want: PseudoType, ctx: _Ctx):
     """Compare guard-erased session behaviour against the projection."""
     match (got, want):
         case (TEnd(), TEnd()):
@@ -524,7 +522,7 @@ def _match_local(got: PseudoType, want: PseudoType, ctx: _Ctx, domains):
                 if b.sort != w.sort:
                     raise ctx.err("VSend", f"payload on {chan!r} has sort "
                                   f"{b.sort}, specification says {w.sort}")
-                _match_local(b.cont, w.cont, ctx.at(f"!{chan}"), domains)
+                _match_local(b.cont, w.cont, ctx.at(f"!{chan}"))
             return
         case (TExternal(gb), TExternal(wb)):
             gmap = {b.channel: b for b in gb}
@@ -538,14 +536,14 @@ def _match_local(got: PseudoType, want: PseudoType, ctx: _Ctx, domains):
                 if b.sort != w.sort:
                     raise ctx.err("VRcv", f"binder on {chan!r} has sort "
                                   f"{b.sort}, specification says {w.sort}")
-                _match_local(b.cont, w.cont, ctx.at(f"?{chan}"), domains)
+                _match_local(b.cont, w.cont, ctx.at(f"?{chan}"))
             return
         case (TSeq(g1, g2), TSeq(w1, w2)):
-            _match_local(g1, w1, ctx.at("loop"), domains)
-            _match_local(g2, w2, ctx.at("after-loop"), domains)
+            _match_local(g1, w1, ctx.at("loop"))
+            _match_local(g2, w2, ctx.at("after-loop"))
             return
         case (TIter(g1), TIter(w1)):
-            _match_local(g1, w1, ctx.at("loop-body"), domains)
+            _match_local(g1, w1, ctx.at("loop-body"))
             return
     raise ctx.err(_head_rule(got),
                   f"{_describe(got)} where the specification expects "
@@ -634,7 +632,9 @@ def unique_role(p: Process, u: str, role: str, role0: str | None = None) -> bool
         case Accept(shared, r, _, cont):
             return shared == u and r == role and u not in fn(cont)
         case Branch(arms):
-            return all(unique_role(a.cont, u, role, role0) for a in arms)
+            # the idle process 0 never plays the role
+            return bool(arms) and all(unique_role(a.cont, u, role, role0)
+                                      for a in arms)
         case If(_, then, orelse):
             return (unique_role(then, u, role, role0)
                     and unique_role(orelse, u, role, role0))

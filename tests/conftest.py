@@ -8,6 +8,8 @@ from chorus_wsi.syntax import parse_module
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "chorus_wsi" / "corpus"
 # a request on a global type whose body is `end`, so it has no participants
 NO_PARTICIPANTS = pathlib.Path(__file__).resolve().parent / "no_participants.chor"
+# processes that claim a role but are idle on some path
+IDLE_ROLE = pathlib.Path(__file__).resolve().parent / "idle_role.chor"
 
 
 def load(name: str):

@@ -80,7 +80,7 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
                 values.append(int_lit(-99) if sort == UNIT else UNIT_LIT)
             return values
 
-        succ = step_process(p, store, domains, oracle)
+        succ = step_process(p, store, oracle)
         if not succ:
             break
         label, p2, store2 = succ[rng.randrange(len(succ))]
@@ -161,7 +161,7 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
                 f"  one successor: {_session_views(sample, domains)}")
 
         # consistency of the new store with the residual judgement
-        ok, problems = consistent(store2, gamma2, assumption2, resynth, domains)
+        ok, problems = consistent(store2, gamma2, assumption2, resynth)
         if not ok:
             raise SRViolation(
                 f"seed {seed}: store inconsistent after {label}: {problems}")

@@ -169,7 +169,7 @@ def test_criterion_6_conformance(pop2, pop2_domains, atm, atm_domains,
         sysd = module.systems[name].body
         delta = typecheck_system(gamma, TRUE, sysd, shared, domains)
         store = next(domains.assignments(sorted(domains.domains)))
-        verdict = conditional_simulation(sysd, store, gamma, delta, domains,
+        verdict = conditional_simulation(sysd, store, delta, domains,
                                          depth=40)
         ok = ok and verdict.holds()
     # a single-channel mutation of the POP2 server must be caught
@@ -181,7 +181,7 @@ def test_criterion_6_conformance(pop2, pop2_domains, atm, atm_domains,
                              {"u": pop2.globals_["G_POP"]}, pop2_domains)
     store = next(pop2_domains.assignments(sorted(pop2_domains.domains)))
     verdict = conditional_simulation(mutated.systems["POP_FULL"].body, store,
-                                     gamma, delta, pop2_domains, depth=40)
+                                     delta, pop2_domains, depth=40)
     ok = ok and isinstance(verdict, Counterexample)
     report(6, ok, "all well-typed corpus systems simulate at depth 40; the "
            "channel-mutated server yields a counterexample",

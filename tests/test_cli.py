@@ -169,6 +169,8 @@ def _case(name, code, stderr, *argv):
     _case("project-non-participant", 1, "", "project", POP2, "--role", "zz"),
     _case("wsi-non-participant", 1, "",
           "wsi", ATM, "--proc", "B1", "--role", "zz", "--unfold", "1"),
+    _case("wsi-idle-role", 1, "",
+          "wsi", str(conftest.IDLE_ROLE), "--proc", "BMaybe"),
     # usage errors: names the module does not declare
     _case("unknown-global", 2, "error: no global type named 'NOPE'",
           "project", POP2, "--role", "s", "--global", "NOPE"),

@@ -138,6 +138,13 @@ def test_bool_domain_defaults(multiparty, multiparty_domains):
         {bool_lit(True), bool_lit(False)})
 
 
+def test_domain_equality_ignores_the_guard_cache(pop2):
+    answered = DomainDecl.from_module(pop2)
+    fresh = DomainDecl.from_module(pop2)
+    is_unsat(parse_expr('cred = "pw"'), answered)
+    assert answered == fresh
+
+
 def test_list_condition_satisfiable():
     nonempty = parse_expr("1..2")
     empty = parse_expr("1..0")

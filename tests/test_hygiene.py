@@ -1,7 +1,10 @@
 """Source hygiene: no module under src/ keeps an import it never uses, so
-an import of a deleted or moved name cannot linger.
+an import of a deleted or moved name cannot linger, and no function
+keeps a parameter it never reads, so no caller passes a value that
+cannot change an answer.
 
-Package `__init__` modules are skipped: re-exporting is their job.
+Package `__init__` modules are skipped by the import check:
+re-exporting is their job.
 """
 
 import ast
@@ -41,4 +44,60 @@ def test_no_unused_top_level_imports_in_src():
     found = [f"{path.relative_to(SRC)}:{line}: {name}"
              for path in modules
              for line, name in unused_imports(path.read_text())]
+    assert found == []
+
+
+def dead_parameters(source: str) -> list:
+    """(line, function, parameter) for each parameter that the function
+    body never reads, or reads only to pass it back to the same function
+    in the same position.  The first parameter of a method is exempt."""
+    tree = ast.parse(source)
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               for f in c.body}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        params = positional + [a.arg for a in args.kwonlyargs
+                               + [args.vararg, args.kwarg] if a]
+        if id(fn) in methods and positional:
+            params.remove(positional[0])
+        passed_back = set()
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == fn.name:
+                passed_back |= {id(a) for i, a in enumerate(node.args)
+                                if isinstance(a, ast.Name) and i < len(positional)
+                                and a.id == positional[i]}
+                passed_back |= {id(k.value) for k in node.keywords
+                                if isinstance(k.value, ast.Name)
+                                and k.value.id == k.arg}
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                and id(n) not in passed_back}
+        found += [(fn.lineno, fn.name, p) for p in params if p not in read]
+    return sorted(found)
+
+
+def test_detector_flags_only_dead_parameters():
+    source = ("def walk(t, depth, limit=0, *rest, key=None):\n"
+              "    for c in t:\n"
+              "        walk(c, depth, limit, key=key)\n"
+              "        walk(c, limit, depth)\n"
+              "    return sorted(t, key=lambda x: x)\n"
+              "class C:\n"
+              "    def m(self, x):\n"
+              "        def inner(y):\n"
+              "            return x\n"
+              "        return inner\n")
+    assert dead_parameters(source) == [
+        (1, "walk", "key"), (1, "walk", "rest"), (8, "inner", "y")]
+
+
+def test_no_dead_parameters_in_src():
+    found = [f"{path.relative_to(SRC)}:{line}: {name}({param})"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name, param in dead_parameters(path.read_text())]
     assert found == []

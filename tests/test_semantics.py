@@ -1,10 +1,12 @@
+import itertools
+
 from chorus_wsi.guards import Store
 from chorus_wsi.semantics import (
-    Counterexample, Holds, conditional_simulation, step_process,
+    Counterexample, Holds, SysState, conditional_simulation, step_process,
     step_spec, system_steps, to_state,
 )
 from chorus_wsi.syntax import parse_expr, parse_process, parse_module, parse_type
-from chorus_wsi.syntax.ast import Branch, INT, Proc, TRUE, int_lit
+from chorus_wsi.syntax.ast import Accept, Branch, INT, Proc, Seq, TRUE, int_lit
 from chorus_wsi.typecheck import SpecEnv, gamma_from_domains, typecheck_system
 
 import gen
@@ -13,9 +15,13 @@ import srcheck
 D = gen.GUARD_DOMAINS
 
 
+def no_input(channel):
+    return []
+
+
 def test_step_send_evaluates_payload():
     p = parse_process("y!(1 + 1)")
-    steps = step_process(p, Store(), D)
+    steps = step_process(p, Store(), no_input)
     assert len(steps) == 1
     label, cont, _ = steps[0]
     assert label.kind == "out" and label.channel == "y"
@@ -24,12 +30,12 @@ def test_step_send_evaluates_payload():
 
 
 def test_step_nil_is_stuck():
-    assert step_process(Branch(()), Store(), D) == []
+    assert step_process(Branch(()), Store(), no_input) == []
 
 
 def test_step_if_records_guard():
     p = parse_process("if x > 0 then y!(1) else z!(0)")
-    steps = step_process(p, Store({"x": int_lit(2)}), D)
+    steps = step_process(p, Store({"x": int_lit(2)}), no_input)
     assert len(steps) == 1
     label, _, _ = steps[0]
     assert label.kind == "out" and label.channel == "y"
@@ -38,7 +44,7 @@ def test_step_if_records_guard():
 
 def test_step_else_records_negated_guard():
     p = parse_process("if x > 0 then y!(1) else z!(0)")
-    steps = step_process(p, Store({"x": int_lit(0)}), D)
+    steps = step_process(p, Store({"x": int_lit(0)}), no_input)
     label, _, _ = steps[0]
     assert label.channel == "z"
     assert label.guard == parse_expr("not x > 0")
@@ -46,7 +52,7 @@ def test_step_else_records_negated_guard():
 
 def test_step_receive_uses_oracle():
     p = parse_process("y?(v). z!(v)")
-    steps = step_process(p, Store(), D, oracle=lambda chan: [int_lit(7)])
+    steps = step_process(p, Store(), lambda chan: [int_lit(7)])
     assert len(steps) == 1
     label, cont, store = steps[0]
     assert label.kind == "in" and label.value == int_lit(7)
@@ -55,26 +61,26 @@ def test_step_receive_uses_oracle():
 
 def test_step_for_unfolds_and_ends():
     p = parse_process("for i in 1..2 { y!(i) }")
-    steps = step_process(p, Store(), D)
+    steps = step_process(p, Store(), no_input)
     assert len(steps) == 1
     label, cont, _ = steps[0]
     assert label.kind == "out" and label.value == int_lit(1)
     empty = parse_process("for i in 1..0 { y!(i) }")
-    steps = step_process(empty, Store(), D)
+    steps = step_process(empty, Store(), no_input)
     assert [l.kind for l, _, _ in steps] == ["tau"]
 
 
 def test_system_init_creates_queues(atm, atm_domains):
     state = to_state(atm.systems["ATM_DEP"].body)
     store = Store(tables=atm_domains.tables)
-    succ = system_steps(state, store, atm_domains)
+    succ = system_steps(state, store)
     assert len(succ) == 1
-    label, state2, store2, detail = succ[0]
-    assert label.kind == "tau" and detail.action.kind == "req"
+    _, action, state2, store2 = succ[0]
+    assert action.kind == "req"
     assert len(state2.queues) == 5
     assert all(q == () for _, q in state2.queues)
-    assert detail.action.shared == "atm"
-    assert set(detail.action.chans) <= store2.domain() | set(
+    assert action.shared == "atm"
+    assert set(action.chans) <= store2.domain() | set(
         y for ys in store2.sessions.values() for y in ys)
 
 
@@ -83,11 +89,11 @@ def test_system_queue_communication(pop2, pop2_domains):
     store = Store(tables=pop2_domains.tables)
     path = []
     for _ in range(10):
-        succ = system_steps(state, store, pop2_domains)
+        succ = system_steps(state, store)
         if not succ:
             break
-        label, state, store, detail = succ[0]
-        path.append(detail.action)
+        _, action, state, store = succ[0]
+        path.append(action)
     assert state.is_terminated()
     kinds = [a.kind for a in path]
     assert kinds == ["req", "out", "in", "out", "in"]
@@ -96,9 +102,69 @@ def test_system_queue_communication(pop2, pop2_domains):
         ["quit", "quit", "bye", "bye"]
 
 
+def _check_queue_discipline(state, component, action, state2):
+    before, after = state.proc_map(), state2.proc_map()
+    moved = {pid for pid in before if before[pid] != after[pid]}
+    queues, expected = state.queue_map(), state.queue_map()
+    restricted = state.restricted
+    if action.kind == "req":
+        # the acceptors of the session move with the requester
+        heads = {pid: p.first if isinstance(p, Seq) else p
+                 for pid, p in state.procs}
+        acceptors = {pid for pid, head in heads.items()
+                     if isinstance(head, Accept) and head.shared == action.shared}
+        assert moved <= {component} | acceptors
+        assert not set(action.chans) & set(queues)
+        expected.update(dict.fromkeys(action.chans, ()))
+        restricted += ((action.chans, action.shared),)
+    else:
+        assert moved <= {component}
+    if action.kind == "out":
+        expected[action.channel] = queues[action.channel] + (action.value,)
+    elif action.kind == "in":
+        assert queues[action.channel][:1] == (action.value,)
+        expected[action.channel] = queues[action.channel][1:]
+    else:
+        assert action.kind in ("req", "tau"), action
+    assert state2.queue_map() == expected
+    assert state2.restricted == restricted
+
+
+def test_system_steps_queue_discipline(pop2, atm, multiparty, pop2_domains,
+                                       atm_domains, multiparty_domains):
+    """Every step of every corpus system, from every declared starting
+    store and up to 30 steps deep, moves its component and touches only
+    the queues its action names."""
+    starts = [(to_state(system.body), store)
+              for module, domains in [(pop2, pop2_domains), (atm, atm_domains),
+                                      (multiparty, multiparty_domains)]
+              for system, store in itertools.product(
+                  module.systems.values(),
+                  domains.assignments(sorted(domains.domains)))]
+    # no corpus queue ever holds two values, so this one checks the order
+    fifo = SysState(((0, parse_process("{ y!(1); y!(2) }")),
+                     (1, parse_process("y?(a). y?(b). 0"))), (("y", ()),))
+    starts.append((fifo, Store()))
+    steps = 0
+    for start in starts:
+        frontier, seen = [start], set()
+        for _ in range(30):
+            reached = []
+            for state, store in frontier:
+                for component, action, state2, store2 in \
+                        system_steps(state, store):
+                    _check_queue_discipline(state, component, action, state2)
+                    steps += 1
+                    if (state2, store2.key()) not in seen:
+                        seen.add((state2, store2.key()))
+                        reached.append((state2, store2))
+            frontier = reached
+    assert steps > 1000
+
+
 def test_closed_terminated_system_stuck():
     state = to_state(Proc(Branch(())))
-    assert system_steps(state, Store(), D) == []
+    assert system_steps(state, Store()) == []
 
 
 def test_step_spec_internal_choice_per_live_branch():
@@ -141,7 +207,7 @@ def test_step_spec_queue_communication():
 
 
 def test_simulation_trivial():
-    verdict = conditional_simulation(Proc(Branch(())), Store(), {},
+    verdict = conditional_simulation(Proc(Branch(())), Store(),
                                      SpecEnv.make({}, {}, {}), D, depth=5)
     assert isinstance(verdict, Holds)
 
@@ -159,7 +225,7 @@ def test_simulation_corpus_systems(pop2, atm, multiparty, pop2_domains,
         sysd = module.systems[name].body
         delta = typecheck_system(gamma, TRUE, sysd, shared, domains)
         store = next(domains.assignments(sorted(domains.domains)))
-        verdict = conditional_simulation(sysd, store, gamma, delta, domains,
+        verdict = conditional_simulation(sysd, store, delta, domains,
                                          depth=40)
         assert verdict.holds(), (name, verdict)
 
@@ -175,7 +241,7 @@ def test_simulation_counterexample_on_channel_mutation(pop2, pop2_domains):
                              shared, pop2_domains)
     store = next(pop2_domains.assignments(sorted(pop2_domains.domains)))
     verdict = conditional_simulation(mutated.systems["POP_FULL"].body, store,
-                                     gamma, delta, pop2_domains, depth=40)
+                                     delta, pop2_domains, depth=40)
     assert isinstance(verdict, Counterexample)
     assert verdict.action.kind == "out"
 

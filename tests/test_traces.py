@@ -7,8 +7,9 @@ from chorus_wsi.projection import NonProjectable
 from chorus_wsi.syntax.ast import Event, GEnd, GlobalDef, INT, UNIT, TEnd
 from chorus_wsi.syntax import parse_type
 from chorus_wsi.traces import (
-    MissingRun, Opt, all_events, covers, mandatory, projection_env,
-    run_str, runs_global, runs_impl, runs_spec, trace_leq, independent,
+    MissingRun, NotAnImplementation, Opt, all_events, covers, mandatory,
+    projection_env, run_str, runs_global, runs_impl, runs_spec, trace_leq,
+    independent,
 )
 from chorus_wsi.typecheck import SpecEnv, instantiate
 
@@ -121,9 +122,9 @@ def test_skeletons_do_not_depend_on_the_unfold_bound():
 def test_runs_impl_terminated_is_empty_run(pop2, pop2_domains):
     from chorus_wsi.syntax.ast import Branch
     iota = {"c": Branch(()), "s": Branch(())}
-    runs = runs_impl(iota, "u", pop2.globals_["G_POP"], pop2_domains,
-                     validate=False)
-    assert runs == frozenset({()})
+    with pytest.raises(NotAnImplementation) as exc:
+        runs_impl(iota, "u", pop2.globals_["G_POP"], pop2_domains)
+    assert exc.value.clause == "unique-role"
 
 
 def test_runs_impl_quit_client(pop2, pop2_domains):
@@ -165,19 +166,18 @@ def test_runs_impl_adequacy_replay(pop2, pop2_domains):
     sequences = set()
 
     def explore(state, store, session, acc):
-        succ = system_steps(state, store, pop2_domains)
+        succ = system_steps(state, store)
         if not succ:
             sequences.add(acc)
-        for label, st2, sto2, det in succ:
+        for component, act, st2, sto2 in succ:
             session2 = session
             ev_item = None
-            act = det.action
             if act.kind == "req" and act.shared == "u" and session is None:
                 session2 = act.chans
-            elif act.kind in ("out", "in") and session and det.component in tags \
+            elif act.kind in ("out", "in") and session and component in tags \
                     and act.channel in session:
                 names = dict(zip(session, gdef.params))
-                ev_item = Event(tags[det.component],
+                ev_item = Event(tags[component],
                                 "!" if act.kind == "out" else "?",
                                 names[act.channel], act.value.sort)
             explore(st2, sto2, session2, acc + ((ev_item,) if ev_item else ()))

@@ -97,7 +97,7 @@ def test_passively_compatible():
 # --------------------------------------------------------------- consistency
 
 def test_consistent_empty():
-    ok, problems = consistent(Store(), {}, TRUE, _env(), D)
+    ok, problems = consistent(Store(), {}, TRUE, _env())
     assert ok, problems
 
 
@@ -110,13 +110,13 @@ def test_consistent_send_needs_one_live_branch():
     store = Store({"x": int_lit(1), "y": int_lit(0), "z": int_lit(0)})
     delta = SpecEnv.make({}, {(("y", "z"), "p"): t}, {})
     store = Store({"x": int_lit(1)}, sessions={"u": ("y", "z")})
-    ok, problems = consistent(store, {}, TRUE, delta, D)
+    ok, problems = consistent(store, {}, TRUE, delta)
     assert ok, problems
 
 
 def test_consistent_fails_on_false_assumption():
     store = Store({"x": int_lit(1)})
-    ok, problems = consistent(store, {}, parse_expr("x = 0"), _env(), D)
+    ok, problems = consistent(store, {}, parse_expr("x = 0"), _env())
     assert not ok
     assert any("assumption" in p for p in problems)
 
@@ -127,7 +127,7 @@ def test_consistent_receive_needs_all_branches():
     t = TExternal((TBranch(xpos, "y", INT, TEnd(xpos)),))
     delta = SpecEnv.make({}, {(("y",), "p"): t}, {})
     bad = Store({"x": int_lit(0)}, sessions={"u": ("y",)})
-    ok, _problems = consistent(bad, {}, TRUE, delta, D)
+    ok, _problems = consistent(bad, {}, TRUE, delta)
     assert not ok
 
 

@@ -120,6 +120,23 @@ def test_wsi_cli_no_participants_both_paths_reject(capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("proc", ["Z", "BMaybe"])
+def test_wsi_cli_idle_role_both_paths_reject(capsys, proc):
+    """A process that is idle on some path does not play its role: the
+    idle process 0 and a bank that accepts only when wantdep holds."""
+    import conftest
+    from chorus_wsi.cli import main
+    code = main(["wsi", str(conftest.IDLE_ROLE), "--proc", proc])
+    captured = capsys.readouterr()
+    assert code == 1
+    typing, covering = captured.out.splitlines()
+    assert typing.startswith("typing:   Rejected: role: the process does not "
+                             "uniquely play 'b'")
+    assert covering.startswith("covering: MissingRun <empty>: the process "
+                               "does not uniquely play 'b'")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("unfold", [1, 2])
 def test_typing_implies_covering_across_corpus(pop2, pop2_domains, atm,
                                                atm_domains, multiparty,
