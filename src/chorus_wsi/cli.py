@@ -67,7 +67,7 @@ def _the_global(module: ModuleDecl, name: str | None) -> GlobalDef:
 
 
 def _shared_env(gdef: GlobalDef, term) -> dict:
-    return {u: gdef for u in fU(term)} or {"u": gdef}
+    return {u: gdef for u in fU(term)}
 
 
 def run_to_json(run: tuple) -> list:
@@ -297,8 +297,7 @@ def cmd_wsi(args) -> int:
     decl = module.processes[args.proc]
     gdef = module.globals_[decl.global_name] if decl.global_name \
         else _the_global(module, args.global_name)
-    shared = sorted(fU(decl.body)) or ["u"]
-    shared_name = shared[0]
+    shared_name = min(fU(decl.body), default=None)
     role = args.role or decl.role
     if role is None:
         raise UsageError("give --role or declare 'plays' on the process")

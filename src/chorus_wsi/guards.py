@@ -1,17 +1,35 @@
 """Expression evaluation over stores and decidable guard reasoning.
 
 Validity questions about guards ("is e /\\ e' unsatisfiable?") are
-decided by exhaustive enumeration over the finite domains declared in
-the module.  Enumeration is exact for declared domains; a variable that
-occurs in a validity check without a declared domain is an error, never
-a guess.  String-sorted domains are extended with one fresh "other"
-value so that equality tests against literals outside the declared set
-stay sound.
+decided over the finite domains declared in the module, exactly.  A
+variable that occurs in a validity check without a declared domain is
+an error, never a guess.  String-sorted domains are extended with one
+fresh "other" value so that equality tests against literals outside the
+declared set stay sound.
+
+A query is decided on the truth table of its own variables: the total
+stores over them, numbered in enumeration order, form one space per
+sorted variable tuple, built lazily on the `DomainDecl`.  Each
+expression gets an integer mask over its space, bit i set iff it is true
+on store i.  An atom (a Bool expression whose head is not `and`, `or` or
+`not`) is evaluated on the stores over its own variables only, and its
+mask is lifted into the query's space through per-value selector masks
+of those variables.  `and`, `or` and `not` are `&`, `|` and the
+complement, and a query is unsatisfiable iff its mask is 0.  Masks are
+memoized per subexpression in each space, so `conj(e, b)` reuses the
+mask of e.  The emptiness of a loop's list is one more atom.
+
+Enumeration store by store, stopping at the first satisfying store,
+remains the answer in two cases: a space of more than `_MAX_STORES`
+stores, and a query with an atom that raises or is not Bool on some
+store.  In the second case a mask could not tell whether the error lies
+before the first satisfying store, where enumeration raises it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .syntax.ast import (
@@ -161,6 +179,44 @@ def _eval_binop(op: str, lv: Lit, rv: Lit) -> Lit:
 
 _OTHER_STR = "<other>"
 
+# A query over more stores than this is decided by enumeration alone.
+_MAX_STORES = 1 << 16
+
+
+class _Space:
+    """The total stores over one sorted tuple of variables, numbered in
+    the order `stores` yields them, and the mask of each expression asked
+    about them: bit i is set iff the expression is true on store i.  The
+    mask None marks an expression with an atom that raises or is not Bool
+    on some store; only enumeration answers for it."""
+
+    def __init__(self, names: tuple, pools: list, tables: dict):
+        self.names = names
+        self.pools = pools
+        self.tables = tables
+        self.size = math.prod(len(pool) for pool in pools)
+        self.full = (1 << self.size) - 1 if self.size <= _MAX_STORES else None
+        self.masks = {}
+        self._selectors = {}
+
+    def stores(self):
+        for combo in itertools.product(*self.pools):
+            yield Store(dict(zip(self.names, combo)), tables=self.tables)
+
+    def selectors(self, position: int) -> list:
+        """Per value index d of the variable at `position`, the mask of
+        the stores that give it its d-th value."""
+        found = self._selectors.get(position)
+        if found is None:
+            radix = len(self.pools[position])
+            stride = math.prod(len(pool) for pool in self.pools[position + 1:])
+            period, repeats = radix * stride, self.size // (radix * stride)
+            found = self._selectors[position] = [
+                int(("0" * (period - (d + 1) * stride) + "1" * stride
+                     + "0" * (d * stride)) * repeats, 2)
+                for d in range(radix)]
+        return found
+
 
 @dataclass
 class DomainDecl:
@@ -168,7 +224,7 @@ class DomainDecl:
 
     domains: dict = field(default_factory=dict)  # var -> frozenset[Lit]
     tables: dict = field(default_factory=dict)
-    _unsat_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _spaces: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def from_module(cls, module: ModuleDecl) -> "DomainDecl":
@@ -189,15 +245,21 @@ class DomainDecl:
                 domains[fresh] = domains[base]
         return cls(domains, dict(module.tables))
 
+    def _space(self, names) -> _Space:
+        """The stores over the given variables, with their masks."""
+        key = tuple(sorted(names))
+        space = self._spaces.get(key)
+        if space is None:
+            missing = [n for n in key if n not in self.domains]
+            if missing:
+                raise UndeclaredVariable(missing)
+            pools = [sorted(self.domains[n], key=str) for n in key]
+            space = self._spaces[key] = _Space(key, pools, self.tables)
+        return space
+
     def assignments(self, names):
         """All total stores over the given variables, in a fixed order."""
-        names = sorted(names)
-        missing = [n for n in names if n not in self.domains]
-        if missing:
-            raise UndeclaredVariable(missing)
-        pools = [sorted(self.domains[n], key=str) for n in names]
-        for combo in itertools.product(*pools):
-            yield Store(dict(zip(names, combo)), tables=self.tables)
+        return self._space(names).stores()
 
     def values_of_sort(self, sort: Sort):
         """Candidate literals of a sort, drawn from declared domains
@@ -222,25 +284,97 @@ class DomainDecl:
 
 EMPTY_DOMAINS = DomainDecl()
 
+_UNKNOWN = object()
+
+
+def _mask(domains: DomainDecl, space: _Space, e: Expr):
+    """The mask of the Bool expression e in space, or None."""
+    if not 0 < space.size <= _MAX_STORES:
+        return None
+    mask = space.masks.get(e, _UNKNOWN)
+    if mask is not _UNKNOWN:
+        return mask
+    match e:
+        case BinOp("and" | "or" as op, left, right):
+            mask = _mask(domains, space, left)
+            other = None if mask is None else _mask(domains, space, right)
+            if other is None:
+                mask = None
+            elif op == "and":
+                mask &= other
+            else:
+                mask |= other
+        case UnOp("not", arg):
+            mask = _mask(domains, space, arg)
+            if mask is not None:
+                mask ^= space.full
+        case _:
+            mask = _atom_mask(domains, space, e, e, _bool_value)
+    space.masks[e] = mask
+    return mask
+
+
+def _bool_value(e: Expr, store: Store):
+    v = eval_expr(e, store)
+    return v.value if v.sort == BOOL else None
+
+
+def _nonempty(items: Expr, store: Store):
+    v = eval_expr(items, store)
+    return bool(v.value) if v.sort.kind == "List" else None
+
+
+def _atom_mask(domains: DomainDecl, space: _Space, key, e: Expr, test):
+    """The mask in space of test(e, store), which is True, False, or None
+    when e is of the wrong sort.  It is found by enumerating the stores
+    over e's own variables, memoized under key there, and lifted into
+    space by the selectors of those variables' values."""
+    own = domains._space(expr_vars(e))
+    bits = own.masks.get(key, _UNKNOWN)
+    if bits is _UNKNOWN:
+        bits = 0
+        for i, store in enumerate(own.stores()):
+            try:
+                value = test(e, store)
+            except EvalError:
+                value = None
+            if value is None:
+                bits = None
+                break
+            if value:
+                bits |= 1 << i
+        own.masks[key] = bits
+    if own is space or not bits:
+        return bits
+    if bits == own.full:
+        return space.full
+    selectors = [(len(pool), space.selectors(space.names.index(name)))
+                 for name, pool in zip(own.names, own.pools)][::-1]
+    mask = 0
+    for i in range(own.size):
+        if bits >> i & 1:
+            term = space.full
+            for radix, by_value in selectors:
+                i, digit = divmod(i, radix)
+                term &= by_value[digit]
+            mask |= term
+    return mask
+
 
 def is_unsat(e: Expr, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
     """True iff e evaluates to false under every total assignment drawn
     from the declared domains (exact for declared domains)."""
-    key = e
-    cached = domains._unsat_cache.get(key)
-    if cached is not None:
-        return cached
-    names = expr_vars(e)
-    result = True
-    for store in domains.assignments(names):
+    space = domains._space(expr_vars(e))
+    mask = _mask(domains, space, e)
+    if mask is not None:
+        return not mask
+    for store in space.stores():
         v = eval_expr(e, store)
         if v.sort != BOOL:
             raise SortMismatch(f"guard of sort {v.sort}, expected Bool")
         if v.value:
-            result = False
-            break
-    domains._unsat_cache[key] = result
-    return result
+            return False
+    return True
 
 
 def satisfiable(e: Expr, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
@@ -263,11 +397,16 @@ def list_condition_satisfiable(e: Expr, items: Expr, nonempty: bool,
                                domains: DomainDecl = EMPTY_DOMAINS) -> bool:
     """Is e /\\ (items != eps) (or e /\\ (items = eps)) satisfiable?
 
-    Decided by enumeration over the declared domains of the variables of
-    both expressions.
+    Decided over the declared domains of the variables of both
+    expressions, with the emptiness of items as one more atom.
     """
-    names = expr_vars(e) | expr_vars(items)
-    for store in domains.assignments(names):
+    space = domains._space(expr_vars(e) | expr_vars(items))
+    guard = _mask(domains, space, e)
+    if guard is not None:
+        filled = _atom_mask(domains, space, ("nonempty", items), items, _nonempty)
+        if filled is not None:
+            return bool(guard & (filled if nonempty else space.full ^ filled))
+    for store in space.stores():
         if not eval_expr(e, store).value:
             continue
         value = eval_expr(items, store)

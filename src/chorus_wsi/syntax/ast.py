@@ -143,24 +143,34 @@ FALSE = Const(FALSE_LIT)
 
 
 def expr_vars(e: Expr) -> frozenset:
-    """var(e): the variables occurring in e."""
-    match e:
-        case Var(name):
-            return frozenset({name})
-        case Const():
-            return frozenset()
-        case BinOp(_, left, right):
-            return expr_vars(left) | expr_vars(right)
-        case UnOp(_, arg):
-            return expr_vars(arg)
-        case ListLit(items):
-            out: frozenset = frozenset()
-            for it in items:
-                out |= expr_vars(it)
-            return out
-        case Range(lo, hi):
-            return expr_vars(lo) | expr_vars(hi)
-    raise TypeError(f"not an expression: {e!r}")
+    """var(e): the variables occurring in e.  An inner node shared by
+    several parents is visited once, so a guard built up by repeated
+    conjunction costs its number of distinct nodes, not its tree size.
+    This is on the path of every guard query, hence the dispatch on the
+    exact node type instead of `match`."""
+    names = set()
+    seen = set()
+    todo = [e]
+    while todo:
+        e = todo.pop()
+        kind = type(e)
+        if kind is Var:
+            names.add(e.name)
+        elif kind is Const or id(e) in seen:
+            continue
+        else:
+            seen.add(id(e))
+            if kind is BinOp:
+                todo += (e.left, e.right)
+            elif kind is UnOp:
+                todo.append(e.arg)
+            elif kind is Range:
+                todo += (e.lo, e.hi)
+            elif kind is ListLit:
+                todo += e.items
+            else:
+                raise TypeError(f"not an expression: {e!r}")
+    return frozenset(names)
 
 
 def is_true(e: Expr) -> bool:
@@ -319,23 +329,6 @@ def is_local(t: PseudoType) -> bool:
             return is_local(first) and is_local(second)
         case TIter(body):
             return is_local(body)
-    raise TypeError(f"not a pseudo-type: {t!r}")
-
-
-def pt_channels(t: PseudoType) -> frozenset:
-    """fY(T): session channels occurring in t."""
-    match t:
-        case TEnd():
-            return frozenset()
-        case TInternal(branches) | TExternal(branches):
-            out: frozenset = frozenset()
-            for b in branches:
-                out |= frozenset({b.channel}) | pt_channels(b.cont)
-            return out
-        case TSeq(first, second):
-            return pt_channels(first) | pt_channels(second)
-        case TIter(body):
-            return pt_channels(body)
     raise TypeError(f"not a pseudo-type: {t!r}")
 
 
@@ -593,10 +586,6 @@ def bound_names(term) -> NameSets:
 
 def fn(term) -> frozenset:
     return free_names(term).all
-
-
-def fY(term) -> frozenset:
-    return free_names(term).chans
 
 
 def fX(term) -> frozenset:

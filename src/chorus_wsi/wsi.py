@@ -22,7 +22,7 @@ from .projection import NonProjectable, participants_ordered, project
 from .pseudotype import viable
 from .syntax.ast import (
     Accept, Arm, Branch, Const, GlobalDef, Lit, Process, Request, Send,
-    Seq, TRUE,
+    Seq, TRUE, fU,
 )
 from .traces import covers, run_str, runs_global, runs_impl
 from .typecheck import (
@@ -76,6 +76,8 @@ def _role_problem(gdef: GlobalDef, role: str, proc: Process,
     parts = participants_ordered(instantiate(gdef, gdef.params))
     if role not in parts:
         return f"{role!r} is not a participant of {gdef.name}"
+    if shared_name not in fU(proc):
+        return f"the process opens no session of {gdef.name}"
     if not unique_role(proc, shared_name, role, role0=parts[0]):
         return f"the process does not uniquely play {role!r} in {shared_name!r}"
     return None

@@ -10,6 +10,8 @@ CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "chorus_wsi" / "c
 NO_PARTICIPANTS = pathlib.Path(__file__).resolve().parent / "no_participants.chor"
 # processes that claim a role but are idle on some path
 IDLE_ROLE = pathlib.Path(__file__).resolve().parent / "idle_role.chor"
+# a process that sends where its projection expects an input
+SEND_FOR_INPUT = pathlib.Path(__file__).resolve().parent / "send_for_input.chor"
 
 
 def load(name: str):

@@ -156,21 +156,30 @@ def test_color_env_toggle(capsys, monkeypatch):
     assert "\x1b[" not in out
 
 
-def _case(name, code, stderr, *argv):
-    return pytest.param(argv, code, stderr, id=name)
+def _case(name, code, stderr, *argv, stdout=""):
+    return pytest.param(argv, code, stderr, stdout, id=name)
 
 
-@pytest.mark.parametrize("argv, code, stderr", [
+@pytest.mark.parametrize("argv, code, stderr, stdout", [
     # holds, and analysis rejections
     _case("holds", 0, "", "cover", ATM, "--unfold", "1"),
     _case("type-error", 1, "", "typecheck", ATM, "--proc", "B2"),
     _case("typecheck-no-participants", 1, "",
           "typecheck", str(conftest.NO_PARTICIPANTS)),
+    _case("typecheck-send-for-input", 1, "",
+          "typecheck", str(conftest.SEND_FOR_INPUT),
+          stdout="Eager: VSend: an output on ['ko'] where the specification "
+                 "expects an input on ['login'] (at session of b)"),
     _case("project-non-participant", 1, "", "project", POP2, "--role", "zz"),
     _case("wsi-non-participant", 1, "",
           "wsi", ATM, "--proc", "B1", "--role", "zz", "--unfold", "1"),
     _case("wsi-idle-role", 1, "",
-          "wsi", str(conftest.IDLE_ROLE), "--proc", "BMaybe"),
+          "wsi", str(conftest.IDLE_ROLE), "--proc", "BMaybe",
+          stdout="does not uniquely play 'b' in 'atm'"),
+    _case("wsi-no-session", 1, "",
+          "wsi", str(conftest.IDLE_ROLE), "--proc", "Z",
+          stdout="covering: MissingRun <empty>: the process opens no session "
+                 "of G_ATM"),
     # usage errors: names the module does not declare
     _case("unknown-global", 2, "error: no global type named 'NOPE'",
           "project", POP2, "--role", "s", "--global", "NOPE"),
@@ -199,12 +208,13 @@ def _case(name, code, stderr, *argv):
     _case("missing-file", 2, "error: ",
           "parse", str(conftest.CORPUS / "missing.chor")),
 ])
-def test_exit_code_contract(capsys, argv, code, stderr):
+def test_exit_code_contract(capsys, argv, code, stderr, stdout):
     try:
         got = main(list(argv))
     except SystemExit as exc:  # argparse rejects its own arguments
         got = exc.code
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert got == code
     assert stderr in err
+    assert stdout in out
     assert "Traceback" not in err

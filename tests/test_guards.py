@@ -3,13 +3,17 @@ import random
 
 import pytest
 
+from chorus_wsi import guards
 from chorus_wsi.guards import (
-    DomainDecl, SortMismatch, Store, UndeclaredVariable, Undefined,
+    DomainDecl, EvalError, SortMismatch, Store, UndeclaredVariable, Undefined,
     equivalent, eval_expr, implies, is_unsat, list_condition_satisfiable,
     mutually_exclusive, satisfiable,
 )
 from chorus_wsi.syntax import parse_expr
-from chorus_wsi.syntax.ast import FALSE, TRUE, bool_lit, int_lit, neg, str_lit
+from chorus_wsi.syntax.ast import (
+    BOOL, BinOp, FALSE, FALSE_LIT, INT, Lit, TRUE, TRUE_LIT, bool_lit, conj,
+    expr_vars, int_lit, list_sort, neg, str_lit,
+)
 
 import gen
 
@@ -158,3 +162,178 @@ def test_equivalent_commuted_conjunction():
     a = parse_expr("x > 0 and x <= 2")
     b = parse_expr("x <= 2 and x > 0")
     assert equivalent(a, b, X03)
+
+
+# ------------------------------------------ the decider against enumeration
+
+def _enumerate(names, domains):
+    """Every total store over the names, in the decider's order, so that
+    the first satisfying store (and any error before it) is the same."""
+    names = sorted(names)
+    missing = [n for n in names if n not in domains.domains]
+    if missing:
+        raise UndeclaredVariable(missing)
+    pools = [sorted(domains.domains[n], key=str) for n in names]
+    for combo in itertools.product(*pools):
+        yield Store(dict(zip(names, combo)), tables=domains.tables)
+
+
+def _oracle_is_unsat(e, domains):
+    for store in _enumerate(expr_vars(e), domains):
+        v = eval_expr(e, store)
+        if v.sort != BOOL:
+            raise SortMismatch(f"guard of sort {v.sort}, expected Bool")
+        if v.value:
+            return False
+    return True
+
+
+def _oracle_implies(e1, e2, domains):
+    return _oracle_is_unsat(conj(e1, neg(e2)), domains)
+
+
+def _oracle_list_condition(e, items, nonempty, domains):
+    for store in _enumerate(expr_vars(e) | expr_vars(items), domains):
+        if not eval_expr(e, store).value:
+            continue
+        value = eval_expr(items, store)
+        if value.sort.kind != "List":
+            raise SortMismatch(f"iterating over non-list {value.sort}")
+        if bool(value.value) == nonempty:
+            return True
+    return False
+
+
+ORACLES = {
+    "is_unsat": _oracle_is_unsat,
+    "implies": _oracle_implies,
+    "mutually_exclusive": lambda e1, e2, d: _oracle_is_unsat(conj(e1, e2), d),
+    "equivalent": lambda e1, e2, d: (_oracle_implies(e1, e2, d)
+                                     and _oracle_implies(e2, e1, d)),
+    "list_condition_satisfiable": _oracle_list_condition,
+}
+
+
+def _outcome(fn, *args):
+    """The answer, or the class of the evaluation error raised."""
+    try:
+        return fn(*args)
+    except EvalError as exc:
+        return type(exc)
+
+
+def _assert_agrees(name, *args):
+    got = _outcome(getattr(guards, name), *args)
+    want = _outcome(ORACLES[name], *args)
+    assert got == want, (name, args[:-1])
+    return got
+
+
+_ITEMS = tuple(parse_expr(s) for s in ("1..x", "x..1", "[x]", "0..2", "2..0"))
+
+
+# atoms over two variables of different domain sizes, so that lifting an
+# atom's own table into a query's table must place every digit right
+_PAIR_ATOMS = tuple(parse_expr(s) for s in (
+    "x < n", "x + n = 3", "flag = (n > 1)", "n * x >= 2"))
+
+
+def test_decider_agrees_with_enumeration_on_generated_guards():
+    domains = DomainDecl({**gen.GUARD_DOMAINS.domains,
+                          "n": frozenset(int_lit(i) for i in range(4))})
+    rng = random.Random(11)
+    answers = set()
+    for _ in range(1000):
+        e1, e2 = gen.gen_guard(rng, depth=3), gen.gen_guard(rng, depth=3)
+        if rng.random() < 0.5:
+            e2 = BinOp(rng.choice(("and", "or")), e2, rng.choice(_PAIR_ATOMS))
+        answers.add(_assert_agrees("is_unsat", e1, domains))
+        for name in ("implies", "mutually_exclusive", "equivalent"):
+            answers.add(_assert_agrees(name, e1, e2, domains))
+        answers.add(_assert_agrees("list_condition_satisfiable", e1,
+                                   rng.choice(_ITEMS), rng.random() < 0.5,
+                                   domains))
+    assert answers == {True, False}
+
+
+def test_decider_agrees_with_enumeration_on_corpus_queries(monkeypatch, capsys):
+    """Every guard query `typecheck` makes on the three corpus modules
+    with processes, replayed in order on fresh domains."""
+    from chorus_wsi import pseudotype, typecheck
+    from chorus_wsi.cli import main
+    import conftest
+    queries = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def record(*args):
+            queries.append((name, args))
+            return original(*args)
+        monkeypatch.setattr(module, name, record)
+
+    for module, names in ((typecheck, ("is_unsat", "list_condition_satisfiable")),
+                          (pseudotype, ("is_unsat", "mutually_exclusive",
+                                        "equivalent"))):
+        for name in names:
+            recording(module, name)
+    for corpus in ("atm.chor", "pop2.chor", "pop2_multiparty.chor"):
+        main(["typecheck", str(conftest.CORPUS / corpus)])
+    capsys.readouterr()
+    monkeypatch.undo()
+
+    fresh = {}
+    for name, args in queries:
+        domains = args[-1]
+        domains = fresh.setdefault(id(domains), DomainDecl(domains.domains,
+                                                           domains.tables))
+        _assert_agrees(name, *args[:-1], domains)
+    assert {name for name, _ in queries} >= {
+        "is_unsat", "list_condition_satisfiable"}
+    assert len(queries) > 1000
+
+
+_LISTS = DomainDecl({
+    "l": frozenset({Lit(list_sort(INT), ()), Lit(list_sort(INT), (int_lit(1),))}),
+    "x": frozenset(int_lit(i) for i in range(3)),
+})
+# a list variable whose values differ in element sort: the sort error of
+# hd(l) > 0 depends on the store
+_MIXED = DomainDecl({"l": frozenset({Lit(list_sort(INT), (int_lit(1),)),
+                                     Lit(list_sort(BOOL), (TRUE_LIT,))})})
+# 2^17 stores: above the largest space the decider builds masks for
+_WIDE = DomainDecl({f"v{i:02d}": frozenset({TRUE_LIT, FALSE_LIT})
+                    for i in range(17)})
+
+
+@pytest.mark.parametrize("name, texts, extra, domains, want", [
+    # an atom undefined on some store: the enumeration fallback
+    ("is_unsat", ["hd(l) > 1"], (), _LISTS, Undefined),
+    ("is_unsat", ["hd(l) > 0 or x > 5"], (), _LISTS, False),
+    ("implies", ["x > 0", "hd(l) = 1"], (), _LISTS, Undefined),
+    ("equivalent", ["hd(l) = 1", "hd(l) = 1"], (), _LISTS, Undefined),
+    ("list_condition_satisfiable", ["x > 0", "tl(l)"], (True,), _LISTS,
+     Undefined),
+    ("list_condition_satisfiable", ["x > 0", "tl(l)"], (False,), _LISTS, True),
+    ("list_condition_satisfiable", ["hd(l) = 1", "l"], (True,), _LISTS, True),
+    # sort errors and undeclared variables
+    ("is_unsat", ["hd(l) > 0"], (), _MIXED, False),
+    ("is_unsat", ["hd(l) > 1"], (), _MIXED, SortMismatch),
+    ("is_unsat", ["x and flag"], (), gen.GUARD_DOMAINS, SortMismatch),
+    ("mutually_exclusive", ["x > 0", "x + 1"], (), gen.GUARD_DOMAINS,
+     SortMismatch),
+    ("list_condition_satisfiable", ["flag", "x"], (True,), gen.GUARD_DOMAINS,
+     SortMismatch),
+    ("is_unsat", ["y > 0"], (), gen.GUARD_DOMAINS, UndeclaredVariable),
+    # a query above the mask cap: enumeration
+    ("is_unsat", [" or ".join(f"v{i:02d}" for i in range(17))], (), _WIDE,
+     False),
+    ("is_unsat", ["v00 + 1 > 0 and v16"], (), _WIDE, SortMismatch),
+])
+def test_decider_agrees_with_enumeration_on_edge_cases(name, texts, extra,
+                                                       domains, want):
+    if domains is _WIDE:
+        assert 2 ** 17 > guards._MAX_STORES
+    args = [parse_expr(t) for t in texts] + list(extra)
+    domains = DomainDecl(domains.domains, domains.tables)
+    assert _assert_agrees(name, *args, domains) == want

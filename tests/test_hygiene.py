@@ -1,13 +1,15 @@
 """Source hygiene: no module under src/ keeps an import it never uses, so
-an import of a deleted or moved name cannot linger, and no function
-keeps a parameter it never reads, so no caller passes a value that
-cannot change an answer.
+an import of a deleted or moved name cannot linger; no function keeps a
+parameter it never reads, so no caller passes a value that cannot
+change an answer; and no top-level function or class under src/ is
+left that neither src/ nor tests/ uses, so dead API cannot linger.
 
 Package `__init__` modules are skipped by the import check:
 re-exporting is their job.
 """
 
 import ast
+import tomllib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -101,3 +103,61 @@ def test_no_dead_parameters_in_src():
              for path in sorted(SRC.rglob("*.py"))
              for line, name, param in dead_parameters(path.read_text())]
     assert found == []
+
+
+def unreferenced_definitions(sources: dict, exempt=frozenset()) -> list:
+    """(path, line, name) for each top-level function or class of the
+    `defining` sources that no source loads outside the definition's own
+    body.  `sources` maps a path to (source, defining); a load is a name
+    read or an attribute of that name.  Imports, strings and docstrings
+    are not loads, so a name only re-exported, only mentioned in prose,
+    or only called by itself counts as unreferenced."""
+    definitions, loads = [], {}
+    for path, (source, defining) in sources.items():
+        for stmt in ast.parse(source).body:
+            if defining and isinstance(stmt, (ast.FunctionDef, ast.ClassDef,
+                                              ast.AsyncFunctionDef)):
+                definitions.append((path, stmt))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loads.setdefault(node.id, set()).add((path, id(stmt)))
+                elif isinstance(node, ast.Attribute):
+                    loads.setdefault(node.attr, set()).add((path, id(stmt)))
+    return sorted((path, d.lineno, d.name) for path, d in definitions
+                  if d.name not in exempt
+                  and not loads.get(d.name, set()) - {(path, id(d))})
+
+
+def test_detector_flags_only_unreferenced_definitions():
+    lib = ('def walk(t):\n'
+           '    """Also see helper."""\n'
+           '    return [walk(c) for c in t]\n'
+           'def main():\n'
+           '    return 0\n'
+           'def used():\n'
+           '    return Box\n'
+           'class Box:\n'
+           '    pass\n'
+           'def by_attribute():\n'
+           '    return 1\n'
+           'def helper():\n'
+           '    return 2\n')
+    init = "from .lib import helper, walk\n"
+    test = ("import lib\n"
+            "def test_it():\n"
+            "    assert lib.used() and lib.by_attribute()\n")
+    sources = {"lib.py": (lib, True), "__init__.py": (init, True),
+               "test_lib.py": (test, False)}
+    assert unreferenced_definitions(sources, exempt={"main"}) == [
+        ("lib.py", 1, "walk"), ("lib.py", 12, "helper")]
+
+
+def test_no_unreferenced_definitions_in_src():
+    tests = SRC.parent / "tests"
+    sources = {str(p.relative_to(SRC.parent)):
+               (p.read_text(), p.is_relative_to(SRC))
+               for p in sorted(SRC.rglob("*.py")) + sorted(tests.glob("*.py"))}
+    scripts = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
+    entry_points = {target.rsplit(":", 1)[1]
+                    for target in scripts["project"]["scripts"].values()}
+    assert unreferenced_definitions(sources, entry_points) == []

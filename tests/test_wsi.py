@@ -123,17 +123,21 @@ def test_wsi_cli_no_participants_both_paths_reject(capsys):
 @pytest.mark.parametrize("proc", ["Z", "BMaybe"])
 def test_wsi_cli_idle_role_both_paths_reject(capsys, proc):
     """A process that is idle on some path does not play its role: the
-    idle process 0 and a bank that accepts only when wantdep holds."""
+    idle process 0, which opens no session at all, and a bank that
+    accepts only when wantdep holds."""
     import conftest
     from chorus_wsi.cli import main
+    problem = {
+        "Z": "the process opens no session of G_ATM",
+        "BMaybe": "the process does not uniquely play 'b' in 'atm'",
+    }[proc]
     code = main(["wsi", str(conftest.IDLE_ROLE), "--proc", proc])
     captured = capsys.readouterr()
     assert code == 1
-    typing, covering = captured.out.splitlines()
-    assert typing.startswith("typing:   Rejected: role: the process does not "
-                             "uniquely play 'b'")
-    assert covering.startswith("covering: MissingRun <empty>: the process "
-                               "does not uniquely play 'b'")
+    assert captured.out.splitlines() == [
+        f"typing:   Rejected: role: {problem} (at <top>)",
+        f"covering: MissingRun <empty>: {problem}",
+    ]
     assert captured.err == ""
 
 
