@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success (analysis holds), 1 on an analysis rejection
-(typing error, covering failure, simulation counterexample), 2 on usage
-or parse errors.  Usage errors name something the module does not
-declare (a global, process, system or type), leave the entry global
-ambiguous, give no role, or pass a bound below 1.
+(typing error, covering failure, simulation counterexample, a global
+type that is not well formed or not projectable), 2 on usage or parse
+errors.  Usage errors name something the module does not declare (a
+global, process, system or type), leave the entry global ambiguous,
+give no role, or pass a bound below 1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from .semantics import system_steps, to_state
 from .syntax import parse_module, render_module, render_type
 from .syntax.ast import Event, GlobalDef, ModuleDecl, TRUE
 from .syntax.parser import ParseError
-from .traces import covers, projection_env, run_str, runs_global, runs_spec
+from .traces import (
+    IllFormed, covers, projection_env, run_count, run_str, runs_global,
+    runs_spec,
+)
 from .typecheck import (
     TypingError, gamma_from_domains, instantiate, typecheck_process,
     typecheck_system,
@@ -109,9 +113,7 @@ def cmd_project(args) -> int:
         return 1
     violations = well_formed(g)
     if violations:
-        for v in violations:
-            print(_bad(str(v)))
-        return 1
+        raise IllFormed(violations)
     try:
         local = remove_guards(normal_form(project(g, args.role), domains))
     except NonProjectable as exc:
@@ -228,7 +230,7 @@ def cmd_simulate(args) -> int:
                 pass
 
     trace = []
-    for step in range(args.steps):
+    for _ in range(args.steps):
         succ = system_steps(state, store)
         if not succ:
             break
@@ -253,7 +255,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_traces(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module)
     gdef = _the_global(module, args.global_name)
     g = instantiate(gdef, gdef.params)
     runs = sorted(runs_global(g, args.unfold), key=run_str)
@@ -271,19 +272,33 @@ def cmd_cover(args) -> int:
     domains = DomainDecl.from_module(module)
     gdef = _the_global(module, args.global_name)
     g = instantiate(gdef, gdef.params)
-    rg = runs_global(g, args.unfold)
-    rs = runs_spec(projection_env(gdef, domains), gdef.params, args.unfold,
-                   domains)
+    # the verdict compares skeletons, and the skeletons at every bound
+    # are the runs at bound 1; only the counts depend on the bound.
+    # runs_global rejects an ill-formed g before anything projects it
+    rg = runs_global(g, 1)
+    try:
+        delta = projection_env(gdef, domains)
+    except NonProjectable as exc:
+        print(_bad(f"not projectable: {exc}"))
+        return 1
+    rs = runs_spec(delta, gdef.params, 1, domains)
     verdict = covers(rg, rs)
+    if args.unfold == 1:  # the runs to count are built already
+        n_global, n_spec = len(rg), len(rs)
+    else:
+        n_global = run_count(
+            lambda algebra: runs_global(g, args.unfold, algebra))
+        n_spec = run_count(lambda algebra: runs_spec(
+            delta, gdef.params, args.unfold, domains, algebra))
     if args.json:
-        payload = {"holds": verdict.holds(), "global-runs": len(rg),
-                   "spec-runs": len(rs)}
+        payload = {"holds": verdict.holds(), "global-runs": n_global,
+                   "spec-runs": n_spec}
         if not verdict.holds():
             payload["missing"] = run_to_json(verdict.run)
         print(json.dumps(payload, indent=2))
     if verdict.holds():
-        print(_ok(f"Holds@{args.unfold}: {len(rg)} global runs covered by "
-                  f"{len(rs)} specification runs"))
+        print(_ok(f"Holds@{args.unfold}: {n_global} global runs covered by "
+                  f"{n_spec} specification runs"))
         return 0
     print(_bad(f"MissingRun: {run_str(verdict.run)}"))
     return 1
@@ -399,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cover", help="check runs(G) covered by its projections")
     common(p, unfold="iterations unfolded at most K times in the runs "
-           "counted and compared", glob=True)
+           "counted", glob=True)
     p.set_defaults(func=cmd_cover)
 
     p = sub.add_parser("wsi", help="whole-spectrum implementation verdicts")
@@ -416,6 +431,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except IllFormed as exc:
+        for v in exc.violations:
+            print(_bad(str(v)))
+        return 1
     except ParseError as exc:
         print(_bad(f"{args.file}:{exc}"), file=sys.stderr)
         return 2

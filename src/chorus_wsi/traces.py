@@ -13,6 +13,21 @@ optional segment, so the skeletons at every bound K are exactly the
 runs at K = 1.  Covering therefore compares skeletons, and no covering
 verdict depends on K.
 
+The global-type and specification enumerators are each written once,
+over an algebra passed in as an argument.  `RUN_SETS` builds the runs;
+`RUN_COUNTS` only counts them, so the number of runs at a bound K whose
+runs would not fit in memory is found in milliseconds.  A count is
+exact because each union it sums is disjoint (the alternatives of a
+choice start with different events; a specification move that repeats
+the event and the successor of an earlier move is skipped, since it
+adds no run) and each product it multiplies is injective (no left run
+is a proper prefix of another, and the `Opt` that opens a further loop
+unfolding cannot be read as the start of the loop's continuation).
+Where the count algebra cannot see that these conditions hold, for
+instance when one specification state offers one event into two
+different successors, it raises `Uncountable`, and `run_count` falls
+back to the size of the enumerated set.
+
 A trace stands for its equivalence class modulo permutation of causally
 independent events, where two events are independent iff they are by
 different participants on different channels.  The preorder matcher
@@ -72,7 +87,11 @@ def all_events(run: tuple) -> tuple:
 
 
 class IllFormed(Exception):
-    pass
+    """The global type breaks the side conditions of `well_formed`."""
+
+    def __init__(self, violations: list):
+        super().__init__("; ".join(str(v) for v in violations))
+        self.violations = tuple(violations)
 
 
 class NotAnImplementation(Exception):
@@ -81,7 +100,12 @@ class NotAnImplementation(Exception):
         self.clause = clause
 
 
-# ------------------------------------------------------- runs of global types
+# ------------------------------------------------------ algebras of run sets
+
+class Uncountable(Exception):
+    """The count algebra cannot tell that a union is disjoint or that a
+    product is injective, so it cannot count the runs exactly."""
+
 
 def _nestings(body_runs: frozenset, k_max: int) -> frozenset:
     """r1, r1[r2], r1[r2[r3]], ... with at most k_max bodies."""
@@ -96,37 +120,146 @@ def _nestings(body_runs: frozenset, k_max: int) -> frozenset:
     return frozenset(out)
 
 
-def runs_global(g: GlobalType, unfold: int = 2) -> frozenset:
+class RunSets:
+    """The sets of annotated runs themselves."""
+
+    @staticmethod
+    def unit() -> frozenset:
+        return frozenset({()})
+
+    @staticmethod
+    def choice(alternatives) -> frozenset:
+        """head + r for every (head, runs) alternative and r in runs."""
+        out: set = set()
+        for head, runs in alternatives:
+            out.update(head + r for r in runs)
+        return frozenset(out)
+
+    @staticmethod
+    def seq(lefts: frozenset, rights: frozenset) -> frozenset:
+        return frozenset(l + r for l in lefts for r in rights)
+
+    @staticmethod
+    def iterate(body: frozenset, tails: frozenset, unfold: int) -> frozenset:
+        """Nestings of up to `unfold` body runs, each followed by a tail."""
+        return frozenset(n + t for n in _nestings(body, unfold) for t in tails)
+
+
+@dataclass(frozen=True)
+class Count:
+    """How many runs a set holds, with what it takes to count its unions
+    and products exactly: whether no run is a proper prefix of another
+    (never claimed falsely), and whether the set may hold the empty run
+    or a run that starts with an optional segment (never denied
+    falsely)."""
+
+    runs: int
+    prefix_free: bool
+    has_empty: bool
+    opt_headed: bool
+
+    def __len__(self) -> int:
+        """The count, as `len` gives it for a set of runs, so code that
+        sizes run sets by `len` takes counts too.  Past `sys.maxsize`
+        `len` raises OverflowError and only `runs` holds the count."""
+        return self.runs
+
+
+class RunCounts:
+    """The number of runs of each set, found without building a run.
+
+    A choice sums: its alternatives start with different events, so their
+    runs are disjoint.  A sequence multiplies: when no left run is a
+    proper prefix of another, a run of l + r splits back into l and r in
+    one way only.  An iteration of n body runs followed by t tails counts
+    (n + n^2 + ... + n^K) * t: the nesting r1[r2[...]] splits back into
+    r1, r2, ... in one way because no body run is a proper prefix of
+    another, and the `Opt` after r1 marks where a further body starts,
+    which no tail can also mark when no tail starts with an `Opt`.  Where
+    one of these conditions is not known to hold, the operation raises
+    `Uncountable` rather than return a count that may be wrong.  Both
+    enumerators only ever build a choice from alternatives whose heads
+    are non-empty event tuples.
+    """
+
+    @staticmethod
+    def unit() -> Count:
+        return Count(1, True, True, False)
+
+    @staticmethod
+    def choice(alternatives) -> Count:
+        alternatives = list(alternatives)
+        firsts = {head[0] for head, _ in alternatives}
+        if len(firsts) != len(alternatives):
+            raise Uncountable("two alternatives start with the same event")
+        return Count(sum(c.runs for _, c in alternatives),
+                     all(c.prefix_free for _, c in alternatives), False, False)
+
+    @staticmethod
+    def seq(lefts: Count, rights: Count) -> Count:
+        if not lefts.prefix_free:
+            raise Uncountable("a left run is a proper prefix of another")
+        return Count(lefts.runs * rights.runs, rights.prefix_free,
+                     lefts.has_empty and rights.has_empty,
+                     lefts.opt_headed or (lefts.has_empty and rights.opt_headed))
+
+    @staticmethod
+    def iterate(body: Count, tails: Count, unfold: int) -> Count:
+        if not body.prefix_free:
+            raise Uncountable("a body run is a proper prefix of another")
+        if tails.opt_headed:
+            raise Uncountable("a tail may start with an optional segment")
+        nestings = sum(body.runs ** k for k in range(1, unfold + 1))
+        return Count(nestings * tails.runs,
+                     tails.prefix_free and not tails.has_empty,
+                     body.has_empty and tails.has_empty, body.has_empty)
+
+
+RUN_SETS = RunSets()
+RUN_COUNTS = RunCounts()
+
+
+def run_count(enumerate_in) -> int:
+    """The number of runs `enumerate_in(algebra)` enumerates: counted,
+    or enumerated and measured where the count algebra is not exact."""
+    try:
+        return enumerate_in(RUN_COUNTS).runs
+    except Uncountable:
+        return len(enumerate_in(RUN_SETS))
+
+
+# ------------------------------------------------------- runs of global types
+
+def runs_global(g: GlobalType, unfold: int = 2, algebra=RUN_SETS):
     """The annotated runs allowed by g, iterations unfolded at most
-    `unfold` times, in the canonical interleaving of each rule."""
+    `unfold` times, in the canonical interleaving of each rule, as a
+    value of `algebra`."""
     if unfold < 1:
         raise ValueError("the unfold bound must be at least 1")
     violations = well_formed(g)
     if violations:
-        raise IllFormed("; ".join(str(v) for v in violations))
+        raise IllFormed(violations)
 
-    def walk(node: GlobalType) -> frozenset:
+    def walk(node: GlobalType):
         match node:
             case GEnd():
-                return frozenset({()})
+                return algebra.unit()
             case GChoice(sender, branches):
-                out: set = set()
-                for b in branches:
-                    head = (Event(sender, "!", b.channel, b.sort),
-                            Event(b.receiver, "?", b.channel, b.sort))
-                    out |= {head + r for r in walk(b.cont)}
-                return frozenset(out)
+                return algebra.choice(
+                    ((Event(sender, "!", b.channel, b.sort),
+                      Event(b.receiver, "?", b.channel, b.sort)), walk(b.cont))
+                    for b in branches)
             case GSeq(first, second):
-                lefts, rights = walk(first), walk(second)
-                return frozenset(l + r for l in lefts for r in rights)
+                return algebra.seq(walk(first), walk(second))
             case GIter(body, controller, term):
-                nested = _nestings(walk(body), unfold)
                 tail = []
                 for p, chan, sort in term:
                     tail.append(Event(controller, "!", chan, sort))
                     tail.append(Event(p, "?", chan, sort))
-                tail = tuple(tail)
-                return frozenset(r + tail for r in nested)
+                # well-formedness gives every iteration a termination
+                return algebra.iterate(
+                    walk(body), algebra.choice([(tuple(tail), algebra.unit())]),
+                    unfold)
         raise TypeError(f"not a global type: {node!r}")
 
     return walk(g)
@@ -146,8 +279,9 @@ def projection_env(gdef: GlobalDef, domains: DomainDecl = EMPTY_DOMAINS) -> Spec
 
 
 def runs_spec(delta: SpecEnv, ys: tuple, unfold: int = 2,
-              domains: DomainDecl = EMPTY_DOMAINS) -> frozenset:
-    """The annotated runs of session ys generated by the specification.
+              domains: DomainDecl = EMPTY_DOMAINS, algebra=RUN_SETS):
+    """The annotated runs of session ys generated by the specification,
+    as a value of `algebra`.
 
     Communications follow the queue discipline (a send enqueues its
     sort, a receive consumes a matching head); iterations unfold in
@@ -163,9 +297,8 @@ def runs_spec(delta: SpecEnv, ys: tuple, unfold: int = 2,
     queues = {y: q for y, q in delta.queues if y in ys}
     for y in ys:
         queues.setdefault(y, ())
-    memo: dict = {}
-    return frozenset(_spec_runs(_freeze_spec(sessions, queues), unfold,
-                                domains, memo))
+    return _spec_runs(_freeze_spec(sessions, queues), unfold, domains,
+                      algebra, {})
 
 
 def _freeze_spec(sessions: dict, queues: dict):
@@ -173,13 +306,13 @@ def _freeze_spec(sessions: dict, queues: dict):
             tuple(sorted(queues.items())))
 
 
-def _spec_runs(state, unfold: int, domains: DomainDecl, memo: dict) -> frozenset:
-    if state in memo:
-        return memo[state]
-    memo[state] = frozenset()  # cut accidental cycles
+def _spec_runs(state, unfold: int, domains: DomainDecl, algebra, memo: dict):
+    known = memo.get(state)
+    if known is not None:
+        return known
+    memo[state] = algebra.choice(())  # cut accidental cycles
     sessions = dict(state[0])
     queues = dict(state[1])
-    out: set = set()
 
     moves = []
     for role in sorted(sessions):
@@ -194,6 +327,7 @@ def _spec_runs(state, unfold: int, domains: DomainDecl, memo: dict) -> frozenset
                 if b.channel in queues:
                     moves.append((role, "!", b))
 
+    taken = []
     for role, pol, b in moves:
         new_sessions = dict(sessions)
         new_sessions[role] = normal_form(b.cont, domains)
@@ -202,10 +336,16 @@ def _spec_runs(state, unfold: int, domains: DomainDecl, memo: dict) -> frozenset
             new_queues[b.channel] = queues[b.channel] + (b.sort,)
         else:
             new_queues[b.channel] = queues[b.channel][1:]
-        ev = Event(role, pol, b.channel, b.sort)
-        for rest in _spec_runs(_freeze_spec(new_sessions, new_queues),
-                               unfold, domains, memo):
-            out.add((ev,) + rest)
+        move = (Event(role, pol, b.channel, b.sort),
+                _freeze_spec(new_sessions, new_queues))
+        # a move with the event and successor of an earlier one (a choice
+        # with identical branches) adds no run; comparing moves, unlike
+        # hashing them, reads a successor only when the events are equal
+        if move not in taken:
+            taken.append(move)
+    out = algebra.choice(
+        ((ev,), _spec_runs(after, unfold, domains, algebra, memo))
+        for ev, after in taken)
 
     if not moves:
         loopers = {role: t for role, t in sessions.items()
@@ -219,20 +359,19 @@ def _spec_runs(state, unfold: int, domains: DomainDecl, memo: dict) -> frozenset
                 bodies[role] = normal_form(it.body, domains)
                 conts[role] = t.second if isinstance(t, TSeq) else TEnd()
             round_runs = _spec_runs(_freeze_spec(bodies, queues), unfold,
-                                    domains, dict())
+                                    domains, algebra, {})
             after = dict(sessions)
             for role, cont in conts.items():
                 after[role] = normal_form(cont, domains)
-            tails = _spec_runs(_freeze_spec(after, queues), unfold, domains, memo)
-            for nested in _nestings(round_runs, unfold):
-                for tail in tails:
-                    out.add(nested + tail)
+            tails = _spec_runs(_freeze_spec(after, queues), unfold, domains,
+                               algebra, memo)
+            out = algebra.iterate(round_runs, tails, unfold)
         elif all(isinstance(t, TEnd) for t in sessions.values()) \
                 and all(not q for q in queues.values()):
-            out.add(())
+            out = algebra.unit()
 
-    memo[state] = frozenset(out)
-    return memo[state]
+    memo[state] = out
+    return out
 
 
 # -------------------------------------------------- runs of implementations

@@ -24,7 +24,7 @@ from .syntax.ast import (
     Accept, Arm, Branch, Const, GlobalDef, Lit, Process, Request, Send,
     Seq, TRUE, fU,
 )
-from .traces import covers, run_str, runs_global, runs_impl
+from .traces import IllFormed, covers, run_str, runs_global, runs_impl
 from .typecheck import (
     TypingError, gamma_from_domains, instantiate, typecheck_process,
     unique_role,
@@ -134,6 +134,11 @@ def synthesize_contexts(gdef: GlobalDef, role: str, proc: Process,
     if problem is not None:
         raise NonViable(problem)
     g = instantiate(gdef, gdef.params)
+    try:
+        # a run at bound 1 has no optional segment: it is its own skeleton
+        targets = sorted(runs_global(g, 1), key=run_str)
+    except IllFormed as exc:
+        raise NonViable(f"{gdef.name} is ill-formed: {exc}")
     parts = participants_ordered(g)
     for q in parts:
         if q == role:
@@ -145,10 +150,9 @@ def synthesize_contexts(gdef: GlobalDef, role: str, proc: Process,
         if not viable(local, domains):
             raise NonViable(f"projection of {gdef.name} on {q!r} is not viable")
 
-    # a run at bound 1 has no optional segment: it is its own skeleton
     return [(target, _iota_candidates(gdef, parts, role, proc, target,
                                       domains, shared_name))
-            for target in sorted(runs_global(g, 1), key=run_str)]
+            for target in targets]
 
 
 def _iota_candidates(gdef, parts, role, proc, skeleton, domains, shared_name):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -113,6 +114,34 @@ def test_cover_holds(capsys):
     assert "Holds" in out
 
 
+@pytest.mark.parametrize("argv, k, global_runs, spec_runs", [
+    ((ATM,), 1, 3, 6), ((ATM,), 2, 3, 6),
+    ((POP2,), 1, 7, 8), ((POP2,), 2, 464, 465),
+    ((MP, "--global", "G_POP_P"), 1, 6, 7),
+    ((MP, "--global", "G_POP_P"), 2, 463, 464),
+])
+def test_cover_lines_on_the_corpus(capsys, argv, k, global_runs, spec_runs):
+    code, out, _ = run(capsys, "cover", *argv, "--unfold", str(k))
+    assert code == 0
+    assert out == (f"Holds@{k}: {global_runs} global runs covered by "
+                   f"{spec_runs} specification runs\n")
+
+
+def test_cover_answers_at_unfold_3(capsys):
+    """Counting instead of enumerating 621,437 runs answers at once."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "cover", POP2, "--unfold", "3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert out == ("Holds@3: 621437 global runs covered by 621438 "
+                   "specification runs\n")
+    code, out, _ = run(capsys, "cover", POP2, "--unfold", "3", "--json")
+    assert code == 0
+    payload = json.loads(out[:out.rindex("}") + 1])
+    assert payload == {"holds": True, "global-runs": 621437,
+                       "spec-runs": 621438}
+
+
 def test_wsi_b1_exit_0(capsys):
     code, out, _ = run(capsys, "wsi", ATM, "--proc", "B1", "--role", "b",
                        "--unfold", "1", "--mode", "both")
@@ -176,6 +205,21 @@ def _case(name, code, stderr, *argv, stdout=""):
     _case("wsi-idle-role", 1, "",
           "wsi", str(conftest.IDLE_ROLE), "--proc", "BMaybe",
           stdout="does not uniquely play 'b' in 'atm'"),
+    _case("cover-ill-formed", 1, "", "cover", str(conftest.ILL_FORMED),
+          stdout="self-communication: 'c' sends to itself on 'a'\n"
+                 "self-communication: 'c' sends to itself on 'b'\n"),
+    _case("traces-ill-formed", 1, "", "traces", str(conftest.ILL_FORMED),
+          stdout="self-communication: 'c' sends to itself on 'b'"),
+    _case("project-ill-formed", 1, "",
+          "project", str(conftest.ILL_FORMED), "--role", "c",
+          stdout="self-communication: 'c' sends to itself on 'a'"),
+    _case("wsi-ill-formed", 1, "", "wsi", str(conftest.ILL_FORMED),
+          "--proc", "C", "--mode", "covering",
+          stdout="covering: MissingRun <empty>: G is ill-formed: "
+                 "self-communication: 'c' sends to itself on 'a'"),
+    _case("cover-non-projectable", 1, "",
+          "cover", MP, "--global", "G_POP_M",
+          stdout="not projectable: cannot merge branches for uninvolved 'a'"),
     _case("wsi-no-session", 1, "",
           "wsi", str(conftest.IDLE_ROLE), "--proc", "Z",
           stdout="covering: MissingRun <empty>: the process opens no session "

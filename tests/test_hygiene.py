@@ -1,8 +1,10 @@
 """Source hygiene: no module under src/ keeps an import it never uses, so
 an import of a deleted or moved name cannot linger; no function keeps a
 parameter it never reads, so no caller passes a value that cannot
-change an answer; and no top-level function or class under src/ is
-left that neither src/ nor tests/ uses, so dead API cannot linger.
+change an answer; no function assigns a local it never reads, so no
+value is computed for nothing; and no top-level function or class under
+src/ is left that neither src/ nor tests/ uses, so dead API cannot
+linger.
 
 Package `__init__` modules are skipped by the import check:
 re-exporting is their job.
@@ -102,6 +104,63 @@ def test_no_dead_parameters_in_src():
     found = [f"{path.relative_to(SRC)}:{line}: {name}({param})"
              for path in sorted(SRC.rglob("*.py"))
              for line, name, param in dead_parameters(path.read_text())]
+    assert found == []
+
+
+def dead_locals(source: str) -> list:
+    """(line, function, name) for each name a function assigns in its own
+    body and never reads, there or in a function nested in it.  Names
+    that start with `_` are exempt, and so are names the function
+    declares global or nonlocal."""
+    tree = ast.parse(source)
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own, stack = [], list(fn.body)
+        while stack:
+            node = stack.pop()
+            own.append(node)
+            if not isinstance(node, scopes):
+                stack.extend(ast.iter_child_nodes(node))
+        declared = {name for node in own
+                    if isinstance(node, (ast.Global, ast.Nonlocal))
+                    for name in node.names}
+        read = {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        stored = {}
+        for node in own:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored[node.id] = min(node.lineno,
+                                      stored.get(node.id, node.lineno))
+        found += [(line, fn.name, name) for name, line in stored.items()
+                  if name not in read and name not in declared
+                  and not name.startswith("_")]
+    return sorted(found)
+
+
+def test_detector_flags_only_dead_locals():
+    source = ("def f(xs):\n"
+              "    total, unused = 0, 1\n"
+              "    for i, x in enumerate(xs):\n"
+              "        total += x\n"
+              "    for _ in xs:\n"
+              "        pass\n"
+              "    seen = []\n"
+              "    def inner():\n"
+              "        global G\n"
+              "        G = seen\n"
+              "        kept = 2\n"
+              "    return total, inner\n")
+    assert dead_locals(source) == [
+        (2, "f", "unused"), (3, "f", "i"), (11, "inner", "kept")]
+
+
+def test_no_dead_locals_in_src():
+    found = [f"{path.relative_to(SRC)}:{line}: {name}: {local}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name, local in dead_locals(path.read_text())]
     assert found == []
 
 

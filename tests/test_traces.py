@@ -4,12 +4,14 @@ import pytest
 
 from chorus_wsi.guards import Store
 from chorus_wsi.projection import NonProjectable
-from chorus_wsi.syntax.ast import Event, GEnd, GlobalDef, INT, UNIT, TEnd
+from chorus_wsi.syntax.ast import (
+    Event, GEnd, GlobalDef, INT, UNIT, TEnd, TExternal, TInternal, TIter, TSeq,
+)
 from chorus_wsi.syntax import parse_type
 from chorus_wsi.traces import (
-    MissingRun, NotAnImplementation, Opt, all_events, covers, mandatory,
-    projection_env, run_str, runs_global, runs_impl, runs_spec, trace_leq,
-    independent,
+    MissingRun, NotAnImplementation, Opt, RUN_COUNTS, Uncountable,
+    all_events, covers, mandatory, projection_env, run_count, run_str,
+    runs_global, runs_impl, runs_spec, trace_leq, independent,
 )
 from chorus_wsi.typecheck import SpecEnv, instantiate
 
@@ -115,6 +117,69 @@ def test_skeletons_do_not_depend_on_the_unfold_bound():
             lambda k: runs_spec(delta, gdef.params, k)), g
         specs_checked += 1
     assert specs_checked > 150
+
+
+def _identical_branches(t) -> bool:
+    """Some choice of the local type t has two identical branches."""
+    match t:
+        case TInternal(branches) | TExternal(branches):
+            return len(set(branches)) < len(branches) \
+                or any(_identical_branches(b.cont) for b in branches)
+        case TSeq(first, second):
+            return _identical_branches(first) or _identical_branches(second)
+        case TIter(body):
+            return _identical_branches(body)
+    return False
+
+
+def test_count_algebra_agrees_with_enumeration():
+    """Counting runs gives the size of the enumerated run set, for the
+    global types and for the specifications made of their projections.
+    Cases 465 and 508 of this seed project to a choice with identical
+    branches: counting paths through them, not distinct runs, overcounts
+    (392 against 196 on one of them)."""
+    rng = random.Random(7)
+    specs_checked, identical = 0, set()
+    for case in range(600):
+        g = gen.gen_global(rng)
+        for k in (1, 2):
+            assert runs_global(g, k, RUN_COUNTS).runs == len(runs_global(g, k)), \
+                (case, k)
+        gdef = GlobalDef("G", ("a", "b", "c", "t"), g)
+        try:
+            delta = projection_env(gdef)
+        except NonProjectable:
+            continue
+        if any(_identical_branches(t) for _, t in delta.sessions):
+            identical.add(case)
+        for k in (1, 2):
+            counted = runs_spec(delta, gdef.params, k, algebra=RUN_COUNTS)
+            assert counted.runs == len(runs_spec(delta, gdef.params, k)), \
+                (case, k)
+        specs_checked += 1
+    assert specs_checked > 400
+    assert {465, 508} <= identical
+
+
+@pytest.mark.parametrize("p, q, channels", [
+    # one send on y into two different successors: the runs through
+    # w are runs of both branches
+    ("y!(Int). (w!(Int). end (+) v!(Int). end) (+) y!(Int). w!(Int). end",
+     "y?(Int). (w?(Int). end (&) v?(Int). end)", ("y", "w", "v")),
+    # a loop right inside a loop: r[r] is one body run of the outer loop
+    # and also the nesting of two
+    ("((y!(Int). end)*)*", "((y?(Int). end)*)*", ("y",)),
+], ids=["one-event-two-successors", "loop-in-loop"])
+def test_uncountable_specs_fall_back_to_enumeration(p, q, channels):
+    delta = SpecEnv.make({}, {(channels, "p"): parse_type(p),
+                              (channels, "q"): parse_type(q)},
+                         {y: () for y in channels})
+    for k in (2, 3):
+        with pytest.raises(Uncountable):
+            runs_spec(delta, channels, k, algebra=RUN_COUNTS)
+        assert run_count(lambda algebra: runs_spec(
+            delta, channels, k, algebra=algebra)) \
+            == len(runs_spec(delta, channels, k))
 
 
 # --------------------------------------------------------------- runs_impl
