@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -267,6 +268,25 @@ def cmd_traces(args) -> int:
     return 0
 
 
+# Python converts an int of at most 4,300 digits to decimal and refuses a
+# longer one; a full conversion of one is quadratic anyway
+_PRINTABLE_COUNT = 10 ** 4300
+
+
+def _count(n: int):
+    """A run count as printed: n itself below 10^4300, and past that the
+    string "d.dddde+N", its first five digits (cut, not rounded) and its
+    exponent."""
+    if n < _PRINTABLE_COUNT:
+        return n
+    e = int(math.log10(n)) - 4
+    lead = (n >> e) // 5 ** e  # n // 10^e
+    if not 10_000 <= lead < 100_000:  # the float log was one out
+        e += 1 if lead >= 100_000 else -1
+        lead = (n >> e) // 5 ** e
+    return f"{lead // 10_000}.{lead % 10_000:04d}e+{e + 4}"
+
+
 def cmd_cover(args) -> int:
     module = _load(args.file)
     domains = DomainDecl.from_module(module)
@@ -286,10 +306,10 @@ def cmd_cover(args) -> int:
     if args.unfold == 1:  # the runs to count are built already
         n_global, n_spec = len(rg), len(rs)
     else:
-        n_global = run_count(
-            lambda algebra: runs_global(g, args.unfold, algebra))
-        n_spec = run_count(lambda algebra: runs_spec(
-            delta, gdef.params, args.unfold, domains, algebra))
+        n_global = _count(run_count(
+            lambda algebra: runs_global(g, args.unfold, algebra)))
+        n_spec = _count(run_count(lambda algebra: runs_spec(
+            delta, gdef.params, args.unfold, domains, algebra)))
     if args.json:
         payload = {"holds": verdict.holds(), "global-runs": n_global,
                    "spec-runs": n_spec}

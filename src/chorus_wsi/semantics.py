@@ -31,7 +31,7 @@ from .pseudotype import normal_form
 from .syntax.ast import (
     Accept, Branch, Const, Expr, For, If, Lit, Par, Proc, Process, Queue,
     RepeatUntil, Request, Restrict, Send, Seq, Sort, System, TEnd,
-    TExternal, TInternal, TIter, TRUE, TSeq, conj, is_nil, neg,
+    TExternal, TInternal, TIter, TRUE, TSeq, conj, frozen_node, is_nil, neg,
 )
 from .syntax.subst import subst_process
 from .typecheck import SpecEnv, instantiate
@@ -176,7 +176,7 @@ def _fresh_session_names(chans: tuple, cont: Process, store: Store):
 
 # ---------------------------------------------------------- system stepping
 
-@dataclass(frozen=True)
+@frozen_node
 class SysState:
     """Canonical runtime form of a system: numbered parallel components,
     channel queues, and the restrictions hoisted to the top."""

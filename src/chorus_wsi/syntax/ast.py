@@ -14,13 +14,40 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Union
+
+
+def frozen_node(cls):
+    """`@dataclass(frozen=True)` with the hash computed once per instance.
+
+    The generated hash walks the whole tree on every call.  This one
+    gives the same value, the hash of the tuple of the fields, so set and
+    dict orders do not change; it is kept on the instance and left out of
+    pickled state, since string hashes differ between processes.
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = [f.name for f in fields(cls)]
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(tuple([getattr(self, n) for n in names]))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls._hash = None
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
 
 
 # ---------------------------------------------------------------- sorts
 
-@dataclass(frozen=True)
+@frozen_node
 class Sort:
     """Payload sort: Int, Bool, Str, Unit, Data, or List(elem)."""
 
@@ -50,7 +77,7 @@ def list_sort(elem: Sort) -> Sort:
 
 # ------------------------------------------------------------- literals
 
-@dataclass(frozen=True)
+@frozen_node
 class Lit:
     """A typed literal value.
 
@@ -94,24 +121,24 @@ def bool_lit(b: bool) -> Lit:
 
 # ---------------------------------------------------------- expressions
 
-@dataclass(frozen=True)
+@frozen_node
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Const:
     value: Lit
 
 
-@dataclass(frozen=True)
+@frozen_node
 class BinOp:
     op: str  # + - * and or = != < <= > >=
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class UnOp:
     """Unary operator application.
 
@@ -123,12 +150,12 @@ class UnOp:
     arg: "Expr"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class ListLit:
     items: tuple
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Range:
     """Numerical range lo..hi, inclusive on both ends; endpoints are Int."""
 
@@ -209,7 +236,7 @@ def neg(e: Expr) -> Expr:
 
 # --------------------------------------------------------- global types
 
-@dataclass(frozen=True)
+@frozen_node
 class GBranch:
     receiver: str
     channel: str
@@ -217,7 +244,7 @@ class GBranch:
     cont: "GlobalType"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class GChoice:
     """sender -> receivers over pairwise-distinct channels."""
 
@@ -225,13 +252,13 @@ class GChoice:
     branches: tuple  # of GBranch, nonempty
 
 
-@dataclass(frozen=True)
+@frozen_node
 class GSeq:
     first: "GlobalType"
     second: "GlobalType"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class GIter:
     """Controlled iteration (body)*^{controller -> term}.
 
@@ -244,7 +271,7 @@ class GIter:
     term: tuple  # of (participant, channel, Sort)
 
 
-@dataclass(frozen=True)
+@frozen_node
 class GEnd:
     pass
 
@@ -271,7 +298,7 @@ def g_channels(g: GlobalType) -> frozenset:
 
 # --------------------------------------------------------- pseudo-types
 
-@dataclass(frozen=True)
+@frozen_node
 class TBranch:
     guard: Expr
     channel: str
@@ -279,7 +306,7 @@ class TBranch:
     cont: "PseudoType"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class TInternal:
     """Guarded internal choice (+) over output prefixes.
 
@@ -290,25 +317,25 @@ class TInternal:
     branches: tuple  # of TBranch, nonempty
 
 
-@dataclass(frozen=True)
+@frozen_node
 class TExternal:
     """Guarded external choice (&) over input prefixes."""
 
     branches: tuple  # of TBranch, nonempty
 
 
-@dataclass(frozen=True)
+@frozen_node
 class TSeq:
     first: "PseudoType"
     second: "PseudoType"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class TIter:
     body: "PseudoType"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class TEnd:
     guard: Expr = TRUE
 
@@ -369,7 +396,7 @@ def dual(t: PseudoType) -> PseudoType:
 
 # ------------------------------------------------------------ processes
 
-@dataclass(frozen=True)
+@frozen_node
 class Request:
     shared: str
     arity: int
@@ -377,7 +404,7 @@ class Request:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Accept:
     shared: str
     role: str
@@ -385,20 +412,20 @@ class Accept:
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Send:
     channel: str
     payload: Expr
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Arm:
     channel: str
     binder: str
     cont: "Process"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Branch:
     """Input-guarded choice; arms use pairwise-distinct channels.
 
@@ -408,27 +435,27 @@ class Branch:
     arms: tuple = ()
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Seq:
     first: "Process"
     second: "Process"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class If:
     cond: Expr
     then: "Process"
     orelse: "Process"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class For:
     binder: str
     items: Expr
     body: "Process"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class RepeatUntil:
     body: "Branch"
     exit: "Branch"
@@ -445,24 +472,24 @@ def is_nil(p: Process) -> bool:
 
 # -------------------------------------------------------------- systems
 
-@dataclass(frozen=True)
+@frozen_node
 class Proc:
     process: Process
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Par:
     left: "System"
     right: "System"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Queue:
     channel: str
     values: tuple  # of Lit
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Restrict:
     chans: tuple
     shared: str
@@ -474,7 +501,7 @@ System = Union[Proc, Par, Queue, Restrict]
 
 # ------------------------------------------------------ free/bound names
 
-@dataclass(frozen=True)
+@frozen_node
 class NameSets:
     """fn split by category: all, session channels, variables, shared.
 
@@ -602,7 +629,7 @@ def bn(term) -> frozenset:
 
 # --------------------------------------------------------------- events
 
-@dataclass(frozen=True)
+@frozen_node
 class Event:
     """A send (!) or receive (?) by a participant, with the payload sort."""
 
@@ -617,7 +644,7 @@ class Event:
 
 # ---------------------------------------------------------- module decls
 
-@dataclass(frozen=True)
+@frozen_node
 class Table:
     """A finite unary function on literals with a default result."""
 
@@ -634,14 +661,14 @@ class Table:
         return self.default
 
 
-@dataclass(frozen=True)
+@frozen_node
 class GlobalDef:
     name: str
     params: tuple  # session channel tuple, in declaration order
     body: GlobalType
 
 
-@dataclass(frozen=True)
+@frozen_node
 class ProcessDef:
     name: str
     body: Process
@@ -649,7 +676,7 @@ class ProcessDef:
     global_name: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@frozen_node
 class SystemDef:
     name: str
     body: System

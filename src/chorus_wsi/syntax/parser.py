@@ -26,12 +26,17 @@ Comments run from // to end of line.  Names declared earlier in the
 module may be referenced later (no recursion); references are inlined
 during parsing.  After inlining, every process and system body is
 alpha-freshened so bound names are globally unique.
+
+The tokenizer is one compiled regex, each match of which skips blanks
+and comments and yields one token.  A token carries its offset into the
+text; the line and column of an error are worked out from it only when
+a `ParseError` is raised.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ast import (
     Accept, Arm, BinOp, BOOL, Branch, Const, DATA, Expr, FALSE_LIT, For,
@@ -72,97 +77,73 @@ _SYMBOLS = [
     ":", "@", "=", "<", ">",
 ]
 
+# One match skips blanks and comments, then takes one token: the first
+# alternative that matches, in this order.  BAD takes any other single
+# character, so each match starts where the last one ended; EOF matches
+# only at the end of the text.
+_TOKEN_RE = re.compile(r"""(?:[ \t\r\n]|//[^\n]*)*(?:
+    (?P<STRING>"(?:[^"\\]|\\[\s\S])*")
+  | (?P<DATA>0x(?:[0-9a-fA-F][0-9a-fA-F])*)
+  | (?P<INT>[0-9]+)
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<SYM>""" + "|".join(re.escape(sym) for sym in _SYMBOLS) + r""")
+  | (?P<EOF>\Z)
+  | (?P<BAD>[\s\S]))""", re.VERBOSE)
+_ESCAPE_RE = re.compile(r"\\([\s\S])")
+_KINDS = {i: kind for kind, i in _TOKEN_RE.groupindex.items()}
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # IDENT KEYWORD INT STRING DATA SYM EOF
     value: str
-    line: int
-    col: int
+    offset: int  # into the text; line:col is worked out only for errors
 
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
-_HEX_RE = re.compile(r"0x([0-9a-fA-F][0-9a-fA-F])*")
+def line_col(text: str, offset: int) -> tuple:
+    """The 1-based line and column of `offset` in `text`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def tokenize(text: str) -> list:
+    """The tokens of `text`, then two EOF tokens, so that looking one
+    token past the end needs no bounds check."""
     toks = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", line, col)
-            toks.append(Token("STRING", "".join(buf), line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        m = _HEX_RE.match(text, i)
-        if m and m.group(0) != "0":
-            toks.append(Token("DATA", m.group(0)[2:], line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        m = _INT_RE.match(text, i)
-        if m:
-            toks.append(Token("INT", m.group(0), line, col))
-            col += len(m.group(0))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group(0)
-            kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            toks.append(Token(kind, word, line, col))
-            col += len(word)
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(Token("SYM", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+    for m in _TOKEN_RE.finditer(text):
+        i = m.lastindex
+        kind, value, offset = _KINDS[i], m[i], m.start(i)
+        if kind == "IDENT":
+            if value in KEYWORDS:
+                kind = "KEYWORD"
+        elif kind == "STRING":
+            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
+        elif kind == "DATA":
+            value = value[2:]
+        elif kind == "EOF":
+            break
+        elif kind == "BAD":
+            message = "unterminated string literal" if value == '"' \
+                else f"unexpected character {value!r}"
+            raise ParseError(message, *line_col(text, offset))
+        toks.append(Token(kind, value, offset))
+    eof = Token("EOF", "", len(text))
+    toks += (eof, eof)
     return toks
 
 
 class Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, module: ModuleDecl | None = None):
+        self.text = text
         self.toks = tokenize(text)
         self.pos = 0
-        self.module = ModuleDecl()
+        self.module = module or ModuleDecl()
 
     # ------------------------------------------------------- primitives
 
+    def error(self, message: str, tok: Token, cls=ParseError) -> ParseError:
+        return cls(message, *line_col(self.text, tok.offset))
+
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         tok = self.toks[self.pos]
@@ -171,34 +152,30 @@ class Parser:
         return tok
 
     def at_sym(self, *syms: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == "SYM" and t.value in syms
 
     def at_kw(self, *words: str) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == "KEYWORD" and t.value in words
 
     def expect_sym(self, sym: str) -> Token:
         t = self.next()
         if t.kind != "SYM" or t.value != sym:
-            raise ParseError(f"expected {sym!r}, found {t.value!r}", t.line, t.col)
+            raise self.error(f"expected {sym!r}, found {t.value!r}", t)
         return t
 
     def expect_kw(self, word: str) -> Token:
         t = self.next()
         if t.kind != "KEYWORD" or t.value != word:
-            raise ParseError(f"expected {word!r}, found {t.value!r}", t.line, t.col)
+            raise self.error(f"expected {word!r}, found {t.value!r}", t)
         return t
 
     def expect_ident(self, what: str = "identifier") -> Token:
         t = self.next()
         if t.kind != "IDENT":
-            raise ParseError(f"expected {what}, found {t.value!r}", t.line, t.col)
+            raise self.error(f"expected {what}, found {t.value!r}", t)
         return t
-
-    def fail(self, message: str):
-        t = self.peek()
-        raise ParseError(message, t.line, t.col)
 
     # ------------------------------------------------------------ module
 
@@ -218,14 +195,13 @@ class Parser:
             elif self.at_kw("system"):
                 self.parse_system_decl()
             else:
-                raise ParseError(f"expected a declaration, found {t.value!r}",
-                                 t.line, t.col)
+                raise self.error(f"expected a declaration, found {t.value!r}", t)
         return self.module
 
     def _declare(self, table: dict, name: str, value, tok: Token):
         if name in self.module.globals_ or name in self.module.types \
                 or name in self.module.processes or name in self.module.systems:
-            raise InvariantError(f"duplicate declaration of {name!r}", tok.line, tok.col)
+            raise self.error(f"duplicate declaration of {name!r}", tok, InvariantError)
         table[name] = value
 
     def parse_domain(self):
@@ -239,12 +215,12 @@ class Parser:
             self.expect_kw("in")
             values = self.parse_domain_values(sort)
         else:
-            raise InvariantError(f"only Int, Bool, and Str admit domains, not {sort}",
-                                 self.peek().line, self.peek().col)
+            raise self.error(f"only Int, Bool, and Str admit domains, not {sort}",
+                             self.peek(), InvariantError)
         if not values:
-            raise InvariantError("empty domain", self.peek().line, self.peek().col)
+            raise self.error("empty domain", self.peek(), InvariantError)
         if var.value in self.module.domains:
-            raise InvariantError(f"duplicate domain for {var.value!r}", var.line, var.col)
+            raise self.error(f"duplicate domain for {var.value!r}", var, InvariantError)
         self.module.domains[var.value] = frozenset(values)
 
     def parse_domain_values(self, sort: Sort) -> frozenset:
@@ -286,10 +262,10 @@ class Parser:
                 self.next()
         self.expect_sym("}")
         if default is None:
-            raise InvariantError(f"table {name.value!r} needs a default entry '_ -> v'",
-                                 name.line, name.col)
+            raise self.error(f"table {name.value!r} needs a default entry '_ -> v'",
+                             name, InvariantError)
         if name.value in self.module.tables:
-            raise InvariantError(f"duplicate table {name.value!r}", name.line, name.col)
+            raise self.error(f"duplicate table {name.value!r}", name, InvariantError)
         self.module.tables[name.value] = Table(name.value, arg, ret, tuple(mapping), default)
 
     def parse_value(self, expected: Sort | None = None) -> Lit:
@@ -319,10 +295,9 @@ class Parser:
             inner = self.parse_value(INT)
             lit = int_lit(-inner.value)
         else:
-            raise ParseError(f"expected a literal, found {t.value!r}", t.line, t.col)
+            raise self.error(f"expected a literal, found {t.value!r}", t)
         if expected is not None and lit.sort != expected:
-            raise ParseError(f"literal {lit} does not have sort {expected}",
-                             t.line, t.col)
+            raise self.error(f"literal {lit} does not have sort {expected}", t)
         return lit
 
     def parse_sort(self) -> Sort:
@@ -333,7 +308,7 @@ class Parser:
             elem = self.parse_sort()
             self.expect_sym("]")
             return list_sort(elem)
-        raise ParseError(f"expected a sort, found {t.value!r}", t.line, t.col)
+        raise self.error(f"expected a sort, found {t.value!r}", t)
 
     # ------------------------------------------------------ expressions
 
@@ -441,7 +416,7 @@ class Parser:
             e = self.parse_expr()
             self.expect_sym(")")
             return e
-        raise ParseError(f"expected an expression, found {t.value!r}", t.line, t.col)
+        raise self.error(f"expected an expression, found {t.value!r}", t)
 
     # ----------------------------------------------------- global types
 
@@ -459,7 +434,7 @@ class Parser:
             self.expect_sym(")")
             params = tuple(names)
             if len(set(params)) != len(params):
-                raise InvariantError("duplicate channel parameters", name.line, name.col)
+                raise self.error("duplicate channel parameters", name, InvariantError)
         self.expect_sym("=")
         body = self.parse_global()
         self._declare(self.module.globals_, name.value,
@@ -490,9 +465,9 @@ class Parser:
             self.next()
             gdef = self.module.globals_.get(t.value)
             if gdef is None:
-                raise ParseError(f"unknown global type {t.value!r}", t.line, t.col)
+                raise self.error(f"unknown global type {t.value!r}", t)
             return gdef.body
-        raise ParseError(f"expected a global type, found {t.value!r}", t.line, t.col)
+        raise self.error(f"expected a global type, found {t.value!r}", t)
 
     def parse_gchoice(self) -> GChoice:
         sender = self.expect_ident("participant").value
@@ -517,8 +492,8 @@ class Parser:
             self.expect_sym(".")
             cont = self.parse_global()
             if chan.value in seen:
-                raise InvariantError(
-                    f"duplicate channel {chan.value!r} in choice", chan.line, chan.col)
+                raise self.error(
+                    f"duplicate channel {chan.value!r} in choice", chan, InvariantError)
             seen.add(chan.value)
             branches.append(GBranch(receiver, chan.value, sort, cont))
             if self.at_sym("+"):
@@ -527,7 +502,7 @@ class Parser:
             break
         self.expect_sym("}")
         if not branches:
-            raise InvariantError("empty choice", brace.line, brace.col)
+            raise self.error("empty choice", brace, InvariantError)
         return GChoice(sender, tuple(branches))
 
     def parse_giter(self) -> GIter:
@@ -586,10 +561,9 @@ class Parser:
             self.next()
             body = self.module.types.get(tok.value)
             if body is None:
-                raise ParseError(f"unknown type {tok.value!r}", tok.line, tok.col)
+                raise self.error(f"unknown type {tok.value!r}", tok)
             return body
-        raise ParseError(f"expected a pseudo-type, found {tok.value!r}",
-                         tok.line, tok.col)
+        raise self.error(f"expected a pseudo-type, found {tok.value!r}", tok)
 
     def parse_tchoice(self) -> PseudoType:
         branches = []
@@ -603,20 +577,17 @@ class Parser:
             if self.at_kw("end"):
                 endtok = self.next()
                 if branches:
-                    raise ParseError("'end' cannot appear as a choice branch",
-                                     endtok.line, endtok.col)
+                    raise self.error("'end' cannot appear as a choice branch", endtok)
                 return TEnd(guard)
             chan = self.expect_ident("channel")
             pol = self.next()
             if pol.kind != "SYM" or pol.value not in ("!", "?"):
-                raise ParseError(f"expected '!' or '?', found {pol.value!r}",
-                                 pol.line, pol.col)
+                raise self.error(f"expected '!' or '?', found {pol.value!r}", pol)
             this_kind = "internal" if pol.value == "!" else "external"
             if kind is None:
                 kind = this_kind
             elif kind != this_kind:
-                raise ParseError("cannot mix '!' and '?' branches in one choice",
-                                 pol.line, pol.col)
+                raise self.error("cannot mix '!' and '?' branches in one choice", pol)
             self.expect_sym("(")
             sort = UNIT if self.at_sym(")") else self.parse_sort()
             self.expect_sym(")")
@@ -647,7 +618,7 @@ class Parser:
             self.expect_kw("of")
             gtok = self.expect_ident("global type name")
             if gtok.value not in self.module.globals_:
-                raise ParseError(f"unknown global type {gtok.value!r}", gtok.line, gtok.col)
+                raise self.error(f"unknown global type {gtok.value!r}", gtok)
             global_name = gtok.value
         self.expect_sym("=")
         body = self.parse_process()
@@ -699,9 +670,9 @@ class Parser:
             self.next()
             pdef = self.module.processes.get(t.value)
             if pdef is None:
-                raise ParseError(f"unknown process {t.value!r}", t.line, t.col)
+                raise self.error(f"unknown process {t.value!r}", t)
             return pdef.body
-        raise ParseError(f"expected a process, found {t.value!r}", t.line, t.col)
+        raise self.error(f"expected a process, found {t.value!r}", t)
 
     def parse_send(self) -> Send:
         chan = self.expect_ident("channel")
@@ -732,8 +703,8 @@ class Parser:
         while not self.at_sym("}"):
             arm = self.parse_arm()
             if arm.channel in seen:
-                raise InvariantError(f"duplicate channel {arm.channel!r} in sum",
-                                     brace.line, brace.col)
+                raise self.error(f"duplicate channel {arm.channel!r} in sum",
+                                 brace, InvariantError)
             seen.add(arm.channel)
             arms.append(arm)
             if self.at_sym("+"):
@@ -747,7 +718,7 @@ class Parser:
         self.expect_sym("[")
         n = self.next()
         if n.kind != "INT":
-            raise ParseError(f"expected arity, found {n.value!r}", n.line, n.col)
+            raise self.error(f"expected arity, found {n.value!r}", n)
         self.expect_sym("]")
         chans = self.parse_chan_tuple()
         self.expect_sym(".")
@@ -774,7 +745,7 @@ class Parser:
                 self.next()
         self.expect_sym(")")
         if len(set(names)) != len(names):
-            raise InvariantError("duplicate session channels", lparen.line, lparen.col)
+            raise self.error("duplicate session channels", lparen, InvariantError)
         return tuple(names)
 
     def parse_if(self) -> If:
@@ -819,8 +790,8 @@ class Parser:
         while True:
             arm = self.parse_arm()
             if arm.channel in seen:
-                raise InvariantError(f"duplicate channel {arm.channel!r} in {what}",
-                                     brace.line, brace.col)
+                raise self.error(f"duplicate channel {arm.channel!r} in {what}",
+                                 brace, InvariantError)
             seen.add(arm.channel)
             arms.append(arm)
             if self.at_sym("+"):
@@ -880,7 +851,7 @@ class Parser:
                 return self.module.systems[t.value].body
             if t.value in self.module.processes:
                 return Proc(self.module.processes[t.value].body)
-            raise ParseError(f"unknown system or process {t.value!r}", t.line, t.col)
+            raise self.error(f"unknown system or process {t.value!r}", t)
         if t.kind == "IDENT" and self.peek(1).kind == "SYM" \
                 and self.peek(1).value not in ("!", "?", ";"):
             self.next()
@@ -888,7 +859,7 @@ class Parser:
                 return self.module.systems[t.value].body
             if t.value in self.module.processes:
                 return Proc(self.module.processes[t.value].body)
-            raise ParseError(f"unknown system or process {t.value!r}", t.line, t.col)
+            raise self.error(f"unknown system or process {t.value!r}", t)
         return Proc(self.parse_process())
 
 
@@ -898,50 +869,29 @@ def parse_module(text: str) -> ModuleDecl:
 
 
 def parse_global(text: str, module: ModuleDecl | None = None) -> GlobalType:
-    p = Parser("")
-    p.module = module or ModuleDecl()
-    p.toks = tokenize(text)
-    g = p.parse_global()
-    _expect_eof(p)
-    return g
+    return _parse_all(Parser(text, module), Parser.parse_global)
 
 
 def parse_type(text: str, module: ModuleDecl | None = None) -> PseudoType:
-    p = Parser("")
-    p.module = module or ModuleDecl()
-    p.toks = tokenize(text)
-    t = p.parse_type()
-    _expect_eof(p)
-    return t
+    return _parse_all(Parser(text, module), Parser.parse_type)
 
 
 def parse_process(text: str, module: ModuleDecl | None = None) -> Process:
-    p = Parser("")
-    p.module = module or ModuleDecl()
-    p.toks = tokenize(text)
-    proc = p.parse_process()
-    _expect_eof(p)
-    return proc
+    return _parse_all(Parser(text, module), Parser.parse_process)
 
 
 def parse_system(text: str, module: ModuleDecl | None = None) -> System:
-    p = Parser("")
-    p.module = module or ModuleDecl()
-    p.toks = tokenize(text)
-    s = p.parse_system()
-    _expect_eof(p)
-    return s
+    return _parse_all(Parser(text, module), Parser.parse_system)
 
 
 def parse_expr(text: str) -> Expr:
-    p = Parser("")
-    p.toks = tokenize(text)
-    e = p.parse_expr()
-    _expect_eof(p)
-    return e
+    return _parse_all(Parser(text), Parser.parse_expr)
 
 
-def _expect_eof(p: Parser):
+def _parse_all(p: Parser, parse):
+    """What `parse(p)` reads, which must be all of p's text."""
+    term = parse(p)
     t = p.peek()
     if t.kind != "EOF":
-        raise ParseError(f"unexpected trailing input {t.value!r}", t.line, t.col)
+        raise p.error(f"unexpected trailing input {t.value!r}", t)
+    return term

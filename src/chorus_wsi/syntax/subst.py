@@ -1,4 +1,4 @@
-"""Capture-avoiding substitution and binder freshening.
+"""Channel substitution and binder freshening.
 
 The parser freshens every binder (variables bound by receives and
 for-loops, session channels bound by request/accept/new) so that later
@@ -6,172 +6,172 @@ passes may assume bound names are globally unique and disjoint from
 free names.  Renaming is conservative: a binder keeps its name unless
 it collides with a name already in scope, which keeps freshening
 idempotent and render/parse round-trips exact.
+
+Freshening rebuilds the term in one walk.  The walk carries the active
+renames, one map for variables and one for channels, so each occurrence
+is renamed where it is met and no continuation is walked twice; before
+it, one pass gathers the free names into a plain set, because a binder
+must also avoid the free names that occur after it.
 """
 
 from __future__ import annotations
 
 from .ast import (
-    Accept, Arm, BinOp, Branch, Const, Expr, For, If, ListLit, Par, Proc,
-    Process, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
-    System, UnOp, Var, fn,
+    Accept, Arm, BinOp, Branch, Const, For, If, ListLit, Par, Proc, Process,
+    Queue, Range, RepeatUntil, Request, Restrict, Send, Seq, UnOp, Var,
+    expr_vars,
 )
 
 
-def subst_expr(e: Expr, mapping: dict) -> Expr:
-    """Rename free variables of e according to mapping."""
-    match e:
-        case Var(name):
-            return Var(mapping.get(name, name))
-        case Const():
-            return e
-        case BinOp(op, left, right):
-            return BinOp(op, subst_expr(left, mapping), subst_expr(right, mapping))
-        case UnOp(op, arg):
-            return UnOp(op, subst_expr(arg, mapping))
-        case ListLit(items):
-            return ListLit(tuple(subst_expr(i, mapping) for i in items))
-        case Range(lo, hi):
-            return Range(subst_expr(lo, mapping), subst_expr(hi, mapping))
-    raise TypeError(f"not an expression: {e!r}")
-
-
-def subst_process(p: Process, vmap: dict | None = None, cmap: dict | None = None) -> Process:
-    """Rename free variables (vmap) and free channels (cmap) in p.
+def subst_process(p: Process, cmap: dict) -> Process:
+    """Rename the free channels of p according to cmap.
 
     Binders shadow: occurrences bound inside p are left alone.
     """
-    vmap = vmap or {}
-    cmap = cmap or {}
-    if not vmap and not cmap:
+    if not cmap:
         return p
-
-    def chan(y: str) -> str:
-        return cmap.get(y, y)
-
     match p:
         case Request(shared, arity, chans, cont):
-            inner_c = {k: v for k, v in cmap.items() if k not in chans}
-            return Request(shared, arity, chans, subst_process(cont, vmap, inner_c))
+            inner = {k: v for k, v in cmap.items() if k not in chans}
+            return Request(shared, arity, chans, subst_process(cont, inner))
         case Accept(shared, role, chans, cont):
-            inner_c = {k: v for k, v in cmap.items() if k not in chans}
-            return Accept(shared, role, chans, subst_process(cont, vmap, inner_c))
+            inner = {k: v for k, v in cmap.items() if k not in chans}
+            return Accept(shared, role, chans, subst_process(cont, inner))
         case Send(channel, payload):
-            return Send(chan(channel), subst_expr(payload, vmap))
+            return Send(cmap.get(channel, channel), payload)
         case Branch(arms):
-            new_arms = []
-            for a in arms:
-                inner_v = {k: v for k, v in vmap.items() if k != a.binder}
-                new_arms.append(Arm(chan(a.channel), a.binder,
-                                    subst_process(a.cont, inner_v, cmap)))
-            return Branch(tuple(new_arms))
+            return Branch(tuple(Arm(cmap.get(a.channel, a.channel), a.binder,
+                                    subst_process(a.cont, cmap)) for a in arms))
         case Seq(first, second):
-            return Seq(subst_process(first, vmap, cmap), subst_process(second, vmap, cmap))
+            return Seq(subst_process(first, cmap), subst_process(second, cmap))
         case If(cond, then, orelse):
-            return If(subst_expr(cond, vmap), subst_process(then, vmap, cmap),
-                      subst_process(orelse, vmap, cmap))
+            return If(cond, subst_process(then, cmap), subst_process(orelse, cmap))
         case For(binder, items, body):
-            inner_v = {k: v for k, v in vmap.items() if k != binder}
-            return For(binder, subst_expr(items, vmap), subst_process(body, inner_v, cmap))
+            return For(binder, items, subst_process(body, cmap))
         case RepeatUntil(body, exit):
-            return RepeatUntil(subst_process(body, vmap, cmap),
-                               subst_process(exit, vmap, cmap))
+            return RepeatUntil(subst_process(body, cmap), subst_process(exit, cmap))
     raise TypeError(f"not a process: {p!r}")
 
 
-def subst_system(s: System, vmap: dict | None = None, cmap: dict | None = None) -> System:
-    vmap = vmap or {}
-    cmap = cmap or {}
-    match s:
-        case Proc(process):
-            return Proc(subst_process(process, vmap, cmap))
-        case Par(left, right):
-            return Par(subst_system(left, vmap, cmap), subst_system(right, vmap, cmap))
-        case Queue(channel, values):
-            return Queue(cmap.get(channel, channel), values)
-        case Restrict(chans, shared, scope):
-            inner_c = {k: v for k, v in cmap.items() if k not in chans}
-            return Restrict(chans, shared, subst_system(scope, vmap, inner_c))
-    raise TypeError(f"not a system: {s!r}")
+def freshen(term, renames: dict | None = None):
+    """Rename binders in a process or system so all are pairwise distinct
+    and disjoint from free names.  When `renames` is given it collects
+    fresh-name -> original-name for every binder that had to move."""
+    used = set()
+    _free_names(term, frozenset(), used)
 
-
-class _FreshNamer:
-    def __init__(self, used: set, renames: dict | None):
-        self.used = set(used)
-        self.renames = renames
-
-    def claim(self, name: str) -> str:
-        if name not in self.used:
-            self.used.add(name)
+    def claim(name: str) -> str:
+        if name not in used:
+            used.add(name)
             return name
         i = 2
-        while f"{name}_{i}" in self.used:
+        while f"{name}_{i}" in used:
             i += 1
         fresh = f"{name}_{i}"
-        self.used.add(fresh)
-        if self.renames is not None:
-            self.renames[fresh] = name
+        used.add(fresh)
+        if renames is not None:
+            renames[fresh] = name
         return fresh
 
+    def bind(names: tuple, env: dict) -> tuple:
+        """Claim `names` in order: their new names, and `env` with the moved
+        ones rebound (a name that kept itself was unused, so is in no env)."""
+        fresh = tuple(claim(y) for y in names)
+        moved = {y: f for y, f in zip(names, fresh) if y != f}
+        return fresh, ({**env, **moved} if moved else env)
 
-def freshen(term, reserved: set | None = None, renames: dict | None = None):
-    """Rename binders in a process or system so all are pairwise distinct
-    and disjoint from free names (and from `reserved`).  When `renames`
-    is given it collects fresh-name -> original-name for every binder
-    that had to move."""
-    used = set(reserved or ())
-    used |= fn(term)
-    namer = _FreshNamer(used, renames)
-    if isinstance(term, (Proc, Par, Queue, Restrict)):
-        return _freshen_system(term, namer)
-    return _freshen_process(term, namer)
+    def walk(t, vmap: dict, cmap: dict):
+        """t rebuilt; vmap and cmap map each variable and channel name in
+        scope to the name its binder now has."""
+        match t:
+            case Request(shared, arity, chans, cont):
+                chans, inner = bind(chans, cmap)
+                return Request(shared, arity, chans, walk(cont, vmap, inner))
+            case Accept(shared, role, chans, cont):
+                chans, inner = bind(chans, cmap)
+                return Accept(shared, role, chans, walk(cont, vmap, inner))
+            case Send(channel, payload):
+                return Send(cmap.get(channel, channel), _rename(payload, vmap))
+            case Branch(arms):
+                new_arms = []
+                for a in arms:
+                    (b,), inner = bind((a.binder,), vmap)
+                    new_arms.append(Arm(cmap.get(a.channel, a.channel), b,
+                                        walk(a.cont, inner, cmap)))
+                return Branch(tuple(new_arms))
+            case Seq(first, second):
+                return Seq(walk(first, vmap, cmap), walk(second, vmap, cmap))
+            case If(cond, then, orelse):
+                return If(_rename(cond, vmap), walk(then, vmap, cmap),
+                          walk(orelse, vmap, cmap))
+            case For(binder, items, body):
+                items = _rename(items, vmap)
+                (b,), inner = bind((binder,), vmap)
+                return For(b, items, walk(body, inner, cmap))
+            case RepeatUntil(body, exit):
+                return RepeatUntil(walk(body, vmap, cmap), walk(exit, vmap, cmap))
+            case Proc(process):
+                return Proc(walk(process, vmap, cmap))
+            case Par(left, right):
+                return Par(walk(left, vmap, cmap), walk(right, vmap, cmap))
+            case Queue(channel, values):
+                return Queue(cmap.get(channel, channel), values)
+            case Restrict(chans, shared, scope):
+                chans, inner = bind(chans, cmap)
+                return Restrict(chans, shared, walk(scope, vmap, inner))
+        raise TypeError(f"not a process or system: {t!r}")
+
+    return walk(term, {}, {})
 
 
-def _freshen_process(p: Process, namer: _FreshNamer) -> Process:
-    match p:
-        case Request(shared, arity, chans, cont):
-            new_chans = tuple(namer.claim(y) for y in chans)
-            cmap = {o: n for o, n in zip(chans, new_chans) if o != n}
-            return Request(shared, arity, new_chans,
-                           _freshen_process(subst_process(cont, cmap=cmap), namer))
-        case Accept(shared, role, chans, cont):
-            new_chans = tuple(namer.claim(y) for y in chans)
-            cmap = {o: n for o, n in zip(chans, new_chans) if o != n}
-            return Accept(shared, role, new_chans,
-                          _freshen_process(subst_process(cont, cmap=cmap), namer))
-        case Send():
-            return p
+def _free_names(term, bound: frozenset, out: set) -> None:
+    """Add to `out` the names free in `term` outside `bound`, in one
+    namespace: a binder hides its name from every position below it."""
+    match term:
+        case Request(shared, _, chans, cont) | Accept(shared, _, chans, cont):
+            out.update({shared} - bound)
+            _free_names(cont, bound.union(chans), out)
+        case Send(channel, payload):
+            out.update(({channel} | expr_vars(payload)) - bound)
         case Branch(arms):
-            new_arms = []
             for a in arms:
-                b = namer.claim(a.binder)
-                cont = subst_process(a.cont, vmap={a.binder: b}) if b != a.binder else a.cont
-                new_arms.append(Arm(a.channel, b, _freshen_process(cont, namer)))
-            return Branch(tuple(new_arms))
-        case Seq(first, second):
-            return Seq(_freshen_process(first, namer), _freshen_process(second, namer))
+                out.update({a.channel} - bound)
+                _free_names(a.cont, bound | {a.binder}, out)
+        case Seq(first, second) | Par(first, second) | RepeatUntil(first, second):
+            _free_names(first, bound, out)
+            _free_names(second, bound, out)
         case If(cond, then, orelse):
-            return If(cond, _freshen_process(then, namer), _freshen_process(orelse, namer))
+            out.update(expr_vars(cond) - bound)
+            _free_names(then, bound, out)
+            _free_names(orelse, bound, out)
         case For(binder, items, body):
-            b = namer.claim(binder)
-            body2 = subst_process(body, vmap={binder: b}) if b != binder else body
-            return For(b, items, _freshen_process(body2, namer))
-        case RepeatUntil(body, exit):
-            return RepeatUntil(_freshen_process(body, namer),
-                               _freshen_process(exit, namer))
-    raise TypeError(f"not a process: {p!r}")
-
-
-def _freshen_system(s: System, namer: _FreshNamer) -> System:
-    match s:
+            out.update(expr_vars(items) - bound)
+            _free_names(body, bound | {binder}, out)
         case Proc(process):
-            return Proc(_freshen_process(process, namer))
-        case Par(left, right):
-            return Par(_freshen_system(left, namer), _freshen_system(right, namer))
-        case Queue():
-            return s
-        case Restrict(chans, shared, scope):
-            new_chans = tuple(namer.claim(y) for y in chans)
-            cmap = {o: n for o, n in zip(chans, new_chans) if o != n}
-            scope2 = _freshen_system(subst_system(scope, cmap=cmap), namer)
-            return Restrict(new_chans, shared, scope2)
-    raise TypeError(f"not a system: {s!r}")
+            _free_names(process, bound, out)
+        case Queue(channel, _):
+            out.update({channel} - bound)
+        case Restrict(chans, _, scope):
+            _free_names(scope, bound.union(chans), out)
+        case _:
+            raise TypeError(f"not a process or system: {term!r}")
+
+
+def _rename(e, vmap: dict):
+    """e with its variables renamed by vmap."""
+    if not vmap:
+        return e
+    match e:
+        case Var(name):
+            return Var(vmap[name]) if name in vmap else e
+        case Const():
+            return e
+        case BinOp(op, left, right):
+            return BinOp(op, _rename(left, vmap), _rename(right, vmap))
+        case UnOp(op, arg):
+            return UnOp(op, _rename(arg, vmap))
+        case ListLit(items):
+            return ListLit(tuple(_rename(i, vmap) for i in items))
+        case Range(lo, hi):
+            return Range(_rename(lo, vmap), _rename(hi, vmap))
+    raise TypeError(f"not an expression: {e!r}")

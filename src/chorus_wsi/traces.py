@@ -209,7 +209,8 @@ class RunCounts:
             raise Uncountable("a body run is a proper prefix of another")
         if tails.opt_headed:
             raise Uncountable("a tail may start with an optional segment")
-        nestings = sum(body.runs ** k for k in range(1, unfold + 1))
+        n = body.runs  # n + n^2 + ... + n^K, by the closed form
+        nestings = unfold if n == 1 else (n ** (unfold + 1) - n) // (n - 1)
         return Count(nestings * tails.runs,
                      tails.prefix_free and not tails.has_empty,
                      body.has_empty and tails.has_empty, body.has_empty)

@@ -142,6 +142,58 @@ def test_cover_answers_at_unfold_3(capsys):
                        "spec-runs": 621438}
 
 
+def test_cover_prints_every_digit_up_to_the_limit(capsys):
+    """At unfold 80 the counts have 3,864 digits and print in full."""
+    code, out, _ = run(capsys, "cover", POP2, "--unfold", "80")
+    assert code == 0
+    head, tail = out.split(" global runs covered by ")
+    assert head.startswith("Holds@80: ") and tail.endswith(" specification runs\n")
+    assert len(head.removeprefix("Holds@80: ")) == 3864
+    assert head.removeprefix("Holds@80: ").isdigit()
+    code, out, _ = run(capsys, "cover", POP2, "--unfold", "80", "--json")
+    assert code == 0
+    payload = json.loads(out[:out.rindex("}") + 1])
+    assert str(payload["global-runs"]) == head.removeprefix("Holds@80: ")
+
+
+@pytest.mark.parametrize("k, count", [(100, "1.2410e+6033"), (1000, "8.5126e+602184")])
+def test_cover_past_the_decimal_limit(capsys, k, count):
+    """Counts past 4,300 digits print as their first five digits and
+    exponent, in text and (as a string) in --json, with no traceback.
+    A full decimal at unfold 1000 took 20 s."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "cover", POP2, "--unfold", str(k))
+    assert time.perf_counter() - start < 2.0
+    assert (code, err) == (0, "")
+    assert out == (f"Holds@{k}: {count} global runs covered by {count} "
+                   "specification runs\n")
+    code, out, err = run(capsys, "cover", POP2, "--unfold", str(k), "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out[:out.rindex("}") + 1])
+    assert payload == {"holds": True, "global-runs": count, "spec-runs": count}
+
+
+def test_count_form_agrees_with_the_full_decimal():
+    import random
+    import sys
+
+    from chorus_wsi.cli import _count
+
+    rng = random.Random(5)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for _ in range(200):
+            d = rng.randint(4301, 6000)
+            n = rng.choice((rng.randrange(10 ** (d - 1), 10 ** d), 10 ** (d - 1),
+                            10 ** d - 1, 99_999 * 10 ** (d - 5) - 1))
+            s = str(n)
+            assert _count(n) == f"{s[0]}.{s[1:5]}e+{len(s) - 1}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert _count(10 ** 4300 - 1) == 10 ** 4300 - 1
+
+
 def test_wsi_b1_exit_0(capsys):
     code, out, _ = run(capsys, "wsi", ATM, "--proc", "B1", "--role", "b",
                        "--unfold", "1", "--mode", "both")

@@ -181,11 +181,55 @@ def test_freshening_idempotent_and_disjoint(seed):
     assert freshen(fresh) == fresh
 
 
+def test_freshening_renames_no_occurrence_into_an_inner_binder():
+    """The receive binds x again, so it becomes x_2; the inner binder
+    written x_2 must then move, and d!(x) must follow the outer one."""
+    m = parse_module("process P = a!(x); b?(x). c?(x_2). d!(x)\n")
+    assert render(m.processes["P"].body) == "a!(x) ; b?(x_2). c?(x_2_2). d!(x_2)"
+    assert m.domain_aliases == {"x_2": "x", "x_2_2": "x_2"}
+
+
 def test_parse_error_carries_position():
     from chorus_wsi.syntax.parser import ParseError
     with pytest.raises(ParseError) as err:
         parse_module("global G =\n  p -> : { y(Int). end }\n")
     assert err.value.line == 2
+
+
+def test_position_counts_newlines_inside_string_literals():
+    from chorus_wsi.syntax.parser import ParseError
+    text = 'domain s : Str in {"a\nb", "c"}\n\n\n  @\n'
+    with pytest.raises(ParseError) as err:
+        parse_module(text)
+    assert (err.value.line, err.value.col) == (5, 3)
+    assert str(err.value) == "5:3: expected a declaration, found '@'"
+
+
+def test_end_of_input_after_a_comment_is_placed_after_it():
+    from chorus_wsi.syntax.parser import ParseError
+    text = "global G = // nothing follows"
+    with pytest.raises(ParseError) as err:
+        parse_module(text)
+    assert (err.value.line, err.value.col) == (1, len(text) + 1)
+    assert err.value.message == "expected a global type, found ''"
+
+
+@pytest.mark.parametrize("name", ["atm.chor", "norm_eqs.chor", "pop2.chor",
+                                  "pop2_multiparty.chor"])
+def test_token_positions_point_at_the_token(name):
+    """line:col, worked out from each token's offset, finds the token's
+    own spelling in the corpus source."""
+    from chorus_wsi.syntax.parser import line_col, tokenize
+
+    import conftest
+    text = (conftest.CORPUS / name).read_text()
+    lines = text.split("\n")
+    toks = tokenize(text)
+    for t in toks[:-2]:
+        line, col = line_col(text, t.offset)
+        spelling = {"STRING": '"', "DATA": "0x" + t.value}.get(t.kind, t.value)
+        assert lines[line - 1][col - 1:].startswith(spelling), (t, line, col)
+    assert line_col(text, toks[-1].offset) == (len(lines), len(lines[-1]) + 1)
 
 
 def test_unterminated_string_rejected():
