@@ -3,9 +3,11 @@
 Exit codes: 0 on success (analysis holds), 1 on an analysis rejection
 (typing error, covering failure, simulation counterexample, a global
 type that is not well formed or not projectable), 2 on usage or parse
-errors.  Usage errors name something the module does not declare (a
-global, process, system or type), leave the entry global ambiguous,
-give no role, or pass a bound below 1.
+errors, 3 when covering is inconclusive (no witness for a skeleton, but
+a send onto a queue holding `wsi.QUEUE_BOUND` messages was skipped; a
+rejection by typing still exits 1).  Usage errors name something the
+module does not declare (a global, process, system or type), leave the
+entry global ambiguous, give no role, or pass a bound below 1.
 """
 
 from __future__ import annotations
@@ -348,7 +350,6 @@ def cmd_wsi(args) -> int:
         code = code or (0 if verdict.holds() else 1)
     if args.mode in ("covering", "both"):
         verdict = wsi_by_covering(gdef, role, decl.body, domains,
-                                  step_bound=args.steps,
                                   shared_name=shared_name)
         # covering does not depend on the unfold bound: it only labels a Holds
         detail = (f"Holds@{args.unfold} ({len(verdict.contexts)} contexts)"
@@ -357,7 +358,8 @@ def cmd_wsi(args) -> int:
         if not verdict.holds() and verdict.missing:
             payload["covering"]["missing"] = run_to_json(verdict.missing)
         print("covering: " + (_ok(detail) if verdict.holds() else _bad(detail)))
-        code = code or (0 if verdict.holds() else 1)
+        code = code or (0 if verdict.holds() else
+                        3 if verdict.inconclusive else 1)
     if args.json:
         print(json.dumps(payload, indent=2))
     return code
@@ -383,8 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "typing, and whole-spectrum implementation checking.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, role=False, unfold=None, steps=False, seed=False,
-               glob=False, mode=False):
+    def common(p, *, role=False, unfold=None, seed=False, glob=False,
+               mode=False):
         p.add_argument("file", help="a .chor module")
         p.add_argument("--json", action="store_true", help="machine output")
         if glob:
@@ -395,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
         if unfold:
             p.add_argument("--unfold", type=_positive, default=2, metavar="K",
                            help=unfold)
-        if steps:
-            p.add_argument("--steps", type=_positive, default=200, metavar="N")
         if seed:
             p.add_argument("--seed", type=int, default=0, metavar="S")
         if mode:
@@ -423,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_typecheck)
 
     p = sub.add_parser("simulate", help="seeded execution of a system")
-    common(p, steps=True, seed=True, glob=True)
+    common(p, seed=True, glob=True)
+    p.add_argument("--steps", type=_positive, default=200, metavar="N")
     p.add_argument("--system", required=True)
     p.add_argument("--trace", default=None, metavar="OUT.json")
     p.set_defaults(func=cmd_simulate)
@@ -439,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wsi", help="whole-spectrum implementation verdicts")
     common(p, role=True, unfold="the bound a covering Holds is reported "
-           "at (Holds@K); the verdict does not depend on it", steps=True,
-           glob=True, mode=True)
+           "at (Holds@K); the verdict does not depend on it", glob=True,
+           mode=True)
     p.add_argument("--proc", required=True)
     p.set_defaults(func=cmd_wsi)
 

@@ -8,8 +8,9 @@ action.  System steps resolve communication against per-channel queues
 with all acceptors of a shared name, creating fresh session channels
 from a deterministic counter.  A system step is reported as the
 component that moved and its process-level label, which is all that
-the system explorers (covering's `traces.runs_impl`,
-`conditional_simulation` and `chorus-wsi simulate`) read.
+the system explorers (`conditional_simulation` and `chorus-wsi
+simulate`) read.  Covering's search (`wsi`) steps the checked process
+by `step_process` and its peers' projections by `type_steps`.
 
 Specification steps rewrite normalized session pseudo-types;
 queue-mediated specification steps are silent but record the
@@ -87,18 +88,21 @@ class SpecLabel:
 
 def proc_canon(p: Process) -> Process:
     """Quotient by the sequential monoid laws: drop idle units and
-    reassociate to the right."""
+    reassociate to the right.  A term already in canonical form comes
+    back as the same object, with its hash cached."""
     match p:
         case Seq(first, second):
-            first = proc_canon(first)
-            second = proc_canon(second)
-            if is_nil(first):
-                return second
-            if is_nil(second):
-                return first
-            if isinstance(first, Seq):
-                return proc_canon(Seq(first.first, Seq(first.second, second)))
-            return Seq(first, second)
+            first2 = proc_canon(first)
+            second2 = proc_canon(second)
+            if is_nil(first2):
+                return second2
+            if is_nil(second2):
+                return first2
+            if isinstance(first2, Seq):
+                return proc_canon(Seq(first2.first, Seq(first2.second, second2)))
+            if first2 is first and second2 is second:
+                return p
+            return Seq(first2, second2)
         case _:
             return p
 
@@ -318,7 +322,7 @@ def _init_steps(state: SysState, store: Store, requests: list,
 
 # ----------------------------------------------------- specification stepping
 
-def _type_steps(t) -> list:
+def type_steps(t) -> list:
     """Head communications of a normalized pseudo-type: a list of
     (polarity, channel, sort, continuation)."""
     out: list = []
@@ -330,16 +334,16 @@ def _type_steps(t) -> list:
         case TExternal(branches):
             return [("in", b.channel, b.sort, b.cont) for b in branches]
         case TIter(body):
-            for pol, chan, sort, cont in _type_steps(body):
+            for pol, chan, sort, cont in type_steps(body):
                 out.append((pol, chan, sort, cont))                  # once
                 out.append((pol, chan, sort, TSeq(cont, t)))         # unfold
             return out
         case TSeq(first, second):
-            for pol, chan, sort, cont in _type_steps(first):
+            for pol, chan, sort, cont in type_steps(first):
                 out.append((pol, chan, sort, TSeq(cont, second)))
             if isinstance(first, TIter):
                 # the loop may be skipped on an input of the continuation
-                for pol, chan, sort, cont in _type_steps(second):
+                for pol, chan, sort, cont in type_steps(second):
                     if pol == "in":
                         out.append((pol, chan, sort, cont))
             return out
@@ -357,7 +361,7 @@ def step_spec(delta: SpecEnv, domains: DomainDecl = EMPTY_DOMAINS,
 
     for key, t in sessions.items():
         chans, role = key
-        for pol, chan, sort, cont in _type_steps(t):
+        for pol, chan, sort, cont in type_steps(t):
             new_sessions = dict(sessions)
             new_sessions[key] = normal_form(cont, domains)
             if chan in queues:

@@ -15,24 +15,34 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Optional, Union
+
+
+_NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 
 
 def frozen_node(cls):
     """`@dataclass(frozen=True)` with the hash computed once per instance.
 
-    The generated hash walks the whole tree on every call.  This one
-    gives the same value, the hash of the tuple of the fields, so set and
-    dict orders do not change; it is kept on the instance and left out of
-    pickled state, since string hashes differ between processes.
+    The generated hash walks the whole tree on every call.  This one is
+    the hash of the tuple of the compared fields, kept on the instance
+    and left out of pickled state, since string hashes differ between
+    processes.  A field that is None hashes as a fixed constant rather
+    than as `hash(None)`, which follows the object's address on some
+    Python versions: so under a fixed `PYTHONHASHSEED` a node hashes the
+    same in every process, and so do the orders of sets of nodes.
     """
     cls = dataclass(frozen=True)(cls)
-    names = [f.name for f in fields(cls)]
+    names = [f.name for f in fields(cls) if f.compare]
+    values = attrgetter(*names) if len(names) > 1 else (  # a tuple always
+        lambda node: (getattr(node, names[0]),) if names else ())
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(tuple([getattr(self, n) for n in names]))
+            h = hash(tuple([_NONE_HASH if v is None else v
+                            for v in values(self)]))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -499,132 +509,64 @@ class Restrict:
 System = Union[Proc, Par, Queue, Restrict]
 
 
-# ------------------------------------------------------ free/bound names
+# ------------------------------------------------------------ free names
 
-@frozen_node
-class NameSets:
-    """fn split by category: all, session channels, variables, shared.
-
-    Shared names requested/accepted with a role also contribute the
-    decorated name "u[p]" to `all` (requests decorate with role 0).
-    """
-
-    all: frozenset
-    chans: frozenset
-    vars: frozenset
-    shared: frozenset
-
-
-def _ns(all=frozenset(), chans=frozenset(), vars=frozenset(), shared=frozenset()):
-    return NameSets(frozenset(all), frozenset(chans), frozenset(vars), frozenset(shared))
-
-
-def _ns_union(a: NameSets, b: NameSets) -> NameSets:
-    return NameSets(a.all | b.all, a.chans | b.chans, a.vars | b.vars, a.shared | b.shared)
-
-
-def free_names(term) -> NameSets:
-    """Free names, split into all/channels/variables/shared."""
-    match term:
-        case Request(shared, _, chans, cont):
-            inner = free_names(cont)
-            keep = inner.all - frozenset(chans)
-            return NameSets(keep | {shared, f"{shared}[0]"},
-                            inner.chans - frozenset(chans),
-                            inner.vars, inner.shared | {shared})
-        case Accept(shared, role, chans, cont):
-            inner = free_names(cont)
-            keep = inner.all - frozenset(chans)
-            return NameSets(keep | {shared, f"{shared}[{role}]"},
-                            inner.chans - frozenset(chans),
-                            inner.vars, inner.shared | {shared})
-        case Send(channel, payload):
-            vs = expr_vars(payload)
-            return _ns({channel} | vs, {channel}, vs)
-        case Branch(arms):
-            out = _ns()
-            for arm in arms:
-                inner = free_names(arm.cont)
-                pruned = NameSets(inner.all - {arm.binder}, inner.chans,
-                                  inner.vars - {arm.binder}, inner.shared)
-                out = _ns_union(out, _ns_union(_ns({arm.channel}, {arm.channel}), pruned))
-            return out
-        case Seq(first, second) | Par(first, second):
-            return _ns_union(free_names(first), free_names(second))
-        case If(cond, then, orelse):
-            vs = expr_vars(cond)
-            return _ns_union(_ns(vs, frozenset(), vs),
-                             _ns_union(free_names(then), free_names(orelse)))
-        case For(binder, items, body):
-            inner = free_names(body)
-            vs = expr_vars(items)
-            return NameSets((inner.all - {binder}) | vs, inner.chans,
-                            (inner.vars - {binder}) | vs, inner.shared)
-        case RepeatUntil(body, exit):
-            return _ns_union(free_names(body), free_names(exit))
-        case Proc(process):
-            return free_names(process)
-        case Queue(channel, _):
-            return _ns({channel}, {channel})
-        case Restrict(chans, _, scope):
-            inner = free_names(scope)
-            return NameSets(inner.all - frozenset(chans),
-                            inner.chans - frozenset(chans),
-                            inner.vars, inner.shared)
-    raise TypeError(f"not a process or system: {term!r}")
+def free_names(term) -> tuple:
+    """The free names of a process or system in one walk, as three plain
+    sets: all of them, the variables, and the shared names.  A shared name
+    opened with a role also adds the name "u[p]" to the first (a request
+    with role 0).  A session binder hides its channels from the first set
+    only; an input or loop binder hides its variable from the first two."""
+    names, variables, shared = set(), set(), set()
+    todo = [(term, frozenset(), frozenset())]
+    while todo:
+        term, bound, bound_vars = todo.pop()
+        heard, read = (), frozenset()
+        match term:
+            case Request(u, _, chans, cont) | Accept(u, _, chans, cont):
+                role = term.role if isinstance(term, Accept) else 0
+                heard = (u, f"{u}[{role}]")
+                shared.add(u)
+                todo.append((cont, bound.union(chans), bound_vars))
+            case Send(channel, payload):
+                heard, read = (channel,), expr_vars(payload)
+            case Branch(arms):
+                heard = tuple(arm.channel for arm in arms)
+                todo += [(arm.cont, bound | {arm.binder},
+                          bound_vars | {arm.binder}) for arm in arms]
+            case Seq(first, second) | Par(first, second) \
+                    | RepeatUntil(first, second):
+                todo += [(first, bound, bound_vars), (second, bound, bound_vars)]
+            case If(cond, then, orelse):
+                read = expr_vars(cond)
+                todo += [(then, bound, bound_vars), (orelse, bound, bound_vars)]
+            case For(binder, items, body):
+                read = expr_vars(items)
+                todo.append((body, bound | {binder}, bound_vars | {binder}))
+            case Proc(process):
+                todo.append((process, bound, bound_vars))
+            case Queue(channel, _):
+                heard = (channel,)
+            case Restrict(chans, _, scope):
+                todo.append((scope, bound.union(chans), bound_vars))
+            case _:
+                raise TypeError(f"not a process or system: {term!r}")
+        names.update(n for n in heard if n not in bound)
+        names.update(x for x in read if x not in bound)
+        variables.update(x for x in read if x not in bound_vars)
+    return names, variables, shared
 
 
-def bound_names(term) -> NameSets:
-    """Bound names, split by category (shared names are never bound)."""
-    match term:
-        case Request(_, _, chans, cont) | Accept(_, _, chans, cont):
-            inner = bound_names(cont)
-            return NameSets(inner.all | frozenset(chans),
-                            inner.chans | frozenset(chans), inner.vars, frozenset())
-        case Send():
-            return _ns()
-        case Branch(arms):
-            out = _ns()
-            for arm in arms:
-                inner = bound_names(arm.cont)
-                out = _ns_union(out, NameSets(inner.all | {arm.binder}, inner.chans,
-                                              inner.vars | {arm.binder}, frozenset()))
-            return out
-        case Seq(first, second) | Par(first, second):
-            return _ns_union(bound_names(first), bound_names(second))
-        case If(_, then, orelse):
-            return _ns_union(bound_names(then), bound_names(orelse))
-        case For(binder, _, body):
-            inner = bound_names(body)
-            return NameSets(inner.all | {binder}, inner.chans,
-                            inner.vars | {binder}, frozenset())
-        case RepeatUntil(body, exit):
-            return _ns_union(bound_names(body), bound_names(exit))
-        case Proc(process):
-            return bound_names(process)
-        case Queue():
-            return _ns()
-        case Restrict(chans, _, scope):
-            inner = bound_names(scope)
-            return NameSets(inner.all | frozenset(chans),
-                            inner.chans | frozenset(chans), inner.vars, frozenset())
-    raise TypeError(f"not a process or system: {term!r}")
+def fn(term) -> set:
+    return free_names(term)[0]
 
 
-def fn(term) -> frozenset:
-    return free_names(term).all
+def fX(term) -> set:
+    return free_names(term)[1]
 
 
-def fX(term) -> frozenset:
-    return free_names(term).vars
-
-
-def fU(term) -> frozenset:
-    return free_names(term).shared
-
-
-def bn(term) -> frozenset:
-    return bound_names(term).all
+def fU(term) -> set:
+    return free_names(term)[2]
 
 
 # --------------------------------------------------------------- events

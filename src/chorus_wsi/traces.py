@@ -4,8 +4,9 @@ Runs are tuples mixing events with optional segments (`Opt`).  Optional
 segments arise from unfolding iterations: the first execution of a loop
 body is mandatory, every further unfolding is wrapped as optional.  The
 global-type and specification enumerators bound iteration unfolding by
-K; all enumerators produce complete runs (sessions terminated, queues
-drained).
+K; both produce complete runs (sessions terminated, queues drained).
+The runs of an implementation are not enumerated here: covering
+searches them target by target (`wsi`).
 
 The preorder sees only a run's mandatory skeleton (its events outside
 optional segments), and each unfolding beyond the first only adds an
@@ -42,15 +43,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .guards import DomainDecl, EMPTY_DOMAINS, Store
+from .guards import DomainDecl, EMPTY_DOMAINS
 from .projection import participants_ordered, project, well_formed
 from .pseudotype import normal_form
-from .semantics import SysState, system_steps
 from .syntax.ast import (
     Event, GChoice, GEnd, GIter, GSeq, GlobalDef, GlobalType, TEnd,
     TExternal, TInternal, TIter, TSeq,
 )
-from .typecheck import SpecEnv, instantiate, unique_role
+from .typecheck import SpecEnv, instantiate
 
 
 @dataclass(frozen=True)
@@ -76,28 +76,12 @@ def mandatory(run: tuple) -> tuple:
     return tuple(out)
 
 
-def all_events(run: tuple) -> tuple:
-    out = []
-    for item in run:
-        if isinstance(item, Event):
-            out.append(item)
-        else:
-            out.extend(all_events(item.items))
-    return tuple(out)
-
-
 class IllFormed(Exception):
     """The global type breaks the side conditions of `well_formed`."""
 
     def __init__(self, violations: list):
         super().__init__("; ".join(str(v) for v in violations))
         self.violations = tuple(violations)
-
-
-class NotAnImplementation(Exception):
-    def __init__(self, clause: str, message: str):
-        super().__init__(f"{clause}: {message}")
-        self.clause = clause
 
 
 # ------------------------------------------------------ algebras of run sets
@@ -375,68 +359,6 @@ def _spec_runs(state, unfold: int, domains: DomainDecl, algebra, memo: dict):
     return out
 
 
-# -------------------------------------------------- runs of implementations
-
-def runs_impl(iota: dict, shared_name: str, gdef: GlobalDef,
-              domains: DomainDecl = EMPTY_DOMAINS,
-              step_bound: int = 300) -> frozenset:
-    """The runs of the iota-implementation initiated on the shared name,
-    restricted to the session's channels, with sorts replacing values.
-
-    Events are reported over the global type's declared channel names
-    (actual session channels are mapped back positionally).
-    """
-    g = instantiate(gdef, gdef.params)
-    parts = participants_ordered(g)
-    if set(iota) != set(parts):
-        raise NotAnImplementation(
-            "roles", f"iota covers {sorted(iota)}, the global type has "
-            f"{sorted(parts)}")
-    for p, proc in iota.items():
-        if not unique_role(proc, shared_name, p, role0=parts[0]):
-            raise NotAnImplementation(
-                "unique-role", f"iota({p}) does not uniquely play {p!r} "
-                f"in {shared_name!r}")
-
-    tags = dict(enumerate(parts))
-    state = SysState(tuple((i, iota[p]) for i, p in tags.items()), (), ())
-    store = Store(tables=domains.tables)
-
-    memo: dict = {}
-
-    def explore(state: SysState, store: Store, session: tuple | None,
-                fuel: int) -> frozenset:
-        key = (state, session, store.key())
-        if key in memo:
-            return memo[key]
-        memo[key] = frozenset()
-        out: set = set()
-        # every role is uniquely played, so no iota terminates before
-        # the session starts
-        if session is not None and state.is_terminated() \
-                and all(not dict(state.queues).get(y, ()) for y in session):
-            out.add(())
-        if fuel > 0:
-            for component, action, state2, store2 in system_steps(state, store):
-                ev = None
-                session2 = session
-                if action.kind == "req" and action.shared == shared_name \
-                        and session is None:
-                    session2 = action.chans
-                elif action.kind in ("out", "in") and session is not None \
-                        and action.channel in session:
-                    chan_map = dict(zip(session, gdef.params))
-                    ev = Event(tags[component],
-                               "!" if action.kind == "out" else "?",
-                               chan_map[action.channel], action.value.sort)
-                for rest in explore(state2, store2, session2, fuel - 1):
-                    out.add(((ev,) + rest) if ev is not None else rest)
-        memo[key] = frozenset(out)
-        return memo[key]
-
-    return explore(state, store, None, step_bound)
-
-
 # ------------------------------------------------------------ trace preorder
 
 def independent(e1: Event, e2: Event) -> bool:
@@ -469,7 +391,7 @@ def trace_leq(r1: tuple, r2: tuple) -> bool:
     segments of either side are droppable)."""
     m1 = mandatory(r1)
     m2 = mandatory(r2)
-    if not m1:
+    if not m1 or m1 == m2:
         return True
     if len(m1) > len(m2):
         return False
@@ -480,7 +402,7 @@ def trace_leq(r1: tuple, r2: tuple) -> bool:
         counts[ev] = counts.get(ev, 0) - 1
         if counts[ev] < 0:
             return False
-    if _foata(m1) == _foata(m2):
+    if len(m1) == len(m2) and _foata(m1) == _foata(m2):
         return True
     return _embed(m1, m2)
 

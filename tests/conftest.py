@@ -12,6 +12,8 @@ NO_PARTICIPANTS = pathlib.Path(__file__).resolve().parent / "no_participants.cho
 IDLE_ROLE = pathlib.Path(__file__).resolve().parent / "idle_role.chor"
 # a process that sends where its projection expects an input
 SEND_FOR_INPUT = pathlib.Path(__file__).resolve().parent / "send_for_input.chor"
+# a peer whose loop may fill a queue that the process never drains
+SEND_LOOP = pathlib.Path(__file__).resolve().parent / "send_loop.chor"
 # a global type whose choice sends to its own sender
 ILL_FORMED = pathlib.Path(__file__).resolve().parent / "ill_formed.chor"
 

@@ -3,7 +3,9 @@
 `tokenize_by_chars` is the tokenizer as a loop over characters that
 counts lines and columns as it goes; it returns (kind, value, line,
 col) tuples.  `freshen_by_subst` freshens by running a substitution
-over each binder's whole continuation.  The fast paths in
+over each binder's whole continuation.  `names_by_parts` finds the free
+names bottom up, four frozensets per node (all, channels, variables,
+shared), as `fn`, `fX` and `fU` once did.  The fast paths in
 `chorus_wsi.syntax` must agree with them (see test_front_oracle.py).
 
 The substitution does not avoid capture: when an inner binder is
@@ -19,7 +21,8 @@ import re
 
 from chorus_wsi.syntax.ast import (
     Accept, Arm, BinOp, Branch, Const, For, If, ListLit, Par, Proc, Queue,
-    Range, RepeatUntil, Request, Restrict, Send, Seq, UnOp, Var, fn,
+    Range, RepeatUntil, Request, Restrict, Send, Seq, UnOp, Var, expr_vars,
+    fn,
 )
 from chorus_wsi.syntax.parser import KEYWORDS, ParseError, _SYMBOLS
 
@@ -212,3 +215,50 @@ def freshen_by_subst(term, renames: dict | None = None):
         raise TypeError(f"not a process or system: {t!r}")
 
     return walk(term)
+
+
+def names_by_parts(term) -> tuple:
+    """(all free names, free channels, free variables, shared names)."""
+    none = frozenset()
+
+    def union(*parts):
+        return tuple(frozenset().union(*column) for column in zip(*parts))
+
+    match term:
+        case Request(shared, _, chans, cont) | Accept(shared, _, chans, cont):
+            role = term.role if isinstance(term, Accept) else 0
+            names, channels, variables, shared_names = names_by_parts(cont)
+            return (names - frozenset(chans) | {shared, f"{shared}[{role}]"},
+                    channels - frozenset(chans), variables,
+                    shared_names | {shared})
+        case Send(channel, payload):
+            vs = expr_vars(payload)
+            return {channel} | vs, frozenset({channel}), vs, none
+        case Branch(arms):
+            out = (none, none, none, none)
+            for arm in arms:
+                names, channels, variables, shared_names = names_by_parts(arm.cont)
+                out = union(out, ({arm.channel}, {arm.channel}, none, none),
+                            (names - {arm.binder}, channels,
+                             variables - {arm.binder}, shared_names))
+            return out
+        case Seq(first, second) | Par(first, second) | RepeatUntil(first, second):
+            return union(names_by_parts(first), names_by_parts(second))
+        case If(cond, then, orelse):
+            vs = expr_vars(cond)
+            return union((vs, none, vs, none), names_by_parts(then),
+                         names_by_parts(orelse))
+        case For(binder, items, body):
+            names, channels, variables, shared_names = names_by_parts(body)
+            vs = expr_vars(items)
+            return (names - {binder} | vs, channels, variables - {binder} | vs,
+                    shared_names)
+        case Proc(process):
+            return names_by_parts(process)
+        case Queue(channel, _):
+            return frozenset({channel}), frozenset({channel}), none, none
+        case Restrict(chans, _, scope):
+            names, channels, variables, shared_names = names_by_parts(scope)
+            return (names - frozenset(chans), channels - frozenset(chans),
+                    variables, shared_names)
+    raise TypeError(f"not a process or system: {term!r}")

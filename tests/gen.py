@@ -9,13 +9,17 @@ from __future__ import annotations
 import random
 
 from chorus_wsi.guards import DomainDecl
+from chorus_wsi.projection import NonProjectable, project, well_formed
+from chorus_wsi.pseudotype import normal_form
 from chorus_wsi.syntax.ast import (
-    Accept, Arm, BinOp, Branch, Const, Event, FALSE, GBranch, GChoice,
-    GEnd, GIter, GSeq, INT, Lit, Par, Proc, Queue, Request, Restrict, Send,
-    Seq, STR, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
-    UNIT, UnOp, Var, bool_lit, int_lit,
+    Accept, Arm, BinOp, Branch, Const, DATA, Event, FALSE, For, GBranch,
+    GChoice, GEnd, GIter, GSeq, GlobalDef, If, INT, Lit, Par, Proc, Process,
+    PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq, STR,
+    TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq, UNIT, UnOp, Var,
+    bool_lit, g_channels, int_lit, str_lit,
 )
 from chorus_wsi.traces import Opt
+from chorus_wsi.typecheck import instantiate, participants_ordered
 
 CHANNELS = ("a", "b", "c")
 SORTS = (INT, UNIT, STR)
@@ -217,3 +221,97 @@ def gen_run(rng: random.Random, events_left: int, depth: int = 2) -> tuple:
         if rng.random() < 0.3:
             break
     return tuple(items)
+
+
+# ------------------------------------------- implementations of projections
+
+def _value_for(sort) -> Const:
+    return Const({
+        "Int": int_lit(1), "Bool": bool_lit(True), "Str": str_lit("v"),
+        "Unit": Lit(UNIT, None), "Data": Lit(DATA, b""),
+    }[sort.kind])
+
+
+class Builder:
+    """Builds a process following a local type; multi-branch internal
+    choices are resolved by fresh boolean selector variables, which get
+    domains so both sides of every if stay satisfiable."""
+
+    def __init__(self):
+        self.selectors = []
+        self.binders = 0
+
+    def fresh_selector(self) -> str:
+        name = f"sel{len(self.selectors)}"
+        self.selectors.append(name)
+        return name
+
+    def fresh_binder(self) -> str:
+        self.binders += 1
+        return f"b{self.binders}"
+
+    def build(self, t: PseudoType) -> Process:
+        match t:
+            case TEnd():
+                return Branch(())
+            case TExternal(branches):
+                return Branch(tuple(
+                    Arm(b.channel, self.fresh_binder(), self.build(b.cont))
+                    for b in branches))
+            case TInternal(branches):
+                sends = [Seq(Send(b.channel, _value_for(b.sort)),
+                             self.build(b.cont)) for b in branches]
+                sends = [s.first if isinstance(s.second, Branch)
+                         and not s.second.arms else s for s in sends]
+                out = sends[-1]
+                for send in reversed(sends[:-1]):
+                    out = If(Var(self.fresh_selector()), send, out)
+                return out
+            case TSeq(TIter(body), cont) if isinstance(body, TInternal):
+                # the controller iterates a fixed number of times
+                return Seq(For(self.fresh_binder(),
+                               Range(Const(int_lit(1)), Const(int_lit(2))),
+                               self.build(body)),
+                           self.build(cont))
+            case TSeq(TIter(body), cont) if isinstance(body, TExternal):
+                # a passive participant loops until the termination signal
+                assert isinstance(cont, TExternal)
+                loop_body = self.build(body)
+                assert isinstance(loop_body, Branch)
+                exit_ = self.build(cont)
+                assert isinstance(exit_, Branch)
+                return RepeatUntil(loop_body, exit_)
+            case TSeq(first, second):
+                return Seq(self.build(first), self.build(second))
+        raise AssertionError(f"unexpected local type shape: {t!r}")
+
+
+def role_implementations(seed: int) -> list:
+    """(global, role, process, domains) for the roles of the random
+    global type of `seed`, each process built by `Builder` from the
+    role's projection and opening the session on the shared name u.
+    Empty when the global type is ill-formed; the roles stop at the
+    first one the global type does not project on."""
+    rng = random.Random(seed * 101 + 13)
+    g = gen_global(rng, depth=3)
+    if well_formed(g):
+        return []
+    parts = participants_ordered(g)
+    gdef = GlobalDef("G", tuple(sorted(g_channels(g))), g)
+    g_inst = instantiate(gdef, gdef.params)
+    out = []
+    for role in parts:
+        builder = Builder()
+        try:
+            local = project(g_inst, role)
+        except NonProjectable:
+            break
+        body = builder.build(normal_form(local))
+        if role == parts[0]:
+            proc = Request("u", len(parts) - 1, gdef.params, body)
+        else:
+            proc = Accept("u", role, gdef.params, body)
+        domains = DomainDecl({name: frozenset({bool_lit(True), bool_lit(False)})
+                              for name in builder.selectors})
+        out.append((gdef, role, proc, domains))
+    return out

@@ -201,6 +201,21 @@ def test_wsi_b1_exit_0(capsys):
     assert out.count("Holds") == 2
 
 
+@pytest.mark.parametrize("unfold", ["1", "2"])
+@pytest.mark.parametrize("module, proc", [(POP2, "CPop"), (MP, "CHelo"),
+                                          (ATM, "CATM")])
+def test_wsi_processes_reading_declared_variables_hold(capsys, module, proc,
+                                                       unfold):
+    """Guards that read declared variables start pending, so covering
+    agrees with typing instead of failing on an unbound variable."""
+    code, out, err = run(capsys, "wsi", module, "--proc", proc,
+                         "--unfold", unfold)
+    assert code == 0 and err == ""
+    typing, covering = out.splitlines()
+    assert typing.startswith("typing:   Holds")
+    assert covering.startswith(f"covering: Holds@{unfold} (")
+
+
 def test_wsi_b2_exit_1_missing_run(capsys):
     code, out, _ = run(capsys, "wsi", ATM, "--proc", "B2", "--unfold", "1",
                        "--mode", "both", "--json")
@@ -276,6 +291,11 @@ def _case(name, code, stderr, *argv, stdout=""):
           "wsi", str(conftest.IDLE_ROLE), "--proc", "Z",
           stdout="covering: MissingRun <empty>: the process opens no session "
                  "of G_ATM"),
+    # a covering search that skipped a send onto a full queue
+    _case("wsi-inconclusive", 3, "",
+          "wsi", str(conftest.SEND_LOOP), "--proc", "Q", "--mode", "covering",
+          stdout="covering: Inconclusive (p,a!Int) (q,a?Int) (p,t!Unit) "
+                 "(q,t?Unit): no witness with at most "),
     # usage errors: names the module does not declare
     _case("unknown-global", 2, "error: no global type named 'NOPE'",
           "project", POP2, "--role", "s", "--global", "NOPE"),
@@ -298,7 +318,7 @@ def _case(name, code, stderr, *argv, stdout=""):
     _case("unfold-negative", 2, "--unfold: expected an integer",
           "traces", ATM, "--unfold", "-1"),
     _case("steps-0", 2, "--steps: expected an integer",
-          "wsi", ATM, "--proc", "B1", "--steps", "0"),
+          "simulate", POP2, "--system", "POP_QUIT", "--steps", "0"),
     _case("steps-not-a-number", 2, "--steps: expected an integer",
           "simulate", POP2, "--system", "POP_QUIT", "--steps", "x"),
     _case("missing-file", 2, "error: ",

@@ -7,12 +7,12 @@ import pytest
 
 import chorus_wsi.syntax.parser as parser_mod
 from chorus_wsi.syntax import freshen, parse_module
-from chorus_wsi.syntax.ast import Par, Proc, Seq
+from chorus_wsi.syntax.ast import Par, Proc, Seq, fU, fX, fn
 from chorus_wsi.syntax.parser import ParseError, line_col, tokenize
 
 import conftest
 import gen
-from front_oracle import freshen_by_subst, tokenize_by_chars
+from front_oracle import freshen_by_subst, names_by_parts, tokenize_by_chars
 
 MODULES = sorted(conftest.CORPUS.glob("*.chor")) \
     + sorted(conftest.CORPUS.parents[2].joinpath("tests").glob("*.chor"))
@@ -64,6 +64,18 @@ def test_freshening_agrees_on_generated_terms():
         ours, theirs = {}, {}
         assert freshen(term, ours) == freshen_by_subst(term, theirs), term
         assert ours == theirs
+
+
+def test_free_names_agree_on_generated_terms():
+    """`fn`, `fX` and `fU` from one walk against the bottom-up sets on
+    1,000 generated processes and systems."""
+    rng = random.Random(29)
+    terms = [gen.gen_process(rng, depth=4) for _ in range(500)] \
+        + [gen.gen_system(rng, depth=3) for _ in range(500)]
+    for term in terms:
+        names, _, variables, shared = names_by_parts(term)
+        assert (fn(term), fX(term), fU(term)) == (names, variables, shared), term
+    assert any(fX(term) for term in terms) and any(fU(term) for term in terms)
 
 
 _ALPHABET = ('abxyz_0123456789 \t\n"\\/+-*()[]{}<>=!?.,;:@|&#%$' + "'")

@@ -1,5 +1,7 @@
 """Source hygiene: no module under src/ keeps an import it never uses, so
-an import of a deleted or moved name cannot linger; no function keeps a
+an import of a deleted or moved name cannot linger; no module imports a
+private (`_`-prefixed) name of another, so what a module keeps private
+stays free to change; no function keeps a
 parameter it never reads, so no caller passes a value that cannot
 change an answer; no function assigns a local it never reads, so no
 value is computed for nothing; and no top-level function or class under
@@ -48,6 +50,47 @@ def test_no_unused_top_level_imports_in_src():
     found = [f"{path.relative_to(SRC)}:{line}: {name}"
              for path in modules
              for line, name in unused_imports(path.read_text())]
+    assert found == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_imports(source: str) -> list:
+    """(line, name) for each private name an import statement anywhere
+    in the module takes from another module: a `_name` in `from m import
+    _name`, or a dotted module path with a `_part`.  Dunder names such as
+    `__future__` are not private."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if _private(alias.name)]
+            if node.module and any(map(_private, node.module.split("."))):
+                found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if any(map(_private, alias.name.split(".")))]
+    return sorted(found)
+
+
+def test_detector_flags_only_private_imports():
+    source = ("from __future__ import annotations\n"
+              "from .semantics import _type_steps, type_steps\n"
+              "import os.path, pkg._impl as impl\n"
+              "from ._vendor import thing\n"
+              "def f():\n"
+              "    from .guards import _Space, __doc__\n"
+              "    return _Space\n")
+    assert private_imports(source) == [
+        (2, "_type_steps"), (3, "pkg._impl"), (4, "_vendor"), (6, "_Space")]
+
+
+def test_no_private_imports_across_src_modules():
+    found = [f"{path.relative_to(SRC)}:{line}: {name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name in private_imports(path.read_text())]
     assert found == []
 
 

@@ -8,113 +8,19 @@ protocols through both catches asymmetries that the fixed corpus would
 miss.
 """
 
-import random
-
 import pytest
 
-from chorus_wsi.guards import DomainDecl
-from chorus_wsi.projection import participants, project, well_formed
-from chorus_wsi.syntax.ast import (
-    Accept, Arm, BOOL, Branch, Const, GlobalDef, If, Process, PseudoType,
-    Request, Seq, Send, TEnd, TExternal, TInternal, TIter, TRUE, TSeq, Var,
-    bool_lit, int_lit, str_lit, Lit, DATA, UNIT, INT, STR, Range, For,
-    RepeatUntil,
-)
+from chorus_wsi.syntax.ast import TRUE
 from chorus_wsi.typecheck import (
-    TypingError, gamma_from_domains, instantiate, participants_ordered,
-    typecheck_process,
+    TypingError, gamma_from_domains, typecheck_process,
 )
 
 import gen
 
 
-def _value_for(sort) -> Const:
-    return Const({
-        "Int": int_lit(1), "Bool": bool_lit(True), "Str": str_lit("v"),
-        "Unit": Lit(UNIT, None), "Data": Lit(DATA, b""),
-    }[sort.kind])
-
-
-class _Builder:
-    """Builds a process following a local type; multi-branch internal
-    choices are resolved by fresh boolean selector variables, which get
-    domains so both sides of every if stay satisfiable."""
-
-    def __init__(self):
-        self.selectors = []
-        self.binders = 0
-
-    def fresh_selector(self) -> str:
-        name = f"sel{len(self.selectors)}"
-        self.selectors.append(name)
-        return name
-
-    def fresh_binder(self) -> str:
-        self.binders += 1
-        return f"b{self.binders}"
-
-    def build(self, t: PseudoType) -> Process:
-        match t:
-            case TEnd():
-                return Branch(())
-            case TExternal(branches):
-                return Branch(tuple(
-                    Arm(b.channel, self.fresh_binder(), self.build(b.cont))
-                    for b in branches))
-            case TInternal(branches):
-                sends = [Seq(Send(b.channel, _value_for(b.sort)),
-                             self.build(b.cont)) for b in branches]
-                sends = [s.first if isinstance(s.second, Branch)
-                         and not s.second.arms else s for s in sends]
-                out = sends[-1]
-                for send in reversed(sends[:-1]):
-                    out = If(Var(self.fresh_selector()), send, out)
-                return out
-            case TSeq(TIter(body), cont) if isinstance(body, TInternal):
-                # the controller iterates a fixed number of times
-                return Seq(For(self.fresh_binder(),
-                               Range(Const(int_lit(1)), Const(int_lit(2))),
-                               self.build(body)),
-                           self.build(cont))
-            case TSeq(TIter(body), cont) if isinstance(body, TExternal):
-                # a passive participant loops until the termination signal
-                assert isinstance(cont, TExternal)
-                loop_body = self.build(body)
-                assert isinstance(loop_body, Branch)
-                exit_ = self.build(cont)
-                assert isinstance(exit_, Branch)
-                return RepeatUntil(loop_body, exit_)
-            case TSeq(first, second):
-                return Seq(self.build(first), self.build(second))
-        raise AssertionError(f"unexpected local type shape: {t!r}")
-
-
 @pytest.mark.parametrize("seed", range(60))
 def test_projection_implementations_typecheck(seed):
-    rng = random.Random(seed * 101 + 13)
-    g = gen.gen_global(rng, depth=3)
-    if well_formed(g):
-        return
-    parts = participants_ordered(g)
-    if not parts:
-        return
-    gdef = GlobalDef("G", tuple(sorted(__import__(
-        "chorus_wsi.syntax.ast", fromlist=["g_channels"]).g_channels(g))), g)
-    g_inst = instantiate(gdef, gdef.params)
-    for role in parts:
-        builder = _Builder()
-        try:
-            local = project(g_inst, role)
-        except Exception:
-            return  # not projectable: nothing to validate
-        body = builder.build(__import__(
-            "chorus_wsi.pseudotype", fromlist=["normal_form"]).normal_form(local))
-        if role == parts[0]:
-            proc = Request("u", len(parts) - 1, gdef.params, _wrap(body))
-        else:
-            proc = Accept("u", role, gdef.params, _wrap(body))
-        domains = DomainDecl({name: frozenset({bool_lit(True), bool_lit(False)})
-                              for name in builder.selectors})
+    for gdef, role, proc, domains in gen.role_implementations(seed):
         gamma = gamma_from_domains(domains)
         try:
             typecheck_process(gamma, TRUE, proc, {"u": gdef}, domains)
@@ -122,8 +28,3 @@ def test_projection_implementations_typecheck(seed):
             raise AssertionError(
                 f"seed {seed}: role {role!r} of a generated protocol does "
                 f"not accept its own projection-derived process: {exc}")
-
-
-def _wrap(p: Process) -> Process:
-    # request/accept continuations are dot-level atoms
-    return p

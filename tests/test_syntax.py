@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +12,10 @@ from chorus_wsi.syntax import (
 )
 from chorus_wsi.syntax.ast import (
     Branch, Const, GEnd, Send, TBranch, TEnd, TInternal, TRUE, UNIT, Var,
-    BinOp, bn, expr_vars, fX, fn, int_lit,
+    BinOp, expr_vars, fX, fn, int_lit,
 )
 
+import conftest
 import gen
 
 
@@ -121,10 +125,6 @@ def test_fn_of_send_is_channel_plus_vars():
     p = Send("y", BinOp("+", Var("a"), Var("b")))
     assert fn(p) == {"y", "a", "b"}
     assert fX(p) == {"a", "b"}
-
-
-def test_bn_of_nil_empty():
-    assert bn(Branch(())) == frozenset()
 
 
 def test_fn_of_pop2_init(pop2):
@@ -282,3 +282,25 @@ def test_crlf_line_endings():
 def test_expr_vars():
     e = parse_expr("x > 0 and auth(c)")
     assert expr_vars(e) == {"x", "c"}
+
+
+_HASHES = """
+from chorus_wsi.syntax import parse_module
+from chorus_wsi.syntax.ast import INT, UNIT_LIT
+module = parse_module(open({path!r}).read())
+print(hash(INT), hash(UNIT_LIT), repr(module.domains["cred"]))
+"""
+
+
+def test_hashes_do_not_depend_on_the_process():
+    """A node with a None field (every non-list sort, the unit literal)
+    hashes alike in two processes under one PYTHONHASHSEED, and so a
+    parsed domain, a set of literals, lists in the same order."""
+    src = str(conftest.CORPUS.parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": "0",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = _HASHES.format(path=str(conftest.CORPUS / "atm.chor"))
+    outs = [subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           capture_output=True, text=True).stdout
+            for _ in range(2)]
+    assert outs[0] == outs[1] and "Lit(" in outs[0]

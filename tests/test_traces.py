@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from chorus_wsi.guards import Store
 from chorus_wsi.projection import NonProjectable
 from chorus_wsi.syntax.ast import (
     Event, GEnd, GlobalDef, INT, UNIT, TEnd, TExternal, TInternal, TIter, TSeq,
 )
 from chorus_wsi.syntax import parse_type
 from chorus_wsi.traces import (
-    MissingRun, NotAnImplementation, Opt, RUN_COUNTS, Uncountable,
-    all_events, covers, mandatory, projection_env, run_count, run_str,
-    runs_global, runs_impl, runs_spec, trace_leq, independent,
+    MissingRun, Opt, RUN_COUNTS, Uncountable,
+    covers, mandatory, projection_env, run_count, run_str,
+    runs_global, runs_spec, trace_leq, independent,
 )
 from chorus_wsi.typecheck import SpecEnv, instantiate
 
@@ -182,76 +181,6 @@ def test_uncountable_specs_fall_back_to_enumeration(p, q, channels):
             == len(runs_spec(delta, channels, k))
 
 
-# --------------------------------------------------------------- runs_impl
-
-def test_runs_impl_terminated_is_empty_run(pop2, pop2_domains):
-    from chorus_wsi.syntax.ast import Branch
-    iota = {"c": Branch(()), "s": Branch(())}
-    with pytest.raises(NotAnImplementation) as exc:
-        runs_impl(iota, "u", pop2.globals_["G_POP"], pop2_domains)
-    assert exc.value.clause == "unique-role"
-
-
-def test_runs_impl_quit_client(pop2, pop2_domains):
-    iota = {"s": pop2.processes["Init"].body,
-            "c": pop2.processes["CQuit"].body}
-    runs = runs_impl(iota, "u", pop2.globals_["G_POP"], pop2_domains)
-    quit_run = (ev("c", "!", "quit"), ev("s", "?", "quit"),
-                ev("s", "!", "bye"), ev("c", "?", "bye"))
-    assert quit_run in runs
-
-
-def test_runs_impl_b2_never_sends_ok(atm, atm_domains):
-    from chorus_wsi.syntax.ast import Arm, Branch, Const, Request, Seq, Send, str_lit, int_lit
-    client = Request("atm", 1, ("login", "deposit", "overdraft", "ok", "ko"),
-                     Seq(Send("login", Const(str_lit("good"))),
-                         Seq(Send("overdraft", Const(int_lit(5))),
-                             Branch((Arm("ok", "v1", Branch(())),
-                                     Arm("ko", "v2", Branch(())))))))
-    iota = {"b": atm.processes["B2"].body, "c": client}
-    runs = runs_impl(iota, "atm", atm.globals_["G_ATM"], atm_domains)
-    assert runs
-    for r in runs:
-        assert ev("b", "!", "ok") not in all_events(r)
-
-
-def test_runs_impl_adequacy_replay(pop2, pop2_domains):
-    """Every enumerated run embeds into a labelled execution of the
-    driver with sort-respecting events."""
-    from chorus_wsi.semantics import SysState, system_steps
-    iota = {"s": pop2.processes["Init"].body,
-            "c": pop2.processes["CQuit"].body}
-    runs = runs_impl(iota, "u", pop2.globals_["G_POP"], pop2_domains)
-    gdef = pop2.globals_["G_POP"]
-
-    # replay: breadth-first over the driver, collecting event sequences
-    state = SysState(tuple(enumerate([iota["c"], iota["s"]])), (), ())
-    tags = {0: "c", 1: "s"}
-    store = Store(tables=pop2_domains.tables)
-    sequences = set()
-
-    def explore(state, store, session, acc):
-        succ = system_steps(state, store)
-        if not succ:
-            sequences.add(acc)
-        for component, act, st2, sto2 in succ:
-            session2 = session
-            ev_item = None
-            if act.kind == "req" and act.shared == "u" and session is None:
-                session2 = act.chans
-            elif act.kind in ("out", "in") and session and component in tags \
-                    and act.channel in session:
-                names = dict(zip(session, gdef.params))
-                ev_item = Event(tags[component],
-                                "!" if act.kind == "out" else "?",
-                                names[act.channel], act.value.sort)
-            explore(st2, sto2, session2, acc + ((ev_item,) if ev_item else ()))
-
-    explore(state, store, None, ())
-    for r in runs:
-        assert r in sequences
-
-
 # ------------------------------------------------------------ trace preorder
 
 def test_optional_below_empty():
@@ -323,23 +252,18 @@ def test_permutation_soundness_sampled(seed):
     assert trace_leq(other, events) == trace_leq(other, swapped)
 
 
-def test_not_an_implementation_missing_role(pop2, pop2_domains):
-    from chorus_wsi.traces import NotAnImplementation
-    with pytest.raises(NotAnImplementation):
-        runs_impl({"s": pop2.processes["Init"].body}, "u",
-                  pop2.globals_["G_POP"], pop2_domains)
-
-
-def test_not_an_implementation_wrong_role(pop2, pop2_domains):
-    from chorus_wsi.traces import NotAnImplementation
-    iota = {"s": pop2.processes["CQuit"].body,  # a requester cannot play s
-            "c": pop2.processes["Init"].body}
-    with pytest.raises(NotAnImplementation) as err:
-        runs_impl(iota, "u", pop2.globals_["G_POP"], pop2_domains)
-    assert err.value.clause == "unique-role"
-
-
 # ------------------------------------ brute-force oracle for the preorder
+
+def all_events(run: tuple) -> tuple:
+    """The run's events, those inside optional segments included."""
+    out = []
+    for item in run:
+        if isinstance(item, Event):
+            out.append(item)
+        else:
+            out.extend(all_events(item.items))
+    return tuple(out)
+
 
 def _items_independent(i1, i2) -> bool:
     evs1 = all_events((i1,))

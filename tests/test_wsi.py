@@ -1,11 +1,24 @@
+import itertools
+
 import pytest
 
-from chorus_wsi.syntax.ast import Event, GlobalDef, GEnd, UNIT, Branch
-from chorus_wsi.traces import covers, mandatory, runs_global, runs_impl
-from chorus_wsi.typecheck import instantiate
-from chorus_wsi.wsi import (
-    NonViable, synthesize_contexts, wsi_by_covering, wsi_by_typing,
+from chorus_wsi.guards import Store
+from chorus_wsi.projection import NonProjectable, project
+from chorus_wsi.semantics import SysState, system_steps
+from chorus_wsi.syntax.ast import (
+    Accept, Arm, Branch, Const, Event, GChoice, GEnd, GlobalDef, Lit, Request,
+    Send, Seq, UNIT, fX,
 )
+from chorus_wsi.syntax import parse_module
+from chorus_wsi.traces import covers, mandatory, runs_global, trace_leq
+from chorus_wsi.typecheck import instantiate, participants_ordered
+from chorus_wsi.wsi import (
+    QUEUE_BOUND, _role_problem,
+    wsi_by_covering, wsi_by_typing,
+)
+
+import conftest
+import gen
 
 
 def test_wsi_typing_atm(atm, atm_domains):
@@ -31,11 +44,16 @@ def test_wsi_covering_b1_holds(atm, atm_domains):
 
 
 def test_wsi_covering_b2_missing_ok(atm, atm_domains):
+    """B2 never sends ok: no context drives it through the ok skeleton,
+    and the search, which never fills a queue, says so as a MissingRun."""
     g = atm.globals_["G_ATM"]
     v = wsi_by_covering(g, "b", atm.processes["B2"].body, atm_domains,
                         shared_name="atm")
-    assert not v.holds()
+    assert not v.holds() and not v.inconclusive
     assert Event("b", "!", "ok", UNIT) in mandatory(v.missing)
+    assert str(v) == ("MissingRun (c,login!Str) (b,login?Str) "
+                      "(c,overdraft!Int) (b,overdraft?Int) (b,ok!Unit) "
+                      "(c,ok?Unit): branch unreachable under declared domains")
 
 
 def test_typing_and_covering_agree_on_atm(atm, atm_domains):
@@ -49,53 +67,128 @@ def test_typing_and_covering_agree_on_atm(atm, atm_domains):
 
 def test_context_synthesis_atm_credentials(atm, atm_domains):
     """The ok-run needs check-satisfying credentials, the ko-run
-    check-falsifying ones; both are found by domain enumeration."""
+    check-falsifying ones: both are drawn for the pending binder cred,
+    and each of the three skeletons has its own witness."""
     g = atm.globals_["G_ATM"]
-    jobs = synthesize_contexts(g, "b", atm.processes["B1"].body, atm_domains,
-                               shared_name="atm")
-    assert len(jobs) == 3  # one per maximal run skeleton
-    covered = []
-    for target, candidates in jobs:
-        hit = None
-        for iota in candidates():
-            runs = runs_impl(iota, "atm", g, atm_domains)
-            if any(covers([target], [r]).holds() for r in runs):
-                hit = iota
-                break
-        assert hit is not None, f"no context drives {target}"
-        covered.append(target)
-    assert len(covered) == 3
+    v = wsi_by_covering(g, "b", atm.processes["B1"].body, atm_domains,
+                        shared_name="atm")
+    assert v.holds()
+    targets = runs_global(instantiate(g, g.params), 1)
+    assert {t for t, _ in v.contexts} == targets
+    for target, witness in v.contexts:
+        assert trace_leq(target, witness)
+    ends = {w[-2] for _, w in v.contexts}
+    assert {Event("b", "!", "ok", UNIT), Event("b", "!", "ko", UNIT)} <= ends
 
 
 def test_contexts_bind_checked_role(atm, atm_domains):
+    """A witness is a run of the session: the checked process makes the
+    events of its role, and its peer every other event."""
     g = atm.globals_["G_ATM"]
-    b1 = atm.processes["B1"].body
-    jobs = synthesize_contexts(g, "b", b1, atm_domains, shared_name="atm")
-    for _, candidates in jobs:
-        iota = next(iter(candidates()))
-        assert iota["b"] is b1
-        assert set(iota) == {"b", "c"}
+    v = wsi_by_covering(g, "b", atm.processes["B1"].body, atm_domains,
+                        shared_name="atm")
+    for _, witness in v.contexts:
+        assert {ev.participant for ev in witness} == {"b", "c"}
 
 
-def test_context_determinism(atm, atm_domains):
-    """Each synthesized context plus the candidate yields one run up to
-    permutation of causally independent events."""
-    from chorus_wsi.traces import _foata
-    g = atm.globals_["G_ATM"]
-    jobs = synthesize_contexts(g, "b", atm.processes["B1"].body, atm_domains,
-                               shared_name="atm")
-    for _, candidates in jobs:
-        iota = next(iter(candidates()))
-        runs = runs_impl(iota, "atm", g, atm_domains)
-        classes = {_foata(mandatory(r)) for r in runs if r}
-        assert len(classes) <= 1
+def _straight_line(events: list, payloads: list) -> object:
+    """A process making the given events in order, sending the given
+    payloads in turn."""
+    proc = Branch(())
+    sends = iter(reversed(payloads))
+    for i, ev in reversed(list(enumerate(events))):
+        if ev.polarity == "!":
+            send = Send(ev.channel, Const(next(sends)))
+            proc = send if proc == Branch(()) else Seq(send, proc)
+        else:
+            proc = Branch((Arm(ev.channel, f"v{i}", proc),))
+    return proc
+
+
+def _complete_runs(procs: dict, gdef, shared: str, store: Store) -> set:
+    """The event sequences of the complete runs of the system of procs,
+    over the global type's channel names."""
+    tags = dict(enumerate(procs))
+    out = set()
+
+    def explore(state, store, session, acc):
+        if session is not None and state.is_terminated() \
+                and not any(dict(state.queues).get(y) for y in session):
+            out.add(acc)
+        for component, act, state2, store2 in system_steps(state, store):
+            session2, event = session, ()
+            if act.kind == "req" and act.shared == shared:
+                session2 = act.chans
+            elif act.kind in ("out", "in") and session \
+                    and act.channel in session:
+                names = dict(zip(session, gdef.params))
+                event = (Event(tags[component],
+                               "!" if act.kind == "out" else "?",
+                               names[act.channel], act.value.sort),)
+            explore(state2, store2, session2, acc + event)
+
+    explore(SysState(tuple(enumerate(procs.values())), (), ()), store, None, ())
+    return out
+
+
+def test_context_determinism(request):
+    """Each witness is realized by a deterministic straight-line context:
+    the checked process, given some starting store over its declared
+    free variables, with each peer making its events of the witness in
+    order and sending some candidate payloads, has a complete run in the
+    system semantics that covers the witness's target."""
+    for module, proc, role, shared in [("atm", "B1", "b", "atm"),
+                                       ("atm", "CATM", "c", "atm"),
+                                       ("pop2", "Init", "s", "u")]:
+        mod = request.getfixturevalue(module)
+        domains = request.getfixturevalue(f"{module}_domains")
+        decl = mod.processes[proc]
+        gdef = mod.globals_[decl.global_name]
+        v = wsi_by_covering(gdef, role, decl.body, domains, shared_name=shared)
+        assert v.holds()
+        for target, witness in v.contexts:
+            assert _realized(target, witness, gdef, role, decl.body, domains,
+                             shared), (proc, target)
+
+
+def _realized(target, witness, gdef, role, body, domains, shared) -> bool:
+    """Some candidate payloads and starting store make the straight-line
+    peers read off the witness drive body through a run covering target."""
+    parts = participants_ordered(instantiate(gdef, gdef.params))
+    free = sorted(fX(body) & set(domains.domains))
+    peers = {q: [ev for ev in witness if ev.participant == q]
+             for q in parts if q != role}
+    pools = [list(domains.values_of_sort(ev.sort)) + [_default(ev.sort)]
+             for q in peers for ev in peers[q] if ev.polarity == "!"]
+    pools += [sorted(domains.domains[x], key=str) for x in free]
+    for choice in itertools.product(*pools):
+        choice = list(choice)
+        start = dict(zip(free, choice[len(choice) - len(free):]))
+        procs = {role: body}
+        for q, events in peers.items():
+            sends = sum(ev.polarity == "!" for ev in events)
+            peer = _straight_line(events, choice[:sends])
+            choice = choice[sends:]
+            procs[q] = (Request(shared, len(parts) - 1, gdef.params, peer)
+                        if q == parts[0] else Accept(shared, q, gdef.params, peer))
+        runs = _complete_runs(procs, gdef, shared,
+                              Store(start, tables=domains.tables))
+        if any(trace_leq(target, r) for r in runs):
+            return True
+    return False
+
+
+def _default(sort) -> Lit:
+    return Lit(sort, {"Int": 0, "Bool": False, "Str": "", "Unit": None,
+                      "Data": b""}[sort.kind])
 
 
 def test_wsi_covering_role_not_participant(atm, atm_domains):
     g = atm.globals_["G_ATM"]
-    with pytest.raises(NonViable):
-        synthesize_contexts(g, "nobody", atm.processes["B1"].body,
-                            atm_domains)
+    v = wsi_by_covering(g, "nobody", atm.processes["B1"].body, atm_domains,
+                        shared_name="atm")
+    assert not v.holds()
+    assert str(v) == "MissingRun <empty>: 'nobody' is not a participant of G_ATM"
 
 
 def test_wsi_covering_end_choreography(atm_domains):
@@ -141,53 +234,106 @@ def test_wsi_cli_idle_role_both_paths_reject(capsys, proc):
     assert captured.err == ""
 
 
+CORPUS_ROLES = [
+    ("pop2", "G_POP", "s", "Init", "u"), ("pop2", "G_POP", "c", "CPop", "u"),
+    ("atm", "G_ATM", "b", "B1", "atm"), ("atm", "G_ATM", "c", "CATM", "atm"),
+    ("multiparty", "G_POP_P", "s", "InitP", "u"),
+    ("multiparty", "G_POP_P", "a", "AuthYes", "u"),
+    ("multiparty", "G_POP_P", "c", "CHelo", "u"),
+]
+
+
 @pytest.mark.parametrize("unfold", [1, 2])
-def test_typing_implies_covering_across_corpus(pop2, pop2_domains, atm,
-                                               atm_domains, multiparty,
-                                               multiparty_domains, unfold):
+def test_typing_implies_covering_across_corpus(request, unfold):
     """Soundness at desk scale: every corpus process accepted by typing
-    is also accepted by covering, and the runs of the contexts covering
-    picks cover every annotated run of the global at the bound K that
-    `wsi --unfold K` reports a Holds at.  (Only processes whose guards
-    depend on received values qualify: covering runs start from the
-    empty store.)"""
-    cases = [
-        (pop2.globals_["G_POP"], "s", pop2.processes["Init"].body,
-         pop2_domains, "u"),
-        (atm.globals_["G_ATM"], "b", atm.processes["B1"].body,
-         atm_domains, "atm"),
-        (multiparty.globals_["G_POP_P"], "s", multiparty.processes["InitP"].body,
-         multiparty_domains, "u"),
-        (multiparty.globals_["G_POP_P"], "a", multiparty.processes["AuthYes"].body,
-         multiparty_domains, "u"),
-    ]
-    for gdef, role, proc, domains, shared in cases:
-        assert wsi_by_typing(gdef, role, proc, domains, shared).holds()
-        verdict = wsi_by_covering(gdef, role, proc, domains,
+    is also accepted by covering, including those whose guards read
+    declared variables, and the witnesses cover every annotated run of
+    the global at the bound K that `wsi --unfold K` reports a Holds at."""
+    for module, gname, role, proc, shared in CORPUS_ROLES:
+        mod = request.getfixturevalue(module)
+        domains = request.getfixturevalue(f"{module}_domains")
+        gdef, body = mod.globals_[gname], mod.processes[proc].body
+        assert wsi_by_typing(gdef, role, body, domains, shared).holds()
+        verdict = wsi_by_covering(gdef, role, body, domains,
                                   shared_name=shared)
-        assert verdict.holds(), (gdef.name, role, str(verdict))
-        achieved = set()
-        for target, candidates in synthesize_contexts(gdef, role, proc,
-                                                      domains, shared):
-            for iota in candidates():
-                runs = runs_impl(iota, shared, gdef, domains)
-                if covers([target], runs).holds():
-                    achieved |= runs
-                    break
+        assert verdict.holds(), (proc, str(verdict))
         g = instantiate(gdef, gdef.params)
-        assert covers(runs_global(g, unfold), achieved).holds(), (
-            gdef.name, role)
+        witnesses = [run for _, run in verdict.contexts]
+        assert covers(runs_global(g, unfold), witnesses).holds(), proc
+
+
+def _projectable(gdef) -> bool:
+    g = instantiate(gdef, gdef.params)
+    try:
+        for q in participants_ordered(g):
+            project(g, q)
+    except NonProjectable:
+        return False
+    return True
+
+
+def test_typing_implies_covering_on_generated_implementations():
+    """Differential: on the 299 roles of seeds 0-299 whose global type
+    projects on every role and whose process, built from the role's
+    projection with selector variables, typechecks, covering holds too."""
+    cases = 0
+    for seed in range(300):
+        for gdef, role, proc, domains in gen.role_implementations(seed):
+            if not _projectable(gdef) \
+                    or not wsi_by_typing(gdef, role, proc, domains).holds():
+                continue
+            cases += 1
+            verdict = wsi_by_covering(gdef, role, proc, domains)
+            assert verdict.holds(), (seed, role, str(verdict))
+    assert cases == 299
 
 
 def test_wsi_pop_quit_context_drives_exit_run(pop2, pop2_domains):
-    """The quit-client context elicits the EXIT run from the server."""
+    """Init's witness for the quit skeleton is the EXIT run, the run the
+    quit-only client CQuit drives.  Under G_POP that skeleton is below
+    the later ones that quit after helo, so it is searched under the
+    quit branch of G_POP alone."""
     g = pop2.globals_["G_POP"]
-    iota = {"s": pop2.processes["Init"].body,
-            "c": pop2.processes["CQuit"].body}
-    runs = runs_impl(iota, "u", g, pop2_domains)
+    init = pop2.processes["Init"].body
     exit_run = (Event("c", "!", "quit", UNIT), Event("s", "?", "quit", UNIT),
                 Event("s", "!", "bye", UNIT), Event("c", "?", "bye", UNIT))
-    assert exit_run in runs
+    v = wsi_by_covering(g, "s", init, pop2_domains)
+    assert exit_run not in [t for t, _ in v.contexts]
+    assert covers([exit_run], [w for _, w in v.contexts]).holds()
+    quit_only = GlobalDef("G_QUIT", g.params, GChoice("c", tuple(
+        b for b in g.body.branches if b.channel == "quit")))
+    v = wsi_by_covering(quit_only, "s", init, pop2_domains)
+    assert v.contexts == ((exit_run, exit_run),)
+
+
+def test_wsi_cquit_missing_helo(pop2, pop2_domains):
+    """CQuit only ever quits: the first skeleton through helo is missing."""
+    g = pop2.globals_["G_POP"]
+    v = wsi_by_covering(g, "c", pop2.processes["CQuit"].body, pop2_domains)
+    assert str(v) == ("MissingRun (c,helo!Str) (s,helo?Str) (s,e!Unit) "
+                      "(c,e?Unit) (s,bye!Unit) (c,bye?Unit): branch "
+                      "unreachable under declared domains")
+
+
+def test_covering_of_a_send_loop_is_inconclusive():
+    """The peer may send on a for ever and Q never drains it: the search
+    skips sends onto the full queue, finds no witness, and cannot tell a
+    missing run from one that needs a longer queue."""
+    module = parse_module(conftest.SEND_LOOP.read_text())
+    v = wsi_by_covering(module.globals_["G"], "q", module.processes["Q"].body)
+    assert v.inconclusive and not v.holds()
+    assert str(v) == ("Inconclusive (p,a!Int) (q,a?Int) (p,t!Unit) (q,t?Unit): "
+                      f"no witness with at most {QUEUE_BOUND} messages per queue")
+
+
+def test_role_problem_of_a_requester_playing_an_acceptor(pop2):
+    """A requester cannot play the role that accepts, and an idle
+    process plays no role."""
+    g = pop2.globals_["G_POP"]
+    assert _role_problem(g, "s", pop2.processes["CQuit"].body, "u") \
+        == "the process does not uniquely play 's' in 'u'"
+    assert _role_problem(g, "c", Branch(()), "u") \
+        == "the process opens no session of G_POP"
 
 
 def test_wsi_covering_unprojectable_peer_rejects(multiparty, multiparty_domains):
@@ -195,8 +341,6 @@ def test_wsi_covering_unprojectable_peer_rejects(multiparty, multiparty_domains)
     with a MissingRun naming the peer instead of raising."""
     g = multiparty.globals_["G_POP_M"]
     init2 = multiparty.processes["Init2"].body
-    with pytest.raises(NonViable, match="not projectable on 'a'"):
-        synthesize_contexts(g, "s", init2, multiparty_domains)
     v = wsi_by_covering(g, "s", init2, multiparty_domains)
     assert not v.holds()
     assert str(v).startswith("MissingRun <empty>: G_POP_M is not projectable "
