@@ -4,7 +4,7 @@ import pytest
 
 from chorus_wsi.projection import NonProjectable
 from chorus_wsi.syntax.ast import (
-    Event, GEnd, GlobalDef, INT, UNIT, TEnd, TExternal, TInternal, TIter, TSeq,
+    Event, GChoice, GEnd, GlobalDef, INT, UNIT, TEnd, TExternal, TInternal, TIter, TSeq,
 )
 from chorus_wsi.syntax import parse_type
 from chorus_wsi.traces import (
@@ -13,6 +13,7 @@ from chorus_wsi.traces import (
     runs_global, runs_spec, trace_leq, independent,
 )
 from chorus_wsi.typecheck import SpecEnv, instantiate
+from chorus_wsi.wsi import wsi_by_covering, wsi_by_typing
 
 import gen
 
@@ -181,6 +182,95 @@ def test_uncountable_specs_fall_back_to_enumeration(p, q, channels):
             == len(runs_spec(delta, channels, k))
 
 
+# ------------------------------------------- runs of an implementation
+
+def _impl_runs(iota: dict, shared: str, gdef, domains) -> set:
+    """The event sequences of the maximal runs of the system that plays
+    each role of gdef by iota's process, in the system semantics."""
+    from chorus_wsi.guards import Store
+    from chorus_wsi.semantics import SysState, system_steps
+    tags = dict(enumerate(iota))
+    sequences = set()
+
+    def explore(state, store, session, acc):
+        succ = system_steps(state, store)
+        if not succ:
+            sequences.add(acc)
+        for component, act, state2, store2 in succ:
+            session2, event = session, ()
+            if act.kind == "req" and act.shared == shared and session is None:
+                session2 = act.chans
+            elif act.kind in ("out", "in") and session \
+                    and act.channel in session:
+                names = dict(zip(session, gdef.params))
+                event = (Event(tags[component],
+                               "!" if act.kind == "out" else "?",
+                               names[act.channel], act.value.sort),)
+            explore(state2, store2, session2, acc + event)
+
+    explore(SysState(tuple(enumerate(iota.values())), (), ()),
+            Store(tables=domains.tables), None, ())
+    return sequences
+
+
+def _quit_only(gdef) -> GlobalDef:
+    return GlobalDef("G_QUIT", gdef.params, GChoice("c", tuple(
+        b for b in gdef.body.branches if b.channel == "quit")))
+
+
+def test_runs_impl_terminated_is_empty_run(pop2, pop2_domains):
+    """Idle processes make only the empty run, and an idle process is
+    not an implementation of any role: it opens no session."""
+    from chorus_wsi.syntax.ast import Branch
+    g = pop2.globals_["G_POP"]
+    iota = {"c": Branch(()), "s": Branch(())}
+    assert _impl_runs(iota, "u", g, pop2_domains) == {()}
+    v = wsi_by_covering(g, "s", Branch(()), pop2_domains)
+    assert not v.holds()
+    assert str(v) == "MissingRun <empty>: the process opens no session of G_POP"
+
+
+def test_runs_impl_quit_client(pop2, pop2_domains):
+    iota = {"s": pop2.processes["Init"].body,
+            "c": pop2.processes["CQuit"].body}
+    runs = _impl_runs(iota, "u", pop2.globals_["G_POP"], pop2_domains)
+    quit_run = (ev("c", "!", "quit"), ev("s", "?", "quit"),
+                ev("s", "!", "bye"), ev("c", "?", "bye"))
+    assert quit_run in runs
+
+
+def test_runs_impl_b2_never_sends_ok(atm, atm_domains):
+    from chorus_wsi.syntax.ast import Arm, Branch, Const, Request, Seq, Send, str_lit, int_lit
+    client = Request("atm", 1, ("login", "deposit", "overdraft", "ok", "ko"),
+                     Seq(Send("login", Const(str_lit("good"))),
+                         Seq(Send("overdraft", Const(int_lit(5))),
+                             Branch((Arm("ok", "v1", Branch(())),
+                                     Arm("ko", "v2", Branch(())))))))
+    g = atm.globals_["G_ATM"]
+    iota = {"b": atm.processes["B2"].body, "c": client}
+    runs = _impl_runs(iota, "atm", g, atm_domains)
+    assert runs
+    for r in runs:
+        assert ev("b", "!", "ok") not in r
+    v = wsi_by_covering(g, "b", atm.processes["B2"].body, atm_domains,
+                        shared_name="atm")
+    assert ev("b", "!", "ok") in mandatory(v.missing)
+
+
+def test_runs_impl_adequacy_replay(pop2, pop2_domains):
+    """Every covering witness of Init under the quit branch embeds into a
+    labelled execution of Init with the quit-only client, with
+    sort-respecting events."""
+    g = _quit_only(pop2.globals_["G_POP"])
+    init = pop2.processes["Init"].body
+    v = wsi_by_covering(g, "s", init, pop2_domains)
+    assert v.holds() and v.contexts
+    runs = _impl_runs({"c": pop2.processes["CQuit"].body, "s": init}, "u",
+                      g, pop2_domains)
+    for _, witness in v.contexts:
+        assert witness in runs
+
+
 # ------------------------------------------------------------ trace preorder
 
 def test_optional_below_empty():
@@ -250,6 +340,18 @@ def test_permutation_soundness_sampled(seed):
     other = tuple(gen.gen_event(rng) for _ in range(rng.randint(0, 4)))
     assert trace_leq(events, other) == trace_leq(swapped, other)
     assert trace_leq(other, events) == trace_leq(other, swapped)
+
+
+def test_not_an_implementation_wrong_role(pop2, pop2_domains):
+    """A requester cannot play s, the role that accepts: both checks
+    reject it before looking at its runs."""
+    g = pop2.globals_["G_POP"]
+    cquit = pop2.processes["CQuit"].body  # a requester cannot play s
+    problem = "the process does not uniquely play 's' in 'u'"
+    v = wsi_by_covering(g, "s", cquit, pop2_domains)
+    assert not v.holds() and str(v) == f"MissingRun <empty>: {problem}"
+    t = wsi_by_typing(g, "s", cquit, pop2_domains)
+    assert not t.holds() and t.error.rule == "role"
 
 
 # ------------------------------------ brute-force oracle for the preorder
