@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .syntax.ast import (
     BinOp, BOOL, Const, DATA, Expr, INT, Lit, ListLit, ModuleDecl, Range,
-    Sort, STR, UnOp, UNIT, Var, bool_lit, conj, expr_vars, int_lit, is_true,
+    Sort, STR, UnOp, UNIT, Var, bool_lit, conj, expr_vars, int_lit,
     list_sort, neg, str_lit,
 )
 
@@ -364,8 +364,6 @@ def _atom_mask(domains: DomainDecl, space: _Space, key, e: Expr, test):
 def is_unsat(e: Expr, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
     """True iff e evaluates to false under every total assignment drawn
     from the declared domains (exact for declared domains)."""
-    if is_true(e):  # the guard of every projection and most branches
-        return False
     space = domains._space(expr_vars(e))
     mask = _mask(domains, space, e)
     if mask is not None:

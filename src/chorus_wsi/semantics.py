@@ -88,21 +88,18 @@ class SpecLabel:
 
 def proc_canon(p: Process) -> Process:
     """Quotient by the sequential monoid laws: drop idle units and
-    reassociate to the right.  A term already in canonical form comes
-    back as the same object, with its hash cached."""
+    reassociate to the right."""
     match p:
         case Seq(first, second):
-            first2 = proc_canon(first)
-            second2 = proc_canon(second)
-            if is_nil(first2):
-                return second2
-            if is_nil(second2):
-                return first2
-            if isinstance(first2, Seq):
-                return proc_canon(Seq(first2.first, Seq(first2.second, second2)))
-            if first2 is first and second2 is second:
-                return p
-            return Seq(first2, second2)
+            first = proc_canon(first)
+            second = proc_canon(second)
+            if is_nil(first):
+                return second
+            if is_nil(second):
+                return first
+            if isinstance(first, Seq):
+                return proc_canon(Seq(first.first, Seq(first.second, second)))
+            return Seq(first, second)
         case _:
             return p
 

@@ -15,7 +15,6 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 from typing import Optional, Union
 
 
@@ -35,14 +34,12 @@ def frozen_node(cls):
     """
     cls = dataclass(frozen=True)(cls)
     names = [f.name for f in fields(cls) if f.compare]
-    values = attrgetter(*names) if len(names) > 1 else (  # a tuple always
-        lambda node: (getattr(node, names[0]),) if names else ())
 
     def __hash__(self):
         h = self._hash
         if h is None:
             h = hash(tuple([_NONE_HASH if v is None else v
-                            for v in values(self)]))
+                            for v in (getattr(self, n) for n in names)]))
             object.__setattr__(self, "_hash", h)
         return h
 

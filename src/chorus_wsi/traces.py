@@ -367,22 +367,20 @@ def independent(e1: Event, e2: Event) -> bool:
 
 def _foata(events: tuple) -> tuple:
     """Canonical layered form of a trace modulo commuting independent
-    events; equal layers mean equal equivalence classes."""
-    remaining = list(events)
-    layers = []
-    while remaining:
-        layer = []
-        blocked: list = []
-        for ev in remaining:
-            if any(not independent(ev, other) for other in blocked) \
-                    or any(not independent(ev, lev) for lev in layer):
-                blocked.append(ev)
-            else:
-                layer.append(ev)
-        layers.append(tuple(sorted(layer, key=lambda e: (
-            e.participant, e.channel, e.polarity, str(e.sort)))))
-        remaining = blocked
-    return tuple(layers)
+    events; equal layers mean equal equivalence classes.  An event's
+    layer is one past the last layer of the earlier events it depends
+    on, those with its participant or its channel."""
+    last: dict = {}  # ("p", participant) or ("c", channel) -> its layer
+    layers: list = []
+    for ev in events:
+        keys = ("p", ev.participant), ("c", ev.channel)
+        k = 1 + max(last.get(key, -1) for key in keys)
+        if k == len(layers):
+            layers.append([])
+        layers[k].append(ev)
+        last.update(dict.fromkeys(keys, k))
+    return tuple(tuple(sorted(layer, key=lambda e: (
+        e.participant, e.channel, e.polarity, str(e.sort)))) for layer in layers)
 
 
 def trace_leq(r1: tuple, r2: tuple) -> bool:
@@ -391,7 +389,7 @@ def trace_leq(r1: tuple, r2: tuple) -> bool:
     segments of either side are droppable)."""
     m1 = mandatory(r1)
     m2 = mandatory(r2)
-    if not m1 or m1 == m2:
+    if not m1:
         return True
     if len(m1) > len(m2):
         return False
@@ -402,7 +400,7 @@ def trace_leq(r1: tuple, r2: tuple) -> bool:
         counts[ev] = counts.get(ev, 0) - 1
         if counts[ev] < 0:
             return False
-    if len(m1) == len(m2) and _foata(m1) == _foata(m2):
+    if _foata(m1) == _foata(m2):
         return True
     return _embed(m1, m2)
 

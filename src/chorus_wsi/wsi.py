@@ -12,14 +12,19 @@ the process and its store, its pending variables, its session-channel
 map, the other roles' normalized projections (stepped by
 `semantics.type_steps`), the queues, and the bitmask of the events of s
 matched so far.  A complete state with all of s matched is a witness.
-A free variable with a declared domain starts pending, and so does a
-variable that receives a peer's payload; it takes each candidate value
-at the first step that raises `Undefined` on it.  An emitted event
-matches the first unmatched copy of its label in s if every earlier
-event of s it depends on (`traces.independent`) is matched, and is
-extra otherwise.  Copies of a label depend on each other, so this greedy
-matching keeps up with any embedding: it matches all of s on a run iff
-s embeds into the run, and one visited set of (state, mask) loses none.
+As in the system semantics, the session opens on a request with one
+acceptor per other role by the first participant, or on an accept by
+any other, naming as many channels as the global type.  A free variable
+with a declared domain starts pending, and so does a variable that
+receives a peer's payload; it takes each candidate value at the first
+step that raises `Undefined` on it.  Any other evaluation error stops
+the search, as in the system semantics, and is the reason given for the
+target's `MissingRun`.  An emitted event matches the first unmatched
+copy of its label in s if every earlier event of s it depends on
+(`traces.independent`) is matched, and is extra otherwise.  Copies of a
+label depend on each other, so this greedy matching keeps up with any
+embedding: it matches all of s on a run iff s embeds into the run, and
+one visited set of (state, mask) loses none.
 
 A witness is a context: along it each other role makes moves of its
 projection, and the straight-line process making them, sending on each
@@ -162,6 +167,8 @@ class _Product:
                  domains: DomainDecl, shared_name: str, peers: tuple):
         self.role, self.domains, self.shared_name = role, domains, shared_name
         self.params, self.peers = gdef.params, peers
+        self.opens = ("req", len(peers)) if role == participants_ordered(g)[0] \
+            else ("acc", None)  # the label, with its arity, that opens
         self.queues = tuple((y, ()) for y in sorted(set(gdef.params)
                                                     | g_channels(g)))
         store = Store(tables=domains.tables)
@@ -182,15 +189,13 @@ class _Product:
         except Undefined as exc:
             drawn = next((p for p in pending if p[0] in exc.missing), None)
             if drawn is None:
-                return []  # stuck, as the process is in the semantics
+                raise  # as in the system semantics
             name, sort = drawn
             values = sorted(self.domains.domains[name], key=str) if sort is None \
                 else dict.fromkeys([*self.domains.values_of_sort(sort),
                                     Lit(sort, _DEFAULTS[sort.kind])])
             return [step for value in values for step in self.process_steps(
                 proc, store.with_var(name, value), pending - {drawn}, oracle)]
-        except EvalError:
-            return []
 
     def successors(self, state: _State) -> tuple:
         out, skipped = [], False
@@ -204,7 +209,9 @@ class _Product:
             event, chans, peers, new_queues = None, state.chans, state.peers, \
                 state.queues
             if label.kind in ("req", "acc"):
-                if label.shared != self.shared_name or chans is not None:
+                if label.shared != self.shared_name or chans is not None \
+                        or (label.kind, label.arity) != self.opens \
+                        or len(label.chans) != len(self.params):
                     continue  # no partner ever joins
                 chans = tuple(zip(label.chans, self.params))
                 peers, new_queues = self.peers, self.queues
@@ -347,7 +354,11 @@ def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
     for target in targets:
         if any(trace_leq(target, done) for done, _ in witnesses):
             continue
-        run, skipped = product.witness(target)
+        try:
+            run, skipped = product.witness(target)
+        except EvalError as exc:  # a step of the process went wrong
+            return CoveringVerdict(False, missing=target,
+                                   reason=f"evaluation error: {exc}")
         if run is None:
             return CoveringVerdict(False, missing=target, reason=(
                 f"no witness with at most {QUEUE_BOUND} messages per queue"

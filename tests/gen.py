@@ -11,6 +11,7 @@ import random
 from chorus_wsi.guards import DomainDecl
 from chorus_wsi.projection import NonProjectable, project, well_formed
 from chorus_wsi.pseudotype import normal_form
+from chorus_wsi.semantics import SysState, system_steps
 from chorus_wsi.syntax.ast import (
     Accept, Arm, BinOp, Branch, Const, DATA, Event, FALSE, For, GBranch,
     GChoice, GEnd, GIter, GSeq, GlobalDef, If, INT, Lit, Par, Proc, Process,
@@ -314,4 +315,37 @@ def role_implementations(seed: int) -> list:
         domains = DomainDecl({name: frozenset({bool_lit(True), bool_lit(False)})
                               for name in builder.selectors})
         out.append((gdef, role, proc, domains))
+    return out
+
+
+# ------------------------------------------------- runs of a system
+
+def system_runs(procs: dict, gdef, shared: str, store) -> dict:
+    """The event sequences of the maximal runs, in the system semantics,
+    of the system that plays each role (a key of procs) by its process,
+    each mapped to whether one of its runs is complete: the session on
+    `shared` opened, every process terminated and the session's queues
+    drained.  Events name the channels of gdef."""
+    tags = dict(enumerate(procs))
+    out = {}
+
+    def explore(state, store, session, acc):
+        succ = system_steps(state, store)
+        if not succ:
+            out[acc] = out.get(acc, False) or (
+                session is not None and state.is_terminated()
+                and not any(dict(state.queues).get(y) for y in session))
+        for component, act, state2, store2 in succ:
+            session2, event = session, ()
+            if act.kind == "req" and act.shared == shared and session is None:
+                session2 = act.chans
+            elif act.kind in ("out", "in") and session \
+                    and act.channel in session:
+                names = dict(zip(session, gdef.params))
+                event = (Event(tags[component],
+                               "!" if act.kind == "out" else "?",
+                               names[act.channel], act.value.sort),)
+            explore(state2, store2, session2, acc + event)
+
+    explore(SysState(tuple(enumerate(procs.values())), (), ()), store, None, ())
     return out

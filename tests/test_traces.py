@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from chorus_wsi.guards import Store
 from chorus_wsi.projection import NonProjectable
 from chorus_wsi.syntax.ast import (
     Event, GChoice, GEnd, GlobalDef, INT, UNIT, TEnd, TExternal, TInternal, TIter, TSeq,
@@ -10,7 +11,7 @@ from chorus_wsi.syntax import parse_type
 from chorus_wsi.traces import (
     MissingRun, Opt, RUN_COUNTS, Uncountable,
     covers, mandatory, projection_env, run_count, run_str,
-    runs_global, runs_spec, trace_leq, independent,
+    runs_global, runs_spec, trace_leq, independent, _foata,
 )
 from chorus_wsi.typecheck import SpecEnv, instantiate
 from chorus_wsi.wsi import wsi_by_covering, wsi_by_typing
@@ -187,30 +188,7 @@ def test_uncountable_specs_fall_back_to_enumeration(p, q, channels):
 def _impl_runs(iota: dict, shared: str, gdef, domains) -> set:
     """The event sequences of the maximal runs of the system that plays
     each role of gdef by iota's process, in the system semantics."""
-    from chorus_wsi.guards import Store
-    from chorus_wsi.semantics import SysState, system_steps
-    tags = dict(enumerate(iota))
-    sequences = set()
-
-    def explore(state, store, session, acc):
-        succ = system_steps(state, store)
-        if not succ:
-            sequences.add(acc)
-        for component, act, state2, store2 in succ:
-            session2, event = session, ()
-            if act.kind == "req" and act.shared == shared and session is None:
-                session2 = act.chans
-            elif act.kind in ("out", "in") and session \
-                    and act.channel in session:
-                names = dict(zip(session, gdef.params))
-                event = (Event(tags[component],
-                               "!" if act.kind == "out" else "?",
-                               names[act.channel], act.value.sort),)
-            explore(state2, store2, session2, acc + event)
-
-    explore(SysState(tuple(enumerate(iota.values())), (), ()),
-            Store(tables=domains.tables), None, ())
-    return sequences
+    return set(gen.system_runs(iota, gdef, shared, Store(tables=domains.tables)))
 
 
 def _quit_only(gdef) -> GlobalDef:
@@ -304,6 +282,35 @@ def test_dependent_events_do_not_commute():
     a = ev("p", "!", "a")
     a2 = ev("q", "?", "a")  # same channel
     assert not trace_leq((a, a2), (a2, a))
+
+
+def _foata_by_passes(events: tuple) -> tuple:
+    """The Foata form by repeated passes: each pass takes, in order, the
+    events that depend on no event it leaves behind nor on one it took."""
+    remaining, layers = list(events), []
+    while remaining:
+        layer, blocked = [], []
+        for e in remaining:
+            if any(not independent(e, other) for other in blocked + layer):
+                blocked.append(e)
+            else:
+                layer.append(e)
+        layers.append(tuple(sorted(layer, key=lambda e: (
+            e.participant, e.channel, e.polarity, str(e.sort)))))
+        remaining = blocked
+    return tuple(layers)
+
+
+def test_foata_layers_agree_with_repeated_passes():
+    """One pass that puts each event one layer past the last event it
+    depends on gives the layers of the repeated passes, also when a
+    participant and a channel share a name."""
+    rng = random.Random(9100)
+    for _ in range(500):
+        run = tuple(gen.gen_event(rng, participants=("p", "q", "a"),
+                                  channels=("a", "b", "c"))
+                    for _ in range(rng.randint(0, 12)))
+        assert _foata(run) == _foata_by_passes(run), run
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -1,16 +1,18 @@
+import dataclasses
 import itertools
 
 import pytest
 
 from chorus_wsi.guards import Store
 from chorus_wsi.projection import NonProjectable, project
-from chorus_wsi.semantics import SysState, system_steps
 from chorus_wsi.syntax.ast import (
     Accept, Arm, Branch, Const, Event, GChoice, GEnd, GlobalDef, Lit, Request,
     Send, Seq, UNIT, fX,
 )
 from chorus_wsi.syntax import parse_module
-from chorus_wsi.traces import covers, mandatory, runs_global, trace_leq
+from chorus_wsi.traces import (
+    _foata, covers, mandatory, runs_global, trace_leq,
+)
 from chorus_wsi.typecheck import instantiate, participants_ordered
 from chorus_wsi.wsi import (
     QUEUE_BOUND, _role_problem,
@@ -105,38 +107,13 @@ def _straight_line(events: list, payloads: list) -> object:
     return proc
 
 
-def _complete_runs(procs: dict, gdef, shared: str, store: Store) -> set:
-    """The event sequences of the complete runs of the system of procs,
-    over the global type's channel names."""
-    tags = dict(enumerate(procs))
-    out = set()
-
-    def explore(state, store, session, acc):
-        if session is not None and state.is_terminated() \
-                and not any(dict(state.queues).get(y) for y in session):
-            out.add(acc)
-        for component, act, state2, store2 in system_steps(state, store):
-            session2, event = session, ()
-            if act.kind == "req" and act.shared == shared:
-                session2 = act.chans
-            elif act.kind in ("out", "in") and session \
-                    and act.channel in session:
-                names = dict(zip(session, gdef.params))
-                event = (Event(tags[component],
-                               "!" if act.kind == "out" else "?",
-                               names[act.channel], act.value.sort),)
-            explore(state2, store2, session2, acc + event)
-
-    explore(SysState(tuple(enumerate(procs.values())), (), ()), store, None, ())
-    return out
-
-
 def test_context_determinism(request):
     """Each witness is realized by a deterministic straight-line context:
     the checked process, given some starting store over its declared
     free variables, with each peer making its events of the witness in
     order and sending some candidate payloads, has a complete run in the
-    system semantics that covers the witness's target."""
+    system semantics that covers the witness's target, and no run of
+    another Foata class."""
     for module, proc, role, shared in [("atm", "B1", "b", "atm"),
                                        ("atm", "CATM", "c", "atm"),
                                        ("pop2", "Init", "s", "u")]:
@@ -153,7 +130,9 @@ def test_context_determinism(request):
 
 def _realized(target, witness, gdef, role, body, domains, shared) -> bool:
     """Some candidate payloads and starting store make the straight-line
-    peers read off the witness drive body through a run covering target."""
+    peers read off the witness drive body through a run covering target,
+    and every maximal run of that system is the same run up to swapping
+    independent events."""
     parts = participants_ordered(instantiate(gdef, gdef.params))
     free = sorted(fX(body) & set(domains.domains))
     peers = {q: [ev for ev in witness if ev.participant == q]
@@ -171,9 +150,12 @@ def _realized(target, witness, gdef, role, body, domains, shared) -> bool:
             choice = choice[sends:]
             procs[q] = (Request(shared, len(parts) - 1, gdef.params, peer)
                         if q == parts[0] else Accept(shared, q, gdef.params, peer))
-        runs = _complete_runs(procs, gdef, shared,
-                              Store(start, tables=domains.tables))
-        if any(trace_leq(target, r) for r in runs):
+        runs = gen.system_runs(procs, gdef, shared,
+                               Store(start, tables=domains.tables))
+        if any(complete and trace_leq(target, r)
+               for r, complete in runs.items()):
+            # deterministic: its runs are one run up to independent swaps
+            assert len({_foata(mandatory(r)) for r in runs}) == 1, runs
             return True
     return False
 
@@ -306,13 +288,51 @@ def test_wsi_pop_quit_context_drives_exit_run(pop2, pop2_domains):
     assert v.contexts == ((exit_run, exit_run),)
 
 
+_CPOP_SKELETON = ("(c,helo!Str) (s,helo?Str) (s,e!Unit) (c,e?Unit) "
+                  "(s,bye!Unit) (c,bye?Unit)")
+
+
 def test_wsi_cquit_missing_helo(pop2, pop2_domains):
     """CQuit only ever quits: the first skeleton through helo is missing."""
     g = pop2.globals_["G_POP"]
     v = wsi_by_covering(g, "c", pop2.processes["CQuit"].body, pop2_domains)
-    assert str(v) == ("MissingRun (c,helo!Str) (s,helo?Str) (s,e!Unit) "
-                      "(c,e?Unit) (s,bye!Unit) (c,bye?Unit): branch "
-                      "unreachable under declared domains")
+    assert str(v) == (f"MissingRun {_CPOP_SKELETON}: branch unreachable "
+                      "under declared domains")
+
+
+@pytest.mark.parametrize("change", ["arity", "channels", "accept"])
+def test_covering_opens_only_sessions_the_system_semantics_opens(
+        pop2, pop2_domains, change):
+    """CPop requesting two acceptors, naming a channel too few, or
+    accepting as the requesting role c never starts its session with
+    Init in the system semantics, so covering has no witness."""
+    g = pop2.globals_["G_POP"]
+    cpop = pop2.processes["CPop"].body
+    assert wsi_by_covering(g, "c", cpop, pop2_domains).holds()
+    proc = {"arity": dataclasses.replace(cpop, arity=2),
+            "channels": dataclasses.replace(cpop, chans=cpop.chans[:-1]),
+            "accept": Accept(cpop.shared, "c", cpop.chans, cpop.cont)}[change]
+    runs = gen.system_runs({"c": proc, "s": pop2.processes["Init"].body},
+                           g, "u", Store(tables=pop2_domains.tables))
+    assert runs == {(): False}
+    v = wsi_by_covering(g, "c", proc, pop2_domains)
+    assert str(v) == (f"MissingRun {_CPOP_SKELETON}: branch unreachable "
+                      "under declared domains")
+
+
+@pytest.mark.parametrize("proc, error", [
+    ("Mismatch", "+: expected Int, got Bool"),
+    ("Unbound", "unbound variable 'y'"),
+], ids=["sort-mismatch", "unbound"])
+def test_covering_reports_an_evaluation_error(proc, error):
+    """An evaluation error on a value the search does not draw is the
+    reason of the MissingRun, not an unreachable branch."""
+    module = parse_module(
+        "global G(a) = p -> q : { a(Int). end }\n"
+        "process Mismatch plays p of G = request u[1](a). a!(1 + true)\n"
+        "process Unbound plays p of G = request u[1](a). a!(y)\n")
+    v = wsi_by_covering(module.globals_["G"], "p", module.processes[proc].body)
+    assert str(v) == f"MissingRun (p,a!Int) (q,a?Int): evaluation error: {error}"
 
 
 def test_covering_of_a_send_loop_is_inconclusive():
@@ -324,16 +344,6 @@ def test_covering_of_a_send_loop_is_inconclusive():
     assert v.inconclusive and not v.holds()
     assert str(v) == ("Inconclusive (p,a!Int) (q,a?Int) (p,t!Unit) (q,t?Unit): "
                       f"no witness with at most {QUEUE_BOUND} messages per queue")
-
-
-def test_role_problem_of_a_requester_playing_an_acceptor(pop2):
-    """A requester cannot play the role that accepts, and an idle
-    process plays no role."""
-    g = pop2.globals_["G_POP"]
-    assert _role_problem(g, "s", pop2.processes["CQuit"].body, "u") \
-        == "the process does not uniquely play 's' in 'u'"
-    assert _role_problem(g, "c", Branch(()), "u") \
-        == "the process opens no session of G_POP"
 
 
 def test_wsi_covering_unprojectable_peer_rejects(multiparty, multiparty_domains):
@@ -390,7 +400,6 @@ def test_wsi_cli_wrong_role_exit_1(capsys, role):
 def test_every_corpus_entry_process_plays_its_role(pop2, atm, multiparty):
     """The role check rejects no declared entry process of the corpus."""
     from chorus_wsi.syntax.ast import fU
-    from chorus_wsi.wsi import _role_problem
     for module in (pop2, atm, multiparty):
         for decl in module.processes.values():
             if decl.role is None:
