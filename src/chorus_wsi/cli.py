@@ -88,6 +88,27 @@ def run_to_json(run: tuple) -> list:
     return out
 
 
+def runs_json(runs) -> str:
+    """`json.dumps([run_to_json(r) for r in runs], indent=2)`, written
+    one distinct run item at a time: the runs of a global type repeat a
+    few dozen events and optional segments thousands of times, and the
+    indenting encoder is pure Python."""
+    texts = {}
+
+    def text(item) -> str:
+        out = texts.get(item)
+        if out is None:  # nested at depth 2: indent each line 4 more
+            out = texts[item] = json.dumps(run_to_json((item,))[0],
+                                           indent=2).replace("\n", "\n    ")
+        return out
+
+    if not runs:
+        return "[]"
+    return "[\n" + ",\n".join(
+        "  [\n    " + ",\n    ".join(map(text, run)) + "\n  ]" if run
+        else "  []" for run in runs) + "\n]"
+
+
 # ---------------------------------------------------------------- commands
 
 def cmd_parse(args) -> int:
@@ -174,7 +195,7 @@ def cmd_typecheck(args) -> int:
             if kind == "process":
                 decl = module.processes[name]
                 gdef = module.globals_[decl.global_name] if decl.global_name \
-                    else _the_global(module, None)
+                    else _the_global(module, args.global_name)
                 shared = _shared_env(gdef, decl.body)
                 typecheck_process(gamma, TRUE, decl.body, shared, domains)
             else:
@@ -192,13 +213,15 @@ def cmd_typecheck(args) -> int:
                 if last_error is not None:
                     raise last_error
             results[name] = {"ok": True}
-            print(_ok(f"{name}: well typed"))
+            if not args.json:
+                print(_ok(f"{name}: well typed"))
         except KeyError:
             raise UsageError(f"no {kind} named {name!r}")
         except TypingError as exc:
             results[name] = {"ok": False, **exc.to_json()}
             failures.append(name)
-            print(_bad(f"{name}: {exc}"))
+            if not args.json:
+                print(_bad(f"{name}: {exc}"))
     if args.json:
         print(json.dumps(results, indent=2))
     return 1 if failures else 0
@@ -250,6 +273,9 @@ def cmd_simulate(args) -> int:
     terminated = state.is_terminated()
     if args.trace:
         Path(args.trace).write_text(json.dumps(trace, indent=2) + "\n")
+    if args.json:
+        print(json.dumps({"terminated": terminated, "steps": trace}, indent=2))
+        return 0
     for entry in trace:
         print(f"[{entry['component']}] {entry['label']}")
     print(("terminated" if terminated else "stopped") + f" after {len(trace)} steps")
@@ -262,7 +288,7 @@ def cmd_traces(args) -> int:
     g = instantiate(gdef, gdef.params)
     runs = sorted(runs_global(g, args.unfold), key=run_str)
     if args.json:
-        print(json.dumps([run_to_json(r) for r in runs], indent=2))
+        print(runs_json(runs))
     else:
         for r in runs:
             print(run_str(r))
@@ -318,6 +344,7 @@ def cmd_cover(args) -> int:
         if not verdict.holds():
             payload["missing"] = run_to_json(verdict.run)
         print(json.dumps(payload, indent=2))
+        return 0 if verdict.holds() else 1
     if verdict.holds():
         print(_ok(f"Holds@{args.unfold}: {n_global} global runs covered by "
                   f"{n_spec} specification runs"))
@@ -345,8 +372,9 @@ def cmd_wsi(args) -> int:
         verdict = wsi_by_typing(gdef, role, decl.body, domains, shared_name)
         payload["typing"] = {"holds": verdict.holds(),
                              "detail": str(verdict)}
-        print(("typing:   " + (_ok(str(verdict)) if verdict.holds()
-                               else _bad(str(verdict)))))
+        if not args.json:
+            print("typing:   " + (_ok(str(verdict)) if verdict.holds()
+                                  else _bad(str(verdict))))
         code = code or (0 if verdict.holds() else 1)
     if args.mode in ("covering", "both"):
         verdict = wsi_by_covering(gdef, role, decl.body, domains,
@@ -357,7 +385,9 @@ def cmd_wsi(args) -> int:
         payload["covering"] = {"holds": verdict.holds(), "detail": detail}
         if not verdict.holds() and verdict.missing:
             payload["covering"]["missing"] = run_to_json(verdict.missing)
-        print("covering: " + (_ok(detail) if verdict.holds() else _bad(detail)))
+        if not args.json:
+            print("covering: " + (_ok(detail) if verdict.holds()
+                                  else _bad(detail)))
         code = code or (0 if verdict.holds() else
                         3 if verdict.inconclusive else 1)
     if args.json:

@@ -1,11 +1,16 @@
 import json
+import random
 import time
 
 import pytest
 
-from chorus_wsi.cli import main
+from chorus_wsi.cli import main, run_to_json, runs_json
+from chorus_wsi.syntax import parse_module
+from chorus_wsi.traces import Opt, run_str, runs_global
+from chorus_wsi.typecheck import instantiate
 
 import conftest
+import gen
 
 POP2 = str(conftest.CORPUS / "pop2.chor")
 ATM = str(conftest.CORPUS / "atm.chor")
@@ -72,8 +77,7 @@ def test_typecheck_b1_ok_b2_rejected(capsys):
     assert code == 0
     code, out, _ = run(capsys, "typecheck", ATM, "--proc", "B2", "--json")
     assert code == 1
-    assert "VSend" in out
-    payload = json.loads(out[out.index("{"):])
+    payload = json.loads(out)
     assert payload["B2"]["rule"] == "VSend"
 
 
@@ -86,6 +90,22 @@ def test_simulate_writes_trace(tmp_path, capsys):
     assert "terminated" in out
     entries = json.loads(trace.read_text())
     assert entries and all("label" in e and "store-delta" in e for e in entries)
+
+
+def test_simulate_json_is_deterministic_with_seed(tmp_path, capsys):
+    trace = tmp_path / "trace.json"
+    outs = []
+    for _ in range(2):
+        code, out, _ = run(capsys, "simulate", POP2, "--system", "POP_FULL",
+                           "--steps", "60", "--seed", "7", "--json",
+                           "--trace", str(trace))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    payload = json.loads(outs[0])
+    assert set(payload) == {"terminated", "steps"}
+    assert isinstance(payload["terminated"], bool)
+    assert payload["steps"] == json.loads(trace.read_text())
 
 
 def test_simulate_deterministic_with_seed(capsys):
@@ -106,6 +126,37 @@ def test_traces_json(capsys):
     assert all(isinstance(r, list) for r in runs)
     flat = [e for r in runs for e in r if "p" in e]
     assert {"p", "dir", "chan", "sort"} <= set(flat[0])
+
+
+def _encoded(runs) -> str:
+    return json.dumps([run_to_json(r) for r in runs], indent=2)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_runs_json_matches_the_encoder_on_the_corpus(k):
+    checked = 0
+    for path in sorted(conftest.CORPUS.glob("*.chor")):
+        for gdef in parse_module(path.read_text()).globals_.values():
+            runs = sorted(runs_global(instantiate(gdef, gdef.params), k),
+                          key=run_str)
+            assert runs_json(runs) == _encoded(runs), (path.name, gdef.name)
+            checked += 1
+    assert checked == 14
+
+
+def test_runs_json_matches_the_encoder_on_generated_globals():
+    rng = random.Random(11)
+    seen_opt = seen_empty = False
+    for case in range(300):
+        g = gen.gen_global(rng)
+        for k in (1, 2):
+            runs = sorted(runs_global(g, k), key=run_str)
+            assert runs_json(runs) == _encoded(runs), (case, k)
+            seen_empty |= () in runs
+            seen_opt |= any(isinstance(x, Opt) for r in runs for x in r)
+    assert seen_opt and seen_empty
+    for runs in ([], [()]):
+        assert runs_json(runs) == _encoded(runs)
 
 
 def test_cover_holds(capsys):
@@ -137,7 +188,7 @@ def test_cover_answers_at_unfold_3(capsys):
                    "specification runs\n")
     code, out, _ = run(capsys, "cover", POP2, "--unfold", "3", "--json")
     assert code == 0
-    payload = json.loads(out[:out.rindex("}") + 1])
+    payload = json.loads(out)
     assert payload == {"holds": True, "global-runs": 621437,
                        "spec-runs": 621438}
 
@@ -152,7 +203,7 @@ def test_cover_prints_every_digit_up_to_the_limit(capsys):
     assert head.removeprefix("Holds@80: ").isdigit()
     code, out, _ = run(capsys, "cover", POP2, "--unfold", "80", "--json")
     assert code == 0
-    payload = json.loads(out[:out.rindex("}") + 1])
+    payload = json.loads(out)
     assert str(payload["global-runs"]) == head.removeprefix("Holds@80: ")
 
 
@@ -169,7 +220,7 @@ def test_cover_past_the_decimal_limit(capsys, k, count):
                    "specification runs\n")
     code, out, err = run(capsys, "cover", POP2, "--unfold", str(k), "--json")
     assert (code, err) == (0, "")
-    payload = json.loads(out[:out.rindex("}") + 1])
+    payload = json.loads(out)
     assert payload == {"holds": True, "global-runs": count, "spec-runs": count}
 
 
@@ -220,8 +271,8 @@ def test_wsi_b2_exit_1_missing_run(capsys):
     code, out, _ = run(capsys, "wsi", ATM, "--proc", "B2", "--unfold", "1",
                        "--mode", "both", "--json")
     assert code == 1
-    assert "MissingRun" in out
-    payload = json.loads(out[out.index("{"):])
+    payload = json.loads(out)
+    assert payload["covering"]["detail"].startswith("MissingRun")
     missing = payload["covering"]["missing"]
     assert {"p": "b", "dir": "!", "chan": "ok", "sort": "Unit"} in missing
 
@@ -241,6 +292,19 @@ def test_typecheck_system_resolves_entry_global(capsys):
     code, out, _ = run(capsys, "typecheck", mp)
     assert code == 0
     assert "POP_M_RUN: well typed" in out
+
+
+def test_typecheck_proc_without_plays_takes_the_global(capsys):
+    """A process that declares no `plays` is checked against --global,
+    not against the module's unique entry global, which pop2_multiparty
+    does not have."""
+    code, out, err = run(capsys, "typecheck", MP, "--proc", "Srv2",
+                         "--global", "G_POP_M")
+    assert (code, err) == (1, "")
+    assert out.startswith("Srv2: VRcv")
+    code, _, err = run(capsys, "typecheck", MP, "--proc", "Srv2",
+                       "--global", "NOPE")
+    assert code == 2 and "no global type named 'NOPE'" in err
 
 
 def test_color_env_toggle(capsys, monkeypatch):
