@@ -57,6 +57,18 @@ def _bad(text: str) -> str:
     return _color(text, "31")
 
 
+def _rejected(args, lines: list) -> int:
+    """Print a rejection made before any analysis (a global type that is
+    not well formed or not projectable, a role that is not a participant)
+    as its lines, or under --json as {"rejected": [lines]}; exit 1."""
+    if args.json:
+        print(json.dumps({"rejected": lines}, indent=2))
+    else:
+        for line in lines:
+            print(_bad(line))
+    return 1
+
+
 def _load(path: str) -> ModuleDecl:
     return parse_module(Path(path).read_text())
 
@@ -133,16 +145,15 @@ def cmd_project(args) -> int:
     gdef = _the_global(module, args.global_name)
     g = instantiate(gdef, gdef.params)
     if args.role not in participants_ordered(g):
-        print(_bad(f"{args.role!r} is not a participant of {gdef.name}"))
-        return 1
+        return _rejected(args, [f"{args.role!r} is not a participant of "
+                                f"{gdef.name}"])
     violations = well_formed(g)
     if violations:
         raise IllFormed(violations)
     try:
         local = remove_guards(normal_form(project(g, args.role), domains))
     except NonProjectable as exc:
-        print(_bad(f"not projectable: {exc}"))
-        return 1
+        return _rejected(args, [f"not projectable: {exc}"])
     if args.json:
         print(json.dumps({"role": args.role, "type": render_type(local)}))
     else:
@@ -327,8 +338,7 @@ def cmd_cover(args) -> int:
     try:
         delta = projection_env(gdef, domains)
     except NonProjectable as exc:
-        print(_bad(f"not projectable: {exc}"))
-        return 1
+        return _rejected(args, [f"not projectable: {exc}"])
     rs = runs_spec(delta, gdef.params, 1, domains)
     verdict = covers(rg, rs)
     if args.unfold == 1:  # the runs to count are built already
@@ -483,9 +493,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except IllFormed as exc:
-        for v in exc.violations:
-            print(_bad(str(v)))
-        return 1
+        return _rejected(args, [str(v) for v in exc.violations])
     except ParseError as exc:
         print(_bad(f"{args.file}:{exc}"), file=sys.stderr)
         return 2

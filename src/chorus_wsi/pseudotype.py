@@ -15,7 +15,7 @@ from __future__ import annotations
 from .guards import DomainDecl, EMPTY_DOMAINS, is_unsat, mutually_exclusive, equivalent
 from .syntax.ast import (
     Expr, FALSE, PseudoType, TBranch, TEnd, TExternal, TInternal, TIter,
-    TRUE, TSeq, conj, disj,
+    TRUE, TSeq, conj, disj, is_true,
 )
 
 
@@ -48,8 +48,30 @@ _RECURSE_HOOK = None
 
 def normalize(e: Expr, t: PseudoType, domains: DomainDecl = EMPTY_DOMAINS) -> PseudoType:
     """nf_e(T): propagate the guard e through T, pruning branches whose
-    guard is inconsistent with e."""
+    guard is inconsistent with e.
 
+    Under the true guard the result is kept on t (`frozen_node`) together
+    with the `DomainDecl` it was computed under, and the result is marked
+    as its own normal form under that `DomainDecl`.  The mark stands for
+    nf(nf(T)) = nf(T): normalizing a normal form again prunes nothing and
+    only conjoins guards that are already there (`g and g` for `g`), an
+    equivalent type.  Each node keeps one entry, so a call under another
+    `DomainDecl` (compared by identity) recomputes and replaces it, and
+    the entry dies with the node.  Normalization under any other guard
+    is not kept.
+    """
+    if not is_true(e):
+        return _propagate(e, t, domains)
+    kept = t._nf
+    if kept is not None and kept[0] is domains:
+        return t if kept[1] is None else kept[1]
+    nf = _propagate(TRUE, t, domains)
+    object.__setattr__(t, "_nf", (domains, nf))
+    object.__setattr__(nf, "_nf", (domains, None))
+    return nf
+
+
+def _propagate(e: Expr, t: PseudoType, domains: DomainDecl) -> PseudoType:
     def recurse(e2, t2, parent):
         if _RECURSE_HOOK is not None:
             _RECURSE_HOOK(parent, t2)

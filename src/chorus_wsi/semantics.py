@@ -88,20 +88,35 @@ class SpecLabel:
 
 def proc_canon(p: Process) -> Process:
     """Quotient by the sequential monoid laws: drop idle units and
-    reassociate to the right."""
-    match p:
-        case Seq(first, second):
-            first = proc_canon(first)
-            second = proc_canon(second)
-            if is_nil(first):
-                return second
-            if is_nil(second):
-                return first
-            if isinstance(first, Seq):
-                return proc_canon(Seq(first.first, Seq(first.second, second)))
-            return Seq(first, second)
-        case _:
-            return p
+    reassociate to the right.
+
+    Only a `Seq` changes.  Its canonical form is kept on it
+    (`frozen_node`), and a canonical `Seq` is marked as its own, so a
+    body stepped again and again is walked once; the entries die with
+    their nodes."""
+    if not isinstance(p, Seq):
+        return p
+    kept = p._canon
+    if kept is None:
+        kept = _reassociate(proc_canon(p.first), proc_canon(p.second))
+        object.__setattr__(p, "_canon", kept)
+        if isinstance(kept, Seq):
+            object.__setattr__(kept, "_canon", _CANONICAL)
+    return p if kept is _CANONICAL else kept
+
+
+_CANONICAL = "canonical"  # the `_canon` of a Seq in canonical form
+
+
+def _reassociate(first: Process, second: Process) -> Process:
+    """The canonical form of `first; second`, both canonical."""
+    if is_nil(first):
+        return second
+    if is_nil(second):
+        return first
+    if isinstance(first, Seq):
+        return proc_canon(Seq(first.first, Seq(first.second, second)))
+    return Seq(first, second)
 
 
 def step_process(p: Process, store: Store, oracle) -> list:

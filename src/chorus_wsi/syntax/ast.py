@@ -20,17 +20,30 @@ from typing import Optional, Union
 
 _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 
+# The values a node derives from itself and keeps: its hash, its normal
+# form under the true guard (`pseudotype.normalize`) and its canonical
+# process (`semantics.proc_canon`).
+DERIVED = ("_hash", "_nf", "_canon")
+
 
 def frozen_node(cls):
-    """`@dataclass(frozen=True)` with the hash computed once per instance.
+    """`@dataclass(frozen=True)` whose derived values are computed once
+    per instance.
 
     The generated hash walks the whole tree on every call.  This one is
-    the hash of the tuple of the compared fields, kept on the instance
-    and left out of pickled state, since string hashes differ between
-    processes.  A field that is None hashes as a fixed constant rather
-    than as `hash(None)`, which follows the object's address on some
-    Python versions: so under a fixed `PYTHONHASHSEED` a node hashes the
-    same in every process, and so do the orders of sets of nodes.
+    the hash of the tuple of the compared fields, kept on the instance.
+    A field that is None hashes as a fixed constant rather than as
+    `hash(None)`, which follows the object's address on some Python
+    versions: so under a fixed `PYTHONHASHSEED` a node hashes the same
+    in every process, and so do the orders of sets of nodes.
+
+    Every name in `DERIVED` is such a per-instance cache, None until its
+    owner fills it with `object.__setattr__`.  A cache lives exactly as
+    long as its node: nothing is kept at module level, so a value
+    computed for one parsed module never serves another one, even an
+    equal one parsed later in the same process.  Caches are left out of
+    pickled state, since string hashes differ between processes and a
+    cached normal form names the `DomainDecl` it was computed under.
     """
     cls = dataclass(frozen=True)(cls)
     names = [f.name for f in fields(cls) if f.compare]
@@ -44,9 +57,10 @@ def frozen_node(cls):
         return h
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+        return {k: v for k, v in self.__dict__.items() if k not in DERIVED}
 
-    cls._hash = None
+    for name in DERIVED:
+        setattr(cls, name, None)
     cls.__hash__ = __hash__
     cls.__getstate__ = __getstate__
     return cls

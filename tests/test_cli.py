@@ -398,3 +398,41 @@ def test_exit_code_contract(capsys, argv, code, stderr, stdout):
     assert stderr in err
     assert stdout in out
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, lines", [
+    pytest.param(("cover", MP, "--global", "G_POP_M"),
+                 ["not projectable: cannot merge branches for uninvolved 'a'"],
+                 id="cover-non-projectable"),
+    pytest.param(("cover", str(conftest.ILL_FORMED)),
+                 ["self-communication: 'c' sends to itself on 'a'",
+                  "self-communication: 'c' sends to itself on 'b'"],
+                 id="cover-ill-formed"),
+    pytest.param(("traces", str(conftest.ILL_FORMED)),
+                 ["self-communication: 'c' sends to itself on 'a'",
+                  "self-communication: 'c' sends to itself on 'b'"],
+                 id="traces-ill-formed"),
+    pytest.param(("project", str(conftest.ILL_FORMED), "--role", "c"),
+                 ["self-communication: 'c' sends to itself on 'a'",
+                  "self-communication: 'c' sends to itself on 'b'"],
+                 id="project-ill-formed"),
+    pytest.param(("project", POP2, "--role", "zz"),
+                 ["'zz' is not a participant of G_POP"],
+                 id="project-non-participant"),
+    pytest.param(("project", MP, "--role", "a", "--global", "G_POP_M"),
+                 ["not projectable: cannot merge branches for uninvolved 'a'"],
+                 id="project-non-projectable"),
+])
+def test_early_rejections_are_one_json_document(capsys, argv, lines):
+    """A rejection before any analysis exits 1 with or without --json;
+    under --json it is {"rejected": [...]} holding the text lines."""
+    code, text, _ = run(capsys, *argv)
+    json_code, out, err = run(capsys, *argv, "--json")
+    assert code == json_code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert list(payload) == ["rejected"]
+    assert payload["rejected"] == text.splitlines()
+    assert len(payload["rejected"]) == len(lines)
+    for got, want in zip(payload["rejected"], lines):
+        assert got.startswith(want)

@@ -6,7 +6,9 @@ parameter it never reads, so no caller passes a value that cannot
 change an answer; no function assigns a local it never reads, so no
 value is computed for nothing; and no top-level function or class under
 src/ is left that neither src/ nor tests/ uses, so dead API cannot
-linger.
+linger; and no function mutates a module-level dict, list or set, so no
+answer or timing of one `cli.main` call can depend on an earlier call in
+the same process.
 
 Package `__init__` modules are skipped by the import check:
 re-exporting is their job.
@@ -263,3 +265,117 @@ def test_no_unreferenced_definitions_in_src():
     entry_points = {target.rsplit(":", 1)[1]
                     for target in scripts["project"]["scripts"].values()}
     assert unreferenced_definitions(sources, entry_points) == []
+
+
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+               ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "fromkeys", "defaultdict",
+                    "OrderedDict", "Counter", "deque"}
+_MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem",
+             "popleft", "appendleft", "clear", "update", "setdefault", "add",
+             "discard", "sort", "reverse", "difference_update",
+             "intersection_update", "symmetric_difference_update"}
+
+
+def module_containers(source: str) -> set:
+    """Names that a top-level assignment binds to a dict, list or set."""
+    out = set()
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, (ast.Assign, ast.AnnAssign)) or stmt.value is None:
+            continue
+        value = stmt.value
+        func = value.func if isinstance(value, ast.Call) else None
+        called = func.attr if isinstance(func, ast.Attribute) \
+            else getattr(func, "id", None)
+        if isinstance(value, _CONTAINERS) or called in _CONTAINER_CALLS:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            out |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return out
+
+
+def mutated_containers(source: str, containers: set) -> list:
+    """(line, name) for each place where a function mutates one of the
+    named containers: an item assignment or deletion, a call of a
+    mutating method, or a `global` declaration of the name.  The
+    container is named directly or as an attribute of an imported name,
+    under any chain of subscripts."""
+    tree = ast.parse(source)
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+
+    def root(node):
+        while isinstance(node, ast.Subscript):
+            node = node.value
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in imported:
+            return node.attr
+        return None
+
+    def flat(targets):
+        for t in targets:
+            if isinstance(t, (ast.Tuple, ast.List)):
+                yield from flat(t.elts)
+            else:
+                yield t
+
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            changed = []
+            if isinstance(node, (ast.Assign, ast.Delete)):
+                changed = [t.value for t in flat(node.targets)
+                           if isinstance(t, ast.Subscript)]
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) \
+                    and isinstance(node.target, ast.Subscript):
+                changed = [node.target.value]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in _MUTATORS:
+                changed = [node.func.value]
+            elif isinstance(node, ast.Global):
+                found |= {(node.lineno, n) for n in node.names if n in containers}
+            found |= {(node.lineno, name) for name in map(root, changed)
+                      if name in containers}
+    return sorted(found)
+
+
+def test_detector_flags_only_mutated_module_containers():
+    source = ("import registry\n"
+              "CACHE = {}\n"
+              "NAMES = ['a']\n"
+              "SEEN: set = set()\n"
+              "TABLE = dict.fromkeys('ab', 0)\n"
+              "FIXED = {'k': [1]}\n"
+              "NAMES.append('b')\n"
+              "def f(key):\n"
+              "    CACHE[key], other = 1, 2\n"
+              "    SEEN.add(key)\n"
+              "    local = {}\n"
+              "    local[key] = FIXED[key]\n"
+              "    return registry.TABLE.update(local)\n"
+              "def g():\n"
+              "    global NAMES\n"
+              "    NAMES = []\n"
+              "    del TABLE['a']\n"
+              "    FIXED['k'][0] += 1\n")
+    containers = module_containers(source)
+    assert containers == {"CACHE", "NAMES", "SEEN", "TABLE", "FIXED"}
+    assert mutated_containers(source, containers) == [
+        (9, "CACHE"), (10, "SEEN"), (13, "TABLE"), (15, "NAMES"),
+        (17, "TABLE"), (18, "FIXED")]
+
+
+def test_no_function_mutates_a_module_container_in_src():
+    sources = {p: p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    containers = set().union(*map(module_containers, sources.values()))
+    assert {"_DEFAULTS", "KEYWORDS", "_SYMBOLS", "_KINDS",
+            "_BINOP_PREC"} <= containers
+    found = [f"{path.relative_to(SRC)}:{line}: {name}"
+             for path, source in sources.items()
+             for line, name in mutated_containers(source, containers)]
+    assert found == []

@@ -1,18 +1,19 @@
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import chorus_wsi.pseudotype as pt
-from chorus_wsi.guards import is_unsat, implies
+from chorus_wsi.guards import DomainDecl, EMPTY_DOMAINS, is_unsat, implies
 from chorus_wsi.pseudotype import (
     NotMergeable, equiv, merge, normal_form, normalize, remove_guards,
     viable, weight,
 )
 from chorus_wsi.syntax import parse_expr, parse_type
 from chorus_wsi.syntax.ast import (
-    FALSE, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq, UNIT,
-    INT, conj, is_local,
+    DERIVED, FALSE, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
+    UNIT, INT, bool_lit, conj, int_lit, is_local, is_true,
 )
 from chorus_wsi.projection import project, participants
 from chorus_wsi.typecheck import instantiate
@@ -358,3 +359,116 @@ def run_law_suite(n_cases: int, seed: int = 0):
         if not equiv(normal_form(nf1, D), nf1, D):
             failures.append(f"case {case}: normal form not idempotent")
     return failures
+
+
+# ------------------------------------------- normal forms kept on the node
+
+def reference_normalize(e, t, domains):
+    """`normalize` as a plain recursion that keeps nothing on the nodes:
+    the oracle for the kept normal forms."""
+    match t:
+        case TEnd(g):
+            return TEnd(conj(e, g))
+        case TInternal(branches) | TExternal(branches):
+            keep = tuple(b for b in branches
+                         if not is_unsat(conj(e, b.guard), domains))
+            if not keep:
+                return TEnd(FALSE)
+            return type(t)(tuple(
+                TBranch(conj(b.guard, e), b.channel, b.sort,
+                        reference_normalize(conj(b.guard, e), b.cont, domains))
+                for b in keep))
+        case TSeq(first, second):
+            match first:
+                case TEnd(g):
+                    return reference_normalize(conj(e, g), second, domains)
+                case TInternal(bs) | TExternal(bs):
+                    pushed = type(first)(tuple(
+                        TBranch(b.guard, b.channel, b.sort, TSeq(b.cont, second))
+                        for b in bs))
+                    return reference_normalize(e, pushed, domains)
+                case TSeq(f2, s2):
+                    return reference_normalize(e, TSeq(f2, TSeq(s2, second)),
+                                               domains)
+                case TIter(_):
+                    head = reference_normalize(e, first, domains)
+                    if isinstance(head, TEnd):
+                        return head
+                    return TSeq(head, reference_normalize(e, second, domains))
+        case TIter(body):
+            nb = reference_normalize(e, body, domains)
+            if isinstance(nb, TEnd):
+                return nb
+            return TIter(nb)
+    raise TypeError(f"not a pseudo-type: {t!r}")
+
+
+# other domains for the generated guards: `x = 0` and `not flag` die here
+OTHER_DOMAINS = DomainDecl({
+    "x": frozenset({int_lit(1), int_lit(2), int_lit(3)}),
+    "flag": frozenset({bool_lit(True)}),
+})
+
+
+def kept_normal_form_mismatches(n_cases: int = 500, seed: int = 0) -> list:
+    """Normalize n_cases generated types under D, OTHER_DOMAINS and D
+    again; list each result that is not the oracle's, or that a second
+    call does not return as it is."""
+    rng = random.Random(seed)
+    out, differ = [], 0
+    for case in range(n_cases):
+        t = gen.gen_pseudotype(rng, depth=4)
+        want = {id(d): reference_normalize(TRUE, t, d) for d in (D, OTHER_DOMAINS)}
+        differ += want[id(D)] != want[id(OTHER_DOMAINS)]
+        for d in (D, OTHER_DOMAINS, D):
+            got = normal_form(t, d)
+            if got != want[id(d)] or normal_form(got, d) is not got:
+                out.append((case, t, d))
+    assert differ > n_cases // 10  # the two domains tell the types apart
+    return out
+
+
+def test_kept_normal_forms_agree_with_the_recursion():
+    assert kept_normal_form_mismatches() == []
+
+
+def test_a_normal_form_is_its_own_up_to_equivalence():
+    """The mark on a result stands for nf(nf(T)) = nf(T): normalizing a
+    normal form again gives an equivalent type."""
+    rng = random.Random(1)
+    for _ in range(500):
+        t = gen.gen_pseudotype(rng, depth=4)
+        for d in (D, OTHER_DOMAINS):
+            nf = normal_form(t, d)
+            assert equiv(reference_normalize(TRUE, nf, d), nf, d)
+
+
+def test_a_cache_blind_to_domains_is_caught(monkeypatch):
+    """A copy of `normalize` whose kept entry answers under any
+    `DomainDecl` fails the differential test above."""
+    def blind(e, t, domains=EMPTY_DOMAINS):
+        if not is_true(e):
+            return pt._propagate(e, t, domains)
+        kept = t._nf
+        if kept is not None:
+            return t if kept[1] is None else kept[1]
+        nf = pt._propagate(TRUE, t, domains)
+        object.__setattr__(t, "_nf", (domains, nf))
+        object.__setattr__(nf, "_nf", (domains, None))
+        return nf
+
+    monkeypatch.setattr(pt, "normalize", blind)
+    assert kept_normal_form_mismatches(100)
+
+
+def test_pickled_nodes_keep_no_derived_value():
+    t = gen.gen_pseudotype(random.Random(3), depth=4)
+    nf = normal_form(t, D)
+    for node in (t, nf):
+        hash(node)
+        copy = pickle.loads(pickle.dumps(node))
+        assert copy == node
+        assert not set(DERIVED) & set(copy.__dict__)
+        again = normal_form(copy, OTHER_DOMAINS)
+        assert again == reference_normalize(TRUE, copy, OTHER_DOMAINS)
+        assert copy._nf[0] is OTHER_DOMAINS

@@ -1,12 +1,16 @@
 import itertools
+import pickle
+import random
 
 from chorus_wsi.guards import Store
 from chorus_wsi.semantics import (
-    Counterexample, Holds, SysState, conditional_simulation, step_process,
-    step_spec, system_steps, to_state,
+    Counterexample, Holds, SysState, conditional_simulation, proc_canon,
+    step_process, step_spec, system_steps, to_state,
 )
 from chorus_wsi.syntax import parse_expr, parse_process, parse_module, parse_type
-from chorus_wsi.syntax.ast import Accept, Branch, INT, Proc, Seq, TRUE, int_lit
+from chorus_wsi.syntax.ast import (
+    DERIVED, Accept, Branch, INT, Proc, Seq, TRUE, int_lit, is_nil,
+)
 from chorus_wsi.typecheck import SpecEnv, gamma_from_domains, typecheck_system
 
 import gen
@@ -259,3 +263,52 @@ def test_subject_reduction_fuzz_sample(pop2, atm, pop2_domains, atm_domains):
     ]
     steps = srcheck.fuzz_corpus(cases, runs=24, max_steps=50, seed0=100)
     assert steps > 50
+
+
+# ------------------------------------------- canonical processes kept on Seq
+
+def reference_canon(p):
+    """`proc_canon` as a plain recursion that keeps nothing on the nodes:
+    the oracle for the kept canonical forms."""
+    match p:
+        case Seq(first, second):
+            first = reference_canon(first)
+            second = reference_canon(second)
+            if is_nil(first):
+                return second
+            if is_nil(second):
+                return first
+            if isinstance(first, Seq):
+                return reference_canon(Seq(first.first, Seq(first.second, second)))
+            return Seq(first, second)
+        case _:
+            return p
+
+
+def test_kept_canonical_processes_agree_with_the_recursion():
+    """On 1,000 generated processes, and on each in sequence after the
+    one before it: the kept form is the oracle's, is returned again as
+    it is, and is its own canonical form."""
+    rng = random.Random(0)
+    reshaped, before = 0, Branch(())
+    for _ in range(1000):
+        p = gen.gen_process(rng, depth=4)
+        for q in (p, Seq(before, p)):
+            got = proc_canon(q)
+            assert got == reference_canon(q)
+            assert proc_canon(q) is got and proc_canon(got) is got
+            assert reference_canon(got) == got
+            reshaped += got != q
+        before = p
+    assert reshaped > 300
+
+
+def test_pickled_processes_keep_no_canonical_form():
+    p = Seq(Seq(parse_process("a!(1)"), parse_process("b!(2)")),
+            parse_process("c!(3)"))
+    canon = proc_canon(p)
+    for node in (p, canon):
+        copy = pickle.loads(pickle.dumps(node))
+        assert copy == node
+        assert not set(DERIVED) & set(copy.__dict__)
+        assert proc_canon(copy) == canon

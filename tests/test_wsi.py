@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 
@@ -6,8 +7,8 @@ import pytest
 from chorus_wsi.guards import Store
 from chorus_wsi.projection import NonProjectable, project
 from chorus_wsi.syntax.ast import (
-    Accept, Arm, Branch, Const, Event, GChoice, GEnd, GlobalDef, Lit, Request,
-    Send, Seq, UNIT, fX,
+    Accept, Arm, Branch, Const, Event, GChoice, GEnd, GlobalDef, If, Lit,
+    Request, Send, Seq, UNIT, fX,
 )
 from chorus_wsi.syntax import parse_module
 from chorus_wsi.traces import (
@@ -268,6 +269,55 @@ def test_typing_implies_covering_on_generated_implementations():
             verdict = wsi_by_covering(gdef, role, proc, domains)
             assert verdict.holds(), (seed, role, str(verdict))
     assert cases == 299
+
+
+def _pruned(node):
+    """Each process that replaces one `If` of node by one of its sides."""
+    if isinstance(node, If):
+        yield node.then
+        yield node.orelse
+    if not dataclasses.is_dataclass(node):
+        return
+    for f in dataclasses.fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, tuple):
+            for i, item in enumerate(value):
+                for m in _pruned(item):
+                    yield dataclasses.replace(
+                        node, **{f.name: value[:i] + (m,) + value[i + 1:]})
+        else:
+            for m in _pruned(value):
+                yield dataclasses.replace(node, **{f.name: m})
+
+
+def test_branch_pruning_mutants_of_generated_implementations():
+    """Differential on every branch-pruning mutant (one `if` replaced by
+    one of its sides, the paper's B2/CDep pattern) of the typed cases of
+    the test above, with pinned counts.  Typing rejects all but 4, and
+    covering holds for those 4.  Covering also holds for 4 mutants that
+    typing rejects: typing is strictly finer on them (ROADMAP item F,
+    finding 5).  A covering search that decides more may only turn
+    `Inconclusive` answers into `MissingRun`: the `Inconclusive` count
+    may fall, the others stay."""
+    counts = collections.Counter()
+    finer = set()
+    for seed in range(300):
+        for gdef, role, proc, domains in gen.role_implementations(seed):
+            if not _projectable(gdef) \
+                    or not wsi_by_typing(gdef, role, proc, domains).holds():
+                continue
+            for mutant in _pruned(proc):
+                typed = wsi_by_typing(gdef, role, mutant, domains).holds()
+                v = wsi_by_covering(gdef, role, mutant, domains)
+                assert v.holds() or not typed, (seed, role, str(v))
+                counts["rejected by typing"] += not typed
+                counts["Holds" if v.holds() else "Inconclusive"
+                       if v.inconclusive else "MissingRun"] += 1
+                if v.holds() and not typed:
+                    finer.add((seed, role))
+    assert counts == {"rejected by typing": 172, "MissingRun": 99,
+                      "Inconclusive": 69, "Holds": 8}
+    assert finer == {(156, "r"), (191, "r"), (202, "r"), (205, "p")}
 
 
 def test_wsi_pop_quit_context_drives_exit_run(pop2, pop2_domains):
