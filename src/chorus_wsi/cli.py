@@ -497,8 +497,11 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(_bad(f"{args.file}:{exc}"), file=sys.stderr)
         return 2
-    except (FileNotFoundError, UsageError) as exc:
+    except (OSError, UsageError) as exc:  # a file that cannot be read or written
         print(_bad(f"error: {exc}"), file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(_bad(f"error: {args.file}: {exc}"), file=sys.stderr)
         return 2
 
 

@@ -25,17 +25,25 @@ with
 Comments run from // to end of line.  Names declared earlier in the
 module may be referenced later (no recursion); references are inlined
 during parsing.  After inlining, every process and system body is
-alpha-freshened so bound names are globally unique.
+alpha-freshened so bound names are globally unique.  The parser keeps
+each freshened body's binders and free names for the rest of the parse,
+so that freshening a later body that inlines it need not walk it again
+where that would change nothing (see subst.py).
 
-The tokenizer is one compiled regex, each match of which skips blanks
-and comments and yields one token.  A token carries its offset into the
-text; the line and column of an error are worked out from it only when
-a `ParseError` is raised.
+The tokenizer is one `findall` of a compiled regex, each match of which
+skips blanks and comments and takes one token's spelling.  Each distinct
+spelling is classified once into a (kind, value) token that all its
+occurrences share, so tokenizing makes one object per distinct spelling,
+not one per token, and a token holds no position.  An error names its
+token by index; only when a `ParseError` is raised is the text scanned
+again up to that token to find its line and column.  Input nested deeper
+than the interpreter's stack allows is a `ParseError` too.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import NamedTuple
 
 from .ast import (
@@ -77,26 +85,41 @@ _SYMBOLS = [
     ":", "@", "=", "<", ">",
 ]
 
-# One match skips blanks and comments, then takes one token: the first
-# alternative that matches, in this order.  BAD takes any other single
-# character, so each match starts where the last one ended; EOF matches
-# only at the end of the text.
-_TOKEN_RE = re.compile(r"""(?:[ \t\r\n]|//[^\n]*)*(?:
-    (?P<STRING>"(?:[^"\\]|\\[\s\S])*")
-  | (?P<DATA>0x(?:[0-9a-fA-F][0-9a-fA-F])*)
-  | (?P<INT>[0-9]+)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<SYM>""" + "|".join(re.escape(sym) for sym in _SYMBOLS) + r""")
-  | (?P<EOF>\Z)
-  | (?P<BAD>[\s\S]))""", re.VERBOSE)
+# The token classes, in the order they are tried.  BAD takes any other
+# single character, so each match starts where the last one ended; EOF
+# matches only at the end of the text.
+_LEXEMES = [
+    ("STRING", r'"(?:[^"\\]|\\[\s\S])*"'),
+    ("DATA", r"0x(?:[0-9a-fA-F][0-9a-fA-F])*"),
+    ("INT", r"[0-9]+"),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("SYM", "|".join(re.escape(sym) for sym in _SYMBOLS)),
+    ("EOF", r"\Z"),
+    ("BAD", r"[\s\S]"),
+]
+# One match skips blanks and comments, then takes one token's spelling
+# as its only group; an empty spelling is the end of the text.
+_TOKEN_RE = re.compile(r"(?:[ \t\r\n]|//[^\n]*)*("
+                       + "|".join(pattern for _, pattern in _LEXEMES) + ")")
+_KIND_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _LEXEMES))
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
-_KINDS = {i: kind for kind, i in _TOKEN_RE.groupindex.items()}
 
 
 class Token(NamedTuple):
-    kind: str  # IDENT KEYWORD INT STRING DATA SYM EOF
+    kind: str  # IDENT KEYWORD INT STRING DATA SYM EOF BAD
     value: str
-    offset: int  # into the text; line:col is worked out only for errors
+
+
+def _token(spelling: str) -> Token:
+    """The token spelled `spelling`, which `_TOKEN_RE` matched."""
+    kind = _KIND_RE.match(spelling).lastgroup
+    if kind == "IDENT" and spelling in KEYWORDS:
+        kind = "KEYWORD"
+    elif kind == "STRING":
+        spelling = _ESCAPE_RE.sub(r"\1", spelling[1:-1])
+    elif kind == "DATA":
+        spelling = spelling[2:]
+    return Token(kind, spelling)
 
 
 def line_col(text: str, offset: int) -> tuple:
@@ -104,30 +127,39 @@ def line_col(text: str, offset: int) -> tuple:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
+def token_offsets(text: str):
+    """The offset into `text` of each token, then of the end: what
+    `tokenize` leaves out, found again only to place an error."""
+    for m in _TOKEN_RE.finditer(text):
+        yield m.start(1)
+        if not m[1]:
+            return
+
+
+def token_line_col(text: str, index: int) -> tuple:
+    """The line and column of token `index` of `text` (an index past
+    the end stands for the end)."""
+    offset = next(islice(token_offsets(text), index, None), len(text))
+    return line_col(text, offset)
+
+
 def tokenize(text: str) -> list:
     """The tokens of `text`, then two EOF tokens, so that looking one
-    token past the end needs no bounds check."""
-    toks = []
-    for m in _TOKEN_RE.finditer(text):
-        i = m.lastindex
-        kind, value, offset = _KINDS[i], m[i], m.start(i)
-        if kind == "IDENT":
-            if value in KEYWORDS:
-                kind = "KEYWORD"
-        elif kind == "STRING":
-            value = _ESCAPE_RE.sub(r"\1", value[1:-1])
-        elif kind == "DATA":
-            value = value[2:]
-        elif kind == "EOF":
-            break
-        elif kind == "BAD":
-            message = "unterminated string literal" if value == '"' \
-                else f"unexpected character {value!r}"
-            raise ParseError(message, *line_col(text, offset))
-        toks.append(Token(kind, value, offset))
-    eof = Token("EOF", "", len(text))
-    toks += (eof, eof)
-    return toks
+    token past the end needs no bounds check.  Tokens spelled alike are
+    one shared object, and a token holds no position: an error names
+    its token by index (see `token_line_col`)."""
+    spellings = _TOKEN_RE.findall(text)
+    if len(spellings) > 1 and not spellings[-2]:
+        spellings.pop()  # a second, empty match at the end
+    spellings.append("")
+    tokens = {spelling: _token(spelling) for spelling in set(spellings)}
+    bad = [s for s, tok in tokens.items() if tok.kind == "BAD"]
+    if bad:
+        index = min(map(spellings.index, bad))
+        message = "unterminated string literal" if spellings[index] == '"' \
+            else f"unexpected character {spellings[index]!r}"
+        raise ParseError(message, *token_line_col(text, index))
+    return list(map(tokens.__getitem__, spellings))
 
 
 class Parser:
@@ -136,11 +168,16 @@ class Parser:
         self.toks = tokenize(text)
         self.pos = 0
         self.module = module or ModuleDecl()
+        # binders and free names of each body freshened in this parse,
+        # which `freshen` need not walk again where it is inlined
+        self.fresh = {}
 
     # ------------------------------------------------------- primitives
 
-    def error(self, message: str, tok: Token, cls=ParseError) -> ParseError:
-        return cls(message, *line_col(self.text, tok.offset))
+    def error(self, message: str, at: int, cls=ParseError) -> ParseError:
+        """An error at token `at`, by index: tokens spelled alike are
+        one object, so the token itself would not say which it is."""
+        return cls(message, *token_line_col(self.text, at))
 
     def peek(self, ahead: int = 0) -> Token:
         return self.toks[self.pos + ahead]
@@ -159,23 +196,24 @@ class Parser:
         t = self.toks[self.pos]
         return t.kind == "KEYWORD" and t.value in words
 
-    def expect_sym(self, sym: str) -> Token:
-        t = self.next()
+    def expect_sym(self, sym: str) -> None:
+        t = self.toks[self.pos]
         if t.kind != "SYM" or t.value != sym:
-            raise self.error(f"expected {sym!r}, found {t.value!r}", t)
-        return t
+            raise self.error(f"expected {sym!r}, found {t.value!r}", self.pos)
+        self.pos += 1
 
-    def expect_kw(self, word: str) -> Token:
-        t = self.next()
+    def expect_kw(self, word: str) -> None:
+        t = self.toks[self.pos]
         if t.kind != "KEYWORD" or t.value != word:
-            raise self.error(f"expected {word!r}, found {t.value!r}", t)
-        return t
+            raise self.error(f"expected {word!r}, found {t.value!r}", self.pos)
+        self.pos += 1
 
-    def expect_ident(self, what: str = "identifier") -> Token:
-        t = self.next()
+    def expect_ident(self, what: str = "identifier") -> str:
+        t = self.toks[self.pos]
         if t.kind != "IDENT":
-            raise self.error(f"expected {what}, found {t.value!r}", t)
-        return t
+            raise self.error(f"expected {what}, found {t.value!r}", self.pos)
+        self.pos += 1
+        return t.value
 
     # ------------------------------------------------------------ module
 
@@ -195,17 +233,18 @@ class Parser:
             elif self.at_kw("system"):
                 self.parse_system_decl()
             else:
-                raise self.error(f"expected a declaration, found {t.value!r}", t)
+                raise self.error(f"expected a declaration, found {t.value!r}", self.pos)
         return self.module
 
-    def _declare(self, table: dict, name: str, value, tok: Token):
+    def _declare(self, table: dict, name: str, value, at: int):
         if name in self.module.globals_ or name in self.module.types \
                 or name in self.module.processes or name in self.module.systems:
-            raise self.error(f"duplicate declaration of {name!r}", tok, InvariantError)
+            raise self.error(f"duplicate declaration of {name!r}", at, InvariantError)
         table[name] = value
 
     def parse_domain(self):
         self.expect_kw("domain")
+        at = self.pos
         var = self.expect_ident("variable name")
         self.expect_sym(":")
         sort = self.parse_sort()
@@ -216,12 +255,12 @@ class Parser:
             values = self.parse_domain_values(sort)
         else:
             raise self.error(f"only Int, Bool, and Str admit domains, not {sort}",
-                             self.peek(), InvariantError)
+                             self.pos, InvariantError)
         if not values:
-            raise self.error("empty domain", self.peek(), InvariantError)
-        if var.value in self.module.domains:
-            raise self.error(f"duplicate domain for {var.value!r}", var, InvariantError)
-        self.module.domains[var.value] = frozenset(values)
+            raise self.error("empty domain", self.pos, InvariantError)
+        if var in self.module.domains:
+            raise self.error(f"duplicate domain for {var!r}", at, InvariantError)
+        self.module.domains[var] = frozenset(values)
 
     def parse_domain_values(self, sort: Sort) -> frozenset:
         if self.at_sym("{"):
@@ -240,6 +279,7 @@ class Parser:
 
     def parse_table(self):
         self.expect_kw("table")
+        at = self.pos
         name = self.expect_ident("table name")
         self.expect_sym(":")
         arg = self.parse_sort()
@@ -262,13 +302,14 @@ class Parser:
                 self.next()
         self.expect_sym("}")
         if default is None:
-            raise self.error(f"table {name.value!r} needs a default entry '_ -> v'",
-                             name, InvariantError)
-        if name.value in self.module.tables:
-            raise self.error(f"duplicate table {name.value!r}", name, InvariantError)
-        self.module.tables[name.value] = Table(name.value, arg, ret, tuple(mapping), default)
+            raise self.error(f"table {name!r} needs a default entry '_ -> v'",
+                             at, InvariantError)
+        if name in self.module.tables:
+            raise self.error(f"duplicate table {name!r}", at, InvariantError)
+        self.module.tables[name] = Table(name, arg, ret, tuple(mapping), default)
 
     def parse_value(self, expected: Sort | None = None) -> Lit:
+        at = self.pos
         t = self.next()
         if t.kind == "INT":
             lit = int_lit(int(t.value))
@@ -295,12 +336,13 @@ class Parser:
             inner = self.parse_value(INT)
             lit = int_lit(-inner.value)
         else:
-            raise self.error(f"expected a literal, found {t.value!r}", t)
+            raise self.error(f"expected a literal, found {t.value!r}", at)
         if expected is not None and lit.sort != expected:
-            raise self.error(f"literal {lit} does not have sort {expected}", t)
+            raise self.error(f"literal {lit} does not have sort {expected}", at)
         return lit
 
     def parse_sort(self) -> Sort:
+        at = self.pos
         t = self.next()
         if t.kind == "KEYWORD" and t.value in ("Int", "Bool", "Str", "Unit", "Data"):
             return Sort(t.value)
@@ -308,7 +350,7 @@ class Parser:
             elem = self.parse_sort()
             self.expect_sym("]")
             return list_sort(elem)
-        raise self.error(f"expected a sort, found {t.value!r}", t)
+        raise self.error(f"expected a sort, found {t.value!r}", at)
 
     # ------------------------------------------------------ expressions
 
@@ -416,29 +458,29 @@ class Parser:
             e = self.parse_expr()
             self.expect_sym(")")
             return e
-        raise self.error(f"expected an expression, found {t.value!r}", t)
+        raise self.error(f"expected an expression, found {t.value!r}", self.pos)
 
     # ----------------------------------------------------- global types
 
     def parse_global_decl(self):
         self.expect_kw("global")
+        at = self.pos
         name = self.expect_ident("global type name")
         params: tuple = ()
         if self.at_sym("("):
             self.next()
             names = []
             while not self.at_sym(")"):
-                names.append(self.expect_ident("channel").value)
+                names.append(self.expect_ident("channel"))
                 if self.at_sym(","):
                     self.next()
             self.expect_sym(")")
             params = tuple(names)
             if len(set(params)) != len(params):
-                raise self.error("duplicate channel parameters", name, InvariantError)
+                raise self.error("duplicate channel parameters", at, InvariantError)
         self.expect_sym("=")
         body = self.parse_global()
-        self._declare(self.module.globals_, name.value,
-                      GlobalDef(name.value, params, body), name)
+        self._declare(self.module.globals_, name, GlobalDef(name, params, body), at)
 
     def parse_global(self) -> GlobalType:
         g = self.parse_global_atom()
@@ -462,40 +504,41 @@ class Parser:
         if t.kind == "IDENT":
             if self.peek(1).kind == "SYM" and self.peek(1).value == "->":
                 return self.parse_gchoice()
-            self.next()
             gdef = self.module.globals_.get(t.value)
             if gdef is None:
-                raise self.error(f"unknown global type {t.value!r}", t)
+                raise self.error(f"unknown global type {t.value!r}", self.pos)
+            self.next()
             return gdef.body
-        raise self.error(f"expected a global type, found {t.value!r}", t)
+        raise self.error(f"expected a global type, found {t.value!r}", self.pos)
 
     def parse_gchoice(self) -> GChoice:
-        sender = self.expect_ident("participant").value
+        sender = self.expect_ident("participant")
         self.expect_sym("->")
         default_receiver = None
         if self.peek().kind == "IDENT":
-            default_receiver = self.expect_ident("participant").value
+            default_receiver = self.expect_ident("participant")
             self.expect_sym(":")
-        brace = self.expect_sym("{")
+        brace = self.pos
+        self.expect_sym("{")
         branches = []
         seen = set()
         while True:
             if default_receiver is None:
-                receiver = self.expect_ident("participant").value
+                receiver = self.expect_ident("participant")
                 self.expect_sym("@")
             else:
                 receiver = default_receiver
+            at = self.pos
             chan = self.expect_ident("channel")
             self.expect_sym("(")
             sort = UNIT if self.at_sym(")") else self.parse_sort()
             self.expect_sym(")")
             self.expect_sym(".")
             cont = self.parse_global()
-            if chan.value in seen:
-                raise self.error(
-                    f"duplicate channel {chan.value!r} in choice", chan, InvariantError)
-            seen.add(chan.value)
-            branches.append(GBranch(receiver, chan.value, sort, cont))
+            if chan in seen:
+                raise self.error(f"duplicate channel {chan!r} in choice", at, InvariantError)
+            seen.add(chan)
+            branches.append(GBranch(receiver, chan, sort, cont))
             if self.at_sym("+"):
                 self.next()
                 continue
@@ -507,7 +550,7 @@ class Parser:
 
     def parse_giter(self) -> GIter:
         self.expect_kw("loop")
-        controller = self.expect_ident("participant").value
+        controller = self.expect_ident("participant")
         self.expect_sym("{")
         body = self.parse_global()
         self.expect_sym("}")
@@ -515,9 +558,9 @@ class Parser:
         self.expect_sym("(")
         term = []
         while not self.at_sym(")"):
-            p = self.expect_ident("participant").value
+            p = self.expect_ident("participant")
             self.expect_sym("@")
-            chan = self.expect_ident("channel").value
+            chan = self.expect_ident("channel")
             self.expect_sym("(")
             sort = UNIT if self.at_sym(")") else self.parse_sort()
             self.expect_sym(")")
@@ -531,10 +574,11 @@ class Parser:
 
     def parse_type_decl(self):
         self.expect_kw("type")
+        at = self.pos
         name = self.expect_ident("type name")
         self.expect_sym("=")
         body = self.parse_type()
-        self._declare(self.module.types, name.value, body, name)
+        self._declare(self.module.types, name, body, at)
 
     def parse_type(self) -> PseudoType:
         t = self.parse_type_atom()
@@ -558,12 +602,12 @@ class Parser:
                     and self.peek(1).value in ("!", "?")):
             return self.parse_tchoice()
         if tok.kind == "IDENT":
-            self.next()
             body = self.module.types.get(tok.value)
             if body is None:
-                raise self.error(f"unknown type {tok.value!r}", tok)
+                raise self.error(f"unknown type {tok.value!r}", self.pos)
+            self.next()
             return body
-        raise self.error(f"expected a pseudo-type, found {tok.value!r}", tok)
+        raise self.error(f"expected a pseudo-type, found {tok.value!r}", self.pos)
 
     def parse_tchoice(self) -> PseudoType:
         branches = []
@@ -575,25 +619,26 @@ class Parser:
                 guard = self.parse_expr()
                 self.expect_sym("]")
             if self.at_kw("end"):
-                endtok = self.next()
                 if branches:
-                    raise self.error("'end' cannot appear as a choice branch", endtok)
+                    raise self.error("'end' cannot appear as a choice branch", self.pos)
+                self.next()
                 return TEnd(guard)
             chan = self.expect_ident("channel")
-            pol = self.next()
+            pol = self.peek()
             if pol.kind != "SYM" or pol.value not in ("!", "?"):
-                raise self.error(f"expected '!' or '?', found {pol.value!r}", pol)
+                raise self.error(f"expected '!' or '?', found {pol.value!r}", self.pos)
             this_kind = "internal" if pol.value == "!" else "external"
             if kind is None:
                 kind = this_kind
             elif kind != this_kind:
-                raise self.error("cannot mix '!' and '?' branches in one choice", pol)
+                raise self.error("cannot mix '!' and '?' branches in one choice", self.pos)
+            self.next()
             self.expect_sym("(")
             sort = UNIT if self.at_sym(")") else self.parse_sort()
             self.expect_sym(")")
             self.expect_sym(".")
             cont = self.parse_type_atom()
-            branches.append(TBranch(guard, chan.value, sort, cont))
+            branches.append(TBranch(guard, chan, sort, cont))
             if self.at_sym("(+)") and kind == "internal":
                 self.next()
                 continue
@@ -609,22 +654,23 @@ class Parser:
 
     def parse_process_decl(self):
         self.expect_kw("process")
+        at = self.pos
         name = self.expect_ident("process name")
         role = None
         global_name = None
         if self.at_kw("plays"):
             self.next()
-            role = self.expect_ident("participant").value
+            role = self.expect_ident("participant")
             self.expect_kw("of")
-            gtok = self.expect_ident("global type name")
-            if gtok.value not in self.module.globals_:
-                raise self.error(f"unknown global type {gtok.value!r}", gtok)
-            global_name = gtok.value
+            global_at = self.pos
+            global_name = self.expect_ident("global type name")
+            if global_name not in self.module.globals_:
+                raise self.error(f"unknown global type {global_name!r}", global_at)
         self.expect_sym("=")
         body = self.parse_process()
-        body = freshen(body, renames=self.module.domain_aliases)
-        self._declare(self.module.processes, name.value,
-                      ProcessDef(name.value, body, role, global_name), name)
+        body = freshen(body, self.module.domain_aliases, self.fresh)
+        self._declare(self.module.processes, name,
+                      ProcessDef(name, body, role, global_name), at)
 
     def parse_process(self) -> Process:
         p = self.parse_process_atom()
@@ -667,12 +713,12 @@ class Parser:
             if nxt.kind == "SYM" and nxt.value == "?":
                 arm = self.parse_arm()
                 return Branch((arm,))
-            self.next()
             pdef = self.module.processes.get(t.value)
             if pdef is None:
-                raise self.error(f"unknown process {t.value!r}", t)
+                raise self.error(f"unknown process {t.value!r}", self.pos)
+            self.next()
             return pdef.body
-        raise self.error(f"expected a process, found {t.value!r}", t)
+        raise self.error(f"expected a process, found {t.value!r}", self.pos)
 
     def parse_send(self) -> Send:
         chan = self.expect_ident("channel")
@@ -680,24 +726,25 @@ class Parser:
         self.expect_sym("(")
         if self.at_sym(")"):
             self.next()
-            return Send(chan.value, Const(UNIT_LIT))
+            return Send(chan, Const(UNIT_LIT))
         payload = self.parse_expr()
         self.expect_sym(")")
-        return Send(chan.value, payload)
+        return Send(chan, payload)
 
     def parse_arm(self) -> Arm:
         chan = self.expect_ident("channel")
         self.expect_sym("?")
         self.expect_sym("(")
-        binder = "_" if self.at_sym(")") else self.expect_ident("binder").value
+        binder = "_" if self.at_sym(")") else self.expect_ident("binder")
         self.expect_sym(")")
         self.expect_sym(".")
         cont = self.parse_process_atom()
-        return Arm(chan.value, binder, cont)
+        return Arm(chan, binder, cont)
 
     def parse_sum(self) -> Branch:
         self.expect_kw("sum")
-        brace = self.expect_sym("{")
+        brace = self.pos
+        self.expect_sym("{")
         arms = []
         seen = set()
         while not self.at_sym("}"):
@@ -716,14 +763,15 @@ class Parser:
         self.expect_kw("request")
         shared = self.expect_ident("shared name")
         self.expect_sym("[")
-        n = self.next()
+        n = self.peek()
         if n.kind != "INT":
-            raise self.error(f"expected arity, found {n.value!r}", n)
+            raise self.error(f"expected arity, found {n.value!r}", self.pos)
+        self.next()
         self.expect_sym("]")
         chans = self.parse_chan_tuple()
         self.expect_sym(".")
         cont = self.parse_process_atom()
-        return Request(shared.value, int(n.value), chans, cont)
+        return Request(shared, int(n.value), chans, cont)
 
     def parse_accept(self) -> Accept:
         self.expect_kw("accept")
@@ -734,13 +782,14 @@ class Parser:
         chans = self.parse_chan_tuple()
         self.expect_sym(".")
         cont = self.parse_process_atom()
-        return Accept(shared.value, role.value, chans, cont)
+        return Accept(shared, role, chans, cont)
 
     def parse_chan_tuple(self) -> tuple:
-        lparen = self.expect_sym("(")
+        lparen = self.pos
+        self.expect_sym("(")
         names = []
         while not self.at_sym(")"):
-            names.append(self.expect_ident("channel").value)
+            names.append(self.expect_ident("channel"))
             if self.at_sym(","):
                 self.next()
         self.expect_sym(")")
@@ -759,7 +808,7 @@ class Parser:
 
     def parse_for(self) -> For:
         self.expect_kw("for")
-        binder = self.expect_ident("binder").value
+        binder = self.expect_ident("binder")
         self.expect_kw("in")
         items = self.parse_expr()
         self.expect_sym("{")
@@ -776,7 +825,8 @@ class Parser:
 
     def parse_branch_block(self, what: str) -> Branch:
         """{ y1?(x1). P1 + y2?(x2). P2 } -- an input-guarded choice."""
-        brace = self.expect_sym("{")
+        brace = self.pos
+        self.expect_sym("{")
         if self.peek().kind == "INT" and self.peek().value == "0":
             self.next()
             self.expect_sym("}")
@@ -805,11 +855,12 @@ class Parser:
 
     def parse_system_decl(self):
         self.expect_kw("system")
+        at = self.pos
         name = self.expect_ident("system name")
         self.expect_sym("=")
         body = self.parse_system()
-        body = freshen(body, renames=self.module.domain_aliases)
-        self._declare(self.module.systems, name.value, SystemDef(name.value, body), name)
+        body = freshen(body, self.module.domain_aliases, self.fresh)
+        self._declare(self.module.systems, name, SystemDef(name, body), at)
 
     def parse_system(self) -> System:
         s = self.parse_system_atom()
@@ -831,41 +882,35 @@ class Parser:
                 if self.at_sym(","):
                     self.next()
             self.expect_sym("]")
-            return Queue(chan.value, tuple(values))
+            return Queue(chan, tuple(values))
         if self.at_kw("new"):
             self.next()
             chans = self.parse_chan_tuple()
             self.expect_sym("@")
             shared = self.expect_ident("shared name")
             self.expect_kw("in")
-            return Restrict(chans, shared.value, self.parse_system())
+            return Restrict(chans, shared, self.parse_system())
         if self.at_sym("{"):
             self.next()
             s = self.parse_system()
             self.expect_sym("}")
             return s
-        if t.kind == "IDENT" and self.peek(1).kind != "SYM":
+        nxt = self.peek(1)
+        if t.kind == "IDENT" and (nxt.kind != "SYM" or nxt.value not in ("!", "?", ";")):
             # bare name: a declared system or process
-            self.next()
             if t.value in self.module.systems:
+                self.next()
                 return self.module.systems[t.value].body
             if t.value in self.module.processes:
+                self.next()
                 return Proc(self.module.processes[t.value].body)
-            raise self.error(f"unknown system or process {t.value!r}", t)
-        if t.kind == "IDENT" and self.peek(1).kind == "SYM" \
-                and self.peek(1).value not in ("!", "?", ";"):
-            self.next()
-            if t.value in self.module.systems:
-                return self.module.systems[t.value].body
-            if t.value in self.module.processes:
-                return Proc(self.module.processes[t.value].body)
-            raise self.error(f"unknown system or process {t.value!r}", t)
+            raise self.error(f"unknown system or process {t.value!r}", self.pos)
         return Proc(self.parse_process())
 
 
 def parse_module(text: str) -> ModuleDecl:
     """Parse a .chor module; see the module docstring for the grammar."""
-    return Parser(text).parse_module()
+    return _parse_all(Parser(text), Parser.parse_module)
 
 
 def parse_global(text: str, module: ModuleDecl | None = None) -> GlobalType:
@@ -889,9 +934,14 @@ def parse_expr(text: str) -> Expr:
 
 
 def _parse_all(p: Parser, parse):
-    """What `parse(p)` reads, which must be all of p's text."""
-    term = parse(p)
+    """What `parse(p)` reads, which must be all of p's text.  Input
+    nested deeper than the interpreter's stack allows is an error at the
+    token where the stack ran out."""
+    try:
+        term = parse(p)
+    except RecursionError:
+        raise p.error("nesting too deep", p.pos) from None
     t = p.peek()
     if t.kind != "EOF":
-        raise p.error(f"unexpected trailing input {t.value!r}", t)
+        raise p.error(f"unexpected trailing input {t.value!r}", p.pos)
     return term

@@ -12,6 +12,27 @@ renames, one map for variables and one for channels, so each occurrence
 is renamed where it is met and no continuation is walked twice; before
 it, one pass gathers the free names into a plain set, because a binder
 must also avoid the free names that occur after it.
+
+A declaration's body inlines the bodies of earlier declarations, and
+each of those is fresh: `freshen` returned it, so its binders are
+pairwise distinct and disjoint from its free names.  Given such a body
+B's binders and free names (the `fresh` summaries that the parser keeps
+for one parse), the walk returns B itself, unwalked, where
+  (1) none of B's binders is in use, and
+  (2) none of B's free names is renamed in scope.
+This is sound.  Walking B claims its binders in order.  By (1) none is
+in use when B is met, and by distinctness none is claimed twice in B,
+so every claim keeps its name and none enters `renames`.  A rename map
+holds only names that were in use when their binder moved, so by (1) no
+binder of B shadows a rename, and no bound occurrence in B moves.  By
+(2) no free occurrence moves.  The walk would rebuild B as it is, and
+its one effect, putting B's binders in use, is done without it.
+Disjointness is what lets (1) hold where B is inlined: B's free names
+are in use there, and its binders are none of them, so they are in use
+only if the term around B claimed them first (as `P || P` does for the
+second P).  Where (1) or (2) fails, B is walked as any other term.  The
+free-names pass stops at B in the same way: the names free in B outside
+a set `bound` are B's free names minus `bound`.
 """
 
 from __future__ import annotations
@@ -53,12 +74,20 @@ def subst_process(p: Process, cmap: dict) -> Process:
     raise TypeError(f"not a process: {p!r}")
 
 
-def freshen(term, renames: dict | None = None):
+def freshen(term, renames: dict | None = None, fresh: dict | None = None):
     """Rename binders in a process or system so all are pairwise distinct
     and disjoint from free names.  When `renames` is given it collects
-    fresh-name -> original-name for every binder that had to move."""
+    fresh-name -> original-name for every binder that had to move.
+
+    `fresh` maps id(B) to (B, B's binders, B's free names) for bodies B
+    that `freshen` returned before; such a B met in `term` is kept as it
+    is where that gives the same result as walking it (see the module
+    docstring).  The result is added to `fresh`."""
+    if fresh is None:
+        fresh = {}
     used = set()
-    _free_names(term, frozenset(), used)
+    _free_names(term, frozenset(), used, fresh)
+    free = frozenset(used)
 
     def claim(name: str) -> str:
         if name not in used:
@@ -83,6 +112,13 @@ def freshen(term, renames: dict | None = None):
     def walk(t, vmap: dict, cmap: dict):
         """t rebuilt; vmap and cmap map each variable and channel name in
         scope to the name its binder now has."""
+        known = fresh.get(id(t))
+        if known is not None:
+            _, binders, names = known
+            if used.isdisjoint(binders) and names.isdisjoint(vmap) \
+                    and names.isdisjoint(cmap):
+                used.update(binders)
+                return t
         match t:
             case Request(shared, arity, chans, cont):
                 chans, inner = bind(chans, cmap)
@@ -121,38 +157,47 @@ def freshen(term, renames: dict | None = None):
                 return Restrict(chans, shared, walk(scope, vmap, inner))
         raise TypeError(f"not a process or system: {t!r}")
 
-    return walk(term, {}, {})
+    out = walk(term, {}, {})
+    # every claim put one new name in use, and that name is a binder of
+    # `out`; its free names are those of `term`
+    fresh[id(out)] = (out, frozenset(used - free), free)
+    return out
 
 
-def _free_names(term, bound: frozenset, out: set) -> None:
+def _free_names(term, bound: frozenset, out: set, fresh: dict) -> None:
     """Add to `out` the names free in `term` outside `bound`, in one
-    namespace: a binder hides its name from every position below it."""
+    namespace: a binder hides its name from every position below it.
+    A body summarised in `fresh` adds its free names without a walk."""
+    known = fresh.get(id(term))
+    if known is not None:
+        out.update(known[2] - bound)
+        return
     match term:
         case Request(shared, _, chans, cont) | Accept(shared, _, chans, cont):
             out.update({shared} - bound)
-            _free_names(cont, bound.union(chans), out)
+            _free_names(cont, bound.union(chans), out, fresh)
         case Send(channel, payload):
             out.update(({channel} | expr_vars(payload)) - bound)
         case Branch(arms):
             for a in arms:
                 out.update({a.channel} - bound)
-                _free_names(a.cont, bound | {a.binder}, out)
+                _free_names(a.cont, bound | {a.binder}, out, fresh)
         case Seq(first, second) | Par(first, second) | RepeatUntil(first, second):
-            _free_names(first, bound, out)
-            _free_names(second, bound, out)
+            _free_names(first, bound, out, fresh)
+            _free_names(second, bound, out, fresh)
         case If(cond, then, orelse):
             out.update(expr_vars(cond) - bound)
-            _free_names(then, bound, out)
-            _free_names(orelse, bound, out)
+            _free_names(then, bound, out, fresh)
+            _free_names(orelse, bound, out, fresh)
         case For(binder, items, body):
             out.update(expr_vars(items) - bound)
-            _free_names(body, bound | {binder}, out)
+            _free_names(body, bound | {binder}, out, fresh)
         case Proc(process):
-            _free_names(process, bound, out)
+            _free_names(process, bound, out, fresh)
         case Queue(channel, _):
             out.update({channel} - bound)
         case Restrict(chans, _, scope):
-            _free_names(scope, bound.union(chans), out)
+            _free_names(scope, bound.union(chans), out, fresh)
         case _:
             raise TypeError(f"not a process or system: {term!r}")
 

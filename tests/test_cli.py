@@ -39,6 +39,15 @@ def test_parse_error_exit_2(tmp_path, capsys):
     assert err.startswith(f"{bad}:") and "expected" in err
 
 
+def test_nesting_too_deep_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.chor"
+    deep.write_text("type T = [" + "(" * 1000 + "x = 1" + ")" * 1000 + "] end\n")
+    code, out, err = run(capsys, "parse", str(deep))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{deep}:1:") and err.rstrip().endswith(": nesting too deep")
+
+
 def test_project_server_golden(capsys, pop2, pop2_domains):
     code, out, _ = run(capsys, "project", POP2, "--role", "s")
     assert code == 0
@@ -387,6 +396,14 @@ def _case(name, code, stderr, *argv, stdout=""):
           "simulate", POP2, "--system", "POP_QUIT", "--steps", "x"),
     _case("missing-file", 2, "error: ",
           "parse", str(conftest.CORPUS / "missing.chor")),
+    # files that cannot be read as text, or written
+    _case("directory", 2, "error: [Errno 21] Is a directory",
+          "parse", str(conftest.CORPUS)),
+    _case("not-utf8", 2, f"error: {conftest.NOT_UTF8}: 'utf-8' codec can't decode",
+          "typecheck", str(conftest.NOT_UTF8)),
+    _case("simulate-trace-directory", 2, "error: [Errno 21] Is a directory",
+          "simulate", POP2, "--system", "POP_QUIT", "--steps", "5",
+          "--trace", str(conftest.CORPUS)),
 ])
 def test_exit_code_contract(capsys, argv, code, stderr, stdout):
     try:

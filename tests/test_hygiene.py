@@ -373,7 +373,7 @@ def test_detector_flags_only_mutated_module_containers():
 def test_no_function_mutates_a_module_container_in_src():
     sources = {p: p.read_text() for p in sorted(SRC.rglob("*.py"))}
     containers = set().union(*map(module_containers, sources.values()))
-    assert {"_DEFAULTS", "KEYWORDS", "_SYMBOLS", "_KINDS",
+    assert {"_DEFAULTS", "KEYWORDS", "_SYMBOLS", "_LEXEMES",
             "_BINOP_PREC"} <= containers
     found = [f"{path.relative_to(SRC)}:{line}: {name}"
              for path, source in sources.items()

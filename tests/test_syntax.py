@@ -217,19 +217,64 @@ def test_end_of_input_after_a_comment_is_placed_after_it():
 @pytest.mark.parametrize("name", ["atm.chor", "norm_eqs.chor", "pop2.chor",
                                   "pop2_multiparty.chor"])
 def test_token_positions_point_at_the_token(name):
-    """line:col, worked out from each token's offset, finds the token's
-    own spelling in the corpus source."""
-    from chorus_wsi.syntax.parser import line_col, tokenize
+    """line:col, worked out from each token's offset as the error path
+    finds it again, finds the token's own spelling in the corpus source;
+    the offsets and the tokens agree in number, EOF included."""
+    from chorus_wsi.syntax.parser import (
+        line_col, token_line_col, token_offsets, tokenize,
+    )
 
     import conftest
     text = (conftest.CORPUS / name).read_text()
     lines = text.split("\n")
     toks = tokenize(text)
-    for t in toks[:-2]:
-        line, col = line_col(text, t.offset)
+    offsets = list(token_offsets(text))
+    assert len(offsets) == len(toks) - 1
+    for i, (t, offset) in enumerate(zip(toks[:-2], offsets)):
+        line, col = line_col(text, offset)
+        assert token_line_col(text, i) == (line, col)
         spelling = {"STRING": '"', "DATA": "0x" + t.value}.get(t.kind, t.value)
         assert lines[line - 1][col - 1:].startswith(spelling), (t, line, col)
-    assert line_col(text, toks[-1].offset) == (len(lines), len(lines[-1]) + 1)
+    end = (len(lines), len(lines[-1]) + 1)
+    assert line_col(text, offsets[-1]) == end
+    assert token_line_col(text, len(toks) - 2) == token_line_col(text, len(toks) - 1) == end
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    # the duplicate name is spelled three times; the error is at the second
+    ("domain x : Int in 0..1\ndomain x : Int in 0..2\nprocess P = a!(x)\n",
+     2, 8, "duplicate domain for 'x'"),
+    ("process P = 0\nprocess Q = P\nprocess P = P\n",
+     3, 9, "duplicate declaration of 'P'"),
+    # the faulty ')' closes earlier and later groups too
+    ("type T = [(x = 1)] end\ntype U = [x = )] end\ntype V = [(x)] end\n",
+     2, 15, "expected an expression, found ')'"),
+    ("process P = a!(1) ; b?(y). 0\nprocess Q = b?(y). y\nprocess R = b?(y). 0\n",
+     2, 20, "unknown process 'y'"),
+])
+def test_error_at_a_token_whose_spelling_recurs(text, line, col, message):
+    """Tokens spelled alike are one object, so an error is placed by the
+    token's index, never found by looking the token up."""
+    from chorus_wsi.syntax.parser import ParseError
+    with pytest.raises(ParseError) as err:
+        parse_module(text)
+    assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
+
+
+@pytest.mark.parametrize("depth, ok", [(80, True), (100, False), (1000, False)])
+def test_deep_nesting_is_a_parse_error(depth, ok):
+    """A guard in `depth` parentheses: one the stack holds parses, a
+    deeper one is a ParseError at a token inside the nest, not a
+    RecursionError."""
+    from chorus_wsi.syntax.parser import ParseError
+    text = "type T = [" + "(" * depth + "x = 1" + ")" * depth + "] end\n"
+    if ok:
+        assert parse_module(text).types["T"] == parse_type("[x = 1] end")
+        return
+    with pytest.raises(ParseError) as err:
+        parse_module(text)
+    assert err.value.message == "nesting too deep"
+    assert err.value.line == 1 and 11 <= err.value.col <= 10 + depth
 
 
 def test_unterminated_string_rejected():
