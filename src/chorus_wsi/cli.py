@@ -7,7 +7,7 @@ errors, 3 when covering is inconclusive (no witness for a skeleton, but
 a send onto a queue holding `wsi.QUEUE_BOUND` messages was skipped; a
 rejection by typing still exits 1).  Usage errors name something the
 module does not declare (a global, process, system or type), leave the
-entry global ambiguous, give no role, or pass a bound below 1.
+entry global missing or ambiguous, give no role, or pass a bound below 1.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ def _the_global(module: ModuleDecl, name: str | None) -> GlobalDef:
             raise UsageError(f"no global type named {name!r}")
         return module.globals_[name]
     entries = [g for g in module.globals_.values() if g.params]
-    if len(entries) != 1:
+    if not entries:
+        raise UsageError("module declares no entry global")
+    if len(entries) > 1:
         raise UsageError("module declares several entry globals; "
                          "pick one with --global")
     return entries[0]
@@ -418,78 +420,67 @@ def _positive(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser, with only the subcommand named `only`, or
+    with all of them when `only` names none.  Building all eight
+    subcommand parsers takes about 2 ms, a fifth of a short request, so
+    `main` asks for the one its first argument names.  The metavar then
+    keeps all eight names in the usage line that an `unrecognized
+    arguments` error prints; the full parser leaves it unset, so that
+    its errors still call the list `command`."""
+    glob = ("--global", {"dest": "global_name",
+                         "help": "entry global type (default: the unique one)"})
+    unfold = {"type": _positive, "default": 2, "metavar": "K"}
+    # name -> (handler, help, arguments after the file and --json, in order)
+    commands = {
+        "parse": (cmd_parse, "parse and reprint a module", ()),
+        "project": (cmd_project, "project a global type on a role",
+                    (glob, ("--role", {}))),
+        "normalize": (cmd_normalize, "normal forms of declared types",
+                      (("--type", {"dest": "type_name"}),)),
+        "typecheck": (cmd_typecheck, "typecheck processes and systems",
+                      (glob, ("--proc", {}), ("--system", {}))),
+        "simulate": (cmd_simulate, "seeded execution of a system", (
+            glob, ("--seed", {"type": int, "default": 0, "metavar": "S"}),
+            ("--steps", {"type": _positive, "default": 200, "metavar": "N"}),
+            ("--system", {"required": True}),
+            ("--trace", {"metavar": "OUT.json"}))),
+        "traces": (cmd_traces, "annotated runs of a global type", (glob, (
+            "--unfold", {**unfold,
+                         "help": "iterations unfolded at most K times"}))),
+        "cover": (cmd_cover, "check runs(G) covered by its projections", (
+            glob, ("--unfold", {**unfold, "help": "iterations unfolded at "
+                                "most K times in the runs counted"}))),
+        "wsi": (cmd_wsi, "whole-spectrum implementation verdicts", (
+            glob, ("--role", {}),
+            ("--unfold", {**unfold, "help": "the bound a covering Holds is "
+                          "reported at (Holds@K); the verdict does not "
+                          "depend on it"}),
+            ("--mode", {"choices": ("typing", "covering", "both"),
+                        "default": "both"}),
+            ("--proc", {"required": True}))),
+    }
     top = argparse.ArgumentParser(
         prog="chorus-wsi",
         description="Choreography projection, guard-sensitive session "
                     "typing, and whole-spectrum implementation checking.")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, *, role=False, unfold=None, seed=False, glob=False,
-               mode=False):
-        p.add_argument("file", help="a .chor module")
-        p.add_argument("--json", action="store_true", help="machine output")
-        if glob:
-            p.add_argument("--global", dest="global_name", default=None,
-                           help="entry global type (default: the unique one)")
-        if role:
-            p.add_argument("--role", default=None)
-        if unfold:
-            p.add_argument("--unfold", type=_positive, default=2, metavar="K",
-                           help=unfold)
-        if seed:
-            p.add_argument("--seed", type=int, default=0, metavar="S")
-        if mode:
-            p.add_argument("--mode", choices=("typing", "covering", "both"),
-                           default="both")
-
-    p = sub.add_parser("parse", help="parse and reprint a module")
-    common(p)
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("project", help="project a global type on a role")
-    common(p, role=True, glob=True)
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("normalize", help="normal forms of declared types")
-    common(p)
-    p.add_argument("--type", dest="type_name", default=None)
-    p.set_defaults(func=cmd_normalize)
-
-    p = sub.add_parser("typecheck", help="typecheck processes and systems")
-    common(p, glob=True)
-    p.add_argument("--proc", default=None)
-    p.add_argument("--system", default=None)
-    p.set_defaults(func=cmd_typecheck)
-
-    p = sub.add_parser("simulate", help="seeded execution of a system")
-    common(p, seed=True, glob=True)
-    p.add_argument("--steps", type=_positive, default=200, metavar="N")
-    p.add_argument("--system", required=True)
-    p.add_argument("--trace", default=None, metavar="OUT.json")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("traces", help="annotated runs of a global type")
-    common(p, unfold="iterations unfolded at most K times", glob=True)
-    p.set_defaults(func=cmd_traces)
-
-    p = sub.add_parser("cover", help="check runs(G) covered by its projections")
-    common(p, unfold="iterations unfolded at most K times in the runs "
-           "counted", glob=True)
-    p.set_defaults(func=cmd_cover)
-
-    p = sub.add_parser("wsi", help="whole-spectrum implementation verdicts")
-    common(p, role=True, unfold="the bound a covering Holds is reported "
-           "at (Holds@K); the verdict does not depend on it", glob=True,
-           mode=True)
-    p.add_argument("--proc", required=True)
-    p.set_defaults(func=cmd_wsi)
-
+    one = only in commands
+    sub = top.add_subparsers(dest="command", required=True, metavar=(
+        "{%s}" % ",".join(commands) if one else None))
+    for name, (func, text, arguments) in commands.items():
+        if not one or name == only:
+            p = sub.add_parser(name, help=text)
+            p.add_argument("file", help="a .chor module")
+            p.add_argument("--json", action="store_true", help="machine output")
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func)
     return top
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except IllFormed as exc:

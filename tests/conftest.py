@@ -16,6 +16,10 @@ SEND_FOR_INPUT = pathlib.Path(__file__).resolve().parent / "send_for_input.chor"
 SEND_LOOP = pathlib.Path(__file__).resolve().parent / "send_loop.chor"
 # a global type whose choice sends to its own sender
 ILL_FORMED = pathlib.Path(__file__).resolve().parent / "ill_formed.chor"
+# a module that declares nothing, and one whose only global type takes
+# no parameters: neither declares an entry global
+EMPTY = pathlib.Path(__file__).resolve().parent / "empty.chor"
+NO_ENTRY = pathlib.Path(__file__).resolve().parent / "no_entry.chor"
 # a module file that is not UTF-8 text (a Latin-1 e-acute in a comment);
 # not named *.chor, so the tests that read every module leave it out
 NOT_UTF8 = pathlib.Path(__file__).resolve().parent / "not_utf8.txt"

@@ -1,10 +1,11 @@
+import argparse
 import json
 import random
 import time
 
 import pytest
 
-from chorus_wsi.cli import main, run_to_json, runs_json
+from chorus_wsi.cli import build_parser, main, run_to_json, runs_json
 from chorus_wsi.syntax import parse_module
 from chorus_wsi.traces import Opt, run_str, runs_global
 from chorus_wsi.typecheck import instantiate
@@ -385,6 +386,11 @@ def _case(name, code, stderr, *argv, stdout=""):
     # usage errors: an ambiguous entry global, no role, a bound below 1
     _case("ambiguous-global", 2, "error: module declares several entry globals",
           "cover", MP),
+    *[_case(f"{argv[0]}-no-entry-global-{module.stem}", 2,
+            "error: module declares no entry global", *argv[:1], str(module),
+            *argv[1:])
+      for module in (conftest.EMPTY, conftest.NO_ENTRY)
+      for argv in (("project", "--role", "a"), ("traces",), ("cover",))],
     _case("no-role", 2, "error: give --role", "wsi", POP2, "--proc", "Srv"),
     _case("unfold-0", 2, "--unfold: expected an integer",
           "cover", ATM, "--unfold", "0"),
@@ -453,3 +459,112 @@ def test_early_rejections_are_one_json_document(capsys, argv, lines):
     assert len(payload["rejected"]) == len(lines)
     for got, want in zip(payload["rejected"], lines):
         assert got.startswith(want)
+
+
+# ------------------------------------------------ one subcommand's parser
+
+VALID = {"parse": (ATM,), "project": (POP2, "--role", "s"),
+         "normalize": (NORM,), "typecheck": (ATM, "--proc", "B1"),
+         "simulate": (POP2, "--system", "POP_QUIT", "--steps", "5"),
+         "traces": (ATM, "--unfold", "1"), "cover": (ATM, "--unfold", "1"),
+         "wsi": (ATM, "--proc", "B1", "--unfold", "1")}
+SUBCOMMANDS = tuple(VALID)
+# an option that takes a value (parse has none: --json=1 gives it one)
+VALUED = {"parse": "--json=1", "normalize": "--type"}
+
+
+def _surface_cases():
+    for name in SUBCOMMANDS:
+        valid = (name, *VALID[name])
+        for case, argv in [
+                ("no-file", (name,)),
+                ("help", (name, "-h")),
+                ("valid", valid),
+                ("unknown-option", (*valid, "--bogus")),
+                ("missing-value", (*valid, VALUED.get(name, "--global"))),
+                ("bad-mode", (*valid, "--mode", "x")),
+                ("unfold-0", (*valid, "--unfold", "0")),
+                ("steps-0", (*valid, "--steps", "0")),
+                ("extra-positional", (*valid, "extra")),
+                ("abbreviated", (*valid, "--uni", "2"))]:
+            yield pytest.param(name, argv, id=f"{name}-{case}")
+
+
+def _parse_args(capsys, parser, argv):
+    try:
+        outcome = parser.parse_args(list(argv))
+    except SystemExit as exc:
+        outcome = exc.code
+    out = capsys.readouterr()
+    return outcome, out.out, out.err
+
+
+@pytest.mark.parametrize("name, argv", _surface_cases())
+def test_one_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch,
+                                                          name, argv):
+    """The exit status, output and Namespace of the parser with only
+    `name` are those of the parser with every subcommand."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_args(capsys, build_parser(name), argv) == \
+        _parse_args(capsys, build_parser(), argv)
+
+
+TOP_USAGE = """\
+usage: chorus-wsi [-h]
+                  {parse,project,normalize,typecheck,simulate,traces,cover,wsi}
+                  ...
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ((), 2, "", TOP_USAGE + "chorus-wsi: error: the following arguments are "
+                            "required: command\n"),
+    (("bogus",), 2, "", TOP_USAGE + "chorus-wsi: error: argument command: "
+     "invalid choice: 'bogus' (choose from 'parse', 'project', 'normalize', "
+     "'typecheck', 'simulate', 'traces', 'cover', 'wsi')\n"),
+    (("-h",), 0, TOP_USAGE + """
+Choreography projection, guard-sensitive session typing, and whole-spectrum
+implementation checking.
+
+positional arguments:
+  {parse,project,normalize,typecheck,simulate,traces,cover,wsi}
+    parse               parse and reprint a module
+    project             project a global type on a role
+    normalize           normal forms of declared types
+    typecheck           typecheck processes and systems
+    simulate            seeded execution of a system
+    traces              annotated runs of a global type
+    cover               check runs(G) covered by its projections
+    wsi                 whole-spectrum implementation verdicts
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+], ids=["empty", "bogus", "help"])
+def test_top_level_texts(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    *[pytest.param((name, *VALID[name]), 2, id=name) for name in SUBCOMMANDS],
+    pytest.param((), 9, id="empty"), pytest.param(("-h",), 9, id="help"),
+    pytest.param(("bogus",), 9, id="bogus")])
+def test_main_builds_the_named_subcommand_parser_only(capsys, monkeypatch,
+                                                      argv, parsers):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    try:
+        main(list(argv))
+    except SystemExit:
+        pass
+    capsys.readouterr()
+    assert len(built) == parsers
