@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success (analysis holds), 1 on an analysis rejection
 (typing error, covering failure, simulation counterexample, a global
-type that is not well formed or not projectable), 2 on usage or parse
+type that is not well formed or not projectable) or a `simulate` run
+stopped by an evaluation error, 2 on usage or parse
 errors, 3 when covering is inconclusive (no witness for a skeleton, but
 a send onto a queue holding `wsi.QUEUE_BOUND` messages was skipped; a
 rejection by typing still exits 1).  Usage errors name something the
@@ -20,10 +21,10 @@ import random
 import sys
 from pathlib import Path
 
-from .guards import DomainDecl, Store
+from .guards import DomainDecl, EvalError, Store
 from .projection import NonProjectable, participants_ordered, project, well_formed
 from .pseudotype import normal_form, remove_guards
-from .semantics import system_steps, to_state
+from .semantics import step_process, system_steps, to_state
 from .syntax import parse_module, render_module, render_type
 from .syntax.ast import Event, GlobalDef, ModuleDecl, TRUE
 from .syntax.parser import ParseError
@@ -241,8 +242,6 @@ def cmd_typecheck(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .syntax.ast import Accept, Request, Seq
-
     module = _load(args.file)
     domains = DomainDecl.from_module(module)
     if args.system not in module.systems:
@@ -255,44 +254,58 @@ def cmd_simulate(args) -> int:
     }
     store = Store(vars=init_vars, tables=domains.tables)
 
-    participants = {}
-    for pid, proc in state.procs:
-        head = proc.first if isinstance(proc, Seq) else proc
-        if isinstance(head, Accept):
-            participants[pid] = head.role
-        elif isinstance(head, Request):
-            try:
-                gdef = _the_global(module, args.global_name)
-                g = instantiate(gdef, gdef.params)
-                participants[pid] = participants_ordered(g)[0]
-            except UsageError:
-                pass
-
-    trace = []
-    for _ in range(args.steps):
-        succ = system_steps(state, store)
-        if not succ:
-            break
-        component, action, state2, store2 = succ[rng.randrange(len(succ))]
-        delta_vars = {k: str(v) for k, v in store2.vars.items()
-                      if store.vars.get(k) != v}
-        entry = {"label": str(action),
-                 "component": component,
-                 "store-delta": delta_vars}
-        if component in participants:
-            entry["participant"] = participants[component]
-        trace.append(entry)
-        state, store = state2, store2
+    trace, error = [], None
+    try:
+        participants = _participants(module, args.global_name, state, store)
+        for _ in range(args.steps):
+            succ = system_steps(state, store)
+            if not succ:
+                break
+            component, action, state2, store2 = succ[rng.randrange(len(succ))]
+            delta_vars = {k: str(v) for k, v in store2.vars.items()
+                          if store.vars.get(k) != v}
+            entry = {"label": str(action),
+                     "component": component,
+                     "store-delta": delta_vars}
+            if component in participants:
+                entry["participant"] = participants[component]
+            trace.append(entry)
+            state, store = state2, store2
+    except EvalError as exc:
+        error = f"evaluation error: {exc}"
     terminated = state.is_terminated()
     if args.trace:
         Path(args.trace).write_text(json.dumps(trace, indent=2) + "\n")
     if args.json:
-        print(json.dumps({"terminated": terminated, "steps": trace}, indent=2))
-        return 0
-    for entry in trace:
-        print(f"[{entry['component']}] {entry['label']}")
-    print(("terminated" if terminated else "stopped") + f" after {len(trace)} steps")
-    return 0
+        result = {"terminated": terminated, "steps": trace}
+        if error:
+            result["error"] = error
+        print(json.dumps(result, indent=2))
+    else:
+        for entry in trace:
+            print(f"[{entry['component']}] {entry['label']}")
+        print(("terminated" if terminated else "stopped")
+              + f" after {len(trace)} steps" + (f": {error}" if error else ""))
+    return 1 if error else 0
+
+
+def _participants(module: ModuleDecl, global_name: str | None, state,
+                  store: Store) -> dict:
+    """The participant each component plays, read from the session it
+    can open first: an acceptor's role, or the entry global's first
+    participant for a requester."""
+    out = {}
+    for pid, proc in state.procs:
+        for action, _, _ in step_process(proc, store, lambda _: ()):
+            if action.kind == "acc":
+                out[pid] = action.role
+            elif action.kind == "req":
+                try:
+                    gdef = _the_global(module, global_name)
+                except UsageError:
+                    continue
+                out[pid] = participants_ordered(instantiate(gdef, gdef.params))[0]
+    return out
 
 
 def cmd_traces(args) -> int:

@@ -41,11 +41,6 @@ def weight(t: PseudoType) -> int:
     raise TypeError(f"not a pseudo-type: {t!r}")
 
 
-# Test hook: called as hook(parent, child) on every recursive
-# normalization step, so the variant-function property is observable.
-_RECURSE_HOOK = None
-
-
 def normalize(e: Expr, t: PseudoType, domains: DomainDecl = EMPTY_DOMAINS) -> PseudoType:
     """nf_e(T): propagate the guard e through T, pruning branches whose
     guard is inconsistent with e.
@@ -72,11 +67,6 @@ def normalize(e: Expr, t: PseudoType, domains: DomainDecl = EMPTY_DOMAINS) -> Ps
 
 
 def _propagate(e: Expr, t: PseudoType, domains: DomainDecl) -> PseudoType:
-    def recurse(e2, t2, parent):
-        if _RECURSE_HOOK is not None:
-            _RECURSE_HOOK(parent, t2)
-        return normalize(e2, t2, domains)
-
     match t:
         case TEnd(g):  # conjoin into the end guard
             return TEnd(conj(e, g))
@@ -86,27 +76,27 @@ def _propagate(e: Expr, t: PseudoType, domains: DomainDecl) -> PseudoType:
                 return TEnd(FALSE)
             new = tuple(
                 TBranch(conj(b.guard, e), b.channel, b.sort,
-                        recurse(conj(b.guard, e), b.cont, t))
+                        normalize(conj(b.guard, e), b.cont, domains))
                 for b in keep)
             return type(t)(new)
         case TSeq(first, second):
             match first:
                 case TEnd(g):  # a guarded end is a left unit
-                    return recurse(conj(e, g), second, t)
+                    return normalize(conj(e, g), second, domains)
                 case TInternal(bs) | TExternal(bs):  # push the sequel into branches
                     pushed = type(first)(tuple(
                         TBranch(b.guard, b.channel, b.sort, TSeq(b.cont, second))
                         for b in bs))
-                    return recurse(e, pushed, t)
+                    return normalize(e, pushed, domains)
                 case TSeq(f2, s2):  # reassociate right
-                    return recurse(e, TSeq(f2, TSeq(s2, second)), t)
+                    return normalize(e, TSeq(f2, TSeq(s2, second)), domains)
                 case TIter(_):  # a dead loop swallows its sequel
-                    head = recurse(e, first, t)
+                    head = normalize(e, first, domains)
                     if isinstance(head, TEnd):
                         return head
-                    return TSeq(head, recurse(e, second, t))
+                    return TSeq(head, normalize(e, second, domains))
         case TIter(body):  # loops of dead bodies die
-            nb = recurse(e, body, t)
+            nb = normalize(e, body, domains)
             if isinstance(nb, TEnd):
                 return nb
             return TIter(nb)

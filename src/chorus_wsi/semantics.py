@@ -4,13 +4,22 @@ simulation checker.
 Process steps carry conditional labels <e>alpha; the guard records the
 conjunction of the conditions taken by if-statements on the way to the
 action.  System steps resolve communication against per-channel queues
-(send appends, receive consumes the head) and synchronize one requester
-with all acceptors of a shared name, creating fresh session channels
-from a deterministic counter.  A system step is reported as the
-component that moved and its process-level label, which is all that
-the system explorers (`conditional_simulation` and `chorus-wsi
-simulate`) read.  Covering's search (`wsi`) steps the checked process
-by `step_process` and its peers' projections by `type_steps`.
+(send appends, receive consumes the head).  Only `step_process` decides
+which process can open a session: a session start joins one component's
+`req` step with exactly `arity` `acc` steps of other components on the
+same shared name, with pairwise-distinct roles and as many channels as
+the request.  Each step's continuation gets its label's channels
+replaced by fresh actuals `y@u<n>` (n counts the sessions opened); the
+store is the requester's step store (a `for` binder stays bound) plus
+the acceptors' bindings, with the session bound to the actuals; the
+label is the requester's, guard kept.  The substitution covers the rest
+of a `Seq` too, so a session binder must differ from the free names
+that follow it, as the parser's freshening makes it.  A system step is
+reported as the component that moved and its process-level label, which
+is all that the system explorers (`conditional_simulation` and
+`chorus-wsi simulate`) read.  Covering's search (`wsi`) steps the
+checked process by `step_process` and its peers' projections by
+`type_steps`.
 
 Specification steps rewrite normalized session pseudo-types;
 queue-mediated specification steps are silent but record the
@@ -204,9 +213,6 @@ class SysState:
     def queue_map(self) -> dict:
         return dict(self.queues)
 
-    def proc_map(self) -> dict:
-        return dict(self.procs)
-
     def is_terminated(self) -> bool:
         return all(is_nil(p) for _, p in self.procs)
 
@@ -256,20 +262,13 @@ def system_steps(state: SysState, store: Store) -> list:
     def queue_head(channel):
         return queues.get(channel, ())[:1]
 
-    requests: list = []
-    accepts: dict = {}
+    opens: list = []
     for pid, p in state.procs:
-        head = proc_canon(p)
-        opener = head.first if isinstance(head, Seq) else head
-        if isinstance(opener, Request):
-            requests.append(pid)
-        if isinstance(opener, Accept):
-            accepts.setdefault(opener.shared, []).append(pid)
-
         for action, cont, store2 in step_process(p, store, queue_head):
             if action.kind in ("req", "acc"):
-                # lone req/acc labels do not fire at system level: session
-                # initiation is the synchronous SInit step below
+                # a lone req or acc does not fire at system level: it
+                # joins a session start below
+                opens.append((pid, action, cont, store2))
                 continue
             new_queues = state.queues
             if action.channel in queues:
@@ -281,54 +280,30 @@ def system_steps(state: SysState, store: Store) -> list:
                                  state.restricted),
                         store2))
 
-    out.extend(_init_steps(state, store, requests, accepts))
-    return out
-
-
-def _init_steps(state: SysState, store: Store, requests: list,
-                accepts: dict) -> list:
-    out = []
-    procs = state.proc_map()
-    for pid in requests:
-        p = procs[pid]
-        prefix = None
-        if isinstance(p, Seq):
-            p, prefix = p.first, p.second
-        assert isinstance(p, Request)
-        partners = [q for q in accepts.get(p.shared, []) if q != pid]
-        roles = []
-        arity_ok = True
-        for q in partners:
-            acc = procs[q]
-            acc = acc.first if isinstance(acc, Seq) else acc
-            roles.append(acc.role)
-            arity_ok = arity_ok and len(acc.chans) == len(p.chans)
-        if not arity_ok or len(set(roles)) != len(roles):
+    for pid, req, cont, store2 in opens:
+        if req.kind != "req":
             continue
-        if len(partners) != p.arity:
+        cohort = [o for o in opens if o[1].kind == "acc"
+                  and o[1].shared == req.shared and o[0] != pid]
+        roles = {acc.role for _, acc, _, _ in cohort}
+        if len(cohort) != req.arity or len(roles) != len(cohort) \
+                or any(len(acc.chans) != len(req.chans) for _, acc, _, _ in cohort):
             continue  # incomplete or ambiguous cohorts do not synchronize
-        session_no = len(state.restricted)
-        actuals = tuple(f"{y}@{p.shared}{session_no}" for y in p.chans)
-        new_procs = list(state.procs)
-        cont0 = subst_process(p.cont, cmap=dict(zip(p.chans, actuals)))
-        if prefix is not None:
-            cont0 = proc_canon(Seq(cont0, prefix))
-        new_procs[pid] = (pid, cont0)
-        for q in partners:
-            acc = procs[q]
-            acc_prefix = None
-            if isinstance(acc, Seq):
-                acc, acc_prefix = acc.first, acc.second
-            cont = subst_process(acc.cont, cmap=dict(zip(acc.chans, actuals)))
-            if acc_prefix is not None:
-                cont = proc_canon(Seq(cont, acc_prefix))
-            new_procs[q] = (q, cont)
-        queues = _set_queues(state.queues, dict.fromkeys(actuals, ()))
-        new_state = SysState(tuple(new_procs), queues,
-                             state.restricted + ((actuals, p.shared),))
-        out.append((pid, Label("req", shared=p.shared, arity=p.arity,
-                               chans=actuals),
-                    new_state, store.with_session(p.shared, actuals)))
+        actuals = tuple(f"{y}@{req.shared}{len(state.restricted)}"
+                        for y in req.chans)
+        procs = dict(state.procs)
+        new_vars = dict(store2.vars)  # keeps what the step bound (a `for` binder)
+        for q, label, q_cont, q_store in [(pid, req, cont, store2)] + cohort:
+            procs[q] = proc_canon(subst_process(
+                q_cont, cmap=dict(zip(label.chans, actuals))))
+            new_vars.update((k, v) for k, v in q_store.vars.items()
+                            if store.vars.get(k) != v)
+        new_state = SysState(tuple(procs.items()),
+                             _set_queues(state.queues, dict.fromkeys(actuals, ())),
+                             state.restricted + ((actuals, req.shared),))
+        sessions = {**store2.sessions, req.shared: actuals}
+        out.append((pid, replace(req, chans=actuals), new_state,
+                    Store(new_vars, sessions, store2.tables)))
     return out
 
 

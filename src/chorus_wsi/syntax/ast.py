@@ -298,7 +298,6 @@ class GEnd:
 
 
 GlobalType = Union[GChoice, GSeq, GIter, GEnd]
-G_END = GEnd()
 
 
 def g_channels(g: GlobalType) -> frozenset:
@@ -362,8 +361,6 @@ class TEnd:
 
 
 PseudoType = Union[TInternal, TExternal, TSeq, TIter, TEnd]
-
-T_END = TEnd()
 
 
 def is_local(t: PseudoType) -> bool:

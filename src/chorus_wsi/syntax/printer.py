@@ -19,7 +19,6 @@ _BINOP_PREC = {
     "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
     "+": 6, "-": 6, "*": 7,
 }
-_UNARY_KEYWORDS = ("not", "hd", "tl")
 
 
 def render_expr(e: Expr, prec: int = 0) -> str:

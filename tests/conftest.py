@@ -14,6 +14,10 @@ IDLE_ROLE = pathlib.Path(__file__).resolve().parent / "idle_role.chor"
 SEND_FOR_INPUT = pathlib.Path(__file__).resolve().parent / "send_for_input.chor"
 # a peer whose loop may fill a queue that the process never drains
 SEND_LOOP = pathlib.Path(__file__).resolve().parent / "send_loop.chor"
+# requesters that open their session under an `if` and under a `for`
+WRAPPED_OPEN = pathlib.Path(__file__).resolve().parent / "wrapped_open.chor"
+# a client whose payload reads a variable nothing binds
+UNBOUND_READ = pathlib.Path(__file__).resolve().parent / "unbound_read.chor"
 # a global type whose choice sends to its own sender
 ILL_FORMED = pathlib.Path(__file__).resolve().parent / "ill_formed.chor"
 # a module that declares nothing, and one whose only global type takes
@@ -62,3 +66,9 @@ def atm_domains(atm):
 @pytest.fixture(scope="session")
 def multiparty_domains(multiparty):
     return DomainDecl.from_module(multiparty)
+
+
+@pytest.fixture
+def wrapped_open():
+    module = parse_module(WRAPPED_OPEN.read_text())
+    return module, DomainDecl.from_module(module)

@@ -128,6 +128,45 @@ def test_simulate_deterministic_with_seed(capsys):
     assert outs[0] == outs[1]
 
 
+def test_simulate_opens_wrapped_sessions(capsys):
+    """A requester under an `if` or a `for` opens its session, and every
+    component is reported with the participant it plays."""
+    wrapped = str(conftest.WRAPPED_OPEN)
+    code, out, _ = run(capsys, "simulate", wrapped, "--system", "IF_OPEN",
+                       "--seed", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "[0] <x>req u[1](a@u0)"
+    assert out.splitlines()[-1] == "terminated after 3 steps"
+    for system in ("IF_OPEN", "FOR_OPEN"):
+        code, out, _ = run(capsys, "simulate", wrapped, "--system", system,
+                           "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["terminated"]
+        assert {(e["component"], e["participant"]) for e in payload["steps"]
+                if e["label"] != "tau"} == {(0, "c"), (1, "s")}
+
+
+def test_simulate_evaluation_error(tmp_path, capsys):
+    """An evaluation error stops the run after the steps taken, exits 1,
+    and is reported rather than raised."""
+    trace = tmp_path / "trace.json"
+    argv = ("simulate", str(conftest.UNBOUND_READ), "--system", "UNBOUND",
+            "--trace", str(trace))
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert out == ("[0] req u[1](a@u0)\n"
+                   "stopped after 1 steps: evaluation error: "
+                   "unbound variable 'z'\n")
+    steps = json.loads(trace.read_text())
+    assert [e["label"] for e in steps] == ["req u[1](a@u0)"]
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "terminated": False, "steps": steps,
+        "error": "evaluation error: unbound variable 'z'"}
+
+
 def test_traces_json(capsys):
     code, out, _ = run(capsys, "traces", ATM, "--unfold", "1", "--json")
     assert code == 0
@@ -365,6 +404,10 @@ def _case(name, code, stderr, *argv, stdout=""):
           "wsi", str(conftest.IDLE_ROLE), "--proc", "Z",
           stdout="covering: MissingRun <empty>: the process opens no session "
                  "of G_ATM"),
+    _case("simulate-evaluation-error", 1, "",
+          "simulate", str(conftest.UNBOUND_READ), "--system", "UNBOUND",
+          stdout="stopped after 1 steps: evaluation error: "
+                 "unbound variable 'z'"),
     # a covering search that skipped a send onto a full queue
     _case("wsi-inconclusive", 3, "",
           "wsi", str(conftest.SEND_LOOP), "--proc", "Q", "--mode", "covering",

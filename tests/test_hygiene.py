@@ -4,11 +4,11 @@ private (`_`-prefixed) name of another, so what a module keeps private
 stays free to change; no function keeps a
 parameter it never reads, so no caller passes a value that cannot
 change an answer; no function assigns a local it never reads, so no
-value is computed for nothing; and no top-level function or class under
-src/ is left that neither src/ nor tests/ uses, so dead API cannot
-linger; and no function mutates a module-level dict, list or set, so no
-answer or timing of one `cli.main` call can depend on an earlier call in
-the same process.
+value is computed for nothing; and no top-level function, class or
+assigned name under src/ is left that neither src/ nor tests/ uses, so
+dead API cannot linger; and no function mutates a module-level dict,
+list or set, so no answer or timing of one `cli.main` call can depend
+on an earlier call in the same process.
 
 Package `__init__` modules are skipped by the import check:
 re-exporting is their job.
@@ -210,26 +210,34 @@ def test_no_dead_locals_in_src():
 
 
 def unreferenced_definitions(sources: dict, exempt=frozenset()) -> list:
-    """(path, line, name) for each top-level function or class of the
-    `defining` sources that no source loads outside the definition's own
-    body.  `sources` maps a path to (source, defining); a load is a name
-    read or an attribute of that name.  Imports, strings and docstrings
-    are not loads, so a name only re-exported, only mentioned in prose,
-    or only called by itself counts as unreferenced."""
+    """(path, line, name) for each top-level function, class or assigned
+    name of the `defining` sources that no source loads outside the
+    definition's own statement.  `sources` maps a path to (source,
+    defining); a load is a name read or an attribute of that name.
+    Imports, strings and docstrings are not loads, so a name only
+    re-exported, only mentioned in prose, or only called by itself counts
+    as unreferenced.  Dunder names such as `__version__` are exempt."""
     definitions, loads = [], {}
     for path, (source, defining) in sources.items():
         for stmt in ast.parse(source).body:
             if defining and isinstance(stmt, (ast.FunctionDef, ast.ClassDef,
                                               ast.AsyncFunctionDef)):
-                definitions.append((path, stmt))
+                definitions.append((path, stmt, stmt.name))
+            elif defining and isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target]
+                definitions += [(path, stmt, t.id) for t in targets
+                                if isinstance(t, ast.Name)
+                                and not (t.id.startswith("__")
+                                         and t.id.endswith("__"))]
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     loads.setdefault(node.id, set()).add((path, id(stmt)))
                 elif isinstance(node, ast.Attribute):
                     loads.setdefault(node.attr, set()).add((path, id(stmt)))
-    return sorted((path, d.lineno, d.name) for path, d in definitions
-                  if d.name not in exempt
-                  and not loads.get(d.name, set()) - {(path, id(d))})
+    return sorted((path, d.lineno, name) for path, d, name in definitions
+                  if name not in exempt
+                  and not loads.get(name, set()) - {(path, id(d))})
 
 
 def test_detector_flags_only_unreferenced_definitions():
@@ -245,15 +253,20 @@ def test_detector_flags_only_unreferenced_definitions():
            'def by_attribute():\n'
            '    return 1\n'
            'def helper():\n'
-           '    return 2\n')
+           '    return 2\n'
+           '__version__ = "1"\n'
+           'LIMIT: int = 3\n'
+           'UNUSED = LIMIT + 1\n'
+           'TABLE = {"k": 1}\n')
     init = "from .lib import helper, walk\n"
     test = ("import lib\n"
             "def test_it():\n"
-            "    assert lib.used() and lib.by_attribute()\n")
+            "    assert lib.used() and lib.by_attribute() and lib.TABLE\n")
     sources = {"lib.py": (lib, True), "__init__.py": (init, True),
                "test_lib.py": (test, False)}
     assert unreferenced_definitions(sources, exempt={"main"}) == [
-        ("lib.py", 1, "walk"), ("lib.py", 12, "helper")]
+        ("lib.py", 1, "walk"), ("lib.py", 12, "helper"),
+        ("lib.py", 16, "UNUSED")]
 
 
 def test_no_unreferenced_definitions_in_src():

@@ -253,21 +253,36 @@ def test_not_viable_overlapping_loop_exit():
 
 # ------------------------- algebraic laws of normalization and merge
 
+def watch_recursion(monkeypatch, seen: list) -> None:
+    """Wrap `pseudotype.normalize` so that a call made while another is
+    open appends (parent, child) to `seen`: the type the open call
+    normalizes and the type this call does."""
+    unwatched = pt.normalize
+    stack = []
+
+    def watched(e, t, domains=EMPTY_DOMAINS):
+        if stack:
+            seen.append((stack[-1], t))
+        stack.append(t)
+        try:
+            return unwatched(e, t, domains)
+        finally:
+            stack.pop()
+
+    monkeypatch.setattr(pt, "normalize", watched)
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_normalize_terminates_with_decreasing_weight(seed):
+def test_normalize_terminates_with_decreasing_weight(seed, monkeypatch):
     rng = random.Random(seed)
     t = gen.gen_pseudotype(rng, depth=4)
     calls = []
-
-    def hook(parent, child):
-        calls.append(weight(parent) > weight(child))
-
-    pt._RECURSE_HOOK = hook
-    try:
-        normalize(gen.gen_guard(rng), t, D)
-    finally:
-        pt._RECURSE_HOOK = None
-    assert all(calls)
+    watch_recursion(monkeypatch, calls)
+    out = pt.normalize(gen.gen_guard(rng), t, D)
+    # only an end is answered without recursing: seed 2 draws `end`, and
+    # seed 4's guard prunes every branch
+    assert calls or isinstance(out, TEnd)
+    assert all(weight(parent) > weight(child) for parent, child in calls)
 
 
 def test_law_suite_sample():
@@ -294,6 +309,7 @@ def run_law_suite(n_cases: int, seed: int = 0):
     pseudo-types; returns a list of failure descriptions."""
     rng = random.Random(seed)
     failures = []
+    recursions = 0
     for case in range(n_cases):
         t = gen.gen_pseudotype(rng, depth=4)
         e = gen.gen_guard(rng)
@@ -301,13 +317,12 @@ def run_law_suite(n_cases: int, seed: int = 0):
 
         # termination with the weight variant
         witnessed = []
-        pt._RECURSE_HOOK = lambda p, c: witnessed.append(weight(p) > weight(c))
-        try:
-            nf_t = normalize(e, t, D)
-        finally:
-            pt._RECURSE_HOOK = None
-        if not all(witnessed):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            watch_recursion(monkeypatch, witnessed)
+            nf_t = pt.normalize(e, t, D)
+        if not all(weight(p) > weight(c) for p, c in witnessed):
             failures.append(f"case {case}: normalization recursed on >= weight")
+        recursions += len(witnessed)
 
         # nf-aux: nf_e(nf_e2(T)) = nf_(e and e2)(T)
         lhs = normalize(e, normalize(e2, t, D), D)
@@ -358,6 +373,8 @@ def run_law_suite(n_cases: int, seed: int = 0):
         nf1 = normal_form(t, D)
         if not equiv(normal_form(nf1, D), nf1, D):
             failures.append(f"case {case}: normal form not idempotent")
+    if not recursions:
+        failures.append("normalization never recursed")
     return failures
 
 

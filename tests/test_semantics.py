@@ -9,12 +9,13 @@ from chorus_wsi.semantics import (
 )
 from chorus_wsi.syntax import parse_expr, parse_process, parse_module, parse_type
 from chorus_wsi.syntax.ast import (
-    DERIVED, Accept, Branch, INT, Proc, Seq, TRUE, int_lit, is_nil,
+    DERIVED, Branch, INT, If, Proc, Seq, TRUE, Var, bool_lit, int_lit, is_nil,
 )
 from chorus_wsi.typecheck import SpecEnv, gamma_from_domains, typecheck_system
 
 import gen
 import srcheck
+from opener_reference import opener_peeking_steps
 
 D = gen.GUARD_DOMAINS
 
@@ -106,17 +107,16 @@ def test_system_queue_communication(pop2, pop2_domains):
         ["quit", "quit", "bye", "bye"]
 
 
-def _check_queue_discipline(state, component, action, state2):
-    before, after = state.proc_map(), state2.proc_map()
+def _check_queue_discipline(state, store, component, action, state2):
+    before, after = dict(state.procs), dict(state2.procs)
     moved = {pid for pid in before if before[pid] != after[pid]}
     queues, expected = state.queue_map(), state.queue_map()
     restricted = state.restricted
     if action.kind == "req":
         # the acceptors of the session move with the requester
-        heads = {pid: p.first if isinstance(p, Seq) else p
-                 for pid, p in state.procs}
-        acceptors = {pid for pid, head in heads.items()
-                     if isinstance(head, Accept) and head.shared == action.shared}
+        acceptors = {pid for pid, p in state.procs
+                     for label, _, _ in step_process(p, store, no_input)
+                     if label.kind == "acc" and label.shared == action.shared}
         assert moved <= {component} | acceptors
         assert not set(action.chans) & set(queues)
         expected.update(dict.fromkeys(action.chans, ()))
@@ -134,36 +134,102 @@ def _check_queue_discipline(state, component, action, state2):
     assert state2.restricted == restricted
 
 
+def _corpus_starts(modules) -> list:
+    """(state, store) for each system of each (module, domains), from
+    every declared starting store."""
+    return [(to_state(system.body), store)
+            for module, domains in modules
+            for system, store in itertools.product(
+                module.systems.values(),
+                domains.assignments(sorted(domains.domains)))]
+
+
+def _reached(starts: list, depth: int = 30):
+    """(state, store, system steps) for every state reached breadth first
+    from each start, up to `depth` steps deep."""
+    for start in starts:
+        frontier, seen = [start], set()
+        for _ in range(depth):
+            reached = []
+            for state, store in frontier:
+                succ = system_steps(state, store)
+                yield state, store, succ
+                for _, _, state2, store2 in succ:
+                    if (state2, store2.key()) not in seen:
+                        seen.add((state2, store2.key()))
+                        reached.append((state2, store2))
+            frontier = reached
+
+
 def test_system_steps_queue_discipline(pop2, atm, multiparty, pop2_domains,
                                        atm_domains, multiparty_domains):
     """Every step of every corpus system, from every declared starting
     store and up to 30 steps deep, moves its component and touches only
     the queues its action names."""
-    starts = [(to_state(system.body), store)
-              for module, domains in [(pop2, pop2_domains), (atm, atm_domains),
-                                      (multiparty, multiparty_domains)]
-              for system, store in itertools.product(
-                  module.systems.values(),
-                  domains.assignments(sorted(domains.domains)))]
+    starts = _corpus_starts([(pop2, pop2_domains), (atm, atm_domains),
+                             (multiparty, multiparty_domains)])
     # no corpus queue ever holds two values, so this one checks the order
     fifo = SysState(((0, parse_process("{ y!(1); y!(2) }")),
                      (1, parse_process("y?(a). y?(b). 0"))), (("y", ()),))
     starts.append((fifo, Store()))
     steps = 0
-    for start in starts:
-        frontier, seen = [start], set()
-        for _ in range(30):
-            reached = []
-            for state, store in frontier:
-                for component, action, state2, store2 in \
-                        system_steps(state, store):
-                    _check_queue_discipline(state, component, action, state2)
-                    steps += 1
-                    if (state2, store2.key()) not in seen:
-                        seen.add((state2, store2.key()))
-                        reached.append((state2, store2))
-            frontier = reached
+    for state, store, succ in _reached(starts):
+        for component, action, state2, _ in succ:
+            _check_queue_discipline(state, store, component, action, state2)
+            steps += 1
     assert steps > 1000
+
+
+def test_system_steps_match_the_opener_peeking_reference(
+        pop2, atm, multiparty, pop2_domains, atm_domains, multiparty_domains):
+    """Every corpus opener heads its process, so reading session starts
+    off the process LTS changes no step of a corpus system."""
+    starts = _corpus_starts([(pop2, pop2_domains), (atm, atm_domains),
+                             (multiparty, multiparty_domains)])
+    states = starts_seen = 0
+    for state, store, succ in _reached(starts):
+        want = opener_peeking_steps(state, store)
+        assert [(c, a, s, st.key()) for c, a, s, st in succ] == \
+            [(c, a, s, st.key()) for c, a, s, st in want]
+        states += 1
+        starts_seen += any(a.kind == "req" for _, a, _, _ in succ)
+    assert states > 1000 and starts_seen > 10
+
+
+def test_wrapped_requesters_simulate(wrapped_open):
+    """A requester under an `if` or a `for` opens its session, so the
+    simulation checker gets past the initial state."""
+    module, domains = wrapped_open
+    gamma = gamma_from_domains(domains)
+    shared = {"u": module.globals_["G"]}
+    for name, system in module.systems.items():
+        delta = typecheck_system(gamma, TRUE, system.body, shared, domains)
+        for store in domains.assignments(sorted(domains.domains)):
+            verdict = conditional_simulation(system.body, store, delta,
+                                             domains, depth=40)
+            assert verdict.holds() and verdict.states > 1, (name, verdict)
+
+
+def test_conditional_wrapping_keeps_system_runs():
+    """`if b then { P } else { P }` runs as P does for every process of
+    every role of a generated protocol: a session start is read off the
+    process LTS, not off the head of the process."""
+    opened = 0
+    for seed in range(100):
+        impls = gen.role_implementations(seed)
+        if not impls:
+            continue
+        gdef = impls[0][0]
+        procs = {role: proc for _, role, proc, _ in impls}
+        wrapped = {role: If(Var("b"), proc, proc) for role, proc in procs.items()}
+        selectors = set().union(*(domains.domains for *_, domains in impls))
+        # odd seeds take the else side
+        store = Store({**dict.fromkeys(selectors, bool_lit(True)),
+                       "b": bool_lit(seed % 2 == 0)})
+        runs = gen.system_runs(procs, gdef, "u", store)
+        assert gen.system_runs(wrapped, gdef, "u", store) == runs, seed
+        opened += any(runs.values())
+    assert opened > 40
 
 
 def test_closed_terminated_system_stuck():

@@ -166,6 +166,18 @@ def _default(sort) -> Lit:
                       "Data": b""}[sort.kind])
 
 
+def test_wsi_of_a_requester_under_a_conditional(wrapped_open):
+    """Typing and covering both accept a requester that opens its
+    session on either side of an `if`, and the acceptor it runs with."""
+    module, domains = wrapped_open
+    g = module.globals_["G"]
+    for name, role in (("CIf", "c"), ("S", "s")):
+        body = module.processes[name].body
+        assert wsi_by_typing(g, role, body, domains, "u").holds(), name
+        assert wsi_by_covering(g, role, body, domains,
+                               shared_name="u").holds(), name
+
+
 def test_wsi_covering_role_not_participant(atm, atm_domains):
     g = atm.globals_["G_ATM"]
     v = wsi_by_covering(g, "nobody", atm.processes["B1"].body, atm_domains,
