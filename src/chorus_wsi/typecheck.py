@@ -30,7 +30,7 @@ from .syntax.ast import (
     GlobalDef, GlobalType, If, INT, ListLit, Par, Proc, Process,
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, System, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
-    UnOp, Var, BinOp, Const, conj, fn, neg, pt_vars,
+    UnOp, Var, BinOp, Const, conj, expr_vars, fn, neg, pt_vars,
 )
 
 
@@ -644,6 +644,23 @@ def unique_role(p: Process, u: str, role: str, role0: str | None = None) -> bool
             return unique_role(second, u, role, role0) and u not in fn(first)
         case RepeatUntil(body, exit):
             return unique_role(exit, u, role, role0) and u not in fn(body)
-        case Send() | For():
+        case For(_, items, body):
+            # the body runs exactly once only over a constant one-item list
+            return _one_item(items) and unique_role(body, u, role, role0)
+        case Send():
             return False
     raise TypeError(f"not a process: {p!r}")
+
+
+def _one_item(items: Expr) -> bool:
+    """Is items a constant expression whose value is a one-item list?"""
+    if expr_vars(items):
+        return False
+    try:
+        if isinstance(items, Range):  # its length, without building it
+            lo, hi = (eval_expr(bound, Store()) for bound in (items.lo, items.hi))
+            return lo.sort == hi.sort == INT and lo.value == hi.value
+        value = eval_expr(items, Store())
+    except EvalError:
+        return False
+    return value.sort.kind == "List" and len(value.value) == 1

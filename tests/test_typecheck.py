@@ -238,6 +238,11 @@ def test_unique_role_examples(pop2):
     assert not unique_role(Send("y", parse_expr("1")), "u", "s")
     loop = For("x", parse_expr("1..2"), init)
     assert not unique_role(loop, "u", "s")
+    # a loop plays the role only when its body runs exactly once
+    for items in ("1..1", "[3]", "2..2 + 0"):
+        assert unique_role(For("x", parse_expr(items), init), "u", "s"), items
+    for items in ("[1, 2]", "2..1", "[]", "1..n", "[n]", "1..true"):
+        assert not unique_role(For("x", parse_expr(items), init), "u", "s"), items
 
 
 def test_unique_role_request_is_role_zero(pop2):

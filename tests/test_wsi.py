@@ -1,18 +1,22 @@
 import collections
 import dataclasses
+import heapq
 import itertools
+import random
+import sys
 
 import pytest
 
-from chorus_wsi.guards import Store
+from chorus_wsi import wsi
+from chorus_wsi.guards import DomainDecl, Store
 from chorus_wsi.projection import NonProjectable, project
 from chorus_wsi.syntax.ast import (
     Accept, Arm, Branch, Const, Event, GChoice, GEnd, GlobalDef, If, Lit,
-    Request, Send, Seq, UNIT, fX,
+    Request, Send, Seq, UNIT, fU, fX,
 )
-from chorus_wsi.syntax import parse_module
+from chorus_wsi.syntax import parse_expr, parse_module
 from chorus_wsi.traces import (
-    _foata, covers, mandatory, runs_global, trace_leq,
+    IllFormed, _foata, covers, mandatory, run_str, runs_global, trace_leq,
 )
 from chorus_wsi.typecheck import instantiate, participants_ordered
 from chorus_wsi.wsi import (
@@ -22,6 +26,7 @@ from chorus_wsi.wsi import (
 
 import conftest
 import gen
+from covering_reference import reference_wsi_by_covering
 
 
 def test_wsi_typing_atm(atm, atm_domains):
@@ -168,14 +173,30 @@ def _default(sort) -> Lit:
 
 def test_wsi_of_a_requester_under_a_conditional(wrapped_open):
     """Typing and covering both accept a requester that opens its
-    session on either side of an `if`, and the acceptor it runs with."""
+    session on either side of an `if` or in the one round of a loop over
+    `1..1`, and the acceptor it runs with."""
     module, domains = wrapped_open
     g = module.globals_["G"]
-    for name, role in (("CIf", "c"), ("S", "s")):
+    for name, role in (("CIf", "c"), ("CFor", "c"), ("S", "s")):
         body = module.processes[name].body
         assert wsi_by_typing(g, role, body, domains, "u").holds(), name
         assert wsi_by_covering(g, role, body, domains,
                                shared_name="u").holds(), name
+
+
+@pytest.mark.parametrize("items", ["1..2", "[1, 1]", "1..x"])
+def test_wsi_of_a_requester_in_a_loop_that_may_not_run_once(wrapped_open,
+                                                             items):
+    """A loop whose list is not a constant one-item list may open no
+    session or several: neither path lets it play the role."""
+    module, domains = wrapped_open
+    body = module.processes["CFor"].body
+    loop = dataclasses.replace(body, items=parse_expr(items))
+    why = "the process does not uniquely play 'c' in 'u'"
+    typing = wsi_by_typing(module.globals_["G"], "c", loop, domains, "u")
+    assert str(typing) == f"Rejected: role: {why} (at <top>)"
+    covering = wsi_by_covering(module.globals_["G"], "c", loop, domains)
+    assert str(covering) == f"MissingRun <empty>: {why}"
 
 
 def test_wsi_covering_role_not_participant(atm, atm_domains):
@@ -267,19 +288,26 @@ def _projectable(gdef) -> bool:
     return True
 
 
+def _typed_implementations(seeds):
+    """(seed, global, role, process, domains) of each generated role
+    implementation whose global type projects on every role and whose
+    process typechecks."""
+    for seed in seeds:
+        for gdef, role, proc, domains in gen.role_implementations(seed):
+            if _projectable(gdef) \
+                    and wsi_by_typing(gdef, role, proc, domains).holds():
+                yield seed, gdef, role, proc, domains
+
+
 def test_typing_implies_covering_on_generated_implementations():
     """Differential: on the 299 roles of seeds 0-299 whose global type
     projects on every role and whose process, built from the role's
     projection with selector variables, typechecks, covering holds too."""
     cases = 0
-    for seed in range(300):
-        for gdef, role, proc, domains in gen.role_implementations(seed):
-            if not _projectable(gdef) \
-                    or not wsi_by_typing(gdef, role, proc, domains).holds():
-                continue
-            cases += 1
-            verdict = wsi_by_covering(gdef, role, proc, domains)
-            assert verdict.holds(), (seed, role, str(verdict))
+    for seed, gdef, role, proc, domains in _typed_implementations(range(300)):
+        cases += 1
+        verdict = wsi_by_covering(gdef, role, proc, domains)
+        assert verdict.holds(), (seed, role, str(verdict))
     assert cases == 299
 
 
@@ -313,23 +341,156 @@ def test_branch_pruning_mutants_of_generated_implementations():
     may fall, the others stay."""
     counts = collections.Counter()
     finer = set()
-    for seed in range(300):
-        for gdef, role, proc, domains in gen.role_implementations(seed):
-            if not _projectable(gdef) \
-                    or not wsi_by_typing(gdef, role, proc, domains).holds():
-                continue
-            for mutant in _pruned(proc):
-                typed = wsi_by_typing(gdef, role, mutant, domains).holds()
-                v = wsi_by_covering(gdef, role, mutant, domains)
-                assert v.holds() or not typed, (seed, role, str(v))
-                counts["rejected by typing"] += not typed
-                counts["Holds" if v.holds() else "Inconclusive"
-                       if v.inconclusive else "MissingRun"] += 1
-                if v.holds() and not typed:
-                    finer.add((seed, role))
+    for seed, gdef, role, proc, domains in _typed_implementations(range(300)):
+        for mutant in _pruned(proc):
+            typed = wsi_by_typing(gdef, role, mutant, domains).holds()
+            v = wsi_by_covering(gdef, role, mutant, domains)
+            assert v.holds() or not typed, (seed, role, str(v))
+            counts["rejected by typing"] += not typed
+            counts["Holds" if v.holds() else "Inconclusive"
+                   if v.inconclusive else "MissingRun"] += 1
+            if v.holds() and not typed:
+                finer.add((seed, role))
     assert counts == {"rejected by typing": 172, "MissingRun": 99,
                       "Inconclusive": 69, "Holds": 8}
     assert finer == {(156, "r"), (191, "r"), (202, "r"), (205, "p")}
+
+
+# ---------------------------------------- the search against its reference
+
+def _module_roles():
+    """(name, global, role, process, domains, shared name) of every
+    process that claims a role, in the corpus and in the test modules."""
+    paths = sorted(conftest.CORPUS.glob("*.chor")) \
+        + sorted(conftest.NO_PARTICIPANTS.parent.glob("*.chor"))
+    for path in paths:
+        module = parse_module(path.read_text())
+        domains = DomainDecl.from_module(module)
+        for name, decl in module.processes.items():
+            if decl.role is not None:
+                shared = min(fU(decl.body), default="u")
+                yield (f"{path.name}:{name}", module.globals_[decl.global_name],
+                       decl.role, decl.body, domains, shared)
+
+
+# c reads a payload of s while s and t go on talking: states that differ
+# only in how far s and t are share the moves of c, which receive a
+# payload not drawn yet and then draw it.  COk never answers no, so its
+# search for that branch visits every state
+PENDING_RECEIVE = """
+global G(a, b, ok, no) =
+  s -> c : { a(Int). s -> t : { b(Int). c -> s : { ok(Unit). end
+                                                 + no(Unit). end } } }
+process C plays c of G =
+  accept u[c](a, b, ok, no). a?(x). if x = 1 then ok!() else no!()
+process COk plays c of G =
+  accept u[c](a, b, ok, no). a?(x). if x = 1 then ok!() else ok!()
+"""
+
+
+def _recording_products(monkeypatch) -> list:
+    """The list that each `_Product` the covering search makes is
+    appended to."""
+    products = []
+
+    class Recorded(wsi._Product):
+        def __init__(self, *args):
+            super().__init__(*args)
+            products.append(self)
+
+    monkeypatch.setattr(wsi, "_Product", Recorded)
+    return products
+
+
+def test_covering_agrees_with_the_reference_search(monkeypatch):
+    """The interned search with its memo of the process's moves and its
+    multiset check gives the verdict of the search it replaced (kept in
+    covering_reference.py), with the same contexts, missing skeleton,
+    `inconclusive` flag and reason: on every module role, on every
+    branch-pruning mutant of the typed generated implementations (seeds
+    0-299), on every generated implementation of seeds 0-99, and on a
+    process that receives a payload a peer has not drawn."""
+    cases = list(_module_roles())
+    mutants = [(f"{seed}:{role}:mutant", gdef, role, mutant, domains, "u")
+               for seed, gdef, role, proc, domains
+               in _typed_implementations(range(300))
+               for mutant in _pruned(proc)]
+    assert len(mutants) == 176
+    cases += mutants
+    cases += [(f"{seed}:{role}", gdef, role, proc, domains, "u")
+              for seed in range(100)
+              for gdef, role, proc, domains in gen.role_implementations(seed)]
+    module = parse_module(PENDING_RECEIVE)
+    cases += [(name, module.globals_["G"], "c", module.processes[name].body,
+               DomainDecl.from_module(module), "u") for name in ("C", "COk")]
+    products = _recording_products(monkeypatch)
+    verdicts = [wsi_by_covering(gdef, role, proc, domains, shared_name=shared)
+                for _, gdef, role, proc, domains, shared in cases]
+    for (name, gdef, role, proc, domains, shared), v in zip(cases, verdicts):
+        assert v == reference_wsi_by_covering(
+            gdef, role, proc, domains, shared_name=shared), name
+    assert [str(v).split(":")[0] for v in verdicts[-2:]] == [
+        "Holds (2 contexts)",
+        "MissingRun (s,a!Int) (c,a?Int) (s,b!Int) (t,b?Int) (c,no!Unit) "
+        "(s,no?Unit)"]
+    # COk takes the receive of its payload from the memo in some states
+    assert len(products[-1].proc_moves) < len(products[-1].moves)
+
+
+def test_multiset_inclusion_never_rejects_what_trace_leq_accepts():
+    """Covering skips `trace_leq(target, done)` unless the events of
+    target are a sub-multiset of those of done.  That is exact: an
+    embedding maps events injectively onto equal events.  Checked on
+    every pair of runs at bound 1 of two consecutive seeded random
+    global types."""
+    rng = random.Random(31337)
+    runs_of = []
+    for _ in range(300):
+        try:
+            runs_of.append(sorted(runs_global(gen.gen_global(rng), 1),
+                                  key=run_str))
+        except IllFormed:
+            pass
+    accepted = rejected = 0
+    for first, second in zip(runs_of, runs_of[1:]):
+        pool = first + second
+        bags = [collections.Counter(r) for r in pool]
+        for r1, bag1 in zip(pool, bags):
+            for r2, bag2 in zip(pool, bags):
+                if trace_leq(r1, r2):
+                    assert bag1 <= bag2, (r1, r2)
+                    accepted += r1 != r2
+                rejected += not bag1 <= bag2
+    assert accepted > 200 and rejected > 5000, (accepted, rejected)
+
+
+def test_covering_cpop_does_pinned_work(pop2, pop2_domains, monkeypatch):
+    """Work counts of covering CPop: product states stepped and heap
+    pops; steppings of the process itself, one per distinct (process,
+    bindings, pending, session map, queue heads), where stepping it in
+    every state would make 591; and subsumption `trace_leq` calls, where
+    checking every earlier target would make 17, 16 of them False."""
+    products = _recording_products(monkeypatch)
+    pops = subsumptions = 0
+
+    def count(frame, event, arg):
+        nonlocal pops, subsumptions
+        if event == "c_call" and arg is heapq.heappop:
+            pops += 1
+        elif event == "call" and frame.f_code is trace_leq.__code__ \
+                and frame.f_back.f_code is not wsi._Product.witness.__code__:
+            subsumptions += 1
+
+    sys.setprofile(count)
+    try:
+        v = wsi_by_covering(pop2.globals_["G_POP"], "c",
+                            pop2.processes["CPop"].body, pop2_domains)
+    finally:
+        sys.setprofile(None)
+    assert str(v) == "Holds (6 contexts)"
+    (product,) = products
+    assert (len(product.moves), pops) == (591, 1068)
+    assert (len(product.proc_moves), subsumptions) == (201, 1)
 
 
 def test_wsi_pop_quit_context_drives_exit_run(pop2, pop2_domains):
