@@ -26,7 +26,7 @@ from .projection import NonProjectable, participants_ordered, project, well_form
 from .pseudotype import normal_form, remove_guards
 from .semantics import step_process, system_steps, to_state
 from .syntax import parse_module, render_module, render_type
-from .syntax.ast import Event, GlobalDef, ModuleDecl, TRUE
+from .syntax.ast import Event, GlobalDef, ModuleDecl, TRUE, fU
 from .syntax.parser import ParseError
 from .traces import (
     IllFormed, covers, projection_env, run_count, run_str, runs_global,
@@ -36,7 +36,6 @@ from .typecheck import (
     TypingError, gamma_from_domains, instantiate, typecheck_process,
     typecheck_system,
 )
-from .syntax.ast import fU
 from .wsi import wsi_by_covering, wsi_by_typing
 
 

@@ -319,9 +319,21 @@ def _bool_value(e: Expr, store: Store):
     return v.value if v.sort == BOOL else None
 
 
-def _nonempty(items: Expr, store: Store):
-    v = eval_expr(items, store)
-    return bool(v.value) if v.sort.kind == "List" else None
+def list_length(items: Expr, store: Store) -> int:
+    """The length of the list items evaluates to; a range's comes from
+    its bounds, without building the range."""
+    if isinstance(items, Range):
+        lo = _expect(eval_expr(items.lo, store), INT, "range")
+        hi = _expect(eval_expr(items.hi, store), INT, "range")
+        return max(0, hi.value - lo.value + 1)
+    value = eval_expr(items, store)
+    if value.sort.kind != "List":
+        raise SortMismatch(f"iterating over non-list {value.sort}")
+    return len(value.value)
+
+
+def _nonempty(items: Expr, store: Store) -> bool:
+    return list_length(items, store) > 0
 
 
 def _atom_mask(domains: DomainDecl, space: _Space, key, e: Expr, test):
@@ -407,11 +419,6 @@ def list_condition_satisfiable(e: Expr, items: Expr, nonempty: bool,
         if filled is not None:
             return bool(guard & (filled if nonempty else space.full ^ filled))
     for store in space.stores():
-        if not eval_expr(e, store).value:
-            continue
-        value = eval_expr(items, store)
-        if value.sort.kind != "List":
-            raise SortMismatch(f"iterating over non-list {value.sort}")
-        if bool(value.value) == nonempty:
+        if eval_expr(e, store).value and _nonempty(items, store) == nonempty:
             return True
     return False

@@ -16,7 +16,7 @@ from .pseudotype import NotMergeable, merge, normal_form
 from .guards import EMPTY_DOMAINS
 from .syntax.ast import (
     GChoice, GEnd, GIter, GSeq, GlobalType, PseudoType, Sort, TBranch,
-    TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
+    TEnd, TExternal, TInternal, TIter, TRUE, TSeq, g_channels,
 )
 
 
@@ -144,7 +144,7 @@ def well_formed(g: GlobalType) -> list:
                         "termination-map-mismatch",
                         f"termination map covers {sorted(given)}, "
                         f"body peers are {sorted(expected)}"))
-                body_chans = _chans_of(body)
+                body_chans = g_channels(body)
                 term_chans = [c for _, c, _ in term]
                 if len(set(term_chans)) != len(term_chans):
                     out.append(Violation("duplicate-termination-channel",
@@ -155,10 +155,6 @@ def well_formed(g: GlobalType) -> list:
                         "termination-channel-in-body",
                         f"termination channels {sorted(clash)} occur in the body"))
                 walk(body)
-
-    def _chans_of(node) -> set:
-        from .syntax.ast import g_channels
-        return set(g_channels(node))
 
     walk(g)
     try:

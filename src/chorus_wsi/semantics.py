@@ -41,7 +41,8 @@ from .pseudotype import normal_form
 from .syntax.ast import (
     Accept, Branch, Const, Expr, For, If, Lit, Par, Proc, Process, Queue,
     RepeatUntil, Request, Restrict, Send, Seq, Sort, System, TEnd,
-    TExternal, TInternal, TIter, TRUE, TSeq, conj, frozen_node, is_nil, neg,
+    TExternal, TInternal, TIter, TRUE, TSeq, conj, frozen_node, is_nil, is_true,
+    neg,
 )
 from .syntax.subst import subst_process
 from .typecheck import SpecEnv, instantiate
@@ -74,7 +75,6 @@ class Label:
             "tau": lambda: "tau",
         }[self.kind]()
         from .syntax.printer import render_expr
-        from .syntax.ast import is_true
         return body if is_true(self.guard) else f"<{render_expr(self.guard)}>{body}"
 
 

@@ -31,12 +31,23 @@ back to the size of the enumerated set.
 
 A trace stands for its equivalence class modulo permutation of causally
 independent events, where two events are independent iff they are by
-different participants on different channels.  The preorder matcher
-looks for an injective, label-preserving embedding of the mandatory
-events of the left run into the right run that preserves the relative
-order of dependent pairs on both sides; a brute-force closure of the
-preorder's inference rules (used by the tests as an oracle) agrees with
-it on small runs.
+different participants on different channels.  r1 is below r2 when the
+mandatory events of r1 embed into those of r2: injectively, onto equal
+events, keeping the order of every dependent pair of r1.  `trace_leq`
+decides it with a greedy matcher in one pass over r2: an event of r2
+matches the first unmatched copy of its label in r1 if every earlier
+event of r1 it depends on is matched, and is passed over otherwise.  A
+full match is an embedding, since it matches each dependent pair in
+order.  Conversely, copies of a label depend on each other, so an
+embedding maps them in order, and after each prefix of r2 the matcher
+has matched every event that the embedding maps into that prefix: the
+first unmatched copy is then the one the embedding maps there, and all
+it depends on is matched.  So the matcher matches all of r1 exactly
+when r1 is below r2.  The covering search (`wsi`) runs the same matcher
+one event at a time, over the tables of `matching_tables`.  The tests
+check it against a brute-force closure of the preorder's inference
+rules on small runs, and against a backtracking search over every
+embedding on seeded runs of up to 9 events.
 """
 
 from __future__ import annotations
@@ -383,52 +394,34 @@ def _foata(events: tuple) -> tuple:
         e.participant, e.channel, e.polarity, str(e.sort)))) for layer in layers)
 
 
+def matching_tables(target: tuple) -> tuple:
+    """(copies, needs) of the greedy matcher for target: copies maps each
+    event to the bitmask of the positions of its copies in target, and
+    needs maps the bit of each position to the bitmask of the earlier
+    positions whose events it depends on."""
+    copies: dict = {}
+    for i, ev in enumerate(target):
+        copies[ev] = copies.get(ev, 0) | 1 << i
+    needs = {1 << i: sum(1 << j for j in range(i)
+                         if not independent(target[j], ev))
+             for i, ev in enumerate(target)}
+    return copies, needs
+
+
 def trace_leq(r1: tuple, r2: tuple) -> bool:
     """r1 is covered by r2: the mandatory events of r1 embed into r2
     modulo permutation of causally independent events (optional
-    segments of either side are droppable)."""
-    m1 = mandatory(r1)
-    m2 = mandatory(r2)
-    if not m1:
-        return True
-    if len(m1) > len(m2):
-        return False
-    counts: dict = {}
-    for ev in m2:
-        counts[ev] = counts.get(ev, 0) + 1
-    for ev in m1:
-        counts[ev] = counts.get(ev, 0) - 1
-        if counts[ev] < 0:
-            return False
-    if _foata(m1) == _foata(m2):
-        return True
-    return _embed(m1, m2)
-
-
-def _embed(m1: tuple, m2: tuple) -> bool:
-    n1, n2 = len(m1), len(m2)
-
-    def step(i: int, assigned: tuple) -> bool:
-        if i == n1:
-            return True
-        ev = m1[i]
-        for j in range(n2):
-            if j in assigned or m2[j] != ev:
-                continue
-            ok = True
-            for i2, j2 in enumerate(assigned):
-                # order of dependent pairs must agree on both sides
-                if not independent(m1[i2], ev) and not j2 < j:
-                    ok = False
-                    break
-                if not independent(m2[j2], m2[j]) and not j2 < j:
-                    ok = False
-                    break
-            if ok and step(i + 1, assigned + (j,)):
-                return True
-        return False
-
-    return step(0, ())
+    segments of either side are droppable).  Decided by the greedy
+    matcher of the module docstring, in one pass over r2."""
+    target = mandatory(r1)
+    copies, needs = matching_tables(target)
+    mask = 0
+    for ev in mandatory(r2):
+        free = copies.get(ev, 0) & ~mask
+        first = free & -free  # the first unmatched copy
+        if first and not needs[first] & ~mask:
+            mask |= first
+    return mask == (1 << len(target)) - 1
 
 
 # ----------------------------------------------------------------- covering

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .guards import (
     DomainDecl, EMPTY_DOMAINS, EvalError, Store, Undefined, eval_expr,
-    is_unsat, list_condition_satisfiable,
+    is_unsat, list_condition_satisfiable, list_length,
 )
 from .projection import (
     NonProjectable, channel_sorts, participants_ordered, project,
@@ -30,7 +30,8 @@ from .syntax.ast import (
     GlobalDef, GlobalType, If, INT, ListLit, Par, Proc, Process,
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, System, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
-    UnOp, Var, BinOp, Const, conj, expr_vars, fn, neg, pt_vars,
+    UNIT, UnOp, Var, BinOp, Const, conj, expr_vars, fn, list_sort, neg,
+    pt_vars,
 )
 
 
@@ -238,12 +239,10 @@ def infer_sort(e: Expr, gamma: dict, domains: DomainDecl,
             sorts = {infer_sort(i, gamma, domains, path) for i in items}
             if len(sorts) > 1:
                 raise TypingError("sort", "mixed-sort list literal", path)
-            from .syntax.ast import UNIT, list_sort
             return list_sort(next(iter(sorts)) if sorts else UNIT)
         case Range(lo, hi):
             _need(infer_sort(lo, gamma, domains, path), INT, "range", path)
             _need(infer_sort(hi, gamma, domains, path), INT, "range", path)
-            from .syntax.ast import list_sort
             return list_sort(INT)
     raise TypeError(f"not an expression: {e!r}")
 
@@ -657,10 +656,6 @@ def _one_item(items: Expr) -> bool:
     if expr_vars(items):
         return False
     try:
-        if isinstance(items, Range):  # its length, without building it
-            lo, hi = (eval_expr(bound, Store()) for bound in (items.lo, items.hi))
-            return lo.sort == hi.sort == INT and lo.value == hi.value
-        value = eval_expr(items, Store())
+        return list_length(items, Store()) == 1
     except EvalError:
         return False
-    return value.sort.kind == "List" and len(value.value) == 1

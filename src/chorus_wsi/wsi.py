@@ -19,12 +19,10 @@ with a declared domain starts pending, and so does a variable that
 receives a peer's payload; it takes each candidate value at the first
 step that raises `Undefined` on it.  Any other evaluation error stops
 the search, as in the system semantics, and is the reason given for the
-target's `MissingRun`.  An emitted event matches the first unmatched
-copy of its label in s if every earlier event of s it depends on
-(`traces.independent`) is matched, and is extra otherwise.  Copies of a
-label depend on each other, so this greedy matching keeps up with any
-embedding: it matches all of s on a run iff s embeds into the run, and
-one visited set of (state, mask) loses none.
+target's `MissingRun`.  An emitted event advances the mask by one step
+of the greedy matcher of `traces` (over `matching_tables(s)`), or is
+extra.  The matcher matches all of s on a run iff s is below the run,
+so one visited set of (state, mask) loses no witness.
 
 A witness is a context: along it each other role makes moves of its
 projection, and the straight-line process making them, sending on each
@@ -78,7 +76,7 @@ from .syntax.ast import (
     Event, GlobalDef, Lit, Process, TEnd, TRUE, TSeq, fU, fX, g_channels,
     is_nil,
 )
-from .traces import IllFormed, independent, run_str, runs_global, trace_leq
+from .traces import IllFormed, matching_tables, run_str, runs_global, trace_leq
 from .typecheck import (
     TypingError, gamma_from_domains, instantiate, typecheck_process,
     unique_role,
@@ -361,13 +359,8 @@ class _Product:
         """(a complete run that covers target, or None; whether a send
         was skipped at the queue bound)."""
         n = len(target)
-        copies: dict = {}  # event id -> bitmask of its copies in target
-        for i, ev in enumerate(target):
-            e = self.events[ev]
-            copies[e] = copies.get(e, 0) | 1 << i
-        needs = {1 << i: sum(1 << j for j in range(i)
-                             if not independent(target[j], ev))
-                 for i, ev in enumerate(target)}
+        copies, needs = matching_tables(target)
+        copies = {self.events[ev]: bits for ev, bits in copies.items()}
         full = (1 << n) - 1
         # a search key is state id << n | mask
         parent = {self.start << n: None}

@@ -158,6 +158,21 @@ def test_list_condition_satisfiable():
     assert not list_condition_satisfiable(TRUE, empty, True)
 
 
+def test_list_condition_reads_a_range_by_its_bounds(monkeypatch):
+    """The emptiness of a range comes from its two bounds, on the mask
+    path and on the enumeration path alike: none of its integer literals
+    is built."""
+    built = []
+    monkeypatch.setattr(guards, "int_lit", lambda n: built.append(n) or int_lit(n))
+    items = parse_expr("1..5000")
+    assert list_condition_satisfiable(TRUE, items, True)
+    assert not list_condition_satisfiable(TRUE, items, False)
+    # undefined on the store with the empty list: the enumeration fallback
+    guard = parse_expr("hd(l) = 1")
+    assert list_condition_satisfiable(guard, items, True, DomainDecl(_LISTS.domains))
+    assert built == []
+
+
 def test_equivalent_commuted_conjunction():
     a = parse_expr("x > 0 and x <= 2")
     b = parse_expr("x <= 2 and x > 0")

@@ -1,7 +1,9 @@
 """Source hygiene: no module under src/ keeps an import it never uses, so
 an import of a deleted or moved name cannot linger; no module imports a
 private (`_`-prefixed) name of another, so what a module keeps private
-stays free to change; no function keeps a
+stays free to change; no function or class imports from a module that
+its module already imports from at top level, so a module's imports
+from one source are not scattered into its functions; no function keeps a
 parameter it never reads, so no caller passes a value that cannot
 change an answer; no function assigns a local it never reads, so no
 value is computed for nothing; and no top-level function, class or
@@ -93,6 +95,47 @@ def test_no_private_imports_across_src_modules():
     found = [f"{path.relative_to(SRC)}:{line}: {name}"
              for path in sorted(SRC.rglob("*.py"))
              for line, name in private_imports(path.read_text())]
+    assert found == []
+
+
+def repeated_local_imports(source: str) -> list:
+    """(line, module) for each `from module import ...` inside a function
+    or class when a top-level statement of the same source already
+    imports from that module (at the same relative level)."""
+    tree = ast.parse(source)
+
+    def origin(node):
+        return "." * node.level + (node.module or "")
+
+    top = {origin(node) for node in tree.body if isinstance(node, ast.ImportFrom)}
+    return sorted((node.lineno, origin(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node not in tree.body
+                  and origin(node) in top)
+
+
+def test_detector_flags_only_repeated_local_imports():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "from .syntax.ast import Event\n"
+              "from ..syntax.ast import Lit\n"
+              "def f():\n"
+              "    from .syntax.ast import Lit\n"
+              "    from .syntax.printer import render\n"
+              "    from syntax.ast import Var\n"
+              "    import os\n"
+              "    return Lit, render, Var, os\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        from ..syntax.ast import Event\n"
+              "        return Event\n")
+    assert repeated_local_imports(source) == [
+        (6, ".syntax.ast"), (13, "..syntax.ast")]
+
+
+def test_no_repeated_local_imports_in_src():
+    found = [f"{path.relative_to(SRC)}:{line}: {module}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, module in repeated_local_imports(path.read_text())]
     assert found == []
 
 

@@ -1,12 +1,13 @@
 import pytest
 
+from chorus_wsi import guards
 from chorus_wsi.guards import DomainDecl, Store
 from chorus_wsi.pseudotype import (
     equiv, normal_form, normalize, passively_compatible_types, remove_guards,
 )
 from chorus_wsi.syntax import parse_expr, parse_process, parse_type, render_type
 from chorus_wsi.syntax.ast import (
-    Branch, FALSE, INT, STR, Send, Seq, TEnd, TExternal, TInternal, TIter,
+    Branch, FALSE, For, INT, STR, Send, Seq, TEnd, TExternal, TInternal, TIter,
     TRUE, TSeq, UNIT, Var, bool_lit, int_lit, is_local,
 )
 from chorus_wsi.projection import project
@@ -232,7 +233,6 @@ def test_multiparty_init2_accepted(multiparty, multiparty_domains):
 # --------------------------------------------------------------- unique role
 
 def test_unique_role_examples(pop2):
-    from chorus_wsi.syntax.ast import For
     init = pop2.processes["Init"].body
     assert unique_role(init, "u", "s")
     assert not unique_role(Send("y", parse_expr("1")), "u", "s")
@@ -243,6 +243,18 @@ def test_unique_role_examples(pop2):
         assert unique_role(For("x", parse_expr(items), init), "u", "s"), items
     for items in ("[1, 2]", "2..1", "[]", "1..n", "[n]", "1..true"):
         assert not unique_role(For("x", parse_expr(items), init), "u", "s"), items
+
+
+def test_constant_for_range_builds_none_of_its_literals(monkeypatch, pop2):
+    """Typing a `for` over a constant range decides that the loop runs,
+    and `unique_role` that it runs more than once, from the range's two
+    bounds: none of its integer literals is built."""
+    built = []
+    monkeypatch.setattr(guards, "int_lit", lambda n: built.append(n) or int_lit(n))
+    assert isinstance(_open_session_type("for i in 1..5000 { a!(i) }"), TIter)
+    loop = For("x", parse_expr("1..5000"), pop2.processes["Init"].body)
+    assert not unique_role(loop, "u", "s")
+    assert built == []
 
 
 def test_unique_role_request_is_role_zero(pop2):
