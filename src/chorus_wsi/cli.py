@@ -30,7 +30,7 @@ from .syntax.ast import Event, GlobalDef, ModuleDecl, TRUE, fU
 from .syntax.parser import ParseError
 from .traces import (
     IllFormed, covers, projection_env, run_count, run_str, runs_global,
-    runs_spec,
+    runs_spec, sorted_runs,
 )
 from .typecheck import (
     TypingError, gamma_from_domains, instantiate, typecheck_process,
@@ -311,7 +311,7 @@ def cmd_traces(args) -> int:
     module = _load(args.file)
     gdef = _the_global(module, args.global_name)
     g = instantiate(gdef, gdef.params)
-    runs = sorted(runs_global(g, args.unfold), key=run_str)
+    runs = sorted_runs(runs_global(g, args.unfold))
     if args.json:
         print(runs_json(runs))
     else:

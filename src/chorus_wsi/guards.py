@@ -30,12 +30,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .syntax.ast import (
-    BinOp, BOOL, Const, DATA, Expr, INT, Lit, ListLit, ModuleDecl, Range,
-    Sort, STR, UnOp, UNIT, Var, bool_lit, conj, expr_vars, int_lit,
-    list_sort, neg, str_lit,
+    BinOp, BOOL, Const, DATA, Expr, INT, Lit, ListLit, ModuleDecl, NEW_DICT,
+    Range, Sort, STR, UnOp, UNIT, Var, bool_lit, conj, expr_vars,
+    frozen_node, int_lit, list_sort, neg, str_lit,
 )
 
 
@@ -61,7 +60,7 @@ class UndeclaredVariable(EvalError):
         self.missing = frozenset(missing)
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Store:
     """Runtime store: variable values plus session bindings per shared name.
 
@@ -70,9 +69,9 @@ class Store:
     operators declared in the module.
     """
 
-    vars: dict = field(default_factory=dict)
-    sessions: dict = field(default_factory=dict)  # shared name -> channel tuple
-    tables: dict = field(default_factory=dict)
+    vars: dict = NEW_DICT
+    sessions: dict = NEW_DICT  # shared name -> channel tuple
+    tables: dict = NEW_DICT
 
     def with_var(self, name: str, value: Lit) -> "Store":
         new = dict(self.vars)
@@ -218,13 +217,18 @@ class _Space:
         return found
 
 
-@dataclass
 class DomainDecl:
     """Declared finite domains for variables, plus the module's tables."""
 
-    domains: dict = field(default_factory=dict)  # var -> frozenset[Lit]
-    tables: dict = field(default_factory=dict)
-    _spaces: dict = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, domains=None, tables=None):
+        self.domains = {} if domains is None else domains  # var -> frozenset[Lit]
+        self.tables = {} if tables is None else tables
+        self._spaces = {}
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domains, self.tables) == (other.domains, other.tables)
 
     @classmethod
     def from_module(cls, module: ModuleDecl) -> "DomainDecl":

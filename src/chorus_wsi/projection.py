@@ -10,13 +10,11 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pseudotype import NotMergeable, merge, normal_form
 from .guards import EMPTY_DOMAINS
 from .syntax.ast import (
     GChoice, GEnd, GIter, GSeq, GlobalType, PseudoType, Sort, TBranch,
-    TEnd, TExternal, TInternal, TIter, TRUE, TSeq, g_channels,
+    TEnd, TExternal, TInternal, TIter, TRUE, TSeq, frozen_node, g_channels,
 )
 
 
@@ -27,7 +25,7 @@ class NonProjectable(Exception):
         self.path = path
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Violation:
     kind: str
     detail: str

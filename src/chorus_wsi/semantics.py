@@ -33,8 +33,6 @@ dropped) rather than searched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .guards import DomainDecl, EMPTY_DOMAINS, Store, eval_expr
 from .projection import NonProjectable, participants_ordered, project
 from .pseudotype import normal_form
@@ -42,7 +40,7 @@ from .syntax.ast import (
     Accept, Branch, Const, Expr, For, If, Lit, Par, Proc, Process, Queue,
     RepeatUntil, Request, Restrict, Send, Seq, Sort, System, TEnd,
     TExternal, TInternal, TIter, TRUE, TSeq, conj, frozen_node, is_nil, is_true,
-    neg,
+    neg, replace,
 )
 from .syntax.subst import subst_process
 from .typecheck import SpecEnv, instantiate
@@ -50,7 +48,7 @@ from .typecheck import SpecEnv, instantiate
 
 # ----------------------------------------------------------------- labels
 
-@dataclass(frozen=True)
+@frozen_node
 class Label:
     """A conditional action <guard>alpha."""
 
@@ -78,7 +76,7 @@ class Label:
         return body if is_true(self.guard) else f"<{render_expr(self.guard)}>{body}"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class SpecLabel:
     """A specification action; values are replaced by sorts and
     conditions do not occur.  Queue-mediated steps are tau but record
@@ -408,7 +406,7 @@ def step_spec(delta: SpecEnv, domains: DomainDecl = EMPTY_DOMAINS,
 
 # ------------------------------------------------------ conditional simulation
 
-@dataclass(frozen=True)
+@frozen_node
 class Holds:
     states: int
 
@@ -416,7 +414,7 @@ class Holds:
         return True
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Counterexample:
     trace: tuple
     action: object

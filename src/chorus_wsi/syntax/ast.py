@@ -1,8 +1,8 @@
 """Abstract syntax for the five object languages.
 
 Expressions, global types (choreographies), pseudo-types (guarded local
-types), processes, and systems.  All nodes are frozen dataclasses: trees
-are immutable, hashable, and safely shareable.
+types), processes, and systems.  All nodes are records built by
+`frozen_node`: trees are immutable, hashable, and safely shareable.
 
 Conventions:
 - participants, channels, shared names, and variables are plain strings
@@ -14,7 +14,6 @@ Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Optional, Union
 
 
@@ -25,17 +24,33 @@ _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 # process (`semantics.proc_canon`).
 DERIVED = ("_hash", "_nf", "_canon")
 
+# A field default that stands for a new empty dict in each instance.
+NEW_DICT = object()
+
 
 def frozen_node(cls):
-    """`@dataclass(frozen=True)` whose derived values are computed once
+    """An immutable record class whose derived values are computed once
     per instance.
 
-    The generated hash walks the whole tree on every call.  This one is
-    the hash of the tuple of the compared fields, kept on the instance.
-    A field that is None hashes as a fixed constant rather than as
-    `hash(None)`, which follows the object's address on some Python
-    versions: so under a fixed `PYTHONHASHSEED` a node hashes the same
-    in every process, and so do the orders of sets of nodes.
+    The fields are the names annotated in the class body, in order, and
+    `__match_args__` is their tuple.  A field's default is the value the
+    body assigns to it; `NEW_DICT` gives each instance a new empty dict.
+    Only `__init__` and `__eq__` are generated, as `dataclass(frozen=True)`
+    generates them: `__init__` sets each field with `object.__setattr__`
+    (writing `__dict__` instead would slow every later read of a field)
+    and calls `__post_init__` if the class has one; `__eq__` compares the
+    field tuples of two instances of one class, reading the fields by
+    name, about twice as fast as through `operator.attrgetter`.  The
+    other methods are shared by every record: `__repr__` reads
+    `Name(field=value, ...)`, and assigning or deleting an attribute
+    raises AttributeError.  `replace` copies a record with some fields
+    changed.
+
+    The hash is the hash of the tuple of field values, kept on the
+    instance.  A field that is None hashes as a fixed constant rather
+    than as `hash(None)`, which follows the object's address on some
+    Python versions: so under a fixed `PYTHONHASHSEED` a record hashes
+    the same in every process, and so do the orders of sets of records.
 
     Every name in `DERIVED` is such a per-instance cache, None until its
     owner fills it with `object.__setattr__`.  A cache lives exactly as
@@ -45,25 +60,66 @@ def frozen_node(cls):
     pickled state, since string hashes differ between processes and a
     cached normal form names the `DomainDecl` it was computed under.
     """
-    cls = dataclass(frozen=True)(cls)
-    names = [f.name for f in fields(cls) if f.compare]
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}"
+                     for n in names)
+    sets = "".join(f"\n _set(self, {n!r}, {{}} if {n} is NEW_DICT else {n})"
+                   if defaults.get(n) is NEW_DICT else f"\n _set(self, {n!r}, {n})"
+                   for n in names)
+    if hasattr(cls, "__post_init__"):
+        sets += "\n self.__post_init__()"
+    mine, theirs = ("".join(f"{side}.{n}," for n in names)
+                    for side in ("self", "other"))
+    namespace = {"_set": object.__setattr__, "NEW_DICT": NEW_DICT,
+                 "_defaults": defaults}
+    exec(f"def __init__(self{params}):{sets or ' pass'}\n"
+         "def __eq__(self, other):\n"
+         f" if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"
+         " return NotImplemented\n", namespace)
+    for method in ("__init__", "__eq__"):
+        namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, namespace[method])
+    cls.__match_args__ = names
+    for name in ("__hash__", "__repr__", "__setattr__", "__delattr__",
+                 "__getstate__"):
+        setattr(cls, name, vars(_Record)[name])
+    for name in DERIVED:
+        setattr(cls, name, None)
+    return cls
+
+
+class _Record:
+    """The methods that `frozen_node` gives every record class."""
 
     def __hash__(self):
         h = self._hash
         if h is None:
             h = hash(tuple([_NONE_HASH if v is None else v
-                            for v in (getattr(self, n) for n in names)]))
+                            for v in map(self.__getattribute__, self.__match_args__)]))
             object.__setattr__(self, "_hash", h)
         return h
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}(" + ", ".join(
+            f"{n}={getattr(self, n)!r}" for n in self.__match_args__) + ")"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign {type(value).__name__} to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k not in DERIVED}
 
-    for name in DERIVED:
-        setattr(cls, name, None)
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
+
+def replace(record, **changes):
+    """A copy of the record with the given fields changed, built through
+    its class, so `__post_init__` checks it again."""
+    kept = {n: getattr(record, n) for n in record.__match_args__}
+    return record.__class__(**{**kept, **changes})
 
 
 # ---------------------------------------------------------------- sorts
@@ -632,16 +688,17 @@ class SystemDef:
     body: System
 
 
-@dataclass
 class ModuleDecl:
     """A parsed .chor module: declarations by kind, in source order."""
 
-    domains: dict = field(default_factory=dict)   # var -> frozenset[Lit]
-    tables: dict = field(default_factory=dict)    # name -> Table
-    globals_: dict = field(default_factory=dict)  # name -> GlobalDef
-    types: dict = field(default_factory=dict)     # name -> PseudoType
-    processes: dict = field(default_factory=dict)  # name -> ProcessDef
-    systems: dict = field(default_factory=dict)   # name -> SystemDef
-    # binders moved by alpha-freshening: fresh name -> declared name,
-    # so domain declarations follow renamed variables
-    domain_aliases: dict = field(default_factory=dict)
+    def __init__(self, domains=None, tables=None, globals_=None, types=None,
+                 processes=None, systems=None, domain_aliases=None):
+        self.domains = {} if domains is None else domains  # var -> frozenset[Lit]
+        self.tables = {} if tables is None else tables     # name -> Table
+        self.globals_ = {} if globals_ is None else globals_  # name -> GlobalDef
+        self.types = {} if types is None else types        # name -> PseudoType
+        self.processes = {} if processes is None else processes  # name -> ProcessDef
+        self.systems = {} if systems is None else systems  # name -> SystemDef
+        # binders moved by alpha-freshening: fresh name -> declared name,
+        # so domain declarations follow renamed variables
+        self.domain_aliases = {} if domain_aliases is None else domain_aliases

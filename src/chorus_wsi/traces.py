@@ -52,19 +52,17 @@ embedding on seeded runs of up to 9 events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .guards import DomainDecl, EMPTY_DOMAINS
 from .projection import participants_ordered, project, well_formed
 from .pseudotype import normal_form
 from .syntax.ast import (
     Event, GChoice, GEnd, GIter, GSeq, GlobalDef, GlobalType, TEnd,
-    TExternal, TInternal, TIter, TSeq,
+    TExternal, TInternal, TIter, TSeq, frozen_node,
 )
 from .typecheck import SpecEnv, instantiate
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Opt:
     """An optional segment [r] of an annotated run."""
 
@@ -76,6 +74,22 @@ class Opt:
 
 def run_str(run: tuple) -> str:
     return " ".join(str(i) for i in run) if run else "<empty>"
+
+
+def sorted_runs(runs) -> list:
+    """`sorted(runs, key=run_str)`, rendering each distinct event or
+    optional segment once: the runs of a global type repeat a few dozen
+    of them thousands of times."""
+    texts = {}
+
+    def text(item) -> str:
+        out = texts.get(item)
+        if out is None:
+            out = texts[item] = str(item)
+        return out
+
+    return sorted(runs, key=lambda run: " ".join(map(text, run)) if run
+                  else "<empty>")
 
 
 def mandatory(run: tuple) -> tuple:
@@ -140,7 +154,7 @@ class RunSets:
         return frozenset(n + t for n in _nestings(body, unfold) for t in tails)
 
 
-@dataclass(frozen=True)
+@frozen_node
 class Count:
     """How many runs a set holds, with what it takes to count its unions
     and products exactly: whether no run is a proper prefix of another
@@ -426,7 +440,7 @@ def trace_leq(r1: tuple, r2: tuple) -> bool:
 
 # ----------------------------------------------------------------- covering
 
-@dataclass(frozen=True)
+@frozen_node
 class CoversHolds:
     witnesses: tuple  # of (skeleton, covering skeleton)
 
@@ -434,7 +448,7 @@ class CoversHolds:
         return True
 
 
-@dataclass(frozen=True)
+@frozen_node
 class MissingRun:
     run: tuple
 
@@ -450,12 +464,12 @@ def covers(runs1, runs2) -> CoversHolds | MissingRun:
     in the trace preorder.  The preorder sees only mandatory events, so
     both sides are reduced to their skeletons first: the witnesses are
     pairs of skeletons, and a missing run is a skeleton of R1."""
-    skeletons2 = sorted({mandatory(r) for r in runs2}, key=run_str)
+    skeletons2 = sorted_runs({mandatory(r) for r in runs2})
     index: dict = {}
     for s2 in skeletons2:
         index.setdefault(_foata(s2), s2)
     witnesses = []
-    for s1 in sorted({mandatory(r) for r in runs1}, key=run_str):
+    for s1 in sorted_runs({mandatory(r) for r in runs1}):
         hit = index.get(_foata(s1))
         if hit is None:
             hit = next((s2 for s2 in skeletons2 if trace_leq(s1, s2)), None)

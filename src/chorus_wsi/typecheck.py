@@ -15,8 +15,6 @@ path into the term, so a rejection like the ATM's deny-all bank reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .guards import (
     DomainDecl, EMPTY_DOMAINS, EvalError, Store, Undefined, eval_expr,
     is_unsat, list_condition_satisfiable, list_length,
@@ -30,8 +28,8 @@ from .syntax.ast import (
     GlobalDef, GlobalType, If, INT, ListLit, Par, Proc, Process,
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, System, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
-    UNIT, UnOp, Var, BinOp, Const, conj, expr_vars, fn, list_sort, neg,
-    pt_vars,
+    UNIT, UnOp, Var, BinOp, Const, conj, expr_vars, fn, frozen_node,
+    list_sort, neg, pt_vars,
 )
 
 
@@ -51,7 +49,7 @@ class TypingError(Exception):
 
 # ------------------------------------------------------------- environments
 
-@dataclass(frozen=True)
+@frozen_node
 class SpecEnv:
     """A specification: shared names to global types, participant
     sessions to pseudo-types, session channels to queues of sorts."""
@@ -279,14 +277,15 @@ def instantiate(gdef: GlobalDef, chans: tuple) -> GlobalType:
     return walk(gdef.body)
 
 
-@dataclass
 class _Ctx:
-    gamma: dict
-    assumption: Expr
-    shared: dict              # u -> GlobalDef
-    domains: DomainDecl
-    chans: dict = field(default_factory=dict)  # chan -> (session key, sort)
-    path: tuple = ()
+    def __init__(self, gamma: dict, assumption: Expr, shared: dict,
+                 domains: DomainDecl, chans: dict | None = None, path: tuple = ()):
+        self.gamma = gamma
+        self.assumption = assumption
+        self.shared = shared  # u -> GlobalDef
+        self.domains = domains
+        self.chans = {} if chans is None else chans  # chan -> (session key, sort)
+        self.path = path
 
     def at(self, step: str) -> "_Ctx":
         return _Ctx(self.gamma, self.assumption, self.shared, self.domains,

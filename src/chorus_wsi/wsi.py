@@ -66,17 +66,18 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 
 from .guards import DomainDecl, EMPTY_DOMAINS, EvalError, Store, Undefined
 from .projection import NonProjectable, participants_ordered, project
 from .pseudotype import normal_form, viable
 from .semantics import proc_canon, step_process, type_steps
 from .syntax.ast import (
-    Event, GlobalDef, Lit, Process, TEnd, TRUE, TSeq, fU, fX, g_channels,
-    is_nil,
+    Event, GlobalDef, Lit, Process, TEnd, TRUE, TSeq, fU, fX, frozen_node,
+    g_channels, is_nil,
 )
-from .traces import IllFormed, matching_tables, run_str, runs_global, trace_leq
+from .traces import (
+    IllFormed, matching_tables, run_str, runs_global, sorted_runs, trace_leq,
+)
 from .typecheck import (
     TypingError, gamma_from_domains, instantiate, typecheck_process,
     unique_role,
@@ -86,7 +87,7 @@ from .typecheck import (
 QUEUE_BOUND = 4  # messages one queue may hold in the covering search
 
 
-@dataclass(frozen=True)
+@frozen_node
 class TypingVerdict:
     ok: bool
     role: str
@@ -101,7 +102,7 @@ class TypingVerdict:
         return f"Rejected: {self.error}"
 
 
-@dataclass(frozen=True)
+@frozen_node
 class CoveringVerdict:
     """Holds, or the skeleton `missing` has no witness; `inconclusive`
     when the search for one skipped a send onto a full queue, so that a
@@ -410,7 +411,7 @@ def _search_inputs(gdef: GlobalDef, g, role: str, domains: DomainDecl):
     other role) for the search, or a string that says why there are none."""
     try:
         # a run at bound 1 has no optional segment: it is its own skeleton
-        targets = sorted(runs_global(g, 1), key=run_str)
+        targets = sorted_runs(runs_global(g, 1))
     except IllFormed as exc:
         return f"{gdef.name} is ill-formed: {exc}"
     peers = []

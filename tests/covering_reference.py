@@ -19,19 +19,19 @@ from chorus_wsi.projection import participants_ordered
 from chorus_wsi.pseudotype import normal_form
 from chorus_wsi.semantics import proc_canon, step_process, type_steps
 from chorus_wsi.syntax.ast import (
-    Event, GlobalDef, Lit, Process, TEnd, TSeq, fX, frozen_node, g_channels,
-    is_nil,
+    Event, GlobalDef, Lit, Process, TEnd, TSeq, fX, g_channels, is_nil,
 )
 from chorus_wsi.traces import independent, trace_leq
 from chorus_wsi.typecheck import instantiate
 from chorus_wsi.wsi import (
     QUEUE_BOUND, CoveringVerdict, _DEFAULTS, _role_problem, _search_inputs,
 )
+from record_reference import reference_node
 
 _PENDING = object()  # the value of a peer's payload, not drawn yet
 
 
-@frozen_node
+@reference_node
 class _State:
     """A product state without its mask; `chans` is None until the
     process opens its session."""

@@ -68,13 +68,15 @@ def test_freshening_agrees_on_modules(path, monkeypatch):
     _agree_with_oracles(_recorded_freshening(path.read_text(), monkeypatch))
 
 
-def _kept(term, bodies: dict) -> set:
-    """The names in `bodies` whose body object occurs in `term` itself."""
+def _kept(term, bodies: dict, walked: list) -> set:
+    """The names in `bodies` whose body object occurs in `term` itself;
+    `walked` gets each field the walk enters."""
     found = {name for name, body in bodies.items() if body is term}
-    for field in getattr(term, "__dataclass_fields__", ()):
+    for field in getattr(type(term), "__match_args__", ()):
+        walked.append(field)
         value = getattr(term, field)
         for part in value if isinstance(value, tuple) else (value,):
-            found |= _kept(part, bodies)
+            found |= _kept(part, bodies, walked)
     return found
 
 
@@ -105,7 +107,9 @@ def test_freshening_with_summaries_agrees_on_collisions(text, last, kept, monkey
               if name != last}
     body = module.systems[last].body if last in module.systems \
         else module.processes[last].body
-    assert _kept(body, bodies) == kept
+    walked = []
+    assert _kept(body, bodies, walked) == kept
+    assert len(walked) > len(kept)  # the walk goes into the body's fields
 
 
 def test_parsing_pop2_does_pinned_work(monkeypatch):

@@ -8,15 +8,19 @@ parameter it never reads, so no caller passes a value that cannot
 change an answer; no function assigns a local it never reads, so no
 value is computed for nothing; and no top-level function, class or
 assigned name under src/ is left that neither src/ nor tests/ uses, so
-dead API cannot linger; and no function mutates a module-level dict,
+dead API cannot linger; no function mutates a module-level dict,
 list or set, so no answer or timing of one `cli.main` call can depend
-on an earlier call in the same process.
+on an earlier call in the same process; and no module imports
+`dataclasses`, nor does importing the command line load it or
+`inspect`, whose imports cost more than the program's own modules.
 
 Package `__init__` modules are skipped by the import check:
 re-exporting is their job.
 """
 
 import ast
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 
@@ -435,3 +439,45 @@ def test_no_function_mutates_a_module_container_in_src():
              for path, source in sources.items()
              for line, name in mutated_containers(source, containers)]
     assert found == []
+
+
+def imported_modules(source: str) -> list:
+    """(line, top-level package) of each import statement anywhere in
+    the module, with "." for a relative import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found.append((node.lineno, "." if node.level
+                          else node.module.split(".")[0]))
+        elif isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0])
+                      for alias in node.names]
+    return sorted(found)
+
+
+def test_detector_finds_every_imported_module():
+    source = ("import os.path, json as j\n"
+              "from dataclasses import dataclass\n"
+              "from .syntax import ast\n"
+              "def f():\n"
+              "    import dataclasses\n")
+    assert imported_modules(source) == [
+        (1, "json"), (1, "os"), (2, "dataclasses"), (3, "."), (5, "dataclasses")]
+
+
+def test_no_dataclasses_in_src():
+    found = [f"{path.relative_to(SRC)}:{line}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name in imported_modules(path.read_text())
+             if name == "dataclasses"]
+    assert found == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
+            "import chorus_wsi.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), "
+            "chorus_wsi.cli.__file__)")
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out == ["[]", str(SRC / "chorus_wsi" / "cli.py")]

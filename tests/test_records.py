@@ -1,0 +1,247 @@
+"""The record builder `ast.frozen_node` against its dataclasses-based
+reference (record_reference.py): every record class of src/, on the
+values that corpus requests build and on seeded generated terms, hashes,
+compares, prints, constructs, pickles and refuses assignment alike."""
+
+import collections
+import contextlib
+import dataclasses
+import io
+import pickle
+import random
+
+import pytest
+
+from chorus_wsi import cli, guards, projection, semantics, traces, typecheck, wsi
+from chorus_wsi.guards import DomainDecl
+from chorus_wsi.semantics import Counterexample, conditional_simulation
+from chorus_wsi.syntax import ast, parse_module
+from chorus_wsi.syntax.ast import (
+    DERIVED, INT, TRUE, Lit, ListLit, Par, Queue, Restrict, Sort, int_lit,
+    list_sort,
+)
+from chorus_wsi.typecheck import gamma_from_domains, typecheck_system
+
+import conftest
+import gen
+from record_reference import is_record, twin
+
+RECORDS = sorted({cls for module in (ast, guards, projection, semantics, traces,
+                                     typecheck, wsi)
+                  for cls in vars(module).values() if is_record(cls)},
+                 key=lambda cls: cls.__qualname__)
+TWINS = {cls: twin(cls) for cls in RECORDS}
+PER_REQUEST = 40  # instances of one class kept from one request
+
+
+def _requests() -> list:
+    """CLI requests on every corpus module and the ill-formed one."""
+    out = []
+    for path in sorted(conftest.CORPUS.glob("*.chor")):
+        module = parse_module(path.read_text())
+        out += [["parse", str(path)], ["typecheck", str(path)]]
+        for name in module.globals_:
+            out += [["traces", str(path), "--global", name, "--unfold", "2"],
+                    ["cover", str(path), "--global", name, "--unfold", "2"]]
+        for name in module.systems:
+            out.append(["simulate", str(path), "--system", name, "--steps", "30"])
+        for name in list(module.processes)[:4]:
+            out.append(["wsi", str(path), "--proc", name, "--unfold", "1"])
+    return out + [["traces", str(conftest.ILL_FORMED)]]
+
+
+def _simulations():
+    """A conditional simulation that holds and one that finds the
+    channel-mutated POP2 server out."""
+    text = (conftest.CORPUS / "pop2.chor").read_text()
+    pop2 = parse_module(text)
+    domains = DomainDecl.from_module(pop2)
+    system = pop2.systems["POP_FULL"].body
+    delta = typecheck_system(gamma_from_domains(domains), TRUE, system,
+                             {"u": pop2.globals_["G_POP"]}, domains)
+    store = next(domains.assignments(sorted(domains.domains)))
+    mutated = parse_module(text.replace("process Exit = bye!()",
+                                        "process Exit = r!(0)"))
+    held = conditional_simulation(system, store, delta, domains, depth=8)
+    caught = conditional_simulation(mutated.systems["POP_FULL"].body, store,
+                                    delta, domains, depth=40)
+    assert held.holds() and isinstance(caught, Counterexample)
+
+
+def _walk(value, found: dict, seen: set):
+    """Every record in value, records nested in records included."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if is_record(type(value)):
+        found[type(value)].append(value)
+        for name in value.__match_args__:
+            _walk(getattr(value, name), found, seen)
+    elif isinstance(value, (tuple, list, frozenset)):
+        for item in value:
+            _walk(item, found, seen)
+    elif isinstance(value, dict):
+        for item in value.items():
+            _walk(item, found, seen)
+
+
+@pytest.fixture(scope="module")
+def samples() -> dict:
+    """Class -> instances: up to PER_REQUEST of each class from each CLI
+    request and simulation as they are built, and every record in the
+    corpus trees and in seeded generated terms."""
+    found = collections.defaultdict(list)
+    built = collections.Counter()
+    originals = {cls: cls.__init__ for cls in RECORDS}
+
+    def recording(init):
+        def __init__(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built[type(self)] += 1
+            if built[type(self)] <= PER_REQUEST:
+                found[type(self)].append(self)
+        return __init__
+
+    try:
+        for cls in RECORDS:
+            cls.__init__ = recording(originals[cls])
+        for job in [*_requests(), None]:
+            built.clear()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main(job) if job else _simulations()
+    finally:
+        for cls, init in originals.items():
+            cls.__init__ = init
+    seen = set()
+    for path in sorted(conftest.CORPUS.glob("*.chor")):
+        _walk(vars(parse_module(path.read_text())), found, seen)
+    rng = random.Random(1717)
+    for _ in range(100):
+        values = tuple(int_lit(rng.randint(0, 9)) for _ in range(rng.randint(0, 3)))
+        system = Restrict(("a",), "u", Par(gen.gen_system(rng), Queue("a", values)))
+        _walk((gen.gen_global(rng), gen.gen_pseudotype(rng), gen.gen_process(rng),
+               system, ListLit((gen.gen_expr(rng), gen.gen_expr(rng))),
+               Lit(list_sort(INT), values), gen.gen_run(rng, 6)), found, seen)
+    return found
+
+
+def _to_twin(value, memo: dict):
+    """value with every record rebuilt as an instance of its twin."""
+    out = memo.get(id(value))
+    if out is not None:
+        return out[1]
+    if is_record(type(value)):
+        out = TWINS[type(value)](*(_to_twin(getattr(value, n), memo)
+                                   for n in value.__match_args__))
+    elif isinstance(value, (tuple, list, frozenset)):
+        out = type(value)(_to_twin(item, memo) for item in value)
+    elif isinstance(value, dict):
+        out = {_to_twin(k, memo): _to_twin(v, memo) for k, v in value.items()}
+    else:
+        out = value
+    memo[id(value)] = (value, out)  # keeps value alive, so its id is not reused
+    return out
+
+
+def _hash(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # a record with a dict field
+        return str(exc)
+
+
+def test_every_record_class_is_sampled(samples):
+    assert len(RECORDS) == 51 and ast.ModuleDecl not in RECORDS
+    assert [cls.__qualname__ for cls in RECORDS if not samples[cls]] == []
+    assert sum(map(len, samples.values())) > 20000
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_builders_agree(cls, samples):
+    ref, memo = TWINS[cls], {}
+    assert cls.__match_args__ == ref.__match_args__ != () or cls is ast.GEnd
+    others = [samples[other][0] for other in RECORDS]
+    values = samples[cls][:300]
+    for i, value in enumerate(values):
+        mirror = _to_twin(value, memo)
+        fields = {n: getattr(value, n) for n in cls.__match_args__}
+        assert repr(value) == repr(mirror)
+        assert _hash(value) == _hash(mirror)
+        # an equal copy, neighbours, and one instance of every class
+        copy = cls(**fields)
+        for other in [value, copy, *values[i + 1:i + 4], *others]:
+            twin_other = _to_twin(other, memo)
+            assert (value == other) == (mirror == twin_other), (value, other)
+            assert (value != other) == (mirror != twin_other), (value, other)
+        assert value.__eq__(0) is NotImplemented and mirror.__eq__(0) is NotImplemented
+        with pytest.raises(AttributeError):
+            setattr(value, (*cls.__match_args__, "other")[0], None)
+        with pytest.raises(AttributeError):
+            delattr(value, (*cls.__match_args__, "other")[0])
+        with pytest.raises(AttributeError):
+            setattr(mirror, (*cls.__match_args__, "other")[0], None)
+        state = value.__reduce_ex__(2)[2]
+        assert state.keys() == mirror.__reduce_ex__(2)[2].keys() == fields.keys()
+
+
+def _defaulted(cls) -> set:
+    """The fields that the reference twin of cls gives a default."""
+    return {f.name for f in dataclasses.fields(TWINS[cls])
+            if f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_defaults_and_keywords_agree(cls, samples):
+    """A record built from its required fields alone, by keyword, equals
+    its twin's, and a dict default is a new dict in each instance."""
+    ref, memo = TWINS[cls], {}
+    defaulted = _defaulted(cls)
+    for value in samples[cls][:20]:
+        required = {n: getattr(value, n) for n in cls.__match_args__
+                    if n not in defaulted}
+        one, two = cls(**required), cls(**required)
+        mirror = ref(**{n: _to_twin(v, memo) for n, v in required.items()})
+        assert repr(one) == repr(mirror) and _hash(one) == _hash(mirror)
+        for name in defaulted:
+            if isinstance(getattr(one, name), dict):
+                assert getattr(one, name) is not getattr(two, name)
+
+
+def test_sort_checks_agree():
+    for build in (Sort, TWINS[Sort]):
+        for args in [("Foo",), ("List",), ("Int", INT)]:
+            with pytest.raises(AssertionError):
+                build(*args)
+        assert repr(build("List", build("Int"))) == "Sort(kind='List', elem=Sort(kind='Int', elem=None))"
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_pickling_drops_derived_values(cls, samples):
+    for value in samples[cls][:50]:
+        _hash(value)
+        try:
+            copy = pickle.loads(pickle.dumps(value))
+        except TypeError as exc:  # an exception whose class takes other arguments
+            assert isinstance(getattr(value, "error", None), Exception), exc
+            continue
+        assert not set(DERIVED) & set(copy.__dict__)
+        assert pickle.dumps(copy) == pickle.dumps(value)
+        # a bare marker object (a payload not drawn yet) comes back as another one
+        if not any(type(leaf) is object for leaf in _leaves(value)):
+            assert copy == value and _hash(copy) == _hash(value)
+
+
+def _leaves(value):
+    if is_record(type(value)):
+        for name in value.__match_args__:
+            yield from _leaves(getattr(value, name))
+    elif isinstance(value, (tuple, list, frozenset)):
+        for item in value:
+            yield from _leaves(item)
+    elif isinstance(value, dict):
+        for item in value.items():
+            yield from _leaves(item)
+    else:
+        yield value

@@ -330,17 +330,22 @@ def test_expr_vars():
 
 
 _HASHES = """
+from chorus_wsi.semantics import Label
 from chorus_wsi.syntax import parse_module
 from chorus_wsi.syntax.ast import INT, UNIT_LIT
+from chorus_wsi.wsi import TypingVerdict
 module = parse_module(open({path!r}).read())
 print(hash(INT), hash(UNIT_LIT), repr(module.domains["cred"]))
+print(hash(Label("tau")), hash(TypingVerdict(True, "c")))
 """
 
 
 def test_hashes_do_not_depend_on_the_process():
     """A node with a None field (every non-list sort, the unit literal)
     hashes alike in two processes under one PYTHONHASHSEED, and so a
-    parsed domain, a set of literals, lists in the same order."""
+    parsed domain, a set of literals, lists in the same order.  So do
+    the records outside the syntax with a None field: a label and a
+    verdict."""
     src = str(conftest.CORPUS.parents[1])
     env = {**os.environ, "PYTHONHASHSEED": "0",
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

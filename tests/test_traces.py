@@ -12,11 +12,12 @@ from chorus_wsi.syntax import parse_type
 from chorus_wsi.traces import (
     MissingRun, Opt, RUN_COUNTS, Uncountable,
     covers, mandatory, projection_env, run_count, run_str,
-    runs_global, runs_spec, trace_leq, independent, _foata,
+    runs_global, runs_spec, sorted_runs, trace_leq, independent, _foata,
 )
 from chorus_wsi.typecheck import SpecEnv, instantiate
 from chorus_wsi.wsi import wsi_by_covering, wsi_by_typing
 
+import conftest
 import gen
 
 
@@ -119,6 +120,24 @@ def test_skeletons_do_not_depend_on_the_unfold_bound():
             lambda k: runs_spec(delta, gdef.params, k)), g
         specs_checked += 1
     assert specs_checked > 150
+
+
+def test_sorted_runs_orders_as_run_str():
+    """Sorting by the memoized text gives the order of `run_str`, on the
+    runs of every corpus global type at bounds 1 and 2 and of seeded
+    generated ones, with and without optional segments."""
+    globals_ = [instantiate(gdef, gdef.params)
+                for path in sorted(conftest.CORPUS.glob("*.chor"))
+                for gdef in conftest.load(path.name).globals_.values()]
+    rng = random.Random(17)
+    globals_ += [gen.gen_global(rng) for _ in range(200)]
+    optional = 0
+    for g in globals_:
+        for k in (1, 2):
+            runs = list(runs_global(g, k))
+            assert sorted_runs(runs) == sorted(runs, key=run_str)
+            optional += any(len(mandatory(r)) < len(r) for r in runs)
+    assert len(globals_) > 200 and optional > 50
 
 
 def _identical_branches(t) -> bool:

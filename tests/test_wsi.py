@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import heapq
 import itertools
 import random
@@ -12,7 +11,7 @@ from chorus_wsi.guards import DomainDecl, Store
 from chorus_wsi.projection import NonProjectable, project
 from chorus_wsi.syntax.ast import (
     Accept, Arm, Branch, Const, Event, GChoice, GEnd, GlobalDef, If, Lit,
-    Request, Send, Seq, UNIT, fU, fX,
+    Request, Send, Seq, UNIT, fU, fX, replace,
 )
 from chorus_wsi.syntax import parse_expr, parse_module
 from chorus_wsi.traces import (
@@ -191,7 +190,7 @@ def test_wsi_of_a_requester_in_a_loop_that_may_not_run_once(wrapped_open,
     session or several: neither path lets it play the role."""
     module, domains = wrapped_open
     body = module.processes["CFor"].body
-    loop = dataclasses.replace(body, items=parse_expr(items))
+    loop = replace(body, items=parse_expr(items))
     why = "the process does not uniquely play 'c' in 'u'"
     typing = wsi_by_typing(module.globals_["G"], "c", loop, domains, "u")
     assert str(typing) == f"Rejected: role: {why} (at <top>)"
@@ -316,18 +315,15 @@ def _pruned(node):
     if isinstance(node, If):
         yield node.then
         yield node.orelse
-    if not dataclasses.is_dataclass(node):
-        return
-    for f in dataclasses.fields(node):
-        value = getattr(node, f.name)
+    for name in getattr(type(node), "__match_args__", ()):
+        value = getattr(node, name)
         if isinstance(value, tuple):
             for i, item in enumerate(value):
                 for m in _pruned(item):
-                    yield dataclasses.replace(
-                        node, **{f.name: value[:i] + (m,) + value[i + 1:]})
+                    yield replace(node, **{name: value[:i] + (m,) + value[i + 1:]})
         else:
             for m in _pruned(value):
-                yield dataclasses.replace(node, **{f.name: m})
+                yield replace(node, **{name: m})
 
 
 def test_branch_pruning_mutants_of_generated_implementations():
@@ -532,8 +528,8 @@ def test_covering_opens_only_sessions_the_system_semantics_opens(
     g = pop2.globals_["G_POP"]
     cpop = pop2.processes["CPop"].body
     assert wsi_by_covering(g, "c", cpop, pop2_domains).holds()
-    proc = {"arity": dataclasses.replace(cpop, arity=2),
-            "channels": dataclasses.replace(cpop, chans=cpop.chans[:-1]),
+    proc = {"arity": replace(cpop, arity=2),
+            "channels": replace(cpop, chans=cpop.chans[:-1]),
             "accept": Accept(cpop.shared, "c", cpop.chans, cpop.cont)}[change]
     runs = gen.system_runs({"c": proc, "s": pop2.processes["Init"].body},
                            g, "u", Store(tables=pop2_domains.tables))
