@@ -30,7 +30,7 @@ from .syntax.ast import Event, GlobalDef, ModuleDecl, TRUE, fU
 from .syntax.parser import ParseError
 from .traces import (
     IllFormed, covers, projection_env, run_count, run_str, runs_global,
-    runs_spec, sorted_runs,
+    runs_spec, sorted_run_strs, sorted_runs,
 )
 from .typecheck import (
     TypingError, gamma_from_domains, instantiate, typecheck_process,
@@ -197,6 +197,9 @@ def cmd_typecheck(args) -> int:
         targets += [("system", n) for n in module.systems]
 
     entry_globals = [g for g in module.globals_.values() if g.params]
+    # one judgement table for the request: a system's renamed copy of a
+    # process judged well typed above is not judged again
+    judged = {}
 
     def system_global_candidates():
         if args.global_name:
@@ -210,7 +213,8 @@ def cmd_typecheck(args) -> int:
                 gdef = module.globals_[decl.global_name] if decl.global_name \
                     else _the_global(module, args.global_name)
                 shared = _shared_env(gdef, decl.body)
-                typecheck_process(gamma, TRUE, decl.body, shared, domains)
+                typecheck_process(gamma, TRUE, decl.body, shared, domains,
+                                  judged=judged)
             else:
                 body = module.systems[name].body
                 # without --global, try each entry global until one fits
@@ -218,7 +222,8 @@ def cmd_typecheck(args) -> int:
                 for gdef in system_global_candidates():
                     shared = _shared_env(gdef, body)
                     try:
-                        typecheck_system(gamma, TRUE, body, shared, domains)
+                        typecheck_system(gamma, TRUE, body, shared, domains,
+                                         judged=judged)
                         last_error = None
                         break
                     except TypingError as exc:
@@ -311,12 +316,12 @@ def cmd_traces(args) -> int:
     module = _load(args.file)
     gdef = _the_global(module, args.global_name)
     g = instantiate(gdef, gdef.params)
-    runs = sorted_runs(runs_global(g, args.unfold))
+    runs = runs_global(g, args.unfold)
     if args.json:
-        print(runs_json(runs))
+        print(runs_json(sorted_runs(runs)))
     else:
-        for r in runs:
-            print(run_str(r))
+        for line in sorted_run_strs(runs):
+            print(line)
         print(f"{len(runs)} runs at unfold bound {args.unfold}")
     return 0
 

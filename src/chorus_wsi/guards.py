@@ -15,9 +15,19 @@ on store i.  An atom (a Bool expression whose head is not `and`, `or` or
 `not`) is evaluated on the stores over its own variables only, and its
 mask is lifted into the query's space through per-value selector masks
 of those variables.  `and`, `or` and `not` are `&`, `|` and the
-complement, and a query is unsatisfiable iff its mask is 0.  Masks are
-memoized per subexpression in each space, so `conj(e, b)` reuses the
-mask of e.  The emptiness of a loop's list is one more atom.
+complement, and a query is unsatisfiable iff its mask is 0.  The
+emptiness of a loop's list is one more atom.
+
+Masks are kept per node.  Each `and`, `or` and `not` node keeps the
+mask of its last query as a derived value (`syntax.ast.DERIVED`), found
+by identity, so `conj(e, b)` reuses the mask of e without comparing e
+with anything; the pseudo-type algebra builds each branch's conjunction
+once so that the queries of its continuation find that node itself.
+Atoms are memoized by structural equality in each space, so equal atoms
+of different trees, or of different parses, share one enumeration.  An
+expression's variables are kept on each of its nodes too (`expr_vars`).
+Both are computed with an explicit stack, so a guard of thousands of
+conjuncts is decided without recursion.
 
 Enumeration store by store, stopping at the first satisfying store,
 remains the answer in two cases: a space of more than `_MAX_STORES`
@@ -291,31 +301,67 @@ EMPTY_DOMAINS = DomainDecl()
 _UNKNOWN = object()
 
 
+def _connective(e: Expr):
+    """The operands of an `and`, `or` or `not` node; None for an atom."""
+    kind = type(e)
+    if kind is BinOp:
+        if e.op == "and" or e.op == "or":
+            return (e.left, e.right)
+    elif kind is UnOp and e.op == "not":
+        return (e.arg,)
+    return None
+
+
+def _known(space: _Space, e: Expr):
+    """The mask of e in space if it is known already, else _UNKNOWN."""
+    if _connective(e) is None:
+        return space.masks.get(e, _UNKNOWN)
+    kept = e._mask
+    return kept[1] if kept is not None and kept[0] is space else _UNKNOWN
+
+
 def _mask(domains: DomainDecl, space: _Space, e: Expr):
-    """The mask of the Bool expression e in space, or None."""
+    """The mask of the Bool expression e in space, or None.
+
+    The nodes are visited with an explicit stack, operands first.  An
+    `and`, `or` or `not` node keeps its mask on itself as `_mask`, the
+    pair (space, mask), found by identity; a query in another space
+    computes it again and replaces it.  An atom's mask is memoized in
+    `space.masks` under the atom itself, so equal atoms of different
+    trees share one enumeration."""
     if not 0 < space.size <= _MAX_STORES:
         return None
-    mask = space.masks.get(e, _UNKNOWN)
-    if mask is not _UNKNOWN:
-        return mask
-    match e:
-        case BinOp("and" | "or" as op, left, right):
-            mask = _mask(domains, space, left)
-            other = None if mask is None else _mask(domains, space, right)
-            if other is None:
-                mask = None
-            elif op == "and":
-                mask &= other
-            else:
-                mask |= other
-        case UnOp("not", arg):
-            mask = _mask(domains, space, arg)
-            if mask is not None:
-                mask ^= space.full
-        case _:
-            mask = _atom_mask(domains, space, e, e, _bool_value)
-    space.masks[e] = mask
-    return mask
+    masks = space.masks
+    todo = [e]
+    while todo:
+        node = todo[-1]
+        parts = _connective(node)
+        if parts is None:
+            todo.pop()
+            if node not in masks:
+                masks[node] = _atom_mask(domains, space, node, node, _bool_value)
+            continue
+        kept = node._mask
+        if kept is not None and kept[0] is space:
+            todo.pop()
+            continue
+        values = [_known(space, part) for part in parts]
+        missing = [part for part, value in zip(parts, values)
+                   if value is _UNKNOWN]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        if None in values:
+            mask = None
+        elif len(values) == 1:
+            mask = values[0] ^ space.full
+        elif node.op == "and":
+            mask = values[0] & values[1]
+        else:
+            mask = values[0] | values[1]
+        object.__setattr__(node, "_mask", (space, mask))
+    return _known(space, e)
 
 
 def _bool_value(e: Expr, store: Store):

@@ -71,14 +71,15 @@ def _propagate(e: Expr, t: PseudoType, domains: DomainDecl) -> PseudoType:
         case TEnd(g):  # conjoin into the end guard
             return TEnd(conj(e, g))
         case TInternal(branches) | TExternal(branches):  # prune dead branches
-            keep = tuple(b for b in branches if not is_unsat(conj(e, b.guard), domains))
-            if not keep:
+            # one conjunction per branch, which the continuation's guard
+            # queries then extend, so they find its mask by identity
+            guarded = [(b, g) for b in branches
+                       if not is_unsat(g := conj(b.guard, e), domains)]
+            if not guarded:
                 return TEnd(FALSE)
-            new = tuple(
-                TBranch(conj(b.guard, e), b.channel, b.sort,
-                        normalize(conj(b.guard, e), b.cont, domains))
-                for b in keep)
-            return type(t)(new)
+            return type(t)(tuple(
+                TBranch(g, b.channel, b.sort, normalize(g, b.cont, domains))
+                for b, g in guarded))
         case TSeq(first, second):
             match first:
                 case TEnd(g):  # a guarded end is a left unit

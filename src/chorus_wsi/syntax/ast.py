@@ -20,9 +20,11 @@ from typing import Optional, Union
 _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 
 # The values a node derives from itself and keeps: its hash, its normal
-# form under the true guard (`pseudotype.normalize`) and its canonical
-# process (`semantics.proc_canon`).
-DERIVED = ("_hash", "_nf", "_canon")
+# form under the true guard (`pseudotype.normalize`), its canonical
+# process (`semantics.proc_canon`), an expression's variables
+# (`expr_vars`) and the last mask of an `and`, `or` or `not` node
+# (`guards._mask`).
+DERIVED = ("_hash", "_nf", "_canon", "_vars", "_mask")
 
 # A field default that stands for a new empty dict in each instance.
 NEW_DICT = object()
@@ -56,9 +58,15 @@ def frozen_node(cls):
     owner fills it with `object.__setattr__`.  A cache lives exactly as
     long as its node: nothing is kept at module level, so a value
     computed for one parsed module never serves another one, even an
-    equal one parsed later in the same process.  Caches are left out of
-    pickled state, since string hashes differ between processes and a
-    cached normal form names the `DomainDecl` it was computed under.
+    equal one parsed later in the same process.  Neither of the two
+    values kept for guard decisions outlives its node either: `_vars` is
+    a set of names, and `_mask` is one `(space, mask)` pair whose space
+    (a `guards._Space`, owned by its `DomainDecl`) holds no reference
+    back to the node, so a node queried against the long-lived
+    `guards.EMPTY_DOMAINS` is still freed with its tree.  Caches are
+    left out of pickled state, since string hashes differ between
+    processes and a cached normal form or mask names the `DomainDecl` or
+    space it was computed under.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
@@ -246,43 +254,68 @@ TRUE = Const(TRUE_LIT)
 FALSE = Const(FALSE_LIT)
 
 
+_NO_VARS = frozenset()
+
+
+def _operands(e: Expr) -> tuple:
+    kind = type(e)
+    if kind is BinOp:
+        return (e.left, e.right)
+    if kind is UnOp:
+        return (e.arg,)
+    if kind is Range:
+        return (e.lo, e.hi)
+    if kind is ListLit:
+        return e.items
+    raise TypeError(f"not an expression: {e!r}")
+
+
 def expr_vars(e: Expr) -> frozenset:
-    """var(e): the variables occurring in e.  An inner node shared by
-    several parents is visited once, so a guard built up by repeated
-    conjunction costs its number of distinct nodes, not its tree size.
-    This is on the path of every guard query, hence the dispatch on the
-    exact node type instead of `match`."""
-    names = set()
-    seen = set()
+    """var(e): the variables occurring in e, kept on each node of e as
+    `_vars`.  The nodes are visited with an explicit stack, children
+    first, so a guard conjoined thousands of times needs no recursion,
+    and a node shared by several parents, or met again in a later query,
+    is visited once.  A parent reuses its larger child's set when that
+    one holds the other's, so a chain over a few variables keeps a few
+    sets, not one per node."""
+    found = e._vars
+    if found is not None:
+        return found
     todo = [e]
     while todo:
-        e = todo.pop()
-        kind = type(e)
-        if kind is Var:
-            names.add(e.name)
-        elif kind is Const or id(e) in seen:
+        node = todo[-1]
+        if node._vars is not None:
+            todo.pop()
             continue
+        kind = type(node)
+        if kind is Var:
+            found = frozenset((node.name,))
+        elif kind is Const:
+            found = _NO_VARS
         else:
-            seen.add(id(e))
-            if kind is BinOp:
-                todo += (e.left, e.right)
-            elif kind is UnOp:
-                todo.append(e.arg)
-            elif kind is Range:
-                todo += (e.lo, e.hi)
-            elif kind is ListLit:
-                todo += e.items
-            else:
-                raise TypeError(f"not an expression: {e!r}")
-    return frozenset(names)
+            parts = _operands(node)
+            missing = [p for p in parts if p._vars is None]
+            if missing:
+                todo += missing
+                continue
+            found = _NO_VARS
+            for part in parts:
+                more = part._vars
+                if not more <= found:
+                    found = more if found <= more else found | more
+        object.__setattr__(node, "_vars", found)
+        todo.pop()
+    return e._vars
 
 
 def is_true(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == TRUE_LIT
+    # `==` on records never short-cuts identity, and most literals here are
+    # the shared TRUE_LIT and FALSE_LIT themselves
+    return isinstance(e, Const) and (e.value is TRUE_LIT or e.value == TRUE_LIT)
 
 
 def is_false(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == FALSE_LIT
+    return isinstance(e, Const) and (e.value is FALSE_LIT or e.value == FALSE_LIT)
 
 
 def conj(e1: Expr, e2: Expr) -> Expr:

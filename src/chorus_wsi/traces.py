@@ -76,10 +76,10 @@ def run_str(run: tuple) -> str:
     return " ".join(str(i) for i in run) if run else "<empty>"
 
 
-def sorted_runs(runs) -> list:
-    """`sorted(runs, key=run_str)`, rendering each distinct event or
-    optional segment once: the runs of a global type repeat a few dozen
-    of them thousands of times."""
+def _run_texts():
+    """A `run_str` that renders each distinct event or optional segment
+    once: the runs of a global type repeat a few dozen of them thousands
+    of times."""
     texts = {}
 
     def text(item) -> str:
@@ -88,8 +88,17 @@ def sorted_runs(runs) -> list:
             out = texts[item] = str(item)
         return out
 
-    return sorted(runs, key=lambda run: " ".join(map(text, run)) if run
-                  else "<empty>")
+    return lambda run: " ".join(map(text, run)) if run else "<empty>"
+
+
+def sorted_runs(runs) -> list:
+    """`sorted(runs, key=run_str)`."""
+    return sorted(runs, key=_run_texts())
+
+
+def sorted_run_strs(runs) -> list:
+    """`[run_str(r) for r in sorted_runs(runs)]`, each run rendered once."""
+    return sorted(map(_run_texts(), runs))
 
 
 def mandatory(run: tuple) -> tuple:

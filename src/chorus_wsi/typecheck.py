@@ -11,6 +11,43 @@ end and unreachable code is visibly dead.
 Failures raise TypingError carrying the violated rule name and the
 path into the term, so a rejection like the ATM's deny-all bank reads
 "VSend against an internal choice with 2 live branches".
+
+The judgement table.  A whole-module `typecheck` judges each process and
+then each system, whose components are copies of those processes with
+every binder renamed by the parser.  `typecheck_process` and
+`typecheck_system` take a table (a dict) that the command makes once per
+request.  A session-opening process judged under the true assumption
+with no session channel in scope is looked up there by its `alpha_key`;
+a hit succeeds at once and leaves no session open, as the judgement
+did.  Only such a success is stored: a failure is judged again, so its
+message names the copy's own channels and path.
+
+Why equal keys give equal judgements.  The key holds p's syntax with each
+bound name replaced by its binding depth, each variable binder's
+declared domain, Gamma and the shared-name map, and the entry names the
+`DomainDecl`.  Parsed terms are fresh: their binders are pairwise
+distinct and disjoint from their free names.  So if p and p' are fresh
+and have equal keys, p' is p renamed by a bijection s of names that is
+the identity on free names and keeps each variable's declared domain.
+The rules read names in four ways, and each commutes with s.
+  (1) Lookups in Gamma and in the channel map: both are extended at the
+      binders, and Gamma is in the key.
+  (2) Equality of guards and pseudo-types (merge, the arms of a
+      receive), and `pt_vars`: s is a bijection.
+  (3) Instantiation of a global type at the session's channels: it
+      renames the parameters, and a channel of the global type that is
+      not a parameter stays as it is.  A binder of that name would be
+      captured, so a process with one has no key.
+  (4) Guard decisions: a mask depends on the declared domains only, which
+      s keeps.  Enumeration visits stores in the order of the sorted
+      variable names, which s may change, and raises the error of the
+      first store that raises before one that satisfies.  In a module
+      every domain and table has one sort, so an atom that raises on one
+      store raises on all of them unless it takes `hd` or `tl` of an
+      empty list; a process that applies either has no key.
+Session keys are iterated in set order, but a success handles each one
+without error, whatever the order.  So p' succeeds in the same context
+exactly when p does.
 """
 
 from __future__ import annotations
@@ -29,7 +66,7 @@ from .syntax.ast import (
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, System, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
     UNIT, UnOp, Var, BinOp, Const, conj, expr_vars, fn, frozen_node,
-    list_sort, neg, pt_vars,
+    g_channels, is_true, list_sort, neg, pt_vars,
 )
 
 
@@ -42,6 +79,20 @@ class TypingError(Exception):
         self.rule = rule
         self.message = message
         self.path = path
+
+    # compared, hashed and pickled by (rule, message, path), so that a
+    # verdict holding one is a value like any other record; pickling by
+    # `self.args`, the formatted text alone, could not rebuild it
+    def __reduce__(self):
+        return (self.__class__, (self.rule, self.message, self.path))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__reduce__() == other.__reduce__()
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "path": list(self.path), "message": self.message}
@@ -279,33 +330,34 @@ def instantiate(gdef: GlobalDef, chans: tuple) -> GlobalType:
 
 class _Ctx:
     def __init__(self, gamma: dict, assumption: Expr, shared: dict,
-                 domains: DomainDecl, chans: dict | None = None, path: tuple = ()):
+                 domains: DomainDecl, judged: dict | None = None):
         self.gamma = gamma
         self.assumption = assumption
         self.shared = shared  # u -> GlobalDef
         self.domains = domains
-        self.chans = {} if chans is None else chans  # chan -> (session key, sort)
-        self.path = path
+        self.judged = judged  # the judgement table, or None
+        self.chans = {}  # chan -> (session key, sort)
+        self.path = ()
+
+    def _but(self, **changes) -> "_Ctx":
+        ctx = object.__new__(_Ctx)
+        ctx.__dict__ = {**self.__dict__, **changes}
+        return ctx
 
     def at(self, step: str) -> "_Ctx":
-        return _Ctx(self.gamma, self.assumption, self.shared, self.domains,
-                    self.chans, self.path + (step,))
+        return self._but(path=self.path + (step,))
 
     def with_gamma(self, extra: dict) -> "_Ctx":
-        g = dict(self.gamma)
-        g.update(extra)
-        return _Ctx(g, self.assumption, self.shared, self.domains,
-                    self.chans, self.path)
+        return self._but(gamma={**self.gamma, **extra})
 
     def with_assumption(self, e: Expr) -> "_Ctx":
-        return _Ctx(self.gamma, e, self.shared, self.domains, self.chans, self.path)
+        return self._but(assumption=e)
 
     def with_session(self, key: tuple, sorts: dict) -> "_Ctx":
         chans = dict(self.chans)
         for y, d in sorts.items():
             chans[y] = (key, d)
-        return _Ctx(self.gamma, self.assumption, self.shared, self.domains,
-                    chans, self.path)
+        return self._but(chans=chans)
 
     def chan(self, y: str, rule: str):
         if y not in self.chans:
@@ -465,6 +517,11 @@ def _open_session(ctx: _Ctx, p: Request | Accept) -> tuple:
 
 
 def _synth_open(ctx: _Ctx, p: Request | Accept) -> dict:
+    alpha = None
+    if ctx.judged is not None and not ctx.chans and is_true(ctx.assumption):
+        alpha = alpha_key(p, ctx.gamma, ctx.shared, ctx.domains)
+        if alpha is not None and ctx.judged.get(alpha) is ctx.domains:
+            return {}
     rule, gdef, g, key, inner = _open_session(ctx, p)
     role = key[1]
     sessions = _synth_process(inner, p.cont)
@@ -479,7 +536,86 @@ def _synth_open(ctx: _Ctx, p: Request | Accept) -> dict:
     got_local = remove_guards(normal_form(t, ctx.domains))
     want_local = remove_guards(normal_form(expected, EMPTY_DOMAINS))
     _match_local(got_local, want_local, ctx.at(f"session of {role}"))
+    if alpha is not None and not sessions:
+        ctx.judged[alpha] = ctx.domains
     return sessions
+
+
+# the partial operators: whether one raises depends on the store
+_PARTIAL = ("hd", "tl")
+
+
+def alpha_key(p: Process, gamma: dict, shared: dict, domains: DomainDecl):
+    """The key under which the judgement table keeps a success of the
+    session-opening p, or None where p is always judged afresh.
+
+    The key holds p's syntax in prefix order, with each bound name
+    replaced by its binding depth and each variable binder followed by
+    its declared domain (through the module's `domain_aliases`), together
+    with Gamma and the shared-name map; the table entry names the
+    `DomainDecl`."""
+    exposed = set()  # channels of the globals that instantiation keeps
+    for gdef in shared.values():
+        exposed |= g_channels(gdef.body) - set(gdef.params)
+    declared = domains.domains
+    tokens = []
+    # term, depths of the variables and of the channels in scope, depth
+    todo = [(p, {}, {}, 0)]
+    while todo:
+        term, names, chans, depth = todo.pop()
+        kind = type(term)
+        tokens.append(kind)
+        if kind is Var:
+            tokens.append(names.get(term.name, term.name))
+        elif kind is Const:
+            tokens.append(term.value)
+        elif kind is BinOp:
+            tokens.append(term.op)
+            todo += ((term.right, names, chans, depth),
+                     (term.left, names, chans, depth))
+        elif kind is UnOp:
+            if term.op in _PARTIAL:
+                return None
+            tokens.append(term.op)
+            todo.append((term.arg, names, chans, depth))
+        elif kind is Send:
+            tokens.append(chans.get(term.channel, term.channel))
+            todo.append((term.payload, names, chans, depth))
+        elif kind is Branch:
+            tokens.append(len(term.arms))
+            for arm in term.arms:
+                tokens += (chans.get(arm.channel, arm.channel),
+                           declared.get(arm.binder))
+            todo += ((arm.cont, {**names, arm.binder: depth}, chans, depth + 1)
+                     for arm in reversed(term.arms))
+        elif kind is Seq or kind is RepeatUntil:
+            first, second = (term.first, term.second) if kind is Seq \
+                else (term.body, term.exit)
+            todo += ((second, names, chans, depth), (first, names, chans, depth))
+        elif kind is If:
+            todo += ((term.orelse, names, chans, depth),
+                     (term.then, names, chans, depth),
+                     (term.cond, names, chans, depth))
+        elif kind is Request or kind is Accept:
+            if exposed.intersection(term.chans):
+                return None
+            tokens += (term.shared, term.arity if kind is Request else term.role,
+                       len(term.chans))
+            inner = dict(chans)
+            inner.update((y, depth + i) for i, y in enumerate(term.chans))
+            todo.append((term.cont, names, inner, depth + len(term.chans)))
+        elif kind is For:
+            tokens.append(declared.get(term.binder))
+            todo += ((term.body, {**names, term.binder: depth}, chans, depth + 1),
+                     (term.items, names, chans, depth))
+        elif kind is ListLit:
+            tokens.append(len(term.items))
+            todo += ((item, names, chans, depth) for item in reversed(term.items))
+        elif kind is Range:
+            todo += ((term.hi, names, chans, depth), (term.lo, names, chans, depth))
+        else:
+            raise TypeError(f"not a process: {term!r}")
+    return (tuple(tokens), frozenset(gamma.items()), tuple(sorted(shared.items())))
 
 
 # ----------------------------------------------- local-type conformance check
@@ -567,14 +703,16 @@ def _describe(t: PseudoType) -> str:
 
 def typecheck_process(gamma: dict, e: Expr, p: Process, shared: dict,
                       domains: DomainDecl = EMPTY_DOMAINS,
-                      session: tuple | None = None) -> SpecEnv:
+                      session: tuple | None = None,
+                      judged: dict | None = None) -> SpecEnv:
     """Synthesize the minimal specification validating Gamma; e |- P.
 
     For an open process term whose session channels are already bound,
     `session` is ((chans, role), chan->sort); that session's synthesized
     pseudo-type stays in the result instead of being checked against a
-    projection."""
-    ctx = _Ctx(dict(gamma), e, dict(shared), domains)
+    projection.  `judged` is a judgement table (see the module's
+    docstring), or None to judge every session-opening afresh."""
+    ctx = _Ctx(dict(gamma), e, dict(shared), domains, judged)
     if session is not None:
         key, sorts = session
         ctx = ctx.with_session((tuple(key[0]), key[1]), dict(sorts))
@@ -595,8 +733,9 @@ def session_type_of(gamma: dict, e: Expr, p: Process, shared: dict,
 
 
 def typecheck_system(gamma: dict, e: Expr, s: System, shared: dict,
-                     domains: DomainDecl = EMPTY_DOMAINS) -> SpecEnv:
-    ctx = _Ctx(dict(gamma), e, dict(shared), domains)
+                     domains: DomainDecl = EMPTY_DOMAINS,
+                     judged: dict | None = None) -> SpecEnv:
+    ctx = _Ctx(dict(gamma), e, dict(shared), domains, judged)
     return _synth_system(ctx, s)
 
 

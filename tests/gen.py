@@ -17,7 +17,7 @@ from chorus_wsi.syntax.ast import (
     GChoice, GEnd, GIter, GSeq, GlobalDef, If, INT, Lit, Par, Proc, Process,
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq, STR,
     TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq, UNIT, UnOp, Var,
-    bool_lit, g_channels, int_lit, str_lit,
+    bool_lit, g_channels, int_lit, replace, str_lit,
 )
 from chorus_wsi.traces import Opt
 from chorus_wsi.typecheck import instantiate, participants_ordered
@@ -316,6 +316,23 @@ def role_implementations(seed: int) -> list:
                               for name in builder.selectors})
         out.append((gdef, role, proc, domains))
     return out
+
+
+def pruned(node):
+    """The branch-pruning mutants of node (the paper's B2/CDep pattern):
+    each process that replaces one `If` of node by one of its sides."""
+    if isinstance(node, If):
+        yield node.then
+        yield node.orelse
+    for name in getattr(type(node), "__match_args__", ()):
+        value = getattr(node, name)
+        if isinstance(value, tuple):
+            for i, item in enumerate(value):
+                for m in pruned(item):
+                    yield replace(node, **{name: value[:i] + (m,) + value[i + 1:]})
+        else:
+            for m in pruned(value):
+                yield replace(node, **{name: m})
 
 
 # ------------------------------------------------- runs of a system

@@ -7,7 +7,7 @@ import pytest
 
 from chorus_wsi.cli import build_parser, main, run_to_json, runs_json
 from chorus_wsi.syntax import parse_module
-from chorus_wsi.traces import Opt, run_str, runs_global
+from chorus_wsi.traces import Opt, run_str, runs_global, sorted_runs
 from chorus_wsi.typecheck import instantiate
 
 import conftest
@@ -191,6 +191,37 @@ def test_runs_json_matches_the_encoder_on_the_corpus(k):
             assert runs_json(runs) == _encoded(runs), (path.name, gdef.name)
             checked += 1
     assert checked == 14
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_traces_text_prints_run_str_of_the_sorted_runs(k, capsys):
+    """`traces` prints the texts it sorted by: line for line the
+    `run_str` of each run of `sorted_runs`, on every corpus global."""
+    checked = 0
+    for path in sorted(conftest.CORPUS.glob("*.chor")):
+        for gdef in parse_module(path.read_text()).globals_.values():
+            code, out, _ = run(capsys, "traces", str(path), "--global", gdef.name,
+                               "--unfold", str(k))
+            if code != 0:  # an ill-formed global is rejected before any run
+                continue
+            runs = sorted_runs(runs_global(instantiate(gdef, gdef.params), k))
+            assert out.splitlines() == [run_str(r) for r in runs] + [
+                f"{len(runs)} runs at unfold bound {k}"], (path.name, gdef.name)
+            checked += 1
+    assert checked >= 10
+
+
+def test_normalize_of_a_deep_guard_exits_0(tmp_path, capsys):
+    """A guard of 600 conjuncts is decided without recursion; the
+    printer still recurses on the chain, so 600 is about as deep as it
+    prints."""
+    deep = tmp_path / "deep.chor"
+    chain = " and ".join(["x > 0"] * 600)
+    deep.write_text(f"domain x : Int in 0..3\ntype T = [{chain}] a!(Int). end\n"
+                    f"type D = [{chain} and x < 1] a!(Int). end\n")
+    code, out, err = run(capsys, "normalize", str(deep))
+    assert code == 0 and err == ""
+    assert out == f"D = [false] end\nT = [{chain}] a!(Int). [{chain}] end\n"
 
 
 def test_runs_json_matches_the_encoder_on_generated_globals():

@@ -273,7 +273,10 @@ def test_decider_agrees_with_enumeration_on_generated_guards():
 
 def test_decider_agrees_with_enumeration_on_corpus_queries(monkeypatch, capsys):
     """Every guard query `typecheck` makes on the three corpus modules
-    with processes, replayed in order on fresh domains."""
+    with processes, replayed in order on fresh domains.  A whole-module
+    request judges a system's copy of a process judged well typed before
+    only once, so each system is also typechecked on its own, which
+    judges its processes afresh."""
     from chorus_wsi import pseudotype, typecheck
     from chorus_wsi.cli import main
     import conftest
@@ -292,8 +295,12 @@ def test_decider_agrees_with_enumeration_on_corpus_queries(monkeypatch, capsys):
                                         "equivalent"))):
         for name in names:
             recording(module, name)
-    for corpus in ("atm.chor", "pop2.chor", "pop2_multiparty.chor"):
+    for corpus, systems in (("atm.chor", ("ATM_DEP", "ATM_B1C")),
+                            ("pop2.chor", ("POP_QUIT", "POP_FULL")),
+                            ("pop2_multiparty.chor", ("POP_M_RUN",))):
         main(["typecheck", str(conftest.CORPUS / corpus)])
+        for system in systems:
+            main(["typecheck", str(conftest.CORPUS / corpus), "--system", system])
     capsys.readouterr()
     monkeypatch.undo()
 
@@ -352,3 +359,64 @@ def test_decider_agrees_with_enumeration_on_edge_cases(name, texts, extra,
     args = [parse_expr(t) for t in texts] + list(extra)
     domains = DomainDecl(domains.domains, domains.tables)
     assert _assert_agrees(name, *args, domains) == want
+
+
+def _nodes(e):
+    todo, seen = [e], set()
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            todo += [getattr(node, n) for n in ("left", "right", "arg", "lo", "hi")
+                     if hasattr(node, n)] + list(getattr(node, "items", ()))
+
+
+def test_kept_variables_equal_the_reference_walk():
+    """`expr_vars` keeps each node's variables on the node.  On 2,000
+    seeded guards, many sharing atoms and subtrees, and 500 seeded
+    expressions with lists and ranges, the set kept on every node equals
+    the one the reference walk computes afresh."""
+    from vars_reference import reference_vars
+    rng = random.Random(2024)
+    exprs = [gen.gen_guard(rng, depth=rng.randint(0, 5)) for _ in range(2000)]
+    exprs += [gen.gen_expr(rng, depth=4) for _ in range(500)]
+    for e in exprs:
+        assert expr_vars(e) == reference_vars(e), e
+        for node in _nodes(e):
+            assert node._vars == reference_vars(node), node
+
+
+def test_deep_conjunctions_are_decided_without_recursion():
+    """A chain of 5,000 conjuncts from the parser: its variables, its
+    mask and its satisfiability are found with explicit stacks."""
+    chain = " and ".join(["x > 0"] * 5000)
+    assert expr_vars(parse_expr(chain)) == {"x"}
+    assert not is_unsat(parse_expr(chain), X03)
+    assert is_unsat(parse_expr(chain + " and x < 1"), X03)
+    assert is_unsat(parse_expr("x < 1 and " + chain), X03)
+    assert not is_unsat(parse_expr(" or ".join(["not (x > 0)"] * 5000)), X03)
+
+
+def test_connectives_keep_their_mask_and_atoms_share_one_enumeration(monkeypatch):
+    """An `and`, `or` or `not` node keeps the mask of its last query on
+    itself; equal atoms of two parses are enumerated once per space."""
+    domains = DomainDecl(X03.domains)
+    first, second = parse_expr("x > 0 and not (x = 2)"), parse_expr("x > 0 and not (x = 2)")
+    assert first is not second and first.left is not second.left
+    evaluated = []
+    original = guards._bool_value
+    monkeypatch.setattr(guards, "_bool_value",
+                        lambda e, store: evaluated.append(e) or original(e, store))
+    assert not is_unsat(first, domains)
+    calls = len(evaluated)
+    assert calls == 8  # two atoms, four stores each
+    assert not is_unsat(second, domains)
+    assert len(evaluated) == calls
+    space, mask = first._mask
+    assert second._mask == (space, mask) and mask == 0b1010  # x in {1, 3}
+    assert first.right._mask == (space, 0b1011)
+    # a query over more variables computes the mask again in its space
+    wider = DomainDecl({**X03.domains, "flag": frozenset({TRUE_LIT, FALSE_LIT})})
+    assert not is_unsat(conj(first, parse_expr("flag")), wider)
+    assert first._mask[0] is not space

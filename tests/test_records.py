@@ -221,11 +221,7 @@ def test_sort_checks_agree():
 def test_pickling_drops_derived_values(cls, samples):
     for value in samples[cls][:50]:
         _hash(value)
-        try:
-            copy = pickle.loads(pickle.dumps(value))
-        except TypeError as exc:  # an exception whose class takes other arguments
-            assert isinstance(getattr(value, "error", None), Exception), exc
-            continue
+        copy = pickle.loads(pickle.dumps(value))
         assert not set(DERIVED) & set(copy.__dict__)
         assert pickle.dumps(copy) == pickle.dumps(value)
         # a bare marker object (a payload not drawn yet) comes back as another one

@@ -310,22 +310,6 @@ def test_typing_implies_covering_on_generated_implementations():
     assert cases == 299
 
 
-def _pruned(node):
-    """Each process that replaces one `If` of node by one of its sides."""
-    if isinstance(node, If):
-        yield node.then
-        yield node.orelse
-    for name in getattr(type(node), "__match_args__", ()):
-        value = getattr(node, name)
-        if isinstance(value, tuple):
-            for i, item in enumerate(value):
-                for m in _pruned(item):
-                    yield replace(node, **{name: value[:i] + (m,) + value[i + 1:]})
-        else:
-            for m in _pruned(value):
-                yield replace(node, **{name: m})
-
-
 def test_branch_pruning_mutants_of_generated_implementations():
     """Differential on every branch-pruning mutant (one `if` replaced by
     one of its sides, the paper's B2/CDep pattern) of the typed cases of
@@ -338,7 +322,7 @@ def test_branch_pruning_mutants_of_generated_implementations():
     counts = collections.Counter()
     finer = set()
     for seed, gdef, role, proc, domains in _typed_implementations(range(300)):
-        for mutant in _pruned(proc):
+        for mutant in gen.pruned(proc):
             typed = wsi_by_typing(gdef, role, mutant, domains).holds()
             v = wsi_by_covering(gdef, role, mutant, domains)
             assert v.holds() or not typed, (seed, role, str(v))
@@ -410,7 +394,7 @@ def test_covering_agrees_with_the_reference_search(monkeypatch):
     mutants = [(f"{seed}:{role}:mutant", gdef, role, mutant, domains, "u")
                for seed, gdef, role, proc, domains
                in _typed_implementations(range(300))
-               for mutant in _pruned(proc)]
+               for mutant in gen.pruned(proc)]
     assert len(mutants) == 176
     cases += mutants
     cases += [(f"{seed}:{role}", gdef, role, proc, domains, "u")
