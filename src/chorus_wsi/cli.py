@@ -3,10 +3,12 @@
 Exit codes: 0 on success (analysis holds), 1 on an analysis rejection
 (typing error, covering failure, simulation counterexample, a global
 type that is not well formed or not projectable) or a `simulate` run
-stopped by an evaluation error, 2 on usage or parse
-errors, 3 when covering is inconclusive (no witness for a skeleton, but
-a send onto a queue holding `wsi.QUEUE_BOUND` messages was skipped; a
-rejection by typing still exits 1).  Usage errors name something the
+stopped by an evaluation error, 2 on usage or parse errors and on an
+evaluation error elsewhere (a guard that no declared domain decides, as
+`normalize` meets it; typing rejects such a guard instead), 3 when
+covering is inconclusive (no witness for a skeleton, but a send onto a
+queue holding `wsi.QUEUE_BOUND` messages was skipped; a rejection by
+typing still exits 1).  Usage errors name something the
 module does not declare (a global, process, system or type), leave the
 entry global missing or ambiguous, give no role, or pass a bound below 1.
 """
@@ -152,10 +154,7 @@ def cmd_project(args) -> int:
     violations = well_formed(g)
     if violations:
         raise IllFormed(violations)
-    try:
-        local = remove_guards(normal_form(project(g, args.role), domains))
-    except NonProjectable as exc:
-        return _rejected(args, [f"not projectable: {exc}"])
+    local = remove_guards(normal_form(project(g, args.role), domains))
     if args.json:
         print(json.dumps({"role": args.role, "type": render_type(local)}))
     else:
@@ -354,10 +353,7 @@ def cmd_cover(args) -> int:
     # are the runs at bound 1; only the counts depend on the bound.
     # runs_global rejects an ill-formed g before anything projects it
     rg = runs_global(g, 1)
-    try:
-        delta = projection_env(gdef, domains)
-    except NonProjectable as exc:
-        return _rejected(args, [f"not projectable: {exc}"])
+    delta = projection_env(gdef, domains)
     rs = runs_spec(delta, gdef.params, 1, domains)
     verdict = covers(rg, rs)
     if args.unfold == 1:  # the runs to count are built already
@@ -502,10 +498,14 @@ def main(argv=None) -> int:
         return args.func(args)
     except IllFormed as exc:
         return _rejected(args, [str(v) for v in exc.violations])
+    except NonProjectable as exc:
+        return _rejected(args, [f"not projectable: {exc}"])
     except ParseError as exc:
         print(_bad(f"{args.file}:{exc}"), file=sys.stderr)
         return 2
-    except (OSError, UsageError) as exc:  # a file that cannot be read or written
+    # a file that cannot be read or written, a request the module cannot
+    # answer, or a guard that no declared domain decides
+    except (OSError, UsageError, EvalError) as exc:
         print(_bad(f"error: {exc}"), file=sys.stderr)
         return 2
     except UnicodeDecodeError as exc:

@@ -22,6 +22,20 @@ with
         | { P } | ( P )
     S ::= S || S | P | queue y = [v, ...] | new (ys)@u in S | NAME | { S }
 
+The four languages share their small forms, and one reader takes each.
+Every comma-separated list (domain values, table entries, list literals
+and values, channel parameters, session channels, loop exits, queues) is
+read by `listed`, which makes each comma optional: `{1 2}`, `{1, 2}` and
+`{1, 2,}` are one domain.  The branches of a choice, of a `sum` and of a
+`repeat`/`until` block are read by `branches`, which rejects a repeated
+channel.  A `sum` may be empty and may leave out any '+' between its
+arms, as in `sum { a?(x). 0 b?(y). 0 }`; a choice has at least one
+branch and needs '+' between branches, and so does a `repeat`/`until`
+block other than `{ 0 }` and `{ sum { ... } }`.  `literal` reads an
+integer, string, data or Boolean token, as a value and in an expression,
+and `payload` the sort of a message, `()` being Unit.  A table takes its
+last `_` entry as its default.
+
 Comments run from // to end of line.  Names declared earlier in the
 module may be referenced later (no recursion); references are inlined
 during parsing.  After inlining, every process and system body is
@@ -215,25 +229,71 @@ class Parser:
         self.pos += 1
         return t.value
 
+    def literal(self) -> Lit | None:
+        """The integer, string, data or Boolean literal that the next
+        token spells, taking the token; None, taking nothing, for any
+        other token."""
+        t = self.toks[self.pos]
+        if t.kind == "INT":
+            lit = int_lit(int(t.value))
+        elif t.kind == "STRING":
+            lit = str_lit(t.value)
+        elif t.kind == "DATA":
+            lit = Lit(DATA, bytes.fromhex(t.value))
+        elif t.kind == "KEYWORD" and t.value in ("true", "false"):
+            lit = bool_lit(t.value == "true")
+        else:
+            return None
+        self.pos += 1
+        return lit
+
+    def listed(self, close: str, item) -> tuple:
+        """What `item()` reads, again and again up to the symbol `close`,
+        which is taken too; a comma may follow each item."""
+        items = []
+        while not self.at_sym(close):
+            items.append(item())
+            if self.at_sym(","):
+                self.pos += 1
+        self.pos += 1
+        return tuple(items)
+
+    def branches(self, read, what: str, loose: bool = False) -> tuple:
+        """The branches `read()` reads up to and with the closing '}',
+        separated by '+'.  `read` returns the token index at which a
+        repeated channel is reported, and the branch.  A `loose` list (a
+        `sum`) may be empty and leave out any '+'."""
+        out, seen = [], set()
+        while not (loose and self.at_sym("}")):
+            at, branch = read()
+            if branch.channel in seen:
+                raise self.error(f"duplicate channel {branch.channel!r} in {what}",
+                                 at, InvariantError)
+            seen.add(branch.channel)
+            out.append(branch)
+            if self.at_sym("+"):
+                self.pos += 1
+            elif not loose:
+                break
+        self.expect_sym("}")
+        return tuple(out)
+
+    def payload(self) -> Sort:
+        """A message's payload sort in parentheses; `()` is Unit."""
+        self.expect_sym("(")
+        sort = UNIT if self.at_sym(")") else self.parse_sort()
+        self.expect_sym(")")
+        return sort
+
     # ------------------------------------------------------------ module
 
     def parse_module(self) -> ModuleDecl:
-        while not self.peek().kind == "EOF":
+        while self.peek().kind != "EOF":
             t = self.peek()
-            if self.at_kw("domain"):
-                self.parse_domain()
-            elif self.at_kw("table"):
-                self.parse_table()
-            elif self.at_kw("global"):
-                self.parse_global_decl()
-            elif self.at_kw("type"):
-                self.parse_type_decl()
-            elif self.at_kw("process"):
-                self.parse_process_decl()
-            elif self.at_kw("system"):
-                self.parse_system_decl()
-            else:
+            read = self.DECLARATIONS.get(t.value) if t.kind == "KEYWORD" else None
+            if read is None:
                 raise self.error(f"expected a declaration, found {t.value!r}", self.pos)
+            read(self)
         return self.module
 
     def _declare(self, table: dict, name: str, value, at: int):
@@ -265,13 +325,7 @@ class Parser:
     def parse_domain_values(self, sort: Sort) -> frozenset:
         if self.at_sym("{"):
             self.next()
-            values = set()
-            while not self.at_sym("}"):
-                values.add(self.parse_value(sort))
-                if self.at_sym(","):
-                    self.next()
-            self.expect_sym("}")
-            return frozenset(values)
+            return frozenset(self.listed("}", lambda: self.parse_value(sort)))
         lo = self.parse_value(INT)
         self.expect_sym("..")
         hi = self.parse_value(INT)
@@ -287,56 +341,46 @@ class Parser:
         ret = self.parse_sort()
         self.expect_sym("=")
         self.expect_sym("{")
-        mapping = []
-        default = None
-        while not self.at_sym("}"):
-            if self.peek().kind == "IDENT" and self.peek().value == "_":
+
+        def entry() -> tuple:  # (key, value), with key None for '_'
+            t = self.peek()
+            if t.kind == "IDENT" and t.value == "_":
                 self.next()
-                self.expect_sym("->")
-                default = self.parse_value(ret)
+                key = None
             else:
                 key = self.parse_value(arg)
-                self.expect_sym("->")
-                mapping.append((key, self.parse_value(ret)))
-            if self.at_sym(","):
-                self.next()
-        self.expect_sym("}")
-        if default is None:
+            self.expect_sym("->")
+            return key, self.parse_value(ret)
+
+        entries = self.listed("}", entry)
+        defaults = [value for key, value in entries if key is None]
+        if not defaults:
             raise self.error(f"table {name!r} needs a default entry '_ -> v'",
                              at, InvariantError)
         if name in self.module.tables:
             raise self.error(f"duplicate table {name!r}", at, InvariantError)
-        self.module.tables[name] = Table(name, arg, ret, tuple(mapping), default)
+        mapping = tuple(entry for entry in entries if entry[0] is not None)
+        self.module.tables[name] = Table(name, arg, ret, mapping, defaults[-1])
 
     def parse_value(self, expected: Sort | None = None) -> Lit:
         at = self.pos
-        t = self.next()
-        if t.kind == "INT":
-            lit = int_lit(int(t.value))
-        elif t.kind == "STRING":
-            lit = str_lit(t.value)
-        elif t.kind == "DATA":
-            lit = Lit(DATA, bytes.fromhex(t.value))
-        elif t.kind == "KEYWORD" and t.value in ("true", "false"):
-            lit = bool_lit(t.value == "true")
-        elif t.kind == "SYM" and t.value == "(":
-            self.expect_sym(")")
-            lit = UNIT_LIT
-        elif t.kind == "SYM" and t.value == "[":
-            items = []
-            while not self.at_sym("]"):
-                items.append(self.parse_value(expected.elem if expected else None))
-                if self.at_sym(","):
-                    self.next()
-            self.expect_sym("]")
-            elem = expected.elem if expected and expected.kind == "List" else \
-                (items[0].sort if items else UNIT)
-            lit = Lit(list_sort(elem), tuple(items))
-        elif t.kind == "SYM" and t.value == "-":
-            inner = self.parse_value(INT)
-            lit = int_lit(-inner.value)
-        else:
-            raise self.error(f"expected a literal, found {t.value!r}", at)
+        lit = self.literal()
+        if lit is None:
+            t = self.next()
+            if t.kind == "SYM" and t.value == "(":
+                self.expect_sym(")")
+                lit = UNIT_LIT
+            elif t.kind == "SYM" and t.value == "[":
+                items = self.listed("]", lambda: self.parse_value(
+                    expected.elem if expected else None))
+                elem = expected.elem if expected and expected.kind == "List" else \
+                    (items[0].sort if items else UNIT)
+                lit = Lit(list_sort(elem), items)
+            elif t.kind == "SYM" and t.value == "-":
+                inner = self.parse_value(INT)
+                lit = int_lit(-inner.value)
+            else:
+                raise self.error(f"expected a literal, found {t.value!r}", at)
         if expected is not None and lit.sort != expected:
             raise self.error(f"literal {lit} does not have sort {expected}", at)
         return lit
@@ -415,41 +459,20 @@ class Parser:
 
     def parse_atom(self) -> Expr:
         t = self.peek()
-        if t.kind == "INT":
+        if t.kind == "IDENT" or t.kind == "KEYWORD" and t.value in ("hd", "tl"):
             self.next()
-            return Const(int_lit(int(t.value)))
-        if t.kind == "STRING":
-            self.next()
-            return Const(str_lit(t.value))
-        if t.kind == "DATA":
-            self.next()
-            return Const(Lit(DATA, bytes.fromhex(t.value)))
-        if t.kind == "KEYWORD" and t.value in ("true", "false"):
-            self.next()
-            return Const(bool_lit(t.value == "true"))
-        if t.kind == "KEYWORD" and t.value in ("hd", "tl"):
-            self.next()
-            self.expect_sym("(")
+            if t.kind == "IDENT" and not self.at_sym("("):
+                return Var(t.value)
+            self.expect_sym("(")  # a table's argument, or hd's or tl's
             arg = self.parse_expr()
             self.expect_sym(")")
             return UnOp(t.value, arg)
-        if t.kind == "IDENT":
-            self.next()
-            if self.at_sym("("):
-                self.next()
-                arg = self.parse_expr()
-                self.expect_sym(")")
-                return UnOp(t.value, arg)
-            return Var(t.value)
+        lit = self.literal()
+        if lit is not None:
+            return Const(lit)
         if self.at_sym("["):
             self.next()
-            items = []
-            while not self.at_sym("]"):
-                items.append(self.parse_expr())
-                if self.at_sym(","):
-                    self.next()
-            self.expect_sym("]")
-            return ListLit(tuple(items))
+            return ListLit(self.listed("]", self.parse_expr))
         if self.at_sym("("):
             self.next()
             if self.at_sym(")"):
@@ -469,13 +492,7 @@ class Parser:
         params: tuple = ()
         if self.at_sym("("):
             self.next()
-            names = []
-            while not self.at_sym(")"):
-                names.append(self.expect_ident("channel"))
-                if self.at_sym(","):
-                    self.next()
-            self.expect_sym(")")
-            params = tuple(names)
+            params = self.listed(")", lambda: self.expect_ident("channel"))
             if len(set(params)) != len(params):
                 raise self.error("duplicate channel parameters", at, InvariantError)
         self.expect_sym("=")
@@ -518,35 +535,20 @@ class Parser:
         if self.peek().kind == "IDENT":
             default_receiver = self.expect_ident("participant")
             self.expect_sym(":")
-        brace = self.pos
         self.expect_sym("{")
-        branches = []
-        seen = set()
-        while True:
-            if default_receiver is None:
+
+        def branch() -> tuple:  # a repeated channel is an error at its token
+            receiver = default_receiver
+            if receiver is None:
                 receiver = self.expect_ident("participant")
                 self.expect_sym("@")
-            else:
-                receiver = default_receiver
             at = self.pos
             chan = self.expect_ident("channel")
-            self.expect_sym("(")
-            sort = UNIT if self.at_sym(")") else self.parse_sort()
-            self.expect_sym(")")
+            sort = self.payload()
             self.expect_sym(".")
-            cont = self.parse_global()
-            if chan in seen:
-                raise self.error(f"duplicate channel {chan!r} in choice", at, InvariantError)
-            seen.add(chan)
-            branches.append(GBranch(receiver, chan, sort, cont))
-            if self.at_sym("+"):
-                self.next()
-                continue
-            break
-        self.expect_sym("}")
-        if not branches:
-            raise self.error("empty choice", brace, InvariantError)
-        return GChoice(sender, tuple(branches))
+            return at, GBranch(receiver, chan, sort, self.parse_global())
+
+        return GChoice(sender, self.branches(branch, "choice"))
 
     def parse_giter(self) -> GIter:
         self.expect_kw("loop")
@@ -556,19 +558,13 @@ class Parser:
         self.expect_sym("}")
         self.expect_kw("until")
         self.expect_sym("(")
-        term = []
-        while not self.at_sym(")"):
+
+        def exit_message() -> tuple:
             p = self.expect_ident("participant")
             self.expect_sym("@")
-            chan = self.expect_ident("channel")
-            self.expect_sym("(")
-            sort = UNIT if self.at_sym(")") else self.parse_sort()
-            self.expect_sym(")")
-            term.append((p, chan, sort))
-            if self.at_sym(","):
-                self.next()
-        self.expect_sym(")")
-        return GIter(body, controller, tuple(term))
+            return p, self.expect_ident("channel"), self.payload()
+
+        return GIter(body, controller, self.listed(")", exit_message))
 
     # ----------------------------------------------------- pseudo-types
 
@@ -633,9 +629,7 @@ class Parser:
             elif kind != this_kind:
                 raise self.error("cannot mix '!' and '?' branches in one choice", self.pos)
             self.next()
-            self.expect_sym("(")
-            sort = UNIT if self.at_sym(")") else self.parse_sort()
-            self.expect_sym(")")
+            sort = self.payload()
             self.expect_sym(".")
             cont = self.parse_type_atom()
             branches.append(TBranch(guard, chan, sort, cont))
@@ -684,35 +678,19 @@ class Parser:
         if t.kind == "INT" and t.value == "0":
             self.next()
             return NIL
-        if self.at_kw("request"):
-            return self.parse_request()
-        if self.at_kw("accept"):
-            return self.parse_accept()
-        if self.at_kw("sum"):
-            return self.parse_sum()
-        if self.at_kw("if"):
-            return self.parse_if()
-        if self.at_kw("for"):
-            return self.parse_for()
-        if self.at_kw("repeat"):
-            return self.parse_repeat()
-        if self.at_sym("{"):
-            self.next()
+        if t.kind == "KEYWORD" and t.value in self.PROCESS_FORMS:
+            return self.PROCESS_FORMS[t.value](self)
+        if self.at_sym("{", "("):
+            close = "}" if self.next().value == "{" else ")"
             p = self.parse_process()
-            self.expect_sym("}")
-            return p
-        if self.at_sym("("):
-            self.next()
-            p = self.parse_process()
-            self.expect_sym(")")
+            self.expect_sym(close)
             return p
         if t.kind == "IDENT":
             nxt = self.peek(1)
             if nxt.kind == "SYM" and nxt.value == "!":
                 return self.parse_send()
             if nxt.kind == "SYM" and nxt.value == "?":
-                arm = self.parse_arm()
-                return Branch((arm,))
+                return Branch((self.parse_arm(),))
             pdef = self.module.processes.get(t.value)
             if pdef is None:
                 raise self.error(f"unknown process {t.value!r}", self.pos)
@@ -724,10 +702,7 @@ class Parser:
         chan = self.expect_ident("channel")
         self.expect_sym("!")
         self.expect_sym("(")
-        if self.at_sym(")"):
-            self.next()
-            return Send(chan, Const(UNIT_LIT))
-        payload = self.parse_expr()
+        payload = Const(UNIT_LIT) if self.at_sym(")") else self.parse_expr()
         self.expect_sym(")")
         return Send(chan, payload)
 
@@ -743,59 +718,38 @@ class Parser:
 
     def parse_sum(self) -> Branch:
         self.expect_kw("sum")
-        brace = self.pos
+        brace = self.pos  # where a repeated channel is reported
         self.expect_sym("{")
-        arms = []
-        seen = set()
-        while not self.at_sym("}"):
-            arm = self.parse_arm()
-            if arm.channel in seen:
-                raise self.error(f"duplicate channel {arm.channel!r} in sum",
-                                 brace, InvariantError)
-            seen.add(arm.channel)
-            arms.append(arm)
-            if self.at_sym("+"):
-                self.next()
-        self.expect_sym("}")
-        return Branch(tuple(arms))
+        return Branch(self.branches(lambda: (brace, self.parse_arm()), "sum",
+                                    loose=True))
 
-    def parse_request(self) -> Request:
-        self.expect_kw("request")
+    def parse_open(self) -> Request | Accept:
+        """`request u[n](ys). P` or `accept u[p](ys). P`."""
+        accept = self.next().value == "accept"
         shared = self.expect_ident("shared name")
         self.expect_sym("[")
-        n = self.peek()
-        if n.kind != "INT":
-            raise self.error(f"expected arity, found {n.value!r}", self.pos)
-        self.next()
+        if accept:
+            n = self.expect_ident("participant")
+        else:
+            n = self.peek()
+            if n.kind != "INT":
+                raise self.error(f"expected arity, found {n.value!r}", self.pos)
+            self.next()
         self.expect_sym("]")
         chans = self.parse_chan_tuple()
         self.expect_sym(".")
         cont = self.parse_process_atom()
+        if accept:
+            return Accept(shared, n, chans, cont)
         return Request(shared, int(n.value), chans, cont)
-
-    def parse_accept(self) -> Accept:
-        self.expect_kw("accept")
-        shared = self.expect_ident("shared name")
-        self.expect_sym("[")
-        role = self.expect_ident("participant")
-        self.expect_sym("]")
-        chans = self.parse_chan_tuple()
-        self.expect_sym(".")
-        cont = self.parse_process_atom()
-        return Accept(shared, role, chans, cont)
 
     def parse_chan_tuple(self) -> tuple:
         lparen = self.pos
         self.expect_sym("(")
-        names = []
-        while not self.at_sym(")"):
-            names.append(self.expect_ident("channel"))
-            if self.at_sym(","):
-                self.next()
-        self.expect_sym(")")
+        names = self.listed(")", lambda: self.expect_ident("channel"))
         if len(set(names)) != len(names):
             raise self.error("duplicate session channels", lparen, InvariantError)
-        return tuple(names)
+        return names
 
     def parse_if(self) -> If:
         self.expect_kw("if")
@@ -825,7 +779,7 @@ class Parser:
 
     def parse_branch_block(self, what: str) -> Branch:
         """{ y1?(x1). P1 + y2?(x2). P2 } -- an input-guarded choice."""
-        brace = self.pos
+        brace = self.pos  # where a repeated channel is reported
         self.expect_sym("{")
         if self.peek().kind == "INT" and self.peek().value == "0":
             self.next()
@@ -835,21 +789,12 @@ class Parser:
             arms = self.parse_sum()
             self.expect_sym("}")
             return arms
-        arms = []
-        seen = set()
-        while True:
-            arm = self.parse_arm()
-            if arm.channel in seen:
-                raise self.error(f"duplicate channel {arm.channel!r} in {what}",
-                                 brace, InvariantError)
-            seen.add(arm.channel)
-            arms.append(arm)
-            if self.at_sym("+"):
-                self.next()
-                continue
-            break
-        self.expect_sym("}")
-        return Branch(tuple(arms))
+        return Branch(self.branches(lambda: (brace, self.parse_arm()), what))
+
+    # the reader of each process that a keyword starts
+    PROCESS_FORMS = {"request": parse_open, "accept": parse_open,
+                     "sum": parse_sum, "if": parse_if, "for": parse_for,
+                     "repeat": parse_repeat}
 
     # ---------------------------------------------------------- systems
 
@@ -876,13 +821,7 @@ class Parser:
             chan = self.expect_ident("channel")
             self.expect_sym("=")
             self.expect_sym("[")
-            values = []
-            while not self.at_sym("]"):
-                values.append(self.parse_value())
-                if self.at_sym(","):
-                    self.next()
-            self.expect_sym("]")
-            return Queue(chan, tuple(values))
+            return Queue(chan, self.listed("]", self.parse_value))
         if self.at_kw("new"):
             self.next()
             chans = self.parse_chan_tuple()
@@ -906,6 +845,11 @@ class Parser:
                 return Proc(self.module.processes[t.value].body)
             raise self.error(f"unknown system or process {t.value!r}", self.pos)
         return Proc(self.parse_process())
+
+    # the reader of each declaration, by its keyword
+    DECLARATIONS = {"domain": parse_domain, "table": parse_table,
+                    "global": parse_global_decl, "type": parse_type_decl,
+                    "process": parse_process_decl, "system": parse_system_decl}
 
 
 def parse_module(text: str) -> ModuleDecl:

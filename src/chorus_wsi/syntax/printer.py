@@ -29,7 +29,16 @@ def render_expr(e: Expr, prec: int = 0) -> str:
             return str(value)
         case BinOp(op, left, right):
             p = _BINOP_PREC[op]
-            s = f"{render_expr(left, p)} {op} {render_expr(right, p + 1)}"
+            if type(left) is not BinOp or _BINOP_PREC[left.op] != p:
+                s = f"{render_expr(left, p)} {op} {render_expr(right, p + 1)}"
+            else:  # a chain at one precedence, such as `a and b and c`,
+                # nests to the left: walk down it, so that its length
+                # costs no stack
+                tail = [f"{op} {render_expr(right, p + 1)}"]
+                while type(left) is BinOp and _BINOP_PREC[left.op] == p:
+                    tail.append(f"{left.op} {render_expr(left.right, p + 1)}")
+                    left = left.left
+                s = " ".join([render_expr(left, p), *reversed(tail)])
             return f"({s})" if p < prec else s
         case UnOp("not", arg):
             s = f"not {render_expr(arg, 3)}"

@@ -432,7 +432,12 @@ def _synth_process(ctx: _Ctx, p: Process) -> dict:
             e_then = conj(e, cond)
             e_else = conj(e, neg(cond))
             for name, cond_e in (("then", e_then), ("else", e_else)):
-                if is_unsat(cond_e, ctx.domains):
+                try:
+                    unsat = is_unsat(cond_e, ctx.domains)
+                except EvalError as exc:
+                    raise ctx.err("VIf", f"cannot decide the assumption for the "
+                                  f"{name}-branch: {exc}")
+                if unsat:
                     raise ctx.err("VIf", f"assumption for the {name}-branch is "
                                   "inconsistent")
             s1 = _synth_process(ctx.with_assumption(e_then).at("then"), then)
@@ -448,6 +453,8 @@ def _synth_process(ctx: _Ctx, p: Process) -> dict:
                                    ctx.domains)
                 except NotMergeable as exc:
                     raise ctx.err("VIf", f"branch types not mergeable: {exc}")
+                except EvalError as exc:
+                    raise ctx.err("VIf", f"cannot decide the branch guards: {exc}")
             return out
         case For(binder, items, body):  # VFor / VForEnd
             sort = infer_sort(items, ctx.gamma, ctx.domains, ctx.path)

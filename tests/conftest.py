@@ -24,9 +24,16 @@ ILL_FORMED = pathlib.Path(__file__).resolve().parent / "ill_formed.chor"
 # no parameters: neither declares an entry global
 EMPTY = pathlib.Path(__file__).resolve().parent / "empty.chor"
 NO_ENTRY = pathlib.Path(__file__).resolve().parent / "no_entry.chor"
+# a process branching on a received value and a type guarded by a
+# variable, neither of which any domain declares
+UNDECIDED_GUARD = pathlib.Path(__file__).resolve().parent / "undecided_guard.chor"
 # a module file that is not UTF-8 text (a Latin-1 e-acute in a comment);
 # not named *.chor, so the tests that read every module leave it out
 NOT_UTF8 = pathlib.Path(__file__).resolve().parent / "not_utf8.txt"
+
+# every module shipped in the corpus and as a test fixture
+MODULES = sorted(CORPUS.glob("*.chor")) \
+    + sorted(pathlib.Path(__file__).resolve().parent.glob("*.chor"))
 
 
 def load(name: str):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from chorus_wsi.cli import build_parser, main, run_to_json, runs_json
+from chorus_wsi.projection import participants_ordered
 from chorus_wsi.syntax import parse_module
 from chorus_wsi.traces import Opt, run_str, runs_global, sorted_runs
 from chorus_wsi.typecheck import instantiate
@@ -212,16 +213,69 @@ def test_traces_text_prints_run_str_of_the_sorted_runs(k, capsys):
 
 
 def test_normalize_of_a_deep_guard_exits_0(tmp_path, capsys):
-    """A guard of 600 conjuncts is decided without recursion; the
-    printer still recurses on the chain, so 600 is about as deep as it
-    prints."""
+    """A guard of 5,000 conjuncts is decided and printed without
+    recursion on the chain."""
     deep = tmp_path / "deep.chor"
-    chain = " and ".join(["x > 0"] * 600)
+    chain = " and ".join(["x > 0"] * 5000)
     deep.write_text(f"domain x : Int in 0..3\ntype T = [{chain}] a!(Int). end\n"
                     f"type D = [{chain} and x < 1] a!(Int). end\n")
     code, out, err = run(capsys, "normalize", str(deep))
     assert code == 0 and err == ""
     assert out == f"D = [false] end\nT = [{chain}] a!(Int). [{chain}] end\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_guard_no_domain_decides_is_rejected_without_a_traceback(capsys, json_flag):
+    """Typing rejects the undecided branch under VIf (exit 1); normalize
+    reports the undecided type guard as an error (exit 2)."""
+    path = str(conftest.UNDECIDED_GUARD)
+    code, out, err = run(capsys, "typecheck", path, "--proc", "Q", *json_flag)
+    assert code == 1 and err == ""
+    message = "cannot decide the assumption for the then-branch: " \
+        "no declared domain for: x"
+    if json_flag:
+        assert json.loads(out)["Q"] == {
+            "ok": False, "rule": "VIf", "path": ["vacc u[q]", "arm a"],
+            "message": message}
+    else:
+        assert out == f"Q: VIf: {message} (at vacc u[q] / arm a)\n"
+    code, out, err = run(capsys, "wsi", path, "--proc", "Q", "--mode", "typing",
+                         *json_flag)
+    assert code == 1 and err == ""
+    assert f"Rejected: VIf: {message}" in out
+    code, out, err = run(capsys, "normalize", path, *json_flag)
+    assert (code, out) == (2, "")
+    assert err == "error: no declared domain for: z\n"
+
+
+def _requests(path) -> list:
+    """Every request of the listed kinds that a module admits."""
+    module = parse_module(path.read_text())
+    f = str(path)
+    out = [["parse", f], ["normalize", f], ["typecheck", f]]
+    for gdef in [g for g in module.globals_.values() if g.params]:
+        for role in participants_ordered(instantiate(gdef, gdef.params)):
+            out.append(["project", f, "--global", gdef.name, "--role", role])
+        for command in ("traces", "cover"):
+            out.append([command, f, "--global", gdef.name, "--unfold", "1"])
+    out += [["simulate", f, "--system", name, "--steps", "50"]
+            for name in module.systems]
+    out += [["wsi", f, "--proc", name]
+            for name, decl in module.processes.items() if decl.role]
+    return out
+
+
+@pytest.mark.parametrize("path", conftest.MODULES, ids=lambda path: path.name)
+def test_no_request_on_a_shipped_module_raises(path, capsys):
+    """parse, normalize, typecheck, project on each role, simulate each
+    system, traces and cover of each entry global, and wsi of each
+    process that plays a role, with and without --json: each exits 0-3
+    and none raises."""
+    for argv in _requests(path):
+        for flags in ([], ["--json"]):
+            code = main(argv + flags)
+            capsys.readouterr()
+            assert code in (0, 1, 2, 3), argv + flags
 
 
 def test_runs_json_matches_the_encoder_on_generated_globals():

@@ -16,9 +16,6 @@ import conftest
 import gen
 from front_oracle import freshen_by_subst, names_by_parts, tokenize_by_chars
 
-MODULES = sorted(conftest.CORPUS.glob("*.chor")) \
-    + sorted(conftest.CORPUS.parents[2].joinpath("tests").glob("*.chor"))
-
 
 def _tokens(text: str) -> list:
     """The tokens as the oracle gives them, one EOF at the end; each
@@ -29,7 +26,7 @@ def _tokens(text: str) -> list:
             for t, offset in zip(toks, offsets)]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", conftest.MODULES, ids=lambda p: p.name)
 def test_tokens_agree_on_modules(path):
     text = path.read_text()
     assert _tokens(text) == tokenize_by_chars(text)
@@ -63,7 +60,7 @@ def _agree_with_oracles(calls: list) -> None:
         assert renames == after
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", conftest.MODULES, ids=lambda p: p.name)
 def test_freshening_agrees_on_modules(path, monkeypatch):
     _agree_with_oracles(_recorded_freshening(path.read_text(), monkeypatch))
 

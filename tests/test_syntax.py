@@ -354,3 +354,27 @@ def test_hashes_do_not_depend_on_the_process():
                            capture_output=True, text=True).stdout
             for _ in range(2)]
     assert outs[0] == outs[1] and "Lit(" in outs[0]
+
+
+def test_render_expr_agrees_with_the_recursive_reference(monkeypatch):
+    """The chain-walking printer gives the text of the recursive one on
+    2,000 generated expressions, 500 generated guards, and the corpus
+    modules and their types' normal forms."""
+    import chorus_wsi.syntax.printer as printer
+    from chorus_wsi.guards import DomainDecl
+    from chorus_wsi.pseudotype import normal_form
+    from chorus_wsi.syntax import render_expr
+    from render_reference import reference_render_expr
+
+    rng = random.Random(19)
+    exprs = [gen.gen_expr(rng, depth=rng.randint(0, 6)) for _ in range(2000)]
+    exprs += [gen.gen_guard(rng, depth=rng.randint(0, 6)) for _ in range(500)]
+    for e in exprs:
+        assert render_expr(e) == reference_render_expr(e), e
+    modules = [parse_module(path.read_text())
+               for path in sorted(conftest.CORPUS.glob("*.chor"))]
+    terms = modules + [normal_form(t, DomainDecl.from_module(m))
+                       for m in modules for t in m.types.values()]
+    texts = [render(term) for term in terms]
+    monkeypatch.setattr(printer, "render_expr", reference_render_expr)
+    assert [render(term) for term in terms] == texts
