@@ -723,25 +723,30 @@ class Parser:
         return Branch(self.branches(lambda: (brace, self.parse_arm()), "sum",
                                     loose=True))
 
-    def parse_open(self) -> Request | Accept:
-        """`request u[n](ys). P` or `accept u[p](ys). P`."""
-        accept = self.next().value == "accept"
+    def parse_request(self) -> Request:
+        """`request u[n](ys). P`."""
+        self.expect_kw("request")
         shared = self.expect_ident("shared name")
         self.expect_sym("[")
-        if accept:
-            n = self.expect_ident("participant")
-        else:
-            n = self.peek()
-            if n.kind != "INT":
-                raise self.error(f"expected arity, found {n.value!r}", self.pos)
-            self.next()
+        n = self.peek()
+        if n.kind != "INT":
+            raise self.error(f"expected arity, found {n.value!r}", self.pos)
+        self.next()
+        return Request(shared, int(n.value), *self.open_tail())
+
+    def parse_accept(self) -> Accept:
+        """`accept u[p](ys). P`."""
+        self.expect_kw("accept")
+        shared = self.expect_ident("shared name")
+        self.expect_sym("[")
+        return Accept(shared, self.expect_ident("participant"), *self.open_tail())
+
+    def open_tail(self) -> tuple:
+        """The `](ys). P` that ends a request or an accept."""
         self.expect_sym("]")
         chans = self.parse_chan_tuple()
         self.expect_sym(".")
-        cont = self.parse_process_atom()
-        if accept:
-            return Accept(shared, n, chans, cont)
-        return Request(shared, int(n.value), chans, cont)
+        return chans, self.parse_process_atom()
 
     def parse_chan_tuple(self) -> tuple:
         lparen = self.pos
@@ -792,7 +797,7 @@ class Parser:
         return Branch(self.branches(lambda: (brace, self.parse_arm()), what))
 
     # the reader of each process that a keyword starts
-    PROCESS_FORMS = {"request": parse_open, "accept": parse_open,
+    PROCESS_FORMS = {"request": parse_request, "accept": parse_accept,
                      "sum": parse_sum, "if": parse_if, "for": parse_for,
                      "repeat": parse_repeat}
 

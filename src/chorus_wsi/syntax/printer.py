@@ -28,17 +28,16 @@ def render_expr(e: Expr, prec: int = 0) -> str:
         case Const(value):
             return str(value)
         case BinOp(op, left, right):
+            # a chain at one precedence, such as `a and b and c`, nests to
+            # the left: walk down it, so that its length costs no stack
             p = _BINOP_PREC[op]
-            if type(left) is not BinOp or _BINOP_PREC[left.op] != p:
-                s = f"{render_expr(left, p)} {op} {render_expr(right, p + 1)}"
-            else:  # a chain at one precedence, such as `a and b and c`,
-                # nests to the left: walk down it, so that its length
-                # costs no stack
-                tail = [f"{op} {render_expr(right, p + 1)}"]
-                while type(left) is BinOp and _BINOP_PREC[left.op] == p:
-                    tail.append(f"{left.op} {render_expr(left.right, p + 1)}")
-                    left = left.left
-                s = " ".join([render_expr(left, p), *reversed(tail)])
+            parts = [render_expr(right, p + 1), op]
+            while type(left) is BinOp and _BINOP_PREC[left.op] == p:
+                parts += render_expr(left.right, p + 1), left.op
+                left = left.left
+            parts.append(render_expr(left, p))
+            parts.reverse()
+            s = " ".join(parts)
             return f"({s})" if p < prec else s
         case UnOp("not", arg):
             s = f"not {render_expr(arg, 3)}"

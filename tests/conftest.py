@@ -27,6 +27,9 @@ NO_ENTRY = pathlib.Path(__file__).resolve().parent / "no_entry.chor"
 # a process branching on a received value and a type guarded by a
 # variable, neither of which any domain declares
 UNDECIDED_GUARD = pathlib.Path(__file__).resolve().parent / "undecided_guard.chor"
+# a choice whose branch guards are undefined on some store
+UNDEFINED_BRANCH_GUARD = \
+    pathlib.Path(__file__).resolve().parent / "undefined_branch_guard.chor"
 # a module file that is not UTF-8 text (a Latin-1 e-acute in a comment);
 # not named *.chor, so the tests that read every module leave it out
 NOT_UTF8 = pathlib.Path(__file__).resolve().parent / "not_utf8.txt"

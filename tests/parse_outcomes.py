@@ -1,6 +1,6 @@
 """Pinned parse outcomes: what the parser makes of seeded token mutations
-of every shipped module, and of hand-written inputs aimed at each of its
-readers (literals, delimited lists, branch lists, payload sorts).
+of the shipped modules in `MUTATED`, and of hand-written inputs aimed at
+each of its readers (literals, delimited lists, branch lists, payload sorts).
 
 An outcome is `["error", class, message, line, col]` when parsing raises
 (line and col are None for an exception that is not a `ParseError`), or
@@ -25,14 +25,30 @@ from chorus_wsi.syntax import (
 )
 from chorus_wsi.syntax.parser import ParseError, _TOKEN_RE
 
-from conftest import MODULES
-
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 PINS = HERE / "parse_outcomes.json"
 MUTANTS = 500
 SEED = 20261019
 OPS = ("delete", "duplicate", "swap")
+# the mutated modules, relative to the repo; named here rather than
+# globbed, so that a new fixture leaves the recorded mutants as they are
+MUTATED = (
+    "src/chorus_wsi/corpus/atm.chor",
+    "src/chorus_wsi/corpus/norm_eqs.chor",
+    "src/chorus_wsi/corpus/pop2.chor",
+    "src/chorus_wsi/corpus/pop2_multiparty.chor",
+    "tests/idle_role.chor",
+    "tests/ill_formed.chor",
+    "tests/long_guard.chor",
+    "tests/no_entry.chor",
+    "tests/no_participants.chor",
+    "tests/send_for_input.chor",
+    "tests/send_loop.chor",
+    "tests/unbound_read.chor",
+    "tests/undecided_guard.chor",
+    "tests/wrapped_open.chor",
+)
 
 PARSERS = {
     "module": parse_module, "global": parse_global, "type": parse_type,
@@ -216,16 +232,15 @@ def mutate(text: str, op: str, i: int) -> str:
 
 def mutants() -> list:
     """The seeded mutations: (module path relative to the repo, op, i),
-    taken in turn from each module of at least two tokens."""
+    taken in turn from each module of `MUTATED`."""
     rng = random.Random(SEED)
-    spans = {path: token_spans(path.read_text()) for path in MODULES}
-    paths = [path for path in MODULES if len(spans[path]) > 1]
+    spans = {path: token_spans((ROOT / path).read_text()) for path in MUTATED}
     out = []
     for k in range(MUTANTS):
-        path = paths[k % len(paths)]
+        path = MUTATED[k % len(MUTATED)]
         op = rng.choice(OPS)
         n = len(spans[path]) - (op == "swap")
-        out.append((path.relative_to(ROOT).as_posix(), op, rng.randrange(n)))
+        out.append((path, op, rng.randrange(n)))
     return out
 
 

@@ -248,6 +248,26 @@ def test_a_guard_no_domain_decides_is_rejected_without_a_traceback(capsys, json_
     assert err == "error: no declared domain for: z\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_branch_guards_undefined_on_a_store_are_a_vif_rejection(capsys, json_flag):
+    """Each branch assumption has a witness, but deciding that the two
+    guards on c exclude each other evaluates hd of an empty range: the
+    merge of the branch types is rejected under VIf (exit 1)."""
+    path = str(conftest.UNDEFINED_BRANCH_GUARD)
+    message = "cannot decide the branch guards: hd of empty list"
+    code, out, err = run(capsys, "typecheck", path, "--proc", "R", *json_flag)
+    assert code == 1 and err == ""
+    if json_flag:
+        assert json.loads(out)["R"] == {
+            "ok": False, "rule": "VIf", "path": ["vreq v[p]"], "message": message}
+    else:
+        assert out == f"R: VIf: {message} (at vreq v[p])\n"
+    code, out, err = run(capsys, "wsi", path, "--proc", "R", "--mode", "typing",
+                         *json_flag)
+    assert code == 1 and err == ""
+    assert f"Rejected: VIf: {message}" in out
+
+
 def _requests(path) -> list:
     """Every request of the listed kinds that a module admits."""
     module = parse_module(path.read_text())
@@ -270,12 +290,15 @@ def test_no_request_on_a_shipped_module_raises(path, capsys):
     """parse, normalize, typecheck, project on each role, simulate each
     system, traces and cover of each entry global, and wsi of each
     process that plays a role, with and without --json: each exits 0-3
-    and none raises."""
+    and none raises.  Only normalize of the undecided type guard reports
+    an evaluation error (`error: ...`, exit 2)."""
     for argv in _requests(path):
         for flags in ([], ["--json"]):
             code = main(argv + flags)
-            capsys.readouterr()
+            err = capsys.readouterr().err
             assert code in (0, 1, 2, 3), argv + flags
+            expected = argv == ["normalize", str(conftest.UNDECIDED_GUARD)]
+            assert err.startswith("error:") == expected, (argv + flags, err)
 
 
 def test_runs_json_matches_the_encoder_on_generated_globals():
