@@ -3,6 +3,11 @@
 Expressions, global types (choreographies), pseudo-types (guarded local
 types), processes, and systems.  All nodes are records built by
 `frozen_node`: trees are immutable, hashable, and safely shareable.
+The parser shares them: within one parse, equal expressions are one
+object (see parser.py), so what a node keeps (`DERIVED`) is computed
+once per distinct expression of the parse.  An expression keeps its
+variables, its last mask if it is a connective, and its printed text
+(`_text`, which `printer.render_expr` fills).
 
 Conventions:
 - participants, channels, shared names, and variables are plain strings
@@ -22,9 +27,10 @@ _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 # The values a node derives from itself and keeps: its hash, its normal
 # form under the true guard (`pseudotype.normalize`), its canonical
 # process (`semantics.proc_canon`), an expression's variables
-# (`expr_vars`) and the last mask of an `and`, `or` or `not` node
-# (`guards._mask`).
-DERIVED = ("_hash", "_nf", "_canon", "_vars", "_mask")
+# (`expr_vars`), the last mask of an `and`, `or` or `not` node
+# (`guards._mask`) and an expression's printed text, unparenthesized
+# (`printer.render_expr`).
+DERIVED = ("_hash", "_nf", "_canon", "_vars", "_mask", "_text")
 
 # A field default that stands for a new empty dict in each instance.
 NEW_DICT = object()
@@ -174,15 +180,16 @@ class Lit:
     value: object
 
     def __str__(self) -> str:
-        if self.sort == UNIT:
+        kind = self.sort.kind
+        if kind == "Unit":
             return "()"
-        if self.sort == BOOL:
+        if kind == "Bool":
             return "true" if self.value else "false"
-        if self.sort == STR:
+        if kind == "Str":
             return '"%s"' % str(self.value).replace('"', '\\"')
-        if self.sort == DATA:
+        if kind == "Data":
             return "0x%s" % bytes(self.value).hex()
-        if self.sort.kind == "List":
+        if kind == "List":
             return "[%s]" % ", ".join(str(v) for v in self.value)
         return str(self.value)
 
@@ -249,6 +256,17 @@ class Range:
 
 
 Expr = Union[Var, Const, BinOp, UnOp, ListLit, Range]
+
+# How tightly each expression operator binds, loosest first; the reader
+# (parser.py) and the printer (printer.py) both follow this one table.
+# `not` is a prefix, `..` builds a `Range`, and `-` is also the prefix
+# minus, which binds tightest of all.
+PREC = {
+    "or": 1, "and": 2, "not": 3,
+    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "..": 5, "+": 6, "-": 6, "*": 7,
+}
+MINUS_PREC = 8
 
 TRUE = Const(TRUE_LIT)
 FALSE = Const(FALSE_LIT)

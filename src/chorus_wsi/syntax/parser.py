@@ -21,6 +21,36 @@ with
         | for x in e { P } | repeat { N } until { M } | 0 | NAME
         | { P } | ( P )
     S ::= S || S | P | queue y = [v, ...] | new (ys)@u in S | NAME | { S }
+    e ::= e OP e | not e | - e | x | f(e) | hd(e) | tl(e) | literal
+        | [e, ...] | () | ( e )
+
+An expression's operators bind by the levels of `ast.PREC`, which the
+printer follows too:
+
+    1  or                  nests to the left
+    2  and                 nests to the left
+    3  not e               prefix; e is read at level 4
+    4  = != < <= > >=      does not chain: `x = 1 = 2` is an error
+    5  ..                  does not chain: `1..2..3` is an error
+    6  + -                 nest to the left
+    7  *                   nests to the left
+    8  - e                 prefix; `- INT` is a negative literal
+
+`not` stands only where an operand of `and` may (`x = not y` is an
+error).  `parse_expr(floor)` reads by precedence climbing: one call per
+operand, so an atom costs two calls (`parse_expr`, `parse_atom`) rather
+than one per level, and a parenthesis two stack frames.  Each call keeps
+the level from which no operator may follow what it has read, so that
+an enclosing level never takes up a comparison or range after another
+one, nor anything but `and` and `or` after a `not`.
+
+Within one parse, equal expressions are one object: every expression
+node the reader builds goes through a table kept on the `Parser`, keyed
+by the class, the operator, name or literal, and the `id`s of the
+operands, which are shared already.  So the values a node keeps
+(`ast.DERIVED`) are computed once per distinct expression, and sharing
+never hashes or compares a record.  The table dies with its `Parser`:
+two parses share no expression node.
 
 The four languages share their small forms, and one reader takes each.
 Every comma-separated list (domain values, table entries, list literals
@@ -67,7 +97,7 @@ from .ast import (
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, STR, System, SystemDef, Table, TBranch, TEnd, TExternal,
     TInternal, TIter, TRUE, TRUE_LIT, TSeq, UNIT, UNIT_LIT, UnOp, Var,
-    bool_lit, int_lit, list_sort, str_lit,
+    MINUS_PREC, PREC, bool_lit, int_lit, list_sort, str_lit,
 )
 from .subst import freshen
 
@@ -176,6 +206,17 @@ def tokenize(text: str) -> list:
     return list(map(tokens.__getitem__, spellings))
 
 
+# The expression reader's levels (see `PREC`): each infix operator's
+# token and level, the levels that do not chain (comparisons and `..`),
+# and a level above all of them.
+_INFIX = {Token("KEYWORD" if op.isalpha() else "SYM", op): level
+          for op, level in PREC.items() if op != "not"}
+_NOT, _RANGE, _TOP = PREC["not"], PREC[".."], MINUS_PREC + 1
+_UNCHAINED = (PREC["="], _RANGE)
+_NOT_TOKEN, _MINUS_TOKEN = Token("KEYWORD", "not"), Token("SYM", "-")
+_OPEN, _CLOSE, _LIST = Token("SYM", "("), Token("SYM", ")"), Token("SYM", "[")
+
+
 class Parser:
     def __init__(self, text: str, module: ModuleDecl | None = None):
         self.text = text
@@ -185,6 +226,8 @@ class Parser:
         # binders and free names of each body freshened in this parse,
         # which `freshen` need not walk again where it is inlined
         self.fresh = {}
+        # every expression read in this parse, by its key (see `share`)
+        self.exprs = {}
 
     # ------------------------------------------------------- primitives
 
@@ -398,90 +441,82 @@ class Parser:
 
     # ------------------------------------------------------ expressions
 
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        e = self.parse_and()
-        while self.at_kw("or"):
-            self.next()
-            e = BinOp("or", e, self.parse_and())
+    def share(self, key: tuple, *fields) -> Expr:
+        """The expression `key[0](*fields)`, one object per `key` in this
+        parse.  A key is the class, then the operator, name or literal
+        value, then the `id` of each operand, itself already shared: so
+        sharing never hashes or compares a record."""
+        e = self.exprs.get(key)
+        if e is None:
+            e = self.exprs[key] = key[0](*fields)
         return e
 
-    def parse_and(self) -> Expr:
-        e = self.parse_not()
-        while self.at_kw("and"):
-            self.next()
-            e = BinOp("and", e, self.parse_not())
-        return e
-
-    def parse_not(self) -> Expr:
-        if self.at_kw("not"):
-            self.next()
-            return UnOp("not", self.parse_not())
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> Expr:
-        e = self.parse_range()
-        if self.at_sym("=", "!=", "<", "<=", ">", ">="):
-            op = self.next().value
-            return BinOp(op, e, self.parse_range())
-        return e
-
-    def parse_range(self) -> Expr:
-        e = self.parse_add()
-        if self.at_sym(".."):
-            self.next()
-            return Range(e, self.parse_add())
-        return e
-
-    def parse_add(self) -> Expr:
-        e = self.parse_mul()
-        while self.at_sym("+", "-"):
-            op = self.next().value
-            e = BinOp(op, e, self.parse_mul())
-        return e
-
-    def parse_mul(self) -> Expr:
-        e = self.parse_unary()
-        while self.at_sym("*"):
-            self.next()
-            e = BinOp("*", e, self.parse_unary())
-        return e
-
-    def parse_unary(self) -> Expr:
-        if self.at_sym("-"):
-            self.next()
-            if self.peek().kind == "INT":
-                return Const(int_lit(-int(self.next().value)))
-            return UnOp("-", self.parse_unary())
-        return self.parse_atom()
+    def parse_expr(self, floor: int = 1) -> Expr:
+        """An expression whose operators bind at least as tightly as
+        `floor`, a level of `PREC` (1, the loosest, by default).  No
+        operator of level `limit` or above may follow what is read so
+        far: after a comparison or a range none of its own level, and
+        after a prefix `not` only `and` and `or`."""
+        toks = self.toks
+        t = toks[self.pos]
+        limit = _TOP
+        if t == _NOT_TOKEN and floor <= _NOT:
+            self.pos += 1
+            arg = self.parse_expr(_NOT)
+            left = self.share((UnOp, "not", id(arg)), "not", arg)
+            limit = _NOT
+        elif t == _MINUS_TOKEN:
+            self.pos += 1
+            t = toks[self.pos]
+            if t.kind == "INT":
+                self.pos += 1
+                left = self.share((Const, "-", t), int_lit(-int(t.value)))
+            else:
+                arg = self.parse_expr(MINUS_PREC)
+                left = self.share((UnOp, "-", id(arg)), "-", arg)
+        else:
+            left = self.parse_atom()
+        while True:
+            t = toks[self.pos]
+            level = _INFIX.get(t, 0)
+            if not floor <= level < limit:
+                return left
+            self.pos += 1
+            right = self.parse_expr(level + 1)
+            if level == _RANGE:
+                left = self.share((Range, id(left), id(right)), left, right)
+            else:
+                op = t.value
+                left = self.share((BinOp, op, id(left), id(right)), op, left, right)
+            limit = level if level in _UNCHAINED else level + 1
 
     def parse_atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "IDENT" or t.kind == "KEYWORD" and t.value in ("hd", "tl"):
-            self.next()
-            if t.kind == "IDENT" and not self.at_sym("("):
-                return Var(t.value)
+        t = self.toks[self.pos]
+        kind = t.kind
+        if kind == "IDENT" or kind == "KEYWORD" and t.value in ("hd", "tl"):
+            self.pos += 1
+            if kind == "IDENT" and self.toks[self.pos] != _OPEN:
+                return self.share((Var, t.value), t.value)
             self.expect_sym("(")  # a table's argument, or hd's or tl's
             arg = self.parse_expr()
             self.expect_sym(")")
-            return UnOp(t.value, arg)
-        lit = self.literal()
-        if lit is not None:
-            return Const(lit)
-        if self.at_sym("["):
-            self.next()
-            return ListLit(self.listed("]", self.parse_expr))
-        if self.at_sym("("):
-            self.next()
-            if self.at_sym(")"):
-                self.next()
-                return Const(UNIT_LIT)
+            return self.share((UnOp, t.value, id(arg)), t.value, arg)
+        if t == _OPEN:
+            self.pos += 1
+            if self.toks[self.pos] == _CLOSE:
+                self.pos += 1
+                return self.share((Const, "Unit", None), UNIT_LIT)
             e = self.parse_expr()
             self.expect_sym(")")
             return e
-        raise self.error(f"expected an expression, found {t.value!r}", self.pos)
+        if t == _LIST:
+            self.pos += 1
+            items = self.listed("]", self.parse_expr)
+            return self.share((ListLit, *map(id, items)), items)
+        lit = self.literal()
+        if lit is None:
+            raise self.error(f"expected an expression, found {t.value!r}", self.pos)
+        return self.share((Const, t), lit)
 
     # ----------------------------------------------------- global types
 

@@ -11,50 +11,72 @@ from .ast import (
     GSeq, GlobalType, If, Lit, ListLit, ModuleDecl, Par, Proc, Process,
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, System, TBranch, TEnd, TExternal, TInternal, TIter, TSeq, Table,
-    UnOp, UNIT, Var, is_true,
+    UnOp, Var, MINUS_PREC, PREC, is_true,
 )
-
-_BINOP_PREC = {
-    "or": 1, "and": 2,
-    "=": 4, "!=": 4, "<": 4, "<=": 4, ">": 4, ">=": 4,
-    "+": 6, "-": 6, "*": 7,
-}
 
 
 def render_expr(e: Expr, prec: int = 0) -> str:
+    """The text of `e`, parenthesized when `e` binds more loosely than
+    `prec` (a level of `PREC`).  The unparenthesized text is kept on
+    each node rendered (`_text`), so an expression shared by many
+    guards, or a guard printed again, is printed once."""
+    text = e._text
+    if text is None:
+        text = _expr_text(e)
+    return f"({text})" if _level(e) < prec else text
+
+
+def _level(e: Expr) -> int:
+    """How tightly `e` binds as printed: its operator's level, or above
+    every level for an atom or a prefix minus."""
+    kind = type(e)
+    if kind is BinOp:
+        return PREC[e.op]
+    if kind is Range:
+        return PREC[".."]
+    if kind is UnOp and e.op == "not":
+        return PREC["not"]
+    return MINUS_PREC + 1
+
+
+def _expr_text(e: Expr) -> str:
+    """The text of `e` unparenthesized, kept on `e`."""
     match e:
         case Var(name):
-            return name
+            text = name
         case Const(value):
-            return str(value)
+            text = str(value)
         case BinOp(op, left, right):
             # a chain at one precedence, such as `a and b and c`, nests to
-            # the left: walk down it, so that its length costs no stack
-            p = _BINOP_PREC[op]
+            # the left: walk down it as far as no link has its text yet,
+            # so that its length costs no stack
+            p = PREC[op]
             parts = [render_expr(right, p + 1), op]
-            while type(left) is BinOp and _BINOP_PREC[left.op] == p:
+            while type(left) is BinOp and left._text is None and PREC[left.op] == p:
                 parts += render_expr(left.right, p + 1), left.op
                 left = left.left
             parts.append(render_expr(left, p))
             parts.reverse()
-            s = " ".join(parts)
-            return f"({s})" if p < prec else s
+            text = " ".join(parts)
         case UnOp("not", arg):
-            s = f"not {render_expr(arg, 3)}"
-            return f"({s})" if prec > 3 else s
+            text = f"not {render_expr(arg, PREC['not'])}"
         case UnOp("-", arg):
             # parenthesize negated literals so they re-parse as UnOp
             if isinstance(arg, Const):
-                return f"-({render_expr(arg)})"
-            return f"-{render_expr(arg, 8)}"
+                text = f"-({render_expr(arg)})"
+            else:
+                text = f"-{render_expr(arg, MINUS_PREC)}"
         case UnOp(op, arg):  # hd, tl, and table applications
-            return f"{op}({render_expr(arg)})"
+            text = f"{op}({render_expr(arg)})"
         case ListLit(items):
-            return "[%s]" % ", ".join(render_expr(i) for i in items)
+            text = "[%s]" % ", ".join(render_expr(i) for i in items)
         case Range(lo, hi):
-            s = f"{render_expr(lo, 6)}..{render_expr(hi, 6)}"
-            return f"({s})" if prec > 5 else s
-    raise TypeError(f"not an expression: {e!r}")
+            p = PREC[".."] + 1
+            text = f"{render_expr(lo, p)}..{render_expr(hi, p)}"
+        case _:
+            raise TypeError(f"not an expression: {e!r}")
+    object.__setattr__(e, "_text", text)
+    return text
 
 
 # --------------------------------------------------------- global types
@@ -125,7 +147,7 @@ def _t_atom(t: PseudoType) -> str:
 
 def _t_branch(b: TBranch, pol: str) -> str:
     guard = "" if is_true(b.guard) else f"[{render_expr(b.guard)}] "
-    payload = "" if b.sort == UNIT else str(b.sort)
+    payload = "" if b.sort.kind == "Unit" else str(b.sort)
     cont = b.cont
     same_pol = isinstance(cont, TInternal if pol == "!" else TExternal)
     multi = isinstance(cont, (TInternal, TExternal)) and len(cont.branches) > 1
@@ -155,7 +177,7 @@ def _p_atom(p: Process) -> str:
         case Accept(shared, role, chans, cont):
             return f"accept {shared}[{role}]({', '.join(chans)}). {_p_cont(cont)}"
         case Send(channel, payload):
-            if isinstance(payload, Const) and payload.value.sort == UNIT:
+            if isinstance(payload, Const) and payload.value.sort.kind == "Unit":
                 return f"{channel}!()"
             return f"{channel}!({render_expr(payload)})"
         case Branch(arms) if len(arms) == 1:

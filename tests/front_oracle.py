@@ -5,8 +5,11 @@ counts lines and columns as it goes; it returns (kind, value, line,
 col) tuples.  `freshen_by_subst` freshens by running a substitution
 over each binder's whole continuation.  `names_by_parts` finds the free
 names bottom up, four frozensets per node (all, channels, variables,
-shared), as `fn`, `fX` and `fU` once did.  The fast paths in
-`chorus_wsi.syntax` must agree with them (see test_front_oracle.py).
+shared), as `fn`, `fX` and `fU` once did.  `parse_nested` reads an
+expression by nine nested methods, one per precedence level, building a
+fresh tree for every occurrence, as the parser did before it read by
+precedence climbing.  The fast paths in `chorus_wsi.syntax` must agree
+with them (see test_front_oracle.py).
 
 The substitution does not avoid capture: when an inner binder is
 written with a name that an outer binder was freshened to, the outer
@@ -21,10 +24,12 @@ import re
 
 from chorus_wsi.syntax.ast import (
     Accept, Arm, BinOp, Branch, Const, For, If, ListLit, Par, Proc, Queue,
-    Range, RepeatUntil, Request, Restrict, Send, Seq, UnOp, Var, expr_vars,
-    fn,
+    Range, RepeatUntil, Request, Restrict, Send, Seq, UNIT_LIT, UnOp, Var,
+    expr_vars, fn, int_lit,
 )
-from chorus_wsi.syntax.parser import KEYWORDS, ParseError, _SYMBOLS
+from chorus_wsi.syntax.parser import (
+    KEYWORDS, ParseError, Parser, _SYMBOLS, _parse_all,
+)
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"[0-9]+")
@@ -262,3 +267,98 @@ def names_by_parts(term) -> tuple:
             return (names - frozenset(chans), channels - frozenset(chans),
                     variables, shared_names)
     raise TypeError(f"not a process or system: {term!r}")
+
+
+class NestedReader(Parser):
+    """The parser with its expression reader as it was: one method per
+    precedence level, nine calls deep for every atom."""
+
+    def parse_expr(self):
+        return self.parse_or()
+
+    def parse_or(self):
+        e = self.parse_and()
+        while self.at_kw("or"):
+            self.next()
+            e = BinOp("or", e, self.parse_and())
+        return e
+
+    def parse_and(self):
+        e = self.parse_not()
+        while self.at_kw("and"):
+            self.next()
+            e = BinOp("and", e, self.parse_not())
+        return e
+
+    def parse_not(self):
+        if self.at_kw("not"):
+            self.next()
+            return UnOp("not", self.parse_not())
+        return self.parse_cmp()
+
+    def parse_cmp(self):
+        e = self.parse_range()
+        if self.at_sym("=", "!=", "<", "<=", ">", ">="):
+            op = self.next().value
+            return BinOp(op, e, self.parse_range())
+        return e
+
+    def parse_range(self):
+        e = self.parse_add()
+        if self.at_sym(".."):
+            self.next()
+            return Range(e, self.parse_add())
+        return e
+
+    def parse_add(self):
+        e = self.parse_mul()
+        while self.at_sym("+", "-"):
+            op = self.next().value
+            e = BinOp(op, e, self.parse_mul())
+        return e
+
+    def parse_mul(self):
+        e = self.parse_unary()
+        while self.at_sym("*"):
+            self.next()
+            e = BinOp("*", e, self.parse_unary())
+        return e
+
+    def parse_unary(self):
+        if self.at_sym("-"):
+            self.next()
+            if self.peek().kind == "INT":
+                return Const(int_lit(-int(self.next().value)))
+            return UnOp("-", self.parse_unary())
+        return self.parse_atom()
+
+    def parse_atom(self):
+        t = self.peek()
+        if t.kind == "IDENT" or t.kind == "KEYWORD" and t.value in ("hd", "tl"):
+            self.next()
+            if t.kind == "IDENT" and not self.at_sym("("):
+                return Var(t.value)
+            self.expect_sym("(")  # a table's argument, or hd's or tl's
+            arg = self.parse_expr()
+            self.expect_sym(")")
+            return UnOp(t.value, arg)
+        lit = self.literal()
+        if lit is not None:
+            return Const(lit)
+        if self.at_sym("["):
+            self.next()
+            return ListLit(self.listed("]", self.parse_expr))
+        if self.at_sym("("):
+            self.next()
+            if self.at_sym(")"):
+                self.next()
+                return Const(UNIT_LIT)
+            e = self.parse_expr()
+            self.expect_sym(")")
+            return e
+        raise self.error(f"expected an expression, found {t.value!r}", self.pos)
+
+
+def parse_nested(text: str, form: str = "parse_expr"):
+    """What `syntax.<form>` reads from `text`, by the nested reader."""
+    return _parse_all(NestedReader(text), getattr(NestedReader, form))

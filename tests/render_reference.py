@@ -2,8 +2,7 @@
 on both operands of every binary operator.  `syntax.printer.render_expr`
 is tested against it."""
 
-from chorus_wsi.syntax.ast import BinOp, Const, ListLit, Range, UnOp, Var
-from chorus_wsi.syntax.printer import _BINOP_PREC
+from chorus_wsi.syntax.ast import PREC, BinOp, Const, ListLit, Range, UnOp, Var
 
 
 def reference_render_expr(e, prec: int = 0) -> str:
@@ -13,7 +12,7 @@ def reference_render_expr(e, prec: int = 0) -> str:
         case Const(value):
             return str(value)
         case BinOp(op, left, right):
-            p = _BINOP_PREC[op]
+            p = PREC[op]
             s = f"{reference_render_expr(left, p)} {op} {reference_render_expr(right, p + 1)}"
             return f"({s})" if p < prec else s
         case UnOp("not", arg):

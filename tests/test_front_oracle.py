@@ -8,13 +8,16 @@ import pytest
 
 import chorus_wsi.syntax.parser as parser_mod
 import chorus_wsi.syntax.subst as subst_mod
-from chorus_wsi.syntax import freshen, parse_module
+from chorus_wsi.syntax import freshen, parse_expr, parse_module, render_expr
 from chorus_wsi.syntax.ast import Par, Proc, Seq, fU, fX, fn
 from chorus_wsi.syntax.parser import ParseError, line_col, token_offsets, tokenize
 
 import conftest
 import gen
-from front_oracle import freshen_by_subst, names_by_parts, tokenize_by_chars
+import parse_outcomes as po
+from front_oracle import (
+    freshen_by_subst, names_by_parts, parse_nested, tokenize_by_chars,
+)
 
 
 def _tokens(text: str) -> list:
@@ -246,3 +249,67 @@ def test_tokens_agree_on_random_text():
 def _offset(text: str, err: ParseError) -> int:
     lines = text.split("\n")
     return sum(len(line) + 1 for line in lines[:err.line - 1]) + err.col - 1
+
+
+def _read(parse, text: str):
+    """The tree `parse` reads from `text`, or its error as (class,
+    message, line, col)."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (type(exc).__name__, exc.message, exc.line, exc.col)
+
+
+# spellings inserted between tokens: each operator, prefix and bracket
+_EXPR_WORDS = ("not", "-", "=", "!=", "<", "<=", "..", "+", "*", "and", "or",
+               "(", ")", "[", "]", ",", "hd", "f", "x", "1", "true", '"s"')
+
+
+def _expr_mutant(rng: random.Random, text: str) -> str:
+    spans = po.token_spans(text)
+    op = rng.choice(po.OPS + ("insert",))
+    if op == "insert" or len(spans) < 2:
+        at = rng.choice([0, *(end for _, end in spans)])
+        return f"{text[:at]} {rng.choice(_EXPR_WORDS)} {text[at:]}"
+    return po.mutate(text, op, rng.randrange(len(spans) - (op == "swap")))
+
+
+@pytest.mark.parametrize("text, message, col", [
+    ("x = 1 = 2", "unexpected trailing input '='", 7),
+    ("a and x = 1 = 2", "unexpected trailing input '='", 13),
+    ("not x = 1 = 2", "unexpected trailing input '='", 11),
+    ("1..2..3", "unexpected trailing input '..'", 5),
+    ("x = not y", "expected an expression, found 'not'", 5),
+    ("1..2 = 3 = 4", "unexpected trailing input '='", 10),
+    ("x = 1 and y < 2 < 3", "unexpected trailing input '<'", 17),
+    ("- not x", "expected an expression, found 'not'", 3),
+])
+def test_operators_that_do_not_chain(text, message, col):
+    """A comparison or a range takes no operator of its own level after
+    it, nor does an enclosing `and` or `not` take one up again; `not`
+    may not stand where a comparison's operand is read.  In a guard the
+    error is at the same token."""
+    assert _read(parse_expr, text) == _read(parse_nested, text) \
+        == ("ParseError", message, 1, col)
+    guard = f"type T = [{text}] end"
+    error = _read(parse_module, guard)
+    assert error == _read(lambda t: parse_nested(t, "parse_module"), guard)
+    assert error[3] == col + len("type T = [")
+
+
+def test_expression_reader_agrees_with_the_nested_reader():
+    """Equal trees, or the same error class, message, line and column,
+    on 2,500 rendered generated expressions and guards and on 5,000
+    token mutations of them."""
+    rng = random.Random(20)
+    texts = [render_expr(gen.gen_expr(rng, depth=rng.randint(0, 5)))
+             for _ in range(2000)]
+    texts += [render_expr(gen.gen_guard(rng, depth=rng.randint(0, 5)))
+              for _ in range(500)]
+    texts += [_expr_mutant(rng, rng.choice(texts)) for _ in range(5000)]
+    outcomes = {"tree": 0, "error": 0}
+    for text in texts:
+        ours = _read(parse_expr, text)
+        assert ours == _read(parse_nested, text), text
+        outcomes["error" if isinstance(ours, tuple) else "tree"] += 1
+    assert min(outcomes.values()) > 1000, outcomes

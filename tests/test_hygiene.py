@@ -433,8 +433,8 @@ def test_detector_flags_only_mutated_module_containers():
 def test_no_function_mutates_a_module_container_in_src():
     sources = {p: p.read_text() for p in sorted(SRC.rglob("*.py"))}
     containers = set().union(*map(module_containers, sources.values()))
-    assert {"_DEFAULTS", "KEYWORDS", "_SYMBOLS", "_LEXEMES",
-            "_BINOP_PREC"} <= containers
+    assert {"_DEFAULTS", "KEYWORDS", "_SYMBOLS", "_LEXEMES", "PREC",
+            "_INFIX"} <= containers
     found = [f"{path.relative_to(SRC)}:{line}: {name}"
              for path, source in sources.items()
              for line, name in mutated_containers(source, containers)]

@@ -11,8 +11,8 @@ from chorus_wsi.syntax import (
     parse_process, parse_system, parse_type, render,
 )
 from chorus_wsi.syntax.ast import (
-    Branch, Const, GEnd, Send, TBranch, TEnd, TInternal, TRUE, UNIT, Var,
-    BinOp, expr_vars, fX, fn, int_lit,
+    Branch, Const, GEnd, ListLit, Range, Send, TBranch, TEnd, TInternal, TRUE,
+    UNIT, UnOp, Var, BinOp, expr_vars, fX, fn, int_lit,
 )
 
 import conftest
@@ -111,6 +111,45 @@ def test_round_trip_generated_expressions(seed):
     rng = random.Random(seed * 7 + 5)
     e = gen.gen_expr(rng, depth=3)
     assert parse_expr(render(e)) == e
+
+
+_SHARED = """domain x : Int in 0..3
+domain flag : Bool
+type T = [x > 0] a!(Int). [x > 0 and flag] end
+type U = [not (x > 0)] b?(). [(flag) and x > 0] end
+"""
+
+
+def _expr_nodes(term) -> list:
+    """Every expression node below `term`, a pseudo-type or expression."""
+    found, todo = [], [term]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (Var, Const, BinOp, UnOp, ListLit, Range)):
+            found.append(node)
+        for field in getattr(type(node), "__match_args__", ()):
+            value = getattr(node, field)
+            todo += value if isinstance(value, tuple) else (value,)
+    return found
+
+
+def test_equal_expressions_are_one_object_within_a_parse():
+    """Within one parse, `x > 0` in four guards of two types is one
+    object, and so is `flag`; a second parse of the same text shares
+    no expression node with the first."""
+    m = parse_module(_SHARED)
+    t, u = m.types["T"].branches[0], m.types["U"].branches[0]
+    atoms = [t.guard, t.cont.guard.left, u.guard.arg, u.cont.guard.right]
+    assert all(atom is atoms[0] for atom in atoms)
+    assert t.cont.guard.right is u.cont.guard.left
+    assert t.cont.guard is not u.cont.guard
+    again = parse_module(_SHARED)
+    nodes = [_expr_nodes(module.types[name]) for module in (m, again)
+             for name in ("T", "U")]
+    assert nodes[0] and nodes[1]
+    assert {id(e) for e in nodes[0] + nodes[1]}.isdisjoint(
+        id(e) for e in nodes[2] + nodes[3])
+    assert again.types == m.types
 
 
 @settings(max_examples=150, deadline=None)
@@ -261,11 +300,13 @@ def test_error_at_a_token_whose_spelling_recurs(text, line, col, message):
     assert (err.value.line, err.value.col, err.value.message) == (line, col, message)
 
 
-@pytest.mark.parametrize("depth, ok", [(80, True), (100, False), (1000, False)])
+@pytest.mark.parametrize("depth, ok", [(80, True), (300, True), (1000, False),
+                                       (5000, False)])
 def test_deep_nesting_is_a_parse_error(depth, ok):
     """A guard in `depth` parentheses: one the stack holds parses, a
     deeper one is a ParseError at a token inside the nest, not a
-    RecursionError."""
+    RecursionError.  A parenthesis costs the expression reader two stack
+    frames, so 300 fit under the default recursion limit."""
     from chorus_wsi.syntax.parser import ParseError
     text = "type T = [" + "(" * depth + "x = 1" + ")" * depth + "] end\n"
     if ok:
