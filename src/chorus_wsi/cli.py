@@ -195,14 +195,15 @@ def cmd_typecheck(args) -> int:
         targets = [("process", n) for n, d in module.processes.items() if d.role]
         targets += [("system", n) for n in module.systems]
 
+    named = _the_global(module, args.global_name) if args.global_name else None
     entry_globals = [g for g in module.globals_.values() if g.params]
     # one judgement table for the request: a system's renamed copy of a
     # process judged well typed above is not judged again
     judged = {}
 
     def system_global_candidates():
-        if args.global_name:
-            return [_the_global(module, args.global_name)]
+        if named:
+            return [named]
         return entry_globals or [_the_global(module, None)]
 
     for kind, name in targets:
@@ -210,7 +211,7 @@ def cmd_typecheck(args) -> int:
             if kind == "process":
                 decl = module.processes[name]
                 gdef = module.globals_[decl.global_name] if decl.global_name \
-                    else _the_global(module, args.global_name)
+                    else named or _the_global(module, None)
                 shared = _shared_env(gdef, decl.body)
                 typecheck_process(gamma, TRUE, decl.body, shared, domains,
                                   judged=judged)
@@ -448,7 +449,7 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     commands = {
         "parse": (cmd_parse, "parse and reprint a module", ()),
         "project": (cmd_project, "project a global type on a role",
-                    (glob, ("--role", {}))),
+                    (glob, ("--role", {"required": True}))),
         "normalize": (cmd_normalize, "normal forms of declared types",
                       (("--type", {"dest": "type_name"}),)),
         "typecheck": (cmd_typecheck, "typecheck processes and systems",

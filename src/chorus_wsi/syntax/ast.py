@@ -7,7 +7,8 @@ The parser shares them: within one parse, equal expressions are one
 object (see parser.py), so what a node keeps (`DERIVED`) is computed
 once per distinct expression of the parse.  An expression keeps its
 variables, its last mask if it is a connective, and its printed text
-(`_text`, which `printer.render_expr` fills).
+(`_text`, which `printer.render_expr` fills); a process or system keeps
+its binders and free names (`_names`, see `names`).
 
 Conventions:
 - participants, channels, shared names, and variables are plain strings
@@ -19,7 +20,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 
 _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
@@ -28,9 +29,10 @@ _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 # form under the true guard (`pseudotype.normalize`), its canonical
 # process (`semantics.proc_canon`), an expression's variables
 # (`expr_vars`), the last mask of an `and`, `or` or `not` node
-# (`guards._mask`) and an expression's printed text, unparenthesized
-# (`printer.render_expr`).
-DERIVED = ("_hash", "_nf", "_canon", "_vars", "_mask", "_text")
+# (`guards._mask`), an expression's printed text, unparenthesized
+# (`printer.render_expr`), and a process's or system's name summary
+# (`names`).
+DERIVED = ("_hash", "_nf", "_canon", "_vars", "_mask", "_text", "_names")
 
 # A field default that stands for a new empty dict in each instance.
 NEW_DICT = object()
@@ -64,7 +66,9 @@ def frozen_node(cls):
     owner fills it with `object.__setattr__`.  A cache lives exactly as
     long as its node: nothing is kept at module level, so a value
     computed for one parsed module never serves another one, even an
-    equal one parsed later in the same process.  Neither of the two
+    equal one parsed later in the same process.  A process's or system's
+    `_names` (its binders and free names, see `names`) holds only sets
+    of strings.  Neither of the two
     values kept for guard decisions outlives its node either: `_vars` is
     a set of names, and `_mask` is one `(space, mask)` pair whose space
     (a `guards._Space`, owned by its `DomainDecl`) holds no reference
@@ -624,64 +628,103 @@ class Restrict:
 System = Union[Proc, Par, Queue, Restrict]
 
 
-# ------------------------------------------------------------ free names
+# -------------------------------------------------------- name summaries
 
-def free_names(term) -> tuple:
-    """The free names of a process or system in one walk, as three plain
-    sets: all of them, the variables, and the shared names.  A shared name
-    opened with a role also adds the name "u[p]" to the first (a request
-    with role 0).  A session binder hides its channels from the first set
-    only; an input or loop binder hides its variable from the first two."""
-    names, variables, shared = set(), set(), set()
-    todo = [(term, frozenset(), frozenset())]
+class Names(NamedTuple):
+    """The names of a process or system term, kept on it as `_names`.
+    A shared name u opened with role p (a request with role 0) is free
+    as "u[p]" too, a name that no binder can have.  A session binder
+    hides its channels from `free` only; an input or loop binder hides
+    its variable from `free` and `variables`."""
+
+    binders: frozenset    # every name bound somewhere in the term
+    repeats: bool         # whether two binders in the term bind one name
+    free: frozenset       # fn
+    variables: frozenset  # fX
+    shared: frozenset     # fU
+
+
+# What a term itself contributes, by its class: the names it uses, the
+# variables it reads and the shared names it opens, and each direct
+# subterm with the names the term binds over it and whether those are
+# variables.
+_SCOPES = {
+    Request: lambda t: ((t.shared, f"{t.shared}[0]"), _NO_VARS, (t.shared,),
+                        ((t.cont, t.chans, False),)),
+    Accept: lambda t: ((t.shared, f"{t.shared}[{t.role}]"), _NO_VARS, (t.shared,),
+                       ((t.cont, t.chans, False),)),
+    Send: lambda t: ((t.channel,), expr_vars(t.payload), (), ()),
+    Branch: lambda t: (tuple(arm.channel for arm in t.arms), _NO_VARS, (),
+                       tuple((arm.cont, (arm.binder,), True) for arm in t.arms)),
+    Seq: lambda t: ((), _NO_VARS, (), ((t.first, (), False), (t.second, (), False))),
+    If: lambda t: ((), expr_vars(t.cond), (),
+                   ((t.then, (), False), (t.orelse, (), False))),
+    For: lambda t: ((), expr_vars(t.items), (), ((t.body, (t.binder,), True),)),
+    RepeatUntil: lambda t: ((), _NO_VARS, (),
+                            ((t.body, (), False), (t.exit, (), False))),
+    Proc: lambda t: ((), _NO_VARS, (), ((t.process, (), False),)),
+    Par: lambda t: ((), _NO_VARS, (), ((t.left, (), False), (t.right, (), False))),
+    Queue: lambda t: ((t.channel,), _NO_VARS, (), ()),
+    Restrict: lambda t: ((), _NO_VARS, (), ((t.scope, t.chans, False),)),
+}
+
+
+def _summary(heard: tuple, read: frozenset, opened: tuple, scopes: tuple) -> Names:
+    """The summary of a term from its own parts (see `_SCOPES`) and the
+    summaries its subterms keep.  An empty set is never joined, since
+    most terms bind nothing and open nothing."""
+    free = read.union(heard) if heard else read
+    shared = frozenset(opened) if opened else _NO_VARS
+    binders, variables, repeats, count = _NO_VARS, read, False, 0
+    for sub, bound, binds_variables in scopes:
+        inner_binders, inner_repeats, inner_free, inner_variables, inner_shared \
+            = sub._names
+        repeats = repeats or inner_repeats
+        if bound:
+            inner_free = inner_free.difference(bound)
+            if binds_variables:
+                inner_variables = inner_variables.difference(bound)
+        if bound or inner_binders:
+            count += len(bound) + len(inner_binders)
+            binders = binders.union(bound, inner_binders)
+        free = free | inner_free if free else inner_free
+        variables = variables | inner_variables if variables else inner_variables
+        if inner_shared:
+            shared = shared | inner_shared if shared else inner_shared
+    return Names(binders, repeats or count > len(binders), free, variables, shared)
+
+
+def names(term) -> Names:
+    """The name summary of a process or system, kept on each node of it
+    as `_names`.  The nodes are visited with an explicit stack, subterms
+    first, and a node already summarized (an inlined declaration, or a
+    subterm of a term summarized before) is not visited again."""
+    todo = [(term, None)]
     while todo:
-        term, bound, bound_vars = todo.pop()
-        heard, read = (), frozenset()
-        match term:
-            case Request(u, _, chans, cont) | Accept(u, _, chans, cont):
-                role = term.role if isinstance(term, Accept) else 0
-                heard = (u, f"{u}[{role}]")
-                shared.add(u)
-                todo.append((cont, bound.union(chans), bound_vars))
-            case Send(channel, payload):
-                heard, read = (channel,), expr_vars(payload)
-            case Branch(arms):
-                heard = tuple(arm.channel for arm in arms)
-                todo += [(arm.cont, bound | {arm.binder},
-                          bound_vars | {arm.binder}) for arm in arms]
-            case Seq(first, second) | Par(first, second) \
-                    | RepeatUntil(first, second):
-                todo += [(first, bound, bound_vars), (second, bound, bound_vars)]
-            case If(cond, then, orelse):
-                read = expr_vars(cond)
-                todo += [(then, bound, bound_vars), (orelse, bound, bound_vars)]
-            case For(binder, items, body):
-                read = expr_vars(items)
-                todo.append((body, bound | {binder}, bound_vars | {binder}))
-            case Proc(process):
-                todo.append((process, bound, bound_vars))
-            case Queue(channel, _):
-                heard = (channel,)
-            case Restrict(chans, _, scope):
-                todo.append((scope, bound.union(chans), bound_vars))
-            case _:
-                raise TypeError(f"not a process or system: {term!r}")
-        names.update(n for n in heard if n not in bound)
-        names.update(x for x in read if x not in bound)
-        variables.update(x for x in read if x not in bound_vars)
-    return names, variables, shared
+        node, parts = todo.pop()
+        if node._names is not None:
+            continue
+        if parts is None:
+            parts = _SCOPES[type(node)](node)
+            missing = [(sub, None) for sub, _, _ in parts[3] if sub._names is None]
+            if missing:
+                todo.append((node, parts))  # again once its subterms are done
+                todo += missing
+                continue
+        object.__setattr__(node, "_names", _summary(*parts))
+    return term._names
 
 
-def fn(term) -> set:
-    return free_names(term)[0]
+def fn(term) -> frozenset:
+    return names(term).free
 
 
-def fX(term) -> set:
-    return free_names(term)[1]
+def fX(term) -> frozenset:
+    return names(term).variables
 
 
-def fU(term) -> set:
-    return free_names(term)[2]
+def fU(term) -> frozenset:
+    return names(term).shared
 
 
 # --------------------------------------------------------------- events

@@ -63,16 +63,15 @@ arms, as in `sum { a?(x). 0 b?(y). 0 }`; a choice has at least one
 branch and needs '+' between branches, and so does a `repeat`/`until`
 block other than `{ 0 }` and `{ sum { ... } }`.  `literal` reads an
 integer, string, data or Boolean token, as a value and in an expression,
-and `payload` the sort of a message, `()` being Unit.  A table takes its
-last `_` entry as its default.
+and `payload` the sort of a message, `()` being Unit.
 
 Comments run from // to end of line.  Names declared earlier in the
 module may be referenced later (no recursion); references are inlined
 during parsing.  After inlining, every process and system body is
-alpha-freshened so bound names are globally unique.  The parser keeps
-each freshened body's binders and free names for the rest of the parse,
-so that freshening a later body that inlines it need not walk it again
-where that would change nothing (see subst.py).
+alpha-freshened so bound names are globally unique.  Each node keeps
+its binders and free names (`ast.names`), so freshening a later body
+that inlines an earlier one need not walk it again where that would
+change nothing (see subst.py).
 
 The tokenizer is one `findall` of a compiled regex, each match of which
 skips blanks and comments and takes one token's spelling.  Each distinct
@@ -223,9 +222,6 @@ class Parser:
         self.toks = tokenize(text)
         self.pos = 0
         self.module = module or ModuleDecl()
-        # binders and free names of each body freshened in this parse,
-        # which `freshen` need not walk again where it is inlined
-        self.fresh = {}
         # every expression read in this parse, by its key (see `share`)
         self.exprs = {}
 
@@ -384,14 +380,20 @@ class Parser:
         ret = self.parse_sort()
         self.expect_sym("=")
         self.expect_sym("{")
+        seen = set()
 
         def entry() -> tuple:  # (key, value), with key None for '_'
-            t = self.peek()
+            t, key_at = self.peek(), self.pos
             if t.kind == "IDENT" and t.value == "_":
                 self.next()
                 key = None
             else:
                 key = self.parse_value(arg)
+            if key in seen:
+                what = "default entry" if key is None else f"entry for {key}"
+                raise self.error(f"table {name!r} repeats its {what}",
+                                 key_at, InvariantError)
+            seen.add(key)
             self.expect_sym("->")
             return key, self.parse_value(ret)
 
@@ -403,7 +405,7 @@ class Parser:
         if name in self.module.tables:
             raise self.error(f"duplicate table {name!r}", at, InvariantError)
         mapping = tuple(entry for entry in entries if entry[0] is not None)
-        self.module.tables[name] = Table(name, arg, ret, mapping, defaults[-1])
+        self.module.tables[name] = Table(name, arg, ret, mapping, defaults[0])
 
     def parse_value(self, expected: Sort | None = None) -> Lit:
         at = self.pos
@@ -697,7 +699,7 @@ class Parser:
                 raise self.error(f"unknown global type {global_name!r}", global_at)
         self.expect_sym("=")
         body = self.parse_process()
-        body = freshen(body, self.module.domain_aliases, self.fresh)
+        body = freshen(body, self.module.domain_aliases)
         self._declare(self.module.processes, name,
                       ProcessDef(name, body, role, global_name), at)
 
@@ -844,7 +846,7 @@ class Parser:
         name = self.expect_ident("system name")
         self.expect_sym("=")
         body = self.parse_system()
-        body = freshen(body, self.module.domain_aliases, self.fresh)
+        body = freshen(body, self.module.domain_aliases)
         self._declare(self.module.systems, name, SystemDef(name, body), at)
 
     def parse_system(self) -> System:

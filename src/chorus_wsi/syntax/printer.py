@@ -49,13 +49,16 @@ def _expr_text(e: Expr) -> str:
         case BinOp(op, left, right):
             # a chain at one precedence, such as `a and b and c`, nests to
             # the left: walk down it as far as no link has its text yet,
-            # so that its length costs no stack
+            # so that its length costs no stack.  Comparisons do not chain
+            # (the parser rejects `a < b = c`), so their left operand is
+            # parenthesized at their own level
             p = PREC[op]
+            floor = p + 1 if p == PREC["="] else p
             parts = [render_expr(right, p + 1), op]
-            while type(left) is BinOp and left._text is None and PREC[left.op] == p:
+            while type(left) is BinOp and left._text is None and PREC[left.op] == floor:
                 parts += render_expr(left.right, p + 1), left.op
                 left = left.left
-            parts.append(render_expr(left, p))
+            parts.append(render_expr(left, floor))
             parts.reverse()
             text = " ".join(parts)
         case UnOp("not", arg):

@@ -727,18 +727,6 @@ def typecheck_process(gamma: dict, e: Expr, p: Process, shared: dict,
     return SpecEnv.make(dict(shared), sessions, {})
 
 
-def session_type_of(gamma: dict, e: Expr, p: Process, shared: dict,
-                    domains: DomainDecl = EMPTY_DOMAINS) -> tuple:
-    """For a request- or accept-rooted process, the session key and the
-    synthesized pseudo-type of its body (the T of the VReq/VAcc premiss,
-    before the projection equation is checked)."""
-    if not isinstance(p, (Request, Accept)):
-        raise TypingError("VReq", "process does not open a session at its root")
-    _, _, _, key, inner = _open_session(_Ctx(dict(gamma), e, dict(shared), domains), p)
-    sessions = _synth_process(inner, p.cont)
-    return key, sessions.pop(key, TEnd(e))
-
-
 def typecheck_system(gamma: dict, e: Expr, s: System, shared: dict,
                      domains: DomainDecl = EMPTY_DOMAINS,
                      judged: dict | None = None) -> SpecEnv:

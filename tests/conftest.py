@@ -3,7 +3,10 @@ import pathlib
 import pytest
 
 from chorus_wsi.guards import DomainDecl
+from chorus_wsi.projection import channel_sorts, participants_ordered
 from chorus_wsi.syntax import parse_module
+from chorus_wsi.syntax.ast import Accept, TEnd
+from chorus_wsi.typecheck import instantiate, typecheck_process
 
 CORPUS = pathlib.Path(__file__).resolve().parents[1] / "src" / "chorus_wsi" / "corpus"
 # a request on a global type whose body is `end`, so it has no participants
@@ -41,6 +44,18 @@ MODULES = sorted(CORPUS.glob("*.chor")) \
 
 def load(name: str):
     return parse_module((CORPUS / name).read_text())
+
+
+def session_type_of(gamma: dict, e, p, shared: dict, domains) -> tuple:
+    """For a request- or accept-rooted process, the session key and the
+    synthesized pseudo-type of its body (the T of the VReq/VAcc premiss,
+    before the projection equation is checked)."""
+    g = instantiate(shared[p.shared], p.chans)
+    role = p.role if isinstance(p, Accept) else participants_ordered(g)[0]
+    key = (tuple(p.chans), role)
+    env = typecheck_process(gamma, e, p.cont, shared, domains,
+                            session=(key, channel_sorts(g)))
+    return key, env.session_map().get(key, TEnd(e))
 
 
 @pytest.fixture(scope="session")

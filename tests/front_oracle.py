@@ -3,9 +3,12 @@
 `tokenize_by_chars` is the tokenizer as a loop over characters that
 counts lines and columns as it goes; it returns (kind, value, line,
 col) tuples.  `freshen_by_subst` freshens by running a substitution
-over each binder's whole continuation.  `names_by_parts` finds the free
-names bottom up, four frozensets per node (all, channels, variables,
-shared), as `fn`, `fX` and `fU` once did.  `parse_nested` reads an
+over each binder's whole continuation, starting from the free names
+that `names_by_parts` finds.  `names_by_parts` finds the free names by
+recursion, four frozensets per node (all, channels, variables, shared),
+and `binders_by_walk` lists a term's binders, one entry per binder, so
+neither reads the name summaries (`ast.names`) they are compared
+against.  `parse_nested` reads an
 expression by nine nested methods, one per precedence level, building a
 fresh tree for every occurrence, as the parser did before it read by
 precedence climbing.  The fast paths in `chorus_wsi.syntax` must agree
@@ -25,7 +28,7 @@ import re
 from chorus_wsi.syntax.ast import (
     Accept, Arm, BinOp, Branch, Const, For, If, ListLit, Par, Proc, Queue,
     Range, RepeatUntil, Request, Restrict, Send, Seq, UNIT_LIT, UnOp, Var,
-    expr_vars, fn, int_lit,
+    expr_vars, int_lit,
 )
 from chorus_wsi.syntax.parser import (
     KEYWORDS, ParseError, Parser, _SYMBOLS, _parse_all,
@@ -166,7 +169,7 @@ def _subst(t, vmap: dict, cmap: dict):
 
 
 def freshen_by_subst(term, renames: dict | None = None):
-    used = set(fn(term))
+    used = set(names_by_parts(term)[0])
 
     def claim(name: str) -> str:
         if name not in used:
@@ -266,6 +269,26 @@ def names_by_parts(term) -> tuple:
             names, channels, variables, shared_names = names_by_parts(scope)
             return (names - frozenset(chans), channels - frozenset(chans),
                     variables, shared_names)
+    raise TypeError(f"not a process or system: {term!r}")
+
+
+def binders_by_walk(term) -> list:
+    """Every binder in a process or system, one entry per binder."""
+    match term:
+        case Request(_, _, chans, cont) | Accept(_, _, chans, cont) \
+                | Restrict(chans, _, cont):
+            return [*chans, *binders_by_walk(cont)]
+        case Branch(arms):
+            return [y for arm in arms for y in (arm.binder, *binders_by_walk(arm.cont))]
+        case Seq(first, second) | Par(first, second) | RepeatUntil(first, second) \
+                | If(_, first, second):
+            return binders_by_walk(first) + binders_by_walk(second)
+        case For(binder, _, body):
+            return [binder, *binders_by_walk(body)]
+        case Proc(process):
+            return binders_by_walk(process)
+        case Send() | Queue():
+            return []
     raise TypeError(f"not a process or system: {term!r}")
 
 

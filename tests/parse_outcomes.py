@@ -132,8 +132,10 @@ CASES = [
     ("type", "a?(Int). end (+) b!(Int). end"),
     ("type", "a!(Int). end (+) end"),
     ("type", "a?(Int). b!(). end (&) c?(). end"),
-    # a table with two default entries, and other table forms
+    # a table with two default entries, one with a repeated key, and
+    # other table forms
     ("module", "table f : Int -> Bool = { _ -> true, _ -> false }"),
+    ("module", "table f : Int -> Bool = { 1 -> true, 1 -> false, _ -> false }"),
     ("module", "table f : Int -> Bool = { 1 -> true }"),
     ("module", "table f : Int -> Bool = { 1 -> 2, _ -> false }"),
     ("module", "table f : Int -> Int = { 1 -> 2, _ -> 0 }\n"

@@ -13,7 +13,9 @@ def reference_render_expr(e, prec: int = 0) -> str:
             return str(value)
         case BinOp(op, left, right):
             p = PREC[op]
-            s = f"{reference_render_expr(left, p)} {op} {reference_render_expr(right, p + 1)}"
+            # a comparison is no operand of a comparison unparenthesized
+            left_prec = p + 1 if p == PREC["="] else p
+            s = f"{reference_render_expr(left, left_prec)} {op} {reference_render_expr(right, p + 1)}"
             return f"({s})" if p < prec else s
         case UnOp("not", arg):
             s = f"not {reference_render_expr(arg, 3)}"

@@ -14,8 +14,8 @@ from chorus_wsi.syntax import parse_module, render_type
 from chorus_wsi.syntax.ast import Event, TRUE, UNIT
 from chorus_wsi.traces import covers, mandatory, projection_env, runs_global, runs_spec
 from chorus_wsi.typecheck import (
-    TypingError, gamma_from_domains, instantiate, session_type_of,
-    typecheck_process, typecheck_system,
+    TypingError, gamma_from_domains, instantiate, typecheck_process,
+    typecheck_system,
 )
 from chorus_wsi.wsi import wsi_by_covering, wsi_by_typing
 from chorus_wsi.projection import project
@@ -60,8 +60,8 @@ def test_criterion_2_typing_goldens(pop2, pop2_domains, atm, atm_domains):
     shared = {"u": pop2.globals_["G_POP"]}
     typecheck_process(gamma, TRUE, pop2.processes["Init"].body, shared,
                       pop2_domains)
-    _, t = session_type_of(gamma, TRUE, pop2.processes["Init"].body, shared,
-                           pop2_domains)
+    _, t = conftest.session_type_of(gamma, TRUE, pop2.processes["Init"].body,
+                                    shared, pop2_domains)
     erased_ok = canonical(t, pop2_domains) == canonical(pop2.types["T_s"],
                                                         pop2_domains)
     gamma_a = gamma_from_domains(atm_domains)

@@ -524,6 +524,8 @@ def _case(name, code, stderr, *argv, stdout=""):
     # usage errors: names the module does not declare
     _case("unknown-global", 2, "error: no global type named 'NOPE'",
           "project", POP2, "--role", "s", "--global", "NOPE"),
+    _case("typecheck-plays-unknown-global", 2, "error: no global type named 'NOPE'",
+          "typecheck", ATM, "--proc", "B1", "--global", "NOPE"),
     _case("unknown-proc", 2, "error: no process named 'NOPE'",
           "typecheck", ATM, "--proc", "NOPE"),
     _case("unknown-system", 2, "error: no system named 'NOPE'",
@@ -543,6 +545,8 @@ def _case(name, code, stderr, *argv, stdout=""):
       for module in (conftest.EMPTY, conftest.NO_ENTRY)
       for argv in (("project", "--role", "a"), ("traces",), ("cover",))],
     _case("no-role", 2, "error: give --role", "wsi", POP2, "--proc", "Srv"),
+    _case("project-no-role", 2, "the following arguments are required: --role",
+          "project", ATM),
     _case("unfold-0", 2, "--unfold: expected an integer",
           "cover", ATM, "--unfold", "0"),
     _case("unfold-negative", 2, "--unfold: expected an integer",

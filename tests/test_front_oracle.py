@@ -6,17 +6,22 @@ import sys
 
 import pytest
 
+import chorus_wsi.syntax.ast as ast_mod
 import chorus_wsi.syntax.parser as parser_mod
 import chorus_wsi.syntax.subst as subst_mod
 from chorus_wsi.syntax import freshen, parse_expr, parse_module, render_expr
-from chorus_wsi.syntax.ast import Par, Proc, Seq, fU, fX, fn
+from chorus_wsi.syntax.ast import (
+    NIL, Accept, Arm, Branch, For, If, Par, Proc, Queue, RepeatUntil, Request,
+    Restrict, Send, Seq, fU, fX, fn, names,
+)
 from chorus_wsi.syntax.parser import ParseError, line_col, token_offsets, tokenize
 
 import conftest
 import gen
 import parse_outcomes as po
 from front_oracle import (
-    freshen_by_subst, names_by_parts, parse_nested, tokenize_by_chars,
+    binders_by_walk, freshen_by_subst, names_by_parts, parse_nested,
+    tokenize_by_chars,
 )
 
 
@@ -35,95 +40,128 @@ def test_tokens_agree_on_modules(path):
     assert _tokens(text) == tokenize_by_chars(text)
 
 
-def _recorded_freshening(text: str, monkeypatch) -> list:
-    """(body, renames before, result, renames after) for each body the
-    parser of `text` freshens, with the summaries of earlier bodies."""
+def _recorded_freshening(text: str, monkeypatch) -> tuple:
+    """The module parsed from `text`, and (body, renames before, result,
+    renames after) for each body its parser freshens."""
     calls = []
 
-    def recording(body, renames, fresh):
+    def recording(body, renames):
         before = dict(renames)
-        out = freshen(body, renames, fresh)
+        out = freshen(body, renames)
         calls.append((body, before, out, dict(renames)))
         return out
 
     monkeypatch.setattr(parser_mod, "freshen", recording)
-    parse_module(text)
-    return calls
+    return parse_module(text), calls
 
 
-def _agree_with_oracles(calls: list) -> None:
-    """Each recorded body, freshened by the oracle and by the plain walk
-    without summaries, gives the same term and the same renames."""
+def _agree_with_oracle(calls: list) -> None:
+    """Each recorded body, freshened by the oracle, gives the same term
+    and the same renames."""
     for body, before, out, after in calls:
         renames = dict(before)
         assert freshen_by_subst(body, renames) == out
-        assert renames == after
-        renames = dict(before)
-        assert freshen(body, renames) == out
         assert renames == after
 
 
 @pytest.mark.parametrize("path", conftest.MODULES, ids=lambda p: p.name)
 def test_freshening_agrees_on_modules(path, monkeypatch):
-    _agree_with_oracles(_recorded_freshening(path.read_text(), monkeypatch))
+    _agree_with_oracle(_recorded_freshening(path.read_text(), monkeypatch)[1])
 
 
-def _kept(term, bodies: dict, walked: list) -> set:
-    """The names in `bodies` whose body object occurs in `term` itself;
-    `walked` gets each field the walk enters."""
-    found = {name for name, body in bodies.items() if body is term}
-    for field in getattr(type(term), "__match_args__", ()):
-        walked.append(field)
-        value = getattr(term, field)
+_TERMS = (Accept, Branch, For, If, Par, Proc, Queue, RepeatUntil, Request,
+          Restrict, Send, Seq)
+
+
+def _parts(node) -> list:
+    """The process and system nodes directly below `node`, through arms."""
+    found = []
+    for field in type(node).__match_args__:
+        value = getattr(node, field)
         for part in value if isinstance(value, tuple) else (value,):
-            found |= _kept(part, bodies, walked)
+            if isinstance(part, Arm):
+                part = part.cont
+            if isinstance(part, _TERMS):
+                found.append(part)
     return found
+
+
+def _subterms(term) -> list:
+    """Every process and system node in `term`, `term` first, met once
+    per occurrence."""
+    found, todo = [], [term]
+    while todo:
+        node = todo.pop()
+        found.append(node)
+        todo += _parts(node)
+    return found
+
+
+def _kept(out, term) -> int:
+    """How many subterms of `term` the freshened `out` holds as they
+    are, counting none inside another."""
+    inside = {id(node) for node in _subterms(term)}
+    count, todo = 0, [out]
+    while todo:
+        node = todo.pop()
+        if id(node) in inside:
+            count += 1
+        else:
+            todo += _parts(node)
+    return count
+
+
+def _kept_bodies(term, bodies: dict) -> set:
+    """The names in `bodies` whose body object occurs in `term`."""
+    return {name for name, body in bodies.items()
+            if any(node is body for node in _subterms(term))}
 
 
 _POP2_SERVER = (conftest.CORPUS / "pop2.chor").read_text().split(
     "// Server implementation.")[1].split("process Mbox")[0]
 
 
-@pytest.mark.parametrize("text, last, kept", [
+@pytest.mark.parametrize("text, last, bodies, kept", [
     # Size uses m free and binds m; Nmbr's read?(m) captures Size's free
     # m, and Nmbr's fold?(f) collides with Size's, so Size is walked
-    pytest.param(_POP2_SERVER, "Nmbr", {"Exit"}, id="pop2-Nmbr-Size"),
+    pytest.param(_POP2_SERVER, "Nmbr", {"Exit"}, 4, id="pop2-Nmbr-Size"),
     # the second copy's binders are all in use once the first is kept
-    pytest.param("process P = a?(x). b!(x)\nsystem S = P || P\n", "S", {"P"},
+    pytest.param("process P = a?(x). b!(x)\nsystem S = P || P\n", "S", {"P"}, 1,
                  id="P||P"),
     # Q binds x again, so x moves to x_2 and P's free x follows it
-    pytest.param("process P = c!(x)\nprocess Q = a!(x) ; b?(x). P\n", "Q", set(),
-                 id="free-name-renamed"),
-    pytest.param("process P = c!(x)\nprocess Q = a!(y) ; b?(y). P\n", "Q", {"P"},
-                 id="free-name-kept"),
+    pytest.param("process P = c!(x)\nprocess Q = a!(x) ; b?(x). P\n", "Q",
+                 set(), 1, id="free-name-renamed"),
+    pytest.param("process P = c!(x)\nprocess Q = a!(y) ; b?(y). P\n", "Q",
+                 {"P"}, 2, id="free-name-kept"),
 ])
-def test_freshening_with_summaries_agrees_on_collisions(text, last, kept, monkeypatch):
-    """Inlined fresh bodies that must be walked and ones that may be kept:
-    both agree with the oracle and with the walk without summaries."""
-    calls = _recorded_freshening(text, monkeypatch)
-    _agree_with_oracles(calls)
-    module = parse_module(text)
-    bodies = {name: pdef.body for name, pdef in module.processes.items()
-              if name != last}
-    body = module.systems[last].body if last in module.systems \
-        else module.processes[last].body
-    walked = []
-    assert _kept(body, bodies, walked) == kept
-    assert len(walked) > len(kept)  # the walk goes into the body's fields
+def test_freshening_with_summaries_agrees_on_collisions(
+        text, last, bodies, kept, monkeypatch):
+    """Subterms that must be walked and ones that may be kept, inlined
+    fresh bodies among them: the result agrees with the oracle, keeps
+    the inlined bodies named, and keeps at least `kept` subterms of the
+    last body as they are."""
+    module, calls = _recorded_freshening(text, monkeypatch)
+    _agree_with_oracle(calls)
+    body, _, out, _ = calls[-1]
+    declared = {name: pdef.body for name, pdef in module.processes.items()
+                if name != last}
+    assert _kept_bodies(out, declared) == bodies
+    assert out is not body  # the walk went into the body
+    assert _kept(out, body) >= kept
 
 
 def test_parsing_pop2_does_pinned_work(monkeypatch):
     """Work counts of one parse of pop2.chor: visits of the freshening
-    walk and of the free-names pass (429 each when every inlined body
-    was walked again), and token objects made (one per distinct token,
-    EOF included, not one per token)."""
+    walk (429 when every inlined body was walked again), name summaries
+    computed (one per node summarized), and token objects made (one per
+    distinct token, EOF included, not one per token)."""
     text = (conftest.CORPUS / "pop2.chor").read_text()
-    visits = {"walk": 0, "_free_names": 0}
+    visits = {"walk": 0, "_summary": 0}
+    files = {"walk": subst_mod.__file__, "_summary": ast_mod.__file__}
 
     def count(frame, event, arg):
         code = frame.f_code
-        if event == "call" and code.co_filename == subst_mod.__file__ \
-                and code.co_name in visits:
+        if event == "call" and files.get(code.co_name) == code.co_filename:
             visits[code.co_name] += 1
 
     made = []
@@ -134,18 +172,30 @@ def test_parsing_pop2_does_pinned_work(monkeypatch):
         return real(kind, value)
 
     monkeypatch.setattr(parser_mod, "Token", token)
+    calls = []
+    real_freshen = parser_mod.freshen
+
+    def recording(body, renames):
+        calls.append(body)
+        return real_freshen(body, renames)
+
+    monkeypatch.setattr(parser_mod, "freshen", recording)
+    names(NIL)  # the one process node that every parse shares
     sys.setprofile(count)
     try:
         parse_module(text)
     finally:
         sys.setprofile(None)
-    assert visits == {"walk": 230, "_free_names": 106}
+    assert visits == {"walk": 140, "_summary": 110}
+    summarized = {id(node) for body in calls for node in _subterms(body)
+                  if node is not NIL}
+    assert len(summarized) == visits["_summary"]
     distinct = {(kind, value) for kind, value, *_ in tokenize_by_chars(text)}
     assert sorted(made) == sorted(distinct)
     assert len(made) * 5 < len(tokenize_by_chars(text))
 
 
-def test_freshening_agrees_on_generated_terms():
+def _generated_terms() -> list:
     """9,000 terms; `Seq(t, t)` and `Par(t, t)` repeat every binder."""
     rng = random.Random(17)
     terms = []
@@ -156,10 +206,28 @@ def test_freshening_agrees_on_generated_terms():
         s = gen.gen_system(rng, depth=2)
         terms += [s, Par(s, s)]
     assert len(terms) == 9000
-    for term in terms:
+    return terms
+
+
+def test_freshening_agrees_on_generated_terms():
+    for term in _generated_terms():
         ours, theirs = {}, {}
         assert freshen(term, ours) == freshen_by_subst(term, theirs), term
         assert ours == theirs
+
+
+def test_summaries_agree_with_a_walk_on_generated_terms():
+    """Each node's binders and repeat flag against the binders a plain
+    walk lists, on every node of the 9,000 generated terms."""
+    flags = set()
+    for term in _generated_terms():
+        for node in _subterms(term):
+            listed = binders_by_walk(node)
+            summary = names(node)
+            assert summary.binders == frozenset(listed), node
+            assert summary.repeats == (len(listed) > len(set(listed))), node
+            flags.add(summary.repeats)
+    assert flags == {False, True}
 
 
 def test_freshening_with_summaries_agrees_on_generated_terms():
@@ -174,17 +242,18 @@ def test_freshening_with_summaries_agrees_on_generated_terms():
     for _ in range(750):
         s = gen.gen_system(rng, depth=2)
         cases.append((s, lambda b, s=s: (Par(b, b), Par(s, b))))
-    kept = 0
+    bodies = subterms = 0
     for term, inline in cases:
-        fresh = {}
-        body = freshen(term, {}, fresh)
+        body = freshen(term, {})
         for outer in inline(body):
-            ours, theirs, plain = {}, {}, {}
-            out = freshen(outer, ours, fresh)
-            assert out == freshen_by_subst(outer, theirs) == freshen(outer, plain), outer
-            assert ours == theirs == plain
-            kept += out.first is body if isinstance(out, Seq) else False
-    assert kept > 1000
+            ours, theirs = {}, {}
+            out = freshen(outer, ours)
+            assert out == freshen_by_subst(outer, theirs), outer
+            assert ours == theirs
+            bodies += out.first is body if isinstance(out, Seq) else False
+            subterms += _kept(out, outer)
+    assert bodies > 1000
+    assert subterms > 15_000
 
 
 def test_free_names_agree_on_generated_terms():

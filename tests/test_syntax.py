@@ -12,7 +12,7 @@ from chorus_wsi.syntax import (
 )
 from chorus_wsi.syntax.ast import (
     Branch, Const, GEnd, ListLit, Range, Send, TBranch, TEnd, TInternal, TRUE,
-    UNIT, UnOp, Var, BinOp, expr_vars, fX, fn, int_lit,
+    UNIT, UnOp, Var, BinOp, PREC, expr_vars, fX, fn, int_lit,
 )
 
 import conftest
@@ -111,6 +111,32 @@ def test_round_trip_generated_expressions(seed):
     rng = random.Random(seed * 7 + 5)
     e = gen.gen_expr(rng, depth=3)
     assert parse_expr(render(e)) == e
+
+
+def _unchained(e) -> bool:
+    return isinstance(e, Range) or isinstance(e, BinOp) and PREC[e.op] == PREC["="]
+
+
+def _nests_unchained(e) -> bool:
+    """Is a comparison or a range an operand of a comparison or a range
+    somewhere in e?"""
+    parts = {BinOp: ("left", "right"), Range: ("lo", "hi"), UnOp: ("arg",)}
+    operands = [getattr(e, f) for f in parts.get(type(e), ())]
+    operands += e.items if isinstance(e, ListLit) else ()
+    return (_unchained(e) and any(map(_unchained, operands))) \
+        or any(map(_nests_unchained, operands))
+
+
+def test_round_trip_nested_comparisons():
+    """Generated trees with a comparison or a range as an operand of a
+    comparison or a range, as in `(a < b) = c`, print to text that reads
+    back as them."""
+    rng = random.Random(23)
+    exprs = [gen.gen_expr(rng, depth=rng.randint(1, 5)) for _ in range(5000)]
+    nested = [e for e in exprs if _nests_unchained(e)]
+    assert len(nested) > 1000
+    for e in nested:
+        assert parse_expr(render(e)) == e, e
 
 
 _SHARED = """domain x : Int in 0..3

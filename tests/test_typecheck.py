@@ -14,9 +14,10 @@ from chorus_wsi.projection import project
 from chorus_wsi.typecheck import (
     SpecEnv, TypingError, consistent, env_restrict, env_union,
     gamma_from_domains, independent, instantiate, participants_ordered,
-    session_type_of, typecheck_process, typecheck_system, unique_role,
+    typecheck_process, typecheck_system, unique_role,
 )
 
+import conftest
 import gen
 
 D = gen.GUARD_DOMAINS
@@ -151,8 +152,8 @@ def test_pop2_init_session_guard_erases_to_ts(pop2, pop2_domains):
     from chorus_wsi.pseudotype import sort_branches
     gamma = gamma_from_domains(pop2_domains)
     shared = {"u": pop2.globals_["G_POP"]}
-    key, t = session_type_of(gamma, TRUE, pop2.processes["Init"].body,
-                             shared, pop2_domains)
+    key, t = conftest.session_type_of(gamma, TRUE, pop2.processes["Init"].body,
+                                      shared, pop2_domains)
     assert key[1] == "s"
     erased = remove_guards(normal_form(t, pop2_domains))
     want = remove_guards(normal_form(pop2.types["T_s"], pop2_domains))
