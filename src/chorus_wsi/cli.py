@@ -145,7 +145,7 @@ def cmd_parse(args) -> int:
 
 def cmd_project(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module)
+    domains = DomainDecl.from_module(module, aliases=False)
     gdef = _the_global(module, args.global_name)
     g = instantiate(gdef, gdef.params)
     if args.role not in participants_ordered(g):
@@ -164,7 +164,7 @@ def cmd_project(args) -> int:
 
 def cmd_normalize(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module)
+    domains = DomainDecl.from_module(module, aliases=False)
     names = [args.type_name] if args.type_name else sorted(module.types)
     out = {}
     for name in names:
@@ -347,7 +347,7 @@ def _count(n: int):
 
 def cmd_cover(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module)
+    domains = DomainDecl.from_module(module, aliases=False)
     gdef = _the_global(module, args.global_name)
     g = instantiate(gdef, gdef.params)
     # the verdict compares skeletons, and the skeletons at every bound
@@ -385,8 +385,10 @@ def cmd_wsi(args) -> int:
     if args.proc not in module.processes:
         raise UsageError(f"no process named {args.proc!r}")
     decl = module.processes[args.proc]
+    # an unknown --global is refused even where the process plays a global
+    named = _the_global(module, args.global_name) if args.global_name else None
     gdef = module.globals_[decl.global_name] if decl.global_name \
-        else _the_global(module, args.global_name)
+        else named or _the_global(module, None)
     shared_name = min(fU(decl.body), default=None)
     role = args.role or decl.role
     if role is None:

@@ -8,7 +8,9 @@ object (see parser.py), so what a node keeps (`DERIVED`) is computed
 once per distinct expression of the parse.  An expression keeps its
 variables, its last mask if it is a connective, and its printed text
 (`_text`, which `printer.render_expr` fills); a process or system keeps
-its binders and free names (`_names`, see `names`).
+its binders and free names (`_names`, see `names`).  A parsed module
+keeps its process and system bodies as read, with a `Ref` for each
+earlier declaration they name, until they are read (see parser.py).
 
 Conventions:
 - participants, channels, shared names, and variables are plain strings
@@ -30,9 +32,11 @@ _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 # process (`semantics.proc_canon`), an expression's variables
 # (`expr_vars`), the last mask of an `and`, `or` or `not` node
 # (`guards._mask`), an expression's printed text, unparenthesized
-# (`printer.render_expr`), and a process's or system's name summary
-# (`names`).
-DERIVED = ("_hash", "_nf", "_canon", "_vars", "_mask", "_text", "_names")
+# (`printer.render_expr`), a process's or system's name summary
+# (`names`), and the channels of a global declaration's body that are
+# not its parameters (`typecheck.alpha_key`).
+DERIVED = ("_hash", "_nf", "_canon", "_vars", "_mask", "_text", "_names",
+           "_exposed")
 
 # A field default that stands for a new empty dict in each instance.
 NEW_DICT = object()
@@ -67,8 +71,9 @@ def frozen_node(cls):
     long as its node: nothing is kept at module level, so a value
     computed for one parsed module never serves another one, even an
     equal one parsed later in the same process.  A process's or system's
-    `_names` (its binders and free names, see `names`) holds only sets
-    of strings.  Neither of the two
+    `_names` (its binders and free names, see `names`; a `Ref`'s is its
+    body's, which the parser fills in) and a global declaration's
+    `_exposed` hold only sets of strings.  Neither of the two
     values kept for guard decisions outlives its node either: `_vars` is
     a set of names, and `_mask` is one `(space, mask)` pair whose space
     (a `guards._Space`, owned by its `DomainDecl`) holds no reference
@@ -628,6 +633,16 @@ class Restrict:
 System = Union[Proc, Par, Queue, Restrict]
 
 
+@frozen_node
+class Ref:
+    """An earlier declaration that a process or system body names, where
+    a parsed module keeps the body as read (see parser.py).  It never
+    leaves a freshened body: freshening puts the named body in its
+    place (see subst.py)."""
+
+    name: str
+
+
 # -------------------------------------------------------- name summaries
 
 class Names(NamedTuple):
@@ -635,13 +650,19 @@ class Names(NamedTuple):
     A shared name u opened with role p (a request with role 0) is free
     as "u[p]" too, a name that no binder can have.  A session binder
     hides its channels from `free` only; an input or loop binder hides
-    its variable from `free` and `variables`."""
+    its variable from `free` and `variables`.  A `Ref` has the free names
+    of the body it stands for, which is summarized before it (see
+    parser.py), and makes every term that holds it `pending`.  Freshening
+    walks a pending term whatever it binds (see subst.py), so a `Ref`
+    lists no binders, and summarizing a body as read does not join the
+    binders of the bodies it names."""
 
     binders: frozenset    # every name bound somewhere in the term
     repeats: bool         # whether two binders in the term bind one name
     free: frozenset       # fn
     variables: frozenset  # fX
     shared: frozenset     # fU
+    pending: bool         # whether the term holds a `Ref`
 
 
 # What a term itself contributes, by its class: the names it uses, the
@@ -675,11 +696,12 @@ def _summary(heard: tuple, read: frozenset, opened: tuple, scopes: tuple) -> Nam
     most terms bind nothing and open nothing."""
     free = read.union(heard) if heard else read
     shared = frozenset(opened) if opened else _NO_VARS
-    binders, variables, repeats, count = _NO_VARS, read, False, 0
+    binders, variables, repeats, pending, count = _NO_VARS, read, False, False, 0
     for sub, bound, binds_variables in scopes:
-        inner_binders, inner_repeats, inner_free, inner_variables, inner_shared \
-            = sub._names
+        inner_binders, inner_repeats, inner_free, inner_variables, inner_shared, \
+            inner_pending = sub._names
         repeats = repeats or inner_repeats
+        pending = pending or inner_pending
         if bound:
             inner_free = inner_free.difference(bound)
             if binds_variables:
@@ -691,7 +713,8 @@ def _summary(heard: tuple, read: frozenset, opened: tuple, scopes: tuple) -> Nam
         variables = variables | inner_variables if variables else inner_variables
         if inner_shared:
             shared = shared | inner_shared if shared else inner_shared
-    return Names(binders, repeats or count > len(binders), free, variables, shared)
+    return Names(binders, repeats or count > len(binders), free, variables, shared,
+                 pending)
 
 
 def names(term) -> Names:
@@ -783,7 +806,14 @@ class SystemDef:
 
 
 class ModuleDecl:
-    """A parsed .chor module: declarations by kind, in source order."""
+    """A parsed .chor module: declarations by kind, in source order.
+
+    `processes` and `systems` are mappings; a parsed module's freshen
+    each body when it is first read (see parser.py).  `domain_aliases`
+    maps each binder that freshening moved to its declared name, so that
+    domain declarations follow renamed variables.  It is a dict, or
+    anything whose `aliases()` gives one: a parsed module's bodies, each
+    body's renames in declaration order, which reads every body."""
 
     def __init__(self, domains=None, tables=None, globals_=None, types=None,
                  processes=None, systems=None, domain_aliases=None):
@@ -793,6 +823,9 @@ class ModuleDecl:
         self.types = {} if types is None else types        # name -> PseudoType
         self.processes = {} if processes is None else processes  # name -> ProcessDef
         self.systems = {} if systems is None else systems  # name -> SystemDef
-        # binders moved by alpha-freshening: fresh name -> declared name,
-        # so domain declarations follow renamed variables
-        self.domain_aliases = {} if domain_aliases is None else domain_aliases
+        self._aliases = {} if domain_aliases is None else domain_aliases
+
+    @property
+    def domain_aliases(self) -> dict:
+        aliases = self._aliases
+        return aliases if isinstance(aliases, dict) else aliases.aliases()

@@ -66,12 +66,19 @@ integer, string, data or Boolean token, as a value and in an expression,
 and `payload` the sort of a message, `()` being Unit.
 
 Comments run from // to end of line.  Names declared earlier in the
-module may be referenced later (no recursion); references are inlined
-during parsing.  After inlining, every process and system body is
-alpha-freshened so bound names are globally unique.  Each node keeps
-its binders and free names (`ast.names`), so freshening a later body
-that inlines an earlier one need not walk it again where that would
-change nothing (see subst.py).
+module may be referenced later (no recursion).  A module's parse reads
+and checks every declaration, but keeps each process and system body as
+read, with an `ast.Ref` wherever it names an earlier one (`Bodies`).
+`ModuleDecl.processes` and `.systems` freshen a body the first time it
+is read, after the bodies it names, which then stand where its `Ref`s
+were: so bound names are globally unique in every body read, and each
+body is what freshening it right after inlining the bodies it names
+gives.  A request that judges only global types and pseudo-types reads
+no body and freshens none.  Each node keeps its binders and free names
+(`ast.names`), so freshening a body that names an earlier one need not
+walk that one again where that would change nothing (see subst.py).  A
+body nested deeper than the freshening walk can go is a `ParseError` at
+its declaration's name, raised when the body is read.
 
 The tokenizer is one `findall` of a compiled regex, each match of which
 skips blanks and comments and takes one token's spelling.  Each distinct
@@ -86,17 +93,18 @@ than the interpreter's stack allows is a `ParseError` too.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from itertools import islice
 from typing import NamedTuple
 
 from .ast import (
     Accept, Arm, BinOp, BOOL, Branch, Const, DATA, Expr, FALSE_LIT, For,
     GBranch, GChoice, GEnd, GIter, GSeq, GlobalDef, GlobalType, If, INT,
-    Lit, ListLit, ModuleDecl, NIL, Par, Proc, Process, ProcessDef,
-    PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
+    Lit, ListLit, ModuleDecl, Names, NIL, Par, Proc, Process, ProcessDef,
+    PseudoType, Queue, Range, Ref, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, STR, System, SystemDef, Table, TBranch, TEnd, TExternal,
     TInternal, TIter, TRUE, TRUE_LIT, TSeq, UNIT, UNIT_LIT, UnOp, Var,
-    MINUS_PREC, PREC, bool_lit, int_lit, list_sort, str_lit,
+    MINUS_PREC, PREC, bool_lit, int_lit, list_sort, names, replace, str_lit,
 )
 from .subst import freshen
 
@@ -216,12 +224,119 @@ _NOT_TOKEN, _MINUS_TOKEN = Token("KEYWORD", "not"), Token("SYM", "-")
 _OPEN, _CLOSE, _LIST = Token("SYM", "("), Token("SYM", ")"), Token("SYM", "[")
 
 
+class Bodies:
+    """The process and system bodies of one parsed module.  Each is kept
+    as read, with a `Ref` wherever it names an earlier declaration, and
+    freshened the first time it is read, after the bodies it names: so a
+    freshened body depends only on its own text and on those bodies, and
+    bodies read in any order are the bodies read in source order.  A
+    declaration keeps its own renames."""
+
+    def __init__(self, text: str):
+        self.text = text
+        # name -> (the declaration as read, the index of its name's token,
+        # the names its body refers to), in source order
+        self.read = {}
+        self.fresh = {}   # name -> (the declaration freshened, its renames)
+        self.bodies = {}  # name -> the freshened body (see `subst.freshen`)
+        self.refs = {}    # name -> the one `Ref` to it
+        self.named = {}   # the names referred to since the last declaration
+
+    def ref(self, name: str) -> Ref:
+        self.named[name] = None
+        ref = self.refs.get(name)
+        if ref is None:
+            ref = self.refs[name] = Ref(name)
+        return ref
+
+    def declare(self, table: Declared, name: str, decl, at: int) -> None:
+        table.names[name] = None
+        self.read[name] = (decl, at, tuple(self.named))
+        self.named = {}
+
+    def freshened(self, name: str):
+        """The declaration `name` with its body freshened, and so, before
+        it, every declaration that it names and is not yet freshened.  A
+        body nested deeper than the interpreter's stack allows is an
+        error at its declaration's name."""
+        done = self.fresh.get(name)
+        if done is not None:
+            return done[0]
+        todo = [name]
+        while todo:
+            last = todo[-1]
+            if last in self.fresh:
+                todo.pop()
+                continue
+            decl, at, named = self.read[last]
+            missing = [n for n in named if n not in self.fresh]
+            if missing:
+                todo += missing
+                continue
+            todo.pop()
+            renames = {}
+            try:
+                body = freshen(decl.body, renames, self.bodies)
+            except RecursionError:
+                raise ParseError("nesting too deep",
+                                 *token_line_col(self.text, at)) from None
+            if body is not decl.body:
+                decl = replace(decl, body=body)
+            self.fresh[last] = (decl, renames)
+            self.bodies[last] = body
+            ref = self.refs.get(last)
+            if ref is not None:  # see `ast.Names`
+                free, variables, shared = names(body)[2:5]
+                object.__setattr__(ref, "_names", Names(
+                    frozenset(), False, free, variables, shared, True))
+        return self.fresh[name][0]
+
+    def aliases(self) -> dict:
+        """Every body's renames, in source order, read from every body."""
+        out = {}
+        for name in self.read:
+            self.freshened(name)
+            out.update(self.fresh[name][1])
+        return out
+
+
+class Declared(Mapping):
+    """Process or system declarations by name, in source order.  Their
+    `Bodies` freshens a declaration's body when it is first read."""
+
+    def __init__(self, bodies: Bodies):
+        self.bodies = bodies
+        self.names = {}  # the names declared here, in source order
+
+    def __getitem__(self, name: str):
+        if name not in self.names:
+            raise KeyError(name)
+        return self.bodies.freshened(name)
+
+    def __contains__(self, name) -> bool:
+        return name in self.names
+
+    def __iter__(self):
+        return iter(self.names)
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+
 class Parser:
     def __init__(self, text: str, module: ModuleDecl | None = None):
         self.text = text
         self.toks = tokenize(text)
         self.pos = 0
-        self.module = module or ModuleDecl()
+        # the bodies of the module this parse reads; None when it reads a
+        # term against a module given to it
+        self.bodies = None
+        if module is None:
+            self.bodies = Bodies(text)
+            module = ModuleDecl(processes=Declared(self.bodies),
+                                systems=Declared(self.bodies),
+                                domain_aliases=self.bodies)
+        self.module = module
         # every expression read in this parse, by its key (see `share`)
         self.exprs = {}
 
@@ -335,11 +450,20 @@ class Parser:
             read(self)
         return self.module
 
-    def _declare(self, table: dict, name: str, value, at: int):
+    def _declare(self, name: str, at: int) -> None:
+        """Refuse `name` at token `at` if the module declares it already."""
         if name in self.module.globals_ or name in self.module.types \
-                or name in self.module.processes or name in self.module.systems:
+                or name in self.bodies.read:
             raise self.error(f"duplicate declaration of {name!r}", at, InvariantError)
-        table[name] = value
+
+    def named(self, table: Mapping, name: str):
+        """What a body that names `name` holds in its place, where `table`
+        (the module's processes or systems) declares it: a `Ref` when
+        this parse reads the module, else the declared body.  None where
+        `table` does not declare `name`."""
+        if self.bodies is None:
+            return table[name].body if name in table else None
+        return self.bodies.ref(name) if name in table.names else None
 
     def parse_domain(self):
         self.expect_kw("domain")
@@ -534,7 +658,8 @@ class Parser:
                 raise self.error("duplicate channel parameters", at, InvariantError)
         self.expect_sym("=")
         body = self.parse_global()
-        self._declare(self.module.globals_, name, GlobalDef(name, params, body), at)
+        self._declare(name, at)
+        self.module.globals_[name] = GlobalDef(name, params, body)
 
     def parse_global(self) -> GlobalType:
         g = self.parse_global_atom()
@@ -611,7 +736,8 @@ class Parser:
         name = self.expect_ident("type name")
         self.expect_sym("=")
         body = self.parse_type()
-        self._declare(self.module.types, name, body, at)
+        self._declare(name, at)
+        self.module.types[name] = body
 
     def parse_type(self) -> PseudoType:
         t = self.parse_type_atom()
@@ -699,9 +825,9 @@ class Parser:
                 raise self.error(f"unknown global type {global_name!r}", global_at)
         self.expect_sym("=")
         body = self.parse_process()
-        body = freshen(body, self.module.domain_aliases)
-        self._declare(self.module.processes, name,
-                      ProcessDef(name, body, role, global_name), at)
+        self._declare(name, at)
+        self.bodies.declare(self.module.processes, name,
+                            ProcessDef(name, body, role, global_name), at)
 
     def parse_process(self) -> Process:
         p = self.parse_process_atom()
@@ -728,11 +854,11 @@ class Parser:
                 return self.parse_send()
             if nxt.kind == "SYM" and nxt.value == "?":
                 return Branch((self.parse_arm(),))
-            pdef = self.module.processes.get(t.value)
-            if pdef is None:
+            body = self.named(self.module.processes, t.value)
+            if body is None:
                 raise self.error(f"unknown process {t.value!r}", self.pos)
             self.next()
-            return pdef.body
+            return body
         raise self.error(f"expected a process, found {t.value!r}", self.pos)
 
     def parse_send(self) -> Send:
@@ -846,8 +972,8 @@ class Parser:
         name = self.expect_ident("system name")
         self.expect_sym("=")
         body = self.parse_system()
-        body = freshen(body, self.module.domain_aliases)
-        self._declare(self.module.systems, name, SystemDef(name, body), at)
+        self._declare(name, at)
+        self.bodies.declare(self.module.systems, name, SystemDef(name, body), at)
 
     def parse_system(self) -> System:
         s = self.parse_system_atom()
@@ -879,13 +1005,15 @@ class Parser:
         nxt = self.peek(1)
         if t.kind == "IDENT" and (nxt.kind != "SYM" or nxt.value not in ("!", "?", ";")):
             # bare name: a declared system or process
-            if t.value in self.module.systems:
-                self.next()
-                return self.module.systems[t.value].body
-            if t.value in self.module.processes:
-                self.next()
-                return Proc(self.module.processes[t.value].body)
-            raise self.error(f"unknown system or process {t.value!r}", self.pos)
+            body = self.named(self.module.systems, t.value)
+            if body is None:
+                body = self.named(self.module.processes, t.value)
+                if body is None:
+                    raise self.error(f"unknown system or process {t.value!r}",
+                                     self.pos)
+                body = Proc(body)
+            self.next()
+            return body
         return Proc(self.parse_process())
 
     # the reader of each declaration, by its keyword

@@ -240,6 +240,9 @@ def _s_atom(s: System) -> str:
 # --------------------------------------------------------------- module
 
 def render_module(m: ModuleDecl) -> str:
+    # every body is read before any is printed, so one that cannot be
+    # freshened is an error before the printer meets a deep one
+    processes, systems = list(m.processes.values()), list(m.systems.values())
     lines = []
     for var, values in m.domains.items():
         lines.append(_render_domain(var, values))
@@ -250,10 +253,10 @@ def render_module(m: ModuleDecl) -> str:
         lines.append(f"global {g.name}{params} = {render_global(g.body)}")
     for name, t in m.types.items():
         lines.append(f"type {name} = {render_type(t)}")
-    for p in m.processes.values():
+    for p in processes:
         plays = f" plays {p.role} of {p.global_name}" if p.role else ""
         lines.append(f"process {p.name}{plays} = {render_process(p.body)}")
-    for s in m.systems.values():
+    for s in systems:
         lines.append(f"system {s.name} = {render_system(s.body)}")
     return "\n".join(lines) + "\n"
 

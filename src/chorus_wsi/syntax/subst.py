@@ -1,11 +1,12 @@
 """Channel substitution and binder freshening.
 
-The parser freshens every binder (variables bound by receives and
-for-loops, session channels bound by request/accept/new) so that later
-passes may assume bound names are globally unique and disjoint from
-free names.  Renaming is conservative: a binder keeps its name unless
-it collides with a name already in scope, which keeps freshening
-idempotent and render/parse round-trips exact.
+A module's bodies are freshened as they are read (see parser.py): every
+binder (variables bound by receives and for-loops, session channels
+bound by request/accept/new) is renamed so that later passes may assume
+bound names are globally unique and disjoint from free names.  Renaming
+is conservative: a binder keeps its name unless it collides with a name
+already in scope, which keeps freshening idempotent and render/parse
+round-trips exact.
 
 Freshening rebuilds the term in one walk.  The walk carries the active
 renames, one map for variables and one for channels, so each occurrence
@@ -34,13 +35,23 @@ before and inlined again meets (1), so it is kept unless the term
 around it claimed its binders first (as `P || P` does for the second
 P) or renames one of its free names.  Where (1), (2) or (3) fails, B is
 walked as any other term.
+
+A body as read holds a `Ref` where it names an earlier declaration, and
+the walk puts that declaration's freshened body in its place: the result
+is the result for the term with the body inlined.  A `Ref` has the free
+names of its body, so the root's free names are the inlined term's, and
+it makes every term above it `pending`.  The walk never returns a
+pending term unwalked, since that would leave the `Ref` in the result;
+it walks it as it would walk the inlined term, which gives the same
+term wherever the inlined one could be kept (the argument above).  The
+body in a `Ref`'s place is not pending, so the rule applies to it.
 """
 
 from __future__ import annotations
 
 from .ast import (
     Accept, Arm, BinOp, Branch, Const, For, If, ListLit, Par, Proc, Process,
-    Queue, Range, RepeatUntil, Request, Restrict, Send, Seq, UnOp, Var,
+    Queue, Range, Ref, RepeatUntil, Request, Restrict, Send, Seq, UnOp, Var,
     names,
 )
 
@@ -75,10 +86,12 @@ def subst_process(p: Process, cmap: dict) -> Process:
     raise TypeError(f"not a process: {p!r}")
 
 
-def freshen(term, renames: dict | None = None):
+def freshen(term, renames: dict | None = None, bodies: dict | None = None):
     """Rename binders in a process or system so all are pairwise distinct
     and disjoint from free names.  When `renames` is given it collects
-    fresh-name -> original-name for every binder that had to move."""
+    fresh-name -> original-name for every binder that had to move.  Each
+    `Ref` in `term` gives way to its body in `bodies`, a freshened body
+    by declaration name, walked where it stands."""
     used = set(names(term).free)
 
     def claim(name: str) -> str:
@@ -105,8 +118,10 @@ def freshen(term, renames: dict | None = None):
         """t rebuilt; vmap and cmap map each variable and channel name in
         scope to the name its binder now has.  `names(term)` summarized
         every subterm of `term`."""
-        binders, repeats, free, _, _ = t._names
-        if not repeats and used.isdisjoint(binders) \
+        if t.__class__ is Ref:  # its body is walked where it stands
+            t = bodies[t.name]
+        binders, repeats, free, _, _, pending = t._names
+        if not (repeats or pending) and used.isdisjoint(binders) \
                 and free.isdisjoint(vmap) and free.isdisjoint(cmap):
             used.update(binders)
             return t

@@ -563,7 +563,11 @@ def alpha_key(p: Process, gamma: dict, shared: dict, domains: DomainDecl):
     `DomainDecl`."""
     exposed = set()  # channels of the globals that instantiation keeps
     for gdef in shared.values():
-        exposed |= g_channels(gdef.body) - set(gdef.params)
+        found = gdef._exposed  # kept on the declaration: one walk per global
+        if found is None:
+            found = g_channels(gdef.body) - set(gdef.params)
+            object.__setattr__(gdef, "_exposed", found)
+        exposed |= found
     declared = domains.domains
     tokens = []
     # term, depths of the variables and of the channels in scope, depth

@@ -72,8 +72,8 @@ from .projection import NonProjectable, participants_ordered, project
 from .pseudotype import normal_form, viable
 from .semantics import proc_canon, step_process, type_steps
 from .syntax.ast import (
-    Event, GlobalDef, Lit, Process, TEnd, TRUE, TSeq, fU, fX, frozen_node,
-    g_channels, is_nil,
+    Accept, Branch, Event, For, GlobalDef, If, Lit, Process, RepeatUntil,
+    Request, Seq, TEnd, TRUE, TSeq, fU, fX, frozen_node, g_channels, is_nil,
 )
 from .traces import (
     IllFormed, matching_tables, run_str, runs_global, sorted_runs, trace_leq,
@@ -136,6 +136,31 @@ def _role_problem(gdef: GlobalDef, role: str, proc: Process,
     if not unique_role(proc, shared_name, role, role0=parts[0]):
         return f"the process does not uniquely play {role!r} in {shared_name!r}"
     return None
+
+
+def _arity_problem(gdef: GlobalDef, g, proc: Process, shared_name: str) -> str | None:
+    """Why no partner would ever join proc's request to open a session of
+    g, `gdef` instantiated, or None; typing reports it as a VReq error."""
+    others = len(participants_ordered(g)) - 1
+    arities = {r.arity for r in _requests(proc, shared_name)} - {others}
+    if arities:
+        return (f"request arity {min(arities)}, but {gdef.name} has "
+                f"{others} other participants")
+    return None
+
+
+def _requests(p: Process, u: str) -> list:
+    """The requests on u in p."""
+    match p:
+        case Request(shared, _, _, cont):
+            return ([p] if shared == u else []) + _requests(cont, u)
+        case Accept(_, _, _, cont) | For(_, _, cont):
+            return _requests(cont, u)
+        case Branch(arms):
+            return [r for arm in arms for r in _requests(arm.cont, u)]
+        case Seq(first, second) | RepeatUntil(first, second) | If(_, first, second):
+            return _requests(first, u) + _requests(second, u)
+    return []
 
 
 def wsi_by_typing(gdef: GlobalDef, role: str, proc: Process,
@@ -434,6 +459,7 @@ def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
     """WSI by covering: Holds once every target skeleton has a witness."""
     g = instantiate(gdef, gdef.params)
     found = _role_problem(gdef, role, proc, shared_name) \
+        or _arity_problem(gdef, g, proc, shared_name) \
         or _search_inputs(gdef, g, role, domains)
     if isinstance(found, str):
         return CoveringVerdict(False, missing=(), reason=found)

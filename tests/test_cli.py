@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+import chorus_wsi.syntax.parser as parser_mod
 from chorus_wsi.cli import build_parser, main, run_to_json, runs_json
+from chorus_wsi.guards import DomainDecl
 from chorus_wsi.projection import participants_ordered
 from chorus_wsi.syntax import parse_module
 from chorus_wsi.traces import Opt, run_str, runs_global, sorted_runs
@@ -285,6 +287,91 @@ def _requests(path) -> list:
     return out
 
 
+@pytest.mark.parametrize("path", sorted(conftest.CORPUS.glob("*.chor")),
+                         ids=lambda path: path.name)
+def test_requests_on_global_types_freshen_no_body(path, capsys, monkeypatch):
+    """project, normalize, cover, traces and parse --json judge only
+    global types and pseudo-types, which bind no process variable, so
+    they freshen no process or system body; typecheck freshens every
+    body."""
+    kinds = ("project", "normalize", "cover", "traces")
+    requests = [argv for argv in _requests(path) if argv[0] in kinds]
+    calls = []
+    real_freshen = parser_mod.freshen
+
+    def counting(body, renames, bodies):
+        calls.append(body)
+        return real_freshen(body, renames, bodies)
+
+    monkeypatch.setattr(parser_mod, "freshen", counting)
+    assert {argv[0] for argv in requests} == set(kinds) \
+        or path.name == "norm_eqs.chor"  # it declares no entry global
+    for argv in [*requests, ["parse", str(path), "--json"]]:
+        main(argv)
+        assert calls == [], argv
+    capsys.readouterr()
+    module = parse_module(path.read_text())
+    main(["typecheck", str(path)])
+    assert len(calls) == len(module.processes) + len(module.systems)
+
+
+def test_a_type_guard_gets_no_domain_from_a_renamed_binder(tmp_path, capsys):
+    """normalize reads no body, so a guard that names a binder that
+    freshening moved (the second copy of P's `cred` in S is `cred_2`)
+    has no declared domain; the domains that typing, wsi and simulate
+    read from every body still give `cred_2` the domain of `cred`."""
+    path = tmp_path / "renamed.chor"
+    path.write_text(
+        'domain cred : Str in {"pw", "x"}\n'
+        "global G(a, b) = p -> q : { a(Unit). end + b(Unit). end }\n"
+        'type T = [cred_2 = "pw"] a!(Unit). end (+) [not (cred_2 = "pw")] b!(Unit). end\n'
+        "process P = a?(cred). 0\n"
+        "system S = P || P\n")
+    module = parse_module(path.read_text())
+    assert module.domain_aliases == {"cred_2": "cred"}
+    domains = DomainDecl.from_module(module).domains
+    assert domains["cred_2"] == domains["cred"]
+    assert "cred_2" not in DomainDecl.from_module(module, aliases=False).domains
+    code, out, err = run(capsys, "normalize", str(path))
+    assert (code, out, err) == (2, "", "error: no declared domain for: cred_2\n")
+
+
+def _deep_module(depth: int, copies: int) -> str:
+    """A chain of `copies` processes, each of `depth` receives with
+    distinct binders over the one before, the first ending in a send of
+    the free `y`; Q binds `y` twice, so the second binder is renamed and
+    freshening Q must go down the whole chain to rename that `y`."""
+    lines = ["global G(a) = p -> q : { a(Int). end }",
+             "process P0 = a!(y)"]
+    for c in range(1, copies + 1):
+        inputs = "".join(f"a?(x{c}_{i}). " for i in range(depth))
+        lines.append(f"process P{c} = {inputs}P{c - 1}")
+    lines += [f"process Q plays p of G = a?(y). a?(y). P{copies}",
+              "system S = Q || Q"]
+    return "\n".join(lines) + "\n"
+
+
+def test_a_body_too_deep_to_freshen_is_a_parse_error(tmp_path, capsys):
+    """Each declaration of the chain parses, but Q inlines all of them,
+    deeper than the freshening walk can go: every subcommand that reads
+    Q reports it at Q's name and exits 2, the ones that read no body
+    answer, and none shows a traceback."""
+    path = tmp_path / "deep.chor"
+    path.write_text(_deep_module(depth=100, copies=15))
+    f = str(path)
+    line = 2 + 15 + 1
+    message = f"{f}:{line}:9: nesting too deep\n"
+    for argv, code in [(["parse", f], 2), (["parse", f, "--json"], 0),
+                       (["typecheck", f], 2), (["wsi", f, "--proc", "Q"], 2),
+                       (["simulate", f, "--system", "S"], 2),
+                       (["normalize", f], 0), (["traces", f], 0),
+                       (["cover", f], 0), (["project", f, "--role", "p"], 0)]:
+        got, out, err = run(capsys, *argv)
+        assert got == code, argv
+        assert err == (message if code else ""), argv
+        assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("path", conftest.MODULES, ids=lambda path: path.name)
 def test_no_request_on_a_shipped_module_raises(path, capsys):
     """parse, normalize, typecheck, project on each role, simulate each
@@ -526,6 +613,8 @@ def _case(name, code, stderr, *argv, stdout=""):
           "project", POP2, "--role", "s", "--global", "NOPE"),
     _case("typecheck-plays-unknown-global", 2, "error: no global type named 'NOPE'",
           "typecheck", ATM, "--proc", "B1", "--global", "NOPE"),
+    _case("wsi-plays-unknown-global", 2, "error: no global type named 'NOPE'",
+          "wsi", ATM, "--proc", "B1", "--global", "NOPE", "--mode", "typing"),
     _case("unknown-proc", 2, "error: no process named 'NOPE'",
           "typecheck", ATM, "--proc", "NOPE"),
     _case("unknown-system", 2, "error: no system named 'NOPE'",

@@ -1,6 +1,7 @@
 """The regex tokenizer and the one-walk freshening against the slow
 references in front_oracle.py."""
 
+import operator
 import random
 import sys
 
@@ -11,8 +12,8 @@ import chorus_wsi.syntax.parser as parser_mod
 import chorus_wsi.syntax.subst as subst_mod
 from chorus_wsi.syntax import freshen, parse_expr, parse_module, render_expr
 from chorus_wsi.syntax.ast import (
-    NIL, Accept, Arm, Branch, For, If, Par, Proc, Queue, RepeatUntil, Request,
-    Restrict, Send, Seq, fU, fX, fn, names,
+    NIL, Accept, Arm, Branch, For, If, Par, Proc, Queue, Ref, RepeatUntil,
+    Request, Restrict, Send, Seq, fU, fX, fn, names,
 )
 from chorus_wsi.syntax.parser import ParseError, line_col, token_offsets, tokenize
 
@@ -40,19 +41,41 @@ def test_tokens_agree_on_modules(path):
     assert _tokens(text) == tokenize_by_chars(text)
 
 
+def _inlined(term, bodies: dict):
+    """`term` with each `Ref` replaced by its body in `bodies`, as the
+    parser inlined declared bodies while it freshened them as it read
+    them; a subterm that holds no `Ref` is kept as it is."""
+    if isinstance(term, Ref):
+        return bodies[term.name]
+    if not isinstance(term, (*_TERMS, Arm)):
+        return term
+    fields = [getattr(term, name) for name in term.__match_args__]
+    new = [tuple(_inlined(item, bodies) for item in value)
+           if isinstance(value, tuple) else _inlined(value, bodies)
+           for value in fields]
+    if all(a is b or isinstance(a, tuple) and all(map(operator.is_, a, b))
+           for a, b in zip(new, fields)):
+        return term
+    return type(term)(*new)
+
+
 def _recorded_freshening(text: str, monkeypatch) -> tuple:
-    """The module parsed from `text`, and (body, renames before, result,
-    renames after) for each body its parser freshens."""
+    """The module parsed from `text`, and (body with the bodies it names
+    inlined, renames before, result, renames after) for each body that
+    reading every declaration after the parse freshens."""
     calls = []
 
-    def recording(body, renames):
+    def recording(body, renames, bodies):
         before = dict(renames)
-        out = freshen(body, renames)
-        calls.append((body, before, out, dict(renames)))
+        out = freshen(body, renames, bodies)
+        calls.append((_inlined(body, bodies), before, out, dict(renames)))
         return out
 
     monkeypatch.setattr(parser_mod, "freshen", recording)
-    return parse_module(text), calls
+    module = parse_module(text)
+    assert calls == []  # the parse freshens nothing
+    dict(module.processes), dict(module.systems)
+    return module, calls
 
 
 def _agree_with_oracle(calls: list) -> None:
@@ -151,10 +174,13 @@ def test_freshening_with_summaries_agrees_on_collisions(
 
 
 def test_parsing_pop2_does_pinned_work(monkeypatch):
-    """Work counts of one parse of pop2.chor: visits of the freshening
-    walk (429 when every inlined body was walked again), name summaries
-    computed (one per node summarized), and token objects made (one per
-    distinct token, EOF included, not one per token)."""
+    """Work counts of one parse of pop2.chor, then of reading every body:
+    visits of the freshening walk (429 when every inlined body was walked
+    again, 140 when the parse freshened every body), name summaries
+    computed (one per node summarized; 110 when the parse freshened every
+    body), and token objects made (one per distinct token, EOF included,
+    not one per token).  The parse itself freshens and summarizes
+    nothing; reading walks the spines above the bodies a body names."""
     text = (conftest.CORPUS / "pop2.chor").read_text()
     visits = {"walk": 0, "_summary": 0}
     files = {"walk": subst_mod.__file__, "_summary": ast_mod.__file__}
@@ -175,20 +201,25 @@ def test_parsing_pop2_does_pinned_work(monkeypatch):
     calls = []
     real_freshen = parser_mod.freshen
 
-    def recording(body, renames):
-        calls.append(body)
-        return real_freshen(body, renames)
+    def recording(body, renames, bodies):
+        out = real_freshen(body, renames, bodies)
+        calls.append((body, out))
+        return out
 
     monkeypatch.setattr(parser_mod, "freshen", recording)
     names(NIL)  # the one process node that every parse shares
     sys.setprofile(count)
     try:
-        parse_module(text)
+        module = parse_module(text)
+        parsed = dict(visits)
+        module.domain_aliases  # reads every body
     finally:
         sys.setprofile(None)
-    assert visits == {"walk": 140, "_summary": 110}
-    summarized = {id(node) for body in calls for node in _subterms(body)
-                  if node is not NIL}
+    assert parsed == {"walk": 0, "_summary": 0}
+    assert visits == {"walk": 164, "_summary": 124}
+    summarized = {id(node) for pair in calls for term in pair
+                  for node in _subterms(term)
+                  if node is not NIL and node._names is not None}
     assert len(summarized) == visits["_summary"]
     distinct = {(kind, value) for kind, value, *_ in tokenize_by_chars(text)}
     assert sorted(made) == sorted(distinct)

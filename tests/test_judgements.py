@@ -245,3 +245,27 @@ def test_typing_errors_survive_pickle_and_copy():
         assert hash(again) == hash(error)
     assert error != TypingError("VSend", "no live branch", ("P",))
 
+
+
+@pytest.mark.parametrize("name", ["atm.chor", "pop2.chor", "pop2_multiparty.chor"])
+def test_keys_walk_each_shared_global_once_per_request(name, monkeypatch, capsys):
+    """typecheck of a corpus module keys many session-openings, and reads
+    the channels of each shared global once, not once per key."""
+    keys, walked = [], []
+    real_key, real_channels = typecheck.alpha_key, typecheck.g_channels
+
+    def counting_key(*args):
+        keys.append(args)
+        return real_key(*args)
+
+    def counting_channels(g):
+        walked.append(g)
+        return real_channels(g)
+
+    monkeypatch.setattr(typecheck, "alpha_key", counting_key)
+    monkeypatch.setattr(typecheck, "g_channels", counting_channels)
+    cli.main(["typecheck", str(conftest.CORPUS / name)])
+    capsys.readouterr()
+    shared = {id(gdef.body) for *_, env, _ in keys for gdef in env.values()}
+    assert len(keys) > len(walked) == len(shared) >= 1
+    assert {id(g) for g in walked} == shared

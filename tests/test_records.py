@@ -4,6 +4,7 @@ values that corpus requests build and on seeded generated terms, hashes,
 compares, prints, constructs, pickles and refuses assignment alike."""
 
 import collections
+import collections.abc
 import contextlib
 import dataclasses
 import io
@@ -15,11 +16,12 @@ import pytest
 from chorus_wsi import cli, guards, projection, semantics, traces, typecheck, wsi
 from chorus_wsi.guards import DomainDecl
 from chorus_wsi.semantics import Counterexample, conditional_simulation
-from chorus_wsi.syntax import ast, parse_module
+from chorus_wsi.syntax import ast, parse_module, render_module
 from chorus_wsi.syntax.ast import (
-    DERIVED, INT, TRUE, Lit, ListLit, Par, Queue, Restrict, Sort, int_lit,
+    DERIVED, INT, TRUE, Lit, ListLit, Par, Queue, Ref, Restrict, Sort, int_lit,
     list_sort,
 )
+from chorus_wsi.syntax.parser import Parser
 from chorus_wsi.typecheck import gamma_from_domains, typecheck_system
 
 import conftest
@@ -80,16 +82,28 @@ def _walk(value, found: dict, seen: set):
     elif isinstance(value, (tuple, list, frozenset)):
         for item in value:
             _walk(item, found, seen)
-    elif isinstance(value, dict):
-        for item in value.items():
+    elif isinstance(value, collections.abc.Mapping):
+        # the key and the value, not an item: a pair made here and freed
+        # could pass its id on to a later value, which would be skipped
+        for key, item in value.items():
+            _walk(key, found, seen)
             _walk(item, found, seen)
+
+
+def _parsed(path):
+    """The module at `path`, and its declarations as read, before any
+    body is read."""
+    parser = Parser(path.read_text())
+    module = parser.parse_module()
+    return module, [decl for decl, _, _ in parser.bodies.read.values()]
 
 
 @pytest.fixture(scope="module")
 def samples() -> dict:
     """Class -> instances: up to PER_REQUEST of each class from each CLI
     request and simulation as they are built, and every record in the
-    corpus trees and in seeded generated terms."""
+    corpus trees, as read and as freshened, and in seeded generated
+    terms."""
     found = collections.defaultdict(list)
     built = collections.Counter()
     originals = {cls: cls.__init__ for cls in RECORDS}
@@ -115,7 +129,9 @@ def samples() -> dict:
             cls.__init__ = init
     seen = set()
     for path in sorted(conftest.CORPUS.glob("*.chor")):
-        _walk(vars(parse_module(path.read_text())), found, seen)
+        module, read = _parsed(path)
+        _walk(read, found, seen)
+        _walk(vars(module), found, seen)
     rng = random.Random(1717)
     for _ in range(100):
         values = tuple(int_lit(rng.randint(0, 9)) for _ in range(rng.randint(0, 3)))
@@ -152,7 +168,7 @@ def _hash(value):
 
 
 def test_every_record_class_is_sampled(samples):
-    assert len(RECORDS) == 51 and ast.ModuleDecl not in RECORDS
+    assert len(RECORDS) == 52 and ast.ModuleDecl not in RECORDS
     assert [cls.__qualname__ for cls in RECORDS if not samples[cls]] == []
     assert sum(map(len, samples.values())) > 20000
 
@@ -241,3 +257,19 @@ def _leaves(value):
             yield from _leaves(item)
     else:
         yield value
+
+
+def test_bodies_as_read_pickle():
+    """Each corpus module's bodies as read, a `Ref` wherever one names
+    another, pickle and come back equal, and so does the module before
+    any body is read: a declaration waiting to be read holds no closure."""
+    refs = 0
+    for path in sorted(conftest.CORPUS.glob("*.chor")):
+        module, read = _parsed(path)
+        assert pickle.loads(pickle.dumps(read)) == read
+        copy = pickle.loads(pickle.dumps(module))
+        assert render_module(copy) == render_module(module)
+        found = collections.defaultdict(list)
+        _walk(read, found, set())
+        refs += len(found[Ref])
+    assert refs > 10

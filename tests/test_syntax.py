@@ -11,12 +11,14 @@ from chorus_wsi.syntax import (
     parse_process, parse_system, parse_type, render,
 )
 from chorus_wsi.syntax.ast import (
-    Branch, Const, GEnd, ListLit, Range, Send, TBranch, TEnd, TInternal, TRUE,
-    UNIT, UnOp, Var, BinOp, PREC, expr_vars, fX, fn, int_lit,
+    Branch, Const, GEnd, ListLit, Range, Ref, Send, TBranch, TEnd, TInternal,
+    TRUE, UNIT, UnOp, Var, BinOp, PREC, expr_vars, fX, fn, int_lit,
 )
+from chorus_wsi.syntax.parser import ParseError, Parser
 
 import conftest
 import gen
+import parse_outcomes as po
 
 
 def test_corpus_module_contents(pop2):
@@ -252,6 +254,58 @@ def test_freshening_renames_no_occurrence_into_an_inner_binder():
     m = parse_module("process P = a!(x); b?(x). c?(x_2). d!(x)\n")
     assert render(m.processes["P"].body) == "a!(x) ; b?(x_2). c?(x_2_2). d!(x_2)"
     assert m.domain_aliases == {"x_2": "x", "x_2_2": "x_2"}
+
+
+def _read_in(text: str, order) -> tuple:
+    """The declarations of the module `text`, with their bodies read in
+    the order `order` gives to the names in source order, and its
+    `domain_aliases` items."""
+    parser = Parser(text)
+    module = parser.parse_module()
+    for name in order(list(parser.bodies.read)):
+        (module.processes if name in module.processes else module.systems)[name]
+    return {**module.processes, **module.systems}, list(module.domain_aliases.items())
+
+
+def _holds_a_ref(value) -> bool:
+    if isinstance(value, Ref):
+        return True
+    if isinstance(value, tuple):
+        return any(map(_holds_a_ref, value))
+    return hasattr(value, "__match_args__") and any(
+        _holds_a_ref(getattr(value, name)) for name in value.__match_args__)
+
+
+def _parsed_texts() -> list:
+    """Every shipped module, and every seeded token mutant of
+    tests/parse_outcomes.py that parses."""
+    texts = [path.read_text() for path in conftest.MODULES]
+    for path, op, i in po.mutants():
+        text = po.mutate((po.ROOT / path).read_text(), op, i)
+        try:
+            parse_module(text)
+        except ParseError:
+            continue
+        texts.append(text)
+    return texts
+
+
+def test_bodies_read_in_any_order_are_equal():
+    """Bodies read in source order, in reverse and in a seeded random
+    order are equal and hold no `Ref`, and `domain_aliases` has the same
+    items in the same order: a body depends only on its own text and on
+    the bodies it names."""
+    rng = random.Random(22)
+    texts = _parsed_texts()
+    read = 0
+    for text in texts:
+        decls, aliases = _read_in(text, lambda names: names)
+        assert not any(_holds_a_ref(decl.body) for decl in decls.values()), text
+        for order in (lambda names: names[::-1],
+                      lambda names: rng.sample(names, len(names))):
+            assert _read_in(text, order) == (decls, aliases), text
+        read += len(decls)
+    assert len(texts) > 40 and read > 150
 
 
 def test_parse_error_carries_position():

@@ -508,7 +508,8 @@ def test_covering_opens_only_sessions_the_system_semantics_opens(
         pop2, pop2_domains, change):
     """CPop requesting two acceptors, naming a channel too few, or
     accepting as the requesting role c never starts its session with
-    Init in the system semantics, so covering has no witness."""
+    Init in the system semantics, so covering has no witness; of a
+    request of the wrong arity it names the arity, as typing does."""
     g = pop2.globals_["G_POP"]
     cpop = pop2.processes["CPop"].body
     assert wsi_by_covering(g, "c", cpop, pop2_domains).holds()
@@ -519,7 +520,9 @@ def test_covering_opens_only_sessions_the_system_semantics_opens(
                            g, "u", Store(tables=pop2_domains.tables))
     assert runs == {(): False}
     v = wsi_by_covering(g, "c", proc, pop2_domains)
-    assert str(v) == (f"MissingRun {_CPOP_SKELETON}: branch unreachable "
+    assert str(v) == ("MissingRun <empty>: request arity 2, but G_POP has 1 "
+                      "other participants" if change == "arity" else
+                      f"MissingRun {_CPOP_SKELETON}: branch unreachable "
                       "under declared domains")
 
 
@@ -586,6 +589,26 @@ def test_wsi_both_paths_check_the_role(atm, atm_domains, role, why):
     covering = wsi_by_covering(g, role, b1, atm_domains, shared_name="atm")
     assert not covering.holds()
     assert str(covering) == f"MissingRun <empty>: {why}"
+
+
+def test_wsi_cli_request_of_the_wrong_arity_both_paths_reject(tmp_path, capsys):
+    """A request whose arity leaves out a participant opens no session:
+    covering names the arity, as typing does, and not a branch that is
+    unreachable."""
+    from chorus_wsi.cli import main
+    path = tmp_path / "arity.chor"
+    path.write_text(
+        "global G(a, b) = p -> q : { a(Unit). q -> r : { b(Unit). end } }\n"
+        "process P plays p of G = request u[1](a, b). a!()\n")
+    code = main(["wsi", str(path), "--proc", "P"])
+    captured = capsys.readouterr()
+    assert code == 1
+    why = "request arity 1, but G has 2 other participants"
+    assert captured.out.splitlines() == [
+        f"typing:   Rejected: VReq: {why} (at <top>)",
+        f"covering: MissingRun <empty>: {why}",
+    ]
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("role", ["zz", "c"])
