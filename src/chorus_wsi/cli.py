@@ -6,11 +6,13 @@ type that is not well formed or not projectable) or a `simulate` run
 stopped by an evaluation error, 2 on usage or parse errors and on an
 evaluation error elsewhere (a guard that no declared domain decides, as
 `normalize` meets it; typing rejects such a guard instead), 3 when
-covering is inconclusive (no witness for a skeleton, but a send onto a
-queue holding `wsi.QUEUE_BOUND` messages was skipped; a rejection by
-typing still exits 1).  Usage errors name something the
-module does not declare (a global, process, system or type), leave the
-entry global missing or ambiguous, give no role, or pass a bound below 1.
+the covering search of `cover` or `wsi` is inconclusive (no witness for
+a skeleton, but a send onto a queue holding `wsi.QUEUE_BOUND` messages
+was skipped; under `wsi --mode both` a rejection by typing still exits
+1).  Usage errors name something the module does not declare (a global,
+process, system or type), leave the entry global missing or ambiguous,
+give no role, or pass a bound below 1; `parse` also exits 2 on a module
+that parses but nests too deep to print.
 """
 
 from __future__ import annotations
@@ -31,14 +33,14 @@ from .syntax import parse_module, render_module, render_type
 from .syntax.ast import Event, GlobalDef, ModuleDecl, TRUE, fU
 from .syntax.parser import ParseError
 from .traces import (
-    IllFormed, covers, projection_env, run_count, run_str, runs_global,
-    runs_spec, sorted_run_strs, sorted_runs,
+    IllFormed, projection_env, run_count, run_str, runs_global, runs_spec,
+    sorted_run_strs, sorted_runs,
 )
 from .typecheck import (
     TypingError, gamma_from_domains, instantiate, typecheck_process,
     typecheck_system,
 )
-from .wsi import wsi_by_covering, wsi_by_typing
+from .wsi import projections_cover, wsi_by_covering, wsi_by_typing
 
 
 class UsageError(Exception):
@@ -139,7 +141,11 @@ def cmd_parse(args) -> int:
             "systems": sorted(module.systems),
         }, indent=2))
     else:
-        print(render_module(module), end="")
+        try:
+            text = render_module(module)
+        except RecursionError:  # the printer recurses once or more per level
+            raise UsageError(f"{args.file}: nesting too deep") from None
+        print(text, end="")
     return 0
 
 
@@ -350,33 +356,33 @@ def cmd_cover(args) -> int:
     domains = DomainDecl.from_module(module, aliases=False)
     gdef = _the_global(module, args.global_name)
     g = instantiate(gdef, gdef.params)
-    # the verdict compares skeletons, and the skeletons at every bound
-    # are the runs at bound 1; only the counts depend on the bound.
-    # runs_global rejects an ill-formed g before anything projects it
+    # the search takes its targets from the runs at bound 1, the skeletons
+    # at every bound; only the counts depend on the bound.  runs_global
+    # rejects an ill-formed g before anything projects it
     rg = runs_global(g, 1)
     delta = projection_env(gdef, domains)
-    rs = runs_spec(delta, gdef.params, 1, domains)
-    verdict = covers(rg, rs)
-    if args.unfold == 1:  # the runs to count are built already
-        n_global, n_spec = len(rg), len(rs)
-    else:
-        n_global = _count(run_count(
-            lambda algebra: runs_global(g, args.unfold, algebra)))
-        n_spec = _count(run_count(lambda algebra: runs_spec(
-            delta, gdef.params, args.unfold, domains, algebra)))
+    n_global = len(rg) if args.unfold == 1 else _count(run_count(
+        lambda algebra: runs_global(g, args.unfold, algebra)))
+    n_spec = _count(run_count(lambda algebra: runs_spec(
+        delta, gdef.params, args.unfold, domains, algebra)))
+    verdict = projections_cover(gdef, delta, sorted_runs(rg), domains)
+    code = 0 if verdict.holds() else 3 if verdict.inconclusive else 1
     if args.json:
         payload = {"holds": verdict.holds(), "global-runs": n_global,
                    "spec-runs": n_spec}
         if not verdict.holds():
-            payload["missing"] = run_to_json(verdict.run)
+            payload["missing"] = run_to_json(verdict.missing)
+        if verdict.inconclusive:
+            payload["inconclusive"] = True
         print(json.dumps(payload, indent=2))
-        return 0 if verdict.holds() else 1
-    if verdict.holds():
+    elif verdict.holds():
         print(_ok(f"Holds@{args.unfold}: {n_global} global runs covered by "
                   f"{n_spec} specification runs"))
-        return 0
-    print(_bad(f"MissingRun: {run_str(verdict.run)}"))
-    return 1
+    elif verdict.inconclusive:
+        print(_bad(f"Inconclusive: {run_str(verdict.missing)}: {verdict.reason}"))
+    else:
+        print(_bad(f"MissingRun: {run_str(verdict.missing)}"))
+    return code
 
 
 def cmd_wsi(args) -> int:

@@ -5,8 +5,9 @@ segments arise from unfolding iterations: the first execution of a loop
 body is mandatory, every further unfolding is wrapped as optional.  The
 global-type and specification enumerators bound iteration unfolding by
 K; both produce complete runs (sessions terminated, queues drained).
-The runs of an implementation are not enumerated here: covering
-searches them target by target (`wsi`).
+Covering enumerates no run of an implementation or of a specification:
+it searches for a witness run target by target (`wsi`), and `cover`
+enumerates the specification only to count its runs.
 
 The preorder sees only a run's mandatory skeleton (its events outside
 optional segments), and each unfolding beyond the first only adds an
@@ -395,39 +396,22 @@ def _spec_runs(state, unfold: int, domains: DomainDecl, algebra, memo: dict):
 
 # ------------------------------------------------------------ trace preorder
 
-def independent(e1: Event, e2: Event) -> bool:
-    return e1.participant != e2.participant and e1.channel != e2.channel
-
-
-def _foata(events: tuple) -> tuple:
-    """Canonical layered form of a trace modulo commuting independent
-    events; equal layers mean equal equivalence classes.  An event's
-    layer is one past the last layer of the earlier events it depends
-    on, those with its participant or its channel."""
-    last: dict = {}  # ("p", participant) or ("c", channel) -> its layer
-    layers: list = []
-    for ev in events:
-        keys = ("p", ev.participant), ("c", ev.channel)
-        k = 1 + max(last.get(key, -1) for key in keys)
-        if k == len(layers):
-            layers.append([])
-        layers[k].append(ev)
-        last.update(dict.fromkeys(keys, k))
-    return tuple(tuple(sorted(layer, key=lambda e: (
-        e.participant, e.channel, e.polarity, str(e.sort)))) for layer in layers)
-
-
 def matching_tables(target: tuple) -> tuple:
     """(copies, needs) of the greedy matcher for target: copies maps each
     event to the bitmask of the positions of its copies in target, and
     needs maps the bit of each position to the bitmask of the earlier
-    positions whose events it depends on."""
+    positions whose events it depends on, those with its participant or
+    its channel."""
     copies: dict = {}
+    needs: dict = {}
+    seen: dict = {}  # ("p", participant) or ("c", channel) -> its positions
     for i, ev in enumerate(target):
-        copies[ev] = copies.get(ev, 0) | 1 << i
-    needs = {1 << i: sum(1 << j for j in range(i)
-                         if not independent(target[j], ev))
-             for i, ev in enumerate(target)}
+        bit = 1 << i
+        copies[ev] = copies.get(ev, 0) | bit
+        keys = ("p", ev.participant), ("c", ev.channel)
+        needs[bit] = seen.get(keys[0], 0) | seen.get(keys[1], 0)
+        for key in keys:
+            seen[key] = seen.get(key, 0) | bit
     return copies, needs
 
 
@@ -445,44 +429,3 @@ def trace_leq(r1: tuple, r2: tuple) -> bool:
         if first and not needs[first] & ~mask:
             mask |= first
     return mask == (1 << len(target)) - 1
-
-
-# ----------------------------------------------------------------- covering
-
-@frozen_node
-class CoversHolds:
-    witnesses: tuple  # of (skeleton, covering skeleton)
-
-    def holds(self) -> bool:
-        return True
-
-
-@frozen_node
-class MissingRun:
-    run: tuple
-
-    def holds(self) -> bool:
-        return False
-
-    def __str__(self) -> str:
-        return f"no covering run for: {run_str(self.run)}"
-
-
-def covers(runs1, runs2) -> CoversHolds | MissingRun:
-    """R1 is covered by R2 when every run of R1 is below some run of R2
-    in the trace preorder.  The preorder sees only mandatory events, so
-    both sides are reduced to their skeletons first: the witnesses are
-    pairs of skeletons, and a missing run is a skeleton of R1."""
-    skeletons2 = sorted_runs({mandatory(r) for r in runs2})
-    index: dict = {}
-    for s2 in skeletons2:
-        index.setdefault(_foata(s2), s2)
-    witnesses = []
-    for s1 in sorted_runs({mandatory(r) for r in runs1}):
-        hit = index.get(_foata(s1))
-        if hit is None:
-            hit = next((s2 for s2 in skeletons2 if trace_leq(s1, s2)), None)
-            if hit is None:
-                return MissingRun(s1)
-        witnesses.append((s1, hit))
-    return CoversHolds(tuple(witnesses))

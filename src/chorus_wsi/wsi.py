@@ -41,6 +41,13 @@ asked that only when the target's events are a sub-multiset of the
 earlier one's: an embedding maps events injectively onto equal events,
 so a target outside that multiset is never below.
 
+`projections_cover` runs the same search with no process to check: the
+session starts open, every role is a projection peer, and a witness is
+a run of the specification made of the projections, so the search
+decides whether they cover the global type (`cover`).  As in that
+specification, peers communicate only on the global type's session
+channels, its parameters.
+
 The searches of one verdict share one product graph, built as far as
 they reach.  The process's own moves in a state depend on its process,
 bindings, pending variables and session map, and on the queues only
@@ -72,14 +79,14 @@ from .projection import NonProjectable, participants_ordered, project
 from .pseudotype import normal_form, viable
 from .semantics import proc_canon, step_process, type_steps
 from .syntax.ast import (
-    Accept, Branch, Event, For, GlobalDef, If, Lit, Process, RepeatUntil,
-    Request, Seq, TEnd, TRUE, TSeq, fU, fX, frozen_node, g_channels, is_nil,
+    NIL, Accept, Branch, Event, For, GlobalDef, If, Lit, Process, RepeatUntil,
+    Request, Seq, TEnd, TRUE, TSeq, fU, fX, frozen_node, is_nil,
 )
 from .traces import (
     IllFormed, matching_tables, run_str, runs_global, sorted_runs, trace_leq,
 )
 from .typecheck import (
-    TypingError, gamma_from_domains, instantiate, typecheck_process,
+    SpecEnv, TypingError, gamma_from_domains, instantiate, typecheck_process,
     unique_role,
 )
 
@@ -139,27 +146,33 @@ def _role_problem(gdef: GlobalDef, role: str, proc: Process,
 
 
 def _arity_problem(gdef: GlobalDef, g, proc: Process, shared_name: str) -> str | None:
-    """Why no partner would ever join proc's request to open a session of
-    g, `gdef` instantiated, or None; typing reports it as a VReq error."""
+    """Why no partner would ever join a request or accept of proc to open
+    a session of g, `gdef` instantiated, or None; typing reports it as a
+    VReq or VAcc error."""
+    opens = _opens(proc, shared_name)
+    counts = {len(p.chans) for p in opens} - {len(gdef.params)}
+    if counts:
+        return (f"global {gdef.name} has {len(gdef.params)} session "
+                f"channels, got {min(counts)}")
     others = len(participants_ordered(g)) - 1
-    arities = {r.arity for r in _requests(proc, shared_name)} - {others}
+    arities = {p.arity for p in opens if isinstance(p, Request)} - {others}
     if arities:
         return (f"request arity {min(arities)}, but {gdef.name} has "
                 f"{others} other participants")
     return None
 
 
-def _requests(p: Process, u: str) -> list:
-    """The requests on u in p."""
+def _opens(p: Process, u: str) -> list:
+    """The requests and accepts on u in p."""
     match p:
-        case Request(shared, _, _, cont):
-            return ([p] if shared == u else []) + _requests(cont, u)
-        case Accept(_, _, _, cont) | For(_, _, cont):
-            return _requests(cont, u)
+        case Request(shared, _, _, cont) | Accept(shared, _, _, cont):
+            return ([p] if shared == u else []) + _opens(cont, u)
+        case For(_, _, cont):
+            return _opens(cont, u)
         case Branch(arms):
-            return [r for arm in arms for r in _requests(arm.cont, u)]
+            return [r for arm in arms for r in _opens(arm.cont, u)]
         case Seq(first, second) | RepeatUntil(first, second) | If(_, first, second):
-            return _requests(first, u) + _requests(second, u)
+            return _opens(first, u) + _opens(second, u)
     return []
 
 
@@ -215,14 +228,16 @@ class _Product:
     kind.  The peers are the ids of their normalized projections, the
     queues one tuple of messages per channel, indexed by `chan_index`."""
 
-    def __init__(self, gdef: GlobalDef, g, role: str, proc: Process,
-                 domains: DomainDecl, shared_name: str, peers: tuple):
+    def __init__(self, gdef: GlobalDef, g, role: str | None,
+                 proc: Process | None, domains: DomainDecl,
+                 shared_name: str | None, peers: tuple):
         self.role, self.domains, self.shared_name = role, domains, shared_name
         self.params, self.roles = gdef.params, tuple(q for q, _ in peers)
-        self.opens = ("req", len(peers)) if role == participants_ordered(g)[0] \
+        self.opens = ("req", len(peers)) if (role,) == participants_ordered(g)[:1] \
             else ("acc", None)  # the label, with its arity, that opens
-        self.chan_index = {y: i for i, y in enumerate(
-            sorted(set(gdef.params) | g_channels(g)))}
+        # the session channels: as in the specification, a peer's step on
+        # any other channel has no queue to use
+        self.chan_index = {y: i for i, y in enumerate(sorted(gdef.params))}
         self.parts, self.states, self.events = _Ids(), _Ids(), _Ids()
         self.stores: dict = {}  # bindings id -> a Store with those bindings
         ids = self.parts
@@ -231,10 +246,14 @@ class _Product:
         self.start_queues = ids[tuple(() for _ in self.chan_index)]
         store = Store(tables=domains.tables)
         self.stores[ids[store.key()]] = store
+        # with no process, the session starts open among the peers
+        session = (self.no_chans, ids[()], ids[()]) if proc is not None \
+            else (ids[()], self.start_peers, self.start_queues)
+        proc = NIL if proc is None else proc
         self.start = self.states[(
             ids[proc_canon(proc)], ids[store.key()],
             ids[frozenset((x, None) for x in fX(proc) if x in domains.domains)],
-            self.no_chans, ids[()], ids[()])]
+            *session)]
         self.moves: dict = {}  # state id -> ([(event id or None, state id)], skipped)
         # (process, bindings, pending, chans ids, queue heads) -> own moves
         self.proc_moves: dict = {}
@@ -279,9 +298,9 @@ class _Product:
                 ids.values[proc], self.stores[bindings], ids.values[pending], head):
             event, effect, chans2 = None, None, chans
             if label.kind in ("req", "acc"):
+                # `_arity_problem` has checked the number of channels
                 if label.shared != self.shared_name or chans != self.no_chans \
-                        or (label.kind, label.arity) != self.opens \
-                        or len(label.chans) != len(self.params):
+                        or (label.kind, label.arity) != self.opens:
                     continue  # no partner ever joins
                 effect, chans2 = _OPEN, ids[tuple(zip(label.chans, self.params))]
             elif label.kind in ("out", "in") and label.channel in session:
@@ -369,7 +388,8 @@ class _Product:
                  sort,
                  self.parts[normal_form(cont, self.domains)
                             if isinstance(cont, TSeq) else cont])
-                for pol, chan, sort, cont in type_steps(self.parts.values[t])]
+                for pol, chan, sort, cont in type_steps(self.parts.values[t])
+                if chan in self.chan_index]
         return found
 
     def complete(self, sid: int) -> bool:
@@ -464,7 +484,23 @@ def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
     if isinstance(found, str):
         return CoveringVerdict(False, missing=(), reason=found)
     targets, peers = found
-    product = _Product(gdef, g, role, proc, domains, shared_name, peers)
+    return _cover(_Product(gdef, g, role, proc, domains, shared_name, peers),
+                  targets)
+
+
+def projections_cover(gdef: GlobalDef, delta: SpecEnv, targets: list,
+                      domains: DomainDecl = EMPTY_DOMAINS) -> CoveringVerdict:
+    """Do the projections of gdef realise it: has every target skeleton,
+    in sorted order, a witness run of delta, the specification made of
+    the projections (`traces.projection_env`)?  The same search with no
+    process to check: the session starts open and every role is a peer."""
+    peers = tuple((role, t) for (_, role), t in delta.sessions)
+    return _cover(_Product(gdef, instantiate(gdef, gdef.params), None, None,
+                           domains, None, peers), targets)
+
+
+def _cover(product: _Product, targets: list) -> CoveringVerdict:
+    """Holds once every target has a witness in the product."""
     witnesses, bags = [], []  # bags: the event multiset of each searched target
     for target in targets:
         bag = Counter(target)

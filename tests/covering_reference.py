@@ -21,11 +21,12 @@ from chorus_wsi.semantics import proc_canon, step_process, type_steps
 from chorus_wsi.syntax.ast import (
     Event, GlobalDef, Lit, Process, TEnd, TSeq, fX, g_channels, is_nil,
 )
-from chorus_wsi.traces import independent, trace_leq
+from chorus_wsi.traces import trace_leq
 from chorus_wsi.typecheck import instantiate
 from chorus_wsi.wsi import (
     QUEUE_BOUND, CoveringVerdict, _DEFAULTS, _role_problem, _search_inputs,
 )
+from covers_reference import independent
 from record_reference import reference_node
 
 _PENDING = object()  # the value of a peer's payload, not drawn yet

@@ -372,6 +372,23 @@ def test_a_body_too_deep_to_freshen_is_a_parse_error(tmp_path, capsys):
         assert "Traceback" not in out + err
 
 
+def test_a_body_too_deep_to_print_is_an_error(tmp_path, capsys):
+    """Without Q and S the chain freshens without a walk, so it parses,
+    but it nests deeper than the printer can go: `parse` exits 2 with an
+    error and no traceback, while `parse --json` and `typecheck`, which
+    print no body, answer."""
+    path = tmp_path / "deep.chor"
+    path.write_text("".join(line + "\n" for line in _deep_module(200, 30).splitlines()
+                            if not line.startswith(("process Q", "system S"))))
+    f = str(path)
+    for argv, code in [(["parse", f], 2), (["parse", f, "--json"], 0),
+                       (["typecheck", f], 0)]:
+        got, out, err = run(capsys, *argv)
+        assert got == code, argv
+        assert err == (f"error: {f}: nesting too deep\n" if code else ""), argv
+        assert "Traceback" not in out + err
+
+
 @pytest.mark.parametrize("path", conftest.MODULES, ids=lambda path: path.name)
 def test_no_request_on_a_shipped_module_raises(path, capsys):
     """parse, normalize, typecheck, project on each role, simulate each

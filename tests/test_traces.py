@@ -10,15 +10,15 @@ from chorus_wsi.syntax.ast import (
 )
 from chorus_wsi.syntax import parse_type
 from chorus_wsi.traces import (
-    MissingRun, Opt, RUN_COUNTS, Uncountable,
-    covers, mandatory, projection_env, run_count, run_str,
-    runs_global, runs_spec, sorted_runs, trace_leq, independent, _foata,
+    Opt, RUN_COUNTS, Uncountable, mandatory, projection_env, run_count,
+    run_str, runs_global, runs_spec, sorted_runs, trace_leq,
 )
 from chorus_wsi.typecheck import SpecEnv, instantiate
 from chorus_wsi.wsi import wsi_by_covering, wsi_by_typing
 
 import conftest
 import gen
+from covers_reference import MissingRun, covers, foata, independent
 
 
 def ev(p, pol, chan, sort=UNIT):
@@ -330,7 +330,7 @@ def test_foata_layers_agree_with_repeated_passes():
         run = tuple(gen.gen_event(rng, participants=("p", "q", "a"),
                                   channels=("a", "b", "c"))
                     for _ in range(rng.randint(0, 12)))
-        assert _foata(run) == _foata_by_passes(run), run
+        assert foata(run) == _foata_by_passes(run), run
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -560,7 +560,7 @@ def test_greedy_matcher_agrees_with_backtracking_embedding():
                        for _ in range(rng.randint(0, 9)))
         expected = _embed(m1, m2)
         assert trace_leq(m1, m2) == expected, (run_str(m1), run_str(m2))
-        kinds[expected, Counter(m1) == Counter(m2) and _foata(m1) != _foata(m2)] += 1
+        kinds[expected, Counter(m1) == Counter(m2) and foata(m1) != foata(m2)] += 1
     # (answer, equal multisets with different Foata forms): the last
     # kind is never below, since an embedding would be a bijection
     assert sorted(kinds) == [(False, False), (False, True), (True, False)] \

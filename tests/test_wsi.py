@@ -14,9 +14,7 @@ from chorus_wsi.syntax.ast import (
     Request, Send, Seq, UNIT, fU, fX, replace,
 )
 from chorus_wsi.syntax import parse_expr, parse_module
-from chorus_wsi.traces import (
-    IllFormed, _foata, covers, mandatory, run_str, runs_global, trace_leq,
-)
+from chorus_wsi.traces import IllFormed, mandatory, run_str, runs_global, trace_leq
 from chorus_wsi.typecheck import instantiate, participants_ordered
 from chorus_wsi.wsi import (
     QUEUE_BOUND, _role_problem,
@@ -26,6 +24,7 @@ from chorus_wsi.wsi import (
 import conftest
 import gen
 from covering_reference import reference_wsi_by_covering
+from covers_reference import covers, foata
 
 
 def test_wsi_typing_atm(atm, atm_domains):
@@ -160,7 +159,7 @@ def _realized(target, witness, gdef, role, body, domains, shared) -> bool:
         if any(complete and trace_leq(target, r)
                for r, complete in runs.items()):
             # deterministic: its runs are one run up to independent swaps
-            assert len({_foata(mandatory(r)) for r in runs}) == 1, runs
+            assert len({foata(mandatory(r)) for r in runs}) == 1, runs
             return True
     return False
 
@@ -509,7 +508,8 @@ def test_covering_opens_only_sessions_the_system_semantics_opens(
     """CPop requesting two acceptors, naming a channel too few, or
     accepting as the requesting role c never starts its session with
     Init in the system semantics, so covering has no witness; of a
-    request of the wrong arity it names the arity, as typing does."""
+    request of the wrong arity or with a channel too few it names the
+    arity or the channel count, as typing does."""
     g = pop2.globals_["G_POP"]
     cpop = pop2.processes["CPop"].body
     assert wsi_by_covering(g, "c", cpop, pop2_domains).holds()
@@ -520,10 +520,13 @@ def test_covering_opens_only_sessions_the_system_semantics_opens(
                            g, "u", Store(tables=pop2_domains.tables))
     assert runs == {(): False}
     v = wsi_by_covering(g, "c", proc, pop2_domains)
-    assert str(v) == ("MissingRun <empty>: request arity 2, but G_POP has 1 "
-                      "other participants" if change == "arity" else
-                      f"MissingRun {_CPOP_SKELETON}: branch unreachable "
-                      "under declared domains")
+    assert str(v) == {
+        "arity": "MissingRun <empty>: request arity 2, but G_POP has 1 "
+                 "other participants",
+        "channels": "MissingRun <empty>: global G_POP has 12 session "
+                    "channels, got 11",
+        "accept": f"MissingRun {_CPOP_SKELETON}: branch unreachable "
+                  "under declared domains"}[change]
 
 
 @pytest.mark.parametrize("proc, error", [
