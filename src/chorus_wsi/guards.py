@@ -7,39 +7,51 @@ an error, never a guess.  String-sorted domains are extended with one
 fresh "other" value so that equality tests against literals outside the
 declared set stay sound.
 
-A query is decided on the truth table of its own variables: the total
-stores over them, numbered in enumeration order, form one space per
-sorted variable tuple, built lazily on the `DomainDecl`.  Each
-expression gets an integer mask over its space, bit i set iff it is true
-on store i.  An atom (a Bool expression whose head is not `and`, `or` or
-`not`) is evaluated on the stores over its own variables only, and its
-mask is lifted into the query's space through per-value selector masks
-of those variables.  `and`, `or` and `not` are `&`, `|` and the
-complement, and a query is unsatisfiable iff its mask is 0.  The
-emptiness of a loop's list is one more atom.
+Every query is decided on a multi-valued decision diagram over the
+stores of the `DomainDecl` (Bryant, "Graph-based algorithms for Boolean
+function manipulation", IEEE Trans. Computers C-35, 1986; Srinivasan,
+Kam, Malik and Brayton, "Algorithms for discrete function
+manipulation", ICCAD 1990).  The levels are the declared variables in
+declaration order, the aliases after them.  A diagram is one of three
+leaves, true, false and "this store raises", or a node with one child
+per value of its level's variable, the values in the order of their
+printed forms.  Nodes are reduced and hash-consed on the `DomainDecl`,
+keyed by the level and the ids of the children, so each function of
+the stores has one diagram, and each node records which leaves lie
+below it.
 
-Masks are kept per node.  Each `and`, `or` and `not` node keeps the
-mask of its last query as a derived value (`syntax.ast.DERIVED`), found
-by identity, so `conj(e, b)` reuses the mask of e without comparing e
-with anything; the pseudo-type algebra builds each branch's conjunction
-once so that the queries of its continuation find that node itself.
-Atoms are memoized by structural equality in each space, so equal atoms
-of different trees, or of different parses, share one enumeration.  An
-expression's variables are kept on each of its nodes too (`expr_vars`).
-Both are computed with an explicit stack, so a guard of thousands of
-conjuncts is decided without recursion.
+An atom (a Bool expression whose head is not `and`, `or` or `not`) gets
+its diagram by evaluation on the stores over its own variables, once
+per `DomainDecl`: atoms are memoized by structural equality, so equal
+atoms of different trees, or of different parses, share one
+enumeration.  `EMPTY_DOMAINS`, which declares no variable, makes no
+node, and memoizes only the constant atoms asked about it (the guard
+`true`).  `and`, `or` and `not` are one memoized `apply`, and an operand
+that raises makes the result raise, as `eval_expr` evaluates both
+operands.  The emptiness of a loop's list is one more atom.
 
-Enumeration store by store, stopping at the first satisfying store,
-remains the answer in two cases: a space of more than `_MAX_STORES`
-stores, and a query with an atom that raises or is not Bool on some
-store.  In the second case a mask could not tell whether the error lies
-before the first satisfying store, where enumeration raises it.
+The error rule.  A query is satisfiable iff some store makes it true.
+It raises only if no store makes it true and some store raises, and it
+then raises what `eval_expr` raises on the store of the diagram's
+leftmost raising path, where a variable the path skips takes its first
+value.  So whether a query raises does not depend on any order of the
+stores or of the variables.  `list_condition_satisfiable` reads the
+list only where the guard is true, so the list can raise only on a
+store where the guard is true.
+
+Diagrams are kept per node.  Each `and`, `or` and `not` node keeps its
+diagram as a derived value (`syntax.ast.DERIVED`), paired with its
+`DomainDecl` and found by identity, so `conj(e, b)` reuses the diagram
+of e; as the levels are fixed per `DomainDecl`, that diagram serves a
+later query over more variables too.  Every walk, over an expression or
+over the levels of a diagram, uses an explicit stack or a loop, so a
+guard of thousands of conjuncts, or over thousands of variables, is
+decided without recursion.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 from .syntax.ast import (
     BinOp, BOOL, Const, DATA, Expr, INT, Lit, ListLit, ModuleDecl, NEW_DICT,
@@ -188,52 +200,58 @@ def _eval_binop(op: str, lv: Lit, rv: Lit) -> Lit:
 
 _OTHER_STR = "<other>"
 
-# A query over more stores than this is decided by enumeration alone.
-_MAX_STORES = 1 << 16
+
+class _Node:
+    """A diagram: a leaf, whose level is below every variable's, or the
+    node of one level with one child per value of its variable.  Its
+    reach has the bit _SAT set iff a true leaf lies below it, and the bit
+    _RAISES iff a raising leaf does.  Nodes hash and compare by identity,
+    so a tuple of children hashes by the ids of the children."""
+
+    __slots__ = ("level", "children", "reach")
+
+    def __init__(self, level, children, reach):
+        self.level, self.children, self.reach = level, children, reach
 
 
-class _Space:
-    """The total stores over one sorted tuple of variables, numbered in
-    the order `stores` yields them, and the mask of each expression asked
-    about them: bit i is set iff the expression is true on store i.  The
-    mask None marks an expression with an atom that raises or is not Bool
-    on some store; only enumeration answers for it."""
+_SAT, _RAISES = 1, 2
+_TRUE = _Node(float("inf"), None, _SAT)
+_FALSE = _Node(float("inf"), None, 0)
+_RAISE = _Node(float("inf"), None, _RAISES)
+_NOT = {_TRUE: _FALSE, _FALSE: _TRUE, _RAISE: _RAISE}
 
-    def __init__(self, names: tuple, pools: list, tables: dict):
-        self.names = names
-        self.pools = pools
-        self.tables = tables
-        self.size = math.prod(len(pool) for pool in pools)
-        self.full = (1 << self.size) - 1 if self.size <= _MAX_STORES else None
-        self.masks = {}
-        self._selectors = {}
 
-    def stores(self):
-        for combo in itertools.product(*self.pools):
-            yield Store(dict(zip(self.names, combo)), tables=self.tables)
-
-    def selectors(self, position: int) -> list:
-        """Per value index d of the variable at `position`, the mask of
-        the stores that give it its d-th value."""
-        found = self._selectors.get(position)
-        if found is None:
-            radix = len(self.pools[position])
-            stride = math.prod(len(pool) for pool in self.pools[position + 1:])
-            period, repeats = radix * stride, self.size // (radix * stride)
-            found = self._selectors[position] = [
-                int(("0" * (period - (d + 1) * stride) + "1" * stride
-                     + "0" * (d * stride)) * repeats, 2)
-                for d in range(radix)]
-        return found
+def _shortcut(op: str, a, b):
+    """op ("and", "or", "not" of a, or "then", which reads b only where a
+    is true) on the diagrams a and b when a leaf or equal operands decide
+    it, else None."""
+    if op == "not":
+        return _NOT.get(a)
+    if op == "then":
+        return b if a is _TRUE else a if b is _TRUE or not a.reach & _SAT else None
+    if a is _RAISE or b is _RAISE:
+        return _RAISE
+    unit, zero = (_TRUE, _FALSE) if op == "and" else (_FALSE, _TRUE)
+    if a is unit or a is b:
+        return b
+    if b is unit:
+        return a
+    return zero if zero in (a, b) and not (a.reach | b.reach) & _RAISES else None
 
 
 class DomainDecl:
-    """Declared finite domains for variables, plus the module's tables."""
+    """Declared finite domains for variables, plus the module's tables,
+    and the decision diagrams of the guards asked about them."""
 
     def __init__(self, domains=None, tables=None):
         self.domains = {} if domains is None else domains  # var -> frozenset[Lit]
         self.tables = {} if tables is None else tables
-        self._spaces = {}
+        # the level of each variable, and the values of each level in order
+        self._names = list(self.domains)
+        self._levels = {name: i for i, name in enumerate(self._names)}
+        self._pools = [sorted(values, key=str) for values in self.domains.values()]
+        self._nodes = [{} for _ in self._pools]  # per level: children -> node
+        self._atoms = {}  # atom -> diagram
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -264,22 +282,6 @@ class DomainDecl:
                 domains[fresh] = domains[base]
         return cls(domains, dict(module.tables))
 
-    def _space(self, names) -> _Space:
-        """The stores over the given variables, with their masks."""
-        key = tuple(sorted(names))
-        space = self._spaces.get(key)
-        if space is None:
-            missing = [n for n in key if n not in self.domains]
-            if missing:
-                raise UndeclaredVariable(missing)
-            pools = [sorted(self.domains[n], key=str) for n in key]
-            space = self._spaces[key] = _Space(key, pools, self.tables)
-        return space
-
-    def assignments(self, names):
-        """All total stores over the given variables, in a fixed order."""
-        return self._space(names).stores()
-
     def values_of_sort(self, sort: Sort):
         """Candidate literals of a sort, drawn from declared domains
         where possible; used by exploration drivers."""
@@ -300,10 +302,127 @@ class DomainDecl:
             return [Lit(sort, ()), Lit(sort, (inner[0],))]
         return defaults[sort.kind]
 
+    # ------------------------------------------------- decision diagrams
+
+    def _node(self, level: int, children: tuple):
+        """The one node with these children, or their common child."""
+        if children.count(children[0]) == len(children):
+            return children[0]
+        nodes = self._nodes[level]
+        node = nodes.get(children)
+        if node is None:
+            reach = 0
+            for child in children:
+                reach |= child.reach
+            node = nodes[children] = _Node(level, children, reach)
+        return node
+
+    def _apply(self, op: str, a, b=_TRUE):
+        """The diagram of op on a and b (see `_shortcut`), by one walk over
+        pairs of nodes with an explicit stack, each pair done once."""
+        done = _shortcut(op, a, b)
+        if done is not None:
+            return done
+        memo = {}
+        todo = [(a, b)]
+        while todo:
+            pair = x, y = todo[-1]
+            if pair in memo:  # pushed twice
+                todo.pop()
+                continue
+            level = x.level if x.level <= y.level else y.level
+            children, waiting = [], False
+            for part in zip(x.children if x.level == level else itertools.repeat(x),
+                            y.children if y.level == level else itertools.repeat(y)):
+                done = _shortcut(op, *part) or memo.get(part)
+                if done is None:
+                    todo.append(part)
+                    waiting = True
+                children.append(done)
+            if not waiting:
+                todo.pop()
+                memo[pair] = self._node(level, tuple(children))
+        return memo[a, b]
+
+    def _atom(self, key, e: Expr, test):
+        """The diagram of test(e, store), which is True or False or raises
+        an EvalError, found by evaluating it on the stores over e's own
+        variables and memoized under key."""
+        found = self._atoms.get(key)
+        if found is None:
+            levels = sorted(self._levels[name] for name in expr_vars(e))
+            names = [self._names[level] for level in levels]
+            found = []
+            for combo in itertools.product(*[self._pools[level] for level in levels]):
+                store = Store(dict(zip(names, combo)), tables=self.tables)
+                try:
+                    found.append(_TRUE if test(e, store) else _FALSE)
+                except EvalError:
+                    found.append(_RAISE)
+            for level in reversed(levels):
+                radix = len(self._pools[level])
+                found = [self._node(level, tuple(found[i:i + radix]))
+                         for i in range(0, len(found), radix)]
+            found = self._atoms[key] = found[0]
+        return found
+
+    def _known(self, e: Expr):
+        """The diagram of e if e keeps one or is an atom, else None."""
+        kept = e._diagram
+        if kept is not None and kept[0] is self:
+            return kept[1]
+        return self._atom(e, e, _guard) if _connective(e) is None else None
+
+    def _diagram(self, e: Expr):
+        """The diagram of e.  The nodes are visited with an explicit stack,
+        operands first, and an `and`, `or` or `not` node keeps its diagram
+        on itself as `_diagram`, the pair (self, diagram); a query against
+        another `DomainDecl` replaces it."""
+        found = self._known(e)
+        todo = [e] if found is None else []
+        while todo:
+            node = todo[-1]
+            kept = node._diagram
+            if kept is not None and kept[0] is self:  # pushed twice
+                todo.pop()
+                continue
+            parts = _connective(node)
+            values = [self._known(part) for part in parts]
+            if None in values:
+                todo += [part for part, value in zip(parts, values) if value is None]
+                continue
+            todo.pop()
+            found = self._apply(node.op, *values)
+            object.__setattr__(node, "_diagram", (self, found))
+        return found
+
+    def _satisfiable(self, e: Expr, names, items=None, nonempty=True) -> bool:
+        """Is e true on some store over names, with items nonempty (or
+        empty) there if given?  Where no store is and some store raises,
+        raise what evaluation raises on the store of the leftmost raising
+        path; a variable the path skips takes its first value."""
+        if not names <= self._levels.keys():
+            raise UndeclaredVariable(names - self._levels.keys())
+        found = self._diagram(e)
+        if items is not None:
+            filled = self._atom(("nonempty", items), items,
+                                lambda items, store: list_length(items, store) > 0)
+            found = self._apply("then", found,
+                                filled if nonempty else self._apply("not", filled))
+        if found.reach == _RAISES:
+            values = {name: self._pools[self._levels[name]][0] for name in names}
+            while found.children is not None:
+                i = next(i for i, child in enumerate(found.children)
+                         if child.reach & _RAISES)
+                values[self._names[found.level]] = self._pools[found.level][i]
+                found = found.children[i]
+            store = Store(values, tables=self.tables)  # evaluation raises here
+            if _guard(e, store) and items is not None:
+                list_length(items, store)
+        return bool(found.reach & _SAT)
+
 
 EMPTY_DOMAINS = DomainDecl()
-
-_UNKNOWN = object()
 
 
 def _connective(e: Expr):
@@ -317,61 +436,12 @@ def _connective(e: Expr):
     return None
 
 
-def _known(space: _Space, e: Expr):
-    """The mask of e in space if it is known already, else _UNKNOWN."""
-    if _connective(e) is None:
-        return space.masks.get(e, _UNKNOWN)
-    kept = e._mask
-    return kept[1] if kept is not None and kept[0] is space else _UNKNOWN
-
-
-def _mask(domains: DomainDecl, space: _Space, e: Expr):
-    """The mask of the Bool expression e in space, or None.
-
-    The nodes are visited with an explicit stack, operands first.  An
-    `and`, `or` or `not` node keeps its mask on itself as `_mask`, the
-    pair (space, mask), found by identity; a query in another space
-    computes it again and replaces it.  An atom's mask is memoized in
-    `space.masks` under the atom itself, so equal atoms of different
-    trees share one enumeration."""
-    if not 0 < space.size <= _MAX_STORES:
-        return None
-    masks = space.masks
-    todo = [e]
-    while todo:
-        node = todo[-1]
-        parts = _connective(node)
-        if parts is None:
-            todo.pop()
-            if node not in masks:
-                masks[node] = _atom_mask(domains, space, node, node, _bool_value)
-            continue
-        kept = node._mask
-        if kept is not None and kept[0] is space:
-            todo.pop()
-            continue
-        values = [_known(space, part) for part in parts]
-        missing = [part for part, value in zip(parts, values)
-                   if value is _UNKNOWN]
-        if missing:
-            todo += missing
-            continue
-        todo.pop()
-        if None in values:
-            mask = None
-        elif len(values) == 1:
-            mask = values[0] ^ space.full
-        elif node.op == "and":
-            mask = values[0] & values[1]
-        else:
-            mask = values[0] | values[1]
-        object.__setattr__(node, "_mask", (space, mask))
-    return _known(space, e)
-
-
-def _bool_value(e: Expr, store: Store):
+def _guard(e: Expr, store: Store) -> bool:
+    """The value of the guard e on store; an error if it is not Bool."""
     v = eval_expr(e, store)
-    return v.value if v.sort == BOOL else None
+    if v.sort != BOOL:
+        raise SortMismatch(f"guard of sort {v.sort}, expected Bool")
+    return v.value
 
 
 def list_length(items: Expr, store: Store) -> int:
@@ -387,65 +457,11 @@ def list_length(items: Expr, store: Store) -> int:
     return len(value.value)
 
 
-def _nonempty(items: Expr, store: Store) -> bool:
-    return list_length(items, store) > 0
-
-
-def _atom_mask(domains: DomainDecl, space: _Space, key, e: Expr, test):
-    """The mask in space of test(e, store), which is True, False, or None
-    when e is of the wrong sort.  It is found by enumerating the stores
-    over e's own variables, memoized under key there, and lifted into
-    space by the selectors of those variables' values."""
-    own = domains._space(expr_vars(e))
-    bits = own.masks.get(key, _UNKNOWN)
-    if bits is _UNKNOWN:
-        bits = 0
-        for i, store in enumerate(own.stores()):
-            try:
-                value = test(e, store)
-            except EvalError:
-                value = None
-            if value is None:
-                bits = None
-                break
-            if value:
-                bits |= 1 << i
-        own.masks[key] = bits
-    if own is space or not bits:
-        return bits
-    if bits == own.full:
-        return space.full
-    selectors = [(len(pool), space.selectors(space.names.index(name)))
-                 for name, pool in zip(own.names, own.pools)][::-1]
-    mask = 0
-    for i in range(own.size):
-        if bits >> i & 1:
-            term = space.full
-            for radix, by_value in selectors:
-                i, digit = divmod(i, radix)
-                term &= by_value[digit]
-            mask |= term
-    return mask
-
-
 def is_unsat(e: Expr, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
     """True iff e evaluates to false under every total assignment drawn
-    from the declared domains (exact for declared domains)."""
-    space = domains._space(expr_vars(e))
-    mask = _mask(domains, space, e)
-    if mask is not None:
-        return not mask
-    for store in space.stores():
-        v = eval_expr(e, store)
-        if v.sort != BOOL:
-            raise SortMismatch(f"guard of sort {v.sort}, expected Bool")
-        if v.value:
-            return False
-    return True
-
-
-def satisfiable(e: Expr, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
-    return not is_unsat(e, domains)
+    from the declared domains (exact for declared domains); when it
+    raises, see the module docstring."""
+    return not domains._satisfiable(e, expr_vars(e))
 
 
 def implies(e1: Expr, e2: Expr, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
@@ -465,15 +481,7 @@ def list_condition_satisfiable(e: Expr, items: Expr, nonempty: bool,
     """Is e /\\ (items != eps) (or e /\\ (items = eps)) satisfiable?
 
     Decided over the declared domains of the variables of both
-    expressions, with the emptiness of items as one more atom.
+    expressions, with the emptiness of items as one more atom, read only
+    where e is true.
     """
-    space = domains._space(expr_vars(e) | expr_vars(items))
-    guard = _mask(domains, space, e)
-    if guard is not None:
-        filled = _atom_mask(domains, space, ("nonempty", items), items, _nonempty)
-        if filled is not None:
-            return bool(guard & (filled if nonempty else space.full ^ filled))
-    for store in space.stores():
-        if eval_expr(e, store).value and _nonempty(items, store) == nonempty:
-            return True
-    return False
+    return domains._satisfiable(e, expr_vars(e) | expr_vars(items), items, nonempty)

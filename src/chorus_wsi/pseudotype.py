@@ -72,7 +72,7 @@ def _propagate(e: Expr, t: PseudoType, domains: DomainDecl) -> PseudoType:
             return TEnd(conj(e, g))
         case TInternal(branches) | TExternal(branches):  # prune dead branches
             # one conjunction per branch, which the continuation's guard
-            # queries then extend, so they find its mask by identity
+            # queries then extend, so they find its diagram by identity
             guarded = [(b, g) for b in branches
                        if not is_unsat(g := conj(b.guard, e), domains)]
             if not guarded:

@@ -6,11 +6,12 @@ types), processes, and systems.  All nodes are records built by
 The parser shares them: within one parse, equal expressions are one
 object (see parser.py), so what a node keeps (`DERIVED`) is computed
 once per distinct expression of the parse.  An expression keeps its
-variables, its last mask if it is a connective, and its printed text
-(`_text`, which `printer.render_expr` fills); a process or system keeps
-its binders and free names (`_names`, see `names`).  A parsed module
-keeps its process and system bodies as read, with a `Ref` for each
-earlier declaration they name, until they are read (see parser.py).
+variables, its decision diagram if it is an `and`, `or` or `not` node
+that a guard query read, and its printed text (`_text`, which
+`printer.render_expr` fills); a process or system keeps its binders and
+free names (`_names`, see `names`).  A parsed module keeps its process
+and system bodies as read, with a `Ref` for each earlier declaration
+they name, until they are read (see parser.py).
 
 Conventions:
 - participants, channels, shared names, and variables are plain strings
@@ -30,12 +31,12 @@ _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 # The values a node derives from itself and keeps: its hash, its normal
 # form under the true guard (`pseudotype.normalize`), its canonical
 # process (`semantics.proc_canon`), an expression's variables
-# (`expr_vars`), the last mask of an `and`, `or` or `not` node
-# (`guards._mask`), an expression's printed text, unparenthesized
-# (`printer.render_expr`), a process's or system's name summary
-# (`names`), and the channels of a global declaration's body that are
-# not its parameters (`typecheck.alpha_key`).
-DERIVED = ("_hash", "_nf", "_canon", "_vars", "_mask", "_text", "_names",
+# (`expr_vars`), the decision diagram of an `and`, `or` or `not` node
+# with its `DomainDecl` (`guards.DomainDecl._diagram`), an expression's
+# printed text, unparenthesized (`printer.render_expr`), a process's or
+# system's name summary (`names`), and the channels of a global
+# declaration's body that are not its parameters (`typecheck.alpha_key`).
+DERIVED = ("_hash", "_nf", "_canon", "_vars", "_diagram", "_text", "_names",
            "_exposed")
 
 # A field default that stands for a new empty dict in each instance.
@@ -73,15 +74,15 @@ def frozen_node(cls):
     equal one parsed later in the same process.  A process's or system's
     `_names` (its binders and free names, see `names`; a `Ref`'s is its
     body's, which the parser fills in) and a global declaration's
-    `_exposed` hold only sets of strings.  Neither of the two
-    values kept for guard decisions outlives its node either: `_vars` is
-    a set of names, and `_mask` is one `(space, mask)` pair whose space
-    (a `guards._Space`, owned by its `DomainDecl`) holds no reference
-    back to the node, so a node queried against the long-lived
-    `guards.EMPTY_DOMAINS` is still freed with its tree.  Caches are
-    left out of pickled state, since string hashes differ between
-    processes and a cached normal form or mask names the `DomainDecl` or
-    space it was computed under.
+    `_exposed` hold only sets of strings.  Neither of the two values kept
+    for guard decisions outlives its node either: `_vars` is a set of
+    names, and `_diagram`, kept on an `and`, `or` or `not` node, is one
+    `(domains, diagram)` pair whose `DomainDecl` holds no reference back
+    to such a node, so a node queried against the long-lived
+    `guards.EMPTY_DOMAINS` is still freed with its tree.  Caches are left
+    out of pickled state, since string hashes differ between processes
+    and a cached normal form or diagram names the `DomainDecl` it was
+    computed under.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}

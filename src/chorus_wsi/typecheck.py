@@ -38,13 +38,12 @@ The rules read names in four ways, and each commutes with s.
       renames the parameters, and a channel of the global type that is
       not a parameter stays as it is.  A binder of that name would be
       captured, so a process with one has no key.
-  (4) Guard decisions: a mask depends on the declared domains only, which
-      s keeps.  Enumeration visits stores in the order of the sorted
-      variable names, which s may change, and raises the error of the
-      first store that raises before one that satisfies.  In a module
-      every domain and table has one sort, so an atom that raises on one
-      store raises on all of them unless it takes `hd` or `tl` of an
-      empty list; a process that applies either has no key.
+  (4) Guard decisions: whether a query holds, and whether it raises, are
+      fixed by the set of its stores over the declared domains (see
+      `guards`), and s maps the stores of each query of p onto those of
+      the matching query of p', as it keeps each variable's declared
+      domain.  Only which error is raised follows the order of the
+      variables, and a failure is not stored.
 Session keys are iterated in set order, but a success handles each one
 without error, whatever the order.  So p' succeeds in the same context
 exactly when p does.
@@ -548,10 +547,6 @@ def _synth_open(ctx: _Ctx, p: Request | Accept) -> dict:
     return sessions
 
 
-# the partial operators: whether one raises depends on the store
-_PARTIAL = ("hd", "tl")
-
-
 def alpha_key(p: Process, gamma: dict, shared: dict, domains: DomainDecl):
     """The key under which the judgement table keeps a success of the
     session-opening p, or None where p is always judged afresh.
@@ -585,8 +580,6 @@ def alpha_key(p: Process, gamma: dict, shared: dict, domains: DomainDecl):
             todo += ((term.right, names, chans, depth),
                      (term.left, names, chans, depth))
         elif kind is UnOp:
-            if term.op in _PARTIAL:
-                return None
             tokens.append(term.op)
             todo.append((term.arg, names, chans, depth))
         elif kind is Send:

@@ -33,6 +33,8 @@ UNDECIDED_GUARD = pathlib.Path(__file__).resolve().parent / "undecided_guard.cho
 # a choice whose branch guards are undefined on some store
 UNDEFINED_BRANCH_GUARD = \
     pathlib.Path(__file__).resolve().parent / "undefined_branch_guard.chor"
+# a server whose guard applies `hd`, and a system that copies it
+HD_GUARD = pathlib.Path(__file__).resolve().parent / "hd_guard.chor"
 # a module file that is not UTF-8 text (a Latin-1 e-acute in a comment);
 # not named *.chor, so the tests that read every module leave it out
 NOT_UTF8 = pathlib.Path(__file__).resolve().parent / "not_utf8.txt"

@@ -6,9 +6,10 @@ reproducible and the acceptance harness can count cases exactly.
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from chorus_wsi.guards import DomainDecl
+from chorus_wsi.guards import DomainDecl, Store, UndeclaredVariable
 from chorus_wsi.projection import NonProjectable, project, well_formed
 from chorus_wsi.pseudotype import normal_form
 from chorus_wsi.semantics import SysState, system_steps
@@ -30,6 +31,21 @@ GUARD_DOMAINS = DomainDecl({
     "x": frozenset({int_lit(0), int_lit(1), int_lit(2)}),
     "flag": frozenset({bool_lit(True), bool_lit(False)}),
 })
+
+
+
+def stores(domains, names=None):
+    """Every total store over the names (every declared variable if none
+    are given) drawn from the declared domains: the names sorted, each
+    pool sorted by its printed values, the last name varying fastest."""
+    names = sorted(domains.domains if names is None else names)
+    missing = [n for n in names if n not in domains.domains]
+    if missing:
+        raise UndeclaredVariable(missing)
+    pools = [sorted(domains.domains[n], key=str) for n in names]
+    for combo in itertools.product(*pools):
+        yield Store(dict(zip(names, combo)), tables=domains.tables)
+
 
 _ATOMS = (
     TRUE,

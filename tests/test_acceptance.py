@@ -169,7 +169,7 @@ def test_criterion_6_conformance(pop2, pop2_domains, atm, atm_domains,
         gamma = gamma_from_domains(domains)
         sysd = module.systems[name].body
         delta = typecheck_system(gamma, TRUE, sysd, shared, domains)
-        store = next(domains.assignments(sorted(domains.domains)))
+        store = next(gen.stores(domains))
         verdict = conditional_simulation(sysd, store, delta, domains,
                                          depth=40)
         ok = ok and verdict.holds()
@@ -180,7 +180,7 @@ def test_criterion_6_conformance(pop2, pop2_domains, atm, atm_domains,
     gamma = gamma_from_domains(pop2_domains)
     delta = typecheck_system(gamma, TRUE, pop2.systems["POP_FULL"].body,
                              {"u": pop2.globals_["G_POP"]}, pop2_domains)
-    store = next(pop2_domains.assignments(sorted(pop2_domains.domains)))
+    store = next(gen.stores(pop2_domains))
     verdict = conditional_simulation(mutated.systems["POP_FULL"].body, store,
                                      delta, pop2_domains, depth=40)
     ok = ok and isinstance(verdict, Counterexample)

@@ -226,6 +226,19 @@ def test_normalize_of_a_deep_guard_exits_0(tmp_path, capsys):
     assert out == f"D = [false] end\nT = [{chain}] a!(Int). [{chain}] end\n"
 
 
+@pytest.mark.parametrize("v", [17, 1000])
+def test_normalize_of_a_guard_over_many_variables_exits_0(tmp_path, capsys, v):
+    """The ring (x0 or x1) and ... and (x{v-1} or x0) over v declared Bool
+    variables is decided and printed; no count of stores bounds it."""
+    ring = tmp_path / "ring.chor"
+    guard = " and ".join(f"(x{i} or x{(i + 1) % v})" for i in range(v))
+    ring.write_text("".join(f"domain x{i} : Bool\n" for i in range(v))
+                    + f"type T = [{guard}] a!(Int). end\n")
+    code, out, err = run(capsys, "normalize", str(ring))
+    assert (code, err) == (0, "")
+    assert out == f"T = [{guard}] a!(Int). [{guard}] end\n"
+
+
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_a_guard_no_domain_decides_is_rejected_without_a_traceback(capsys, json_flag):
     """Typing rejects the undecided branch under VIf (exit 1); normalize

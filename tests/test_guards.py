@@ -7,12 +7,12 @@ from chorus_wsi import guards
 from chorus_wsi.guards import (
     DomainDecl, EvalError, SortMismatch, Store, UndeclaredVariable, Undefined,
     equivalent, eval_expr, implies, is_unsat, list_condition_satisfiable,
-    mutually_exclusive, satisfiable,
+    mutually_exclusive,
 )
 from chorus_wsi.syntax import parse_expr
 from chorus_wsi.syntax.ast import (
-    BOOL, BinOp, FALSE, FALSE_LIT, INT, Lit, TRUE, TRUE_LIT, bool_lit, conj,
-    expr_vars, int_lit, list_sort, neg, str_lit,
+    BOOL, BinOp, FALSE, FALSE_LIT, INT, Lit, TRUE, TRUE_LIT, UnOp, bool_lit,
+    conj, expr_vars, int_lit, list_sort, neg, str_lit,
 )
 
 import gen
@@ -134,7 +134,7 @@ def test_implies_transitive(seed):
 def test_str_domain_gets_other_value(pop2, pop2_domains):
     # equality with a literal outside the declared set must stay refutable
     e = parse_expr('cred = "pw" or cred = "bad"')
-    assert satisfiable(neg(e), pop2_domains)
+    assert not is_unsat(neg(e), pop2_domains)
 
 
 def test_bool_domain_defaults(multiparty, multiparty_domains):
@@ -159,15 +159,15 @@ def test_list_condition_satisfiable():
 
 
 def test_list_condition_reads_a_range_by_its_bounds(monkeypatch):
-    """The emptiness of a range comes from its two bounds, on the mask
-    path and on the enumeration path alike: none of its integer literals
-    is built."""
+    """The emptiness of a range comes from its two bounds, also where
+    the guard raises on some store: none of its integer literals is
+    built."""
     built = []
     monkeypatch.setattr(guards, "int_lit", lambda n: built.append(n) or int_lit(n))
     items = parse_expr("1..5000")
     assert list_condition_satisfiable(TRUE, items, True)
     assert not list_condition_satisfiable(TRUE, items, False)
-    # undefined on the store with the empty list: the enumeration fallback
+    # undefined on the store with the empty list
     guard = parse_expr("hd(l) = 1")
     assert list_condition_satisfiable(guard, items, True, DomainDecl(_LISTS.domains))
     assert built == []
@@ -181,26 +181,35 @@ def test_equivalent_commuted_conjunction():
 
 # ------------------------------------------ the decider against enumeration
 
-def _enumerate(names, domains):
-    """Every total store over the names, in the decider's order, so that
-    the first satisfying store (and any error before it) is the same."""
-    names = sorted(names)
-    missing = [n for n in names if n not in domains.domains]
-    if missing:
-        raise UndeclaredVariable(missing)
-    pools = [sorted(domains.domains[n], key=str) for n in names]
-    for combo in itertools.product(*pools):
-        yield Store(dict(zip(names, combo)), tables=domains.tables)
+class _Raises(Exception):
+    """No store satisfies the query, and some store raises: the argument
+    is the set of (class, message) of the errors those stores raise."""
+
+
+def _exists(names, domains, holds):
+    """Does holds hold on some store over names?  Where none does and
+    some store raises, _Raises, whatever the order of the stores."""
+    errors = set()
+    for store in gen.stores(domains, names):
+        try:
+            if holds(store):
+                return True
+        except EvalError as exc:
+            errors.add((type(exc), str(exc)))
+    if errors:
+        raise _Raises(errors)
+    return False
+
+
+def _guard_holds(e, store):
+    v = eval_expr(e, store)
+    if v.sort != BOOL:
+        raise SortMismatch(f"guard of sort {v.sort}, expected Bool")
+    return v.value
 
 
 def _oracle_is_unsat(e, domains):
-    for store in _enumerate(expr_vars(e), domains):
-        v = eval_expr(e, store)
-        if v.sort != BOOL:
-            raise SortMismatch(f"guard of sort {v.sort}, expected Bool")
-        if v.value:
-            return False
-    return True
+    return not _exists(expr_vars(e), domains, lambda store: _guard_holds(e, store))
 
 
 def _oracle_implies(e1, e2, domains):
@@ -208,15 +217,14 @@ def _oracle_implies(e1, e2, domains):
 
 
 def _oracle_list_condition(e, items, nonempty, domains):
-    for store in _enumerate(expr_vars(e) | expr_vars(items), domains):
-        if not eval_expr(e, store).value:
-            continue
+    def holds(store):
+        if not _guard_holds(e, store):
+            return False  # the list is read only where e is true
         value = eval_expr(items, store)
         if value.sort.kind != "List":
             raise SortMismatch(f"iterating over non-list {value.sort}")
-        if bool(value.value) == nonempty:
-            return True
-    return False
+        return bool(value.value) == nonempty
+    return _exists(expr_vars(e) | expr_vars(items), domains, holds)
 
 
 ORACLES = {
@@ -229,19 +237,23 @@ ORACLES = {
 }
 
 
-def _outcome(fn, *args):
-    """The answer, or the class of the evaluation error raised."""
-    try:
-        return fn(*args)
-    except EvalError as exc:
-        return type(exc)
-
-
 def _assert_agrees(name, *args):
-    got = _outcome(getattr(guards, name), *args)
-    want = _outcome(ORACLES[name], *args)
+    """The decider answers as enumeration does, and where enumeration
+    finds no satisfying store but a raising one, it raises what one of
+    the raising stores raises.  The answer, or the class of the error."""
+    try:
+        got = getattr(guards, name)(*args)
+    except EvalError as exc:
+        got = (type(exc), str(exc))
+    try:
+        want = ORACLES[name](*args)
+    except _Raises as exc:
+        assert got in exc.args[0], (name, args[:-1], got)
+        return got[0]
+    except EvalError as exc:
+        want = (type(exc), str(exc))
     assert got == want, (name, args[:-1])
-    return got
+    return got[0] if isinstance(got, tuple) else got
 
 
 _ITEMS = tuple(parse_expr(s) for s in ("1..x", "x..1", "[x]", "0..2", "2..0"))
@@ -269,6 +281,79 @@ def test_decider_agrees_with_enumeration_on_generated_guards():
                                    rng.choice(_ITEMS), rng.random() < 0.5,
                                    domains))
     assert answers == {True, False}
+
+
+# twenty variables of four kinds, for guards whose atoms raise: hd and
+# tl of an empty list, and an `m` list whose head is Int on one store and
+# Bool on another
+_KINDS = {
+    "b": (TRUE_LIT, FALSE_LIT),
+    "n": tuple(int_lit(i) for i in range(3)),
+    "l": (Lit(list_sort(INT), ()), Lit(list_sort(INT), (int_lit(1),)),
+          Lit(list_sort(INT), (int_lit(2), int_lit(0)))),
+    "m": (Lit(list_sort(INT), ()), Lit(list_sort(INT), (int_lit(1),)),
+          Lit(list_sort(BOOL), (TRUE_LIT,))),
+}
+_KIND_NAMES = [f"b{i}" for i in range(8)] + [f"n{i}" for i in range(6)] \
+    + [f"l{i}" for i in range(4)] + ["m0", "m1"]
+# {v} is the atom's variable and {w} one of the same kind
+_KIND_ATOMS = {
+    "b": ("{v}", "{v} = {w}"),
+    "n": ("{v} > 1", "{v} + {w} >= 2", "{v} = {w}"),
+    "l": ("hd({v}) = 1", "hd(tl({v})) > 0", "{v} = [1]"),
+    "m": ("hd({v}) > 0", "hd({v}) = hd({w})", "{v} = [true]"),
+}
+# sort errors on every store
+_KIND_ERRORS = {"b": ("{v} + 1 > 0",), "n": ("{v} and true",), "l": ("{v} = 1",),
+                "m": ("{v} > 0",)}
+_KIND_ITEMS = {"b": ("1..2",), "n": ("0..{v}",), "l": ("tl({v})",), "m": ("{v}",)}
+
+
+def _kind_text(rng, names, templates):
+    v = rng.choice(names)
+    w = rng.choice([n for n in names if n[0] == v[0]])
+    return rng.choice(templates[v[0]]).format(v=v, w=w)
+
+
+def _kind_guard(rng, names):
+    """A random tree of `and`, `or` and `not` over atoms of each name and
+    a few more, one atom in twenty a sort error."""
+    def atom(names):
+        templates = _KIND_ERRORS if rng.random() < 0.05 else _KIND_ATOMS
+        return parse_expr(_kind_text(rng, names, templates))
+    parts = [atom([n]) for n in names] + [atom(names) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(parts)
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        part = BinOp(rng.choice(("and", "or")), parts[i], parts.pop(i + 1))
+        parts[i] = UnOp("not", part) if rng.random() < 0.2 else part
+    return parts[0]
+
+
+def test_decider_agrees_with_enumeration_on_wide_guards_that_raise():
+    """Guards over 1 to 20 variables declared in a random order, whose
+    atoms raise on some stores or on all.  The pools of the variables
+    past a thousand stores have one value each, so that enumeration
+    stays quick; every variable is still a level of the diagram."""
+    rng = random.Random(7)
+    answers = set()
+    for _ in range(80):
+        names = rng.sample(_KIND_NAMES, rng.randint(1, 20))
+        domains, size = {}, 1
+        for name in names:
+            pool = _KINDS[name[0]]
+            if size * len(pool) > 1024:
+                pool = (rng.choice(pool),)
+            size *= len(pool)
+            domains[name] = frozenset(pool)
+        domains = DomainDecl(domains)
+        e1, e2 = _kind_guard(rng, names), _kind_guard(rng, names)
+        items = parse_expr(_kind_text(rng, names, _KIND_ITEMS))
+        answers.add(_assert_agrees("is_unsat", e1, domains))
+        answers.add(_assert_agrees("implies", e1, e2, domains))
+        answers.add(_assert_agrees("list_condition_satisfiable", e1, items,
+                                   rng.random() < 0.5, domains))
+    assert answers == {True, False, Undefined, SortMismatch}
 
 
 def test_decider_agrees_with_enumeration_on_corpus_queries(monkeypatch, capsys):
@@ -323,13 +408,13 @@ _LISTS = DomainDecl({
 # hd(l) > 0 depends on the store
 _MIXED = DomainDecl({"l": frozenset({Lit(list_sort(INT), (int_lit(1),)),
                                      Lit(list_sort(BOOL), (TRUE_LIT,))})})
-# 2^17 stores: above the largest space the decider builds masks for
+# 2^17 stores, more than enumeration would visit in a test
 _WIDE = DomainDecl({f"v{i:02d}": frozenset({TRUE_LIT, FALSE_LIT})
                     for i in range(17)})
 
 
 @pytest.mark.parametrize("name, texts, extra, domains, want", [
-    # an atom undefined on some store: the enumeration fallback
+    # an atom undefined on some store
     ("is_unsat", ["hd(l) > 1"], (), _LISTS, Undefined),
     ("is_unsat", ["hd(l) > 0 or x > 5"], (), _LISTS, False),
     ("implies", ["x > 0", "hd(l) = 1"], (), _LISTS, Undefined),
@@ -347,18 +432,44 @@ _WIDE = DomainDecl({f"v{i:02d}": frozenset({TRUE_LIT, FALSE_LIT})
     ("list_condition_satisfiable", ["flag", "x"], (True,), gen.GUARD_DOMAINS,
      SortMismatch),
     ("is_unsat", ["y > 0"], (), gen.GUARD_DOMAINS, UndeclaredVariable),
-    # a query above the mask cap: enumeration
+    # a query over 17 variables
     ("is_unsat", [" or ".join(f"v{i:02d}" for i in range(17))], (), _WIDE,
      False),
     ("is_unsat", ["v00 + 1 > 0 and v16"], (), _WIDE, SortMismatch),
+    # a store that raises comes before the satisfying one in every order
+    # of the names: x = 0 opens an empty range
+    ("is_unsat", ["hd(0..x - 1) = 0"], (), _LISTS, False),
+    ("list_condition_satisfiable", ["hd(0..x - 1) = 0", "l"], (False,), _LISTS,
+     True),
+    # the list raises only where the guard is false, so it is never read
+    ("list_condition_satisfiable", ["l = [1]", "tl(l)"], (True,), _LISTS,
+     False),
+    ("list_condition_satisfiable", ["l = [1]", "tl(l)"], (False,), _LISTS,
+     True),
 ])
 def test_decider_agrees_with_enumeration_on_edge_cases(name, texts, extra,
                                                        domains, want):
-    if domains is _WIDE:
-        assert 2 ** 17 > guards._MAX_STORES
     args = [parse_expr(t) for t in texts] + list(extra)
     domains = DomainDecl(domains.domains, domains.tables)
     assert _assert_agrees(name, *args, domains) == want
+
+
+def test_a_query_raises_the_error_of_its_leftmost_raising_store():
+    """No store satisfies the guard: x = 2 opens an empty range, and a
+    Bool head is compared with 1.  The error is the one of the leftmost
+    raising path, the variables in declaration order and each one's
+    values in the order of their printed forms."""
+    x = ("x", frozenset(int_lit(i) for i in range(3)))
+    l = ("l", frozenset({Lit(list_sort(INT), (int_lit(1),)),
+                         Lit(list_sort(BOOL), (TRUE_LIT,))}))
+    guard = parse_expr("hd(x..1) > 5 or hd(l) > 1")
+    with pytest.raises(SortMismatch, match="^>: expected Int, got Bool$"):
+        is_unsat(guard, DomainDecl(dict([x, l])))  # x = 0, l = [true]
+    with pytest.raises(Undefined, match="^hd of empty list$"):
+        is_unsat(guard, DomainDecl(dict([l, x])))  # l = [1], x = 2
+    # every store raises, so the path skips x, which takes its first value
+    with pytest.raises(SortMismatch, match="^[+]: expected Int, got Bool$"):
+        is_unsat(parse_expr("hd(x..0) + true > 0"), DomainDecl(dict([x])))
 
 
 def _nodes(e):
@@ -398,25 +509,66 @@ def test_deep_conjunctions_are_decided_without_recursion():
     assert not is_unsat(parse_expr(" or ".join(["not (x > 0)"] * 5000)), X03)
 
 
-def test_connectives_keep_their_mask_and_atoms_share_one_enumeration(monkeypatch):
-    """An `and`, `or` or `not` node keeps the mask of its last query on
-    itself; equal atoms of two parses are enumerated once per space."""
-    domains = DomainDecl(X03.domains)
+def test_the_ring_diagram_grows_linearly_in_its_variables():
+    """The ring (x0 or x1) and ... and (x31 or x0) over 32 Bool variables
+    declared in order: its diagram has fewer than 4 nodes per variable."""
+    v = 32
+    domains = DomainDecl({f"x{i}": frozenset({TRUE_LIT, FALSE_LIT}) for i in range(v)})
+    ring = parse_expr(" and ".join(f"(x{i} or x{(i + 1) % v})" for i in range(v)))
+    assert not is_unsat(ring, domains)
+    seen, todo = set(), [ring._diagram[1]]
+    while todo:
+        node = todo.pop()
+        if node.children is not None and id(node) not in seen:
+            seen.add(id(node))
+            todo += node.children
+    assert len(seen) < 4 * v
+
+
+def test_connectives_keep_their_diagram_and_atoms_share_one_enumeration(monkeypatch):
+    """An `and`, `or` or `not` node keeps its diagram on itself, and a
+    later query over more variables reuses it as it is; equal atoms of
+    two parses are enumerated once per `DomainDecl`."""
+    domains = DomainDecl({**X03.domains, "flag": frozenset({TRUE_LIT, FALSE_LIT})})
     first, second = parse_expr("x > 0 and not (x = 2)"), parse_expr("x > 0 and not (x = 2)")
     assert first is not second and first.left is not second.left
     evaluated = []
-    original = guards._bool_value
-    monkeypatch.setattr(guards, "_bool_value",
+    original = guards._guard
+    monkeypatch.setattr(guards, "_guard",
                         lambda e, store: evaluated.append(e) or original(e, store))
     assert not is_unsat(first, domains)
-    calls = len(evaluated)
-    assert calls == 8  # two atoms, four stores each
+    assert len(evaluated) == 8  # two atoms, four stores each
     assert not is_unsat(second, domains)
-    assert len(evaluated) == calls
-    space, mask = first._mask
-    assert second._mask == (space, mask) and mask == 0b1010  # x in {1, 3}
-    assert first.right._mask == (space, 0b1011)
-    # a query over more variables computes the mask again in its space
-    wider = DomainDecl({**X03.domains, "flag": frozenset({TRUE_LIT, FALSE_LIT})})
-    assert not is_unsat(conj(first, parse_expr("flag")), wider)
-    assert first._mask[0] is not space
+    assert len(evaluated) == 8
+    owner, kept = first._diagram
+    assert owner is domains and second._diagram[1] is kept
+    # x in {1, 3}: the values of x in order are 0, 1, 2, 3
+    assert [child is guards._TRUE for child in kept.children] == [False, True, False, True]
+    applied = []
+    apply = DomainDecl._apply
+    monkeypatch.setattr(DomainDecl, "_apply",
+                        lambda self, op, *operands: applied.append(operands)
+                        or apply(self, op, *operands))
+    wider = conj(first, parse_expr("flag"))
+    assert not is_unsat(wider, domains)
+    assert first._diagram == (domains, kept)
+    assert len(applied) == 1 and applied[0][0] is kept  # only the new `and`
+    assert len(evaluated) == 10  # flag's two stores
+
+
+def test_empty_domains_do_not_grow_between_requests(capsys):
+    """Requests query `EMPTY_DOMAINS`, which outlives each of them; it
+    makes no node and memoizes only the constant atoms asked about it,
+    so repeating the requests leaves it as it was."""
+    from chorus_wsi.cli import main
+    import conftest
+    sizes = []
+    for _ in range(3):
+        for path in conftest.MODULES:
+            for command in ("normalize", "typecheck"):
+                main([command, str(path)])
+        capsys.readouterr()
+        sizes.append({name: len(value)
+                      for name, value in vars(guards.EMPTY_DOMAINS).items()})
+    assert sizes[0] == sizes[1] == sizes[2]
+    assert guards.EMPTY_DOMAINS._nodes == []

@@ -124,9 +124,9 @@ def _work(monkeypatch, capsys, path, fresh=False) -> tuple:
 def test_typecheck_work_on_the_corpus(name, judgements, afresh, monkeypatch, capsys):
     """Each distinct process is judged once, and a process that fails is
     judged again in each system that holds it; guard decisions find their
-    masks without comparing trees (14,138 `__eq__` calls on pop2 when
-    each system judged its processes again and masks were memoized
-    structurally)."""
+    diagrams without comparing trees (14,138 `__eq__` calls on pop2 when
+    each system judged its processes again and guard decisions were
+    memoized structurally)."""
     made, eqs = _work(monkeypatch, capsys, conftest.CORPUS / name)
     assert made == judgements
     assert eqs <= 1000
@@ -216,21 +216,31 @@ def test_a_key_changes_with_the_binder_a_variable_refers_to():
 
 
 def test_no_key_where_names_reach_past_the_syntax():
-    """A partial operator raises on some stores, and which store the
-    decider meets first follows the variables' names; a channel that
-    instantiation keeps in the global type can be captured by a binder
-    of the same name."""
+    """A channel that instantiation keeps in the global type can be
+    captured by a binder of the same name.  A partial operator has a key:
+    whether a guard holds or raises does not follow the variables'
+    names."""
     module = parse_module(KEYED + "global K(a) = p -> q : { a(Int). q -> p : "
                           "{ b(Int). end } }\n")
     domains = DomainDecl.from_module(module)
     g = {"u": module.globals_["G"]}
     assert alpha_key(parse_process("accept u[q](a, b). a?(v). b!(hd([v]))", module),
-                     {}, g, domains) is None
+                     {}, g, domains) is not None
     k = {"u": module.globals_["K"]}
     assert alpha_key(parse_process("accept u[q](a). a?(v). b!(v)", module),
                      {}, k, domains) is not None
     assert alpha_key(parse_process("accept u[q](b). b?(v). 0", module),
                      {}, k, domains) is None
+
+
+def test_a_copy_that_tests_hd_in_a_guard_is_a_table_hit(monkeypatch, capsys):
+    """The system's copy of a server whose guard applies `hd` is answered
+    by the table, and judging every target afresh prints the same."""
+    assert _work(monkeypatch, capsys, conftest.HD_GUARD)[0] == 2
+    assert _work(monkeypatch, capsys, conftest.HD_GUARD, fresh=True)[0] == 4
+    shared, fresh = _outputs(conftest.HD_GUARD, capsys, monkeypatch)
+    assert shared == fresh
+    assert shared[0][1:] == (0, ("Q: well typed\nP: well typed\nS: well typed\n", ""))
 
 
 # ------------------------------------------------------------ typing errors

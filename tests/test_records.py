@@ -61,7 +61,7 @@ def _simulations():
     system = pop2.systems["POP_FULL"].body
     delta = typecheck_system(gamma_from_domains(domains), TRUE, system,
                              {"u": pop2.globals_["G_POP"]}, domains)
-    store = next(domains.assignments(sorted(domains.domains)))
+    store = next(gen.stores(domains))
     mutated = parse_module(text.replace("process Exit = bye!()",
                                         "process Exit = r!(0)"))
     held = conditional_simulation(system, store, delta, domains, depth=8)

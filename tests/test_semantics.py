@@ -141,7 +141,7 @@ def _corpus_starts(modules) -> list:
             for module, domains in modules
             for system, store in itertools.product(
                 module.systems.values(),
-                domains.assignments(sorted(domains.domains)))]
+                gen.stores(domains))]
 
 
 def _reached(starts: list, depth: int = 30):
@@ -204,7 +204,7 @@ def test_wrapped_requesters_simulate(wrapped_open):
     shared = {"u": module.globals_["G"]}
     for name, system in module.systems.items():
         delta = typecheck_system(gamma, TRUE, system.body, shared, domains)
-        for store in domains.assignments(sorted(domains.domains)):
+        for store in gen.stores(domains):
             verdict = conditional_simulation(system.body, store, delta,
                                              domains, depth=40)
             assert verdict.holds() and verdict.states > 1, (name, verdict)
@@ -294,7 +294,7 @@ def test_simulation_corpus_systems(pop2, atm, multiparty, pop2_domains,
         gamma = gamma_from_domains(domains)
         sysd = module.systems[name].body
         delta = typecheck_system(gamma, TRUE, sysd, shared, domains)
-        store = next(domains.assignments(sorted(domains.domains)))
+        store = next(gen.stores(domains))
         verdict = conditional_simulation(sysd, store, delta, domains,
                                          depth=40)
         assert verdict.holds(), (name, verdict)
@@ -309,7 +309,7 @@ def test_simulation_counterexample_on_channel_mutation(pop2, pop2_domains):
     shared = {"u": pop2.globals_["G_POP"]}
     delta = typecheck_system(gamma, TRUE, pop2.systems["POP_FULL"].body,
                              shared, pop2_domains)
-    store = next(pop2_domains.assignments(sorted(pop2_domains.domains)))
+    store = next(gen.stores(pop2_domains))
     verdict = conditional_simulation(mutated.systems["POP_FULL"].body, store,
                                      delta, pop2_domains, depth=40)
     assert isinstance(verdict, Counterexample)
