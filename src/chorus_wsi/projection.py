@@ -35,7 +35,10 @@ class Violation:
 
 
 def participants_ordered(g: GlobalType) -> tuple:
-    """Participants in first-occurrence order; index 0 is the requester."""
+    """Participants in first-occurrence order; index 0 is the requester.
+    Kept on g as `_parts`."""
+    if g._parts is not None:
+        return g._parts
     seen: dict = {}  # an insertion-ordered set
 
     def walk(node):
@@ -53,7 +56,8 @@ def participants_ordered(g: GlobalType) -> tuple:
                 seen.update(dict.fromkeys(p for p, _, _ in term))
 
     walk(g)
-    return tuple(seen)
+    object.__setattr__(g, "_parts", tuple(seen))
+    return g._parts
 
 
 def participants(g: GlobalType) -> frozenset:

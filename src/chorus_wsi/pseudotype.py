@@ -72,9 +72,10 @@ def _propagate(e: Expr, t: PseudoType, domains: DomainDecl) -> PseudoType:
             return TEnd(conj(e, g))
         case TInternal(branches) | TExternal(branches):  # prune dead branches
             # one conjunction per branch, which the continuation's guard
-            # queries then extend, so they find its diagram by identity
+            # queries then extend, so they find its diagram by identity; a
+            # literal true one holds on the empty store, with no query
             guarded = [(b, g) for b in branches
-                       if not is_unsat(g := conj(b.guard, e), domains)]
+                       if is_true(g := conj(b.guard, e)) or not is_unsat(g, domains)]
             if not guarded:
                 return TEnd(FALSE)
             return type(t)(tuple(

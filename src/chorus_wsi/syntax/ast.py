@@ -23,6 +23,7 @@ Conventions:
 
 from __future__ import annotations
 
+from types import FunctionType
 from typing import NamedTuple, Optional, Union
 
 
@@ -34,13 +35,40 @@ _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 # (`expr_vars`), the decision diagram of an `and`, `or` or `not` node
 # with its `DomainDecl` (`guards.DomainDecl._diagram`), an expression's
 # printed text, unparenthesized (`printer.render_expr`), a process's or
-# system's name summary (`names`), and the channels of a global
-# declaration's body that are not its parameters (`typecheck.alpha_key`).
+# system's name summary (`names`), the channels of a global
+# declaration's body that are not its parameters (`typecheck.alpha_key`),
+# and a global type's participants (`projection.participants_ordered`).
 DERIVED = ("_hash", "_nf", "_canon", "_vars", "_diagram", "_text", "_names",
-           "_exposed")
+           "_exposed", "_parts")
 
 # A field default that stands for a new empty dict in each instance.
 NEW_DICT = object()
+
+
+def _methods(width: int, new_dicts: tuple = (), post_init: bool = False) -> tuple:
+    """The `__init__` and `__eq__` that `frozen_node` gives a record of
+    `width` fields named `_f0`, `_f1`, ...: the fields at the positions
+    in `new_dicts` default to `NEW_DICT`, and with `post_init`
+    `__init__` ends by calling `__post_init__`."""
+    names = [f"_f{i}" for i in range(width)]
+    sets = "".join(f"\n _set(self, {n!r}, {{}} if {n} is NEW_DICT else {n})"
+                   if i in new_dicts else f"\n _set(self, {n!r}, {n})"
+                   for i, n in enumerate(names))
+    if post_init:
+        sets += "\n self.__post_init__()"
+    mine, theirs = ("".join(f"{side}.{n}," for n in names)
+                    for side in ("self", "other"))
+    namespace = {"_set": object.__setattr__, "NEW_DICT": NEW_DICT}
+    exec(f"def __init__(self{''.join(', ' + n for n in names)}):{sets or ' pass'}\n"
+         "def __eq__(self, other):\n"
+         f" if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"
+         " return NotImplemented\n", namespace)
+    return namespace["__init__"], namespace["__eq__"]
+
+
+# The templates of the records with up to 8 fields, no `NEW_DICT`
+# default and no `__post_init__`, by shape (see `frozen_node`).
+_TEMPLATES = {(width, (), False): _methods(width) for width in range(9)}
 
 
 def frozen_node(cls):
@@ -61,6 +89,22 @@ def frozen_node(cls):
     raises AttributeError.  `replace` copies a record with some fields
     changed.
 
+    The two methods are not compiled per class, since compiling is most
+    of the cost of building one and their code depends only on the
+    record's shape: its number of fields, which of them default to
+    `NEW_DICT`, and whether it has a `__post_init__`.  `_methods`
+    compiles a template per shape, with placeholder field names; a class
+    gets copies of its template's functions whose code has the
+    placeholders renamed to its fields in the names and constants it
+    reads (its bytecode names them by index), with the class's defaults
+    and qualified name.  So the methods run the same bytecode as if
+    compiled from their own source, and the 50 record classes of the
+    package compile 10 templates, not 50 sources.  The plain shapes, up
+    to 8 fields with no `NEW_DICT` and no `__post_init__`, are compiled
+    when this module is imported (`_TEMPLATES`); a record of any other
+    shape (`Sort`, `guards.Store`) compiles its own when its class is
+    built.  Nothing is compiled later or on demand.
+
     The hash is the hash of the tuple of field values, kept on the
     instance.  A field that is None hashes as a fixed constant rather
     than as `hash(None)`, which follows the object's address on some
@@ -73,37 +117,33 @@ def frozen_node(cls):
     computed for one parsed module never serves another one, even an
     equal one parsed later in the same process.  A process's or system's
     `_names` (its binders and free names, see `names`; a `Ref`'s is its
-    body's, which the parser fills in) and a global declaration's
-    `_exposed` hold only sets of strings.  Neither of the two values kept
-    for guard decisions outlives its node either: `_vars` is a set of
-    names, and `_diagram`, kept on an `and`, `or` or `not` node, is one
-    `(domains, diagram)` pair whose `DomainDecl` holds no reference back
-    to such a node, so a node queried against the long-lived
-    `guards.EMPTY_DOMAINS` is still freed with its tree.  Caches are left
-    out of pickled state, since string hashes differ between processes
-    and a cached normal form or diagram names the `DomainDecl` it was
-    computed under.
+    body's, which the parser fills in), a global declaration's
+    `_exposed` and a global type's `_parts` hold only strings.  Neither
+    of the two values kept for guard decisions outlives its node either:
+    `_vars` is a set of names, and `_diagram`, kept on an `and`, `or` or
+    `not` node, is one `(domains, diagram)` pair whose `DomainDecl` holds
+    no reference back to such a node, so a node queried against the
+    long-lived `guards.EMPTY_DOMAINS` is still freed with its tree.
+    Caches are left out of pickled state, since string hashes differ
+    between processes and a cached normal form or diagram names the
+    `DomainDecl` it was computed under.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}"
-                     for n in names)
-    sets = "".join(f"\n _set(self, {n!r}, {{}} if {n} is NEW_DICT else {n})"
-                   if defaults.get(n) is NEW_DICT else f"\n _set(self, {n!r}, {n})"
-                   for n in names)
-    if hasattr(cls, "__post_init__"):
-        sets += "\n self.__post_init__()"
-    mine, theirs = ("".join(f"{side}.{n}," for n in names)
-                    for side in ("self", "other"))
-    namespace = {"_set": object.__setattr__, "NEW_DICT": NEW_DICT,
-                 "_defaults": defaults}
-    exec(f"def __init__(self{params}):{sets or ' pass'}\n"
-         "def __eq__(self, other):\n"
-         f" if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"
-         " return NotImplemented\n", namespace)
-    for method in ("__init__", "__eq__"):
-        namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, namespace[method])
+    # a KeyError names a field without a default that follows a default
+    required = sum(n not in cls.__dict__ for n in names)
+    defaults = tuple(cls.__dict__[n] for n in names[required:])
+    shape = (len(names), tuple(i for i, n in enumerate(names)
+                               if cls.__dict__.get(n) is NEW_DICT),
+             hasattr(cls, "__post_init__"))
+    rename = {f"_f{i}": n for i, n in enumerate(names)}
+    for template, argdefs in zip(_TEMPLATES.get(shape) or _methods(*shape),
+                                 (defaults or None, None)):
+        code = template.__code__
+        code = code.replace(**{part: tuple(rename.get(x, x) for x in getattr(code, part))
+                               for part in ("co_varnames", "co_consts", "co_names")})
+        method = FunctionType(code, template.__globals__, template.__name__, argdefs)
+        method.__qualname__ = f"{cls.__qualname__}.{template.__name__}"
+        setattr(cls, template.__name__, method)
     cls.__match_args__ = names
     for name in ("__hash__", "__repr__", "__setattr__", "__delattr__",
                  "__getstate__"):

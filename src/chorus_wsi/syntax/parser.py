@@ -222,6 +222,11 @@ _NOT, _RANGE, _TOP = PREC["not"], PREC[".."], MINUS_PREC + 1
 _UNCHAINED = (PREC["="], _RANGE)
 _NOT_TOKEN, _MINUS_TOKEN = Token("KEYWORD", "not"), Token("SYM", "-")
 _OPEN, _CLOSE, _LIST = Token("SYM", "("), Token("SYM", ")"), Token("SYM", "[")
+# The pseudo-type reader's tokens, and each polarity's choice class with
+# the separator of its branches.
+_SEMI, _STAR, _END = Token("SYM", ";"), Token("SYM", "*"), Token("KEYWORD", "end")
+_CHOICES = {Token("SYM", "!"): (TInternal, Token("SYM", "(+)")),
+            Token("SYM", "?"): (TExternal, Token("SYM", "(&)"))}
 
 
 class Bodies:
@@ -435,7 +440,10 @@ class Parser:
     def payload(self) -> Sort:
         """A message's payload sort in parentheses; `()` is Unit."""
         self.expect_sym("(")
-        sort = UNIT if self.at_sym(")") else self.parse_sort()
+        if self.toks[self.pos] == _CLOSE:
+            self.pos += 1
+            return UNIT
+        sort = self.parse_sort()
         self.expect_sym(")")
         return sort
 
@@ -639,6 +647,10 @@ class Parser:
             self.pos += 1
             items = self.listed("]", self.parse_expr)
             return self.share((ListLit, *map(id, items)), items)
+        e = self.exprs.get((Const, t))
+        if e is not None:  # a literal read before
+            self.pos += 1
+            return e
         lit = self.literal()
         if lit is None:
             raise self.error(f"expected an expression, found {t.value!r}", self.pos)
@@ -741,71 +753,64 @@ class Parser:
 
     def parse_type(self) -> PseudoType:
         t = self.parse_type_atom()
-        if self.at_sym(";"):
-            self.next()
+        if self.toks[self.pos] == _SEMI:
+            self.pos += 1
             return TSeq(t, self.parse_type())
         return t
 
     def parse_type_atom(self) -> PseudoType:
-        tok = self.peek()
-        if self.at_sym("("):
-            self.next()
+        toks, at = self.toks, self.pos
+        tok = toks[at]
+        if tok == _OPEN:
+            self.pos += 1
             inner = self.parse_type()
             self.expect_sym(")")
-            if self.at_sym("*"):
-                self.next()
+            if toks[self.pos] == _STAR:
+                self.pos += 1
                 return TIter(inner)
             return inner
-        if self.at_sym("[") or self.at_kw("end") \
-                or (tok.kind == "IDENT" and self.peek(1).kind == "SYM"
-                    and self.peek(1).value in ("!", "?")):
+        if tok == _LIST or tok == _END \
+                or tok.kind == "IDENT" and toks[at + 1] in _CHOICES:
             return self.parse_tchoice()
         if tok.kind == "IDENT":
             body = self.module.types.get(tok.value)
             if body is None:
-                raise self.error(f"unknown type {tok.value!r}", self.pos)
-            self.next()
+                raise self.error(f"unknown type {tok.value!r}", at)
+            self.pos += 1
             return body
-        raise self.error(f"expected a pseudo-type, found {tok.value!r}", self.pos)
+        raise self.error(f"expected a pseudo-type, found {tok.value!r}", at)
 
     def parse_tchoice(self) -> PseudoType:
-        branches = []
-        kind = None
+        toks, branches = self.toks, []
+        choice = None  # the class and separator of the first branch's polarity
         while True:
             guard: Expr = TRUE
-            if self.at_sym("["):
-                self.next()
+            if toks[self.pos] == _LIST:
+                self.pos += 1
                 guard = self.parse_expr()
                 self.expect_sym("]")
-            if self.at_kw("end"):
+            if toks[self.pos] == _END:
                 if branches:
                     raise self.error("'end' cannot appear as a choice branch", self.pos)
-                self.next()
+                self.pos += 1
                 return TEnd(guard)
             chan = self.expect_ident("channel")
-            pol = self.peek()
-            if pol.kind != "SYM" or pol.value not in ("!", "?"):
+            pol = toks[self.pos]
+            this = _CHOICES.get(pol)
+            if this is None:
                 raise self.error(f"expected '!' or '?', found {pol.value!r}", self.pos)
-            this_kind = "internal" if pol.value == "!" else "external"
-            if kind is None:
-                kind = this_kind
-            elif kind != this_kind:
+            if choice is None:
+                choice = this
+            elif choice is not this:
                 raise self.error("cannot mix '!' and '?' branches in one choice", self.pos)
-            self.next()
+            self.pos += 1
             sort = self.payload()
             self.expect_sym(".")
-            cont = self.parse_type_atom()
-            branches.append(TBranch(guard, chan, sort, cont))
-            if self.at_sym("(+)") and kind == "internal":
-                self.next()
-                continue
-            if self.at_sym("(&)") and kind == "external":
-                self.next()
-                continue
-            # a non-matching separator belongs to an enclosing choice
-            break
-        cls = TInternal if kind == "internal" else TExternal
-        return cls(tuple(branches))
+            branches.append(TBranch(guard, chan, sort, self.parse_type_atom()))
+            if toks[self.pos] != choice[1]:
+                # a non-matching separator belongs to an enclosing choice
+                return choice[0](tuple(branches))
+            self.pos += 1
 
     # -------------------------------------------------------- processes
 

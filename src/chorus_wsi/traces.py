@@ -290,7 +290,7 @@ def runs_global(g: GlobalType, unfold: int = 2, algebra=RUN_SETS):
 def projection_env(gdef: GlobalDef, domains: DomainDecl = EMPTY_DOMAINS) -> SpecEnv:
     """The specification holding every projection of the instantiated
     global type, plus its empty queues."""
-    g = gdef.body if not gdef.params else instantiate(gdef, gdef.params)
+    g = instantiate(gdef, gdef.params)
     parts = participants_ordered(g)
     sessions = {(tuple(gdef.params), p): normal_form(project(g, p), domains)
                 for p in parts}

@@ -303,11 +303,14 @@ def _need(actual: Sort, wanted: Sort, what: str, path: tuple):
 # ----------------------------------------------------------- typing engine
 
 def instantiate(gdef: GlobalDef, chans: tuple) -> GlobalType:
-    """The global type with its channel parameters replaced by chans."""
+    """The global type with its channel parameters replaced by chans:
+    the declared body itself when chans are the parameters."""
     if len(gdef.params) != len(chans):
         raise TypingError(
             "VReq", f"global {gdef.name} has {len(gdef.params)} session "
             f"channels, got {len(chans)}")
+    if chans == gdef.params:
+        return gdef.body
     mapping = dict(zip(gdef.params, chans))
 
     def walk(node):

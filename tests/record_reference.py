@@ -10,6 +10,8 @@ builds its `_State` with it, since that record leaves a field out of
 comparison, which only the reference builder supports.
 """
 
+from __future__ import annotations  # compiled_methods compiles as ast.py does
+
 from dataclasses import dataclass, field, fields
 
 from chorus_wsi.syntax.ast import _NONE_HASH, DERIVED, NEW_DICT, Sort
@@ -58,3 +60,29 @@ def twin(cls):
         if body.get(name) is NEW_DICT:
             body[name] = field(default_factory=dict)
     return reference_node(type(cls.__name__, (), body))
+
+
+def compiled_methods(cls) -> tuple:
+    """The `__init__` and `__eq__` that compiling source written for the
+    record class cls gives, as `frozen_node` once wrote and compiled it
+    per class: the reference that its templates must reproduce."""
+    names = cls.__match_args__
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}"
+                     for n in names)
+    sets = "".join(f"\n _set(self, {n!r}, {{}} if {n} is NEW_DICT else {n})"
+                   if defaults.get(n) is NEW_DICT else f"\n _set(self, {n!r}, {n})"
+                   for n in names)
+    if hasattr(cls, "__post_init__"):
+        sets += "\n self.__post_init__()"
+    mine, theirs = ("".join(f"{side}.{n}," for n in names)
+                    for side in ("self", "other"))
+    namespace = {"_set": object.__setattr__, "NEW_DICT": NEW_DICT,
+                 "_defaults": defaults}
+    exec(f"def __init__(self{params}):{sets or ' pass'}\n"
+         "def __eq__(self, other):\n"
+         f" if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"
+         " return NotImplemented\n", namespace)
+    for method in ("__init__", "__eq__"):
+        namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
+    return namespace["__init__"], namespace["__eq__"]

@@ -5,7 +5,13 @@ import time
 
 import pytest
 
+import chorus_wsi.cli as cli_mod
+import chorus_wsi.projection as projection_mod
+import chorus_wsi.semantics as semantics_mod
 import chorus_wsi.syntax.parser as parser_mod
+import chorus_wsi.traces as traces_mod
+import chorus_wsi.typecheck as typecheck_mod
+import chorus_wsi.wsi as wsi_mod
 from chorus_wsi.cli import build_parser, main, run_to_json, runs_json
 from chorus_wsi.guards import DomainDecl
 from chorus_wsi.projection import participants_ordered
@@ -842,3 +848,34 @@ def test_main_builds_the_named_subcommand_parser_only(capsys, monkeypatch,
         pass
     capsys.readouterr()
     assert len(built) == parsers
+
+
+@pytest.mark.parametrize("argv, instances, calls, walks", [
+    pytest.param(("cover", POP2, "--unfold", "2"), 3, 10, 3, id="cover"),
+    pytest.param(("wsi", POP2, "--proc", "Init"), 4, 12, 3, id="wsi")])
+def test_a_request_walks_each_global_once(capsys, monkeypatch, argv, instances,
+                                          calls, walks):
+    """Instantiating a global declaration with its own parameters gives
+    its body itself, and the participants of a global type are found
+    once and kept on it, however often a request asks."""
+    instantiated, found = [], []
+
+    def counted_instantiate(gdef, chans):
+        g = instantiate(gdef, chans)
+        instantiated.append(g is gdef.body)
+        return g
+
+    def counted_participants(g):
+        parts = participants_ordered(g)
+        found.append((id(g), id(parts)))
+        return parts
+
+    for module in (cli_mod, projection_mod, semantics_mod, traces_mod, typecheck_mod,
+                   wsi_mod):
+        if hasattr(module, "instantiate"):
+            monkeypatch.setattr(module, "instantiate", counted_instantiate)
+        monkeypatch.setattr(module, "participants_ordered", counted_participants)
+    assert run(capsys, *argv)[0] == 0
+    assert instantiated == [True] * instances
+    assert len(found) == calls
+    assert len({g for g, _ in found}) == len(set(found)) == walks

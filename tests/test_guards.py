@@ -397,7 +397,8 @@ def test_decider_agrees_with_enumeration_on_corpus_queries(monkeypatch, capsys):
         _assert_agrees(name, *args[:-1], domains)
     assert {name for name, _ in queries} >= {
         "is_unsat", "list_condition_satisfiable"}
-    assert len(queries) > 1000
+    # 778: a branch whose guard is the literal true is kept with no query
+    assert len(queries) > 750
 
 
 _LISTS = DomainDecl({

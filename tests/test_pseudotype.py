@@ -72,6 +72,24 @@ def test_normalize_prunes_unsatisfiable_branch():
     assert isinstance(out.branches[0].cont, TEnd)
 
 
+def test_normalizing_a_local_type_asks_the_decider_nothing(pop2, pop2_domains,
+                                                           monkeypatch):
+    """A branch whose guard is the literal true is kept without a query,
+    so the projections of POP2's main global type are normalized with no
+    query at all, while a guard that is not literally true is decided."""
+    queries = []
+    satisfiable = DomainDecl._satisfiable
+    monkeypatch.setattr(DomainDecl, "_satisfiable", lambda self, *args:
+                        queries.append(args[0]) or satisfiable(self, *args))
+    g = pop2.globals_["G_POP"].body
+    for role in sorted(participants(g)):
+        local = project(g, role)
+        assert is_local(local) and is_local(normal_form(local, pop2_domains))
+    assert queries == []
+    normalize(XPOS, parse_type("a!(Int). end (+) b!(Str). end"), D)
+    assert queries == [XPOS, XPOS]
+
+
 def test_normalize_collapses_fully_pruned_choice():
     t = TInternal((TBranch(XNEG, "y", INT, TEnd()),))
     out = normalize(XPOS, t, D)

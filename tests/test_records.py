@@ -10,6 +10,8 @@ import dataclasses
 import io
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -26,7 +28,7 @@ from chorus_wsi.typecheck import gamma_from_domains, typecheck_system
 
 import conftest
 import gen
-from record_reference import is_record, twin
+from record_reference import compiled_methods, is_record, twin
 
 RECORDS = sorted({cls for module in (ast, guards, projection, semantics, traces,
                                      typecheck, wsi)
@@ -223,6 +225,58 @@ def test_defaults_and_keywords_agree(cls, samples):
         for name in defaulted:
             if isinstance(getattr(one, name), dict):
                 assert getattr(one, name) is not getattr(two, name)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_methods_are_those_compiled_for_the_class(cls):
+    """A class's `__init__` and `__eq__`, copied from its shape's
+    template, are the methods that its own source compiles to."""
+    for method, reference in zip((cls.__init__, cls.__eq__), compiled_methods(cls)):
+        for part in ("co_code", "co_varnames", "co_consts", "co_names", "co_flags"):
+            assert getattr(method.__code__, part) == getattr(reference.__code__, part)
+        assert method.__defaults__ == reference.__defaults__
+        assert method.__qualname__ == reference.__qualname__
+
+
+def test_argument_errors_name_the_class():
+    for call, text in [
+            (lambda: Lit(INT), "Lit.__init__() missing 1 required positional "
+                               "argument: 'value'"),
+            (lambda: Lit(INT, 1, 2), "Lit.__init__() takes 3 positional "
+                                     "arguments but 4 were given"),
+            (lambda: Lit(INT, 1, size=2), "Lit.__init__() got an unexpected "
+                                          "keyword argument 'size'"),
+            (lambda: ast.GEnd(0), "GEnd.__init__() takes 1 positional "
+                                  "argument but 2 were given"),
+            (lambda: guards.Store(values={}), "Store.__init__() got an "
+                                              "unexpected keyword argument 'values'")]:
+        with pytest.raises(TypeError) as caught:
+            call()
+        assert str(caught.value) == text
+
+
+def test_a_default_before_a_required_field_is_refused():
+    class Record:
+        first: int = 0
+        second: int
+    with pytest.raises(KeyError, match="second"):
+        ast.frozen_node(Record)
+
+
+def test_importing_the_cli_compiles_one_template_per_record_shape():
+    """The 50 record classes have 10 shapes; the templates of plain
+    records of 0 to 8 fields are compiled once each, and `Sort` and
+    `guards.Store` compile their own."""
+    code = ("import sys; compiled = []; "
+            "sys.addaudithook(lambda event, args: compiled.append(args[0]) "
+            "if event == 'compile' and args[1] == '<string>' else None); "
+            f"sys.path.insert(0, {str(conftest.CORPUS.parents[1])!r}); "
+            "import chorus_wsi.cli; "
+            "print(sum(b'def __eq__(self, other)' in (s if isinstance(s, bytes) "
+            "else str(s).encode()) for s in compiled))")
+    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert int(out) == 11
 
 
 def test_sort_checks_agree():
