@@ -151,7 +151,7 @@ def cmd_parse(args) -> int:
 
 def cmd_project(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module, aliases=False)
+    domains = DomainDecl.from_module(module)
     gdef = _the_global(module, args.global_name)
     g = instantiate(gdef, gdef.params)
     if args.role not in participants_ordered(g):
@@ -170,7 +170,7 @@ def cmd_project(args) -> int:
 
 def cmd_normalize(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module, aliases=False)
+    domains = DomainDecl.from_module(module)
     names = [args.type_name] if args.type_name else sorted(module.types)
     out = {}
     for name in names:
@@ -187,11 +187,6 @@ def cmd_normalize(args) -> int:
 
 def cmd_typecheck(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module)
-    gamma = gamma_from_domains(domains)
-    failures = []
-    results = {}
-
     targets = []
     if args.proc:
         targets.append(("process", args.proc))
@@ -200,6 +195,10 @@ def cmd_typecheck(args) -> int:
     if not targets:
         targets = [("process", n) for n, d in module.processes.items() if d.role]
         targets += [("system", n) for n in module.systems]
+    domains = DomainDecl.from_module(module, [name for _, name in targets])
+    gamma = gamma_from_domains(domains)
+    failures = []
+    results = {}
 
     named = _the_global(module, args.global_name) if args.global_name else None
     entry_globals = [g for g in module.globals_.values() if g.params]
@@ -253,7 +252,8 @@ def cmd_typecheck(args) -> int:
 
 def cmd_simulate(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module)
+    # the seeded store draws a value for the aliases of every declaration
+    domains = DomainDecl.from_module(module, [*module.processes, *module.systems])
     if args.system not in module.systems:
         raise UsageError(f"no system named {args.system!r}")
     state = to_state(module.systems[args.system].body)
@@ -353,7 +353,7 @@ def _count(n: int):
 
 def cmd_cover(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module, aliases=False)
+    domains = DomainDecl.from_module(module)
     gdef = _the_global(module, args.global_name)
     g = instantiate(gdef, gdef.params)
     # the search takes its targets from the runs at bound 1, the skeletons
@@ -387,7 +387,7 @@ def cmd_cover(args) -> int:
 
 def cmd_wsi(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module)
+    domains = DomainDecl.from_module(module, (args.proc,))
     if args.proc not in module.processes:
         raise UsageError(f"no process named {args.proc!r}")
     decl = module.processes[args.proc]
@@ -497,6 +497,11 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
             for flag, options in arguments:
                 p.add_argument(flag, **options)
             p.set_defaults(func=func)
+    # a fixed usage text, since argparse wraps the built one differently
+    # from one Python version to the next; set after the subcommands,
+    # whose own usage lines start from the top parser's
+    pad = "\n" + " " * len("usage: chorus-wsi ")
+    top.usage = "%(prog)s [-h]" + pad + "{%s}" % ",".join(commands) + pad + "..."
     return top
 
 

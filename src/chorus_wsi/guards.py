@@ -259,12 +259,13 @@ class DomainDecl:
         return (self.domains, self.tables) == (other.domains, other.tables)
 
     @classmethod
-    def from_module(cls, module: ModuleDecl, aliases: bool = True) -> "DomainDecl":
-        """The module's domains and tables.  With `aliases`, a binder that
-        freshening moved has its declared name's domain too, which reads
-        every body; without, no body is read, as suits a request that
-        judges only global types and pseudo-types, which bind no process
-        variable."""
+    def from_module(cls, module: ModuleDecl, names=()) -> "DomainDecl":
+        """The module's domains and tables.  A binder that freshening
+        moved in the process or system declarations `names`, or in one
+        they name, has its declared name's domain too; only those bodies
+        are read.  A request names the declarations it judges: none when
+        it judges only global types and pseudo-types, which bind no
+        process variable."""
         domains = {}
         for var, values in module.domains.items():
             sorts = {v.sort for v in values}
@@ -277,7 +278,8 @@ class DomainDecl:
                 values = values | {str_lit(other)}
             domains[var] = frozenset(values)
         # domain declarations follow binders that freshening had to move
-        for fresh, base in module.domain_aliases.items() if aliases else ():
+        aliases = module.bodies.aliases(names) if module.bodies else {}
+        for fresh, base in aliases.items():
             if base in domains:
                 domains[fresh] = domains[base]
         return cls(domains, dict(module.tables))

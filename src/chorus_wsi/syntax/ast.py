@@ -850,23 +850,18 @@ class ModuleDecl:
     """A parsed .chor module: declarations by kind, in source order.
 
     `processes` and `systems` are mappings; a parsed module's freshen
-    each body when it is first read (see parser.py).  `domain_aliases`
-    maps each binder that freshening moved to its declared name, so that
-    domain declarations follow renamed variables.  It is a dict, or
-    anything whose `aliases()` gives one: a parsed module's bodies, each
-    body's renames in declaration order, which reads every body."""
+    each body when it is first read (see parser.py).  `bodies` is a
+    parsed module's `parser.Bodies`, whose `aliases(names)` reads the
+    bodies of the declarations named, and of those they name, for the
+    binders that freshening moved; it is None for a module built from
+    its declarations, whose bodies no freshening moved."""
 
     def __init__(self, domains=None, tables=None, globals_=None, types=None,
-                 processes=None, systems=None, domain_aliases=None):
+                 processes=None, systems=None, bodies=None):
         self.domains = {} if domains is None else domains  # var -> frozenset[Lit]
         self.tables = {} if tables is None else tables     # name -> Table
         self.globals_ = {} if globals_ is None else globals_  # name -> GlobalDef
         self.types = {} if types is None else types        # name -> PseudoType
         self.processes = {} if processes is None else processes  # name -> ProcessDef
         self.systems = {} if systems is None else systems  # name -> SystemDef
-        self._aliases = {} if domain_aliases is None else domain_aliases
-
-    @property
-    def domain_aliases(self) -> dict:
-        aliases = self._aliases
-        return aliases if isinstance(aliases, dict) else aliases.aliases()
+        self.bodies = bodies

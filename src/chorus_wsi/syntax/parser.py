@@ -74,7 +74,9 @@ is read, after the bodies it names, which then stand where its `Ref`s
 were: so bound names are globally unique in every body read, and each
 body is what freshening it right after inlining the bodies it names
 gives.  A request that judges only global types and pseudo-types reads
-no body and freshens none.  Each node keeps its binders and free names
+no body and freshens none, and one about a process reads that body and
+the bodies it names, for their code and their renames alike
+(`Bodies.aliases`).  Each node keeps its binders and free names
 (`ast.names`), so freshening a body that names an earlier one need not
 walk that one again where that would change nothing (see subst.py).  A
 body nested deeper than the freshening walk can go is a `ParseError` at
@@ -296,12 +298,21 @@ class Bodies:
                     frozenset(), False, free, variables, shared, True))
         return self.fresh[name][0]
 
-    def aliases(self) -> dict:
-        """Every body's renames, in source order, read from every body."""
+    def aliases(self, names) -> dict:
+        """The renames of the declarations `names` and of every
+        declaration they name, in source order; reads those bodies and
+        no other.  A name declared nowhere adds nothing."""
+        wanted, todo = set(), [name for name in names if name in self.read]
+        while todo:
+            name = todo.pop()
+            if name not in wanted:
+                wanted.add(name)
+                todo += self.read[name][2]
         out = {}
         for name in self.read:
-            self.freshened(name)
-            out.update(self.fresh[name][1])
+            if name in wanted:
+                self.freshened(name)
+                out.update(self.fresh[name][1])
         return out
 
 
@@ -340,7 +351,7 @@ class Parser:
             self.bodies = Bodies(text)
             module = ModuleDecl(processes=Declared(self.bodies),
                                 systems=Declared(self.bodies),
-                                domain_aliases=self.bodies)
+                                bodies=self.bodies)
         self.module = module
         # every expression read in this parse, by its key (see `share`)
         self.exprs = {}

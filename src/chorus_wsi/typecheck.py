@@ -556,9 +556,10 @@ def alpha_key(p: Process, gamma: dict, shared: dict, domains: DomainDecl):
 
     The key holds p's syntax in prefix order, with each bound name
     replaced by its binding depth and each variable binder followed by
-    its declared domain (through the module's `domain_aliases`), together
-    with Gamma and the shared-name map; the table entry names the
-    `DomainDecl`."""
+    its declared domain (a renamed binder's through the aliases that
+    `DomainDecl.from_module` took from the declarations the request
+    reads), together with Gamma and the shared-name map; the table entry
+    names the `DomainDecl`."""
     exposed = set()  # channels of the globals that instantiation keeps
     for gdef in shared.values():
         found = gdef._exposed  # kept on the declaration: one walk per global

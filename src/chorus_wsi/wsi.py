@@ -67,6 +67,22 @@ evaluation reads the bindings alone.  The visited set, the successor
 order and the priority with its insertion-counter tie-break are those
 of a search over the states themselves, so interning pops the same
 states in the same order and changes no witness, count or verdict.
+
+After each step of the process, the bindings and pending variables that
+its continuation does not read (those outside `fX` of it) are dropped.
+A binding the residual never reads changes no step: evaluation reads
+only the variables of the expression evaluated, and every later step
+evaluates an expression of the residual.  So states that differ only in
+dead values have the same moves, events and queue effects, and the
+search keeps one state for each class of them, where a search that kept
+every binding would visit each member (on 8 sequential choices, each
+resolved by its own declared variable, 894 states against 2,814).
+Whether a target has a witness, and whether a search that found none
+skipped a send, depends only on the classes reachable from the start:
+so `Holds`, `MissingRun` and `Inconclusive` are those of that search.
+Only the order in which classes are first reached may differ, and with
+it which of several witnesses is found, or whether a step that fails
+is reached before one.
 """
 
 from __future__ import annotations
@@ -255,8 +271,9 @@ class _Product:
             ids[frozenset((x, None) for x in fX(proc) if x in domains.domains)],
             *session)]
         self.moves: dict = {}  # state id -> ([(event id or None, state id)], skipped)
-        # (process, bindings, pending, chans ids, queue heads) -> own moves
+        # (process, bindings, pending, chans, queue heads ids) -> own moves
         self.proc_moves: dict = {}
+        self.heads: dict = {}  # queues id -> the id of their heads
         self.queue_moves: dict = {}  # (queues, channel index, value) -> queues
         self.type_moves: dict = {}  # (peer index, projection id) -> its steps
 
@@ -314,11 +331,18 @@ class _Product:
                                    if x != name}, store.sessions, store.tables)
                     pending_set = frozenset(p for p in pending_set if p[0] != name) \
                         | {(name, value.sort)}
+            proc2 = ids[proc_canon(cont)]
+            # the first equal process interned keeps its variables already
+            live = fX(ids.values[proc2])
+            if not live.issuperset(store.vars):  # drop what it never reads
+                store = Store({x: v for x, v in store.vars.items() if x in live},
+                              store.sessions, store.tables)
             bindings2 = ids[store.key()]
             self.stores.setdefault(bindings2, store)
             # a variable the step bound is no longer pending
-            out.append((event, effect, ids[proc_canon(cont)], bindings2,
-                        ids[frozenset(p for p in pending_set if p[0] not in store.vars)],
+            out.append((event, effect, proc2, bindings2,
+                        ids[frozenset(p for p in pending_set
+                                      if p[0] in live and p[0] not in store.vars)],
                         chans2))
         return out
 
@@ -327,7 +351,10 @@ class _Product:
         the queue bound) of the state sid."""
         proc, bindings, pending, chans, peers, queues = self.states.values[sid]
         messages = self.parts.values[queues]
-        key = (proc, bindings, pending, chans, tuple(q[:1] for q in messages))
+        heads = self.heads.get(queues)
+        if heads is None:
+            heads = self.heads[queues] = self.parts[tuple(q[:1] for q in messages)]
+        key = (proc, bindings, pending, chans, heads)
         own = self.proc_moves.get(key)
         if own is None:
             own = self.proc_moves[key] = self.own_moves(

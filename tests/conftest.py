@@ -48,6 +48,12 @@ def load(name: str):
     return parse_module((CORPUS / name).read_text())
 
 
+def all_domains(module) -> DomainDecl:
+    """The module's domains with the aliases of every process and system
+    declaration, as `simulate` reads them."""
+    return DomainDecl.from_module(module, [*module.processes, *module.systems])
+
+
 def session_type_of(gamma: dict, e, p, shared: dict, domains) -> tuple:
     """For a request- or accept-rooted process, the session key and the
     synthesized pseudo-type of its body (the T of the VReq/VAcc premiss,
@@ -82,20 +88,20 @@ def norm_eqs():
 
 @pytest.fixture(scope="session")
 def pop2_domains(pop2):
-    return DomainDecl.from_module(pop2)
+    return all_domains(pop2)
 
 
 @pytest.fixture(scope="session")
 def atm_domains(atm):
-    return DomainDecl.from_module(atm)
+    return all_domains(atm)
 
 
 @pytest.fixture(scope="session")
 def multiparty_domains(multiparty):
-    return DomainDecl.from_module(multiparty)
+    return all_domains(multiparty)
 
 
 @pytest.fixture
 def wrapped_open():
     module = parse_module(WRAPPED_OPEN.read_text())
-    return module, DomainDecl.from_module(module)
+    return module, all_domains(module)

@@ -337,8 +337,9 @@ def test_requests_on_global_types_freshen_no_body(path, capsys, monkeypatch):
 def test_a_type_guard_gets_no_domain_from_a_renamed_binder(tmp_path, capsys):
     """normalize reads no body, so a guard that names a binder that
     freshening moved (the second copy of P's `cred` in S is `cred_2`)
-    has no declared domain; the domains that typing, wsi and simulate
-    read from every body still give `cred_2` the domain of `cred`."""
+    has no declared domain; the domains of a request that reads S still
+    give `cred_2` the domain of `cred`, and those of one that reads P
+    alone need no alias."""
     path = tmp_path / "renamed.chor"
     path.write_text(
         'domain cred : Str in {"pw", "x"}\n'
@@ -347,10 +348,11 @@ def test_a_type_guard_gets_no_domain_from_a_renamed_binder(tmp_path, capsys):
         "process P = a?(cred). 0\n"
         "system S = P || P\n")
     module = parse_module(path.read_text())
-    assert module.domain_aliases == {"cred_2": "cred"}
-    domains = DomainDecl.from_module(module).domains
+    assert module.bodies.aliases(["P"]) == {}
+    assert module.bodies.aliases(["S"]) == {"cred_2": "cred"}
+    domains = DomainDecl.from_module(module, ["S"]).domains
     assert domains["cred_2"] == domains["cred"]
-    assert "cred_2" not in DomainDecl.from_module(module, aliases=False).domains
+    assert "cred_2" not in DomainDecl.from_module(module).domains
     code, out, err = run(capsys, "normalize", str(path))
     assert (code, out, err) == (2, "", "error: no declared domain for: cred_2\n")
 
@@ -879,3 +881,33 @@ def test_a_request_walks_each_global_once(capsys, monkeypatch, argv, instances,
     assert instantiated == [True] * instances
     assert len(found) == calls
     assert len({g for g, _ in found}) == len(set(found)) == walks
+
+
+@pytest.mark.parametrize("proc, code, read", [
+    pytest.param("CQuit", 1, {"CQuit"}, id="CQuit"),
+    pytest.param("Init", 0, {"Init", "Srv", "Exit", "Mbox", "Nmbr", "Size", "Xfer"},
+                 id="Init")])
+def test_a_wsi_request_freshens_only_the_bodies_it_reads(capsys, monkeypatch, proc,
+                                                        code, read):
+    """`wsi` reads the checked process and the declarations it names, for
+    their code and for the aliases of their binders alike, and freshens
+    no other body: one `subst.freshen` call for each body read."""
+    made, freshened = [], []
+
+    class Recorded(parser_mod.Bodies):
+        def __init__(self, text):
+            super().__init__(text)
+            made.append(self)
+
+    real_freshen = parser_mod.freshen
+
+    def counted(body, renames, bodies):
+        freshened.append(body)
+        return real_freshen(body, renames, bodies)
+
+    monkeypatch.setattr(parser_mod, "Bodies", Recorded)
+    monkeypatch.setattr(parser_mod, "freshen", counted)
+    assert run(capsys, "wsi", POP2, "--proc", proc)[0] == code
+    (bodies,) = made
+    assert set(bodies.fresh) == read
+    assert len(freshened) == len(read)

@@ -57,7 +57,7 @@ def _cases():
     seeds 0-599."""
     for path in sorted(conftest.CORPUS.glob("*.chor")):
         module = conftest.load(path.name)
-        domains = DomainDecl.from_module(module, aliases=False)
+        domains = DomainDecl.from_module(module)
         for name, gdef in module.globals_.items():
             yield f"{path.name}:{name}", gdef, domains
     for seed in range(600):

@@ -212,7 +212,7 @@ def test_parsing_pop2_does_pinned_work(monkeypatch):
     try:
         module = parse_module(text)
         parsed = dict(visits)
-        module.domain_aliases  # reads every body
+        module.bodies.aliases(module.bodies.read)  # reads every body
     finally:
         sys.setprofile(None)
     assert parsed == {"walk": 0, "_summary": 0}

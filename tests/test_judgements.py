@@ -147,7 +147,7 @@ def test_wsi_by_typing_builds_no_table(monkeypatch, capsys):
 # ---------------------------------------------------------------- the keys
 
 def _key(module, body):
-    domains = DomainDecl.from_module(module)
+    domains = conftest.all_domains(module)
     gdef = next(g for g in module.globals_.values() if g.params)
     return alpha_key(body, gamma_from_domains(domains),
                      cli._shared_env(gdef, body), domains)

@@ -59,7 +59,7 @@ def _simulations():
     channel-mutated POP2 server out."""
     text = (conftest.CORPUS / "pop2.chor").read_text()
     pop2 = parse_module(text)
-    domains = DomainDecl.from_module(pop2)
+    domains = DomainDecl.from_module(pop2, ("POP_FULL",))
     system = pop2.systems["POP_FULL"].body
     delta = typecheck_system(gamma_from_domains(domains), TRUE, system,
                              {"u": pop2.globals_["G_POP"]}, domains)

@@ -253,18 +253,19 @@ def test_freshening_renames_no_occurrence_into_an_inner_binder():
     written x_2 must then move, and d!(x) must follow the outer one."""
     m = parse_module("process P = a!(x); b?(x). c?(x_2). d!(x)\n")
     assert render(m.processes["P"].body) == "a!(x) ; b?(x_2). c?(x_2_2). d!(x_2)"
-    assert m.domain_aliases == {"x_2": "x", "x_2_2": "x_2"}
+    assert m.bodies.aliases(["P"]) == {"x_2": "x", "x_2_2": "x_2"}
 
 
 def _read_in(text: str, order) -> tuple:
     """The declarations of the module `text`, with their bodies read in
-    the order `order` gives to the names in source order, and its
-    `domain_aliases` items."""
+    the order `order` gives to the names in source order, and the
+    aliases of every declaration."""
     parser = Parser(text)
     module = parser.parse_module()
     for name in order(list(parser.bodies.read)):
         (module.processes if name in module.processes else module.systems)[name]
-    return {**module.processes, **module.systems}, list(module.domain_aliases.items())
+    return {**module.processes, **module.systems}, \
+        list(parser.bodies.aliases(parser.bodies.read).items())
 
 
 def _holds_a_ref(value) -> bool:
@@ -292,7 +293,7 @@ def _parsed_texts() -> list:
 
 def test_bodies_read_in_any_order_are_equal():
     """Bodies read in source order, in reverse and in a seeded random
-    order are equal and hold no `Ref`, and `domain_aliases` has the same
+    order are equal and hold no `Ref`, and their aliases have the same
     items in the same order: a body depends only on its own text and on
     the bodies it names."""
     rng = random.Random(22)

@@ -23,6 +23,7 @@ from chorus_wsi.wsi import (
 
 import conftest
 import gen
+import test_cover
 from covering_reference import reference_wsi_by_covering
 from covers_reference import covers, foata
 
@@ -344,7 +345,7 @@ def _module_roles():
         + sorted(conftest.NO_PARTICIPANTS.parent.glob("*.chor"))
     for path in paths:
         module = parse_module(path.read_text())
-        domains = DomainDecl.from_module(module)
+        domains = conftest.all_domains(module)
         for name, decl in module.processes.items():
             if decl.role is not None:
                 shared = min(fU(decl.body), default="u")
@@ -447,7 +448,7 @@ def test_covering_cpop_does_pinned_work(pop2, pop2_domains, monkeypatch):
     """Work counts of covering CPop: product states stepped and heap
     pops; steppings of the process itself, one per distinct (process,
     bindings, pending, session map, queue heads), where stepping it in
-    every state would make 591; and subsumption `trace_leq` calls, where
+    every state would make 575; and subsumption `trace_leq` calls, where
     checking every earlier target would make 17, 16 of them False."""
     products = _recording_products(monkeypatch)
     pops = subsumptions = 0
@@ -468,8 +469,56 @@ def test_covering_cpop_does_pinned_work(pop2, pop2_domains, monkeypatch):
         sys.setprofile(None)
     assert str(v) == "Holds (6 contexts)"
     (product,) = products
-    assert (len(product.moves), pops) == (591, 1068)
-    assert (len(product.proc_moves), subsumptions) == (201, 1)
+    assert (len(product.moves), pops) == (575, 1068)
+    assert (len(product.proc_moves), subsumptions) == (185, 1)
+
+
+def test_covering_sequential_choices_keeps_no_dead_binding(monkeypatch):
+    """A process that resolves n = 8 sequential choices, each by its own
+    declared Bool `x_i`, reads each `x_i` once: a binding is dropped as
+    soon as the rest of the process no longer reads it, so states that
+    differ only in choices already made are one.  The search interns 894
+    product states, where keeping every binding made 2,814."""
+    n = 8
+    chans = ", ".join(f"a{i}, b{i}" for i in range(n))
+    module = parse_module(
+        test_cover._choices(n) + "\n"
+        + "".join(f"domain x{i} : Bool\n" for i in range(n))
+        + f"process P plays p of G = request u[1]({chans}). {{ "
+        + " ; ".join(f"if x{i} then a{i}!() else b{i}!()" for i in range(n))
+        + " }\n")
+    products = _recording_products(monkeypatch)
+    v = wsi_by_covering(module.globals_["G"], "p", module.processes["P"].body,
+                        DomainDecl.from_module(module, ["P"]))
+    assert str(v) == "Holds (256 contexts)"
+    (product,) = products
+    assert len(product.states) == 894
+
+
+def test_a_process_needs_only_the_aliases_of_the_bodies_it_reads():
+    """Every process that claims a role, in the corpus and in the test
+    modules, gets the same typing and covering verdicts under the aliases
+    of every body as under those of its own declaration and the ones it
+    names, which are all that a `wsi` request reads."""
+    checked = differ = 0
+    for path in conftest.MODULES:
+        module = parse_module(path.read_text())
+        every = conftest.all_domains(module)
+        for name, decl in module.processes.items():
+            if decl.role is None:
+                continue
+            own = DomainDecl.from_module(module, [name])
+            gdef = module.globals_[decl.global_name]
+            shared = min(fU(decl.body), default="u")
+            under_every, under_own = [
+                (str(wsi_by_typing(gdef, decl.role, decl.body, domains, shared)),
+                 wsi_by_covering(gdef, decl.role, decl.body, domains,
+                                 shared_name=shared))
+                for domains in (every, own)]
+            assert under_every == under_own, f"{path.name}:{name}"
+            checked += 1
+            differ += every != own
+    assert (checked, differ) == (27, 7)
 
 
 def test_wsi_pop_quit_context_drives_exit_run(pop2, pop2_domains):
