@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 on success (analysis holds), 1 on an analysis rejection
-(typing error, covering failure, simulation counterexample, a global
-type that is not well formed or not projectable) or a `simulate` run
-stopped by an evaluation error, 2 on usage or parse errors and on an
-evaluation error elsewhere (a guard that no declared domain decides, as
-`normalize` meets it; typing rejects such a guard instead), 3 when
+(typing error, covering failure, a global type that is not well formed
+or not projectable) or a `simulate` run stopped by an evaluation
+error, 2 on usage or parse errors and on an evaluation error elsewhere
+(a guard that no declared domain decides, as `normalize` meets it;
+typing rejects such a guard instead), 3 when
 the covering search of `cover` or `wsi` is inconclusive (no witness for
 a skeleton, but a send onto a queue holding `wsi.QUEUE_BOUND` messages
 was skipped; under `wsi --mode both` a rejection by typing still exits
@@ -252,8 +252,8 @@ def cmd_typecheck(args) -> int:
 
 def cmd_simulate(args) -> int:
     module = _load(args.file)
-    # the seeded store draws a value for the aliases of every declaration
-    domains = DomainDecl.from_module(module, [*module.processes, *module.systems])
+    # the seeded store draws a value for the aliases of the system's bodies
+    domains = DomainDecl.from_module(module, (args.system,))
     if args.system not in module.systems:
         raise UsageError(f"no system named {args.system!r}")
     state = to_state(module.systems[args.system].body)

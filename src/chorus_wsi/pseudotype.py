@@ -7,7 +7,9 @@ plain local types by quotienting branches that share a channel.
 
 Equality of pseudo-types (as used by the algebraic property tests) is
 structural equality with guards compared up to semantic equivalence
-over the declared domains: see `equiv`.
+over the declared domains: see `equiv`.  The termination measure of
+normalization and the quotients that the law tests compare modulo
+(trailing end units, branch order) are in tests/pseudotype_laws.py.
 """
 
 from __future__ import annotations
@@ -25,20 +27,6 @@ class NotMergeable(Exception):
         super().__init__(f"{reason} (at {at})")
         self.reason = reason
         self.path = path
-
-
-def weight(t: PseudoType) -> int:
-    """The termination measure for normalization; always >= 1."""
-    match t:
-        case TEnd():
-            return 1
-        case TInternal(branches) | TExternal(branches):
-            return 1 + max(weight(b.cont) for b in branches)
-        case TSeq(first, second):
-            return 2 * weight(first) + weight(second)
-        case TIter(body):
-            return 1 + weight(body)
-    raise TypeError(f"not a pseudo-type: {t!r}")
 
 
 def normalize(e: Expr, t: PseudoType, domains: DomainDecl = EMPTY_DOMAINS) -> PseudoType:
@@ -251,56 +239,6 @@ def viable(t: PseudoType, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
 
 
 # ---------------------------------------------------------------- equality
-
-def strip_end_units(t: PseudoType) -> PseudoType:
-    """Quotient by the right unit law of sequential composition: drop
-    trailing guarded-end components of sequences, everywhere.
-
-    The algebraic laws relating normalization, merge and sequential
-    composition hold up to this quotient (their proofs silently drop
-    trailing end units the way they silently re-associate guard
-    conjunctions); the property tests compare modulo it.
-    """
-    match t:
-        case TEnd():
-            return t
-        case TSeq(first, second):
-            s2 = strip_end_units(second)
-            if isinstance(s2, TEnd):
-                return strip_end_units(first)
-            return TSeq(strip_end_units(first), s2)
-        case TIter(body):
-            return TIter(strip_end_units(body))
-        case TInternal(branches) | TExternal(branches):
-            return type(t)(tuple(
-                TBranch(b.guard, b.channel, b.sort, strip_end_units(b.cont))
-                for b in branches))
-    raise TypeError(f"not a pseudo-type: {t!r}")
-
-
-def sort_branches(t: PseudoType) -> PseudoType:
-    """Reorder choice branches by (channel, guard text), recursively.
-
-    Normalize and merge preserve branch order; set-like comparisons of
-    choices go through this canonical ordering.
-    """
-    from .syntax.printer import render_expr
-
-    match t:
-        case TEnd():
-            return t
-        case TSeq(first, second):
-            return TSeq(sort_branches(first), sort_branches(second))
-        case TIter(body):
-            return TIter(sort_branches(body))
-        case TInternal(branches) | TExternal(branches):
-            new = tuple(sorted(
-                (TBranch(b.guard, b.channel, b.sort, sort_branches(b.cont))
-                 for b in branches),
-                key=lambda b: (b.channel, render_expr(b.guard))))
-            return type(t)(new)
-    raise TypeError(f"not a pseudo-type: {t!r}")
-
 
 def equiv(t1: PseudoType, t2: PseudoType,
           domains: DomainDecl = EMPTY_DOMAINS) -> bool:

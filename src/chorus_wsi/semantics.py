@@ -1,5 +1,5 @@
-"""The three labelled transition systems and the bounded conditional
-simulation checker.
+"""The process and system labelled transition systems, and the head
+steps of a session pseudo-type.
 
 Process steps carry conditional labels <e>alpha; the guard records the
 conjunction of the conditions taken by if-statements on the way to the
@@ -16,15 +16,11 @@ label is the requester's, guard kept.  The substitution covers the rest
 of a `Seq` too, so a session binder must differ from the free names
 that follow it, as the parser's freshening makes it.  A system step is
 reported as the component that moved and its process-level label, which
-is all that the system explorers (`conditional_simulation` and
-`chorus-wsi simulate`) read.  Covering's search (`wsi`) steps the
-checked process by `step_process` and its peers' projections by
-`type_steps`.
-
-Specification steps rewrite normalized session pseudo-types;
-queue-mediated specification steps are silent but record the
-communication they perform, which is what the simulation checker
-matches system communications against.
+is all that `chorus-wsi simulate` reads.  Covering's search (`wsi`)
+steps the checked process by `step_process` and its peers' projections
+by `type_steps`.  The specification stepper and the conditional
+simulation checker that the tests hold these against are in
+tests/conformance_reference.py.
 
 Structural congruence is applied as a normalization to canonical form
 (flattened parallel components, restrictions hoisted, idle processes
@@ -33,17 +29,14 @@ dropped) rather than searched.
 
 from __future__ import annotations
 
-from .guards import DomainDecl, EMPTY_DOMAINS, Store, eval_expr
-from .projection import NonProjectable, participants_ordered, project
-from .pseudotype import normal_form
+from .guards import Store, eval_expr
 from .syntax.ast import (
     Accept, Branch, Const, Expr, For, If, Lit, Par, Proc, Process, Queue,
-    RepeatUntil, Request, Restrict, Send, Seq, Sort, System, TEnd,
-    TExternal, TInternal, TIter, TRUE, TSeq, conj, frozen_node, is_nil, is_true,
-    neg, replace,
+    RepeatUntil, Request, Restrict, Send, Seq, System, TEnd, TExternal,
+    TInternal, TIter, TRUE, TSeq, conj, frozen_node, is_nil, is_true, neg,
+    replace,
 )
 from .syntax.subst import subst_process
-from .typecheck import SpecEnv, instantiate
 
 
 # ----------------------------------------------------------------- labels
@@ -74,21 +67,6 @@ class Label:
         }[self.kind]()
         from .syntax.printer import render_expr
         return body if is_true(self.guard) else f"<{render_expr(self.guard)}>{body}"
-
-
-@frozen_node
-class SpecLabel:
-    """A specification action; values are replaced by sorts and
-    conditions do not occur.  Queue-mediated steps are tau but record
-    the communication performed (comm = (polarity, channel, sort))."""
-
-    kind: str  # "req" | "acc" | "out" | "in" | "tau"
-    shared: str | None = None
-    role: str | None = None
-    chans: tuple | None = None
-    channel: str | None = None
-    sort: Sort | None = None
-    comm: tuple | None = None
 
 
 # --------------------------------------------------------- process stepping
@@ -305,7 +283,7 @@ def system_steps(state: SysState, store: Store) -> list:
     return out
 
 
-# ----------------------------------------------------- specification stepping
+# ------------------------------------------------------ pseudo-type stepping
 
 def type_steps(t) -> list:
     """Head communications of a normalized pseudo-type: a list of
@@ -334,175 +312,3 @@ def type_steps(t) -> list:
             return out
     raise TypeError(f"not a pseudo-type: {t!r}")
 
-
-def step_spec(delta: SpecEnv, domains: DomainDecl = EMPTY_DOMAINS,
-              init_chans: dict | None = None) -> list:
-    """All one-step successors (SpecLabel, SpecEnv), working up to
-    normal forms of the session pseudo-types."""
-    out: list = []
-    queues = delta.queue_map()
-    sessions = {k: normal_form(t, domains) for k, t in delta.sessions}
-    shared = delta.shared_map()
-
-    for key, t in sessions.items():
-        chans, role = key
-        for pol, chan, sort, cont in type_steps(t):
-            new_sessions = dict(sessions)
-            new_sessions[key] = normal_form(cont, domains)
-            if chan in queues:
-                if pol == "out":
-                    new_queues = dict(queues)
-                    new_queues[chan] = queues[chan] + (sort,)
-                    out.append((SpecLabel("tau", role=role, channel=chan,
-                                          sort=sort, comm=("out", chan, sort)),
-                                SpecEnv.make(shared, new_sessions, new_queues)))
-                else:
-                    q = queues[chan]
-                    if q and q[0] == sort:
-                        new_queues = dict(queues)
-                        new_queues[chan] = q[1:]
-                        out.append((SpecLabel("tau", role=role, channel=chan,
-                                              sort=sort, comm=("in", chan, sort)),
-                                    SpecEnv.make(shared, new_sessions, new_queues)))
-            else:
-                kind = "out" if pol == "out" else "in"
-                out.append((SpecLabel(kind, role=role, channel=chan, sort=sort),
-                            SpecEnv.make(shared, new_sessions, queues)))
-
-    for u, gdef in shared.items():
-        hint = (init_chans or {}).get(u)
-        chans = hint or tuple(f"{y}@{u}{len(delta.session_channels())}"
-                              for y in gdef.params)
-        g = instantiate(gdef, chans)
-        parts = participants_ordered(g)
-        if any(set(chans) & set(k[0]) for k in sessions):
-            continue
-        projections = {}
-        for p in parts:
-            try:
-                projections[p] = normal_form(project(g, p), domains)
-            except NonProjectable:
-                continue
-        # TReq / TAcc: a single endpoint joins (only its own projection
-        # needs to exist)
-        for p, proj in projections.items():
-            kind = "req" if p == parts[0] else "acc"
-            new_sessions = dict(sessions)
-            new_sessions[(chans, p)] = proj
-            out.append((SpecLabel(kind, shared=u, role=p, chans=chans),
-                        SpecEnv.make(shared, new_sessions, queues)))
-        # TInit: the whole session starts, queues included
-        if len(projections) == len(parts):
-            new_sessions = dict(sessions)
-            for p in parts:
-                new_sessions[(chans, p)] = projections[p]
-            new_queues = dict(queues)
-            for y in chans:
-                new_queues[y] = ()
-            out.append((SpecLabel("tau", shared=u, chans=chans),
-                        SpecEnv.make(shared, new_sessions, new_queues)))
-    return out
-
-
-# ------------------------------------------------------ conditional simulation
-
-@frozen_node
-class Holds:
-    states: int
-
-    def holds(self) -> bool:
-        return True
-
-
-@frozen_node
-class Counterexample:
-    trace: tuple
-    action: object
-    reason: str
-
-    def holds(self) -> bool:
-        return False
-
-
-def conditional_simulation(system: System | SysState, store: Store,
-                           delta: SpecEnv, domains: DomainDecl = EMPTY_DOMAINS,
-                           depth: int = 40) -> Holds | Counterexample:
-    """Bounded check that the specification conditionally simulates the
-    system: inputs must be answered for well-sorted payloads only, all
-    other actions must be matched.  Communications are matched one to
-    one (session starts against session starts, queue operations
-    against queue operations on the same channel), which instantiates
-    the tau-closure of the simulation clauses without chasing the
-    specification's unbounded freedom to open unrelated sessions."""
-    from collections import deque
-
-    state = system if isinstance(system, SysState) else to_state(system)
-    visited: set = set()
-    frontier = deque([(state, store, frozenset([delta]), (), depth)])
-    explored = 0
-    while frontier:
-        state, store, candidates, trace, fuel = frontier.popleft()
-        if fuel <= 0:
-            continue
-        key = (state, store.key(), candidates)
-        if key in visited:
-            continue
-        visited.add(key)
-        explored += 1
-        for _, action, state2, store2 in system_steps(state, store):
-            answers = set()
-            for d in candidates:
-                answers |= _spec_answers(d, action, domains)
-            if not answers:
-                return Counterexample(trace, action,
-                                      f"specification offers no matching step "
-                                      f"for {action}")
-            if action.kind == "in" and action.value is not None:
-                sorts = {s.sort for s, _ in answers if s.sort is not None}
-                if sorts and action.value.sort not in sorts:
-                    # ill-sorted input: the pair needs no continuation
-                    continue
-                survivors = frozenset(d for s, d in answers
-                                      if s.sort in (None, action.value.sort))
-            else:
-                survivors = frozenset(d for _, d in answers)
-            frontier.append((state2, store2, survivors,
-                             trace + (action,), fuel - 1))
-    return Holds(explored)
-
-
-def _init_hint(action: Label) -> dict | None:
-    if action.kind == "req" and action.chans:
-        return {action.shared: action.chans}
-    return None
-
-
-def _spec_answers(d: SpecEnv, action: Label, domains: DomainDecl) -> set:
-    """Spec steps matching one system action, as (spec label, successor)."""
-    out = set()
-    for label, d2 in step_spec(d, domains, _init_hint(action)):
-        if action.kind in ("out", "in"):
-            pol = action.kind
-            if label.comm is not None:
-                lpol, lchan, _ = label.comm
-                if lpol == pol and lchan == action.channel:
-                    if pol == "in" or label.sort == action.value.sort:
-                        out.add((label, d2))
-            elif label.kind == pol and label.channel == action.channel:
-                if pol == "in" or label.sort == action.value.sort:
-                    out.add((label, d2))
-        elif action.kind == "req":
-            if label.kind == "tau" and label.shared == action.shared:
-                out.add((label, d2))
-            if label.kind == "req" and label.shared == action.shared:
-                out.add((label, d2))
-        elif action.kind == "acc":
-            if label.kind == "acc" and label.shared == action.shared \
-                    and label.role == action.role:
-                out.add((label, d2))
-    if action.kind == "tau":
-        # a purely administrative system step (loop bookkeeping) is
-        # answered by the specification staying put; session starts and
-        # communications are handled by their own action kinds
-        out.add((SpecLabel("tau"), d))
-    return out

@@ -6,7 +6,7 @@ from .parser import (  # noqa: F401
     parse_process, parse_system, parse_type,
 )
 from .printer import (  # noqa: F401
-    render, render_expr, render_global, render_module, render_process,
-    render_system, render_type,
+    render_expr, render_global, render_module, render_process, render_system,
+    render_type,
 )
 from .subst import freshen, subst_process  # noqa: F401

@@ -17,7 +17,7 @@ Conventions:
 - participants, channels, shared names, and variables are plain strings
   drawn from disjoint syntactic positions;
 - a local type is a pseudo-type whose guards are all the literal true
-  (see `is_local`);
+  (see `is_local` in tests/pseudotype_laws.py);
 - the empty process 0 is the input choice with no arms (`NIL`).
 """
 
@@ -98,12 +98,13 @@ def frozen_node(cls):
     placeholders renamed to its fields in the names and constants it
     reads (its bytecode names them by index), with the class's defaults
     and qualified name.  So the methods run the same bytecode as if
-    compiled from their own source, and the 50 record classes of the
-    package compile 10 templates, not 50 sources.  The plain shapes, up
-    to 8 fields with no `NEW_DICT` and no `__post_init__`, are compiled
-    when this module is imported (`_TEMPLATES`); a record of any other
-    shape (`Sort`, `guards.Store`) compiles its own when its class is
-    built.  Nothing is compiled later or on demand.
+    compiled from their own source, and the 47 record classes of the
+    package, of 9 shapes, compile 11 templates, not 47 sources.  The
+    plain shapes, up to 8 fields with no `NEW_DICT` and no
+    `__post_init__`, are compiled when this module is imported
+    (`_TEMPLATES`); a record of any other shape (`Sort`, `guards.Store`)
+    compiles its own when its class is built.  Nothing is compiled later
+    or on demand.
 
     The hash is the hash of the tuple of field values, kept on the
     instance.  A field that is None hashes as a fixed constant rather
@@ -520,20 +521,6 @@ class TEnd:
 PseudoType = Union[TInternal, TExternal, TSeq, TIter, TEnd]
 
 
-def is_local(t: PseudoType) -> bool:
-    """True when every guard in t is the literal true."""
-    match t:
-        case TEnd(guard):
-            return is_true(guard)
-        case TInternal(branches) | TExternal(branches):
-            return all(is_true(b.guard) and is_local(b.cont) for b in branches)
-        case TSeq(first, second):
-            return is_local(first) and is_local(second)
-        case TIter(body):
-            return is_local(body)
-    raise TypeError(f"not a pseudo-type: {t!r}")
-
-
 def pt_vars(t: PseudoType) -> frozenset:
     """var(T): variables occurring in the guards of t."""
     match t:
@@ -548,24 +535,6 @@ def pt_vars(t: PseudoType) -> frozenset:
             return pt_vars(first) | pt_vars(second)
         case TIter(body):
             return pt_vars(body)
-    raise TypeError(f"not a pseudo-type: {t!r}")
-
-
-def dual(t: PseudoType) -> PseudoType:
-    """Swap internal and external choices throughout."""
-    match t:
-        case TEnd():
-            return t
-        case TInternal(branches):
-            return TExternal(tuple(
-                TBranch(b.guard, b.channel, b.sort, dual(b.cont)) for b in branches))
-        case TExternal(branches):
-            return TInternal(tuple(
-                TBranch(b.guard, b.channel, b.sort, dual(b.cont)) for b in branches))
-        case TSeq(first, second):
-            return TSeq(dual(first), dual(second))
-        case TIter(body):
-            return TIter(dual(body))
     raise TypeError(f"not a pseudo-type: {t!r}")
 
 

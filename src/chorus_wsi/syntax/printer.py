@@ -1,17 +1,18 @@
 """Pretty-printer for the concrete .chor syntax.
 
-`render` is total on valid trees and satisfies parse(render(x)) == x up
-to structural equality; see the grammar notes in parser.py.
+Each `render_*` function is total on valid trees of its kind and
+satisfies parse(render(x)) == x, with the matching `parse_*`, up to
+structural equality; see the grammar notes in parser.py.
 """
 
 from __future__ import annotations
 
 from .ast import (
     Accept, BinOp, Branch, Const, Expr, For, GBranch, GChoice, GEnd, GIter,
-    GSeq, GlobalType, If, Lit, ListLit, ModuleDecl, Par, Proc, Process,
+    GSeq, GlobalType, If, ListLit, ModuleDecl, Par, Proc, Process,
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
-    Sort, System, TBranch, TEnd, TExternal, TInternal, TIter, TSeq, Table,
-    UnOp, Var, MINUS_PREC, PREC, is_true,
+    System, TBranch, TEnd, TExternal, TInternal, TIter, TSeq, Table, UnOp,
+    Var, MINUS_PREC, PREC, is_true,
 )
 
 
@@ -281,21 +282,3 @@ def _render_table(t: Table) -> str:
     return (f"table {t.name} : {t.arg_sort} -> {t.ret_sort} = "
             f"{{ {', '.join(entries)} }}")
 
-
-def render(x) -> str:
-    """Render any AST node or module to concrete syntax."""
-    if isinstance(x, ModuleDecl):
-        return render_module(x)
-    if isinstance(x, (GChoice, GSeq, GIter, GEnd)):
-        return render_global(x)
-    if isinstance(x, (TInternal, TExternal, TSeq, TIter, TEnd)):
-        return render_type(x)
-    if isinstance(x, (Request, Accept, Send, Branch, Seq, If, For, RepeatUntil)):
-        return render_process(x)
-    if isinstance(x, (Proc, Par, Queue, Restrict)):
-        return render_system(x)
-    if isinstance(x, (Var, Const, BinOp, UnOp, ListLit, Range)):
-        return render_expr(x)
-    if isinstance(x, (Sort, Lit)):
-        return str(x)
-    raise TypeError(f"cannot render {x!r}")

@@ -52,8 +52,8 @@ exactly when p does.
 from __future__ import annotations
 
 from .guards import (
-    DomainDecl, EMPTY_DOMAINS, EvalError, Store, Undefined, eval_expr,
-    is_unsat, list_condition_satisfiable, list_length,
+    DomainDecl, EMPTY_DOMAINS, EvalError, Store, is_unsat,
+    list_condition_satisfiable, list_length,
 )
 from .projection import (
     NonProjectable, channel_sorts, participants_ordered, project,
@@ -138,12 +138,6 @@ class SpecEnv:
                         "sanity", f"channel tuples {chans1} and {chans2} overlap "
                         "without being equal")
 
-    def session_channels(self) -> frozenset:
-        out = set()
-        for (chans, _), _ in self.sessions:
-            out |= set(chans)
-        return frozenset(out)
-
 
 def independent(d1: SpecEnv, d2: SpecEnv) -> bool:
     if d1.shared != d2.shared:
@@ -174,59 +168,6 @@ def env_restrict(d: SpecEnv, chans) -> SpecEnv:
     sessions = {k: t for k, t in d.sessions if not (set(k[0]) & chans)}
     queues = {y: q for y, q in d.queues if y not in chans}
     return SpecEnv.make(d.shared_map(), sessions, queues)
-
-
-# -------------------------------------------------------------- consistency
-
-def _cons_expr(e: Expr, store: Store) -> bool:
-    """true, or undefined, counts as consistent."""
-    try:
-        v = eval_expr(e, store)
-    except Undefined:
-        return True
-    except EvalError:
-        return False
-    return v.sort == BOOL and bool(v.value)
-
-
-def _cons_type(store: Store, t: PseudoType) -> bool:
-    match t:
-        case TEnd(g):
-            return _cons_expr(g, store)
-        case TSeq(first, second):
-            return _cons_type(store, first) and _cons_type(store, second)
-        case TIter(body):
-            return _cons_type(store, body)
-        case TInternal(branches):
-            return any(_cons_expr(b.guard, store) and _cons_type(store, b.cont)
-                       for b in branches)
-        case TExternal(branches):
-            return all(_cons_expr(b.guard, store) and _cons_type(store, b.cont)
-                       for b in branches)
-    raise TypeError(f"not a pseudo-type: {t!r}")
-
-
-def consistent(store: Store, gamma: dict, e: Expr, delta: SpecEnv) -> tuple:
-    """The four consistency clauses; returns (ok, list of failures)."""
-    problems = []
-    bound = store.domain() | frozenset(
-        y for chans in store.sessions.values() for y in chans)
-    missing = (delta.session_channels() | set(delta.queue_map()) | set(gamma)) - bound
-    if missing:
-        problems.append(f"store does not bind {sorted(missing)}")
-    for x, sort in gamma.items():
-        v = store.vars.get(x)
-        if v is not None and v.sort != sort:
-            problems.append(f"{x} has sort {v.sort}, expected {sort}")
-    try:
-        if not bool(eval_expr(e, store).value):
-            problems.append("assumption evaluates to false")
-    except EvalError as exc:
-        problems.append(f"assumption not evaluable: {exc}")
-    for (chans, role), t in delta.sessions:
-        if not _cons_type(store, t):
-            problems.append(f"store inconsistent with session ({role}) type")
-    return (not problems, problems)
 
 
 # ------------------------------------------------------------- sort inference

@@ -21,7 +21,8 @@ import random
 
 from chorus_wsi.syntax import (
     parse_expr, parse_global, parse_module, parse_process, parse_system,
-    parse_type, render,
+    parse_type, render_expr, render_global, render_module, render_process,
+    render_system, render_type,
 )
 from chorus_wsi.syntax.parser import ParseError, _TOKEN_RE
 
@@ -53,6 +54,12 @@ MUTATED = (
 PARSERS = {
     "module": parse_module, "global": parse_global, "type": parse_type,
     "process": parse_process, "system": parse_system, "expr": parse_expr,
+}
+# the printer of what each parser reads
+RENDERERS = {
+    parse_module: render_module, parse_global: render_global,
+    parse_type: render_type, parse_process: render_process,
+    parse_system: render_system, parse_expr: render_expr,
 }
 
 # (kind, text): one or more inputs for each form the parser reads
@@ -211,7 +218,7 @@ def outcome(parse, text: str) -> list:
         return ["error", type(exc).__name__, exc.message, exc.line, exc.col]
     except Exception as exc:  # noqa: BLE001 - pinned as it stands
         return ["error", type(exc).__name__, str(exc), None, None]
-    return ["ok", hashlib.sha256(render(term).encode()).hexdigest()]
+    return ["ok", hashlib.sha256(RENDERERS[parse](term).encode()).hexdigest()]
 
 
 def token_spans(text: str) -> list:

@@ -22,13 +22,16 @@ import random
 
 from chorus_wsi.guards import DomainDecl, Store
 from chorus_wsi.projection import channel_sorts
-from chorus_wsi.pseudotype import normal_form, remove_guards, sort_branches
-from chorus_wsi.semantics import step_process, step_spec
+from chorus_wsi.pseudotype import normal_form, remove_guards
+from chorus_wsi.semantics import step_process
 from chorus_wsi.syntax.ast import TRUE, conj
 from chorus_wsi.syntax.printer import render_type
 from chorus_wsi.typecheck import (
-    SpecEnv, consistent, gamma_from_domains, instantiate, typecheck_process,
+    SpecEnv, gamma_from_domains, instantiate, typecheck_process,
 )
+
+from conformance_reference import consistent, step_spec
+from pseudotype_laws import sort_branches
 
 
 class SRViolation(AssertionError):

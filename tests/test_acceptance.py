@@ -8,8 +8,7 @@ budgets.
 
 import random
 import time
-from chorus_wsi.pseudotype import normal_form, remove_guards, sort_branches
-from chorus_wsi.semantics import Counterexample, conditional_simulation
+from chorus_wsi.pseudotype import normal_form, remove_guards
 from chorus_wsi.syntax import parse_module, render_type
 from chorus_wsi.syntax.ast import Event, TRUE, UNIT
 from chorus_wsi.traces import mandatory, projection_env, runs_global, runs_spec
@@ -25,7 +24,9 @@ import gen
 import srcheck
 import test_pseudotype
 import test_traces
+from conformance_reference import Counterexample, conditional_simulation
 from covers_reference import covers
+from pseudotype_laws import sort_branches
 
 
 def report(number: int, ok: bool, detail: str, elapsed: float, budget: float):

@@ -7,7 +7,6 @@ import pytest
 
 import chorus_wsi.cli as cli_mod
 import chorus_wsi.projection as projection_mod
-import chorus_wsi.semantics as semantics_mod
 import chorus_wsi.syntax.parser as parser_mod
 import chorus_wsi.traces as traces_mod
 import chorus_wsi.typecheck as typecheck_mod
@@ -872,8 +871,7 @@ def test_a_request_walks_each_global_once(capsys, monkeypatch, argv, instances,
         found.append((id(g), id(parts)))
         return parts
 
-    for module in (cli_mod, projection_mod, semantics_mod, traces_mod, typecheck_mod,
-                   wsi_mod):
+    for module in (cli_mod, projection_mod, traces_mod, typecheck_mod, wsi_mod):
         if hasattr(module, "instantiate"):
             monkeypatch.setattr(module, "instantiate", counted_instantiate)
         monkeypatch.setattr(module, "participants_ordered", counted_participants)
@@ -892,6 +890,23 @@ def test_a_wsi_request_freshens_only_the_bodies_it_reads(capsys, monkeypatch, pr
     """`wsi` reads the checked process and the declarations it names, for
     their code and for the aliases of their binders alike, and freshens
     no other body: one `subst.freshen` call for each body read."""
+    assert _freshened(capsys, monkeypatch, "wsi", POP2, "--proc", proc) \
+        == (code, read, len(read))
+
+
+def test_simulate_freshens_only_the_bodies_of_its_system(capsys, monkeypatch):
+    """The seeded store of `simulate` draws values for the aliases of the
+    simulated system's bodies only: POP_QUIT and what it names, not
+    CPop's bodies, which POP_FULL alone runs."""
+    read = {"POP_QUIT", "Init", "CQuit", "Srv", "Exit", "Mbox", "Nmbr", "Size",
+            "Xfer"}
+    assert _freshened(capsys, monkeypatch, "simulate", POP2,
+                      "--system", "POP_QUIT") == (0, read, len(read))
+
+
+def _freshened(capsys, monkeypatch, *argv) -> tuple:
+    """The exit code of the request, the declarations whose bodies its
+    module freshened, and the number of `subst.freshen` calls."""
     made, freshened = [], []
 
     class Recorded(parser_mod.Bodies):
@@ -907,7 +922,6 @@ def test_a_wsi_request_freshens_only_the_bodies_it_reads(capsys, monkeypatch, pr
 
     monkeypatch.setattr(parser_mod, "Bodies", Recorded)
     monkeypatch.setattr(parser_mod, "freshen", counted)
-    assert run(capsys, "wsi", POP2, "--proc", proc)[0] == code
+    code = run(capsys, *argv)[0]
     (bodies,) = made
-    assert set(bodies.fresh) == read
-    assert len(freshened) == len(read)
+    return code, set(bodies.fresh), len(freshened)

@@ -15,7 +15,6 @@ from chorus_wsi.cli import main
 from chorus_wsi.guards import DomainDecl, EMPTY_DOMAINS
 from chorus_wsi.projection import NonProjectable, participants_ordered
 from chorus_wsi.pseudotype import normal_form
-from chorus_wsi.semantics import step_spec
 from chorus_wsi.syntax.ast import GlobalDef, TEnd
 from chorus_wsi.traces import (
     IllFormed, RUN_SETS, projection_env, run_count, runs_global, runs_spec,
@@ -26,6 +25,7 @@ from chorus_wsi.wsi import projections_cover
 
 import conftest
 import gen
+from conformance_reference import step_spec
 from covers_reference import covers
 
 ATM = str(conftest.CORPUS / "atm.chor")

@@ -8,7 +8,10 @@ parameter it never reads, so no caller passes a value that cannot
 change an answer; no function assigns a local it never reads, so no
 value is computed for nothing; and no top-level function, class or
 assigned name under src/ is left that neither src/ nor tests/ uses, so
-dead API cannot linger; no function mutates a module-level dict,
+dead API cannot linger; every top-level definition and method under
+src/ is reached from the command line's entry point, from code that runs
+on import or from a name that bench/ imports, so test-only API cannot
+linger either; no function mutates a module-level dict,
 list or set, so no answer or timing of one `cli.main` call can depend
 on an earlier call in the same process; and no module imports
 `dataclasses`, nor does importing the command line load it or
@@ -21,7 +24,6 @@ re-exporting is their job.
 import ast
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -316,15 +318,161 @@ def test_detector_flags_only_unreferenced_definitions():
         ("lib.py", 16, "UNUSED")]
 
 
+def entry_points(pyproject: str) -> set:
+    """The function names of the `[project.scripts]` table of a
+    pyproject.toml text, one `name = "module:function"` a line.  Read
+    without `tomllib`, which Python 3.10 lacks."""
+    table, found = None, set()
+    for line in pyproject.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line.startswith("["):
+            table = line
+        elif table == "[project.scripts]" and "=" in line:
+            found.add(line.split("=", 1)[1].strip().strip("\"'").rsplit(":", 1)[1])
+    return found
+
+
+def test_detector_reads_only_the_script_entry_points():
+    pyproject = ('[project]\nname = "x"\n\n[project.scripts]\n'
+                 'x = "pkg.cli:main"  # the command\n'
+                 "y = 'pkg.tool:run'\n\n[tool.other]\nz = \"pkg.z:skip\"\n")
+    assert entry_points(pyproject) == {"main", "run"}
+
+
 def test_no_unreferenced_definitions_in_src():
     tests = SRC.parent / "tests"
     sources = {str(p.relative_to(SRC.parent)):
                (p.read_text(), p.is_relative_to(SRC))
                for p in sorted(SRC.rglob("*.py")) + sorted(tests.glob("*.py"))}
-    scripts = tomllib.loads((SRC.parent / "pyproject.toml").read_text())
-    entry_points = {target.rsplit(":", 1)[1]
-                    for target in scripts["project"]["scripts"].values()}
-    assert unreferenced_definitions(sources, entry_points) == []
+    roots = entry_points((SRC.parent / "pyproject.toml").read_text())
+    assert unreferenced_definitions(sources, roots) == []
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _reads(nodes) -> list:
+    """The names that `nodes` read: each name loaded and each attribute
+    taken."""
+    return [n.id if isinstance(n, ast.Name) else n.attr
+            for node in nodes for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)]
+
+
+def unreached_definitions(sources: dict, roots) -> list:
+    """(path, name) of each top-level function, class or assigned name,
+    and of each method of a reached class, in `sources` (a path to its
+    text) that nothing reaches from the names `roots`.  Names are
+    followed, not bindings: a reached definition reaches every definition
+    of each name it reads or attribute it takes, in any source.  Code
+    that runs on import is reached: the top-level statements other than
+    definitions and imports, and decorators and base classes.  A method
+    is reached when its class is and reached code reads its name, or its
+    name is a dunder, which the language calls.  Dunder top-level names
+    such as `__version__` are exempt."""
+    top, methods, on_import = {}, [], []
+    for path, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                    else [stmt.target]
+                for t in targets:
+                    if isinstance(t, ast.Name) and not _dunder(t.id):
+                        top.setdefault(t.id, []).append((path, t.id, [stmt]))
+            elif isinstance(stmt, _FUNCTIONS):
+                on_import += stmt.decorator_list
+                top.setdefault(stmt.name, []).append((path, stmt.name, [stmt]))
+            elif isinstance(stmt, ast.ClassDef):
+                on_import += stmt.decorator_list + stmt.bases + stmt.keywords
+                own = [m for m in stmt.body if isinstance(m, _FUNCTIONS)]
+                for m in own:
+                    on_import += m.decorator_list
+                methods += [(path, stmt.name, m) for m in own]
+                top.setdefault(stmt.name, []).append(
+                    (path, stmt.name, [s for s in stmt.body if s not in own]))
+            else:
+                on_import.append(stmt)
+    reached, read = set(), set()
+    todo = [*roots, *_reads(on_import)]
+    while todo:
+        while todo:
+            name = todo.pop()
+            if name not in read:
+                read.add(name)
+                for path, qualname, body in top.get(name, ()):
+                    reached.add((path, qualname))
+                    todo += _reads(body)
+        for path, owner, m in methods:
+            key = (path, f"{owner}.{m.name}")
+            if (path, owner) in reached and key not in reached \
+                    and (m.name in read or _dunder(m.name)):
+                reached.add(key)
+                todo += _reads([m])
+    defined = [(path, qualname) for entries in top.values()
+               for path, qualname, _ in entries]
+    defined += [(path, f"{owner}.{m.name}") for path, owner, m in methods
+                if (path, owner) in reached]
+    return sorted(d for d in defined if d not in reached)
+
+
+def test_detector_flags_only_unreached_definitions():
+    lib = ("from .util import helper\n"
+           "LIMIT = 3\n"
+           "TABLE = {'k': LIMIT}\n"
+           "UNUSED = TABLE\n"
+           "def main():\n"
+           "    return Box().size() + len(walk([]))\n"
+           "def walk(t):\n"
+           "    return [walk(c) for c in t]\n"
+           "def tested():\n"
+           "    return helper()\n"
+           "@register\n"
+           "class Box(Base):\n"
+           "    def __init__(self):\n"
+           "        pass\n"
+           "    def size(self):\n"
+           "        return len(TABLE)\n"
+           "    def spare(self):\n"
+           "        return spare_helper()\n"
+           "class Gone:\n"
+           "    def size(self):\n"
+           "        return 1\n"
+           "__version__ = '1'\n")
+    util = ("def helper():\n"
+            "    return 0\n"
+            "def spare_helper():\n"
+            "    return 1\n"
+            "def register(cls):\n"
+            "    return cls\n"
+            "class Base:\n"
+            "    pass\n"
+            "def api():\n"
+            "    return helper()\n"
+            "print(api)\n")
+    sources = {"lib.py": lib, "util.py": util}
+    assert unreached_definitions(sources, {"main"}) == [
+        ("lib.py", "Box.spare"), ("lib.py", "Gone"), ("lib.py", "UNUSED"),
+        ("lib.py", "tested"), ("util.py", "spare_helper")]
+
+
+def test_every_definition_in_src_is_reached_from_a_request_or_the_benchmark():
+    sources = {str(p.relative_to(SRC)): p.read_text()
+               for p in sorted(SRC.rglob("*.py"))}
+    roots = entry_points((SRC.parent / "pyproject.toml").read_text())
+    for path in sorted((SRC.parent / "bench").glob("*.py")):
+        roots |= {alias.name for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.split(".")[0] == "chorus_wsi"
+                  for alias in node.names}
+    found = [f"{path}: {name}" for path, name in unreached_definitions(sources, roots)]
+    assert found == []
 
 
 _CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,

@@ -7,10 +7,11 @@ from chorus_wsi.projection import (
 from chorus_wsi.pseudotype import normal_form, remove_guards, viable
 from chorus_wsi.syntax import parse_global, render_type
 from chorus_wsi.syntax.ast import (
-    GBranch, GChoice, GEnd, GIter, GSeq, INT, STR, TEnd, TRUE, UNIT, dual,
-    is_local,
+    GBranch, GChoice, GEnd, GIter, GSeq, INT, STR, TEnd, TRUE, UNIT,
 )
 from chorus_wsi.typecheck import instantiate
+
+from pseudotype_laws import dual, is_local
 
 
 def canonical(t, domains):

@@ -7,18 +7,18 @@ from hypothesis import given, settings, strategies as st
 import chorus_wsi.pseudotype as pt
 from chorus_wsi.guards import DomainDecl, EMPTY_DOMAINS, is_unsat, implies
 from chorus_wsi.pseudotype import (
-    NotMergeable, equiv, merge, normal_form, normalize, remove_guards,
-    viable, weight,
+    NotMergeable, equiv, merge, normal_form, normalize, remove_guards, viable,
 )
 from chorus_wsi.syntax import parse_expr, parse_type
 from chorus_wsi.syntax.ast import (
     DERIVED, FALSE, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
-    UNIT, INT, bool_lit, conj, int_lit, is_local, is_true,
+    UNIT, INT, bool_lit, conj, int_lit, is_true,
 )
 from chorus_wsi.projection import project, participants
 from chorus_wsi.typecheck import instantiate
 
 import gen
+from pseudotype_laws import is_local, sort_branches, strip_end_units, weight
 
 D = gen.GUARD_DOMAINS
 XPOS = parse_expr("x > 0")
@@ -195,7 +195,6 @@ def test_merge_of_guarded_branches_matches_mailbox_type(pop2, pop2_domains):
                    normal_form(els, pop2_domains), pop2_domains)
     assert isinstance(merged, TInternal)
     assert [b.channel for b in merged.branches] == ["r", "e"]
-    from chorus_wsi.pseudotype import sort_branches
     got = sort_branches(normal_form(remove_guards(merged), pop2_domains))
     want = sort_branches(normal_form(pop2.types["T_MBOX"], pop2_domains))
     assert equiv(got, want, pop2_domains)
@@ -360,7 +359,7 @@ def run_law_suite(n_cases: int, seed: int = 0):
         if implies(e, e2, D):
             lhs = normalize(e, TSeq(t, TEnd(e2)), D)
             rhs = normalize(e, t, D)
-            if not equiv(pt.strip_end_units(lhs), pt.strip_end_units(rhs), D):
+            if not equiv(strip_end_units(lhs), strip_end_units(rhs), D):
                 failures.append(f"case {case}: nf-neutral-end-seq-right fails")
 
         # merge/normalization commutation where both merges succeed (merge is

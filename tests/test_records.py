@@ -1,7 +1,8 @@
 """The record builder `ast.frozen_node` against its dataclasses-based
-reference (record_reference.py): every record class of src/, on the
-values that corpus requests build and on seeded generated terms, hashes,
-compares, prints, constructs, pickles and refuses assignment alike."""
+reference (record_reference.py): every record class of src/ and of the
+conformance reference (conformance_reference.py), on the values that
+corpus requests build and on seeded generated terms, hashes, compares,
+prints, constructs, pickles and refuses assignment alike."""
 
 import collections
 import collections.abc
@@ -17,7 +18,6 @@ import pytest
 
 from chorus_wsi import cli, guards, projection, semantics, traces, typecheck, wsi
 from chorus_wsi.guards import DomainDecl
-from chorus_wsi.semantics import Counterexample, conditional_simulation
 from chorus_wsi.syntax import ast, parse_module, render_module
 from chorus_wsi.syntax.ast import (
     DERIVED, INT, TRUE, Lit, ListLit, Par, Queue, Ref, Restrict, Sort, int_lit,
@@ -26,12 +26,14 @@ from chorus_wsi.syntax.ast import (
 from chorus_wsi.syntax.parser import Parser
 from chorus_wsi.typecheck import gamma_from_domains, typecheck_system
 
+import conformance_reference
 import conftest
 import gen
+from conformance_reference import Counterexample, conditional_simulation
 from record_reference import compiled_methods, is_record, twin
 
 RECORDS = sorted({cls for module in (ast, guards, projection, semantics, traces,
-                                     typecheck, wsi)
+                                     typecheck, wsi, conformance_reference)
                   for cls in vars(module).values() if is_record(cls)},
                  key=lambda cls: cls.__qualname__)
 TWINS = {cls: twin(cls) for cls in RECORDS}
@@ -264,9 +266,9 @@ def test_a_default_before_a_required_field_is_refused():
 
 
 def test_importing_the_cli_compiles_one_template_per_record_shape():
-    """The 50 record classes have 10 shapes; the templates of plain
-    records of 0 to 8 fields are compiled once each, and `Sort` and
-    `guards.Store` compile their own."""
+    """The 47 record classes of the package have 9 shapes; the templates
+    of plain records of 0 to 8 fields are compiled once each, and `Sort`
+    and `guards.Store` compile their own."""
     code = ("import sys; compiled = []; "
             "sys.addaudithook(lambda event, args: compiled.append(args[0]) "
             "if event == 'compile' and args[1] == '<string>' else None); "

@@ -4,8 +4,7 @@ import random
 
 from chorus_wsi.guards import Store
 from chorus_wsi.semantics import (
-    Counterexample, Holds, SysState, conditional_simulation, proc_canon,
-    step_process, step_spec, system_steps, to_state,
+    SysState, proc_canon, step_process, system_steps, to_state,
 )
 from chorus_wsi.syntax import parse_expr, parse_process, parse_module, parse_type
 from chorus_wsi.syntax.ast import (
@@ -15,6 +14,9 @@ from chorus_wsi.typecheck import SpecEnv, gamma_from_domains, typecheck_system
 
 import gen
 import srcheck
+from conformance_reference import (
+    Counterexample, Holds, conditional_simulation, step_spec,
+)
 from opener_reference import opener_peeking_steps
 
 D = gen.GUARD_DOMAINS

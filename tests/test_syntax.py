@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from chorus_wsi.syntax import (
     InvariantError, freshen, parse_expr, parse_global, parse_module,
-    parse_process, parse_system, parse_type, render,
+    parse_process, parse_system, parse_type, render_expr, render_global,
+    render_module, render_process, render_system, render_type,
 )
 from chorus_wsi.syntax.ast import (
     Branch, Const, GEnd, ListLit, Range, Ref, Send, TBranch, TEnd, TInternal,
@@ -48,8 +49,8 @@ def test_duplicate_channel_in_sum_rejected():
 
 
 def test_render_end():
-    assert render(GEnd()) == "end"
-    assert render(TEnd(TRUE)) == "end"
+    assert render_global(GEnd()) == "end"
+    assert render_type(TEnd(TRUE)) == "end"
 
 
 def test_render_guarded_internal_choice():
@@ -57,62 +58,62 @@ def test_render_guarded_internal_choice():
         TBranch(BinOp(">", Var("x"), Const(int_lit(0))), "y", UNIT, TEnd(TRUE)),
         TBranch(TRUE, "z", UNIT, TEnd(TRUE)),
     ))
-    assert render(t) == "[x > 0] y!(). end (+) z!(). end"
+    assert render_type(t) == "[x > 0] y!(). end (+) z!(). end"
 
 
 def test_parse_render_pop2_globals(pop2):
     for gdef in pop2.globals_.values():
-        assert parse_global(render(gdef.body)) == gdef.body
+        assert parse_global(render_global(gdef.body)) == gdef.body
 
 
 def test_parse_render_pop2_types(pop2):
     for t in pop2.types.values():
-        assert parse_type(render(t)) == t
+        assert parse_type(render_type(t)) == t
 
 
 def test_parse_render_pop2_processes(pop2):
     for p in pop2.processes.values():
-        assert parse_process(render(p.body)) == p.body
+        assert parse_process(render_process(p.body)) == p.body
 
 
 def test_parse_render_pop2_systems(pop2):
     for s in pop2.systems.values():
-        assert parse_system(render(s.body)) == s.body
+        assert parse_system(render_system(s.body)) == s.body
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_round_trip_generated_globals(seed):
     rng = random.Random(seed)
     g = gen.gen_global(rng, depth=3)
-    assert parse_global(render(g)) == g
+    assert parse_global(render_global(g)) == g
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_round_trip_generated_types(seed):
     rng = random.Random(seed * 31 + 7)
     t = gen.gen_pseudotype(rng, depth=4)
-    assert parse_type(render(t)) == t
+    assert parse_type(render_type(t)) == t
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_round_trip_generated_processes(seed):
     rng = random.Random(seed * 17 + 3)
     p = gen.gen_process(rng, depth=3)
-    assert parse_process(render(p)) == p
+    assert parse_process(render_process(p)) == p
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_round_trip_generated_systems(seed):
     rng = random.Random(seed * 13 + 1)
     s = gen.gen_system(rng, depth=2)
-    assert parse_system(render(s)) == s
+    assert parse_system(render_system(s)) == s
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_round_trip_generated_expressions(seed):
     rng = random.Random(seed * 7 + 5)
     e = gen.gen_expr(rng, depth=3)
-    assert parse_expr(render(e)) == e
+    assert parse_expr(render_expr(e)) == e
 
 
 def _unchained(e) -> bool:
@@ -138,7 +139,7 @@ def test_round_trip_nested_comparisons():
     nested = [e for e in exprs if _nests_unchained(e)]
     assert len(nested) > 1000
     for e in nested:
-        assert parse_expr(render(e)) == e, e
+        assert parse_expr(render_expr(e)) == e, e
 
 
 _SHARED = """domain x : Int in 0..3
@@ -185,7 +186,7 @@ def test_equal_expressions_are_one_object_within_a_parse():
 def test_round_trip_any_process(seed):
     rng = random.Random(seed)
     p = gen.gen_process(rng, depth=rng.randint(1, 4))
-    assert parse_process(render(p)) == p
+    assert parse_process(render_process(p)) == p
 
 
 def test_fn_of_send_is_channel_plus_vars():
@@ -252,7 +253,7 @@ def test_freshening_renames_no_occurrence_into_an_inner_binder():
     """The receive binds x again, so it becomes x_2; the inner binder
     written x_2 must then move, and d!(x) must follow the outer one."""
     m = parse_module("process P = a!(x); b?(x). c?(x_2). d!(x)\n")
-    assert render(m.processes["P"].body) == "a!(x) ; b?(x_2). c?(x_2_2). d!(x_2)"
+    assert render_process(m.processes["P"].body) == "a!(x) ; b?(x_2). c?(x_2_2). d!(x_2)"
     assert m.bodies.aliases(["P"]) == {"x_2": "x", "x_2_2": "x_2"}
 
 
@@ -485,7 +486,6 @@ def test_render_expr_agrees_with_the_recursive_reference(monkeypatch):
     import chorus_wsi.syntax.printer as printer
     from chorus_wsi.guards import DomainDecl
     from chorus_wsi.pseudotype import normal_form
-    from chorus_wsi.syntax import render_expr
     from render_reference import reference_render_expr
 
     rng = random.Random(19)
@@ -495,8 +495,11 @@ def test_render_expr_agrees_with_the_recursive_reference(monkeypatch):
         assert render_expr(e) == reference_render_expr(e), e
     modules = [parse_module(path.read_text())
                for path in sorted(conftest.CORPUS.glob("*.chor"))]
-    terms = modules + [normal_form(t, DomainDecl.from_module(m))
-                       for m in modules for t in m.types.values()]
-    texts = [render(term) for term in terms]
+    types = [normal_form(t, DomainDecl.from_module(m))
+             for m in modules for t in m.types.values()]
+
+    def texts():
+        return [render_module(m) for m in modules] + [render_type(t) for t in types]
+    before = texts()
     monkeypatch.setattr(printer, "render_expr", reference_render_expr)
-    assert [render(term) for term in terms] == texts
+    assert texts() == before

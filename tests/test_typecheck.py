@@ -8,17 +8,19 @@ from chorus_wsi.pseudotype import (
 from chorus_wsi.syntax import parse_expr, parse_process, parse_type, render_type
 from chorus_wsi.syntax.ast import (
     Branch, FALSE, For, INT, STR, Send, Seq, TEnd, TExternal, TInternal, TIter,
-    TRUE, TSeq, UNIT, Var, bool_lit, int_lit, is_local,
+    TRUE, TSeq, UNIT, Var, bool_lit, int_lit,
 )
 from chorus_wsi.projection import project
 from chorus_wsi.typecheck import (
-    SpecEnv, TypingError, consistent, env_restrict, env_union,
+    SpecEnv, TypingError, env_restrict, env_union,
     gamma_from_domains, independent, instantiate, participants_ordered,
     typecheck_process, typecheck_system, unique_role,
 )
 
 import conftest
 import gen
+from conformance_reference import consistent
+from pseudotype_laws import is_local, sort_branches
 
 D = gen.GUARD_DOMAINS
 KEY = (("a", "b", "c"), "p")
@@ -149,7 +151,6 @@ def test_pop2_init_accepted(pop2, pop2_domains):
 
 
 def test_pop2_init_session_guard_erases_to_ts(pop2, pop2_domains):
-    from chorus_wsi.pseudotype import sort_branches
     gamma = gamma_from_domains(pop2_domains)
     shared = {"u": pop2.globals_["G_POP"]}
     key, t = conftest.session_type_of(gamma, TRUE, pop2.processes["Init"].body,
