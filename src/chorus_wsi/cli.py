@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success (analysis holds), 1 on an analysis rejection
-(typing error, covering failure, a global type that is not well formed
-or not projectable) or a `simulate` run stopped by an evaluation
+(typing error, covering failure, a global type that is not well formed,
+not projectable or, for covering, a fragment that uses channels it does
+not take as parameters) or a `simulate` run stopped by an evaluation
 error, 2 on usage or parse errors and on an evaluation error elsewhere
 (a guard that no declared domain decides, as `normalize` meets it;
 typing rejects such a guard instead), 3 when
@@ -40,7 +41,9 @@ from .typecheck import (
     TypingError, gamma_from_domains, instantiate, typecheck_process,
     typecheck_system,
 )
-from .wsi import projections_cover, wsi_by_covering, wsi_by_typing
+from .wsi import (
+    fragment_problem, projections_cover, wsi_by_covering, wsi_by_typing,
+)
 
 
 class UsageError(Exception):
@@ -63,8 +66,9 @@ def _bad(text: str) -> str:
 
 def _rejected(args, lines: list) -> int:
     """Print a rejection made before any analysis (a global type that is
-    not well formed or not projectable, a role that is not a participant)
-    as its lines, or under --json as {"rejected": [lines]}; exit 1."""
+    not well formed, not projectable or a fragment that uses channels it
+    does not take as parameters, a role that is not a participant) as
+    its lines, or under --json as {"rejected": [lines]}; exit 1."""
     if args.json:
         print(json.dumps({"rejected": lines}, indent=2))
     else:
@@ -355,6 +359,8 @@ def cmd_cover(args) -> int:
     module = _load(args.file)
     domains = DomainDecl.from_module(module)
     gdef = _the_global(module, args.global_name)
+    if problem := fragment_problem(gdef):
+        return _rejected(args, [problem])
     g = instantiate(gdef, gdef.params)
     # the search takes its targets from the runs at bound 1, the skeletons
     # at every bound; only the counts depend on the bound.  runs_global

@@ -277,11 +277,15 @@ class DomainDecl:
                     other += "'"
                 values = values | {str_lit(other)}
             domains[var] = frozenset(values)
-        # domain declarations follow binders that freshening had to move
+        # domain declarations follow binders that freshening had to move,
+        # through every rename of a rename: a base is shorter than its
+        # renames, so it is resolved first, and the aliases stay in order
         aliases = module.bodies.aliases(names) if module.bodies else {}
-        for fresh, base in aliases.items():
-            if base in domains:
-                domains[fresh] = domains[base]
+        moved = dict(domains)
+        for fresh in sorted(aliases, key=len):
+            if aliases[fresh] in moved:
+                moved[fresh] = moved[aliases[fresh]]
+        domains.update((fresh, moved[fresh]) for fresh in aliases if fresh in moved)
         return cls(domains, dict(module.tables))
 
     def values_of_sort(self, sort: Sort):

@@ -36,10 +36,12 @@ _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 # with its `DomainDecl` (`guards.DomainDecl._diagram`), an expression's
 # printed text, unparenthesized (`printer.render_expr`), a process's or
 # system's name summary (`names`), the channels of a global
-# declaration's body that are not its parameters (`typecheck.alpha_key`),
-# and a global type's participants (`projection.participants_ordered`).
+# declaration's body that are not its parameters
+# (`typecheck.exposed_channels`), a global type's participants
+# (`projection.participants_ordered`), and the declared body that a body
+# rebuilt by freshening in place of a `Ref` is a copy of (`subst.freshen`).
 DERIVED = ("_hash", "_nf", "_canon", "_vars", "_diagram", "_text", "_names",
-           "_exposed", "_parts")
+           "_exposed", "_parts", "_origin")
 
 # A field default that stands for a new empty dict in each instance.
 NEW_DICT = object()
@@ -124,10 +126,14 @@ def frozen_node(cls):
     `_vars` is a set of names, and `_diagram`, kept on an `and`, `or` or
     `not` node, is one `(domains, diagram)` pair whose `DomainDecl` holds
     no reference back to such a node, so a node queried against the
-    long-lived `guards.EMPTY_DOMAINS` is still freed with its tree.
+    long-lived `guards.EMPTY_DOMAINS` is still freed with its tree.  A
+    body that freshening rebuilt where a `Ref` stood keeps `_origin`, the
+    declared body of that module that it is a renamed copy of, so a
+    whole-module `typecheck` judges the two once (see `typecheck`).
     Caches are left out of pickled state, since string hashes differ
     between processes and a cached normal form or diagram names the
-    `DomainDecl` it was computed under.
+    `DomainDecl` it was computed under; a copy unpickled alone is judged
+    as any other body.
     """
     names = tuple(cls.__dict__.get("__annotations__", ()))
     # a KeyError names a field without a default that follows a default

@@ -45,6 +45,18 @@ pending term unwalked, since that would leave the `Ref` in the result;
 it walks it as it would walk the inlined term, which gives the same
 term wherever the inlined one could be kept (the argument above).  The
 body in a `Ref`'s place is not pending, so the rule applies to it.
+
+Where the walk rebuilds the body in a `Ref`'s place and renames none of
+its free names, the rebuilt root keeps that declared body as `_origin`
+(an `ast.DERIVED` slot).  The copy is that body renamed by a bijection
+of its binders that is the identity on its free names, so a whole-module
+`typecheck` gives it its origin's judgement (see typecheck.py).  A copy
+whose free names the scope renames (a channel bound by a `new` that had
+to move) keeps no origin, and where the rule keeps the body unwalked,
+the copy is the body itself.  No declared body is such a copy at its
+root: a body that is only a `Ref` meets the rule there, as nothing is in
+use but its free names and nothing is renamed, so it is the named body
+itself, and an origin is always a declaration's own freshened body.
 """
 
 from __future__ import annotations
@@ -118,50 +130,55 @@ def freshen(term, renames: dict | None = None, bodies: dict | None = None):
         """t rebuilt; vmap and cmap map each variable and channel name in
         scope to the name its binder now has.  `names(term)` summarized
         every subterm of `term`."""
+        origin = None
         if t.__class__ is Ref:  # its body is walked where it stands
-            t = bodies[t.name]
+            t = origin = bodies[t.name]
         binders, repeats, free, _, _, pending = t._names
-        if not (repeats or pending) and used.isdisjoint(binders) \
-                and free.isdisjoint(vmap) and free.isdisjoint(cmap):
+        kept = free.isdisjoint(vmap) and free.isdisjoint(cmap)  # its free names
+        if not (repeats or pending) and used.isdisjoint(binders) and kept:
             used.update(binders)
             return t
         match t:
             case Request(shared, arity, chans, cont):
                 chans, inner = bind(chans, cmap)
-                return Request(shared, arity, chans, walk(cont, vmap, inner))
+                new = Request(shared, arity, chans, walk(cont, vmap, inner))
             case Accept(shared, role, chans, cont):
                 chans, inner = bind(chans, cmap)
-                return Accept(shared, role, chans, walk(cont, vmap, inner))
+                new = Accept(shared, role, chans, walk(cont, vmap, inner))
             case Send(channel, payload):
-                return Send(cmap.get(channel, channel), _rename(payload, vmap))
+                new = Send(cmap.get(channel, channel), _rename(payload, vmap))
             case Branch(arms):
                 new_arms = []
                 for a in arms:
                     (b,), inner = bind((a.binder,), vmap)
                     new_arms.append(Arm(cmap.get(a.channel, a.channel), b,
                                         walk(a.cont, inner, cmap)))
-                return Branch(tuple(new_arms))
+                new = Branch(tuple(new_arms))
             case Seq(first, second):
-                return Seq(walk(first, vmap, cmap), walk(second, vmap, cmap))
+                new = Seq(walk(first, vmap, cmap), walk(second, vmap, cmap))
             case If(cond, then, orelse):
-                return If(_rename(cond, vmap), walk(then, vmap, cmap),
-                          walk(orelse, vmap, cmap))
+                new = If(_rename(cond, vmap), walk(then, vmap, cmap),
+                         walk(orelse, vmap, cmap))
             case For(binder, items, body):
                 items = _rename(items, vmap)
                 (b,), inner = bind((binder,), vmap)
-                return For(b, items, walk(body, inner, cmap))
+                new = For(b, items, walk(body, inner, cmap))
             case RepeatUntil(body, exit):
-                return RepeatUntil(walk(body, vmap, cmap), walk(exit, vmap, cmap))
+                new = RepeatUntil(walk(body, vmap, cmap), walk(exit, vmap, cmap))
             case Proc(process):
-                return Proc(walk(process, vmap, cmap))
+                new = Proc(walk(process, vmap, cmap))
             case Par(left, right):
-                return Par(walk(left, vmap, cmap), walk(right, vmap, cmap))
+                new = Par(walk(left, vmap, cmap), walk(right, vmap, cmap))
             case Queue(channel, values):
-                return Queue(cmap.get(channel, channel), values)
+                new = Queue(cmap.get(channel, channel), values)
             case Restrict(chans, shared, scope):
                 chans, inner = bind(chans, cmap)
-                return Restrict(chans, shared, walk(scope, vmap, inner))
-        raise TypeError(f"not a process or system: {t!r}")
+                new = Restrict(chans, shared, walk(scope, vmap, inner))
+            case _:
+                raise TypeError(f"not a process or system: {t!r}")
+        if origin is not None and kept:
+            object.__setattr__(new, "_origin", origin)
+        return new
 
     return walk(term, {}, {})
 

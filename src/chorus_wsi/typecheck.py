@@ -16,37 +16,36 @@ The judgement table.  A whole-module `typecheck` judges each process and
 then each system, whose components are copies of those processes with
 every binder renamed by the parser.  `typecheck_process` and
 `typecheck_system` take a table (a dict) that the command makes once per
-request.  A session-opening process judged under the true assumption
-with no session channel in scope is looked up there by its `alpha_key`;
-a hit succeeds at once and leaves no session open, as the judgement
-did.  Only such a success is stored: a failure is judged again, so its
-message names the copy's own channels and path.
+request.  A session-opening process p judged under the true assumption
+with no session channel in scope is looked up there by its origin (the
+declared body that freshening copied it from, `p._origin`, or else p),
+Gamma and the shared-name map; the entry names the `DomainDecl`.  A hit
+succeeds at once and leaves no session open, as the judgement did.  Only
+a success is stored: a failure is judged again, so its message names the
+copy's own channels and path.
 
-Why equal keys give equal judgements.  The key holds p's syntax with each
-bound name replaced by its binding depth, each variable binder's
-declared domain, Gamma and the shared-name map, and the entry names the
-`DomainDecl`.  Parsed terms are fresh: their binders are pairwise
-distinct and disjoint from their free names.  So if p and p' are fresh
-and have equal keys, p' is p renamed by a bijection s of names that is
-the identity on free names and keeps each variable's declared domain.
-The rules read names in four ways, and each commutes with s.
-  (1) Lookups in Gamma and in the channel map: both are extended at the
-      binders, and Gamma is in the key.
-  (2) Equality of guards and pseudo-types (merge, the arms of a
-      receive), and `pt_vars`: s is a bijection.
-  (3) Instantiation of a global type at the session's channels: it
-      renames the parameters, and a channel of the global type that is
-      not a parameter stays as it is.  A binder of that name would be
-      captured, so a process with one has no key.
-  (4) Guard decisions: whether a query holds, and whether it raises, are
-      fixed by the set of its stores over the declared domains (see
-      `guards`), and s maps the stores of each query of p onto those of
-      the matching query of p', as it keeps each variable's declared
-      domain.  Only which error is raised follows the order of the
-      variables, and a failure is not stored.
+Why a copy takes its origin's judgement.  Freshening gives a copy an
+origin only where it renamed none of the copy's free names (see
+subst.py), so a copy is its origin renamed by a bijection s of its
+binders that is the identity on free names.
+`DomainDecl.from_module(module, targets)` gives each renamed variable
+binder the domain of the name it was renamed from, and `typecheck`
+passes every target, so s keeps each variable's declared domain.  The
+rules read names in four ways, and each commutes with s: lookups in
+Gamma and in the channel map, which are extended at the binders;
+equality of guards and pseudo-types (merge, the arms of a receive) and
+`pt_vars`, as s is a bijection; guard decisions, since whether a query
+holds or raises is fixed by its set of stores over the declared domains
+(see `guards`), which s maps onto those of the matching query (only
+which error is raised follows the order of the variables, and a failure
+is not stored); and instantiation of a global type, which renames its
+parameters and keeps its other channels, except where a binder has the
+name of such a channel and captures it.  So no entry is kept or read for
+a process whose binders, or whose origin's, meet a channel that a shared
+global keeps (`exposed_channels`).
 Session keys are iterated in set order, but a success handles each one
-without error, whatever the order.  So p' succeeds in the same context
-exactly when p does.
+without error, whatever the order.  So a copy succeeds in the same
+context exactly when its origin does.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from .syntax.ast import (
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, System, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
     UNIT, UnOp, Var, BinOp, Const, conj, expr_vars, fn, frozen_node,
-    g_channels, is_true, list_sort, neg, pt_vars,
+    g_channels, is_true, list_sort, names, neg, pt_vars,
 )
 
 
@@ -173,10 +172,7 @@ def env_restrict(d: SpecEnv, chans) -> SpecEnv:
 # ------------------------------------------------------------- sort inference
 
 def gamma_from_domains(domains: DomainDecl) -> dict:
-    out = {}
-    for var, values in domains.domains.items():
-        out[var] = next(iter(values)).sort
-    return out
+    return {var: next(iter(values)).sort for var, values in domains.domains.items()}
 
 
 def infer_sort(e: Expr, gamma: dict, domains: DomainDecl,
@@ -242,6 +238,16 @@ def _need(actual: Sort, wanted: Sort, what: str, path: tuple):
 
 
 # ----------------------------------------------------------- typing engine
+
+def exposed_channels(gdef: GlobalDef) -> frozenset:
+    """The channels of gdef's body that are not its parameters, which
+    instantiation keeps as they are; kept on the declaration."""
+    found = gdef._exposed
+    if found is None:
+        found = frozenset(g_channels(gdef.body).difference(gdef.params))
+        object.__setattr__(gdef, "_exposed", found)
+    return found
+
 
 def instantiate(gdef: GlobalDef, chans: tuple) -> GlobalType:
     """The global type with its channel parameters replaced by chans:
@@ -315,10 +321,7 @@ class _Ctx:
 def _pad(sessions: dict, keys) -> dict:
     # a session absent on one side behaves as a guarded end there; the
     # normalization in the caller supplies the branch assumption
-    out = dict(sessions)
-    for k in keys:
-        out.setdefault(k, TEnd(TRUE))
-    return out
+    return {**dict.fromkeys(keys, TEnd(TRUE)), **sessions}
 
 
 def _seq_sessions(s1: dict, s2: dict) -> dict:
@@ -467,10 +470,10 @@ def _open_session(ctx: _Ctx, p: Request | Accept) -> tuple:
 
 
 def _synth_open(ctx: _Ctx, p: Request | Accept) -> dict:
-    alpha = None
+    entry = None
     if ctx.judged is not None and not ctx.chans and is_true(ctx.assumption):
-        alpha = alpha_key(p, ctx.gamma, ctx.shared, ctx.domains)
-        if alpha is not None and ctx.judged.get(alpha) is ctx.domains:
+        entry = _table_key(p, ctx.gamma, ctx.shared)
+        if entry is not None and ctx.judged.get(entry) is ctx.domains:
             return {}
     rule, gdef, g, key, inner = _open_session(ctx, p)
     role = key[1]
@@ -486,85 +489,21 @@ def _synth_open(ctx: _Ctx, p: Request | Accept) -> dict:
     got_local = remove_guards(normal_form(t, ctx.domains))
     want_local = remove_guards(normal_form(expected, EMPTY_DOMAINS))
     _match_local(got_local, want_local, ctx.at(f"session of {role}"))
-    if alpha is not None and not sessions:
-        ctx.judged[alpha] = ctx.domains
+    if entry is not None and not sessions:
+        ctx.judged[entry] = ctx.domains
     return sessions
 
 
-def alpha_key(p: Process, gamma: dict, shared: dict, domains: DomainDecl):
+def _table_key(p: Process, gamma: dict, shared: dict):
     """The key under which the judgement table keeps a success of the
-    session-opening p, or None where p is always judged afresh.
-
-    The key holds p's syntax in prefix order, with each bound name
-    replaced by its binding depth and each variable binder followed by
-    its declared domain (a renamed binder's through the aliases that
-    `DomainDecl.from_module` took from the declarations the request
-    reads), together with Gamma and the shared-name map; the table entry
-    names the `DomainDecl`."""
-    exposed = set()  # channels of the globals that instantiation keeps
-    for gdef in shared.values():
-        found = gdef._exposed  # kept on the declaration: one walk per global
-        if found is None:
-            found = g_channels(gdef.body) - set(gdef.params)
-            object.__setattr__(gdef, "_exposed", found)
-        exposed |= found
-    declared = domains.domains
-    tokens = []
-    # term, depths of the variables and of the channels in scope, depth
-    todo = [(p, {}, {}, 0)]
-    while todo:
-        term, names, chans, depth = todo.pop()
-        kind = type(term)
-        tokens.append(kind)
-        if kind is Var:
-            tokens.append(names.get(term.name, term.name))
-        elif kind is Const:
-            tokens.append(term.value)
-        elif kind is BinOp:
-            tokens.append(term.op)
-            todo += ((term.right, names, chans, depth),
-                     (term.left, names, chans, depth))
-        elif kind is UnOp:
-            tokens.append(term.op)
-            todo.append((term.arg, names, chans, depth))
-        elif kind is Send:
-            tokens.append(chans.get(term.channel, term.channel))
-            todo.append((term.payload, names, chans, depth))
-        elif kind is Branch:
-            tokens.append(len(term.arms))
-            for arm in term.arms:
-                tokens += (chans.get(arm.channel, arm.channel),
-                           declared.get(arm.binder))
-            todo += ((arm.cont, {**names, arm.binder: depth}, chans, depth + 1)
-                     for arm in reversed(term.arms))
-        elif kind is Seq or kind is RepeatUntil:
-            first, second = (term.first, term.second) if kind is Seq \
-                else (term.body, term.exit)
-            todo += ((second, names, chans, depth), (first, names, chans, depth))
-        elif kind is If:
-            todo += ((term.orelse, names, chans, depth),
-                     (term.then, names, chans, depth),
-                     (term.cond, names, chans, depth))
-        elif kind is Request or kind is Accept:
-            if exposed.intersection(term.chans):
-                return None
-            tokens += (term.shared, term.arity if kind is Request else term.role,
-                       len(term.chans))
-            inner = dict(chans)
-            inner.update((y, depth + i) for i, y in enumerate(term.chans))
-            todo.append((term.cont, names, inner, depth + len(term.chans)))
-        elif kind is For:
-            tokens.append(declared.get(term.binder))
-            todo += ((term.body, {**names, term.binder: depth}, chans, depth + 1),
-                     (term.items, names, chans, depth))
-        elif kind is ListLit:
-            tokens.append(len(term.items))
-            todo += ((item, names, chans, depth) for item in reversed(term.items))
-        elif kind is Range:
-            todo += ((term.hi, names, chans, depth), (term.lo, names, chans, depth))
-        else:
-            raise TypeError(f"not a process: {term!r}")
-    return (tuple(tokens), frozenset(gamma.items()), tuple(sorted(shared.items())))
+    session-opening p, or None where p is always judged afresh: where a
+    binder of p or of its origin would capture a channel that
+    instantiating a shared global keeps."""
+    origin = p._origin or p
+    kept = set().union(*map(exposed_channels, shared.values()))
+    if kept and not kept.isdisjoint(names(p).binders | names(origin).binders):
+        return None
+    return origin, frozenset(gamma.items()), tuple(sorted(shared.items()))
 
 
 # ----------------------------------------------- local-type conformance check

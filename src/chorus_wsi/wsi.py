@@ -102,8 +102,8 @@ from .traces import (
     IllFormed, matching_tables, run_str, runs_global, sorted_runs, trace_leq,
 )
 from .typecheck import (
-    SpecEnv, TypingError, gamma_from_domains, instantiate, typecheck_process,
-    unique_role,
+    SpecEnv, TypingError, exposed_channels, gamma_from_domains, instantiate,
+    typecheck_process, unique_role,
 )
 
 
@@ -146,6 +146,13 @@ class CoveringVerdict:
         detail = f": {self.reason}" if self.reason else ""
         verdict = "Inconclusive" if self.inconclusive else "MissingRun"
         return f"{verdict} {run_str(self.missing)}{detail}"
+
+
+def fragment_problem(gdef: GlobalDef) -> str:
+    """Why gdef is no session, as it uses channels that it does not take
+    as parameters (a fragment that other globals inline), or ""."""
+    kept = ", ".join(sorted(exposed_channels(gdef)))
+    return kept and f"{gdef.name} uses channels that are not its parameters: {kept}"
 
 
 def _role_problem(gdef: GlobalDef, role: str, proc: Process,
@@ -505,7 +512,7 @@ def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
                     shared_name: str = "u") -> CoveringVerdict:
     """WSI by covering: Holds once every target skeleton has a witness."""
     g = instantiate(gdef, gdef.params)
-    found = _role_problem(gdef, role, proc, shared_name) \
+    found = fragment_problem(gdef) or _role_problem(gdef, role, proc, shared_name) \
         or _arity_problem(gdef, g, proc, shared_name) \
         or _search_inputs(gdef, g, role, domains)
     if isinstance(found, str):

@@ -704,6 +704,23 @@ def test_exit_code_contract(capsys, argv, code, stderr, stdout):
     assert "Traceback" not in err
 
 
+# the globals that other globals inline, with the channels each uses but
+# does not take as parameters
+FRAGMENTS = [
+    (path, "G_EXIT", "bye") for path in (POP2, MP)
+] + [
+    (path, name, kept) for path in (POP2, MP) for name, kept in (
+        ("G_NMBR", "ackd, acks, bye, fold, msg, nack, quit, r, read, retr"),
+        ("G_SIZE", "ackd, acks, fold, msg, nack, r, read, retr"),
+        ("G_XFER", "ackd, acks, nack, r"))
+] + [
+    (POP2, "G_MBOX", "ackd, acks, bye, e, fold, msg, nack, quit, r, read, retr"),
+    (MP, "G_MBOX_M",
+     "ackd, acks, bye, e, fold, msg, nack, quit, r, read, req, res, retr"),
+    (str(conftest.NO_ENTRY), "G", "m"),
+]
+
+
 @pytest.mark.parametrize("argv, lines", [
     pytest.param(("cover", MP, "--global", "G_POP_M"),
                  ["not projectable: cannot merge branches for uninvolved 'a'"],
@@ -726,6 +743,10 @@ def test_exit_code_contract(capsys, argv, code, stderr, stdout):
     pytest.param(("project", MP, "--role", "a", "--global", "G_POP_M"),
                  ["not projectable: cannot merge branches for uninvolved 'a'"],
                  id="project-non-projectable"),
+    *(pytest.param(("cover", path, "--global", name),
+                   [f"{name} uses channels that are not its parameters: {kept}"],
+                   id=f"cover-fragment-{path.rsplit('/', 1)[-1]}-{name}")
+      for path, name, kept in FRAGMENTS),
 ])
 def test_early_rejections_are_one_json_document(capsys, argv, lines):
     """A rejection before any analysis exits 1 with or without --json;

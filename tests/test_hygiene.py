@@ -13,7 +13,10 @@ src/ is reached from the command line's entry point, from code that runs
 on import or from a name that bench/ imports, so test-only API cannot
 linger either; no function mutates a module-level dict,
 list or set, so no answer or timing of one `cli.main` call can depend
-on an earlier call in the same process; and no module imports
+on an earlier call in the same process; every cache slot that records
+keep (`ast.DERIVED`) is both filled by `object.__setattr__` and read
+somewhere under src/, so a slot that nothing fills or nothing reads
+cannot linger; and no module imports
 `dataclasses`, nor does importing the command line load it or
 `inspect`, whose imports cost more than the program's own modules.
 
@@ -25,6 +28,8 @@ import ast
 import subprocess
 import sys
 from pathlib import Path
+
+from chorus_wsi.syntax.ast import DERIVED
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -629,3 +634,37 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["[]", str(SRC / "chorus_wsi" / "cli.py")]
+
+
+def dead_cache_slots(sources, slots) -> list:
+    """The slots that no source fills with `object.__setattr__(node,
+    "<slot>", value)`, as "<slot>: never written", and those that no
+    source reads as an attribute, as "<slot>: never read"."""
+    written, read = set(), set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) \
+                    == "object.__setattr__" and len(node.args) == 3 \
+                    and isinstance(node.args[1], ast.Constant):
+                written.add(node.args[1].value)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{slot}: never written" for slot in slots if slot not in written] \
+        + [f"{slot}: never read" for slot in slots if slot not in read]
+
+
+def test_detector_flags_only_dead_cache_slots():
+    sources = ["def fill(node):\n"
+               "    object.__setattr__(node, '_kept', 1)\n"
+               "    object.__setattr__(node, '_unread', 2)\n"
+               "    setattr(node, '_other', 3)\n"
+               "    return node._kept, node._unwritten\n"]
+    assert dead_cache_slots(sources, ("_kept", "_unread", "_other", "_unwritten")) \
+        == ["_other: never written", "_unwritten: never written",
+            "_unread: never read", "_other: never read"]
+
+
+def test_every_cache_slot_is_written_and_read_in_src():
+    assert "_origin" in DERIVED
+    sources = [path.read_text() for path in sorted(SRC.rglob("*.py"))]
+    assert dead_cache_slots(sources, DERIVED) == []

@@ -1,7 +1,8 @@
 """The judgement table of a `typecheck` request: a session-opening
-process judged well typed is looked up by its alpha key instead of being
-judged again, and the request prints exactly what it prints when every
-target is judged afresh."""
+process judged well typed is looked up by its origin, the declared body
+that freshening copied it from, instead of being judged again, and the
+request prints exactly what it prints when every target is judged
+afresh."""
 
 import copy
 import functools
@@ -11,12 +12,12 @@ import pytest
 
 from chorus_wsi import cli, typecheck
 from chorus_wsi.guards import DomainDecl
-from chorus_wsi.syntax import parse_module, parse_process, render_module
+from chorus_wsi.syntax import parse_module, render_module
 from chorus_wsi.syntax.ast import (
     BinOp, Const, ListLit, Lit, ModuleDecl, Par, Proc, ProcessDef, Range,
     Sort, SystemDef, UnOp, Var,
 )
-from chorus_wsi.typecheck import TypingError, alpha_key, gamma_from_domains
+from chorus_wsi.typecheck import TypingError
 
 import conftest
 import gen
@@ -94,10 +95,10 @@ def test_one_table_prints_as_fresh_tables_on_generated_modules(
 
 # ---------------------------------------------------------------- the work
 
-def _work(monkeypatch, capsys, path, fresh=False) -> tuple:
+def _work(monkeypatch, capsys, path, *options, fresh=False) -> tuple:
     """(session-opening judgements, `__eq__` calls on expression, literal
-    and sort records) of one `typecheck` request, with one judgement
-    table or with a fresh one for each target."""
+    and sort records) of one `typecheck` request with the given options,
+    with one judgement table or with a fresh one for each target."""
     counts = {"judgements": 0, "eq": 0}
     if fresh:
         for name in ("typecheck_process", "typecheck_system"):
@@ -113,7 +114,7 @@ def _work(monkeypatch, capsys, path, fresh=False) -> tuple:
             counts["eq"] += 1
             return eq(self, other)
         monkeypatch.setattr(cls, "__eq__", eq)
-    cli.main(["typecheck", str(path)])
+    cli.main(["typecheck", str(path), *options])
     monkeypatch.undo()
     capsys.readouterr()
     return counts["judgements"], counts["eq"]
@@ -135,7 +136,7 @@ def test_typecheck_work_on_the_corpus(name, judgements, afresh, monkeypatch, cap
 
 def test_wsi_by_typing_builds_no_table(monkeypatch, capsys):
     keys = []
-    monkeypatch.setattr(typecheck, "alpha_key", lambda *args: keys.append(args))
+    monkeypatch.setattr(typecheck, "_table_key", lambda *args: keys.append(args))
     for name, procs in (("atm.chor", ("B1", "B2")), ("pop2.chor", ("Init", "CPop"))):
         for proc in procs:
             cli.main(["wsi", str(conftest.CORPUS / name), "--proc", proc,
@@ -144,93 +145,138 @@ def test_wsi_by_typing_builds_no_table(monkeypatch, capsys):
     assert keys == []
 
 
-# ---------------------------------------------------------------- the keys
-
-def _key(module, body):
-    domains = conftest.all_domains(module)
-    gdef = next(g for g in module.globals_.values() if g.params)
-    return alpha_key(body, gamma_from_domains(domains),
-                     cli._shared_env(gdef, body), domains)
-
+# -------------------------------------------------------------- the origins
 
 @pytest.mark.parametrize("name", ["atm.chor", "pop2.chor", "pop2_multiparty.chor"])
-def test_a_freshened_copy_has_the_key_of_its_body(name):
-    """A system of two copies of a process: the parser renames every
-    binder of the second, and its key is the key of the process."""
-    text = (conftest.CORPUS / name).read_text()
-    roles = [n for n, d in conftest.load(name).processes.items() if d.role]
-    module = parse_module(text + "".join(
-        f"\nsystem Twice{n} = {n} || {n}\n" for n in roles))
-    for n in roles:
+def test_a_freshened_copy_has_the_key_of_its_body(name, tmp_path, monkeypatch, capsys):
+    """A system of two copies of a process: the first is the declared
+    body itself, and the parser renames every binder of the second, which
+    keeps that body as its origin and so has its key.  Where the process
+    is well typed, both copies are table hits; where it is not, the
+    system judges as many sessions as with a fresh table for each
+    target."""
+    roles = {n: d.global_name
+             for n, d in conftest.load(name).processes.items() if d.role}
+    text = (conftest.CORPUS / name).read_text() + "".join(
+        f"\nsystem Twice{n} = {n} || {n}\n" for n in roles)
+    module = parse_module(text)
+    path = tmp_path / name
+    path.write_text(text)
+    # no declared body is a copy at its root (see subst.py)
+    assert all(module.processes[n].body._origin is None for n in module.processes)
+    well_typed = 0
+    for n, global_name in roles.items():
         body = module.processes[n].body
-        first, second = module.systems[f"Twice{n}"].body.left.process, \
-            module.systems[f"Twice{n}"].body.right.process
+        twice = module.systems[f"Twice{n}"].body
+        first, second = twice.left.process, twice.right.process
+        assert first is body and first._origin is None
+        assert second._origin is body
         assert second != body and second.chans != body.chans
-        assert _key(module, body) is not None
-        assert _key(module, first) == _key(module, body) == _key(module, second)
+        shared = {"u": module.globals_[global_name]}
+        assert typecheck._table_key(second, {}, shared) \
+            == typecheck._table_key(body, {}, shared) is not None
+        alone = ("--proc", n, "--global", global_name)
+        both = (*alone, "--system", f"Twice{n}")
+        judged = _work(monkeypatch, capsys, path, *both)[0]
+        if cli.main(["typecheck", str(path), *alone]) == 0:
+            well_typed += 1
+            assert judged == _work(monkeypatch, capsys, path, *alone)[0] >= 1
+        else:
+            assert judged == _work(monkeypatch, capsys, path, *both, fresh=True)[0] \
+                > _work(monkeypatch, capsys, path, *alone)[0]
+    capsys.readouterr()
+    assert well_typed >= 2
 
 
-KEYED = """
+ALPHA = """
 domain x : Int in 0..2
-domain y : Int in 0..2
-domain z : Int in 0..3
 table t : Int -> Int = { _ -> 0 }
-table s : Int -> Int = { _ -> 1 }
 global G(a, b) = p -> q : { a(Int). q -> p : { b(Int). end } }
+process P plays q of G = accept u[q](a, b). a?(v). b!(t(v + x) + 1)
+process Q plays q of G = accept u[q](c, d). c?(w). d!(t(w + x) + 1)
 """
 
 
-@pytest.mark.parametrize("changed", [
-    "accept u[q](a, b). a?(v). b!(t(v + y) + 1)",  # a free name
-    "accept u[q](a, b). a?(v). b!(t(v + x) + 2)",  # a literal
-    "accept u[q](a, b). a?(v). b!(s(v + x) + 1)",  # a table name
-    "accept u[q](a, b). a?(z). b!(t(z + x) + 1)",  # the binder's declared domain
-    "accept u[q](b, a). a?(v). b!(t(v + x) + 1)",  # the binder a channel refers to
-])
-def test_a_key_changes_with_what_can_change_a_judgement(changed):
-    module = parse_module(KEYED)
-    body = parse_process("accept u[q](a, b). a?(v). b!(t(v + x) + 1)", module)
-    same = [parse_process(text, module) for text in (
-        "accept u[q](c, d). c?(w). d!(t(w + x) + 1)",   # other undeclared binders
-        "accept u[q](a, b). a?(v2). b!(t(v2 + x) + 1)")]
-    assert {_key(module, p) for p in same} == {_key(module, body)}
-    assert _key(module, parse_process(changed, module)) != _key(module, body)
+def test_alpha_equivalent_declarations_that_are_not_copies_are_each_judged(
+        tmp_path, monkeypatch, capsys):
+    """Q is P with its binders renamed, but the parser did not copy it
+    from P: the table does not know it, and judges it afresh."""
+    path = tmp_path / "alpha.chor"
+    path.write_text(ALPHA)
+    assert _work(monkeypatch, capsys, path)[0] == 2
+    assert _work(monkeypatch, capsys, path, fresh=True)[0] == 2
+    shared, fresh = _outputs(path, capsys, monkeypatch)
+    assert shared == fresh
+    assert shared[0][1:] == (0, ("P: well typed\nQ: well typed\n", ""))
 
 
-def test_a_key_changes_with_the_binder_a_variable_refers_to():
-    module = parse_module(KEYED + "global H(a, b, c) = p -> q : { a(Int). p -> q : "
-                          "{ b(Int). q -> p : { c(Int). end } } }\n")
-    shared = {"u": module.globals_["H"]}
-    domains = DomainDecl.from_module(module)
-
-    def key(text):
-        return alpha_key(parse_process(text, module), {}, shared, domains)
-    assert key("accept u[q](a, b, c). a?(v). b?(w). c!(v)") \
-        == key("accept u[q](a, b, c). a?(m). b?(n). c!(m)")
-    assert key("accept u[q](a, b, c). a?(v). b?(w). c!(v)") \
-        != key("accept u[q](a, b, c). a?(v). b?(w). c!(w)")
-    # binders of equal declared domains: x and y both range over 0..2
-    assert key("accept u[q](a, b, c). a?(x). b?(w). c!(x)") \
-        == key("accept u[q](a, b, c). a?(y). b?(w). c!(y)") \
-        != key("accept u[q](a, b, c). a?(z). b?(w). c!(z)")
+CAPTURE = """
+global G(a, b) = p -> q : { a(Int). q -> p : { b(Int). end } }
+global K(a) = p -> q : { a(Int). q -> p : { b(Int). end } }
+process P1 plays q of G = accept u[q](a, b). a?(v). b!(hd([v]))
+process P2 plays q of K = accept u[q](a). a?(v). b!(v)
+process P3 plays q of K = accept u[q](b). b?(v). 0
+process P4 plays q of K = accept u[q](b). b?(v). b!(v)
+system S1 = P1 || P1
+system S2 = P2 || P2
+system S3 = P3 || P3
+system S4 = P4 || P4
+"""
 
 
-def test_no_key_where_names_reach_past_the_syntax():
-    """A channel that instantiation keeps in the global type can be
-    captured by a binder of the same name.  A partial operator has a key:
-    whether a guard holds or raises does not follow the variables'
-    names."""
-    module = parse_module(KEYED + "global K(a) = p -> q : { a(Int). q -> p : "
-                          "{ b(Int). end } }\n")
-    domains = DomainDecl.from_module(module)
-    g = {"u": module.globals_["G"]}
-    assert alpha_key(parse_process("accept u[q](a, b). a?(v). b!(hd([v]))", module),
-                     {}, g, domains) is not None
-    k = {"u": module.globals_["K"]}
-    assert alpha_key(parse_process("accept u[q](a). a?(v). b!(v)", module),
-                     {}, k, domains) is not None
-    assert alpha_key(parse_process("accept u[q](b). b?(v). 0", module),
-                     {}, k, domains) is None
+def test_no_key_where_names_reach_past_the_syntax(tmp_path, monkeypatch, capsys):
+    """A channel that instantiation keeps in the global type (K's `b`) is
+    captured by a binder of the same name, so a process with one is
+    judged afresh in every copy: P4 is well typed, since its session
+    channel `b` meets the kept `b`, and the copy that renames it to `b_2`
+    is not.  A partial operator (P1's `hd`) and a free name that meets
+    the kept channel (P2's `b`) leave the copies table hits.  Each row is
+    (process, judgements of it and its system with one table, with a
+    fresh table for each target): a fresh table still serves the system's
+    second copy of P1 or P2 from its first.  The module prints as it does
+    with a fresh table for each target."""
+    path = tmp_path / "capture.chor"
+    path.write_text(CAPTURE)
+    module = parse_module(CAPTURE)
+    for n, judgements, afresh in ((1, 1, 2), (2, 1, 2), (3, 2, 2), (4, 3, 3)):
+        global_name = "G" if n == 1 else "K"
+        options = ("--proc", f"P{n}", "--system", f"S{n}", "--global", global_name)
+        assert _work(monkeypatch, capsys, path, *options)[0] == judgements
+        assert _work(monkeypatch, capsys, path, *options, fresh=True)[0] == afresh
+        shared = {"u": module.globals_[global_name]}
+        key = typecheck._table_key(module.processes[f"P{n}"].body, {}, shared)
+        assert (key is None) == (n in (3, 4))
+    shared, fresh = _outputs(path, capsys, monkeypatch)
+    assert shared == fresh
+    code, (out, err) = shared[0][1:]
+    assert code == 1 and err == ""
+    assert out.splitlines()[3:] == [
+        "P4: well typed", "S1: well typed", "S2: well typed",
+        "S3: VEnd: the process stops where the specification expects an output "
+        "on ['b'] (at par-left / session of q / ?b)",
+        "S4: VSend: process outputs on ['b_2'], which the specification does "
+        "not allow (at par-right / session of q / ?b_2)"]
+
+
+def test_a_copy_whose_free_channel_moves_has_no_origin(tmp_path, capsys, monkeypatch):
+    """The second `new (b)` must rename its binder, and with it P2's free
+    channel `b` in the copy inside: that copy is no renaming of P2 by its
+    binders alone, so it keeps no origin and is judged, and fails, as
+    with a fresh table for each target."""
+    text = CAPTURE + "system S5 = new (b)@u in P2 || new (b)@u in P2\n"
+    module = parse_module(text)
+    second = module.systems["S5"].body.scope.right.scope.process
+    assert second.cont.arms[0].cont.channel == "b_2"
+    assert second._origin is None
+    path = tmp_path / "moved.chor"
+    path.write_text(text)
+    shared, fresh = _outputs(path, capsys, monkeypatch)
+    assert shared == fresh
+    code, (out, err) = shared[0][1:]
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == ("S5: VSend: channel 'b_2' is not bound by "
+                                    "any open session (at new / par-right / new / "
+                                    "vacc u[q] / arm a_2)")
 
 
 def test_a_copy_that_tests_hd_in_a_guard_is_a_table_hit(monkeypatch, capsys):
@@ -241,6 +287,40 @@ def test_a_copy_that_tests_hd_in_a_guard_is_a_table_hit(monkeypatch, capsys):
     shared, fresh = _outputs(conftest.HD_GUARD, capsys, monkeypatch)
     assert shared == fresh
     assert shared[0][1:] == (0, ("Q: well typed\nP: well typed\nS: well typed\n", ""))
+
+
+CHAIN = """
+domain x : Int in {0, 1}
+global G(a, b) = p -> q : { a(Int). q -> p : { b(Bool). end } }
+process R plays q of G = accept u[q](a, b). a?(x_2). b!(x_2 = 0);
+    accept u[q](a, b). a?(x_2). b!(x_2 = 0)
+process Q plays q of G = accept u[q](a, b). a?(x). b!(x = 0);
+    accept u[q](a, b). a?(x). b!(x = 0)
+process P plays q of G = accept u[q](a, b). a?(x_2). if x_2 = 0 then b!(true) else b!(false)
+system S = P || P
+"""
+
+
+def test_a_rename_of_a_rename_has_the_domain_of_the_declared_name(
+        tmp_path, capsys, monkeypatch):
+    """R renames its second `x_2` to `x_2_2` before Q renames its second
+    `x` to `x_2`, so the alias x_2_2 -> x_2 comes before x_2 -> x.  The
+    system's copy of P renames P's `x_2`, which has x's domain, to
+    `x_2_2`: the copy reads its guard over x's domain too, and so is
+    well typed as P is, with one table or a fresh one for each target
+    (it had no domain, and S failed, when the aliases were read in
+    order)."""
+    module = parse_module(CHAIN)
+    aliases = list(module.bodies.aliases(["R", "Q", "P", "S"]))
+    assert aliases.index("x_2_2") < aliases.index("x_2")
+    domains = DomainDecl.from_module(module, ["R", "Q", "P", "S"]).domains
+    assert domains["x_2_2"] == domains["x_2"] == domains["x"]
+    path = tmp_path / "chain.chor"
+    path.write_text(CHAIN)
+    shared, fresh = _outputs(path, capsys, monkeypatch)
+    assert shared == fresh
+    assert shared[0][1:] == (0, ("R: well typed\nQ: well typed\nP: well typed\n"
+                                 "S: well typed\n", ""))
 
 
 # ------------------------------------------------------------ typing errors
@@ -259,23 +339,24 @@ def test_typing_errors_survive_pickle_and_copy():
 
 @pytest.mark.parametrize("name", ["atm.chor", "pop2.chor", "pop2_multiparty.chor"])
 def test_keys_walk_each_shared_global_once_per_request(name, monkeypatch, capsys):
-    """typecheck of a corpus module keys many session-openings, and reads
-    the channels of each shared global once, not once per key."""
-    keys, walked = [], []
-    real_key, real_channels = typecheck.alpha_key, typecheck.g_channels
+    """typecheck of a corpus module looks many session-openings up in its
+    table, and each lookup reads the kept channels of the shared globals,
+    but walks each global's body once, not once per lookup."""
+    lookups, walked = [], []
+    real_exposed, real_channels = typecheck.exposed_channels, typecheck.g_channels
 
-    def counting_key(*args):
-        keys.append(args)
-        return real_key(*args)
+    def counting_exposed(gdef):
+        lookups.append(gdef)
+        return real_exposed(gdef)
 
     def counting_channels(g):
         walked.append(g)
         return real_channels(g)
 
-    monkeypatch.setattr(typecheck, "alpha_key", counting_key)
+    monkeypatch.setattr(typecheck, "exposed_channels", counting_exposed)
     monkeypatch.setattr(typecheck, "g_channels", counting_channels)
     cli.main(["typecheck", str(conftest.CORPUS / name)])
     capsys.readouterr()
-    shared = {id(gdef.body) for *_, env, _ in keys for gdef in env.values()}
-    assert len(keys) > len(walked) == len(shared) >= 1
+    shared = {id(gdef.body) for gdef in lookups}
+    assert len(lookups) > len(walked) == len(shared) >= 1
     assert {id(g) for g in walked} == shared

@@ -74,11 +74,14 @@ def _simulations():
     assert held.holds() and isinstance(caught, Counterexample)
 
 
-def _walk(value, found: dict, seen: set):
-    """Every record in value, records nested in records included."""
+def _walk(value, found: dict, seen: dict):
+    """Every record in value, records nested in records included.  `seen`
+    maps the id of each value met to the value, which keeps it alive: a
+    temporary met and freed could pass its id on to a later value, which
+    would be skipped."""
     if id(value) in seen:
         return
-    seen.add(id(value))
+    seen[id(value)] = value
     if is_record(type(value)):
         found[type(value)].append(value)
         for name in value.__match_args__:
@@ -87,8 +90,6 @@ def _walk(value, found: dict, seen: set):
         for item in value:
             _walk(item, found, seen)
     elif isinstance(value, collections.abc.Mapping):
-        # the key and the value, not an item: a pair made here and freed
-        # could pass its id on to a later value, which would be skipped
         for key, item in value.items():
             _walk(key, found, seen)
             _walk(item, found, seen)
@@ -131,7 +132,7 @@ def samples() -> dict:
     finally:
         for cls, init in originals.items():
             cls.__init__ = init
-    seen = set()
+    seen = {}
     for path in sorted(conftest.CORPUS.glob("*.chor")):
         module, read = _parsed(path)
         _walk(read, found, seen)
@@ -326,6 +327,6 @@ def test_bodies_as_read_pickle():
         copy = pickle.loads(pickle.dumps(module))
         assert render_module(copy) == render_module(module)
         found = collections.defaultdict(list)
-        _walk(read, found, set())
+        _walk(read, found, {})
         refs += len(found[Ref])
     assert refs > 10

@@ -215,6 +215,36 @@ def test_wsi_covering_end_choreography(atm_domains):
     assert str(v) == "MissingRun <empty>: 'p' is not a participant of G0"
 
 
+@pytest.mark.parametrize("name", ["pop2.chor", "pop2_multiparty.chor"])
+def test_wsi_covering_names_a_fragment_global_as_cover_does(name, capsys):
+    """A global that uses channels it does not take as parameters is a
+    fragment that other globals inline, not a session: covering rejects
+    it before the search, with `cover`'s reason, and an entry global has
+    no such reason."""
+    from chorus_wsi.cli import main
+    module = conftest.load(name)
+    domains = DomainDecl.from_module(module, ("Exit",))
+    body = module.processes["Exit"].body
+    fragments = 0
+    for gdef in module.globals_.values():
+        reason = wsi.fragment_problem(gdef)
+        assert bool(reason) == (not gdef.params)
+        if not reason:
+            continue
+        fragments += 1
+        v = wsi_by_covering(gdef, "s", body, domains)
+        assert not v.holds() and not v.inconclusive
+        assert v.reason == reason
+        main(["cover", str(conftest.CORPUS / name), "--global", gdef.name])
+        assert capsys.readouterr().out == reason + "\n"
+    assert fragments == 5
+    code = main(["wsi", str(conftest.CORPUS / name), "--proc", "Exit",
+                 "--global", "G_EXIT", "--role", "s", "--mode", "covering"])
+    assert code == 1
+    assert capsys.readouterr().out == ("covering: MissingRun <empty>: G_EXIT uses "
+                                       "channels that are not its parameters: bye\n")
+
+
 def test_wsi_cli_no_participants_both_paths_reject(capsys):
     import conftest
     from chorus_wsi.cli import main
