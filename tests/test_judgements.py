@@ -210,6 +210,92 @@ def test_alpha_equivalent_declarations_that_are_not_copies_are_each_judged(
     assert shared[0][1:] == (0, ("P: well typed\nQ: well typed\n", ""))
 
 
+KEYED = """
+domain x : Int in 0..2
+domain y : Int in 0..2
+domain z : Int in 0..3
+table t : Int -> Int = { _ -> 0 }
+table s : Int -> Int = { _ -> 1 }
+global G(a, b) = p -> q : { a(Int). q -> p : { b(Int). end } }
+global H(a, b, c) = p -> q : { a(Int). p -> q : { b(Int). q -> p : { c(Int). end } } }
+"""
+
+
+def _copies(text, tmp_path, global_name, bodies) -> tuple:
+    """The module of text with a process declared for each of bodies,
+    playing q of the named global, and a system of two copies of each;
+    its path, and the keys of each declaration and of its two copies."""
+    text += "".join(f"process P{i} plays q of {global_name} = {body}\n"
+                    f"system Twice{i} = P{i} || P{i}\n"
+                    for i, body in enumerate(bodies))
+    path = tmp_path / "keyed.chor"
+    path.write_text(text)
+    module = parse_module(text)
+    shared = {"u": module.globals_[global_name]}
+    keys = []
+    for i in range(len(bodies)):
+        body = module.processes[f"P{i}"].body
+        twice = module.systems[f"Twice{i}"].body
+        first, second = twice.left.process, twice.right.process
+        assert first is body and second._origin is body
+        assert second.chans != body.chans
+        keys.append(tuple(typecheck._table_key(p, {}, shared)
+                          for p in (body, first, second)))
+    return module, path, keys
+
+
+@pytest.mark.parametrize("changed", [
+    "accept u[q](a, b). a?(v). b!(t(v + y) + 1)",  # a free name
+    "accept u[q](a, b). a?(v). b!(t(v + x) + 2)",  # a literal
+    "accept u[q](a, b). a?(v). b!(s(v + x) + 1)",  # a table name
+    "accept u[q](a, b). a?(z). b!(t(z + x) + 1)",  # the binder's declared domain
+    "accept u[q](b, a). a?(v). b!(t(v + x) + 1)",  # the binder a channel refers to
+])
+def test_a_key_changes_with_what_can_change_a_judgement(
+        changed, tmp_path, monkeypatch, capsys):
+    """A copy whose binders the parser renamed keeps the key of its
+    declaration, and a declaration that differs in what can change a
+    judgement has another key, and so have its copies."""
+    _, path, ((body, *same), (other, *copies)) = _copies(
+        KEYED, tmp_path, "G", ["accept u[q](a, b). a?(v). b!(t(v + x) + 1)", changed])
+    assert body is not None and set(same) == {body}
+    assert other is not None and set(copies) == {other} and other != body
+    shared, fresh = _outputs(path, capsys, monkeypatch)
+    assert shared == fresh
+
+
+def test_a_key_changes_with_the_binder_a_variable_refers_to(
+        tmp_path, monkeypatch, capsys):
+    """In a copy, a variable refers to the renamed binder that it referred
+    to in the declaration, and a renamed binder has the domain of its
+    declared name: x and y both range over 0..2, z over 0..3."""
+    module, path, keys = _copies(KEYED, tmp_path, "H", [
+        "accept u[q](a, b, c). a?(v). b?(w). c!(v)",
+        "accept u[q](a, b, c). a?(v). b?(w). c!(w)",
+        "accept u[q](a, b, c). a?(x). b?(w). c!(x)",
+        "accept u[q](a, b, c). a?(y). b?(w). c!(y)",
+        "accept u[q](a, b, c). a?(z). b?(w). c!(z)"])
+    assert all(None not in k and len(set(k)) == 1 for k in keys)
+    assert len({k[0] for k in keys}) == len(keys)
+    domains = DomainDecl.from_module(module, [f"Twice{i}" for i in range(len(keys))])
+    sent = []
+    for i in range(len(keys)):
+        second = module.systems[f"Twice{i}"].body.right.process
+        (first_arm,) = second.cont.arms
+        (second_arm,) = first_arm.cont.arms
+        assert second_arm.cont.channel == second.chans[2]
+        binder = {Var(first_arm.binder): 0, Var(second_arm.binder): 1}
+        sent.append(binder[second_arm.cont.payload])
+        assert domains.domains.get(first_arm.binder) \
+            == module.domains.get(module.processes[f"P{i}"].body.cont.arms[0].binder)
+    assert sent == [0, 1, 0, 0, 0]
+    x, y, z = (domains.domains[module.systems[f"Twice{i}"].body.right.process
+                              .cont.arms[0].binder] for i in (2, 3, 4))
+    assert x == y != z
+    shared, fresh = _outputs(path, capsys, monkeypatch)
+    assert shared == fresh
+
+
 CAPTURE = """
 global G(a, b) = p -> q : { a(Int). q -> p : { b(Int). end } }
 global K(a) = p -> q : { a(Int). q -> p : { b(Int). end } }
