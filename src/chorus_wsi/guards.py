@@ -105,9 +105,6 @@ class Store:
         new[shared] = chans
         return Store(self.vars, new, self.tables)
 
-    def domain(self) -> frozenset:
-        return frozenset(self.vars) | frozenset(self.sessions)
-
     def key(self) -> tuple:
         """A hashable form of the variable and session bindings."""
         return (tuple(sorted(self.vars.items(), key=lambda kv: kv[0])),

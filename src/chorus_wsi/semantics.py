@@ -14,13 +14,17 @@ store is the requester's step store (a `for` binder stays bound) plus
 the acceptors' bindings, with the session bound to the actuals; the
 label is the requester's, guard kept.  The substitution covers the rest
 of a `Seq` too, so a session binder must differ from the free names
-that follow it, as the parser's freshening makes it.  A system step is
-reported as the component that moved and its process-level label, which
-is all that `chorus-wsi simulate` reads.  Covering's search (`wsi`)
-steps the checked process by `step_process` and its peers' projections
-by `type_steps`.  The specification stepper and the conditional
-simulation checker that the tests hold these against are in
-tests/conformance_reference.py.
+that follow it, as the parser's freshening makes it.  So no step renames
+the channels that an open binds: freshening keeps them apart from every
+other name of their body, `subst_process` leaves a later open of the
+same names alone (the next round of a loop), and each session's own
+actuals keep its queues apart from every other session's, whatever
+names the store holds.  A system step is reported as the component that
+moved and its process-level label, which is all that `chorus-wsi
+simulate` reads.  Covering's search (`wsi`) steps the checked process
+by `step_process` and its peers' projections by `type_steps`.  The
+specification stepper and the conditional simulation checker that the
+tests hold these against are in tests/conformance_reference.py.
 
 Structural congruence is applied as a normalization to canonical form
 (flattened parallel components, restrictions hoisted, idle processes
@@ -29,7 +33,7 @@ dropped) rather than searched.
 
 from __future__ import annotations
 
-from .guards import Store, eval_expr
+from .guards import SortMismatch, Store, eval_expr
 from .syntax.ast import (
     Accept, Branch, Const, Expr, For, If, Lit, Par, Proc, Process, Queue,
     RepeatUntil, Request, Restrict, Send, Seq, System, TEnd, TExternal,
@@ -113,11 +117,9 @@ def step_process(p: Process, store: Store, oracle) -> list:
         case Branch(arms) if not arms:
             return []
         case Request(shared, arity, chans, cont):
-            chans, cont = _fresh_session_names(chans, cont, store)
             label = Label("req", shared=shared, arity=arity, chans=chans)
             out.append((label, cont, store.with_session(shared, chans)))
         case Accept(shared, role, chans, cont):
-            chans, cont = _fresh_session_names(chans, cont, store)
             label = Label("acc", shared=shared, role=role, chans=chans)
             out.append((label, cont, store.with_session(shared, chans)))
         case Send(channel, payload):
@@ -139,6 +141,8 @@ def step_process(p: Process, store: Store, oracle) -> list:
                 out.append((label.with_guard(guard), cont, store2))
         case For(binder, items, body):
             value = eval_expr(items, store)
+            if value.sort.kind != "List":
+                raise SortMismatch(f"iterating over non-list {value.sort}")
             if not value.value:
                 out.append((Label("tau"), Branch(()), store))
             else:
@@ -156,23 +160,6 @@ def step_process(p: Process, store: Store, oracle) -> list:
             for label, cont, store2 in step_process(exit, store, oracle):
                 out.append((label, cont, store2))
     return out
-
-
-def _fresh_session_names(chans: tuple, cont: Process, store: Store):
-    taken = store.domain() | frozenset(
-        y for ys in store.sessions.values() for y in ys)
-    if not (set(chans) & taken):
-        return chans, cont
-    mapping = {}
-    for y in chans:
-        fresh = y
-        i = 1
-        while fresh in taken or fresh in mapping.values():
-            fresh = f"{y}#{i}"
-            i += 1
-        mapping[y] = fresh
-    new = tuple(mapping[y] for y in chans)
-    return new, subst_process(cont, cmap={k: v for k, v in mapping.items() if k != v})
 
 
 # ---------------------------------------------------------- system stepping

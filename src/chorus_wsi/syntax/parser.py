@@ -235,9 +235,11 @@ class Bodies:
     """The process and system bodies of one parsed module.  Each is kept
     as read, with a `Ref` wherever it names an earlier declaration, and
     freshened the first time it is read, after the bodies it names: so a
-    freshened body depends only on its own text and on those bodies, and
-    bodies read in any order are the bodies read in source order.  A
-    declaration keeps its own renames."""
+    freshened body depends only on its own text, on those bodies and on
+    the module's domain declarations, and bodies read in any order are
+    the bodies read in source order.  A declaration keeps its own
+    renames.  `subst.freshen` reads a body by name here (`bodies[name]`),
+    and no binder it moves takes a name of the module's `domains`."""
 
     def __init__(self, text: str):
         self.text = text
@@ -248,6 +250,7 @@ class Bodies:
         self.bodies = {}  # name -> the freshened body (see `subst.freshen`)
         self.refs = {}    # name -> the one `Ref` to it
         self.named = {}   # the names referred to since the last declaration
+        self.domains = {}  # the module's domain declarations
 
     def ref(self, name: str) -> Ref:
         self.named[name] = None
@@ -255,6 +258,9 @@ class Bodies:
         if ref is None:
             ref = self.refs[name] = Ref(name)
         return ref
+
+    def __getitem__(self, name: str):
+        return self.bodies[name]
 
     def declare(self, table: Declared, name: str, decl, at: int) -> None:
         table.names[name] = None
@@ -283,7 +289,7 @@ class Bodies:
             todo.pop()
             renames = {}
             try:
-                body = freshen(decl.body, renames, self.bodies)
+                body = freshen(decl.body, renames, self)
             except RecursionError:
                 raise ParseError("nesting too deep",
                                  *token_line_col(self.text, at)) from None
@@ -349,7 +355,8 @@ class Parser:
         self.bodies = None
         if module is None:
             self.bodies = Bodies(text)
-            module = ModuleDecl(processes=Declared(self.bodies),
+            module = ModuleDecl(domains=self.bodies.domains,
+                                processes=Declared(self.bodies),
                                 systems=Declared(self.bodies),
                                 bodies=self.bodies)
         self.module = module

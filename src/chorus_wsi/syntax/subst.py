@@ -98,20 +98,24 @@ def subst_process(p: Process, cmap: dict) -> Process:
     raise TypeError(f"not a process: {p!r}")
 
 
-def freshen(term, renames: dict | None = None, bodies: dict | None = None):
+def freshen(term, renames: dict | None = None, bodies=None):
     """Rename binders in a process or system so all are pairwise distinct
     and disjoint from free names.  When `renames` is given it collects
-    fresh-name -> original-name for every binder that had to move.  Each
-    `Ref` in `term` gives way to its body in `bodies`, a freshened body
-    by declaration name, walked where it stands."""
+    fresh-name -> original-name for every binder that had to move.
+    `bodies` is the module's `parser.Bodies`: each `Ref` in `term` gives
+    way to the freshened body `bodies[name]`, walked where it stands, and
+    a binder that moves takes no name of `bodies.domains`, which has a
+    domain of its own, as `DomainDecl.from_module` gives the moved
+    binder the domain of the name it moved from."""
     used = set(names(term).free)
+    declared = () if bodies is None else bodies.domains
 
     def claim(name: str) -> str:
         if name not in used:
             used.add(name)
             return name
         i = 2
-        while f"{name}_{i}" in used:
+        while f"{name}_{i}" in used or f"{name}_{i}" in declared:
             i += 1
         fresh = f"{name}_{i}"
         used.add(fresh)

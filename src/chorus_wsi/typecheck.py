@@ -251,11 +251,9 @@ def exposed_channels(gdef: GlobalDef) -> frozenset:
 
 def instantiate(gdef: GlobalDef, chans: tuple) -> GlobalType:
     """The global type with its channel parameters replaced by chans:
-    the declared body itself when chans are the parameters."""
-    if len(gdef.params) != len(chans):
-        raise TypingError(
-            "VReq", f"global {gdef.name} has {len(gdef.params)} session "
-            f"channels, got {len(chans)}")
+    the declared body itself when chans are the parameters.  It raises
+    nothing; `open_problem` says whether chans has one channel per
+    parameter."""
     if chans == gdef.params:
         return gdef.body
     mapping = dict(zip(gdef.params, chans))
@@ -442,28 +440,42 @@ def _synth_process(ctx: _Ctx, p: Process) -> dict:
     raise TypeError(f"not a process: {p!r}")
 
 
+def open_problem(gdef: GlobalDef, p: Request | Accept) -> str | None:
+    """Why p breaks the side conditions of VReq or VAcc on a session of
+    gdef, or None.  A request comes from gdef's first participant and
+    names an acceptor for each other one, an accept comes from any other
+    participant, and each names one channel per parameter of gdef.
+    Typing raises the reason under its rule, and covering gives it as
+    the reason why no context joins p."""
+    if len(p.chans) != len(gdef.params):
+        return (f"global {gdef.name} has {len(gdef.params)} session channels, "
+                f"got {len(p.chans)}")
+    parts = participants_ordered(gdef.body)
+    if isinstance(p, Request):
+        if not parts:
+            return f"{gdef.name} has no participant to request"
+        if p.arity != len(parts) - 1:
+            return (f"request arity {p.arity}, but {gdef.name} has "
+                    f"{len(parts) - 1} other participants")
+    elif p.role not in parts:
+        return f"{p.role!r} is not a participant of {gdef.name}"
+    elif p.role == parts[0]:
+        return (f"role {p.role!r} initiates {gdef.name} and must request, "
+                "not accept")
+    return None
+
+
 def _open_session(ctx: _Ctx, p: Request | Accept) -> tuple:
     """VReq/VAcc up to the session body: (rule, gdef, g, key, body context)."""
     rule = "VAcc" if isinstance(p, Accept) else "VReq"
     gdef = ctx.shared.get(p.shared)
     if gdef is None:
         raise ctx.err(rule, f"shared name {p.shared!r} has no global type")
+    problem = open_problem(gdef, p)
+    if problem is not None:
+        raise ctx.err(rule, problem)
     g = instantiate(gdef, p.chans)
-    parts = participants_ordered(g)
-    if isinstance(p, Request):
-        if not parts:
-            raise ctx.err(rule, f"{gdef.name} has no participant to request")
-        role = parts[0]
-        if p.arity != len(parts) - 1:
-            raise ctx.err(rule, f"request arity {p.arity}, but {gdef.name} has "
-                          f"{len(parts) - 1} other participants")
-    else:
-        role = p.role
-        if role not in parts:
-            raise ctx.err(rule, f"{role!r} is not a participant of {gdef.name}")
-        if role == parts[0]:
-            raise ctx.err(rule, f"role {role!r} initiates {gdef.name} and must "
-                          "request, not accept")
+    role = p.role if isinstance(p, Accept) else participants_ordered(gdef.body)[0]
     key = (tuple(p.chans), role)
     inner = ctx.with_session(key, channel_sorts(g))
     return rule, gdef, g, key, inner.at(f"{rule.lower()} {p.shared}[{role}]")
@@ -522,7 +534,9 @@ def _head_rule(t: PseudoType) -> str:
 
 
 def _match_local(got: PseudoType, want: PseudoType, ctx: _Ctx):
-    """Compare guard-erased session behaviour against the projection."""
+    """Compare guard-erased session behaviour against the projection.
+    Sorts need no comparison: both sides take each channel's sort from
+    the one global type, whose `channel_sorts` gives every channel one."""
     match (got, want):
         case (TEnd(), TEnd()):
             return
@@ -540,11 +554,7 @@ def _match_local(got: PseudoType, want: PseudoType, ctx: _Ctx):
                     f"{sorted(gmap)}, the specification also allows "
                     f"{sorted(set(wmap) - set(gmap))}")
             for chan, b in gmap.items():
-                w = wmap[chan]
-                if b.sort != w.sort:
-                    raise ctx.err("VSend", f"payload on {chan!r} has sort "
-                                  f"{b.sort}, specification says {w.sort}")
-                _match_local(b.cont, w.cont, ctx.at(f"!{chan}"))
+                _match_local(b.cont, wmap[chan].cont, ctx.at(f"!{chan}"))
             return
         case (TExternal(gb), TExternal(wb)):
             gmap = {b.channel: b for b in gb}
@@ -554,11 +564,7 @@ def _match_local(got: PseudoType, want: PseudoType, ctx: _Ctx):
                     "VRcv", f"process offers inputs on {sorted(gmap)}, "
                     f"specification requires {sorted(wmap)}")
             for chan, b in gmap.items():
-                w = wmap[chan]
-                if b.sort != w.sort:
-                    raise ctx.err("VRcv", f"binder on {chan!r} has sort "
-                                  f"{b.sort}, specification says {w.sort}")
-                _match_local(b.cont, w.cont, ctx.at(f"?{chan}"))
+                _match_local(b.cont, wmap[chan].cont, ctx.at(f"?{chan}"))
             return
         case (TSeq(g1, g2), TSeq(w1, w2)):
             _match_local(g1, w1, ctx.at("loop"))

@@ -14,12 +14,15 @@ map, the other roles' normalized projections (stepped by
 matched so far.  A complete state with all of s matched is a witness.
 As in the system semantics, the session opens on a request with one
 acceptor per other role by the first participant, or on an accept by
-any other, naming as many channels as the global type.  A free variable
-with a declared domain starts pending, and so does a variable that
-receives a peer's payload; it takes each candidate value at the first
-step that raises `Undefined` on it.  Any other evaluation error stops
-the search, as in the system semantics, and is the reason given for the
-target's `MissingRun`.  An emitted event advances the mask by one step
+any other, naming as many channels as the global type: the side
+conditions of VReq and VAcc, which `typecheck.open_problem` states.  A
+process with an open on the shared name that breaks them is answered
+with typing's reason before any search.  A free variable with a
+declared domain starts pending, and so does a variable that receives a
+peer's payload; it takes each candidate value at the first step that
+raises `Undefined` on it.  Any other evaluation error stops the search,
+as in the system semantics, and is the reason given for the target's
+`MissingRun`.  An emitted event advances the mask by one step
 of the greedy matcher of `traces` (over `matching_tables(s)`), or is
 extra.  The matcher matches all of s on a run iff s is below the run,
 so one visited set of (state, mask) loses no witness.
@@ -103,7 +106,7 @@ from .traces import (
 )
 from .typecheck import (
     SpecEnv, TypingError, exposed_channels, gamma_from_domains, instantiate,
-    typecheck_process, unique_role,
+    open_problem, typecheck_process, unique_role,
 )
 
 
@@ -168,21 +171,11 @@ def _role_problem(gdef: GlobalDef, role: str, proc: Process,
     return None
 
 
-def _arity_problem(gdef: GlobalDef, g, proc: Process, shared_name: str) -> str | None:
-    """Why no partner would ever join a request or accept of proc to open
-    a session of g, `gdef` instantiated, or None; typing reports it as a
-    VReq or VAcc error."""
-    opens = _opens(proc, shared_name)
-    counts = {len(p.chans) for p in opens} - {len(gdef.params)}
-    if counts:
-        return (f"global {gdef.name} has {len(gdef.params)} session "
-                f"channels, got {min(counts)}")
-    others = len(participants_ordered(g)) - 1
-    arities = {p.arity for p in opens if isinstance(p, Request)} - {others}
-    if arities:
-        return (f"request arity {min(arities)}, but {gdef.name} has "
-                f"{others} other participants")
-    return None
+def _open_problem(gdef: GlobalDef, proc: Process, shared_name: str) -> str | None:
+    """Why no partner would ever join a request or accept of proc on the
+    shared name, the first that breaks VReq or VAcc, or None."""
+    return next(filter(None, (open_problem(gdef, p)
+                              for p in _opens(proc, shared_name))), None)
 
 
 def _opens(p: Process, u: str) -> list:
@@ -251,13 +244,11 @@ class _Product:
     kind.  The peers are the ids of their normalized projections, the
     queues one tuple of messages per channel, indexed by `chan_index`."""
 
-    def __init__(self, gdef: GlobalDef, g, role: str | None,
+    def __init__(self, gdef: GlobalDef, role: str | None,
                  proc: Process | None, domains: DomainDecl,
                  shared_name: str | None, peers: tuple):
         self.role, self.domains, self.shared_name = role, domains, shared_name
         self.params, self.roles = gdef.params, tuple(q for q, _ in peers)
-        self.opens = ("req", len(peers)) if (role,) == participants_ordered(g)[:1] \
-            else ("acc", None)  # the label, with its arity, that opens
         # the session channels: as in the specification, a peer's step on
         # any other channel has no queue to use
         self.chan_index = {y: i for i, y in enumerate(sorted(gdef.params))}
@@ -322,9 +313,9 @@ class _Product:
                 ids.values[proc], self.stores[bindings], ids.values[pending], head):
             event, effect, chans2 = None, None, chans
             if label.kind in ("req", "acc"):
-                # `_arity_problem` has checked the number of channels
-                if label.shared != self.shared_name or chans != self.no_chans \
-                        or (label.kind, label.arity) != self.opens:
+                # each open on the shared name plays the role and meets
+                # VReq or VAcc (`_role_problem`, `_open_problem`)
+                if label.shared != self.shared_name or chans != self.no_chans:
                     continue  # no partner ever joins
                 effect, chans2 = _OPEN, ids[tuple(zip(label.chans, self.params))]
             elif label.kind in ("out", "in") and label.channel in session:
@@ -513,13 +504,12 @@ def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
     """WSI by covering: Holds once every target skeleton has a witness."""
     g = instantiate(gdef, gdef.params)
     found = fragment_problem(gdef) or _role_problem(gdef, role, proc, shared_name) \
-        or _arity_problem(gdef, g, proc, shared_name) \
+        or _open_problem(gdef, proc, shared_name) \
         or _search_inputs(gdef, g, role, domains)
     if isinstance(found, str):
         return CoveringVerdict(False, missing=(), reason=found)
     targets, peers = found
-    return _cover(_Product(gdef, g, role, proc, domains, shared_name, peers),
-                  targets)
+    return _cover(_Product(gdef, role, proc, domains, shared_name, peers), targets)
 
 
 def projections_cover(gdef: GlobalDef, delta: SpecEnv, targets: list,
@@ -529,8 +519,7 @@ def projections_cover(gdef: GlobalDef, delta: SpecEnv, targets: list,
     the projections (`traces.projection_env`)?  The same search with no
     process to check: the session starts open and every role is a peer."""
     peers = tuple((role, t) for (_, role), t in delta.sessions)
-    return _cover(_Product(gdef, instantiate(gdef, gdef.params), None, None,
-                           domains, None, peers), targets)
+    return _cover(_Product(gdef, None, None, domains, None, peers), targets)
 
 
 def _cover(product: _Product, targets: list) -> CoveringVerdict:

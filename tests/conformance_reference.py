@@ -259,7 +259,7 @@ def _cons_type(store: Store, t: PseudoType) -> bool:
 def consistent(store: Store, gamma: dict, e: Expr, delta: SpecEnv) -> tuple:
     """The four consistency clauses; returns (ok, list of failures)."""
     problems = []
-    bound = store.domain() | frozenset(
+    bound = frozenset(store.vars) | frozenset(store.sessions) | frozenset(
         y for chans in store.sessions.values() for y in chans)
     missing = (session_channels(delta) | set(delta.queue_map()) | set(gamma)) - bound
     if missing:

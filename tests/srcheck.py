@@ -116,7 +116,7 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
                 f"seed {seed}: no specification step matches {label}")
 
         # store monotonicity and label truthfulness on the way
-        if not store.domain() <= store2.domain():
+        if not {*store.vars, *store.sessions} <= {*store2.vars, *store2.sessions}:
             raise SRViolation(f"seed {seed}: store domain shrank at {label}")
         from chorus_wsi.guards import eval_expr
         if eval_expr(label.guard, store).value is not True:

@@ -175,6 +175,71 @@ def test_simulate_evaluation_error(tmp_path, capsys):
         "error": "evaluation error: unbound variable 'z'"}
 
 
+def test_sessions_reopened_in_a_loop_keep_their_own_queues(tmp_path, capsys):
+    """Each session that a loop opens gets its own channels, `a@u0` then
+    `a@u1`, with no renaming of the channels its process binds: not even
+    where a store variable shares a channel's name (`domain a`)."""
+    module = tmp_path / "loop.chor"
+    module.write_text(
+        "domain a : Bool\n"
+        "global G(a) = p -> q : { a(Int). end }\n"
+        "process P = for i in [1, 2] { request u[1](a). a!(i) }\n"
+        "process Q = for j in [1, 2] { accept u[q](a). a?(x). 0 }\n"
+        "system S = P || Q\n")
+    code, out, _ = run(capsys, "simulate", str(module), "--system", "S",
+                       "--seed", "0")
+    assert code == 0
+    assert out.splitlines() == [
+        "[0] req u[1](a@u0)", "[0] a@u0!1", "[1] a@u0?1",
+        "[0] req u[1](a@u1)", "[0] a@u1!2", "[1] a@u1?2",
+        "[1] tau", "[0] tau", "terminated after 8 steps"]
+
+
+def test_no_fresh_name_has_a_declared_domain(tmp_path, capsys):
+    """Freshening moves P's second binder x past x_2, which has a domain
+    of its own, so Q's Bool binder x_2 keeps its declared domain in every
+    request: both `typecheck` and `wsi` find Q well typed."""
+    module = tmp_path / "fresh.chor"
+    module.write_text(
+        "domain x : Int in {0, 1}\n"
+        "domain x_2 : Bool\n"
+        "global G(a, b, c) = p -> q : { a(Int). p -> q : { a(Int). end } "
+        "+ b(Bool). q -> p : { c(Unit). end } }\n"
+        "process P plays q of G = accept u[q](a, b, c). "
+        "sum { a?(x). a?(x). 0 + b?(y). c!() }\n"
+        "process Q plays q of G = accept u[q](a, b, c). "
+        "sum { a?(w). a?(v). 0 + b?(x_2). if x_2 then c!() else c!() }\n")
+    code, out, _ = run(capsys, "parse", str(module))
+    assert code == 0
+    assert "sum { a?(x). a?(x_3). 0 + b?(y). c!() }" in out
+    assert run(capsys, "typecheck", str(module)) == (
+        0, "P: well typed\nQ: well typed\n", "")
+    assert run(capsys, "wsi", str(module), "--proc", "Q", "--mode", "typing") \
+        == (0, "typing:   Holds (typing validates the role 'q')\n", "")
+
+
+def test_a_for_over_a_non_list_is_an_evaluation_error(tmp_path, capsys):
+    """Stepping `for i in n` where n is no list stops the run, or the
+    covering search, with an evaluation error instead of a traceback."""
+    module = tmp_path / "for.chor"
+    module.write_text(
+        "domain n : Int in {3}\n"
+        "global G(a) = p -> q : { a(Int). end }\n"
+        "process P plays p of G = request u[1](a). for i in n { a!(i) }\n"
+        "process Q = accept u[q](a). a?(x). 0\n"
+        "system S = P || Q\n")
+    code, out, err = run(capsys, "simulate", str(module), "--system", "S",
+                         "--seed", "0")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == ("stopped after 1 steps: evaluation error: "
+                                    "iterating over non-list Int")
+    code, out, err = run(capsys, "wsi", str(module), "--proc", "P",
+                         "--mode", "covering")
+    assert (code, err) == (1, "")
+    assert out == ("covering: MissingRun (p,a!Int) (q,a?Int): evaluation "
+                   "error: iterating over non-list Int\n")
+
+
 def test_traces_json(capsys):
     code, out, _ = run(capsys, "traces", ATM, "--unfold", "1", "--json")
     assert code == 0
@@ -873,8 +938,8 @@ def test_main_builds_the_named_subcommand_parser_only(capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("argv, instances, calls, walks", [
-    pytest.param(("cover", POP2, "--unfold", "2"), 3, 10, 3, id="cover"),
-    pytest.param(("wsi", POP2, "--proc", "Init"), 4, 12, 3, id="wsi")])
+    pytest.param(("cover", POP2, "--unfold", "2"), 2, 9, 3, id="cover"),
+    pytest.param(("wsi", POP2, "--proc", "Init"), 4, 11, 3, id="wsi")])
 def test_a_request_walks_each_global_once(capsys, monkeypatch, argv, instances,
                                           calls, walks):
     """Instantiating a global declaration with its own parameters gives

@@ -87,7 +87,7 @@ def test_system_init_creates_queues(atm, atm_domains):
     assert len(state2.queues) == 5
     assert all(q == () for _, q in state2.queues)
     assert action.shared == "atm"
-    assert set(action.chans) <= store2.domain() | set(
+    assert set(action.chans) <= set(store2.vars) | set(store2.sessions) | set(
         y for ys in store2.sessions.values() for y in ys)
 
 

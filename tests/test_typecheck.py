@@ -1,14 +1,18 @@
 import pytest
 
 from chorus_wsi import guards
+from chorus_wsi.cli import main
 from chorus_wsi.guards import DomainDecl, Store
 from chorus_wsi.pseudotype import (
     equiv, normal_form, normalize, passively_compatible_types, remove_guards,
 )
-from chorus_wsi.syntax import parse_expr, parse_process, parse_type, render_type
+from chorus_wsi.syntax import (
+    parse_expr, parse_global, parse_process, parse_type, render_type,
+)
 from chorus_wsi.syntax.ast import (
-    Branch, FALSE, For, INT, STR, Send, Seq, TEnd, TExternal, TInternal, TIter,
-    TRUE, TSeq, UNIT, Var, bool_lit, int_lit,
+    Accept, Branch, Const, FALSE, For, GlobalDef, INT, RepeatUntil, STR, Send,
+    Seq, TEnd, TExternal, TInternal, TIter, TRUE, TSeq, UNIT, Var, bool_lit,
+    int_lit,
 )
 from chorus_wsi.projection import project
 from chorus_wsi.typecheck import (
@@ -325,3 +329,137 @@ def test_false_assumption_collapses_sessions():
     assert isinstance(nf, TEnd)
     from chorus_wsi.guards import is_unsat
     assert is_unsat(nf.guard, D)
+
+
+# ------------------------------------------------- every typing rejection
+
+_G = "global G(a, b) = p -> q : { a(Int). q -> p : { b(Int). end } }\n"
+_G_CHOICE = "global G(a, b) = p -> q : { a(Int). end + b(Int). end }\n"
+_DOMAIN_N = "domain n : Int in {0, 1}\n"
+_UNINFORMED_R = ("global G(a, b, c) = p -> q : { a(Int). q -> r : { c(Int). "
+                 "end } + b(Int). end }\n")
+
+
+def _plays(role: str, opening: str, body: str, glob: str = _G) -> str:
+    """A module whose process P plays `role` of G, opening with `opening`
+    on the shared name u."""
+    return glob + f"process P plays {role} of G = {opening}. {body}\n"
+
+
+def _q(body: str, glob: str = _G) -> str:
+    """P plays q of G: it accepts on u, then runs body."""
+    return _plays("q", "accept u[q](a, b)", body, glob)
+
+
+# Each case: (module, rule, start of the message, covering's reason or
+# None).  `wsi --mode covering` gives the same reason where it checks the
+# same condition: `typecheck.open_problem` on every open of the checked
+# shared name, and whether the role is a participant.  `typecheck` gives
+# every shared name of a process the global, so an open on a shared name
+# with no global type is reached only through `wsi --mode typing`.
+_REJECTIONS = {
+    "operand-sort": (_q("a?(x). b!(x + true)"), "sort",
+                     "+: expected Int, got Bool", None),
+    "equality-sorts": (_q("a?(x). b!(x = true)"), "sort",
+                       "= compares Int with Bool", None),
+    "tl-non-list": (_q("a?(x). b!(tl(x))"), "sort", "tl of non-list Int", None),
+    "unknown-table": (_q("a?(x). b!(f(x))"), "sort",
+                      "unknown operator or table 'f'", None),
+    "mixed-list": (_q("a?(x). b!(hd([1, true]))"), "sort",
+                   "mixed-sort list literal", None),
+    "payload-sort": (_q("a?(x). b!(true)"), "VSend",
+                     "payload on 'b' has sort Bool, channel carries Int", None),
+    "mixed-sessions": (_q("accept v[q](c, d). sum { a?(x). 0 + c?(y). 0 }",
+                          _G_CHOICE), "VRcv",
+                       "branch mixes channels of different sessions", None),
+    "arms-disagree": (_q("accept v[q](c, d). sum { c?(x). a?(y). 0 + d?(z). 0 }",
+                         _G_CHOICE), "VRcv", "arms disagree on other sessions",
+                      None),
+    "non-bool-condition": (_q("a?(x). if x then b!(1) else b!(2)"), "VIf",
+                           "condition has sort Int, expected Bool", None),
+    "unmergeable": (_DOMAIN_N + _q("a?(x). if n > 0 then b!(1) else a?(y). 0"),
+                    "VIf", "branch types not mergeable: shapes TInternal and "
+                    "TExternal", None),
+    "for-non-list": (_q("a?(x). for i in x { b!(i) }"), "VFor",
+                     "iterating over non-list Int", None),
+    "for-undecided": (_DOMAIN_N + _q("a?(x). for i in tl(1..n) { b!(i) }"),
+                      "VFor", "cannot decide emptiness of the list: tl of "
+                      "empty list", None),
+    "for-guard-on-binder": (
+        "domain i : Int in {1, 2}\n"
+        + _q("a?(x). for i in [1, 2] { if i > 1 then b!(1) else b!(2) }"),
+        "VFor", "guards depend on the iteration variable 'i'", None),
+    "loop-sessions": (_q("repeat { 0 } until { a?(x). b!(1) }"), "VLoop",
+                      "repeat and until must use exactly one common session",
+                      None),
+    "loop-channels": (_q("repeat { a?(x). 0 } until { a?(y). 0 }", _G_CHOICE),
+                      "VLoop", "repeat body and until guard must use disjoint "
+                      "channels", None),
+    "no-global": (_q("accept v[q](c, d). 0"), "VAcc",
+                  "shared name 'v' has no global type", None),
+    "not-a-participant": (_plays("z", "accept u[z](a, b)", "a?(x). b!(1)"),
+                          "VAcc", "'z' is not a participant of G",
+                          "'z' is not a participant of G"),
+    "no-participant": ("global G(a) = end\nprocess P plays p of G = "
+                       "request u[0](a). 0\n", "VReq",
+                       "G has no participant to request", None),
+    "initiator-accepts": (
+        _plays("p", "for i in [1] { accept u[p](a, b)", "{ a!(1); b?(y). 0 } }"),
+        "VAcc", "role 'p' initiates G and must request, not accept (at for-body)",
+        "role 'p' initiates G and must request, not accept"),
+    "accept-too-few-channels": (
+        _plays("q", "for i in [1] { accept u[q](a)", "a?(x). 0 }"), "VAcc",
+        "global G has 2 session channels, got 1 (at for-body)",
+        "global G has 2 session channels, got 1"),
+    "request-too-many-channels": (
+        _plays("p", "for i in [1] { request u[1](a, b, c)", "{ a!(1); b?(y). 0 } }"),
+        "VReq", "global G has 2 session channels, got 3 (at for-body)",
+        "global G has 2 session channels, got 3"),
+    "request-arity": (
+        _plays("p", "request u[2](a, b)", "{ a!(1); b?(y). 0 }"), "VReq",
+        "request arity 2, but G has 1 other participants",
+        "request arity 2, but G has 1 other participants"),
+    "not-projectable": (_plays("r", "accept u[r](a, b, c)", "c?(x). 0",
+                               _UNINFORMED_R), "VAcc",
+                        "G is not projectable on 'r': cannot merge branches "
+                        "for uninvolved 'r'", None),
+}
+
+
+@pytest.mark.parametrize("case", _REJECTIONS)
+def test_every_typing_rejection_names_its_rule(case, tmp_path, capsys):
+    """Each way typing rejects a process, on a minimal module, through
+    the command line: the violated rule and the start of its message.
+    Where covering checks the same condition, it gives the same reason."""
+    module, rule, message, covering = _REJECTIONS[case]
+    path = tmp_path / "m.chor"
+    path.write_text(module)
+    wsi = ["wsi", str(path), "--proc", "P", "--mode"]
+    if case == "no-global":
+        assert main([*wsi, "typing"]) == 1
+        out = capsys.readouterr().out.removeprefix("typing:   Rejected: ")
+    else:
+        assert main(["typecheck", str(path)]) == 1
+        out = capsys.readouterr().out.removeprefix("P: ")
+    assert out.startswith(f"{rule}: {message}"), out
+    if covering is not None:
+        assert main([*wsi, "covering"]) == 1
+        assert capsys.readouterr().out \
+            == f"covering: MissingRun <empty>: {covering}\n"
+
+
+def test_typing_rejections_that_no_parsed_module_reaches():
+    """A parsed `repeat` body and `until` guard are both input choices,
+    and freshening keeps a session's channels apart from those of the
+    sessions around it; terms built directly can break either rule."""
+    session = (KEY, {"a": INT, "b": STR, "c": INT})
+    loop = RepeatUntil(Send("a", Const(int_lit(1))),
+                       parse_process("sum { b?(v). 0 }"))
+    with pytest.raises(TypingError, match=r"^VLoop: repeat body and until guard "
+                       "must be input choices"):
+        typecheck_process({}, TRUE, loop, {}, D, session=session)
+    g = GlobalDef("G", ("x",), parse_global("p -> q : { x(Int). end }"))
+    leak = Accept("u", "q", ("a",), parse_process("a?(y). c!(1)"))
+    with pytest.raises(TypingError, match=r"^VAcc: session channels leak into an "
+                       "enclosing session"):
+        typecheck_process({}, TRUE, leak, {"u": g}, D, session=session)

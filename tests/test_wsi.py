@@ -586,9 +586,9 @@ def test_covering_opens_only_sessions_the_system_semantics_opens(
         pop2, pop2_domains, change):
     """CPop requesting two acceptors, naming a channel too few, or
     accepting as the requesting role c never starts its session with
-    Init in the system semantics, so covering has no witness; of a
-    request of the wrong arity or with a channel too few it names the
-    arity or the channel count, as typing does."""
+    Init in the system semantics, so covering has no witness; it names
+    the arity, the channel count or the accepting initiator, as typing
+    does."""
     g = pop2.globals_["G_POP"]
     cpop = pop2.processes["CPop"].body
     assert wsi_by_covering(g, "c", cpop, pop2_domains).holds()
@@ -604,8 +604,8 @@ def test_covering_opens_only_sessions_the_system_semantics_opens(
                  "other participants",
         "channels": "MissingRun <empty>: global G_POP has 12 session "
                     "channels, got 11",
-        "accept": f"MissingRun {_CPOP_SKELETON}: branch unreachable "
-                  "under declared domains"}[change]
+        "accept": "MissingRun <empty>: role 'c' initiates G_POP and must "
+                  "request, not accept"}[change]
 
 
 @pytest.mark.parametrize("proc, error", [
