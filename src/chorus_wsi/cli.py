@@ -38,7 +38,7 @@ from .traces import (
     sorted_run_strs, sorted_runs,
 )
 from .typecheck import (
-    TypingError, gamma_from_domains, instantiate, typecheck_process,
+    TypingError, gamma_from_domains, instantiate, shared_env, typecheck_process,
     typecheck_system,
 )
 from .wsi import (
@@ -93,10 +93,6 @@ def _the_global(module: ModuleDecl, name: str | None) -> GlobalDef:
         raise UsageError("module declares several entry globals; "
                          "pick one with --global")
     return entries[0]
-
-
-def _shared_env(gdef: GlobalDef, term) -> dict:
-    return {u: gdef for u in fU(term)}
 
 
 def run_to_json(run: tuple) -> list:
@@ -221,7 +217,7 @@ def cmd_typecheck(args) -> int:
                 decl = module.processes[name]
                 gdef = module.globals_[decl.global_name] if decl.global_name \
                     else named or _the_global(module, None)
-                shared = _shared_env(gdef, decl.body)
+                shared = shared_env(gdef, decl.body)
                 typecheck_process(gamma, TRUE, decl.body, shared, domains,
                                   judged=judged)
             else:
@@ -229,7 +225,7 @@ def cmd_typecheck(args) -> int:
                 # without --global, try each entry global until one fits
                 last_error = None
                 for gdef in system_global_candidates():
-                    shared = _shared_env(gdef, body)
+                    shared = shared_env(gdef, body)
                     try:
                         typecheck_system(gamma, TRUE, body, shared, domains,
                                          judged=judged)
@@ -448,72 +444,94 @@ def _positive(text: str) -> int:
     return value
 
 
+_GLOBAL = ("--global", {"dest": "global_name",
+                        "help": "entry global type (default: the unique one)"})
+_UNFOLD = {"type": _positive, "default": 2, "metavar": "K"}
+# name -> (handler, help, arguments after the file and --json, in order)
+_COMMANDS = {
+    "parse": (cmd_parse, "parse and reprint a module", ()),
+    "project": (cmd_project, "project a global type on a role",
+                (_GLOBAL, ("--role", {"required": True}))),
+    "normalize": (cmd_normalize, "normal forms of declared types",
+                  (("--type", {"dest": "type_name"}),)),
+    "typecheck": (cmd_typecheck, "typecheck processes and systems",
+                  (_GLOBAL, ("--proc", {}), ("--system", {}))),
+    "simulate": (cmd_simulate, "seeded execution of a system", (
+        _GLOBAL, ("--seed", {"type": int, "default": 0, "metavar": "S"}),
+        ("--steps", {"type": _positive, "default": 200, "metavar": "N"}),
+        ("--system", {"required": True}),
+        ("--trace", {"metavar": "OUT.json"}))),
+    "traces": (cmd_traces, "annotated runs of a global type", (_GLOBAL, (
+        "--unfold", {**_UNFOLD, "help": "iterations unfolded at most K times"}))),
+    "cover": (cmd_cover, "check runs(G) covered by its projections", (
+        _GLOBAL, ("--unfold", {**_UNFOLD, "help": "iterations unfolded at "
+                               "most K times in the runs counted"}))),
+    "wsi": (cmd_wsi, "whole-spectrum implementation verdicts", (
+        _GLOBAL, ("--role", {}),
+        ("--unfold", {**_UNFOLD, "help": "the bound a covering Holds is "
+                      "reported at (Holds@K); the verdict does not "
+                      "depend on it"}),
+        ("--mode", {"choices": ("typing", "covering", "both"),
+                    "default": "both"}),
+        ("--proc", {"required": True}))),
+}
+
+
+def _arguments(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """`p` with the arguments of the subcommand `name`."""
+    func, _, arguments = _COMMANDS[name]
+    p.add_argument("file", help="a .chor module")
+    p.add_argument("--json", action="store_true", help="machine output")
+    for flag, options in arguments:
+        p.add_argument(flag, **options)
+    p.set_defaults(func=func, command=name)
+    return p
+
+
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser, with only the subcommand named `only`, or
-    with all of them when `only` names none.  Building all eight
-    subcommand parsers takes about 2 ms, a fifth of a short request, so
-    `main` asks for the one its first argument names.  The metavar then
-    keeps all eight names in the usage line that an `unrecognized
-    arguments` error prints; the full parser leaves it unset, so that
-    its errors still call the list `command`."""
-    glob = ("--global", {"dest": "global_name",
-                         "help": "entry global type (default: the unique one)"})
-    unfold = {"type": _positive, "default": 2, "metavar": "K"}
-    # name -> (handler, help, arguments after the file and --json, in order)
-    commands = {
-        "parse": (cmd_parse, "parse and reprint a module", ()),
-        "project": (cmd_project, "project a global type on a role",
-                    (glob, ("--role", {"required": True}))),
-        "normalize": (cmd_normalize, "normal forms of declared types",
-                      (("--type", {"dest": "type_name"}),)),
-        "typecheck": (cmd_typecheck, "typecheck processes and systems",
-                      (glob, ("--proc", {}), ("--system", {}))),
-        "simulate": (cmd_simulate, "seeded execution of a system", (
-            glob, ("--seed", {"type": int, "default": 0, "metavar": "S"}),
-            ("--steps", {"type": _positive, "default": 200, "metavar": "N"}),
-            ("--system", {"required": True}),
-            ("--trace", {"metavar": "OUT.json"}))),
-        "traces": (cmd_traces, "annotated runs of a global type", (glob, (
-            "--unfold", {**unfold,
-                         "help": "iterations unfolded at most K times"}))),
-        "cover": (cmd_cover, "check runs(G) covered by its projections", (
-            glob, ("--unfold", {**unfold, "help": "iterations unfolded at "
-                                "most K times in the runs counted"}))),
-        "wsi": (cmd_wsi, "whole-spectrum implementation verdicts", (
-            glob, ("--role", {}),
-            ("--unfold", {**unfold, "help": "the bound a covering Holds is "
-                          "reported at (Holds@K); the verdict does not "
-                          "depend on it"}),
-            ("--mode", {"choices": ("typing", "covering", "both"),
-                        "default": "both"}),
-            ("--proc", {"required": True}))),
-    }
+    with all of them when `only` names none.  The metavar then keeps all
+    eight names in the usage line that an `unrecognized arguments` error
+    prints; the full parser leaves it unset, so that its errors still
+    call the list `command`."""
     top = argparse.ArgumentParser(
         prog="chorus-wsi",
         description="Choreography projection, guard-sensitive session "
                     "typing, and whole-spectrum implementation checking.")
-    one = only in commands
+    one = only in _COMMANDS
     sub = top.add_subparsers(dest="command", required=True, metavar=(
-        "{%s}" % ",".join(commands) if one else None))
-    for name, (func, text, arguments) in commands.items():
+        "{%s}" % ",".join(_COMMANDS) if one else None))
+    for name, (_, text, _) in _COMMANDS.items():
         if not one or name == only:
-            p = sub.add_parser(name, help=text)
-            p.add_argument("file", help="a .chor module")
-            p.add_argument("--json", action="store_true", help="machine output")
-            for flag, options in arguments:
-                p.add_argument(flag, **options)
-            p.set_defaults(func=func)
+            _arguments(sub.add_parser(name, help=text), name)
     # a fixed usage text, since argparse wraps the built one differently
     # from one Python version to the next; set after the subcommands,
     # whose own usage lines start from the top parser's
     pad = "\n" + " " * len("usage: chorus-wsi ")
-    top.usage = "%(prog)s [-h]" + pad + "{%s}" % ",".join(commands) + pad + "..."
+    top.usage = "%(prog)s [-h]" + pad + "{%s}" % ",".join(_COMMANDS) + pad + "..."
     return top
+
+
+def parse_args(argv: list) -> argparse.Namespace:
+    """The request `argv` names, as `build_parser().parse_args(argv)`
+    reads it.  Where `argv[0]` names a subcommand, that subcommand's
+    parser alone reads the rest, as the full parser would hand it on:
+    building all eight subcommand parsers, or the top parser and one,
+    costs more than a short request's reading of its module.  Only
+    arguments that it leaves over need the top parser, which words that
+    error."""
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        args, extra = _arguments(argparse.ArgumentParser(
+            prog=f"chorus-wsi {name}"), name).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser(name).parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except IllFormed as exc:

@@ -272,9 +272,14 @@ def system_steps(state: SysState, store: Store) -> list:
 
 # ------------------------------------------------------ pseudo-type stepping
 
-def type_steps(t) -> list:
+def type_steps(t, once: bool = True) -> list:
     """Head communications of a normalized pseudo-type: a list of
-    (polarity, channel, sort, continuation)."""
+    (polarity, channel, sort, continuation).  A loop's step continues
+    into the loop again ("unfold"), or, where `once`, also into what
+    follows the loop ("once").  A loop followed by a continuation that
+    offers inputs and nothing else has no "once" steps: the unfolded
+    step reaches the loop again, which may be skipped on each of those
+    inputs, into the same continuations."""
     out: list = []
     match t:
         case TEnd():
@@ -285,17 +290,17 @@ def type_steps(t) -> list:
             return [("in", b.channel, b.sort, b.cont) for b in branches]
         case TIter(body):
             for pol, chan, sort, cont in type_steps(body):
-                out.append((pol, chan, sort, cont))                  # once
+                if once:
+                    out.append((pol, chan, sort, cont))              # once
                 out.append((pol, chan, sort, TSeq(cont, t)))         # unfold
             return out
         case TSeq(first, second):
-            for pol, chan, sort, cont in type_steps(first):
+            # the loop may be skipped on an input of the continuation
+            skips = type_steps(second) if isinstance(first, TIter) else []
+            inputs = [step for step in skips if step[0] == "in"]
+            for pol, chan, sort, cont in type_steps(
+                    first, not inputs or len(inputs) < len(skips)):
                 out.append((pol, chan, sort, TSeq(cont, second)))
-            if isinstance(first, TIter):
-                # the loop may be skipped on an input of the continuation
-                for pol, chan, sort, cont in type_steps(second):
-                    if pol == "in":
-                        out.append((pol, chan, sort, cont))
-            return out
+            return out + inputs
     raise TypeError(f"not a pseudo-type: {t!r}")
 

@@ -83,13 +83,18 @@ body nested deeper than the freshening walk can go is a `ParseError` at
 its declaration's name, raised when the body is read.
 
 The tokenizer is one `findall` of a compiled regex, each match of which
-skips blanks and comments and takes one token's spelling.  Each distinct
-spelling is classified once into a (kind, value) token that all its
-occurrences share, so tokenizing makes one object per distinct spelling,
-not one per token, and a token holds no position.  An error names its
-token by index; only when a `ParseError` is raised is the text scanned
-again up to that token to find its line and column.  Input nested deeper
-than the interpreter's stack allows is a `ParseError` too.
+skips blanks and comments and takes one token's spelling.  The token of
+each keyword and symbol, and of the end, is built once, at import
+(`_FIXED`); every other distinct spelling is classified once per text,
+by its first character, into a (kind, value) token that all its
+occurrences share.  So tokenizing makes one object per distinct name,
+number or string, not one per token, and a token holds no position.
+The readers test the current token against the keyword and symbol
+tokens by identity (`toks[pos] is _DOT`, `expect(_DOT)`), so
+reading one costs no string comparison.  An error names its token by
+index; only when a `ParseError` is raised is the text scanned again up
+to that token to find its line and column.  Input nested deeper than
+the interpreter's stack allows is a `ParseError` too.
 """
 
 from __future__ import annotations
@@ -138,23 +143,26 @@ _SYMBOLS = [
     ":", "@", "=", "<", ">",
 ]
 
-# The token classes, in the order they are tried.  BAD takes any other
-# single character, so each match starts where the last one ended; EOF
-# matches only at the end of the text.
+# The token classes, in the order they are tried; no two start with the
+# same character, but that DATA takes a leading "0x" before INT takes
+# the "0".  SYM tries the symbols of two and three characters before the
+# single ones.  BAD takes any other single character, so each match
+# starts where the last one ended; EOF matches only at the end of the
+# text.
 _LEXEMES = [
-    ("STRING", r'"(?:[^"\\]|\\[\s\S])*"'),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("SYM", "|".join(re.escape(sym) for sym in _SYMBOLS if len(sym) > 1)
+     + "|[" + "".join(re.escape(sym) for sym in _SYMBOLS if len(sym) == 1) + "]"),
     ("DATA", r"0x(?:[0-9a-fA-F][0-9a-fA-F])*"),
     ("INT", r"[0-9]+"),
-    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
-    ("SYM", "|".join(re.escape(sym) for sym in _SYMBOLS)),
+    ("STRING", r'"(?:[^"\\]|\\[\s\S])*"'),
     ("EOF", r"\Z"),
     ("BAD", r"[\s\S]"),
 ]
 # One match skips blanks and comments, then takes one token's spelling
 # as its only group; an empty spelling is the end of the text.
-_TOKEN_RE = re.compile(r"(?:[ \t\r\n]|//[^\n]*)*("
+_TOKEN_RE = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*("
                        + "|".join(pattern for _, pattern in _LEXEMES) + ")")
-_KIND_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in _LEXEMES))
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 
 
@@ -163,16 +171,28 @@ class Token(NamedTuple):
     value: str
 
 
+# The token of each keyword, symbol and the end, built once: every
+# occurrence in every text is this object, so a reader tests a token
+# against one of them by identity.
+_FIXED = {"": Token("EOF", ""), **{word: Token("KEYWORD", word) for word in KEYWORDS},
+          **{sym: Token("SYM", sym) for sym in _SYMBOLS}}
+_WORD = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+
 def _token(spelling: str) -> Token:
-    """The token spelled `spelling`, which `_TOKEN_RE` matched."""
-    kind = _KIND_RE.match(spelling).lastgroup
-    if kind == "IDENT" and spelling in KEYWORDS:
-        kind = "KEYWORD"
-    elif kind == "STRING":
-        spelling = _ESCAPE_RE.sub(r"\1", spelling[1:-1])
-    elif kind == "DATA":
-        spelling = spelling[2:]
-    return Token(kind, spelling)
+    """The token spelled `spelling`, which `_TOKEN_RE` matched and which
+    is no keyword, symbol or end: its first character tells its class
+    (see `_LEXEMES`), and a second character 'x' after a digit tells
+    data from a number.  A '"' alone is an unterminated string."""
+    first = spelling[0]
+    if first in _WORD:
+        return Token("IDENT", spelling)
+    if "0" <= first <= "9":
+        return Token("DATA", spelling[2:]) if spelling[1:2] == "x" else Token("INT", spelling)
+    if first == '"' and len(spelling) > 1:
+        text = spelling[1:-1]
+        return Token("STRING", _ESCAPE_RE.sub(r"\1", text) if "\\" in text else text)
+    return Token("BAD", spelling)
 
 
 def line_col(text: str, offset: int) -> tuple:
@@ -199,36 +219,40 @@ def token_line_col(text: str, index: int) -> tuple:
 def tokenize(text: str) -> list:
     """The tokens of `text`, then two EOF tokens, so that looking one
     token past the end needs no bounds check.  Tokens spelled alike are
-    one shared object, and a token holds no position: an error names
-    its token by index (see `token_line_col`)."""
+    one shared object, the one of `_FIXED` for a keyword or symbol, and
+    a token holds no position: an error names its token by index (see
+    `token_line_col`)."""
     spellings = _TOKEN_RE.findall(text)
     if len(spellings) > 1 and not spellings[-2]:
         spellings.pop()  # a second, empty match at the end
     spellings.append("")
-    tokens = {spelling: _token(spelling) for spelling in set(spellings)}
-    bad = [s for s, tok in tokens.items() if tok.kind == "BAD"]
+    new = {spelling: _token(spelling) for spelling in set(spellings).difference(_FIXED)}
+    bad = [spelling for spelling, tok in new.items() if tok.kind == "BAD"]
     if bad:
         index = min(map(spellings.index, bad))
         message = "unterminated string literal" if spellings[index] == '"' \
             else f"unexpected character {spellings[index]!r}"
         raise ParseError(message, *token_line_col(text, index))
-    return list(map(tokens.__getitem__, spellings))
+    return list(map((_FIXED | new).__getitem__, spellings))
 
 
+# The tokens the readers test for, by identity.
+(_LPAR, _RPAR, _LBRACE, _RBRACE, _LBRACK, _RBRACK, _DOT, _COMMA, _SEMI, _COLON, _AT,
+ _EQ, _ARROW, _DOTS, _PLUS, _MINUS_TOKEN, _STAR, _BANG, _QUERY, _PAR, _END, _LOOP,
+ _UNTIL, _IN, _OF, _PLAYS, _SUM, _QUEUE, _NEW, _THEN, _ELSE, _TRUE, _FALSE, _NOT_TOKEN,
+ _HD, _TL) = map(_FIXED.get, "( ) { } [ ] . , ; : @ = -> .. + - * ! ? || end loop until "
+                 "in of plays sum queue new then else true false not hd tl".split())
+_EOF = _FIXED[""]
+_SORTS = frozenset(map(_FIXED.get, ("Int", "Bool", "Str", "Unit", "Data")))
 # The expression reader's levels (see `PREC`): each infix operator's
 # token and level, the levels that do not chain (comparisons and `..`),
 # and a level above all of them.
-_INFIX = {Token("KEYWORD" if op.isalpha() else "SYM", op): level
-          for op, level in PREC.items() if op != "not"}
+_INFIX = {_FIXED[op]: level for op, level in PREC.items() if op != "not"}
 _NOT, _RANGE, _TOP = PREC["not"], PREC[".."], MINUS_PREC + 1
 _UNCHAINED = (PREC["="], _RANGE)
-_NOT_TOKEN, _MINUS_TOKEN = Token("KEYWORD", "not"), Token("SYM", "-")
-_OPEN, _CLOSE, _LIST = Token("SYM", "("), Token("SYM", ")"), Token("SYM", "[")
-# The pseudo-type reader's tokens, and each polarity's choice class with
-# the separator of its branches.
-_SEMI, _STAR, _END = Token("SYM", ";"), Token("SYM", "*"), Token("KEYWORD", "end")
-_CHOICES = {Token("SYM", "!"): (TInternal, Token("SYM", "(+)")),
-            Token("SYM", "?"): (TExternal, Token("SYM", "(&)"))}
+# Each polarity's choice class in a pseudo-type, with the separator of
+# its branches.
+_CHOICES = {_BANG: (TInternal, _FIXED["(+)"]), _QUERY: (TExternal, _FIXED["(&)"])}
 
 
 class Bodies:
@@ -360,7 +384,7 @@ class Parser:
                                 systems=Declared(self.bodies),
                                 bodies=self.bodies)
         self.module = module
-        # every expression read in this parse, by its key (see `share`)
+        # every expression and sort read in this parse, by its key (see `share`)
         self.exprs = {}
 
     # ------------------------------------------------------- primitives
@@ -370,36 +394,14 @@ class Parser:
         one object, so the token itself would not say which it is."""
         return cls(message, *token_line_col(self.text, at))
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
-
-    def next(self) -> Token:
-        tok = self.toks[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def at_sym(self, *syms: str) -> bool:
+    def expect(self, want: Token) -> None:
+        """Take the keyword or symbol token `want`."""
         t = self.toks[self.pos]
-        return t.kind == "SYM" and t.value in syms
-
-    def at_kw(self, *words: str) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == "KEYWORD" and t.value in words
-
-    def expect_sym(self, sym: str) -> None:
-        t = self.toks[self.pos]
-        if t.kind != "SYM" or t.value != sym:
-            raise self.error(f"expected {sym!r}, found {t.value!r}", self.pos)
+        if t is not want:
+            raise self.error(f"expected {want.value!r}, found {t.value!r}", self.pos)
         self.pos += 1
 
-    def expect_kw(self, word: str) -> None:
-        t = self.toks[self.pos]
-        if t.kind != "KEYWORD" or t.value != word:
-            raise self.error(f"expected {word!r}, found {t.value!r}", self.pos)
-        self.pos += 1
-
-    def expect_ident(self, what: str = "identifier") -> str:
+    def expect_ident(self, what: str) -> str:
         t = self.toks[self.pos]
         if t.kind != "IDENT":
             raise self.error(f"expected {what}, found {t.value!r}", self.pos)
@@ -411,26 +413,27 @@ class Parser:
         token spells, taking the token; None, taking nothing, for any
         other token."""
         t = self.toks[self.pos]
-        if t.kind == "INT":
+        kind = t.kind
+        if kind == "INT":
             lit = int_lit(int(t.value))
-        elif t.kind == "STRING":
+        elif kind == "STRING":
             lit = str_lit(t.value)
-        elif t.kind == "DATA":
+        elif kind == "DATA":
             lit = Lit(DATA, bytes.fromhex(t.value))
-        elif t.kind == "KEYWORD" and t.value in ("true", "false"):
-            lit = bool_lit(t.value == "true")
+        elif t is _TRUE or t is _FALSE:
+            lit = bool_lit(t is _TRUE)
         else:
             return None
         self.pos += 1
         return lit
 
-    def listed(self, close: str, item) -> tuple:
+    def listed(self, close: Token, item) -> tuple:
         """What `item()` reads, again and again up to the symbol `close`,
         which is taken too; a comma may follow each item."""
-        items = []
-        while not self.at_sym(close):
+        toks, items = self.toks, []
+        while toks[self.pos] is not close:
             items.append(item())
-            if self.at_sym(","):
+            if toks[self.pos] is _COMMA:
                 self.pos += 1
         self.pos += 1
         return tuple(items)
@@ -440,39 +443,43 @@ class Parser:
         separated by '+'.  `read` returns the token index at which a
         repeated channel is reported, and the branch.  A `loose` list (a
         `sum`) may be empty and leave out any '+'."""
-        out, seen = [], set()
-        while not (loose and self.at_sym("}")):
+        toks, out, seen = self.toks, [], set()
+        while not (loose and toks[self.pos] is _RBRACE):
             at, branch = read()
             if branch.channel in seen:
                 raise self.error(f"duplicate channel {branch.channel!r} in {what}",
                                  at, InvariantError)
             seen.add(branch.channel)
             out.append(branch)
-            if self.at_sym("+"):
+            if toks[self.pos] is _PLUS:
                 self.pos += 1
             elif not loose:
                 break
-        self.expect_sym("}")
+        self.expect(_RBRACE)
         return tuple(out)
 
     def payload(self) -> Sort:
         """A message's payload sort in parentheses; `()` is Unit."""
-        self.expect_sym("(")
-        if self.toks[self.pos] == _CLOSE:
+        self.expect(_LPAR)
+        if self.toks[self.pos] is _RPAR:
             self.pos += 1
             return UNIT
         sort = self.parse_sort()
-        self.expect_sym(")")
+        self.expect(_RPAR)
         return sort
 
     # ------------------------------------------------------------ module
 
     def parse_module(self) -> ModuleDecl:
-        while self.peek().kind != "EOF":
-            t = self.peek()
-            read = self.DECLARATIONS.get(t.value) if t.kind == "KEYWORD" else None
+        """The module.  The reader of a declaration, as that of a process
+        form, a loop and a `sum`, starts after its keyword, which its
+        caller has taken."""
+        toks = self.toks
+        while (t := toks[self.pos]) is not _EOF:
+            read = self.DECLARATIONS.get(t)
             if read is None:
                 raise self.error(f"expected a declaration, found {t.value!r}", self.pos)
+            self.pos += 1
             read(self)
         return self.module
 
@@ -492,15 +499,14 @@ class Parser:
         return self.bodies.ref(name) if name in table.names else None
 
     def parse_domain(self):
-        self.expect_kw("domain")
         at = self.pos
         var = self.expect_ident("variable name")
-        self.expect_sym(":")
+        self.expect(_COLON)
         sort = self.parse_sort()
         if sort == BOOL:
             values = frozenset({TRUE_LIT, FALSE_LIT})
         elif sort in (INT, STR):
-            self.expect_kw("in")
+            self.expect(_IN)
             values = self.parse_domain_values(sort)
         else:
             raise self.error(f"only Int, Bool, and Str admit domains, not {sort}",
@@ -512,30 +518,29 @@ class Parser:
         self.module.domains[var] = frozenset(values)
 
     def parse_domain_values(self, sort: Sort) -> frozenset:
-        if self.at_sym("{"):
-            self.next()
-            return frozenset(self.listed("}", lambda: self.parse_value(sort)))
+        if self.toks[self.pos] is _LBRACE:
+            self.pos += 1
+            return frozenset(self.listed(_RBRACE, lambda: self.parse_value(sort)))
         lo = self.parse_value(INT)
-        self.expect_sym("..")
+        self.expect(_DOTS)
         hi = self.parse_value(INT)
         return frozenset(int_lit(v) for v in range(lo.value, hi.value + 1))
 
     def parse_table(self):
-        self.expect_kw("table")
         at = self.pos
         name = self.expect_ident("table name")
-        self.expect_sym(":")
+        self.expect(_COLON)
         arg = self.parse_sort()
-        self.expect_sym("->")
+        self.expect(_ARROW)
         ret = self.parse_sort()
-        self.expect_sym("=")
-        self.expect_sym("{")
+        self.expect(_EQ)
+        self.expect(_LBRACE)
         seen = set()
 
         def entry() -> tuple:  # (key, value), with key None for '_'
-            t, key_at = self.peek(), self.pos
-            if t.kind == "IDENT" and t.value == "_":
-                self.next()
+            key_at = self.pos
+            if self.toks[key_at] == ("IDENT", "_"):
+                self.pos += 1
                 key = None
             else:
                 key = self.parse_value(arg)
@@ -544,10 +549,10 @@ class Parser:
                 raise self.error(f"table {name!r} repeats its {what}",
                                  key_at, InvariantError)
             seen.add(key)
-            self.expect_sym("->")
+            self.expect(_ARROW)
             return key, self.parse_value(ret)
 
-        entries = self.listed("}", entry)
+        entries = self.listed(_RBRACE, entry)
         defaults = [value for key, value in entries if key is None]
         if not defaults:
             raise self.error(f"table {name!r} needs a default entry '_ -> v'",
@@ -561,17 +566,17 @@ class Parser:
         at = self.pos
         lit = self.literal()
         if lit is None:
-            t = self.next()
-            if t.kind == "SYM" and t.value == "(":
-                self.expect_sym(")")
+            t, self.pos = self.toks[at], at + 1
+            if t is _LPAR:
+                self.expect(_RPAR)
                 lit = UNIT_LIT
-            elif t.kind == "SYM" and t.value == "[":
-                items = self.listed("]", lambda: self.parse_value(
+            elif t is _LBRACK:
+                items = self.listed(_RBRACK, lambda: self.parse_value(
                     expected.elem if expected else None))
                 elem = expected.elem if expected and expected.kind == "List" else \
                     (items[0].sort if items else UNIT)
                 lit = Lit(list_sort(elem), items)
-            elif t.kind == "SYM" and t.value == "-":
+            elif t is _MINUS_TOKEN:
                 inner = self.parse_value(INT)
                 lit = int_lit(-inner.value)
             else:
@@ -582,22 +587,22 @@ class Parser:
 
     def parse_sort(self) -> Sort:
         at = self.pos
-        t = self.next()
-        if t.kind == "KEYWORD" and t.value in ("Int", "Bool", "Str", "Unit", "Data"):
-            return Sort(t.value)
-        if t.kind == "SYM" and t.value == "[":
+        t, self.pos = self.toks[at], at + 1
+        if t in _SORTS:
+            return self.share((Sort, t), t.value)
+        if t is _LBRACK:
             elem = self.parse_sort()
-            self.expect_sym("]")
+            self.expect(_RBRACK)
             return list_sort(elem)
         raise self.error(f"expected a sort, found {t.value!r}", at)
 
     # ------------------------------------------------------ expressions
 
-    def share(self, key: tuple, *fields) -> Expr:
-        """The expression `key[0](*fields)`, one object per `key` in this
-        parse.  A key is the class, then the operator, name or literal
-        value, then the `id` of each operand, itself already shared: so
-        sharing never hashes or compares a record."""
+    def share(self, key: tuple, *fields):
+        """The expression or sort `key[0](*fields)`, one object per `key`
+        in this parse.  A key is the class, then the operator, name,
+        literal or sort token, then the `id` of each operand, itself
+        already shared: so sharing never hashes or compares a record."""
         e = self.exprs.get(key)
         if e is None:
             e = self.exprs[key] = key[0](*fields)
@@ -612,12 +617,12 @@ class Parser:
         toks = self.toks
         t = toks[self.pos]
         limit = _TOP
-        if t == _NOT_TOKEN and floor <= _NOT:
+        if t is _NOT_TOKEN and floor <= _NOT:
             self.pos += 1
             arg = self.parse_expr(_NOT)
             left = self.share((UnOp, "not", id(arg)), "not", arg)
             limit = _NOT
-        elif t == _MINUS_TOKEN:
+        elif t is _MINUS_TOKEN:
             self.pos += 1
             t = toks[self.pos]
             if t.kind == "INT":
@@ -643,27 +648,28 @@ class Parser:
             limit = level if level in _UNCHAINED else level + 1
 
     def parse_atom(self) -> Expr:
-        t = self.toks[self.pos]
+        toks = self.toks
+        t = toks[self.pos]
         kind = t.kind
-        if kind == "IDENT" or kind == "KEYWORD" and t.value in ("hd", "tl"):
+        if kind == "IDENT" or t is _HD or t is _TL:
             self.pos += 1
-            if kind == "IDENT" and self.toks[self.pos] != _OPEN:
+            if kind == "IDENT" and toks[self.pos] is not _LPAR:
                 return self.share((Var, t.value), t.value)
-            self.expect_sym("(")  # a table's argument, or hd's or tl's
+            self.expect(_LPAR)  # a table's argument, or hd's or tl's
             arg = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(_RPAR)
             return self.share((UnOp, t.value, id(arg)), t.value, arg)
-        if t == _OPEN:
+        if t is _LPAR:
             self.pos += 1
-            if self.toks[self.pos] == _CLOSE:
+            if toks[self.pos] is _RPAR:
                 self.pos += 1
                 return self.share((Const, "Unit", None), UNIT_LIT)
             e = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(_RPAR)
             return e
-        if t == _LIST:
+        if t is _LBRACK:
             self.pos += 1
-            items = self.listed("]", self.parse_expr)
+            items = self.listed(_RBRACK, self.parse_expr)
             return self.share((ListLit, *map(id, items)), items)
         e = self.exprs.get((Const, t))
         if e is not None:  # a literal read before
@@ -677,101 +683,100 @@ class Parser:
     # ----------------------------------------------------- global types
 
     def parse_global_decl(self):
-        self.expect_kw("global")
-        at = self.pos
+        toks, at = self.toks, self.pos
         name = self.expect_ident("global type name")
         params: tuple = ()
-        if self.at_sym("("):
-            self.next()
-            params = self.listed(")", lambda: self.expect_ident("channel"))
+        if toks[self.pos] is _LPAR:
+            self.pos += 1
+            params = self.listed(_RPAR, lambda: self.expect_ident("channel"))
             if len(set(params)) != len(params):
                 raise self.error("duplicate channel parameters", at, InvariantError)
-        self.expect_sym("=")
+        self.expect(_EQ)
         body = self.parse_global()
         self._declare(name, at)
         self.module.globals_[name] = GlobalDef(name, params, body)
 
     def parse_global(self) -> GlobalType:
         g = self.parse_global_atom()
-        if self.at_sym(";"):
-            self.next()
+        if self.toks[self.pos] is _SEMI:
+            self.pos += 1
             return GSeq(g, self.parse_global())
         return g
 
     def parse_global_atom(self) -> GlobalType:
-        t = self.peek()
-        if self.at_kw("end"):
-            self.next()
+        toks, at = self.toks, self.pos
+        t = toks[at]
+        if t is _END:
+            self.pos += 1
             return GEnd()
-        if self.at_kw("loop"):
+        if t is _LOOP:
+            self.pos += 1
             return self.parse_giter()
-        if self.at_sym("("):
-            self.next()
+        if t is _LPAR:
+            self.pos += 1
             g = self.parse_global()
-            self.expect_sym(")")
+            self.expect(_RPAR)
             return g
         if t.kind == "IDENT":
-            if self.peek(1).kind == "SYM" and self.peek(1).value == "->":
+            if toks[at + 1] is _ARROW:
                 return self.parse_gchoice()
             gdef = self.module.globals_.get(t.value)
             if gdef is None:
-                raise self.error(f"unknown global type {t.value!r}", self.pos)
-            self.next()
+                raise self.error(f"unknown global type {t.value!r}", at)
+            self.pos += 1
             return gdef.body
-        raise self.error(f"expected a global type, found {t.value!r}", self.pos)
+        raise self.error(f"expected a global type, found {t.value!r}", at)
 
     def parse_gchoice(self) -> GChoice:
         sender = self.expect_ident("participant")
-        self.expect_sym("->")
+        self.expect(_ARROW)
         default_receiver = None
-        if self.peek().kind == "IDENT":
+        if self.toks[self.pos].kind == "IDENT":
             default_receiver = self.expect_ident("participant")
-            self.expect_sym(":")
-        self.expect_sym("{")
+            self.expect(_COLON)
+        self.expect(_LBRACE)
 
         def branch() -> tuple:  # a repeated channel is an error at its token
             receiver = default_receiver
             if receiver is None:
                 receiver = self.expect_ident("participant")
-                self.expect_sym("@")
+                self.expect(_AT)
             at = self.pos
             chan = self.expect_ident("channel")
             sort = self.payload()
-            self.expect_sym(".")
+            self.expect(_DOT)
             return at, GBranch(receiver, chan, sort, self.parse_global())
 
         return GChoice(sender, self.branches(branch, "choice"))
 
     def parse_giter(self) -> GIter:
-        self.expect_kw("loop")
         controller = self.expect_ident("participant")
-        self.expect_sym("{")
+        self.expect(_LBRACE)
         body = self.parse_global()
-        self.expect_sym("}")
-        self.expect_kw("until")
-        self.expect_sym("(")
+        self.expect(_RBRACE)
+        self.expect(_UNTIL)
+        self.expect(_LPAR)
 
         def exit_message() -> tuple:
             p = self.expect_ident("participant")
-            self.expect_sym("@")
+            self.expect(_AT)
             return p, self.expect_ident("channel"), self.payload()
 
-        return GIter(body, controller, self.listed(")", exit_message))
+        return GIter(body, controller, self.listed(_RPAR, exit_message))
 
     # ----------------------------------------------------- pseudo-types
 
     def parse_type_decl(self):
-        self.expect_kw("type")
         at = self.pos
         name = self.expect_ident("type name")
-        self.expect_sym("=")
+        self.expect(_EQ)
         body = self.parse_type()
         self._declare(name, at)
         self.module.types[name] = body
 
     def parse_type(self) -> PseudoType:
         t = self.parse_type_atom()
-        if self.toks[self.pos] == _SEMI:
+        if self.toks[self.pos] is _SEMI:
             self.pos += 1
             return TSeq(t, self.parse_type())
         return t
@@ -779,15 +784,15 @@ class Parser:
     def parse_type_atom(self) -> PseudoType:
         toks, at = self.toks, self.pos
         tok = toks[at]
-        if tok == _OPEN:
+        if tok is _LPAR:
             self.pos += 1
             inner = self.parse_type()
-            self.expect_sym(")")
-            if toks[self.pos] == _STAR:
+            self.expect(_RPAR)
+            if toks[self.pos] is _STAR:
                 self.pos += 1
                 return TIter(inner)
             return inner
-        if tok == _LIST or tok == _END \
+        if tok is _LBRACK or tok is _END \
                 or tok.kind == "IDENT" and toks[at + 1] in _CHOICES:
             return self.parse_tchoice()
         if tok.kind == "IDENT":
@@ -803,11 +808,11 @@ class Parser:
         choice = None  # the class and separator of the first branch's polarity
         while True:
             guard: Expr = TRUE
-            if toks[self.pos] == _LIST:
+            if toks[self.pos] is _LBRACK:
                 self.pos += 1
                 guard = self.parse_expr()
-                self.expect_sym("]")
-            if toks[self.pos] == _END:
+                self.expect(_RBRACK)
+            if toks[self.pos] is _END:
                 if branches:
                     raise self.error("'end' cannot appear as a choice branch", self.pos)
                 self.pos += 1
@@ -823,9 +828,9 @@ class Parser:
                 raise self.error("cannot mix '!' and '?' branches in one choice", self.pos)
             self.pos += 1
             sort = self.payload()
-            self.expect_sym(".")
+            self.expect(_DOT)
             branches.append(TBranch(guard, chan, sort, self.parse_type_atom()))
-            if toks[self.pos] != choice[1]:
+            if toks[self.pos] is not choice[1]:
                 # a non-matching separator belongs to an enclosing choice
                 return choice[0](tuple(branches))
             self.pos += 1
@@ -833,20 +838,19 @@ class Parser:
     # -------------------------------------------------------- processes
 
     def parse_process_decl(self):
-        self.expect_kw("process")
-        at = self.pos
+        toks, at = self.toks, self.pos
         name = self.expect_ident("process name")
         role = None
         global_name = None
-        if self.at_kw("plays"):
-            self.next()
+        if toks[self.pos] is _PLAYS:
+            self.pos += 1
             role = self.expect_ident("participant")
-            self.expect_kw("of")
+            self.expect(_OF)
             global_at = self.pos
             global_name = self.expect_ident("global type name")
             if global_name not in self.module.globals_:
                 raise self.error(f"unknown global type {global_name!r}", global_at)
-        self.expect_sym("=")
+        self.expect(_EQ)
         body = self.parse_process()
         self._declare(name, at)
         self.bodies.declare(self.module.processes, name,
@@ -854,195 +858,193 @@ class Parser:
 
     def parse_process(self) -> Process:
         p = self.parse_process_atom()
-        if self.at_sym(";"):
-            self.next()
+        if self.toks[self.pos] is _SEMI:
+            self.pos += 1
             return Seq(p, self.parse_process())
         return p
 
     def parse_process_atom(self) -> Process:
-        t = self.peek()
-        if t.kind == "INT" and t.value == "0":
-            self.next()
+        toks, at = self.toks, self.pos
+        t = toks[at]
+        if t == ("INT", "0"):
+            self.pos += 1
             return NIL
-        if t.kind == "KEYWORD" and t.value in self.PROCESS_FORMS:
-            return self.PROCESS_FORMS[t.value](self)
-        if self.at_sym("{", "("):
-            close = "}" if self.next().value == "{" else ")"
+        read = self.PROCESS_FORMS.get(t)
+        if read is not None:
+            self.pos += 1
+            return read(self)
+        if t is _LBRACE or t is _LPAR:
+            self.pos += 1
             p = self.parse_process()
-            self.expect_sym(close)
+            self.expect(_RBRACE if t is _LBRACE else _RPAR)
             return p
         if t.kind == "IDENT":
-            nxt = self.peek(1)
-            if nxt.kind == "SYM" and nxt.value == "!":
-                return self.parse_send()
-            if nxt.kind == "SYM" and nxt.value == "?":
+            nxt = toks[at + 1]
+            if nxt is _BANG:
+                self.pos += 2
+                return self.parse_send(t.value)
+            if nxt is _QUERY:
                 return Branch((self.parse_arm(),))
             body = self.named(self.module.processes, t.value)
             if body is None:
-                raise self.error(f"unknown process {t.value!r}", self.pos)
-            self.next()
+                raise self.error(f"unknown process {t.value!r}", at)
+            self.pos += 1
             return body
-        raise self.error(f"expected a process, found {t.value!r}", self.pos)
+        raise self.error(f"expected a process, found {t.value!r}", at)
 
-    def parse_send(self) -> Send:
-        chan = self.expect_ident("channel")
-        self.expect_sym("!")
-        self.expect_sym("(")
-        payload = Const(UNIT_LIT) if self.at_sym(")") else self.parse_expr()
-        self.expect_sym(")")
+    def parse_send(self, chan: str) -> Send:
+        """`y!(e)` or `y!()`, after the `y!`."""
+        self.expect(_LPAR)
+        payload = Const(UNIT_LIT) if self.toks[self.pos] is _RPAR else self.parse_expr()
+        self.expect(_RPAR)
         return Send(chan, payload)
 
     def parse_arm(self) -> Arm:
         chan = self.expect_ident("channel")
-        self.expect_sym("?")
-        self.expect_sym("(")
-        binder = "_" if self.at_sym(")") else self.expect_ident("binder")
-        self.expect_sym(")")
-        self.expect_sym(".")
+        self.expect(_QUERY)
+        self.expect(_LPAR)
+        binder = "_" if self.toks[self.pos] is _RPAR else self.expect_ident("binder")
+        self.expect(_RPAR)
+        self.expect(_DOT)
         cont = self.parse_process_atom()
         return Arm(chan, binder, cont)
 
     def parse_sum(self) -> Branch:
-        self.expect_kw("sum")
         brace = self.pos  # where a repeated channel is reported
-        self.expect_sym("{")
+        self.expect(_LBRACE)
         return Branch(self.branches(lambda: (brace, self.parse_arm()), "sum",
                                     loose=True))
 
     def parse_request(self) -> Request:
         """`request u[n](ys). P`."""
-        self.expect_kw("request")
         shared = self.expect_ident("shared name")
-        self.expect_sym("[")
-        n = self.peek()
+        self.expect(_LBRACK)
+        n = self.toks[self.pos]
         if n.kind != "INT":
             raise self.error(f"expected arity, found {n.value!r}", self.pos)
-        self.next()
+        self.pos += 1
         return Request(shared, int(n.value), *self.open_tail())
 
     def parse_accept(self) -> Accept:
         """`accept u[p](ys). P`."""
-        self.expect_kw("accept")
         shared = self.expect_ident("shared name")
-        self.expect_sym("[")
+        self.expect(_LBRACK)
         return Accept(shared, self.expect_ident("participant"), *self.open_tail())
 
     def open_tail(self) -> tuple:
         """The `](ys). P` that ends a request or an accept."""
-        self.expect_sym("]")
+        self.expect(_RBRACK)
         chans = self.parse_chan_tuple()
-        self.expect_sym(".")
+        self.expect(_DOT)
         return chans, self.parse_process_atom()
 
     def parse_chan_tuple(self) -> tuple:
         lparen = self.pos
-        self.expect_sym("(")
-        names = self.listed(")", lambda: self.expect_ident("channel"))
+        self.expect(_LPAR)
+        names = self.listed(_RPAR, lambda: self.expect_ident("channel"))
         if len(set(names)) != len(names):
             raise self.error("duplicate session channels", lparen, InvariantError)
         return names
 
     def parse_if(self) -> If:
-        self.expect_kw("if")
         cond = self.parse_expr()
-        self.expect_kw("then")
+        self.expect(_THEN)
         then = self.parse_process_atom()
-        self.expect_kw("else")
+        self.expect(_ELSE)
         orelse = self.parse_process_atom()
         return If(cond, then, orelse)
 
     def parse_for(self) -> For:
-        self.expect_kw("for")
         binder = self.expect_ident("binder")
-        self.expect_kw("in")
+        self.expect(_IN)
         items = self.parse_expr()
-        self.expect_sym("{")
+        self.expect(_LBRACE)
         body = self.parse_process()
-        self.expect_sym("}")
+        self.expect(_RBRACE)
         return For(binder, items, body)
 
     def parse_repeat(self) -> RepeatUntil:
-        self.expect_kw("repeat")
         body = self.parse_branch_block("repeat body")
-        self.expect_kw("until")
+        self.expect(_UNTIL)
         exit_ = self.parse_branch_block("until guard")
         return RepeatUntil(body, exit_)
 
     def parse_branch_block(self, what: str) -> Branch:
         """{ y1?(x1). P1 + y2?(x2). P2 } -- an input-guarded choice."""
         brace = self.pos  # where a repeated channel is reported
-        self.expect_sym("{")
-        if self.peek().kind == "INT" and self.peek().value == "0":
-            self.next()
-            self.expect_sym("}")
+        self.expect(_LBRACE)
+        if self.toks[self.pos] == ("INT", "0"):
+            self.pos += 1
+            self.expect(_RBRACE)
             return NIL
-        if self.at_kw("sum"):
+        if self.toks[self.pos] is _SUM:
+            self.pos += 1
             arms = self.parse_sum()
-            self.expect_sym("}")
+            self.expect(_RBRACE)
             return arms
         return Branch(self.branches(lambda: (brace, self.parse_arm()), what))
 
     # the reader of each process that a keyword starts
-    PROCESS_FORMS = {"request": parse_request, "accept": parse_accept,
-                     "sum": parse_sum, "if": parse_if, "for": parse_for,
-                     "repeat": parse_repeat}
+    PROCESS_FORMS = {_FIXED["request"]: parse_request, _FIXED["accept"]: parse_accept,
+                     _SUM: parse_sum, _FIXED["if"]: parse_if,
+                     _FIXED["for"]: parse_for, _FIXED["repeat"]: parse_repeat}
 
     # ---------------------------------------------------------- systems
 
     def parse_system_decl(self):
-        self.expect_kw("system")
         at = self.pos
         name = self.expect_ident("system name")
-        self.expect_sym("=")
+        self.expect(_EQ)
         body = self.parse_system()
         self._declare(name, at)
         self.bodies.declare(self.module.systems, name, SystemDef(name, body), at)
 
     def parse_system(self) -> System:
         s = self.parse_system_atom()
-        if self.at_sym("||"):
-            self.next()
+        if self.toks[self.pos] is _PAR:
+            self.pos += 1
             return Par(s, self.parse_system())
         return s
 
     def parse_system_atom(self) -> System:
-        t = self.peek()
-        if self.at_kw("queue"):
-            self.next()
+        toks, at = self.toks, self.pos
+        t = toks[at]
+        if t is _QUEUE:
+            self.pos += 1
             chan = self.expect_ident("channel")
-            self.expect_sym("=")
-            self.expect_sym("[")
-            return Queue(chan, self.listed("]", self.parse_value))
-        if self.at_kw("new"):
-            self.next()
+            self.expect(_EQ)
+            self.expect(_LBRACK)
+            return Queue(chan, self.listed(_RBRACK, self.parse_value))
+        if t is _NEW:
+            self.pos += 1
             chans = self.parse_chan_tuple()
-            self.expect_sym("@")
+            self.expect(_AT)
             shared = self.expect_ident("shared name")
-            self.expect_kw("in")
+            self.expect(_IN)
             return Restrict(chans, shared, self.parse_system())
-        if self.at_sym("{"):
-            self.next()
+        if t is _LBRACE:
+            self.pos += 1
             s = self.parse_system()
-            self.expect_sym("}")
+            self.expect(_RBRACE)
             return s
-        nxt = self.peek(1)
-        if t.kind == "IDENT" and (nxt.kind != "SYM" or nxt.value not in ("!", "?", ";")):
+        nxt = toks[at + 1]
+        if t.kind == "IDENT" and nxt not in (_BANG, _QUERY, _SEMI):
             # bare name: a declared system or process
             body = self.named(self.module.systems, t.value)
             if body is None:
                 body = self.named(self.module.processes, t.value)
                 if body is None:
-                    raise self.error(f"unknown system or process {t.value!r}",
-                                     self.pos)
+                    raise self.error(f"unknown system or process {t.value!r}", at)
                 body = Proc(body)
-            self.next()
+            self.pos += 1
             return body
         return Proc(self.parse_process())
 
     # the reader of each declaration, by its keyword
-    DECLARATIONS = {"domain": parse_domain, "table": parse_table,
-                    "global": parse_global_decl, "type": parse_type_decl,
-                    "process": parse_process_decl, "system": parse_system_decl}
+    DECLARATIONS = {_FIXED["domain"]: parse_domain, _FIXED["table"]: parse_table,
+                    _FIXED["global"]: parse_global_decl, _FIXED["type"]: parse_type_decl,
+                    _FIXED["process"]: parse_process_decl,
+                    _FIXED["system"]: parse_system_decl}
 
 
 def parse_module(text: str) -> ModuleDecl:
@@ -1078,7 +1080,7 @@ def _parse_all(p: Parser, parse):
         term = parse(p)
     except RecursionError:
         raise p.error("nesting too deep", p.pos) from None
-    t = p.peek()
-    if t.kind != "EOF":
+    t = p.toks[p.pos]
+    if t is not _EOF:
         raise p.error(f"unexpected trailing input {t.value!r}", p.pos)
     return term

@@ -63,7 +63,7 @@ from .syntax.ast import (
     GlobalDef, GlobalType, If, INT, ListLit, Par, Proc, Process,
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, System, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
-    UNIT, UnOp, Var, BinOp, Const, conj, expr_vars, fn, frozen_node,
+    UNIT, UnOp, Var, BinOp, Const, conj, expr_vars, fU, fn, frozen_node,
     g_channels, is_true, list_sort, names, neg, pt_vars,
 )
 
@@ -247,6 +247,12 @@ def exposed_channels(gdef: GlobalDef) -> frozenset:
         found = frozenset(g_channels(gdef.body).difference(gdef.params))
         object.__setattr__(gdef, "_exposed", found)
     return found
+
+
+def shared_env(gdef: GlobalDef, term) -> dict:
+    """The shared environment that types `term` against `gdef`: each
+    shared name of the term has the global type `gdef`."""
+    return {u: gdef for u in fU(term)}
 
 
 def instantiate(gdef: GlobalDef, chans: tuple) -> GlobalType:
@@ -477,7 +483,10 @@ def _open_session(ctx: _Ctx, p: Request | Accept) -> tuple:
     g = instantiate(gdef, p.chans)
     role = p.role if isinstance(p, Accept) else participants_ordered(gdef.body)[0]
     key = (tuple(p.chans), role)
-    inner = ctx.with_session(key, channel_sorts(g))
+    try:  # a binder may take the name of a channel g keeps at another sort
+        inner = ctx.with_session(key, channel_sorts(g))
+    except NonProjectable as exc:
+        raise ctx.err(rule, f"{gdef.name} is not projectable: {exc}") from None
     return rule, gdef, g, key, inner.at(f"{rule.lower()} {p.shared}[{role}]")
 
 

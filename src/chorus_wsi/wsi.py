@@ -71,6 +71,22 @@ order and the priority with its insertion-counter tie-break are those
 of a search over the states themselves, so interning pops the same
 states in the same order and changes no witness, count or verdict.
 
+A peer at a loop followed by a continuation that offers only inputs
+steps into the loop again and not also past it (`type_steps`), and
+every (complete state, full mask) pair that the search could reach
+before stays reachable.  For a loop `(B)* ; C` whose C offers only
+inputs, the peer at `X ; (B)* ; C` can follow the peer at `X ; C`, for
+any X, step for step: a step within X leads to `X' ; C` and is made by
+the other into `X' ; (B)* ; C`; a step of C is an input, which `(B)* ;
+C` offers too, into the same continuation; and neither is complete,
+since C is not end.  The dropped step led from the loop into `B' ; C`,
+and the unfolded one leads into `B' ; (B)* ; C`.  So every path through
+a dropped step has a twin with the same events, and so the same masks,
+that reaches the same state at the first input of C, or never leaves
+B'; the twin pushes every message the path pushes, so it skips a send
+at the queue bound where the path does, and the search gives the same
+answer.
+
 After each step of the process, the bindings and pending variables that
 its continuation does not read (those outside `fX` of it) are dropped.
 A binding the residual never reads changes no step: evaluation reads
@@ -106,7 +122,7 @@ from .traces import (
 )
 from .typecheck import (
     SpecEnv, TypingError, exposed_channels, gamma_from_domains, instantiate,
-    open_problem, typecheck_process, unique_role,
+    open_problem, shared_env, typecheck_process, unique_role,
 )
 
 
@@ -196,13 +212,15 @@ def wsi_by_typing(gdef: GlobalDef, role: str, proc: Process,
                   domains: DomainDecl = EMPTY_DOMAINS,
                   shared_name: str = "u") -> TypingVerdict:
     """WSI by typing: a well-typed process that plays the role covers
-    the role's whole spectrum."""
+    the role's whole spectrum.  As `typecheck` does, it types the
+    process with `gdef` for every shared name it opens; `shared_name`
+    is the one whose opens must fit the role."""
     problem = _role_problem(gdef, role, proc, shared_name)
     if problem is not None:
         return TypingVerdict(False, role, TypingError("role", problem))
     gamma = gamma_from_domains(domains)
     try:
-        typecheck_process(gamma, TRUE, proc, {shared_name: gdef}, domains)
+        typecheck_process(gamma, TRUE, proc, shared_env(gdef, proc), domains)
     except TypingError as exc:
         return TypingVerdict(False, role, exc)
     return TypingVerdict(True, role)

@@ -31,7 +31,7 @@ from chorus_wsi.syntax.ast import (
     expr_vars, int_lit,
 )
 from chorus_wsi.syntax.parser import (
-    KEYWORDS, ParseError, Parser, _SYMBOLS, _parse_all,
+    KEYWORDS, ParseError, Parser, _FIXED, _SYMBOLS, _parse_all,
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -294,7 +294,28 @@ def binders_by_walk(term) -> list:
 
 class NestedReader(Parser):
     """The parser with its expression reader as it was: one method per
-    precedence level, nine calls deep for every atom."""
+    precedence level, nine calls deep for every atom, each testing the
+    current token by its kind and spelling."""
+
+    def peek(self):
+        return self.toks[self.pos]
+
+    def next(self):
+        tok = self.toks[self.pos]
+        if tok.kind != "EOF":
+            self.pos += 1
+        return tok
+
+    def at_sym(self, *syms: str) -> bool:
+        t = self.toks[self.pos]
+        return t.kind == "SYM" and t.value in syms
+
+    def at_kw(self, *words: str) -> bool:
+        t = self.toks[self.pos]
+        return t.kind == "KEYWORD" and t.value in words
+
+    def expect_sym(self, sym: str) -> None:
+        self.expect(_FIXED[sym])
 
     def parse_expr(self):
         return self.parse_or()
@@ -370,7 +391,7 @@ class NestedReader(Parser):
             return Const(lit)
         if self.at_sym("["):
             self.next()
-            return ListLit(self.listed("]", self.parse_expr))
+            return ListLit(self.listed(_FIXED["]"], self.parse_expr))
         if self.at_sym("("):
             self.next()
             if self.at_sym(")"):

@@ -613,6 +613,28 @@ def test_wsi_processes_reading_declared_variables_hold(capsys, module, proc,
     assert covering.startswith(f"covering: Holds@{unfold} (")
 
 
+_INIT2_COVERING = (
+    "covering: MissingRun <empty>: G_POP_M is not projectable on 'a': cannot "
+    "merge branches for uninvolved 'a': shapes TEnd and TExternal do not "
+    "match (at <root>) (at <root>)\n")
+
+
+@pytest.mark.parametrize("unfold", ["1", "2"])
+@pytest.mark.parametrize("module, proc, code, out", [
+    (POP2, "CPop", 0, "typing:   Holds (typing validates the role 'c')\n"
+                      "covering: Holds@{k} (6 contexts)\n"),
+    (MP, "CHelo", 0, "typing:   Holds (typing validates the role 'c')\n"
+                     "covering: Holds@{k} (6 contexts)\n"),
+    (MP, "Init2", 1, "typing:   Holds (typing validates the role 's')\n"
+                     + _INIT2_COVERING)], ids=["CPop", "CHelo", "Init2"])
+def test_wsi_texts_of_the_requests_without_a_recorded_digest(capsys, module, proc,
+                                                             code, out, unfold):
+    """The whole answer of the covering requests whose output the
+    benchmark records no digest of."""
+    assert run(capsys, "wsi", module, "--proc", proc, "--unfold", unfold) \
+        == (code, out.format(k=unfold), "")
+
+
 def test_wsi_b2_exit_1_missing_run(capsys):
     code, out, _ = run(capsys, "wsi", ATM, "--proc", "B2", "--unfold", "1",
                        "--mode", "both", "--json")
@@ -876,6 +898,21 @@ def test_one_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch,
         _parse_args(capsys, build_parser(), argv)
 
 
+@pytest.mark.parametrize("name, argv", [
+    *_surface_cases(),
+    *[pytest.param(name, (name, "--", *VALID[name]), id=f"{name}-dashes")
+      for name in SUBCOMMANDS],
+    *[pytest.param(name, (name, *VALID[name], "-h", "--bogus"), id=f"{name}-help-first")
+      for name in SUBCOMMANDS]])
+def test_main_reads_a_request_as_the_full_parser(capsys, monkeypatch, name, argv):
+    """`main` reads a request by its subcommand's parser alone, and gets
+    the exit status, output and Namespace of the parser with every
+    subcommand."""
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parse_args(capsys, cli_mod, argv) == \
+        _parse_args(capsys, build_parser(), argv)
+
+
 TOP_USAGE = """\
 usage: chorus-wsi [-h]
                   {parse,project,normalize,typecheck,simulate,traces,cover,wsi}
@@ -915,8 +952,23 @@ def test_top_level_texts(capsys, monkeypatch, argv, code, out, err):
     assert (exc.value.code, *capsys.readouterr()) == (code, out, err)
 
 
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_unrecognized_arguments_are_worded_by_the_top_parser(capsys, monkeypatch,
+                                                             name):
+    """Arguments that no option of the subcommand takes are an error of
+    the whole command line, with the top-level usage, as the parser
+    with every subcommand words it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([name, *VALID[name], "--bogus", "extra"])
+    assert (exc.value.code, *capsys.readouterr()) == (2, "", TOP_USAGE + (
+        "chorus-wsi: error: unrecognized arguments: --bogus extra\n"))
+
+
 @pytest.mark.parametrize("argv, parsers", [
-    *[pytest.param((name, *VALID[name]), 2, id=name) for name in SUBCOMMANDS],
+    *[pytest.param((name, *VALID[name]), 1, id=name) for name in SUBCOMMANDS],
+    *[pytest.param((name, *VALID[name], "--bogus"), 3, id=f"{name}-unrecognized")
+      for name in ("parse", "wsi")],
     pytest.param((), 9, id="empty"), pytest.param(("-h",), 9, id="help"),
     pytest.param(("bogus",), 9, id="bogus")])
 def test_main_builds_the_named_subcommand_parser_only(capsys, monkeypatch,

@@ -178,9 +178,12 @@ def test_parsing_pop2_does_pinned_work(monkeypatch):
     visits of the freshening walk (429 when every inlined body was walked
     again, 140 when the parse freshened every body), name summaries
     computed (one per node summarized; 110 when the parse freshened every
-    body), and token objects made (one per distinct token, EOF included,
-    not one per token).  The parse itself freshens and summarizes
-    nothing; reading walks the spines above the bodies a body names."""
+    body), and token objects made: one per distinct name, number or
+    string, not one per token, as every keyword and symbol token and the
+    EOF token is made once, on import (128 per parse, one per distinct
+    token, when every distinct token was made).  The parse itself
+    freshens and summarizes nothing; reading walks the spines above the
+    bodies a body names."""
     text = (conftest.CORPUS / "pop2.chor").read_text()
     visits = {"walk": 0, "_summary": 0}
     files = {"walk": subst_mod.__file__, "_summary": ast_mod.__file__}
@@ -221,9 +224,35 @@ def test_parsing_pop2_does_pinned_work(monkeypatch):
                   for node in _subterms(term)
                   if node is not NIL and node._names is not None}
     assert len(summarized) == visits["_summary"]
-    distinct = {(kind, value) for kind, value, *_ in tokenize_by_chars(text)}
+    distinct = {(kind, value) for kind, value, *_ in tokenize_by_chars(text)
+                if kind not in ("KEYWORD", "SYM", "EOF")}
     assert sorted(made) == sorted(distinct)
-    assert len(made) * 5 < len(tokenize_by_chars(text))
+    assert len(made) == 79
+
+
+_COMPREHENSIONS = ("<listcomp>", "<setcomp>", "<dictcomp>")
+
+
+def test_parsing_pop2_makes_pinned_python_calls():
+    """The Python function calls of one parse of pop2.chor (1,155
+    tokens), counted by the profiler: 3,417 when each reader helper
+    compared a token's kind and spelling, a token was built per distinct
+    keyword and symbol and a sort per payload, and 2,203 since the
+    readers test tokens by identity."""
+    text = (conftest.CORPUS / "pop2.chor").read_text()
+    parse_module(text)  # computes what module constants keep, such as hashes
+    calls = 0
+
+    def count(frame, event, arg):  # comprehensions are inlined since 3.12
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_name not in _COMPREHENSIONS
+
+    sys.setprofile(count)
+    try:
+        parse_module(text)
+    finally:
+        sys.setprofile(None)
+    assert calls == 2203
 
 
 def _generated_terms() -> list:

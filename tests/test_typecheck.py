@@ -354,9 +354,9 @@ def _q(body: str, glob: str = _G) -> str:
 # Each case: (module, rule, start of the message, covering's reason or
 # None).  `wsi --mode covering` gives the same reason where it checks the
 # same condition: `typecheck.open_problem` on every open of the checked
-# shared name, and whether the role is a participant.  `typecheck` gives
-# every shared name of a process the global, so an open on a shared name
-# with no global type is reached only through `wsi --mode typing`.
+# shared name, and whether the role is a participant.  `typecheck` and
+# `wsi --mode typing` give every shared name of a process the global, so
+# no command line reaches an open on a shared name with no global type.
 _REJECTIONS = {
     "operand-sort": (_q("a?(x). b!(x + true)"), "sort",
                      "+: expected Int, got Bool", None),
@@ -395,8 +395,6 @@ _REJECTIONS = {
     "loop-channels": (_q("repeat { a?(x). 0 } until { a?(y). 0 }", _G_CHOICE),
                       "VLoop", "repeat body and until guard must use disjoint "
                       "channels", None),
-    "no-global": (_q("accept v[q](c, d). 0"), "VAcc",
-                  "shared name 'v' has no global type", None),
     "not-a-participant": (_plays("z", "accept u[z](a, b)", "a?(x). b!(1)"),
                           "VAcc", "'z' is not a participant of G",
                           "'z' is not a participant of G"),
@@ -435,12 +433,8 @@ def test_every_typing_rejection_names_its_rule(case, tmp_path, capsys):
     path = tmp_path / "m.chor"
     path.write_text(module)
     wsi = ["wsi", str(path), "--proc", "P", "--mode"]
-    if case == "no-global":
-        assert main([*wsi, "typing"]) == 1
-        out = capsys.readouterr().out.removeprefix("typing:   Rejected: ")
-    else:
-        assert main(["typecheck", str(path)]) == 1
-        out = capsys.readouterr().out.removeprefix("P: ")
+    assert main(["typecheck", str(path)]) == 1
+    out = capsys.readouterr().out.removeprefix("P: ")
     assert out.startswith(f"{rule}: {message}"), out
     if covering is not None:
         assert main([*wsi, "covering"]) == 1
@@ -448,10 +442,41 @@ def test_every_typing_rejection_names_its_rule(case, tmp_path, capsys):
             == f"covering: MissingRun <empty>: {covering}\n"
 
 
+_TWO_SHARED_NAMES = _q("accept v[q](c, d). 0")
+_REBOUND_CHANNEL = """\
+global G(a) = p -> q : { a(Int). p -> q : { k(Bool). end } }
+process P plays q of G = accept u[q](k). k?(x). k?(y). 0
+"""
+
+
+@pytest.mark.parametrize("module, line", [
+    pytest.param(_TWO_SHARED_NAMES, "VEnd: the process stops where the "
+                 "specification expects an input on ['c'] (at vacc u[q] / "
+                 "session of q)", id="two-shared-names"),
+    pytest.param(_REBOUND_CHANNEL, "VAcc: G is not projectable: channel 'k' "
+                 "used at sorts Int and Bool (at <root>) (at <top>)",
+                 id="rebound-channel")])
+def test_typecheck_and_wsi_typing_give_one_rejection(module, line, tmp_path,
+                                                     capsys):
+    """`typecheck` and `wsi --mode typing` judge a process under one
+    specification: every shared name it opens has the global.  An open
+    whose channel binder takes the name of a channel the global keeps at
+    another sort is a typing rejection at the open, not an error that
+    escapes typing."""
+    path = tmp_path / "m.chor"
+    path.write_text(module)
+    assert main(["typecheck", str(path)]) == 1
+    assert capsys.readouterr().out == f"P: {line}\n"
+    assert main(["wsi", str(path), "--proc", "P", "--mode", "typing"]) == 1
+    assert capsys.readouterr().out == f"typing:   Rejected: {line}\n"
+
+
 def test_typing_rejections_that_no_parsed_module_reaches():
     """A parsed `repeat` body and `until` guard are both input choices,
-    and freshening keeps a session's channels apart from those of the
-    sessions around it; terms built directly can break either rule."""
+    freshening keeps a session's channels apart from those of the
+    sessions around it, and both commands that type a process give each
+    of its shared names the global; terms built directly can break each
+    rule."""
     session = (KEY, {"a": INT, "b": STR, "c": INT})
     loop = RepeatUntil(Send("a", Const(int_lit(1))),
                        parse_process("sum { b?(v). 0 }"))
@@ -463,3 +488,7 @@ def test_typing_rejections_that_no_parsed_module_reaches():
     with pytest.raises(TypingError, match=r"^VAcc: session channels leak into an "
                        "enclosing session"):
         typecheck_process({}, TRUE, leak, {"u": g}, D, session=session)
+    with pytest.raises(TypingError, match=r"^VAcc: shared name 'v' has no "
+                       "global type"):
+        typecheck_process({}, TRUE, parse_process("accept v[q](c). 0"),
+                          {"u": g}, D)

@@ -9,9 +9,10 @@ import pytest
 from chorus_wsi import wsi
 from chorus_wsi.guards import DomainDecl, Store
 from chorus_wsi.projection import NonProjectable, project
+from chorus_wsi.semantics import type_steps
 from chorus_wsi.syntax.ast import (
     Accept, Arm, Branch, Const, Event, GChoice, GEnd, GlobalDef, If, Lit,
-    Request, Send, Seq, UNIT, fU, fX, replace,
+    Request, Send, Seq, TIter, TSeq, UNIT, fU, fX, replace,
 )
 from chorus_wsi.syntax import parse_expr, parse_module
 from chorus_wsi.traces import IllFormed, mandatory, run_str, runs_global, trace_leq
@@ -474,11 +475,69 @@ def test_multiset_inclusion_never_rejects_what_trace_leq_accepts():
     assert accepted > 200 and rejected > 5000, (accepted, rejected)
 
 
+def _unreduced_type_steps(t) -> list:
+    """`semantics.type_steps` with every loop step continuing both into
+    the loop again and into what follows the loop, also where the loop's
+    sequel offers only inputs."""
+    match t:
+        case TIter(body):
+            return [step for pol, chan, sort, cont in _unreduced_type_steps(body)
+                    for step in ((pol, chan, sort, cont),
+                                 (pol, chan, sort, TSeq(cont, t)))]
+        case TSeq(first, second):
+            out = [(pol, chan, sort, TSeq(cont, second))
+                   for pol, chan, sort, cont in _unreduced_type_steps(first)]
+            if isinstance(first, TIter):
+                out += [step for step in _unreduced_type_steps(second)
+                        if step[0] == "in"]
+            return out
+    return type_steps(t)
+
+
+def test_covering_without_subsumed_loop_steps_decides_alike(monkeypatch):
+    """Differential: dropping a peer loop's "once" steps where its
+    sequel offers only inputs changes no verdict, `inconclusive` flag or
+    number of contexts, on every module role, every generated role
+    implementation of seeds 0-299 and every branch-pruning mutant of the
+    typed ones; and it drops steps on some of them."""
+    cases = [(name, gdef, role, proc, domains, shared)
+             for name, gdef, role, proc, domains, shared in _module_roles()]
+    cases += [(f"{seed}:{role}", gdef, role, proc, domains, "u")
+              for seed in range(300)
+              for gdef, role, proc, domains in gen.role_implementations(seed)]
+    mutants = [(f"{seed}:{role}:mutant", gdef, role, mutant, domains, "u")
+               for seed, gdef, role, proc, domains
+               in _typed_implementations(range(300))
+               for mutant in gen.pruned(proc)]
+    assert len(mutants) == 176
+    cases += mutants
+
+    def verdicts() -> list:
+        out = []
+        for _, gdef, role, proc, domains, shared in cases:
+            v = wsi_by_covering(gdef, role, proc, domains, shared_name=shared)
+            out.append((v.holds(), v.inconclusive, len(v.contexts)))
+        return out
+
+    products = _recording_products(monkeypatch)
+    reduced = verdicts()
+    moves = [len(p.moves) for p in products]
+    products.clear()
+    monkeypatch.setattr(wsi, "type_steps", _unreduced_type_steps)
+    unreduced = verdicts()
+    assert [case[0] for case, v, w in zip(cases, reduced, unreduced) if v != w] == []
+    assert len(moves) == len(products)
+    assert all(m <= len(p.moves) for m, p in zip(moves, products))
+    assert sum(moves) < sum(len(p.moves) for p in products)
+
+
 def test_covering_cpop_does_pinned_work(pop2, pop2_domains, monkeypatch):
     """Work counts of covering CPop: product states stepped and heap
-    pops; steppings of the process itself, one per distinct (process,
-    bindings, pending, session map, queue heads), where stepping it in
-    every state would make 575; and subsumption `trace_leq` calls, where
+    pops (575 and 1,068 when a peer's loop step also continued past the
+    loop where the loop's sequel offers only inputs); steppings of the
+    process itself, one per distinct (process, bindings, pending,
+    session map, queue heads), where stepping it in every state would
+    make 185; and subsumption `trace_leq` calls, where
     checking every earlier target would make 17, 16 of them False."""
     products = _recording_products(monkeypatch)
     pops = subsumptions = 0
@@ -499,7 +558,7 @@ def test_covering_cpop_does_pinned_work(pop2, pop2_domains, monkeypatch):
         sys.setprofile(None)
     assert str(v) == "Holds (6 contexts)"
     (product,) = products
-    assert (len(product.moves), pops) == (575, 1068)
+    assert (len(product.moves), pops) == (185, 255)
     assert (len(product.proc_moves), subsumptions) == (185, 1)
 
 
