@@ -34,8 +34,8 @@ from .syntax import parse_module, render_module, render_type
 from .syntax.ast import Event, GlobalDef, ModuleDecl, TRUE, fU
 from .syntax.parser import ParseError
 from .traces import (
-    IllFormed, projection_env, run_count, run_str, runs_global, runs_spec,
-    sorted_run_strs, sorted_runs,
+    IllFormed, RUN_TUPLES, projection_env, run_count, run_str, runs_global,
+    runs_spec, sorted_run_strs, sorted_runs,
 )
 from .typecheck import (
     TypingError, gamma_from_domains, instantiate, shared_env, typecheck_process,
@@ -361,7 +361,7 @@ def cmd_cover(args) -> int:
     # the search takes its targets from the runs at bound 1, the skeletons
     # at every bound; only the counts depend on the bound.  runs_global
     # rejects an ill-formed g before anything projects it
-    rg = runs_global(g, 1)
+    rg = runs_global(g, 1, RUN_TUPLES)
     delta = projection_env(gdef, domains)
     n_global = len(rg) if args.unfold == 1 else _count(run_count(
         lambda algebra: runs_global(g, args.unfold, algebra)))

@@ -109,7 +109,11 @@ def channel_sorts(g: GlobalType) -> dict:
 
 
 def well_formed(g: GlobalType) -> list:
-    """All violations of the global-type side conditions (empty = OK)."""
+    """All violations of the global-type side conditions (empty = OK).
+    Kept on g as `_violations`, so a request that enumerates the runs of
+    g at two bounds checks it once."""
+    if g._violations is not None:
+        return list(g._violations)
     out: list = []
 
     def walk(node: GlobalType):
@@ -163,6 +167,7 @@ def well_formed(g: GlobalType) -> list:
         channel_sorts(g)
     except NonProjectable as exc:
         out.append(Violation("inconsistent-channel-sort", str(exc)))
+    object.__setattr__(g, "_violations", tuple(out))
     return out
 
 

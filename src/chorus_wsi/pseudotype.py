@@ -220,20 +220,23 @@ def passively_compatible_types(t1: PseudoType, t2: PseudoType) -> bool:
 def viable(t: PseudoType, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
     """A viable pseudo-type never dead-ends: its normal form is end, a
     choice of viable continuations, or a loop followed by a viable exit
-    with a consistent way to leave the loop."""
-    nf = normal_form(t, domains)
+    with a consistent way to leave the loop.  The parts of a normal form
+    are decided as they are: normalizing one again gives a type of the
+    same shape, as it prunes nothing and only conjoins guards already
+    there."""
+    return _viable(normal_form(t, domains))
+
+
+def _viable(nf: PseudoType) -> bool:
     match nf:
         case TEnd():
             return True
         case TInternal(branches) | TExternal(branches):
-            return all(viable(b.cont, domains) for b in branches)
+            return all(_viable(b.cont) for b in branches)
         case TSeq(TIter(body), cont):
-            if not (viable(body, domains) and viable(cont, domains)):
-                return False
-            body_nf = normal_form(body, domains)
-            cont_nf = normal_form(cont, domains)
-            return (passively_compatible_types(body_nf, cont_nf)
-                    or isinstance(body_nf, TInternal))
+            return _viable(body) and _viable(cont) \
+                and (passively_compatible_types(body, cont)
+                     or isinstance(body, TInternal))
         case _:
             return False
 

@@ -36,9 +36,9 @@ from __future__ import annotations
 from .guards import SortMismatch, Store, eval_expr
 from .syntax.ast import (
     Accept, Branch, Const, Expr, For, If, Lit, Par, Proc, Process, Queue,
-    RepeatUntil, Request, Restrict, Send, Seq, System, TEnd, TExternal,
-    TInternal, TIter, TRUE, TSeq, conj, frozen_node, is_nil, is_true, neg,
-    replace,
+    RepeatUntil, Request, Restrict, Send, Seq, System, TBranch, TEnd,
+    TExternal, TInternal, TIter, TRUE, TSeq, conj, frozen_node, is_nil,
+    is_true, neg, replace,
 )
 from .syntax.subst import subst_process
 
@@ -279,7 +279,9 @@ def type_steps(t, once: bool = True) -> list:
     follows the loop ("once").  A loop followed by a continuation that
     offers inputs and nothing else has no "once" steps: the unfolded
     step reaches the loop again, which may be skipped on each of those
-    inputs, into the same continuations."""
+    inputs, into the same continuations.  A continuation that follows
+    a step with a sequel is built by `_then`, so it is in normal form
+    but for its guards."""
     out: list = []
     match t:
         case TEnd():
@@ -292,7 +294,7 @@ def type_steps(t, once: bool = True) -> list:
             for pol, chan, sort, cont in type_steps(body):
                 if once:
                     out.append((pol, chan, sort, cont))              # once
-                out.append((pol, chan, sort, TSeq(cont, t)))         # unfold
+                out.append((pol, chan, sort, _then(cont, t)))        # unfold
             return out
         case TSeq(first, second):
             # the loop may be skipped on an input of the continuation
@@ -300,7 +302,24 @@ def type_steps(t, once: bool = True) -> list:
             inputs = [step for step in skips if step[0] == "in"]
             for pol, chan, sort, cont in type_steps(
                     first, not inputs or len(inputs) < len(skips)):
-                out.append((pol, chan, sort, TSeq(cont, second)))
+                out.append((pol, chan, sort, _then(cont, second)))
             return out + inputs
     raise TypeError(f"not a pseudo-type: {t!r}")
 
+
+def _then(first, second):
+    """`first ; second` for two normalized pseudo-types, with the shape
+    of its normal form: as normalization does, it drops a leading `end`,
+    pushes the sequel into the branches of a choice and reassociates a
+    sequence to the right; unlike it, it conjoins no guard and prunes no
+    branch, so each branch keeps its guard and `end` its own."""
+    match first:
+        case TEnd():
+            return second
+        case TInternal(branches) | TExternal(branches):
+            return type(first)(tuple(
+                TBranch(b.guard, b.channel, b.sort, _then(b.cont, second))
+                for b in branches))
+        case TSeq(loop, rest):  # a normal form's sequence starts with a loop
+            return TSeq(loop, _then(rest, second))
+    return TSeq(first, second)

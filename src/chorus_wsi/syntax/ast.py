@@ -38,10 +38,12 @@ _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 # system's name summary (`names`), the channels of a global
 # declaration's body that are not its parameters
 # (`typecheck.exposed_channels`), a global type's participants
-# (`projection.participants_ordered`), and the declared body that a body
-# rebuilt by freshening in place of a `Ref` is a copy of (`subst.freshen`).
+# (`projection.participants_ordered`) and its violations of
+# well-formedness (`projection.well_formed`), and the declared body that
+# a body rebuilt by freshening in place of a `Ref` is a copy of
+# (`subst.freshen`).
 DERIVED = ("_hash", "_nf", "_canon", "_vars", "_diagram", "_text", "_names",
-           "_exposed", "_parts", "_origin")
+           "_exposed", "_parts", "_violations", "_origin")
 
 # A field default that stands for a new empty dict in each instance.
 NEW_DICT = object()
@@ -121,7 +123,8 @@ def frozen_node(cls):
     equal one parsed later in the same process.  A process's or system's
     `_names` (its binders and free names, see `names`; a `Ref`'s is its
     body's, which the parser fills in), a global declaration's
-    `_exposed` and a global type's `_parts` hold only strings.  Neither
+    `_exposed` and a global type's `_parts` hold only strings, and its
+    `_violations` only records of two strings.  Neither
     of the two values kept for guard decisions outlives its node either:
     `_vars` is a set of names, and `_diagram`, kept on an `and`, `or` or
     `not` node, is one `(domains, diagram)` pair whose `DomainDecl` holds

@@ -28,7 +28,12 @@ unfolding cannot be read as the start of the loop's continuation).
 Where the count algebra cannot see that these conditions hold, for
 instance when one specification state offers one event into two
 different successors, it raises `Uncountable`, and `run_count` falls
-back to the size of the enumerated set.
+back to the size of the enumerated set.  For a global type it never
+raises: a well-formed choice sends on distinct channels, and a loop
+always ends with its termination messages.  So `RUN_TUPLES`, which
+builds the runs of a global type as a tuple by the same sums and
+products, builds each run once and hashes none (covering reads its
+targets so).
 
 A trace stands for its equivalence class modulo permutation of causally
 independent events, where two events are independent iff they are by
@@ -164,6 +169,31 @@ class RunSets:
         return frozenset(n + t for n in _nestings(body, unfold) for t in tails)
 
 
+class RunTuples:
+    """The runs of a global type as a tuple, each built once (see the
+    module docstring) and none hashed."""
+
+    @staticmethod
+    def unit() -> tuple:
+        return ((),)
+
+    @staticmethod
+    def choice(alternatives) -> tuple:
+        return tuple(head + r for head, runs in alternatives for r in runs)
+
+    @staticmethod
+    def seq(lefts: tuple, rights: tuple) -> tuple:
+        return tuple(l + r for l in lefts for r in rights)
+
+    @staticmethod
+    def iterate(body: tuple, tails: tuple, unfold: int) -> tuple:
+        level, nestings = body, list(body)  # as `_nestings`
+        for _ in range(unfold - 1):
+            level = tuple(r1 + (Opt(rest),) for r1 in body for rest in level)
+            nestings += level
+        return tuple(n + t for n in nestings for t in tails)
+
+
 @frozen_node
 class Count:
     """How many runs a set holds, with what it takes to count its unions
@@ -236,6 +266,7 @@ class RunCounts:
 
 
 RUN_SETS = RunSets()
+RUN_TUPLES = RunTuples()
 RUN_COUNTS = RunCounts()
 
 
@@ -397,35 +428,36 @@ def _spec_runs(state, unfold: int, domains: DomainDecl, algebra, memo: dict):
 # ------------------------------------------------------------ trace preorder
 
 def matching_tables(target: tuple) -> tuple:
-    """(copies, needs) of the greedy matcher for target: copies maps each
-    event to the bitmask of the positions of its copies in target, and
-    needs maps the bit of each position to the bitmask of the earlier
-    positions whose events it depends on, those with its participant or
-    its channel."""
+    """(copies, needs, full) of the greedy matcher for target: copies
+    maps each event to the bitmask of the positions of its copies in
+    target, needs maps the bit of each position to the bitmask of the
+    earlier positions whose events it depends on, those with its
+    participant or its channel, and full has the bit of every position."""
     copies: dict = {}
     needs: dict = {}
-    seen: dict = {}  # ("p", participant) or ("c", channel) -> its positions
+    by_role: dict = {}  # participant -> the positions of its events
+    by_chan: dict = {}  # channel -> the positions of its events
     for i, ev in enumerate(target):
         bit = 1 << i
         copies[ev] = copies.get(ev, 0) | bit
-        keys = ("p", ev.participant), ("c", ev.channel)
-        needs[bit] = seen.get(keys[0], 0) | seen.get(keys[1], 0)
-        for key in keys:
-            seen[key] = seen.get(key, 0) | bit
-    return copies, needs
+        p, c = by_role.get(ev.participant, 0), by_chan.get(ev.channel, 0)
+        needs[bit] = p | c
+        by_role[ev.participant], by_chan[ev.channel] = p | bit, c | bit
+    return copies, needs, (1 << len(target)) - 1
 
 
-def trace_leq(r1: tuple, r2: tuple) -> bool:
+def trace_leq(r1: tuple, r2: tuple, tables: tuple | None = None) -> bool:
     """r1 is covered by r2: the mandatory events of r1 embed into r2
     modulo permutation of causally independent events (optional
     segments of either side are droppable).  Decided by the greedy
-    matcher of the module docstring, in one pass over r2."""
-    target = mandatory(r1)
-    copies, needs = matching_tables(target)
+    matcher of the module docstring, in one pass over r2, over
+    `tables`, the `matching_tables` of the mandatory events of r1, when
+    the caller has them already."""
+    copies, needs, full = tables or matching_tables(mandatory(r1))
     mask = 0
     for ev in mandatory(r2):
         free = copies.get(ev, 0) & ~mask
         first = free & -free  # the first unmatched copy
         if first and not needs[first] & ~mask:
             mask |= first
-    return mask == (1 << len(target)) - 1
+    return mask == full

@@ -9,7 +9,7 @@ type's runs, its runs at unfold bound 1, so no verdict depends on an
 unfold bound.  For each target skeleton s, a best-first search (most
 events of s matched, then fewest extra events) runs over the product of
 the process and its store, its pending variables, its session-channel
-map, the other roles' normalized projections (stepped by
+map, the other roles' projections (normalized once, then stepped by
 `semantics.type_steps`), the queues, and the bitmask of the events of s
 matched so far.  A complete state with all of s matched is a witness.
 As in the system semantics, the session opens on a request with one
@@ -23,9 +23,11 @@ peer's payload; it takes each candidate value at the first step that
 raises `Undefined` on it.  Any other evaluation error stops the search,
 as in the system semantics, and is the reason given for the target's
 `MissingRun`.  An emitted event advances the mask by one step
-of the greedy matcher of `traces` (over `matching_tables(s)`), or is
-extra.  The matcher matches all of s on a run iff s is below the run,
-so one visited set of (state, mask) loses no witness.
+of the greedy matcher of `traces` (over `matching_tables(s)`, built
+once per target for the search, the check of its witness and the
+subsumption test below), or is extra.  The matcher matches all of s on
+a run iff s is below the run, so one visited set of (state, mask)
+loses no witness.
 
 A witness is a context: along it each other role makes moves of its
 projection, and the straight-line process making them, sending on each
@@ -39,10 +41,18 @@ a path, unless it needs a payload outside the candidates or more than
 `QUEUE_BOUND` messages in a queue; a search that skipped a send for
 that bound and found no witness is `Inconclusive`, not a `MissingRun`.
 Targets are searched in sorted order, each unless it is below an
-earlier searched one, whose witness covers it too.  `trace_leq` is
-asked that only when the target's events are a sub-multiset of the
-earlier one's: an embedding maps events injectively onto equal events,
-so a target outside that multiset is never below.
+earlier searched one, whose witness covers it too (`_Seen`).  An
+embedding maps events injectively onto equal events, so a target is
+never below a shorter one, below one of its own length only when the
+embedding is onto, that is when the two are the same trace, and below
+a longer one only when that one holds each of its events at least as
+often.  Two runs are the same trace exactly when their Foata forms are
+equal (Diekert and Rozenberg, *The Book of Traces*, 1995): the layers
+in which each event sits one past the last earlier event it depends
+on.  So a target is looked up by its Foata form among the searched
+targets of its length, and `trace_leq` is asked only of longer ones
+that hold its events; on n sequential choices, whose 2^n targets have
+one length, no target is compared with another.
 
 `projections_cover` runs the same search with no process to check: the
 session starts open, every role is a projection peer, and a witness is
@@ -54,13 +64,25 @@ channels, its parameters.
 The searches of one verdict share one product graph, built as far as
 they reach.  The process's own moves in a state depend on its process,
 bindings, pending variables and session map, and on the queues only
-through their heads: `step_process` reads the queues through its oracle
-alone, which gives at most a queue's head, and what a move does to the
-queues (push a value, pop a head, or open the session with empty ones)
-is kept as an effect applied to each state's own queues.  So the
-process is stepped once per distinct (process, bindings, pending,
-session map, queue heads), and states that differ only in their peers
-or in messages behind the heads share its moves.  A move that receives
+through the heads of the channels its next step reads: `step_process`
+reads the queues through its oracle alone, which gives at most a
+queue's head, and what a move does to the queues (push a value, pop a
+head, or open the session with empty ones) is kept as an effect applied
+to each state's own queues.  A head is either a value the process sent
+itself or a peer's payload `Lit(sort, _PENDING)`, which differs from
+another peer's payload only in its sort.  So the process is stepped
+once per distinct (process, bindings, pending, session map, heads it
+sent on the channels it reads), with an input on a channel offered the
+head it sent there, or else one payload for each sort a peer sends on
+that channel (`_sends`: a peer's continuations are made of parts of its
+projection, so it sends nothing the projection does not); a state
+enables such an input only where its head is the value offered.  The
+steps the oracle gives for the state's own heads are then exactly the
+enabled ones, in the same order, so each state gets the successors of
+stepping the process on its own heads, and states that differ only in
+their peers, in messages behind the heads, in the heads of channels
+the process does not read, or in the sort of a payload it would read,
+share its moves.  A move that receives
 a payload not drawn yet carries no value of the state it was computed
 in: its binder leaves the store for the pending variables.  States,
 their parts and events are interned to integers, the first one seen
@@ -70,6 +92,23 @@ evaluation reads the bindings alone.  The visited set, the successor
 order and the priority with its insertion-counter tie-break are those
 of a search over the states themselves, so interning pops the same
 states in the same order and changes no witness, count or verdict.
+
+A peer is its projection, normalized once, and each continuation that
+`type_steps` builds after a step with a sequel is the one that
+normalizing `continuation ; sequel` gives, but for guards (`_then`
+drops a leading end, pushes the sequel into the branches of a choice
+and reassociates to the right, as normalization does).  A projection's
+guards are all built from the literal true, so normalizing it prunes
+no branch and only conjoins guards; `type_steps` reads no guard, and a
+peer's state is complete when it is end, whatever its guard.  So each
+continuation steps into the same events, channels and sorts, into
+continuations that normalize alike in turn, and is complete when the
+normalized one is: the events, the masks and the sends skipped at
+`QUEUE_BOUND` are those of stepping the normal forms.  Two
+continuations that differ only in guards are also one state, which
+could only merge states with the same moves; the tests check that the
+verdicts, contexts and numbers of states expanded are those of
+normalizing each continuation.
 
 A peer at a loop followed by a continuation that offers only inputs
 steps into the loop again and not also past it (`type_steps`), and
@@ -110,15 +149,17 @@ import heapq
 from collections import Counter
 
 from .guards import DomainDecl, EMPTY_DOMAINS, EvalError, Store, Undefined
-from .projection import NonProjectable, participants_ordered, project
+from .projection import NonProjectable, participants_ordered, project, well_formed
 from .pseudotype import normal_form, viable
 from .semantics import proc_canon, step_process, type_steps
 from .syntax.ast import (
     NIL, Accept, Branch, Event, For, GlobalDef, If, Lit, Process, RepeatUntil,
-    Request, Seq, TEnd, TRUE, TSeq, fU, fX, frozen_node, is_nil,
+    Request, Seq, TEnd, TExternal, TInternal, TIter, TRUE, TSeq, fU, fX,
+    frozen_node, is_nil,
 )
 from .traces import (
-    IllFormed, matching_tables, run_str, runs_global, sorted_runs, trace_leq,
+    IllFormed, RUN_TUPLES, matching_tables, run_str, runs_global, sorted_runs,
+    trace_leq,
 )
 from .typecheck import (
     SpecEnv, TypingError, exposed_channels, gamma_from_domains, instantiate,
@@ -259,8 +300,8 @@ class _Product:
     pending, session map, peers, queues), and the id of that tuple in
     `states`; `parts` interns every part, so two equal parts of any kind
     share one id, which is harmless as each position of a key fixes the
-    kind.  The peers are the ids of their normalized projections, the
-    queues one tuple of messages per channel, indexed by `chan_index`."""
+    kind.  The peers are the ids of their projections, the queues one
+    tuple of messages per channel, indexed by `chan_index`."""
 
     def __init__(self, gdef: GlobalDef, role: str | None,
                  proc: Process | None, domains: DomainDecl,
@@ -269,13 +310,22 @@ class _Product:
         self.params, self.roles = gdef.params, tuple(q for q, _ in peers)
         # the session channels: as in the specification, a peer's step on
         # any other channel has no queue to use
-        self.chan_index = {y: i for i, y in enumerate(sorted(gdef.params))}
+        self.chan_index = index = {y: i for i, y in enumerate(sorted(gdef.params))}
+        self.payloads: dict = {}  # sort -> the payload of it a peer sends
+        # by channel index, the payloads that the peers may send on it,
+        # each offered to an input of the process (`process_moves`)
+        offers: list = [{} for _ in index]
+        for _, t in peers if proc is not None else ():
+            for chan, sort in _sends(t):
+                if chan in index:
+                    offers[index[chan]][sort] = self.payload(sort)
+        self.offers = [tuple(values.values()) for values in offers]
         self.parts, self.states, self.events = _Ids(), _Ids(), _Ids()
         self.stores: dict = {}  # bindings id -> a Store with those bindings
         ids = self.parts
         self.no_chans = ids[None]
         self.start_peers = ids[tuple(ids[t] for _, t in peers)]
-        self.start_queues = ids[tuple(() for _ in self.chan_index)]
+        self.start_queues = ids[tuple(() for _ in index)]
         store = Store(tables=domains.tables)
         self.stores[ids[store.key()]] = store
         # with no process, the session starts open among the peers
@@ -287,9 +337,11 @@ class _Product:
             ids[frozenset((x, None) for x in fX(proc) if x in domains.domains)],
             *session)]
         self.moves: dict = {}  # state id -> ([(event id or None, state id)], skipped)
-        # (process, bindings, pending, chans, queue heads ids) -> own moves
+        # (process, bindings, pending, chans) -> the channel indexes it reads
+        self.reads: dict = {}
+        # (process, bindings, pending, chans, heads it sent on those
+        # channels) -> its moves
         self.proc_moves: dict = {}
-        self.heads: dict = {}  # queues id -> the id of their heads
         self.queue_moves: dict = {}  # (queues, channel index, value) -> queues
         self.type_moves: dict = {}  # (peer index, projection id) -> its steps
 
@@ -312,23 +364,23 @@ class _Product:
                 proc, store.with_var(name, value), pending - {drawn}, oracle)]
 
     def own_moves(self, proc: int, bindings: int, pending: int, chans: int,
-                  queues: int) -> list:
-        """The process's moves, each (event id or None, queue effect, the
+                  heads) -> list:
+        """The process's moves when an input on the channel of index i
+        may receive `heads(i)`, each (event id or None, queue effect, the
         ids of the process, bindings, pending and session map after it).
-        The effect is None, `_OPEN`, or (channel index, value pushed, or
-        None to pop the head)."""
+        The effect is None, `_OPEN`, or (channel index, value pushed or
+        None, value popped or None)."""
         ids = self.parts
-        messages = ids.values[queues]
         session = dict(ids.values[chans] or ())
         index = self.chan_index
 
-        def head(channel):
+        def oracle(channel):
             y = session.get(channel)
-            return () if y is None else messages[index[y]][:1]
+            return () if y is None else heads(index[y])
 
         out = []
         for label, cont, store, pending_set in self.process_steps(
-                ids.values[proc], self.stores[bindings], ids.values[pending], head):
+                ids.values[proc], self.stores[bindings], ids.values[pending], oracle):
             event, effect, chans2 = None, None, chans
             if label.kind in ("req", "acc"):
                 # each open on the shared name plays the role and meets
@@ -340,7 +392,8 @@ class _Product:
                 chan, value = session[label.channel], label.value
                 event = self.events[Event(
                     self.role, "!" if label.kind == "out" else "?", chan, value.sort)]
-                effect = (index[chan], value if label.kind == "out" else None)
+                effect = (index[chan], value, None) if label.kind == "out" \
+                    else (index[chan], None, value)
                 if value.value is _PENDING:  # the binder waits for its draw
                     name = next(x for x, v in store.vars.items() if v is value)
                     store = Store({x: v for x, v in store.vars.items()
@@ -362,26 +415,49 @@ class _Product:
                         chans2))
         return out
 
+    def process_moves(self, proc: int, bindings: int, pending: int, chans: int,
+                      messages: tuple) -> list:
+        """The process's moves (`own_moves`) in a state with these parts
+        and these queues, stepped once per (process, bindings, pending,
+        session map, heads the process sent on the channels it reads).
+        An input on a channel whose head the process sent receives that
+        head; on any other it receives each payload a peer may send
+        there, and `successors` enables it only where the head is that
+        payload."""
+        base = (proc, bindings, pending, chans)
+        reads = self.reads.get(base)
+        if reads is not None:
+            own = self.proc_moves.get(
+                (*base, tuple([_sent(messages[i]) for i in reads])))
+            if own is not None:
+                return own
+        read: dict = {}  # the channel indexes the oracle is asked, in order
+
+        def heads(i):
+            read[i] = None
+            return _sent(messages[i]) or self.offers[i]
+
+        own = self.own_moves(proc, bindings, pending, chans, heads)
+        self.reads[base] = reads = tuple(read)
+        self.proc_moves[(*base, tuple([_sent(messages[i]) for i in reads]))] = own
+        return own
+
     def successors(self, sid: int) -> tuple:
         """([(event id or None, state id)], whether a send was skipped at
         the queue bound) of the state sid."""
         proc, bindings, pending, chans, peers, queues = self.states.values[sid]
         messages = self.parts.values[queues]
-        heads = self.heads.get(queues)
-        if heads is None:
-            heads = self.heads[queues] = self.parts[tuple(q[:1] for q in messages)]
-        key = (proc, bindings, pending, chans, heads)
-        own = self.proc_moves.get(key)
-        if own is None:
-            own = self.proc_moves[key] = self.own_moves(
-                proc, bindings, pending, chans, queues)
         out, skipped = [], False
-        for event, effect, proc2, bindings2, pending2, chans2 in own:
+        for event, effect, proc2, bindings2, pending2, chans2 in self.process_moves(
+                proc, bindings, pending, chans, messages):
             peers2, queues2 = peers, queues
             if effect is _OPEN:
                 peers2, queues2 = self.start_peers, self.start_queues
             elif effect is not None:
-                queues2 = self.queue_move(queues, *effect)
+                chan, push, pop = effect
+                if pop is not None and messages[chan][:1] != (pop,):
+                    continue  # the head is another payload, or none
+                queues2 = self.queue_move(queues, chan, push)
                 if queues2 is None:
                     skipped = True
                     continue
@@ -417,22 +493,25 @@ class _Product:
         return self.queue_moves[key]
 
     def steps_of(self, i: int, t: int) -> list:
-        """The steps of peer i at the normal form of id t, each (event id,
-        the message it pushes or None if it pops, channel index, sort,
-        id of the normal form after it).  The continuation of a choice
-        in a normal form is one already, and only a sequence that
-        `type_steps` builds needs normalizing."""
+        """The steps of peer i at the projection of id t, each (event id,
+        the payload it pushes or None if it pops, channel index, sort,
+        id of the projection after it)."""
         found = self.type_moves.get((i, t))
         if found is None:
             found = self.type_moves[(i, t)] = [
                 (self.events[Event(self.roles[i], "!" if pol == "out" else "?",
                                    chan, sort)],
-                 Lit(sort, _PENDING) if pol == "out" else None, self.chan_index[chan],
-                 sort,
-                 self.parts[normal_form(cont, self.domains)
-                            if isinstance(cont, TSeq) else cont])
+                 self.payload(sort) if pol == "out" else None,
+                 self.chan_index[chan], sort, self.parts[cont])
                 for pol, chan, sort, cont in type_steps(self.parts.values[t])
                 if chan in self.chan_index]
+        return found
+
+    def payload(self, sort) -> Lit:
+        """The payload of the sort that a peer sends, not drawn yet."""
+        found = self.payloads.get(sort)
+        if found is None:
+            found = self.payloads[sort] = Lit(sort, _PENDING)
         return found
 
     def complete(self, sid: int) -> bool:
@@ -444,13 +523,13 @@ class _Product:
             and all(isinstance(self.parts.values[t], TEnd)
                     for t in self.parts.values[peers])
 
-    def witness(self, target: tuple) -> tuple:
+    def witness(self, target: tuple, tables: tuple) -> tuple:
         """(a complete run that covers target, or None; whether a send
-        was skipped at the queue bound)."""
+        was skipped at the queue bound), searched with `tables`, the
+        `matching_tables` of target."""
         n = len(target)
-        copies, needs = matching_tables(target)
+        copies, needs, full = tables
         copies = {self.events[ev]: bits for ev, bits in copies.items()}
-        full = (1 << n) - 1
         # a search key is state id << n | mask
         parent = {self.start << n: None}
         frontier = [(0, 0, 0, self.start << n)]
@@ -461,7 +540,7 @@ class _Product:
             sid, mask = key >> n, key & full
             if mask == full and self.complete(sid):
                 run = self.path(parent, key)
-                if trace_leq(target, run):
+                if trace_leq(target, run, tables):
                     return run, skipped
             found = moves.get(sid)
             if found is None:
@@ -494,14 +573,94 @@ class _Product:
         return tuple(reversed(events))
 
 
+def _sent(queue: tuple) -> tuple:
+    """The queue's head if the process sent it (it is no peer's pending
+    payload), or ()."""
+    return queue[:1] if queue and queue[0].value is not _PENDING else ()
+
+
+def _sends(t) -> list:
+    """(channel, sort) of every output of the pseudo-type t."""
+    match t:
+        case TInternal(branches) | TExternal(branches):
+            own = [(b.channel, b.sort) for b in branches] \
+                if isinstance(t, TInternal) else []
+            return own + [send for b in branches for send in _sends(b.cont)]
+        case TSeq(first, second):
+            return _sends(first) + _sends(second)
+        case TIter(body):
+            return _sends(body)
+    return []
+
+
+class _Seen:
+    """The targets searched so far, and the test whether a target is
+    below one of them.  Runs of equal length are below each other
+    exactly when they are the same trace, when their Foata forms are
+    equal, so those are looked up by Foata form.  A longer one is asked
+    (`trace_leq`) only when it holds each event of the target at least
+    as often (`_within`).  A form or an event count is made only when a
+    test needs it."""
+
+    def __init__(self):
+        self.seen: dict = {}  # length -> [[target, event ids, counts or None]]
+        self.forms: dict = {}  # length -> the Foata forms of those, once two
+
+    def below(self, target: tuple, ids: list, tables: tuple) -> bool:
+        """Is target, whose events have the ids `ids`, below a target
+        seen before?  If not, it counts as seen from now on."""
+        n, form, counts = len(ids), None, None
+        same = self.seen.setdefault(n, [])
+        if same:
+            forms = self.forms.get(n) \
+                or self.forms.setdefault(n, {_foata(t, t_ids) for t, t_ids, _ in same})
+            form = _foata(target, ids)
+            if form in forms:
+                return True
+        for m, longer in self.seen.items():
+            if m > n:
+                counts = counts or Counter(ids)
+                for entry in longer:
+                    entry[2] = entry[2] or Counter(entry[1])
+                    if _within(counts, entry[2]) and trace_leq(target, entry[0], tables):
+                        return True
+        same.append([target, ids, counts])
+        if form is not None:
+            self.forms[n].add(form)
+        return False
+
+
+def _foata(target: tuple, ids: list) -> tuple:
+    """The Foata form of target, whose events have the ids `ids`: its
+    layers of event ids, each sorted, where an event's layer is one past
+    the last layer of the earlier events it depends on, those with its
+    participant or its channel.  Two runs are the same trace exactly
+    when their Foata forms are equal."""
+    by_role: dict = {}
+    by_chan: dict = {}
+    layers: list = []
+    for ev, e in zip(target, ids):
+        k = max(by_role.get(ev.participant, -1), by_chan.get(ev.channel, -1)) + 1
+        if k == len(layers):
+            layers.append([])
+        layers[k].append(e)
+        by_role[ev.participant] = by_chan[ev.channel] = k
+    return tuple(tuple(sorted(layer)) for layer in layers)
+
+
+def _within(counts: Counter, other: Counter) -> bool:
+    """Does `other` count each event at least as often as `counts`?  An
+    embedding maps events injectively onto equal events, so a target is
+    below an earlier one only if so."""
+    return all(other.get(e, 0) >= k for e, k in counts.items())
+
+
 def _search_inputs(gdef: GlobalDef, g, role: str, domains: DomainDecl):
     """(sorted target skeletons, (role, normalized projection) of every
     other role) for the search, or a string that says why there are none."""
-    try:
-        # a run at bound 1 has no optional segment: it is its own skeleton
-        targets = sorted_runs(runs_global(g, 1))
-    except IllFormed as exc:
-        return f"{gdef.name} is ill-formed: {exc}"
+    violations = well_formed(g)
+    if violations:
+        return f"{gdef.name} is ill-formed: {IllFormed(violations)}"
     peers = []
     for q in participants_ordered(g):
         if q == role:
@@ -513,7 +672,8 @@ def _search_inputs(gdef: GlobalDef, g, role: str, domains: DomainDecl):
         if not viable(local, domains):
             return f"projection of {gdef.name} on {q!r} is not viable"
         peers.append((q, normal_form(local, domains)))
-    return targets, tuple(peers)
+    # a run at bound 1 has no optional segment: it is its own skeleton
+    return sorted_runs(runs_global(g, 1, RUN_TUPLES)), tuple(peers)
 
 
 def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
@@ -542,15 +702,17 @@ def projections_cover(gdef: GlobalDef, delta: SpecEnv, targets: list,
 
 def _cover(product: _Product, targets: list) -> CoveringVerdict:
     """Holds once every target has a witness in the product."""
-    witnesses, bags = [], []  # bags: the event multiset of each searched target
+    events = product.events
+    witnesses, seen = [], _Seen()
     for target in targets:
-        bag = Counter(target)
-        # an embedding maps events injectively: below means a smaller multiset
-        if any(bag <= done_bag and trace_leq(target, done)
-               for (done, _), done_bag in zip(witnesses, bags)):
+        ids = [events[ev] for ev in target]
+        # over the interned events, those of the search's paths, so that
+        # the matcher finds each one by identity
+        tables = matching_tables(tuple([events.values[e] for e in ids]))
+        if seen.below(target, ids, tables):
             continue
         try:
-            run, skipped = product.witness(target)
+            run, skipped = product.witness(target, tables)
         except EvalError as exc:  # a step of the process went wrong
             return CoveringVerdict(False, missing=target,
                                    reason=f"evaluation error: {exc}")
@@ -560,5 +722,4 @@ def _cover(product: _Product, targets: list) -> CoveringVerdict:
                 if skipped else "branch unreachable under declared domains"),
                 inconclusive=skipped)
         witnesses.append((target, run))
-        bags.append(bag)
     return CoveringVerdict(True, contexts=tuple(witnesses))

@@ -10,7 +10,7 @@ from chorus_wsi.syntax.ast import (
 )
 from chorus_wsi.syntax import parse_type
 from chorus_wsi.traces import (
-    Opt, RUN_COUNTS, Uncountable, mandatory, projection_env, run_count,
+    Opt, RUN_COUNTS, RUN_TUPLES, Uncountable, mandatory, projection_env, run_count,
     run_str, runs_global, runs_spec, sorted_runs, trace_leq,
 )
 from chorus_wsi.typecheck import SpecEnv, instantiate
@@ -155,7 +155,9 @@ def _identical_branches(t) -> bool:
 
 def test_count_algebra_agrees_with_enumeration():
     """Counting runs gives the size of the enumerated run set, for the
-    global types and for the specifications made of their projections.
+    global types and for the specifications made of their projections,
+    and the runs of a global type built as a tuple are those of its set,
+    each once.
     Cases 465 and 508 of this seed project to a choice with identical
     branches: counting paths through them, not distinct runs, overcounts
     (392 against 196 on one of them)."""
@@ -166,6 +168,10 @@ def test_count_algebra_agrees_with_enumeration():
         for k in (1, 2):
             assert runs_global(g, k, RUN_COUNTS).runs == len(runs_global(g, k)), \
                 (case, k)
+            # the tuple algebra builds each run once
+            tuples = runs_global(g, k, RUN_TUPLES)
+            assert len(tuples) == len(runs_global(g, k)) == len(set(tuples)) \
+                and set(tuples) == runs_global(g, k), (case, k)
         gdef = GlobalDef("G", ("a", "b", "c", "t"), g)
         try:
             delta = projection_env(gdef)

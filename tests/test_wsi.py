@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import heapq
+import io
 import itertools
 import random
 import sys
@@ -9,13 +11,17 @@ import pytest
 from chorus_wsi import wsi
 from chorus_wsi.guards import DomainDecl, Store
 from chorus_wsi.projection import NonProjectable, project
-from chorus_wsi.semantics import type_steps
+from chorus_wsi.pseudotype import normal_form
+from chorus_wsi.semantics import _then, type_steps
 from chorus_wsi.syntax.ast import (
     Accept, Arm, Branch, Const, Event, GChoice, GEnd, GlobalDef, If, Lit,
     Request, Send, Seq, TIter, TSeq, UNIT, fU, fX, replace,
 )
 from chorus_wsi.syntax import parse_expr, parse_module
-from chorus_wsi.traces import IllFormed, mandatory, run_str, runs_global, trace_leq
+from chorus_wsi.cli import main
+from chorus_wsi.traces import (
+    IllFormed, mandatory, matching_tables, run_str, runs_global, trace_leq,
+)
 from chorus_wsi.typecheck import instantiate, participants_ordered
 from chorus_wsi.wsi import (
     QUEUE_BOUND, _role_problem,
@@ -26,7 +32,7 @@ import conftest
 import gen
 import test_cover
 from covering_reference import reference_wsi_by_covering
-from covers_reference import covers, foata
+from covers_reference import covers, foata, independent
 
 
 def test_wsi_typing_atm(atm, atm_domains):
@@ -450,7 +456,7 @@ def test_covering_agrees_with_the_reference_search(monkeypatch):
 
 def test_multiset_inclusion_never_rejects_what_trace_leq_accepts():
     """Covering skips `trace_leq(target, done)` unless the events of
-    target are a sub-multiset of those of done.  That is exact: an
+    target are a sub-multiset of those of done (`wsi._within`).  That is exact: an
     embedding maps events injectively onto equal events.  Checked on
     every pair of runs at bound 1 of two consecutive seeded random
     global types."""
@@ -469,23 +475,24 @@ def test_multiset_inclusion_never_rejects_what_trace_leq_accepts():
         for r1, bag1 in zip(pool, bags):
             for r2, bag2 in zip(pool, bags):
                 if trace_leq(r1, r2):
-                    assert bag1 <= bag2, (r1, r2)
+                    assert wsi._within(bag1, bag2), (r1, r2)
                     accepted += r1 != r2
-                rejected += not bag1 <= bag2
+                rejected += not wsi._within(bag1, bag2)
     assert accepted > 200 and rejected > 5000, (accepted, rejected)
 
 
 def _unreduced_type_steps(t) -> list:
     """`semantics.type_steps` with every loop step continuing both into
     the loop again and into what follows the loop, also where the loop's
-    sequel offers only inputs."""
+    sequel offers only inputs; continuations are built as `type_steps`
+    builds them (`semantics._then`)."""
     match t:
         case TIter(body):
             return [step for pol, chan, sort, cont in _unreduced_type_steps(body)
                     for step in ((pol, chan, sort, cont),
-                                 (pol, chan, sort, TSeq(cont, t)))]
+                                 (pol, chan, sort, _then(cont, t)))]
         case TSeq(first, second):
-            out = [(pol, chan, sort, TSeq(cont, second))
+            out = [(pol, chan, sort, _then(cont, second))
                    for pol, chan, sort, cont in _unreduced_type_steps(first)]
             if isinstance(first, TIter):
                 out += [step for step in _unreduced_type_steps(second)
@@ -500,8 +507,24 @@ def test_covering_without_subsumed_loop_steps_decides_alike(monkeypatch):
     number of contexts, on every module role, every generated role
     implementation of seeds 0-299 and every branch-pruning mutant of the
     typed ones; and it drops steps on some of them."""
-    cases = [(name, gdef, role, proc, domains, shared)
-             for name, gdef, role, proc, domains, shared in _module_roles()]
+    cases = _differential_cases()
+    products = _recording_products(monkeypatch)
+    reduced = _verdicts(cases)
+    moves = [len(p.moves) for p in products]
+    products.clear()
+    monkeypatch.setattr(wsi, "type_steps", _unreduced_type_steps)
+    unreduced = _verdicts(cases)
+    assert [case[0] for case, v, w in zip(cases, reduced, unreduced) if v != w] == []
+    assert len(moves) == len(products)
+    assert all(m <= len(p.moves) for m, p in zip(moves, products))
+    assert sum(moves) < sum(len(p.moves) for p in products)
+
+
+def _differential_cases() -> list:
+    """(name, global, role, process, domains, shared name) of every
+    module role, every generated role implementation of seeds 0-299 and
+    every branch-pruning mutant of the typed ones."""
+    cases = list(_module_roles())
     cases += [(f"{seed}:{role}", gdef, role, proc, domains, "u")
               for seed in range(300)
               for gdef, role, proc, domains in gen.role_implementations(seed)]
@@ -510,25 +533,168 @@ def test_covering_without_subsumed_loop_steps_decides_alike(monkeypatch):
                in _typed_implementations(range(300))
                for mutant in gen.pruned(proc)]
     assert len(mutants) == 176
-    cases += mutants
+    return cases + mutants
+
+
+def _verdicts(cases) -> list:
+    """(holds, inconclusive, number of contexts) of covering each case."""
+    out = []
+    for _, gdef, role, proc, domains, shared in cases:
+        v = wsi_by_covering(gdef, role, proc, domains, shared_name=shared)
+        out.append((v.holds(), v.inconclusive, len(v.contexts)))
+    return out
+
+
+def test_process_moves_keyed_on_sent_heads_give_every_state_its_successors(
+        monkeypatch):
+    """Differential: stepping the process once per (process, bindings,
+    pending, session map, heads it sent on the channels it reads), with
+    each input offered every payload a peer may send on its channel and
+    enabled where the head is that payload, gives every expanded product
+    state the successors that the memo keyed on the heads of all queues
+    gives, on every module role, generated role implementation and
+    mutant; and it steps the process less often on some of them."""
+    products = _recording_products(monkeypatch)
+    _verdicts(_differential_cases())
+    steppings = []
+    for product in products:
+        expanded = dict(product.moves)
+        by_heads: dict = {}
+
+        def on_heads(proc, bindings, pending, chans, messages):
+            key = (proc, bindings, pending, chans, tuple(q[:1] for q in messages))
+            if key not in by_heads:
+                by_heads[key] = product.own_moves(
+                    proc, bindings, pending, chans, lambda i: messages[i][:1])
+            return by_heads[key]
+
+        product.process_moves = on_heads
+        assert [sid for sid, moves in expanded.items()
+                if product.successors(sid) != moves] == []
+        steppings.append((len(product.proc_moves), len(by_heads)))
+    assert all(keyed <= on_all for keyed, on_all in steppings)
+    assert sum(keyed for keyed, _ in steppings) < sum(n for _, n in steppings)
+
+
+def _type_steps_of_sequences(t, once: bool = True) -> list:
+    """`semantics.type_steps` with each continuation that follows a step
+    with a sequel built as the plain sequence `TSeq(continuation,
+    sequel)`."""
+    match t:
+        case TIter(body):
+            return [step for pol, chan, sort, cont in _type_steps_of_sequences(body)
+                    for step in ([(pol, chan, sort, cont)] if once else [])
+                    + [(pol, chan, sort, TSeq(cont, t))]]
+        case TSeq(first, second):
+            skips = _type_steps_of_sequences(second) if isinstance(first, TIter) else []
+            inputs = [step for step in skips if step[0] == "in"]
+            return [(pol, chan, sort, TSeq(cont, second))
+                    for pol, chan, sort, cont in _type_steps_of_sequences(
+                        first, not inputs or len(inputs) < len(skips))] + inputs
+    return type_steps(t)
+
+
+def test_peers_stepped_without_normal_forms_decide_alike(monkeypatch):
+    """Differential: stepping each peer's continuation as `type_steps`
+    builds it (`semantics._then`) gives the same verdicts, with the same
+    `inconclusive` flags, contexts and reasons, as normalizing each
+    continuation built as a plain sequence, which the search did before,
+    on every module role, generated role implementation and mutant; and
+    both expand as many product states."""
+    cases = _differential_cases()
 
     def verdicts() -> list:
-        out = []
-        for _, gdef, role, proc, domains, shared in cases:
-            v = wsi_by_covering(gdef, role, proc, domains, shared_name=shared)
-            out.append((v.holds(), v.inconclusive, len(v.contexts)))
-        return out
+        return [wsi_by_covering(gdef, role, proc, domains, shared_name=shared)
+                for _, gdef, role, proc, domains, shared in cases]
 
     products = _recording_products(monkeypatch)
-    reduced = verdicts()
+    built = verdicts()
     moves = [len(p.moves) for p in products]
     products.clear()
-    monkeypatch.setattr(wsi, "type_steps", _unreduced_type_steps)
-    unreduced = verdicts()
-    assert [case[0] for case, v, w in zip(cases, reduced, unreduced) if v != w] == []
-    assert len(moves) == len(products)
-    assert all(m <= len(p.moves) for m, p in zip(moves, products))
-    assert sum(moves) < sum(len(p.moves) for p in products)
+
+    def normalized(self, t):
+        domains = self.domains
+        return [(pol, chan, sort,
+                 normal_form(cont, domains) if isinstance(cont, TSeq) else cont)
+                for pol, chan, sort, cont in _type_steps_of_sequences(t)]
+
+    class Normalizing(wsi._Product):  # a subclass of the recording one
+        def steps_of(self, i, t):
+            with monkeypatch.context() as patched:
+                patched.setattr(wsi, "type_steps", lambda u: normalized(self, u))
+                return super().steps_of(i, t)
+
+    monkeypatch.setattr(wsi, "_Product", Normalizing)
+    assert verdicts() == built
+    assert [len(p.moves) for p in products] == moves
+
+
+def _reordered(rng: random.Random, run: tuple) -> tuple:
+    """run with a few adjacent independent events swapped: the same trace."""
+    events = list(run)
+    for _ in range(len(events)):
+        i = rng.randrange(len(events) - 1) if len(events) > 1 else 0
+        if i + 1 < len(events) and independent(events[i], events[i + 1]):
+            events[i], events[i + 1] = events[i + 1], events[i]
+    return tuple(events)
+
+
+def test_seen_targets_decide_subsumption_as_the_pair_loop():
+    """Property: on seeded lists of target skeletons built from
+    `gen.gen_run`, some of them an earlier one reordered (the same
+    trace) or with events left out (below it), `_Seen.below` answers as
+    the pair loop that asks `trace_leq` of every earlier target it did
+    not find below another."""
+    rng = random.Random(4242)
+    outcomes = collections.Counter()
+    for _ in range(400):
+        pool = []
+        for _ in range(rng.randint(1, 10)):
+            earlier = rng.choice(pool) if pool else ()
+            pick = rng.random()
+            if earlier and pick < 0.3:
+                pool.append(_reordered(rng, earlier))
+            elif earlier and pick < 0.5:
+                pool.append(tuple(ev for ev in earlier if rng.random() < 0.7))
+            else:
+                pool.append(mandatory(gen.gen_run(rng, rng.randint(0, 8))))
+        seen, searched, events = wsi._Seen(), [], wsi._Ids()
+        for target in pool:
+            below = [done for done in searched if trace_leq(target, done)]
+            ids = [events[ev] for ev in target]
+            assert seen.below(target, ids, matching_tables(target)) == bool(below), \
+                (pool, target)
+            if not below:
+                searched.append(target)
+            outcomes["not below" if not below else "same length"
+                     if any(len(d) == len(target) for d in below) else "longer"] += 1
+    assert min(outcomes["not below"], outcomes["same length"],
+               outcomes["longer"]) > 200, outcomes
+
+
+def test_covering_sequential_choices_compares_no_targets_of_one_length(
+        tmp_path, monkeypatch):
+    """`cover` on 10 sequential choices searches all 1,024 targets, all
+    of one length, each told apart from the earlier ones by its Foata
+    form: no event counts are compared and the matcher runs only to
+    confirm each witness (the pair loop made 523,776 `Counter`
+    comparisons)."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(wsi, "trace_leq", counted("trace_leq", trace_leq))
+    monkeypatch.setattr(wsi, "_within", counted("_within", wsi._within))
+    path = tmp_path / "choices.chor"
+    path.write_text(test_cover._choices(10) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["cover", str(path), "--unfold", "1"]) == 0
+    assert out.getvalue().startswith("Holds@1: 1024 global runs covered")
+    assert calls == {"trace_leq": 1024}
 
 
 def test_covering_cpop_does_pinned_work(pop2, pop2_domains, monkeypatch):
@@ -536,8 +702,9 @@ def test_covering_cpop_does_pinned_work(pop2, pop2_domains, monkeypatch):
     pops (575 and 1,068 when a peer's loop step also continued past the
     loop where the loop's sequel offers only inputs); steppings of the
     process itself, one per distinct (process, bindings, pending,
-    session map, queue heads), where stepping it in every state would
-    make 185; and subsumption `trace_leq` calls, where
+    session map, heads the process sent on the channels it reads), where
+    stepping it once per distinct queue heads made 185, as many as
+    stepping it in every state; and subsumption `trace_leq` calls, where
     checking every earlier target would make 17, 16 of them False."""
     products = _recording_products(monkeypatch)
     pops = subsumptions = 0
@@ -559,7 +726,7 @@ def test_covering_cpop_does_pinned_work(pop2, pop2_domains, monkeypatch):
     assert str(v) == "Holds (6 contexts)"
     (product,) = products
     assert (len(product.moves), pops) == (185, 255)
-    assert (len(product.proc_moves), subsumptions) == (185, 1)
+    assert (len(product.proc_moves), subsumptions) == (97, 1)
 
 
 def test_covering_sequential_choices_keeps_no_dead_binding(monkeypatch):
