@@ -73,10 +73,11 @@ itself or a peer's payload `Lit(sort, _PENDING)`, which differs from
 another peer's payload only in its sort.  So the process is stepped
 once per distinct (process, bindings, pending, session map, heads it
 sent on the channels it reads), with an input on a channel offered the
-head it sent there, or else one payload for each sort a peer sends on
-that channel (`_sends`: a peer's continuations are made of parts of its
-projection, so it sends nothing the projection does not); a state
-enables such an input only where its head is the value offered.  The
+head it sent there, or else the payload of the channel's sort: a
+well-formed global type uses each channel at one sort
+(`projection.channel_sorts`), and a peer sends only the messages of its
+projection.  A state enables such an input only where its head is the
+value offered.  The
 steps the oracle gives for the state's own heads are then exactly the
 enabled ones, in the same order, so each state gets the successors of
 stepping the process on its own heads, and states that differ only in
@@ -149,13 +150,14 @@ import heapq
 from collections import Counter
 
 from .guards import DomainDecl, EMPTY_DOMAINS, EvalError, Store, Undefined
-from .projection import NonProjectable, participants_ordered, project, well_formed
+from .projection import (
+    NonProjectable, channel_sorts, participants_ordered, project, well_formed,
+)
 from .pseudotype import normal_form, viable
 from .semantics import proc_canon, step_process, type_steps
 from .syntax.ast import (
     NIL, Accept, Branch, Event, For, GlobalDef, If, Lit, Process, RepeatUntil,
-    Request, Seq, TEnd, TExternal, TInternal, TIter, TRUE, TSeq, fU, fX,
-    frozen_node, is_nil,
+    Request, Seq, TEnd, TRUE, fU, fX, frozen_node, is_nil,
 )
 from .traces import (
     IllFormed, RUN_TUPLES, matching_tables, run_str, runs_global, sorted_runs,
@@ -312,14 +314,11 @@ class _Product:
         # any other channel has no queue to use
         self.chan_index = index = {y: i for i, y in enumerate(sorted(gdef.params))}
         self.payloads: dict = {}  # sort -> the payload of it a peer sends
-        # by channel index, the payloads that the peers may send on it,
-        # each offered to an input of the process (`process_moves`)
-        offers: list = [{} for _ in index]
-        for _, t in peers if proc is not None else ():
-            for chan, sort in _sends(t):
-                if chan in index:
-                    offers[index[chan]][sort] = self.payload(sort)
-        self.offers = [tuple(values.values()) for values in offers]
+        # by channel index, what an input of the process is offered where
+        # the process sent no head (`process_moves`)
+        sorts = channel_sorts(gdef.body) if proc is not None else {}
+        self.offers = [(self.payload(sorts[y]),) if y in sorts else ()
+                       for y in index]
         self.parts, self.states, self.events = _Ids(), _Ids(), _Ids()
         self.stores: dict = {}  # bindings id -> a Store with those bindings
         ids = self.parts
@@ -577,20 +576,6 @@ def _sent(queue: tuple) -> tuple:
     """The queue's head if the process sent it (it is no peer's pending
     payload), or ()."""
     return queue[:1] if queue and queue[0].value is not _PENDING else ()
-
-
-def _sends(t) -> list:
-    """(channel, sort) of every output of the pseudo-type t."""
-    match t:
-        case TInternal(branches) | TExternal(branches):
-            own = [(b.channel, b.sort) for b in branches] \
-                if isinstance(t, TInternal) else []
-            return own + [send for b in branches for send in _sends(b.cont)]
-        case TSeq(first, second):
-            return _sends(first) + _sends(second)
-        case TIter(body):
-            return _sends(body)
-    return []
 
 
 class _Seen:
