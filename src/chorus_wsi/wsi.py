@@ -69,30 +69,28 @@ reads the queues through its oracle alone, which gives at most a
 queue's head, and what a move does to the queues (push a value, pop a
 head, or open the session with empty ones) is kept as an effect applied
 to each state's own queues.  A head is either a value the process sent
-itself or a peer's payload `Lit(sort, _PENDING)`, which differs from
-another peer's payload only in its sort.  So the process is stepped
-once per distinct (process, bindings, pending, session map, heads it
-sent on the channels it reads), with an input on a channel offered the
-head it sent there, or else the payload of the channel's sort: a
-well-formed global type uses each channel at one sort
-(`projection.channel_sorts`), and a peer sends only the messages of its
-projection.  A state enables such an input only where its head is the
-value offered.  The
-steps the oracle gives for the state's own heads are then exactly the
-enabled ones, in the same order, so each state gets the successors of
-stepping the process on its own heads, and states that differ only in
-their peers, in messages behind the heads, in the heads of channels
-the process does not read, or in the sort of a payload it would read,
-share its moves.  A move that receives
-a payload not drawn yet carries no value of the state it was computed
-in: its binder leaves the store for the pending variables.  States,
-their parts and events are interned to integers, the first one seen
-standing for every equal one, so two states share an id exactly when
-their parts are equal; equal bindings give equal steps, since
-evaluation reads the bindings alone.  The visited set, the successor
-order and the priority with its insertion-counter tie-break are those
-of a search over the states themselves, so interning pops the same
-states in the same order and changes no witness, count or verdict.
+itself or a peer's payload `Lit(sort, _PENDING)`, and a well-formed
+global type uses each channel at one sort (`projection.channel_sorts`),
+the sort of every message a peer sends on it.  So the process is
+stepped once per distinct (process, bindings, pending, session map,
+heads it sent on the channels it reads), with an input on a channel
+offered the head the process sent there, or else the payload of the
+channel's sort, and a state enables such an input only where its head
+is the value offered.  The steps the oracle gives for a state's own
+heads are then exactly the enabled ones, in the same order, so each
+state gets the successors of stepping the process on its own heads,
+and states that differ only in their peers, in messages behind the
+heads, or in the heads of channels the process does not read share its
+moves.  A move that receives a payload not drawn yet carries no value
+of the state it was computed in: its binder leaves the store for the
+pending variables.  States, their parts and events are interned to
+integers, the first one seen standing for every equal one, so two
+states share an id exactly when their parts are equal; equal bindings
+give equal steps, since evaluation reads the bindings alone.  The
+visited set, the successor order and the priority with its
+insertion-counter tie-break are those of a search over the states
+themselves, so interning pops the same states in the same order and
+changes no witness, count or verdict.
 
 A peer is its projection, normalized once, and each continuation that
 `type_steps` builds after a step with a sequel is the one that
@@ -106,9 +104,9 @@ continuation steps into the same events, channels and sorts, into
 continuations that normalize alike in turn, and is complete when the
 normalized one is: the events, the masks and the sends skipped at
 `QUEUE_BOUND` are those of stepping the normal forms.  Two
-continuations that differ only in guards are also one state, which
-could only merge states with the same moves; the tests check that the
-verdicts, contexts and numbers of states expanded are those of
+continuations whose normal forms differ only in guards may be one state
+here, which merges only states with the same moves; the tests check
+that the verdicts, contexts and numbers of states expanded are those of
 normalizing each continuation.
 
 A peer at a loop followed by a continuation that offers only inputs
