@@ -639,12 +639,29 @@ def _reordered(rng: random.Random, run: tuple) -> tuple:
     return tuple(events)
 
 
+def _pair_loop_agrees(pool: list, outcomes: collections.Counter) -> None:
+    """Asserts that `_Seen.below` answers, target by target of pool, as
+    the pair loop that asks `trace_leq` of every earlier target it did
+    not find below another, and counts the kinds of answer."""
+    seen, searched, events = wsi._Seen(), [], wsi._Ids()
+    for target in pool:
+        below = [done for done in searched if trace_leq(target, done)]
+        ids = [events[ev] for ev in target]
+        assert seen.below(target, ids, matching_tables(target)) == bool(below), \
+            (pool, target)
+        if not below:
+            searched.append(target)
+        outcomes["not below" if not below else "same length"
+                 if any(len(d) == len(target) for d in below) else "longer"] += 1
+
+
 def test_seen_targets_decide_subsumption_as_the_pair_loop():
     """Property: on seeded lists of target skeletons built from
     `gen.gen_run`, some of them an earlier one reordered (the same
-    trace) or with events left out (below it), `_Seen.below` answers as
-    the pair loop that asks `trace_leq` of every earlier target it did
-    not find below another."""
+    trace) or with events left out (below it), and on the sorted targets
+    of every module role, generated role implementation and mutant
+    (1,600 targets, 3 of them below a longer earlier one), `_Seen.below`
+    answers as the pair loop."""
     rng = random.Random(4242)
     outcomes = collections.Counter()
     for _ in range(400):
@@ -658,18 +675,16 @@ def test_seen_targets_decide_subsumption_as_the_pair_loop():
                 pool.append(tuple(ev for ev in earlier if rng.random() < 0.7))
             else:
                 pool.append(mandatory(gen.gen_run(rng, rng.randint(0, 8))))
-        seen, searched, events = wsi._Seen(), [], wsi._Ids()
-        for target in pool:
-            below = [done for done in searched if trace_leq(target, done)]
-            ids = [events[ev] for ev in target]
-            assert seen.below(target, ids, matching_tables(target)) == bool(below), \
-                (pool, target)
-            if not below:
-                searched.append(target)
-            outcomes["not below" if not below else "same length"
-                     if any(len(d) == len(target) for d in below) else "longer"] += 1
+        _pair_loop_agrees(pool, outcomes)
     assert min(outcomes["not below"], outcomes["same length"],
                outcomes["longer"]) > 200, outcomes
+    outcomes.clear()
+    for _, gdef, role, _, domains, _ in _differential_cases():
+        found = wsi._search_inputs(gdef, instantiate(gdef, gdef.params), role,
+                                   domains)
+        if not isinstance(found, str):
+            _pair_loop_agrees(found[0], outcomes)
+    assert outcomes == {"not below": 1597, "longer": 3}
 
 
 def test_covering_sequential_choices_compares_no_targets_of_one_length(
