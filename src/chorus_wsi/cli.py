@@ -34,7 +34,7 @@ from .syntax import parse_module, render_module, render_type
 from .syntax.ast import Event, GlobalDef, ModuleDecl, TRUE, fU
 from .syntax.parser import ParseError
 from .traces import (
-    IllFormed, RUN_TUPLES, projection_env, run_count, run_str, runs_global,
+    IllFormed, projection_env, run_count, run_str, runs_global,
     runs_spec, sorted_run_strs, sorted_runs,
 )
 from .typecheck import (
@@ -256,6 +256,7 @@ def cmd_simulate(args) -> int:
     domains = DomainDecl.from_module(module, (args.system,))
     if args.system not in module.systems:
         raise UsageError(f"no system named {args.system!r}")
+    named = _the_global(module, args.global_name) if args.global_name else None
     state = to_state(module.systems[args.system].body)
     rng = random.Random(args.seed)
     init_vars = {
@@ -266,7 +267,7 @@ def cmd_simulate(args) -> int:
 
     trace, error = [], None
     try:
-        participants = _participants(module, args.global_name, state, store)
+        participants = _participants(module, named, state, store)
         for _ in range(args.steps):
             succ = system_steps(state, store)
             if not succ:
@@ -299,11 +300,13 @@ def cmd_simulate(args) -> int:
     return 1 if error else 0
 
 
-def _participants(module: ModuleDecl, global_name: str | None, state,
+def _participants(module: ModuleDecl, named: GlobalDef | None, state,
                   store: Store) -> dict:
     """The participant each component plays, read from the session it
-    can open first: an acceptor's role, or the entry global's first
-    participant for a requester."""
+    can open first: an acceptor's role, or the first participant of the
+    named global, else of the entry global, for a requester.  Where no
+    global is named and the module has no entry global or several, a
+    requester plays no participant."""
     out = {}
     for pid, proc in state.procs:
         for action, _, _ in step_process(proc, store, lambda _: ()):
@@ -311,7 +314,7 @@ def _participants(module: ModuleDecl, global_name: str | None, state,
                 out[pid] = action.role
             elif action.kind == "req":
                 try:
-                    gdef = _the_global(module, global_name)
+                    gdef = named or _the_global(module, None)
                 except UsageError:
                     continue
                 out[pid] = participants_ordered(instantiate(gdef, gdef.params))[0]
@@ -361,13 +364,13 @@ def cmd_cover(args) -> int:
     # the search takes its targets from the runs at bound 1, the skeletons
     # at every bound; only the counts depend on the bound.  runs_global
     # rejects an ill-formed g before anything projects it
-    rg = runs_global(g, 1, RUN_TUPLES)
-    delta = projection_env(gdef, domains)
+    rg = runs_global(g, 1)
+    spec = projection_env(gdef, domains)
     n_global = len(rg) if args.unfold == 1 else _count(run_count(
         lambda algebra: runs_global(g, args.unfold, algebra)))
     n_spec = _count(run_count(lambda algebra: runs_spec(
-        delta, gdef.params, args.unfold, domains, algebra)))
-    verdict = projections_cover(gdef, delta, sorted_runs(rg), domains)
+        spec, gdef.params, args.unfold, domains, algebra)))
+    verdict = projections_cover(gdef, spec, sorted_runs(rg), domains)
     code = 0 if verdict.holds() else 3 if verdict.inconclusive else 1
     if args.json:
         payload = {"holds": verdict.holds(), "global-runs": n_global,

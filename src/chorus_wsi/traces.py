@@ -16,24 +16,25 @@ runs at K = 1.  Covering therefore compares skeletons, and no covering
 verdict depends on K.
 
 The global-type and specification enumerators are each written once,
-over an algebra passed in as an argument.  `RUN_SETS` builds the runs;
-`RUN_COUNTS` only counts them, so the number of runs at a bound K whose
-runs would not fit in memory is found in milliseconds.  A count is
-exact because each union it sums is disjoint (the alternatives of a
-choice start with different events; a specification move that repeats
-the event and the successor of an earlier move is skipped, since it
-adds no run) and each product it multiplies is injective (no left run
-is a proper prefix of another, and the `Opt` that opens a further loop
-unfolding cannot be read as the start of the loop's continuation).
-Where the count algebra cannot see that these conditions hold, for
-instance when one specification state offers one event into two
-different successors, it raises `Uncountable`, and `run_count` falls
-back to the size of the enumerated set.  For a global type it never
-raises: a well-formed choice sends on distinct channels, and a loop
-always ends with its termination messages.  So `RUN_TUPLES`, which
-builds the runs of a global type as a tuple by the same sums and
-products, builds each run once and hashes none (covering reads its
-targets so).
+over an algebra passed in as an argument.  `RUN_TUPLES` builds the runs
+as a tuple, by sums (a choice concatenates its alternatives) and
+products (a sequence pairs every left run with every right one), and
+hashes none; `RUN_COUNTS` only counts them, so the number of runs at a
+bound K whose runs would not fit in memory is found in milliseconds.
+A count is exact, and the tuple holds each run once, because each union
+it sums is disjoint (the alternatives of a choice start with different
+events; a specification move that repeats the event and the successor
+of an earlier move is skipped, since it adds no run) and each product
+it multiplies is injective (no left run is a proper prefix of another,
+and the `Opt` that opens a further loop unfolding cannot be read as the
+start of the loop's continuation).  Where the count algebra cannot see
+that these conditions hold, for instance when one specification state
+offers one event into two different successors, it raises `Uncountable`,
+and `run_count` falls back to the number of distinct runs in the tuple.
+For a global type it never raises: a well-formed choice sends on
+distinct channels, and a loop always ends with its termination
+messages.  So the tuple of runs of a global type holds each run once,
+and `traces` prints it and covering reads its targets from it as built.
 
 A trace stands for its equivalence class modulo permutation of causally
 independent events, where two events are independent iff they are by
@@ -65,7 +66,7 @@ from .syntax.ast import (
     Event, GChoice, GEnd, GIter, GSeq, GlobalDef, GlobalType, TEnd,
     TExternal, TInternal, TIter, TSeq, frozen_node,
 )
-from .typecheck import SpecEnv, instantiate
+from .typecheck import instantiate
 
 
 @frozen_node
@@ -124,54 +125,16 @@ class IllFormed(Exception):
         self.violations = tuple(violations)
 
 
-# ------------------------------------------------------ algebras of run sets
+# ------------------------------------------------------ algebras of runs
 
 class Uncountable(Exception):
     """The count algebra cannot tell that a union is disjoint or that a
     product is injective, so it cannot count the runs exactly."""
 
 
-def _nestings(body_runs: frozenset, k_max: int) -> frozenset:
-    """r1, r1[r2], r1[r2[r3]], ... with at most k_max bodies."""
-    levels = [frozenset(body_runs)]
-    for _ in range(k_max - 1):
-        prev = levels[-1]
-        levels.append(frozenset(
-            r1 + (Opt(rest),) for r1 in body_runs for rest in prev))
-    out: set = set()
-    for level in levels:
-        out |= level
-    return frozenset(out)
-
-
-class RunSets:
-    """The sets of annotated runs themselves."""
-
-    @staticmethod
-    def unit() -> frozenset:
-        return frozenset({()})
-
-    @staticmethod
-    def choice(alternatives) -> frozenset:
-        """head + r for every (head, runs) alternative and r in runs."""
-        out: set = set()
-        for head, runs in alternatives:
-            out.update(head + r for r in runs)
-        return frozenset(out)
-
-    @staticmethod
-    def seq(lefts: frozenset, rights: frozenset) -> frozenset:
-        return frozenset(l + r for l in lefts for r in rights)
-
-    @staticmethod
-    def iterate(body: frozenset, tails: frozenset, unfold: int) -> frozenset:
-        """Nestings of up to `unfold` body runs, each followed by a tail."""
-        return frozenset(n + t for n in _nestings(body, unfold) for t in tails)
-
-
 class RunTuples:
-    """The runs of a global type as a tuple, each built once (see the
-    module docstring) and none hashed."""
+    """The runs themselves, as a tuple: built by sums and products, and
+    none hashed (see the module docstring)."""
 
     @staticmethod
     def unit() -> tuple:
@@ -187,7 +150,9 @@ class RunTuples:
 
     @staticmethod
     def iterate(body: tuple, tails: tuple, unfold: int) -> tuple:
-        level, nestings = body, list(body)  # as `_nestings`
+        """The nestings r1, r1[r2], r1[r2[r3]], ... of up to `unfold`
+        body runs, each followed by a tail."""
+        level, nestings = body, list(body)
         for _ in range(unfold - 1):
             level = tuple(r1 + (Opt(rest),) for r1 in body for rest in level)
             nestings += level
@@ -208,8 +173,8 @@ class Count:
     opt_headed: bool
 
     def __len__(self) -> int:
-        """The count, as `len` gives it for a set of runs, so code that
-        sizes run sets by `len` takes counts too.  Past `sys.maxsize`
+        """The count, as `len` gives it for the tuple of runs, so code
+        that sizes runs by `len` takes counts too.  Past `sys.maxsize`
         `len` raises OverflowError and only `runs` holds the count."""
         return self.runs
 
@@ -265,23 +230,22 @@ class RunCounts:
                      body.has_empty and tails.has_empty, body.has_empty)
 
 
-RUN_SETS = RunSets()
 RUN_TUPLES = RunTuples()
 RUN_COUNTS = RunCounts()
 
 
 def run_count(enumerate_in) -> int:
-    """The number of runs `enumerate_in(algebra)` enumerates: counted,
-    or enumerated and measured where the count algebra is not exact."""
+    """The number of distinct runs `enumerate_in(algebra)` enumerates:
+    counted, or enumerated where the count algebra is not exact."""
     try:
         return enumerate_in(RUN_COUNTS).runs
     except Uncountable:
-        return len(enumerate_in(RUN_SETS))
+        return len(set(enumerate_in(RUN_TUPLES)))
 
 
 # ------------------------------------------------------- runs of global types
 
-def runs_global(g: GlobalType, unfold: int = 2, algebra=RUN_SETS):
+def runs_global(g: GlobalType, unfold: int = 2, algebra=RUN_TUPLES):
     """The annotated runs allowed by g, iterations unfolded at most
     `unfold` times, in the canonical interleaving of each rule, as a
     value of `algebra`."""
@@ -318,38 +282,33 @@ def runs_global(g: GlobalType, unfold: int = 2, algebra=RUN_SETS):
 
 # ---------------------------------------------------- runs of specifications
 
-def projection_env(gdef: GlobalDef, domains: DomainDecl = EMPTY_DOMAINS) -> SpecEnv:
-    """The specification holding every projection of the instantiated
-    global type, plus its empty queues."""
+def projection_env(gdef: GlobalDef, domains: DomainDecl = EMPTY_DOMAINS) -> dict:
+    """The specification made of the projections of the instantiated
+    global type: each participant -> the normal form of its projection."""
     g = instantiate(gdef, gdef.params)
-    parts = participants_ordered(g)
-    sessions = {(tuple(gdef.params), p): normal_form(project(g, p), domains)
-                for p in parts}
-    queues = {y: () for y in gdef.params}
-    return SpecEnv.make({}, sessions, queues)
+    return {p: normal_form(project(g, p), domains)
+            for p in participants_ordered(g)}
 
 
-def runs_spec(delta: SpecEnv, ys: tuple, unfold: int = 2,
-              domains: DomainDecl = EMPTY_DOMAINS, algebra=RUN_SETS):
-    """The annotated runs of session ys generated by the specification,
-    as a value of `algebra`.
+def runs_spec(spec: dict, ys: tuple, unfold: int = 2,
+              domains: DomainDecl = EMPTY_DOMAINS, algebra=RUN_TUPLES):
+    """The annotated runs of the session over channels ys whose roles
+    have the pseudo-types of `spec`, role -> pseudo-type, from empty
+    queues, as a value of `algebra`.
 
     Communications follow the queue discipline (a send enqueues its
     sort, a receive consumes a matching head); iterations unfold in
     lockstep across the endpoints that sit at a loop head, one body
-    execution mandatory and up to unfold-1 optional ones.
+    execution mandatory and up to unfold-1 optional ones.  Unlike the
+    runs of a global type, two paths of a specification may give one
+    run (see the module docstring), which the tuple build then holds
+    twice.
     """
     if unfold < 1:
         raise ValueError("the unfold bound must be at least 1")
-    sessions = {}
-    for (chans, role), t in delta.sessions:
-        if set(chans) & set(ys):
-            sessions[role] = normal_form(t, domains)
-    queues = {y: q for y, q in delta.queues if y in ys}
-    for y in ys:
-        queues.setdefault(y, ())
-    return _spec_runs(_freeze_spec(sessions, queues), unfold, domains,
-                      algebra, {})
+    sessions = {role: normal_form(t, domains) for role, t in spec.items()}
+    return _spec_runs(_freeze_spec(sessions, dict.fromkeys(ys, ())), unfold,
+                      domains, algebra, {})
 
 
 def _freeze_spec(sessions: dict, queues: dict):

@@ -1,4 +1,4 @@
-"""Specification environments and the guard-sensitive typing engine.
+"""The guard-sensitive typing engine.
 
 The typing rules are checking rules; this engine synthesizes the
 specification bottom-up (every Request/Accept rule quantifies over
@@ -7,6 +7,15 @@ synthesis followed by one equality check decides that quantifier).
 Synthesized pseudo-types carry the judgement assumption as guards, so
 an unsatisfiable assumption collapses every session to a false-guarded
 end and unreachable code is visibly dead.
+
+The specification is kept as plain maps.  Its shared names are the
+`shared` argument, which no rule changes.  A process synthesizes its
+session map, (chans, role) -> pseudo-type, holding only sessions whose
+channels its context had bound: VReq and VAcc check and drop the
+session they open.  So a process at the top of a system has an empty
+session map, and a system synthesizes only its free queues, channel ->
+tuple of sorts.  VPar then asks that the two sides have no free queue
+in common, and VNew drops its channels from the map.
 
 Failures raise TypingError carrying the violated rule name and the
 path into the term, so a rejection like the ATM's deny-all bank reads
@@ -63,7 +72,7 @@ from .syntax.ast import (
     GlobalDef, GlobalType, If, INT, ListLit, Par, Proc, Process,
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, System, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
-    UNIT, UnOp, Var, BinOp, Const, conj, expr_vars, fU, fn, frozen_node,
+    UNIT, UnOp, Var, BinOp, Const, conj, expr_vars, fU, fn,
     g_channels, is_true, list_sort, names, neg, pt_vars,
 )
 
@@ -94,79 +103,6 @@ class TypingError(Exception):
 
     def to_json(self) -> dict:
         return {"rule": self.rule, "path": list(self.path), "message": self.message}
-
-
-# ------------------------------------------------------------- environments
-
-@frozen_node
-class SpecEnv:
-    """A specification: shared names to global types, participant
-    sessions to pseudo-types, session channels to queues of sorts."""
-
-    shared: tuple = ()    # sorted tuple of (name, GlobalDef)
-    sessions: tuple = ()  # tuple of ((chans, role), PseudoType)
-    queues: tuple = ()    # sorted tuple of (chan, tuple[Sort])
-
-    @classmethod
-    def make(cls, shared=None, sessions=None, queues=None) -> "SpecEnv":
-        env = cls(
-            tuple(sorted((shared or {}).items())),
-            tuple((sessions or {}).items()),
-            tuple(sorted((queues or {}).items())),
-        )
-        env.check_sanity()
-        return env
-
-    def shared_map(self) -> dict:
-        return dict(self.shared)
-
-    def session_map(self) -> dict:
-        return dict(self.sessions)
-
-    def queue_map(self) -> dict:
-        return dict(self.queues)
-
-    def check_sanity(self):
-        keys = [k for k, _ in self.sessions]
-        if len(set(keys)) != len(keys):
-            raise TypingError("sanity", "duplicate session key")
-        for i, (chans1, _) in enumerate(keys):
-            for chans2, _ in keys[i + 1:]:
-                if set(chans1) & set(chans2) and chans1 != chans2:
-                    raise TypingError(
-                        "sanity", f"channel tuples {chans1} and {chans2} overlap "
-                        "without being equal")
-
-
-def independent(d1: SpecEnv, d2: SpecEnv) -> bool:
-    if d1.shared != d2.shared:
-        return False
-    if set(d1.queue_map()) & set(d2.queue_map()):
-        return False
-    for (chans1, p1), _ in d1.sessions:
-        for (chans2, p2), _ in d2.sessions:
-            if set(chans1) & set(chans2):
-                if chans1 != chans2 or p1 == p2:
-                    return False
-    return True
-
-
-def env_union(d1: SpecEnv, d2: SpecEnv) -> SpecEnv:
-    if not independent(d1, d2):
-        raise TypingError("VPar", "environments are not independent")
-    sessions = d1.session_map()
-    sessions.update(d2.session_map())
-    queues = d1.queue_map()
-    queues.update(d2.queue_map())
-    return SpecEnv.make(d1.shared_map(), sessions, queues)
-
-
-def env_restrict(d: SpecEnv, chans) -> SpecEnv:
-    """Delta |_{-chans}: drop sessions and queues over the given names."""
-    chans = set(chans)
-    sessions = {k: t for k, t in d.sessions if not (set(k[0]) & chans)}
-    queues = {y: q for y, q in d.queues if y not in chans}
-    return SpecEnv.make(d.shared_map(), sessions, queues)
 
 
 # ------------------------------------------------------------- sort inference
@@ -607,8 +543,11 @@ def _describe(t: PseudoType) -> str:
 def typecheck_process(gamma: dict, e: Expr, p: Process, shared: dict,
                       domains: DomainDecl = EMPTY_DOMAINS,
                       session: tuple | None = None,
-                      judged: dict | None = None) -> SpecEnv:
-    """Synthesize the minimal specification validating Gamma; e |- P.
+                      judged: dict | None = None) -> dict:
+    """Synthesize the session map of the minimal specification validating
+    Gamma; e |- P, (chans, role) -> pseudo-type.  VReq and VAcc check and
+    drop each session that P opens, so the map holds at most the session
+    given as `session`, and is empty without one.
 
     For an open process term whose session channels are already bound,
     `session` is ((chans, role), chan->sort); that session's synthesized
@@ -619,33 +558,36 @@ def typecheck_process(gamma: dict, e: Expr, p: Process, shared: dict,
     if session is not None:
         key, sorts = session
         ctx = ctx.with_session((tuple(key[0]), key[1]), dict(sorts))
-    sessions = _synth_process(ctx, p)
-    return SpecEnv.make(dict(shared), sessions, {})
+    return _synth_process(ctx, p)
 
 
 def typecheck_system(gamma: dict, e: Expr, s: System, shared: dict,
                      domains: DomainDecl = EMPTY_DOMAINS,
-                     judged: dict | None = None) -> SpecEnv:
+                     judged: dict | None = None) -> dict:
+    """Check Gamma; e |- S and return the free queues of S, channel ->
+    tuple of sorts.  A process at the top of a system binds no session
+    channel, so its session map is empty, and the specification of S is
+    its shared names and these queues."""
     ctx = _Ctx(dict(gamma), e, dict(shared), domains, judged)
     return _synth_system(ctx, s)
 
 
-def _synth_system(ctx: _Ctx, s: System) -> SpecEnv:
+def _synth_system(ctx: _Ctx, s: System) -> dict:
     match s:
         case Proc(p):
-            return SpecEnv.make(ctx.shared, _synth_process(ctx, p), {})
+            _synth_process(ctx, p)
+            return {}
         case Par(left, right):  # VPar
-            d1 = _synth_system(ctx.at("par-left"), left)
-            d2 = _synth_system(ctx.at("par-right"), right)
-            if not independent(d1, d2):
+            q1 = _synth_system(ctx.at("par-left"), left)
+            q2 = _synth_system(ctx.at("par-right"), right)
+            if not q1.keys().isdisjoint(q2):
                 raise ctx.err("VPar", "parallel components are not independent")
-            return env_union(d1, d2)
+            return {**q1, **q2}
         case Queue(chan, values):  # VQueue / VEmpty
-            return SpecEnv.make(ctx.shared, {},
-                                {chan: tuple(v.sort for v in values)})
+            return {chan: tuple(v.sort for v in values)}
         case Restrict(chans, _, scope):  # VNew
-            inner = _synth_system(ctx.at("new"), scope)
-            return env_restrict(inner, chans)
+            queues = _synth_system(ctx.at("new"), scope)
+            return {y: q for y, q in queues.items() if y not in chans}
     raise TypeError(f"not a system: {s!r}")
 
 

@@ -158,11 +158,11 @@ from .syntax.ast import (
     Request, Seq, TEnd, TRUE, fU, fX, frozen_node, is_nil,
 )
 from .traces import (
-    IllFormed, RUN_TUPLES, matching_tables, run_str, runs_global, sorted_runs,
+    IllFormed, matching_tables, run_str, runs_global, sorted_runs,
     trace_leq,
 )
 from .typecheck import (
-    SpecEnv, TypingError, exposed_channels, gamma_from_domains, instantiate,
+    TypingError, exposed_channels, gamma_from_domains, instantiate,
     open_problem, shared_env, typecheck_process, unique_role,
 )
 
@@ -656,7 +656,7 @@ def _search_inputs(gdef: GlobalDef, g, role: str, domains: DomainDecl):
             return f"projection of {gdef.name} on {q!r} is not viable"
         peers.append((q, normal_form(local, domains)))
     # a run at bound 1 has no optional segment: it is its own skeleton
-    return sorted_runs(runs_global(g, 1, RUN_TUPLES)), tuple(peers)
+    return sorted_runs(runs_global(g, 1)), tuple(peers)
 
 
 def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
@@ -673,13 +673,14 @@ def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
     return _cover(_Product(gdef, role, proc, domains, shared_name, peers), targets)
 
 
-def projections_cover(gdef: GlobalDef, delta: SpecEnv, targets: list,
+def projections_cover(gdef: GlobalDef, spec: dict, targets: list,
                       domains: DomainDecl = EMPTY_DOMAINS) -> CoveringVerdict:
     """Do the projections of gdef realise it: has every target skeleton,
-    in sorted order, a witness run of delta, the specification made of
-    the projections (`traces.projection_env`)?  The same search with no
-    process to check: the session starts open and every role is a peer."""
-    peers = tuple((role, t) for (_, role), t in delta.sessions)
+    in sorted order, a witness run of spec, the specification made of
+    the projections (`traces.projection_env`, role -> normal form)?  The
+    same search with no process to check: the session starts open and
+    every role is a peer."""
+    peers = tuple(spec.items())
     return _cover(_Product(gdef, None, None, domains, None, peers), targets)
 
 

@@ -14,6 +14,12 @@ The tests check the system semantics and the typing against them:
   conditionally simulates a system (acceptance criterion 6);
 - `consistent`, the consistency relation between a store, a sort
   environment, an assumption and a specification (criterion 5).
+
+They read a specification as the paper writes it, a `SpecEnv` of shared
+names, sessions and queues.  The typing engine keeps none: a test builds
+one from the shared map it typed with and what typing returned, the
+session map of a process (`typecheck_process`) or the free queues of a
+system (`typecheck_system`).
 """
 
 from __future__ import annotations
@@ -30,7 +36,49 @@ from chorus_wsi.syntax.ast import (
     BOOL, Expr, PseudoType, Sort, System, TEnd, TExternal, TInternal, TIter,
     TSeq, frozen_node,
 )
-from chorus_wsi.typecheck import SpecEnv, instantiate
+from chorus_wsi.typecheck import TypingError, instantiate
+
+
+# ------------------------------------------------------------ specifications
+
+@frozen_node
+class SpecEnv:
+    """A specification: shared names to global types, participant
+    sessions to pseudo-types, session channels to queues of sorts."""
+
+    shared: tuple = ()    # sorted tuple of (name, GlobalDef)
+    sessions: tuple = ()  # tuple of ((chans, role), PseudoType)
+    queues: tuple = ()    # sorted tuple of (chan, tuple[Sort])
+
+    @classmethod
+    def make(cls, shared=None, sessions=None, queues=None) -> "SpecEnv":
+        env = cls(
+            tuple(sorted((shared or {}).items())),
+            tuple((sessions or {}).items()),
+            tuple(sorted((queues or {}).items())),
+        )
+        env.check_sanity()
+        return env
+
+    def shared_map(self) -> dict:
+        return dict(self.shared)
+
+    def session_map(self) -> dict:
+        return dict(self.sessions)
+
+    def queue_map(self) -> dict:
+        return dict(self.queues)
+
+    def check_sanity(self):
+        keys = [k for k, _ in self.sessions]
+        if len(set(keys)) != len(keys):
+            raise TypingError("sanity", "duplicate session key")
+        for i, (chans1, _) in enumerate(keys):
+            for chans2, _ in keys[i + 1:]:
+                if set(chans1) & set(chans2) and chans1 != chans2:
+                    raise TypingError(
+                        "sanity", f"channel tuples {chans1} and {chans2} overlap "
+                        "without being equal")
 
 
 # ----------------------------------------------------- specification stepping

@@ -61,9 +61,9 @@ def session_type_of(gamma: dict, e, p, shared: dict, domains) -> tuple:
     g = instantiate(shared[p.shared], p.chans)
     role = p.role if isinstance(p, Accept) else participants_ordered(g)[0]
     key = (tuple(p.chans), role)
-    env = typecheck_process(gamma, e, p.cont, shared, domains,
-                            session=(key, channel_sorts(g)))
-    return key, env.session_map().get(key, TEnd(e))
+    sessions = typecheck_process(gamma, e, p.cont, shared, domains,
+                                 session=(key, channel_sorts(g)))
+    return key, sessions.get(key, TEnd(e))
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,8 @@ R1 is covered by R2 when every run of R1 is below some run of R2 in the
 trace preorder (`traces.trace_leq`).  `cover` decides whether the
 projections of a global type cover its runs by the product search of
 `wsi.projections_cover`, target skeleton by target skeleton, and builds
-no run set of the specification; `covers` decides it on the two run
-sets, `runs_global` and `runs_spec` at bound 1, which the tests compare
+no run set of the specification; `covers` decides it on the runs that
+`runs_global` and `runs_spec` build at bound 1, which the tests compare
 it with (test_cover.py).
 """
 

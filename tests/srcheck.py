@@ -27,10 +27,10 @@ from chorus_wsi.semantics import step_process
 from chorus_wsi.syntax.ast import TRUE, conj
 from chorus_wsi.syntax.printer import render_type
 from chorus_wsi.typecheck import (
-    SpecEnv, gamma_from_domains, instantiate, typecheck_process,
+    gamma_from_domains, instantiate, typecheck_process,
 )
 
-from conformance_reference import consistent, step_spec
+from conformance_reference import SpecEnv, consistent, step_spec
 from pseudotype_laws import sort_branches
 
 
@@ -58,7 +58,8 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
     init_vars = {var: rng.choice(sorted(values, key=str))
                  for var, values in sorted(domains.domains.items())}
     store = Store(vars=init_vars, tables=domains.tables)
-    delta = typecheck_process(gamma, TRUE, proc, shared, domains)
+    delta = SpecEnv.make(shared, typecheck_process(gamma, TRUE, proc, shared,
+                                                  domains), {})
     candidates = {delta}
     assumption = TRUE
     session = None  # ((chans, role), chan -> sort)
@@ -146,8 +147,8 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
         # resolved.  Guard erasure makes the comparison
         # assumption-independent, and consistency below is checked at
         # the accumulated guard.
-        resynth = typecheck_process(gamma2, TRUE, p2, shared,
-                                    domains, session=session)
+        resynth = SpecEnv.make(shared, typecheck_process(
+            gamma2, TRUE, p2, shared, domains, session=session), {})
         want = _session_views(resynth, domains)
         survivors = set()
         for slabel, d2 in answers:

@@ -24,7 +24,7 @@ import gen
 import srcheck
 import test_pseudotype
 import test_traces
-from conformance_reference import Counterexample, conditional_simulation
+from conformance_reference import Counterexample, SpecEnv, conditional_simulation
 from covers_reference import covers
 from pseudotype_laws import sort_branches
 
@@ -112,8 +112,8 @@ def test_criterion_4_coverage(pop2, pop2_domains, atm, atm_domains,
         g = instantiate(gdef, gdef.params)
         for unfold in (1, 2):
             rg = runs_global(g, unfold)
-            rs = runs_spec(projection_env(gdef, domains), gdef.params,
-                           unfold, domains)
+            rs = frozenset(runs_spec(projection_env(gdef, domains),
+                                     gdef.params, unfold, domains))
             verdict = covers(rg, rs)
             ok = ok and verdict.holds()
             detail.append(f"{name}@K={unfold}:{len(rg)}/{len(rs)}")
@@ -169,7 +169,8 @@ def test_criterion_6_conformance(pop2, pop2_domains, atm, atm_domains,
     for module, domains, name, shared in systems:
         gamma = gamma_from_domains(domains)
         sysd = module.systems[name].body
-        delta = typecheck_system(gamma, TRUE, sysd, shared, domains)
+        delta = SpecEnv.make(shared, {}, typecheck_system(
+            gamma, TRUE, sysd, shared, domains))
         store = next(gen.stores(domains))
         verdict = conditional_simulation(sysd, store, delta, domains,
                                          depth=40)
@@ -179,8 +180,9 @@ def test_criterion_6_conformance(pop2, pop2_domains, atm, atm_domains,
     mutated = parse_module(text.replace("process Exit = bye!()",
                                         "process Exit = r!(0)"))
     gamma = gamma_from_domains(pop2_domains)
-    delta = typecheck_system(gamma, TRUE, pop2.systems["POP_FULL"].body,
-                             {"u": pop2.globals_["G_POP"]}, pop2_domains)
+    shared = {"u": pop2.globals_["G_POP"]}
+    delta = SpecEnv.make(shared, {}, typecheck_system(
+        gamma, TRUE, pop2.systems["POP_FULL"].body, shared, pop2_domains))
     store = next(gen.stores(pop2_domains))
     verdict = conditional_simulation(mutated.systems["POP_FULL"].body, store,
                                      delta, pop2_domains, depth=40)

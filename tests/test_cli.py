@@ -136,6 +136,19 @@ def test_simulate_deterministic_with_seed(capsys):
     assert outs[0] == outs[1]
 
 
+def test_simulate_names_a_requester_by_the_global_it_is_given(capsys):
+    """With several entry globals and no --global, `simulate` runs and
+    names no participant for the requester; --global names it."""
+    argv = ("simulate", MP, "--system", "POP_M_RUN", "--steps", "1",
+            "--json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    (step,) = json.loads(out)["steps"]
+    assert step["label"].startswith("req ") and "participant" not in step
+    code, out, _ = run(capsys, *argv, "--global", "G_POP_P")
+    assert code == 0 and json.loads(out)["steps"][0]["participant"] == "c"
+
+
 def test_simulate_opens_wrapped_sessions(capsys):
     """A requester under an `if` or a `for` opens its session, and every
     component is reported with the participant it plays."""
@@ -745,6 +758,8 @@ def _case(name, code, stderr, *argv, stdout=""):
           "typecheck", ATM, "--system", "NOPE"),
     _case("simulate-unknown-system", 2, "error: no system named 'NOPE'",
           "simulate", POP2, "--system", "NOPE"),
+    _case("simulate-unknown-global", 2, "error: no global type named 'NOPE'",
+          "simulate", POP2, "--system", "POP_FULL", "--global", "NOPE"),
     _case("unknown-type", 2, "error: no type named 'NOPE'",
           "normalize", NORM, "--type", "NOPE"),
     _case("wsi-unknown-proc", 2, "error: no process named 'NOPE'",

@@ -29,7 +29,7 @@ from chorus_wsi.typecheck import gamma_from_domains, typecheck_system
 import conformance_reference
 import conftest
 import gen
-from conformance_reference import Counterexample, conditional_simulation
+from conformance_reference import Counterexample, SpecEnv, conditional_simulation
 from record_reference import compiled_methods, is_record, twin
 
 RECORDS = sorted({cls for module in (ast, guards, projection, semantics, traces,
@@ -63,8 +63,9 @@ def _simulations():
     pop2 = parse_module(text)
     domains = DomainDecl.from_module(pop2, ("POP_FULL",))
     system = pop2.systems["POP_FULL"].body
-    delta = typecheck_system(gamma_from_domains(domains), TRUE, system,
-                             {"u": pop2.globals_["G_POP"]}, domains)
+    shared = {"u": pop2.globals_["G_POP"]}
+    delta = SpecEnv.make(shared, {}, typecheck_system(
+        gamma_from_domains(domains), TRUE, system, shared, domains))
     store = next(gen.stores(domains))
     mutated = parse_module(text.replace("process Exit = bye!()",
                                         "process Exit = r!(0)"))

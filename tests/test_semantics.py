@@ -10,12 +10,12 @@ from chorus_wsi.syntax import parse_expr, parse_process, parse_module, parse_typ
 from chorus_wsi.syntax.ast import (
     DERIVED, Branch, INT, If, Proc, Seq, TRUE, Var, bool_lit, int_lit, is_nil,
 )
-from chorus_wsi.typecheck import SpecEnv, gamma_from_domains, typecheck_system
+from chorus_wsi.typecheck import gamma_from_domains, typecheck_system
 
 import gen
 import srcheck
 from conformance_reference import (
-    Counterexample, Holds, conditional_simulation, step_spec,
+    Counterexample, Holds, SpecEnv, conditional_simulation, step_spec,
 )
 from opener_reference import opener_peeking_steps
 
@@ -205,7 +205,8 @@ def test_wrapped_requesters_simulate(wrapped_open):
     gamma = gamma_from_domains(domains)
     shared = {"u": module.globals_["G"]}
     for name, system in module.systems.items():
-        delta = typecheck_system(gamma, TRUE, system.body, shared, domains)
+        delta = SpecEnv.make(shared, {}, typecheck_system(
+            gamma, TRUE, system.body, shared, domains))
         for store in gen.stores(domains):
             verdict = conditional_simulation(system.body, store, delta,
                                              domains, depth=40)
@@ -295,7 +296,8 @@ def test_simulation_corpus_systems(pop2, atm, multiparty, pop2_domains,
     for module, domains, name, shared in cases:
         gamma = gamma_from_domains(domains)
         sysd = module.systems[name].body
-        delta = typecheck_system(gamma, TRUE, sysd, shared, domains)
+        delta = SpecEnv.make(shared, {}, typecheck_system(
+            gamma, TRUE, sysd, shared, domains))
         store = next(gen.stores(domains))
         verdict = conditional_simulation(sysd, store, delta, domains,
                                          depth=40)
@@ -309,8 +311,8 @@ def test_simulation_counterexample_on_channel_mutation(pop2, pop2_domains):
                                         "process Exit = r!(0)"))
     gamma = gamma_from_domains(pop2_domains)
     shared = {"u": pop2.globals_["G_POP"]}
-    delta = typecheck_system(gamma, TRUE, pop2.systems["POP_FULL"].body,
-                             shared, pop2_domains)
+    delta = SpecEnv.make(shared, {}, typecheck_system(
+        gamma, TRUE, pop2.systems["POP_FULL"].body, shared, pop2_domains))
     store = next(gen.stores(pop2_domains))
     verdict = conditional_simulation(mutated.systems["POP_FULL"].body, store,
                                      delta, pop2_domains, depth=40)

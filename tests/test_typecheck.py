@@ -7,7 +7,8 @@ from chorus_wsi.pseudotype import (
     equiv, normal_form, normalize, passively_compatible_types, remove_guards,
 )
 from chorus_wsi.syntax import (
-    parse_expr, parse_global, parse_process, parse_type, render_type,
+    parse_expr, parse_global, parse_module, parse_process, parse_type,
+    render_type,
 )
 from chorus_wsi.syntax.ast import (
     Accept, Branch, Const, FALSE, For, GlobalDef, INT, RepeatUntil, STR, Send,
@@ -16,22 +17,17 @@ from chorus_wsi.syntax.ast import (
 )
 from chorus_wsi.projection import project
 from chorus_wsi.typecheck import (
-    SpecEnv, TypingError, env_restrict, env_union,
-    gamma_from_domains, independent, instantiate, participants_ordered,
-    typecheck_process, typecheck_system, unique_role,
+    TypingError, gamma_from_domains, instantiate, participants_ordered,
+    shared_env, typecheck_process, typecheck_system, unique_role,
 )
 
 import conftest
 import gen
-from conformance_reference import consistent
+from conformance_reference import SpecEnv, consistent
 from pseudotype_laws import is_local, sort_branches
 
 D = gen.GUARD_DOMAINS
 KEY = (("a", "b", "c"), "p")
-
-
-def _env(sessions=None, queues=None, shared=None):
-    return SpecEnv.make(shared or {}, sessions or {}, queues or {})
 
 
 # -------------------------------------------------------- environment ops
@@ -39,9 +35,9 @@ def _env(sessions=None, queues=None, shared=None):
 def _open_session_type(text, gamma=None):
     """The pseudo-type synthesized for session KEY by an open process
     whose channels a and b carry Int and Str."""
-    delta = typecheck_process(gamma or {}, TRUE, parse_process(text), {}, D,
-                              session=(KEY, {"a": INT, "b": STR}))
-    return delta.session_map()[KEY]
+    sessions = typecheck_process(gamma or {}, TRUE, parse_process(text), {}, D,
+                                 session=(KEY, {"a": INT, "b": STR}))
+    return sessions[KEY]
 
 
 def test_env_seq_pointwise():
@@ -50,25 +46,9 @@ def test_env_seq_pointwise():
     assert _open_session_type("a!(1); b?(v). 0") == TSeq(t1, t2)
 
 
-def test_env_union_empty():
-    assert env_union(_env(), _env()) == _env()
-
-
-def test_env_union_rejects_same_role():
-    d1 = _env({KEY: TEnd()})
-    with pytest.raises(TypingError):
-        env_union(d1, d1)
-
-
 def test_env_star():
     t = parse_type("a!(Int). end")
     assert _open_session_type("for i in 1..2 { a!(1) }") == TIter(t)
-
-
-def test_env_restrict():
-    d = _env({KEY: TEnd()}, {"a": (INT,)})
-    out = env_restrict(d, ("a", "b", "c"))
-    assert out.session_map() == {} and out.queue_map() == {}
 
 
 def test_env_merge_normalizes_then_merges():
@@ -76,13 +56,6 @@ def test_env_merge_normalizes_then_merges():
                                 gamma={"x": INT})
     assert isinstance(merged, TInternal)
     assert [b.channel for b in merged.branches] == ["a", "b"]
-
-
-def test_independent():
-    other = (("d", "e"), "q")
-    assert independent(_env({KEY: TEnd()}), _env({other: TEnd()}))
-    assert independent(_env({KEY: TEnd()}), _env({(KEY[0], "q"): TEnd()}))
-    assert not independent(_env({KEY: TEnd()}), _env({KEY: TEnd()}))
 
 
 # ---------------------------------------------------------------- predicates
@@ -105,7 +78,7 @@ def test_passively_compatible():
 # --------------------------------------------------------------- consistency
 
 def test_consistent_empty():
-    ok, problems = consistent(Store(), {}, TRUE, _env())
+    ok, problems = consistent(Store(), {}, TRUE, SpecEnv.make())
     assert ok, problems
 
 
@@ -124,7 +97,7 @@ def test_consistent_send_needs_one_live_branch():
 
 def test_consistent_fails_on_false_assumption():
     store = Store({"x": int_lit(1)})
-    ok, problems = consistent(store, {}, parse_expr("x = 0"), _env())
+    ok, problems = consistent(store, {}, parse_expr("x = 0"), SpecEnv.make())
     assert not ok
     assert any("assumption" in p for p in problems)
 
@@ -142,16 +115,14 @@ def test_consistent_receive_needs_all_branches():
 # ------------------------------------------------------------ typing engine
 
 def test_nil_types_to_empty_spec(pop2, pop2_domains):
-    delta = typecheck_process({}, TRUE, Branch(()), {}, pop2_domains)
-    assert delta.session_map() == {}
+    assert typecheck_process({}, TRUE, Branch(()), {}, pop2_domains) == {}
 
 
 def test_pop2_init_accepted(pop2, pop2_domains):
     gamma = gamma_from_domains(pop2_domains)
     shared = {"u": pop2.globals_["G_POP"]}
-    delta = typecheck_process(gamma, TRUE, pop2.processes["Init"].body,
-                              shared, pop2_domains)
-    assert delta.session_map() == {}
+    assert typecheck_process(gamma, TRUE, pop2.processes["Init"].body,
+                             shared, pop2_domains) == {}
 
 
 def test_pop2_init_session_guard_erases_to_ts(pop2, pop2_domains):
@@ -188,17 +159,15 @@ def test_vif_rejects_inconsistent_assumption(atm_domains):
 
 def test_queue_typing(pop2, pop2_domains):
     from chorus_wsi.syntax.ast import Lit, Proc, Queue, STR
-    delta = typecheck_system({}, TRUE, Proc(Branch(())), {}, pop2_domains)
-    assert delta.queue_map() == {}
+    assert typecheck_system({}, TRUE, Proc(Branch(())), {}, pop2_domains) == {}
     q = Queue("y", (int_lit(1), Lit(STR, "s")))
-    delta = typecheck_system({}, TRUE, q, {}, pop2_domains)
-    assert delta.queue_map() == {"y": (INT, STR)}
+    assert typecheck_system({}, TRUE, q, {}, pop2_domains) == {"y": (INT, STR)}
 
 
 def test_empty_queue_typing(pop2_domains):
     from chorus_wsi.syntax.ast import Queue
-    delta = typecheck_system({}, TRUE, Queue("y", ()), {}, pop2_domains)
-    assert delta.queue_map() == {"y": ()}
+    assert typecheck_system({}, TRUE, Queue("y", ()), {}, pop2_domains) \
+        == {"y": ()}
 
 
 def test_overlapping_specifications_not_independent(atm, atm_domains):
@@ -210,10 +179,37 @@ def test_overlapping_specifications_not_independent(atm, atm_domains):
         typecheck_system({}, TRUE, Par(Queue("y", ()), Queue("y", ())),
                          {}, atm_domains)
     assert err.value.rule == "VPar"
-    d1 = _env({KEY: TEnd()})
-    assert not independent(d1, d1)
-    with pytest.raises(TypingError):
-        env_union(d1, d1)
+
+
+VPAR_MODULE = """
+global G(a) = p -> q : { a(Unit). end }
+process Q plays q of G = accept u[q](a). a?(). 0
+system S = %s
+"""
+
+
+@pytest.mark.parametrize("system, error", [
+    ("Q || queue a = [] || queue a = []",
+     "VPar: parallel components are not independent (at par-right)"),
+    ("Q || new (a)@u in queue a = [] || queue a = []",
+     "VPar: parallel components are not independent (at par-right / new)"),
+    ("Q || { new (a)@u in queue a = [] } || queue a = []", None),
+], ids=["shared-queue", "shared-queue-under-new", "queue-bound-by-new"])
+def test_parallel_systems_share_no_free_queue(system, error):
+    """VPar rejects two sides with a free queue in common, VNew binds
+    its channels, and a process that has opened its session leaves no
+    session behind to clash with: checked on parsed systems."""
+    module = parse_module(VPAR_MODULE % system)
+    domains = DomainDecl.from_module(module)
+    gamma = gamma_from_domains(domains)
+    body = module.systems["S"].body
+    shared = shared_env(module.globals_["G"], body)
+    if error is None:
+        assert typecheck_system(gamma, TRUE, body, shared, domains) == {"a": ()}
+        return
+    with pytest.raises(TypingError) as err:
+        typecheck_system(gamma, TRUE, body, shared, domains)
+    assert str(err.value) == error
 
 
 def test_full_corpus_systems_well_typed(pop2, atm, multiparty, pop2_domains,
@@ -289,8 +285,8 @@ def test_structural_congruence_stability(pop2_domains):
     types = []
     for text in variants:
         p = parse_process(text)
-        delta = typecheck_process({}, TRUE, p, {}, D, session=key)
-        types.append(delta.session_map()[(("a", "b"), "p")])
+        sessions = typecheck_process({}, TRUE, p, {}, D, session=key)
+        types.append(sessions[(("a", "b"), "p")])
     base = normal_form(types[0], D)
     for t in types[1:]:
         assert equiv(normal_form(t, D), base, D)
@@ -315,16 +311,15 @@ def test_guard_strengthening():
     gamma = {"flag": BOOL, "x": INT}
     d_weak = typecheck_process(gamma, TRUE, p, {}, D, session=key)
     d_strong = typecheck_process(gamma, e2, p, {}, D, session=key)
-    t_weak = d_weak.session_map()[(("a", "b"), "p")]
-    t_strong = d_strong.session_map()[(("a", "b"), "p")]
+    t_weak = d_weak[(("a", "b"), "p")]
+    t_strong = d_strong[(("a", "b"), "p")]
     assert equiv(normal_form(t_strong, D), normalize(e2, t_weak, D), D)
 
 
 def test_false_assumption_collapses_sessions():
     key = ((("a", "b"), "p"), {"a": INT, "b": INT})
     p = parse_process("a!(1)")
-    delta = typecheck_process({}, FALSE, p, {}, D, session=key)
-    t = delta.session_map()[(("a", "b"), "p")]
+    t = typecheck_process({}, FALSE, p, {}, D, session=key)[(("a", "b"), "p")]
     nf = normal_form(t, D)
     assert isinstance(nf, TEnd)
     from chorus_wsi.guards import is_unsat

@@ -87,7 +87,7 @@ def test_context_synthesis_atm_credentials(atm, atm_domains):
     v = wsi_by_covering(g, "b", atm.processes["B1"].body, atm_domains,
                         shared_name="atm")
     assert v.holds()
-    targets = runs_global(instantiate(g, g.params), 1)
+    targets = frozenset(runs_global(instantiate(g, g.params), 1))
     assert {t for t, _ in v.contexts} == targets
     for target, witness in v.contexts:
         assert trace_leq(target, witness)
