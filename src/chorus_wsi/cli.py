@@ -212,6 +212,8 @@ def cmd_typecheck(args) -> int:
         return entry_globals or [_the_global(module, None)]
 
     for kind, name in targets:
+        if name not in (module.processes if kind == "process" else module.systems):
+            raise UsageError(f"no {kind} named {name!r}")
         try:
             if kind == "process":
                 decl = module.processes[name]
@@ -238,8 +240,6 @@ def cmd_typecheck(args) -> int:
             results[name] = {"ok": True}
             if not args.json:
                 print(_ok(f"{name}: well typed"))
-        except KeyError:
-            raise UsageError(f"no {kind} named {name!r}")
         except TypingError as exc:
             results[name] = {"ok": False, **exc.to_json()}
             failures.append(name)
@@ -308,8 +308,8 @@ def _participants(module: ModuleDecl, named: GlobalDef | None, state,
     global is named and the module has no entry global or several, a
     requester plays no participant."""
     out = {}
-    for pid, proc in state.procs:
-        for action, _, _ in step_process(proc, store, lambda _: ()):
+    for pid, stack in state.procs:
+        for action, _, _ in step_process(stack, store, lambda _: ()):
             if action.kind == "acc":
                 out[pid] = action.role
             elif action.kind == "req":

@@ -12,23 +12,32 @@ the request.  Each step's continuation gets its label's channels
 replaced by fresh actuals `y@u<n>` (n counts the sessions opened); the
 store is the requester's step store (a `for` binder stays bound) plus
 the acceptors' bindings, with the session bound to the actuals; the
-label is the requester's, guard kept.  The substitution covers the rest
-of a `Seq` too, so a session binder must differ from the free names
-that follow it, as the parser's freshening makes it.  So no step renames
-the channels that an open binds: freshening keeps them apart from every
-other name of their body, `subst_process` leaves a later open of the
-same names alone (the next round of a loop), and each session's own
-actuals keep its queues apart from every other session's, whatever
-names the store holds.  A system step is reported as the component that
-moved and its process-level label, which is all that `chorus-wsi
-simulate` reads.  Covering's search (`wsi`) steps the checked process
+label is the requester's, guard kept.  The substitution covers each
+term of the rest of the stack too, so a session binder must differ
+from the free names that follow it, as the parser's freshening makes
+it.  So no step renames the channels that an open binds: freshening
+keeps them apart from every other name of their body, `subst_process`
+leaves a later open of the same names alone (the next round of a
+loop), and each session's own actuals keep its queues apart from every
+other session's, whatever names the store holds.  A system step is
+reported as the component that moved and its process-level label, which
+is all that `chorus-wsi simulate` reads.  Covering's search (`wsi`) steps the checked process
 by `step_process` and its peers' projections by `type_steps`.  The
 specification stepper and the conditional simulation checker that the
 tests hold these against are in tests/conformance_reference.py.
 
 Structural congruence is applied as a normalization to canonical form
-(flattened parallel components, restrictions hoisted, idle processes
-dropped) rather than searched.
+(flattened parallel components, restrictions hoisted) rather than
+searched.  Sequential composition is associative with the idle process
+0 as its unit, so a running process is kept as its stack (`push`): the
+tuple of the terms still to run, head first, none of them a `Seq` or 0.
+Two processes equal up to those laws have one stack, and the process
+has ended when its stack is empty.  A step steps the head: a prefix
+pushes its continuation onto the rest, an `if` branch or a `for`
+iteration is stepped as a stack run before the rest, and a loop puts
+itself back.  An `if` whose branch is idle, and a `for` iteration whose
+body is, steps silently into the rest (`<guard>tau`), as a `for` over
+an empty list does.
 """
 
 from __future__ import annotations
@@ -75,91 +84,78 @@ class Label:
 
 # --------------------------------------------------------- process stepping
 
-def proc_canon(p: Process) -> Process:
-    """Quotient by the sequential monoid laws: drop idle units and
-    reassociate to the right.
-
-    Only a `Seq` changes.  Its canonical form is kept on it
-    (`frozen_node`), and a canonical `Seq` is marked as its own, so a
-    body stepped again and again is walked once; the entries die with
-    their nodes."""
-    if not isinstance(p, Seq):
-        return p
-    kept = p._canon
-    if kept is None:
-        kept = _reassociate(proc_canon(p.first), proc_canon(p.second))
-        object.__setattr__(p, "_canon", kept)
-        if isinstance(kept, Seq):
-            object.__setattr__(kept, "_canon", _CANONICAL)
-    return p if kept is _CANONICAL else kept
+def push(p: Process, rest: tuple = ()) -> tuple:
+    """The stack of `p ; rest`: the terms of p's sequential spine, head
+    first, with every `Seq` flattened and every 0 dropped, on top of the
+    stack rest."""
+    todo, terms = [p], []
+    while todo:
+        p = todo.pop()
+        if isinstance(p, Seq):
+            todo += (p.second, p.first)
+        elif not is_nil(p):
+            terms.append(p)
+    return (*terms, *rest)
 
 
-_CANONICAL = "canonical"  # the `_canon` of a Seq in canonical form
-
-
-def _reassociate(first: Process, second: Process) -> Process:
-    """The canonical form of `first; second`, both canonical."""
-    if is_nil(first):
-        return second
-    if is_nil(second):
-        return first
-    if isinstance(first, Seq):
-        return proc_canon(Seq(first.first, Seq(first.second, second)))
-    return Seq(first, second)
-
-
-def step_process(p: Process, store: Store, oracle) -> list:
-    """All one-step successors (label, process, store); `oracle(channel)`
-    gives the values an input on the channel may receive."""
-    p = proc_canon(p)
+def step_process(stack: tuple, store: Store, oracle) -> list:
+    """All one-step successors (label, stack, store) of the running
+    process `stack` (see `push`); `oracle(channel)` gives the values an
+    input on the channel may receive."""
+    if not stack:
+        return []
+    p, rest = stack[0], stack[1:]
     out: list = []
     match p:
-        case Branch(arms) if not arms:
-            return []
         case Request(shared, arity, chans, cont):
             label = Label("req", shared=shared, arity=arity, chans=chans)
-            out.append((label, cont, store.with_session(shared, chans)))
+            out.append((label, push(cont, rest), store.with_session(shared, chans)))
         case Accept(shared, role, chans, cont):
             label = Label("acc", shared=shared, role=role, chans=chans)
-            out.append((label, cont, store.with_session(shared, chans)))
+            out.append((label, push(cont, rest), store.with_session(shared, chans)))
         case Send(channel, payload):
             value = eval_expr(payload, store)
-            out.append((Label("out", channel=channel, value=value),
-                        Branch(()), store))
+            out.append((Label("out", channel=channel, value=value), rest, store))
         case Branch(arms):
             for arm in arms:
                 for value in oracle(arm.channel):
                     out.append((Label("in", channel=arm.channel, value=value),
-                                arm.cont, store.with_var(arm.binder, value)))
-        case Seq(first, second):
-            for label, cont, store2 in step_process(first, store, oracle):
-                out.append((label, proc_canon(Seq(cont, second)), store2))
+                                push(arm.cont, rest),
+                                store.with_var(arm.binder, value)))
         case If(cond, then, orelse):
             test = eval_expr(cond, store)
             branch, guard = (then, cond) if test.value else (orelse, neg(cond))
-            for label, cont, store2 in step_process(branch, store, oracle):
-                out.append((label.with_guard(guard), cont, store2))
+            out += _enter(push(branch), rest, store, oracle, guard)
         case For(binder, items, body):
             value = eval_expr(items, store)
             if value.sort.kind != "List":
                 raise SortMismatch(f"iterating over non-list {value.sort}")
             if not value.value:
-                out.append((Label("tau"), Branch(()), store))
+                out.append((Label("tau"), rest, store))
             else:
                 head, tail = value.value[0], Lit(value.sort, value.value[1:])
-                inner = store.with_var(binder, head)
-                rest = For(binder, Const(tail), body)
-                for label, cont, store2 in step_process(body, inner, oracle):
-                    out.append((label, proc_canon(Seq(cont, rest)), store2))
+                out += _enter(push(body), (For(binder, Const(tail), body), *rest),
+                              store.with_var(binder, head), oracle)
         case RepeatUntil(body, exit):
             exit_chans = {a.channel for a in exit.arms}
-            for label, cont, store2 in step_process(body, store, oracle):
+            for label, cont, store2 in step_process(push(body), store, oracle):
                 if label.channel in exit_chans:
                     continue
-                out.append((label, proc_canon(Seq(cont, p)), store2))
-            for label, cont, store2 in step_process(exit, store, oracle):
-                out.append((label, cont, store2))
+                out.append((label, cont + stack, store2))
+            for label, cont, store2 in step_process(push(exit), store, oracle):
+                out.append((label, cont + rest, store2))
     return out
+
+
+def _enter(inner: tuple, rest: tuple, store: Store, oracle,
+           guard: Expr = TRUE) -> list:
+    """The steps of the stack `inner` run before rest, each under guard:
+    an `if` branch or a `for` iteration.  An idle one steps silently
+    into rest."""
+    if not inner:
+        return [(Label("tau", guard=guard), rest, store)]
+    return [(label.with_guard(guard), cont + rest, store2)
+            for label, cont, store2 in step_process(inner, store, oracle)]
 
 
 # ---------------------------------------------------------- system stepping
@@ -169,7 +165,7 @@ class SysState:
     """Canonical runtime form of a system: numbered parallel components,
     channel queues, and the restrictions hoisted to the top."""
 
-    procs: tuple = ()        # of (component id, Process)
+    procs: tuple = ()        # of (component id, stack of the process)
     queues: tuple = ()       # sorted tuple of (chan, tuple[Lit])
     restricted: tuple = ()   # of (chans, shared)
 
@@ -177,7 +173,7 @@ class SysState:
         return dict(self.queues)
 
     def is_terminated(self) -> bool:
-        return all(is_nil(p) for _, p in self.procs)
+        return not any(stack for _, stack in self.procs)
 
 
 def to_state(s: System) -> SysState:
@@ -188,8 +184,7 @@ def to_state(s: System) -> SysState:
     def walk(node: System):
         match node:
             case Proc(p):
-                p = proc_canon(p)
-                procs.append((len(procs), p))
+                procs.append((len(procs), push(p)))
             case Par(left, right):
                 walk(left)
                 walk(right)
@@ -210,8 +205,8 @@ def _set_queues(queues: tuple, updates: dict) -> tuple:
     return tuple(sorted(qs.items()))
 
 
-def _set_proc(procs: tuple, pid: int, p: Process) -> tuple:
-    return tuple((i, proc_canon(p) if i == pid else q) for i, q in procs)
+def _set_proc(procs: tuple, pid: int, stack: tuple) -> tuple:
+    return tuple((i, stack if i == pid else q) for i, q in procs)
 
 
 def system_steps(state: SysState, store: Store) -> list:
@@ -226,8 +221,8 @@ def system_steps(state: SysState, store: Store) -> list:
         return queues.get(channel, ())[:1]
 
     opens: list = []
-    for pid, p in state.procs:
-        for action, cont, store2 in step_process(p, store, queue_head):
+    for pid, stack in state.procs:
+        for action, cont, store2 in step_process(stack, store, queue_head):
             if action.kind in ("req", "acc"):
                 # a lone req or acc does not fire at system level: it
                 # joins a session start below
@@ -257,8 +252,8 @@ def system_steps(state: SysState, store: Store) -> list:
         procs = dict(state.procs)
         new_vars = dict(store2.vars)  # keeps what the step bound (a `for` binder)
         for q, label, q_cont, q_store in [(pid, req, cont, store2)] + cohort:
-            procs[q] = proc_canon(subst_process(
-                q_cont, cmap=dict(zip(label.chans, actuals))))
+            cmap = dict(zip(label.chans, actuals))
+            procs[q] = tuple(subst_process(t, cmap) for t in q_cont)
             new_vars.update((k, v) for k, v in q_store.vars.items()
                             if store.vars.get(k) != v)
         new_state = SysState(tuple(procs.items()),

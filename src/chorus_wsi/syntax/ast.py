@@ -30,19 +30,19 @@ from typing import NamedTuple, Optional, Union
 _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 
 # The values a node derives from itself and keeps: its hash, its normal
-# form under the true guard (`pseudotype.normalize`), its canonical
-# process (`semantics.proc_canon`), an expression's variables
-# (`expr_vars`), the decision diagram of an `and`, `or` or `not` node
-# with its `DomainDecl` (`guards.DomainDecl._diagram`), an expression's
-# printed text, unparenthesized (`printer.render_expr`), a process's or
-# system's name summary (`names`), the channels of a global
-# declaration's body that are not its parameters
+# form under the true guard (`pseudotype.normalize`), an expression's
+# variables (`expr_vars`), the decision diagram of an `and`, `or` or
+# `not` node with its `DomainDecl` (`guards.DomainDecl._diagram`), an
+# expression's printed text, unparenthesized (`printer.render_expr`), a
+# process's or system's name summary (`names`; covering reads the live
+# variables of a running process off the terms of its stack), the
+# channels of a global declaration's body that are not its parameters
 # (`typecheck.exposed_channels`), a global type's participants
 # (`projection.participants_ordered`) and its violations of
 # well-formedness (`projection.well_formed`), and the declared body that
 # a body rebuilt by freshening in place of a `Ref` is a copy of
 # (`subst.freshen`).
-DERIVED = ("_hash", "_nf", "_canon", "_vars", "_diagram", "_text", "_names",
+DERIVED = ("_hash", "_nf", "_vars", "_diagram", "_text", "_names",
            "_exposed", "_parts", "_violations", "_origin")
 
 # A field default that stands for a new empty dict in each instance.

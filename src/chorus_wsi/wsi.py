@@ -8,7 +8,8 @@ the process follow it.  The branches are the skeletons of the global
 type's runs, its runs at unfold bound 1, so no verdict depends on an
 unfold bound.  For each target skeleton s, a best-first search (most
 events of s matched, then fewest extra events) runs over the product of
-the process and its store, its pending variables, its session-channel
+the running process (its stack of terms, `semantics.push`, empty once
+it has ended) and its store, its pending variables, its session-channel
 map, the other roles' projections (normalized once, then stepped by
 `semantics.type_steps`), the queues, and the bitmask of the events of s
 matched so far.  A complete state with all of s matched is a witness.
@@ -126,7 +127,8 @@ at the queue bound where the path does, and the search gives the same
 answer.
 
 After each step of the process, the bindings and pending variables that
-its continuation does not read (those outside `fX` of it) are dropped.
+its continuation does not read are dropped: those outside the `fX` of
+every term of its stack, which each term keeps on its node.
 A binding the residual never reads changes no step: evaluation reads
 only the variables of the expression evaluated, and every later step
 evaluates an expression of the residual.  So states that differ only in
@@ -152,10 +154,10 @@ from .projection import (
     NonProjectable, channel_sorts, participants_ordered, project, well_formed,
 )
 from .pseudotype import normal_form, viable
-from .semantics import proc_canon, step_process, type_steps
+from .semantics import push, step_process, type_steps
 from .syntax.ast import (
     NIL, Accept, Branch, Event, For, GlobalDef, If, Lit, Process, RepeatUntil,
-    Request, Seq, TEnd, TRUE, fU, fX, frozen_node, is_nil,
+    Request, Seq, TEnd, TRUE, fU, fX, frozen_node,
 )
 from .traces import (
     IllFormed, matching_tables, run_str, runs_global, sorted_runs,
@@ -300,8 +302,9 @@ class _Product:
     pending, session map, peers, queues), and the id of that tuple in
     `states`; `parts` interns every part, so two equal parts of any kind
     share one id, which is harmless as each position of a key fixes the
-    kind.  The peers are the ids of their projections, the queues one
-    tuple of messages per channel, indexed by `chan_index`."""
+    kind.  The process is its stack, the peers are the ids of their
+    projections, the queues one tuple of messages per channel, indexed
+    by `chan_index`."""
 
     def __init__(self, gdef: GlobalDef, role: str | None,
                  proc: Process | None, domains: DomainDecl,
@@ -330,7 +333,7 @@ class _Product:
             else (ids[()], self.start_peers, self.start_queues)
         proc = NIL if proc is None else proc
         self.start = self.states[(
-            ids[proc_canon(proc)], ids[store.key()],
+            ids[push(proc)], ids[store.key()],
             ids[frozenset((x, None) for x in fX(proc) if x in domains.domains)],
             *session)]
         self.moves: dict = {}  # state id -> ([(event id or None, state id)], skipped)
@@ -342,13 +345,13 @@ class _Product:
         self.queue_moves: dict = {}  # (queues, channel index, value) -> queues
         self.type_moves: dict = {}  # (peer index, projection id) -> its steps
 
-    def process_steps(self, proc: Process, store: Store, pending: frozenset,
+    def process_steps(self, stack: tuple, store: Store, pending: frozenset,
                       oracle) -> list:
         """(label, continuation, store, pending) for each step of the
-        process, drawing each pending variable the step reads."""
+        process `stack`, drawing each pending variable the step reads."""
         try:
             return [(label, cont, store2, pending)
-                    for label, cont, store2 in step_process(proc, store, oracle)]
+                    for label, cont, store2 in step_process(stack, store, oracle)]
         except Undefined as exc:
             drawn = next((p for p in pending if p[0] in exc.missing), None)
             if drawn is None:
@@ -358,7 +361,7 @@ class _Product:
                 else dict.fromkeys([*self.domains.values_of_sort(sort),
                                     Lit(sort, _DEFAULTS[sort.kind])])
             return [step for value in values for step in self.process_steps(
-                proc, store.with_var(name, value), pending - {drawn}, oracle)]
+                stack, store.with_var(name, value), pending - {drawn}, oracle)]
 
     def own_moves(self, proc: int, bindings: int, pending: int, chans: int,
                   heads) -> list:
@@ -397,9 +400,10 @@ class _Product:
                                    if x != name}, store.sessions, store.tables)
                     pending_set = frozenset(p for p in pending_set if p[0] != name) \
                         | {(name, value.sort)}
-            proc2 = ids[proc_canon(cont)]
-            # the first equal process interned keeps its variables already
-            live = fX(ids.values[proc2])
+            proc2 = ids[cont]
+            # each term of the first equal stack interned keeps its
+            # variables already
+            live = frozenset().union(*map(fX, ids.values[proc2]))
             if not live.issuperset(store.vars):  # drop what it never reads
                 store = Store({x: v for x, v in store.vars.items() if x in live},
                               store.sessions, store.tables)
@@ -516,7 +520,7 @@ class _Product:
         peer ended with every queue empty?"""
         proc, _, _, chans, peers, queues = self.states.values[sid]
         return chans != self.no_chans and queues == self.start_queues \
-            and is_nil(self.parts.values[proc]) \
+            and not self.parts.values[proc] \
             and all(isinstance(self.parts.values[t], TEnd)
                     for t in self.parts.values[peers])
 

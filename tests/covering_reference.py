@@ -17,9 +17,9 @@ from dataclasses import field
 from chorus_wsi.guards import DomainDecl, EMPTY_DOMAINS, EvalError, Store, Undefined
 from chorus_wsi.projection import participants_ordered
 from chorus_wsi.pseudotype import normal_form
-from chorus_wsi.semantics import proc_canon, step_process, type_steps
+from chorus_wsi.semantics import push, step_process, type_steps
 from chorus_wsi.syntax.ast import (
-    Event, GlobalDef, Lit, Process, TEnd, TSeq, fX, g_channels, is_nil,
+    Event, GlobalDef, Lit, Process, TEnd, TSeq, fX, g_channels,
 )
 from chorus_wsi.traces import trace_leq
 from chorus_wsi.typecheck import instantiate
@@ -37,7 +37,7 @@ class _State:
     """A product state without its mask; `chans` is None until the
     process opens its session."""
 
-    proc: Process
+    proc: tuple         # the stack of the process (`push`)
     store: Store = field(compare=False)
     bindings: tuple     # store.key()
     pending: frozenset  # of (variable, payload sort, or None if declared)
@@ -63,7 +63,7 @@ class _Product:
                                                     | g_channels(g)))
         store = Store(tables=domains.tables)
         self.start = _State(
-            proc_canon(proc), store, store.key(),
+            push(proc), store, store.key(),
             frozenset((x, None) for x in fX(proc) if x in domains.domains),
             None, (), ())
         self.moves: dict = {}
@@ -120,7 +120,7 @@ class _Product:
                     pending = frozenset(p for p in pending if p[0] != name) \
                         | {(name, value.sort)}
             out.append((event, _State(
-                proc_canon(cont), store, store.key(),
+                cont, store, store.key(),
                 frozenset(p for p in pending if p[0] not in store.vars),
                 chans, peers, new_queues)))
 
@@ -162,7 +162,7 @@ class _Product:
         skipped = False
         while frontier:
             _, extra, _, state, mask = heapq.heappop(frontier)
-            if mask == full and state.chans is not None and is_nil(state.proc) \
+            if mask == full and state.chans is not None and not state.proc \
                     and all(isinstance(t, TEnd) for _, t in state.peers) \
                     and not any(messages for _, messages in state.queues):
                 run = _path(parent, (state, mask))

@@ -12,7 +12,7 @@ import random
 from chorus_wsi.guards import DomainDecl, Store, UndeclaredVariable
 from chorus_wsi.projection import NonProjectable, project, well_formed
 from chorus_wsi.pseudotype import normal_form
-from chorus_wsi.semantics import SysState, system_steps
+from chorus_wsi.semantics import SysState, push, system_steps
 from chorus_wsi.syntax.ast import (
     Accept, Arm, BinOp, Branch, Const, DATA, Event, FALSE, For, GBranch,
     GChoice, GEnd, GIter, GSeq, GlobalDef, If, INT, Lit, Par, Proc, Process,
@@ -380,5 +380,6 @@ def system_runs(procs: dict, gdef, shared: str, store) -> dict:
                                names[act.channel], act.value.sort),)
             explore(state2, store2, session2, acc + event)
 
-    explore(SysState(tuple(enumerate(procs.values())), (), ()), store, None, ())
+    explore(SysState(tuple((i, push(p)) for i, p in enumerate(procs.values())),
+                     (), ()), store, None, ())
     return out

@@ -2,8 +2,7 @@
 process LTS, kept as a reference.
 
 `opener_peeking_steps` finds requesters and acceptors by peeking at the
-head of each component (the process itself, or the first part of a
-`Seq`) and builds the session start from the `Request` and `Accept`
+head of each component (the first term of its stack) and builds the session start from the `Request` and `Accept`
 nodes it finds there.  So it misses a session opened under an `if`, a
 `for` or a loop body, which `semantics.system_steps` opens.  On systems
 whose every opener is such a head the two must agree step for step (see
@@ -14,9 +13,9 @@ from __future__ import annotations
 
 from chorus_wsi.guards import Store
 from chorus_wsi.semantics import (
-    Label, SysState, _set_proc, _set_queues, proc_canon, step_process,
+    Label, SysState, _set_proc, _set_queues, push, step_process,
 )
-from chorus_wsi.syntax.ast import Accept, Request, Seq
+from chorus_wsi.syntax.ast import Accept, Request
 from chorus_wsi.syntax.subst import subst_process
 
 
@@ -30,8 +29,7 @@ def opener_peeking_steps(state: SysState, store: Store) -> list:
     requests: list = []
     accepts: dict = {}
     for pid, p in state.procs:
-        head = proc_canon(p)
-        opener = head.first if isinstance(head, Seq) else head
+        opener = p[0] if p else None
         if isinstance(opener, Request):
             requests.append(pid)
         if isinstance(opener, Accept):
@@ -59,17 +57,13 @@ def _init_steps(state: SysState, store: Store, requests: list,
     out = []
     procs = dict(state.procs)
     for pid in requests:
-        p = procs[pid]
-        prefix = None
-        if isinstance(p, Seq):
-            p, prefix = p.first, p.second
+        p, prefix = procs[pid][0], procs[pid][1:]
         assert isinstance(p, Request)
         partners = [q for q in accepts.get(p.shared, []) if q != pid]
         roles = []
         arity_ok = True
         for q in partners:
-            acc = procs[q]
-            acc = acc.first if isinstance(acc, Seq) else acc
+            acc = procs[q][0]
             roles.append(acc.role)
             arity_ok = arity_ok and len(acc.chans) == len(p.chans)
         if not arity_ok or len(set(roles)) != len(roles):
@@ -80,18 +74,11 @@ def _init_steps(state: SysState, store: Store, requests: list,
         actuals = tuple(f"{y}@{p.shared}{session_no}" for y in p.chans)
         new_procs = list(state.procs)
         cont0 = subst_process(p.cont, cmap=dict(zip(p.chans, actuals)))
-        if prefix is not None:
-            cont0 = proc_canon(Seq(cont0, prefix))
-        new_procs[pid] = (pid, cont0)
+        new_procs[pid] = (pid, push(cont0, prefix))
         for q in partners:
-            acc = procs[q]
-            acc_prefix = None
-            if isinstance(acc, Seq):
-                acc, acc_prefix = acc.first, acc.second
+            acc, acc_prefix = procs[q][0], procs[q][1:]
             cont = subst_process(acc.cont, cmap=dict(zip(acc.chans, actuals)))
-            if acc_prefix is not None:
-                cont = proc_canon(Seq(cont, acc_prefix))
-            new_procs[q] = (q, cont)
+            new_procs[q] = (q, push(cont, acc_prefix))
         queues = _set_queues(state.queues, dict.fromkeys(actuals, ()))
         new_state = SysState(tuple(new_procs), queues,
                              state.restricted + ((actuals, p.shared),))

@@ -18,13 +18,14 @@ pointwise per session, after guard erasure and normalization.
 
 from __future__ import annotations
 
+import functools
 import random
 
 from chorus_wsi.guards import DomainDecl, Store
 from chorus_wsi.projection import channel_sorts
 from chorus_wsi.pseudotype import normal_form, remove_guards
-from chorus_wsi.semantics import step_process
-from chorus_wsi.syntax.ast import TRUE, conj
+from chorus_wsi.semantics import push, step_process
+from chorus_wsi.syntax.ast import NIL, TRUE, Seq, conj
 from chorus_wsi.syntax.printer import render_type
 from chorus_wsi.typecheck import (
     gamma_from_domains, instantiate, typecheck_process,
@@ -49,6 +50,15 @@ def _session_views(delta: SpecEnv, domains):
     return {key: _erased(t, domains) for key, t in delta.sessions}
 
 
+def _process(stack: tuple):
+    """The process that runs the terms of stack in sequence: the spine
+    that reassociating to the right and dropping 0 gives."""
+    if not stack:
+        return NIL
+    return functools.reduce(lambda rest, t: Seq(t, rest), reversed(stack[:-1]),
+                            stack[-1])
+
+
 def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
              max_steps: int = 50) -> int:
     """One seeded execution; returns the number of steps taken and
@@ -63,7 +73,7 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
     candidates = {delta}
     assumption = TRUE
     session = None  # ((chans, role), chan -> sort)
-    p = proc
+    p = push(proc)
     steps = 0
 
     from chorus_wsi.syntax.ast import UNIT, UNIT_LIT, int_lit
@@ -148,7 +158,7 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
         # assumption-independent, and consistency below is checked at
         # the accumulated guard.
         resynth = SpecEnv.make(shared, typecheck_process(
-            gamma2, TRUE, p2, shared, domains, session=session), {})
+            gamma2, TRUE, _process(p2), shared, domains, session=session), {})
         want = _session_views(resynth, domains)
         survivors = set()
         for slabel, d2 in answers:

@@ -806,6 +806,40 @@ def test_exit_code_contract(capsys, argv, code, stderr, stdout):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("body", ["if x then 0 else 0 ; a!()",
+                                  "for i in 1..2 { 0 } ; a!()",
+                                  "a!() ; if x then 0 else 0"])
+def test_an_idle_branch_or_iteration_runs_on(tmp_path, capsys, body):
+    """An `if` with an idle branch, or a `for` with an idle body, steps
+    silently into the rest: covering holds as typing does, and the
+    system runs to its end."""
+    path = tmp_path / "idle.chor"
+    path.write_text("domain x : Bool\n"
+                    "global G(a) = p -> q : { a(Unit). end }\n"
+                    f"process P plays p of G = request u[1](a). {{ {body} }}\n"
+                    "process Q plays q of G = accept u[q](a). a?(). 0\n"
+                    "system S = P || Q\n")
+    code, out, _ = run(capsys, "wsi", str(path), "--proc", "P")
+    assert (code, out) == (0, "typing:   Holds (typing validates the role 'p')\n"
+                              "covering: Holds@2 (1 contexts)\n")
+    code, out, _ = run(capsys, "simulate", str(path), "--system", "S",
+                       "--seed", "0")
+    assert code == 0 and "tau" in out
+    assert out.splitlines()[-1].startswith("terminated after ")
+
+
+def test_a_key_error_while_judging_is_no_unknown_name(capsys, monkeypatch):
+    """Only a name the module does not declare is worded as one: a
+    `KeyError` raised while judging a declared process goes through."""
+    def failing(*args, **kwargs):
+        raise KeyError("inner")
+
+    monkeypatch.setattr(cli_mod, "typecheck_process", failing)
+    with pytest.raises(KeyError, match="inner"):
+        main(["typecheck", ATM, "--proc", "B1"])
+    assert "no process named" not in capsys.readouterr().err
+
+
 # the globals that other globals inline, with the channels each uses but
 # does not take as parameters
 FRAGMENTS = [

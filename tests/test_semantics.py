@@ -1,14 +1,13 @@
 import itertools
-import pickle
 import random
 
 from chorus_wsi.guards import Store
 from chorus_wsi.semantics import (
-    SysState, proc_canon, step_process, system_steps, to_state,
+    SysState, push, step_process, system_steps, to_state,
 )
 from chorus_wsi.syntax import parse_expr, parse_process, parse_module, parse_type
 from chorus_wsi.syntax.ast import (
-    DERIVED, Branch, INT, If, Proc, Seq, TRUE, Var, bool_lit, int_lit, is_nil,
+    Branch, INT, If, Proc, Seq, TRUE, Var, bool_lit, int_lit, is_nil,
 )
 from chorus_wsi.typecheck import gamma_from_domains, typecheck_system
 
@@ -28,21 +27,22 @@ def no_input(channel):
 
 def test_step_send_evaluates_payload():
     p = parse_process("y!(1 + 1)")
-    steps = step_process(p, Store(), no_input)
+    steps = step_process(push(p), Store(), no_input)
     assert len(steps) == 1
     label, cont, _ = steps[0]
     assert label.kind == "out" and label.channel == "y"
     assert label.value == int_lit(2)
-    assert cont == Branch(())
+    assert cont == ()
 
 
 def test_step_nil_is_stuck():
-    assert step_process(Branch(()), Store(), no_input) == []
+    assert push(Branch(())) == ()
+    assert step_process((), Store(), no_input) == []
 
 
 def test_step_if_records_guard():
     p = parse_process("if x > 0 then y!(1) else z!(0)")
-    steps = step_process(p, Store({"x": int_lit(2)}), no_input)
+    steps = step_process(push(p), Store({"x": int_lit(2)}), no_input)
     assert len(steps) == 1
     label, _, _ = steps[0]
     assert label.kind == "out" and label.channel == "y"
@@ -51,7 +51,7 @@ def test_step_if_records_guard():
 
 def test_step_else_records_negated_guard():
     p = parse_process("if x > 0 then y!(1) else z!(0)")
-    steps = step_process(p, Store({"x": int_lit(0)}), no_input)
+    steps = step_process(push(p), Store({"x": int_lit(0)}), no_input)
     label, _, _ = steps[0]
     assert label.channel == "z"
     assert label.guard == parse_expr("not x > 0")
@@ -59,7 +59,7 @@ def test_step_else_records_negated_guard():
 
 def test_step_receive_uses_oracle():
     p = parse_process("y?(v). z!(v)")
-    steps = step_process(p, Store(), lambda chan: [int_lit(7)])
+    steps = step_process(push(p), Store(), lambda chan: [int_lit(7)])
     assert len(steps) == 1
     label, cont, store = steps[0]
     assert label.kind == "in" and label.value == int_lit(7)
@@ -68,13 +68,27 @@ def test_step_receive_uses_oracle():
 
 def test_step_for_unfolds_and_ends():
     p = parse_process("for i in 1..2 { y!(i) }")
-    steps = step_process(p, Store(), no_input)
+    steps = step_process(push(p), Store(), no_input)
     assert len(steps) == 1
     label, cont, _ = steps[0]
     assert label.kind == "out" and label.value == int_lit(1)
     empty = parse_process("for i in 1..0 { y!(i) }")
-    steps = step_process(empty, Store(), no_input)
+    steps = step_process(push(empty), Store(), no_input)
     assert [l.kind for l, _, _ in steps] == ["tau"]
+
+
+def test_an_idle_branch_or_iteration_steps_silently():
+    """An `if` whose branch is 0, and a `for` iteration whose body is 0,
+    step `<guard>tau` into the rest, the iteration binding its binder."""
+    rest = push(parse_process("y!(1)"))
+    p = push(parse_process("{ if x then 0 else 0 ; y!(1) }"))
+    for value, label in ((True, "<x>tau"), (False, "<not x>tau")):
+        steps = step_process(p, Store({"x": bool_lit(value)}), no_input)
+        assert [(str(l), cont) for l, cont, _ in steps] == [(label, rest)]
+    p = push(parse_process("{ for i in 1..2 { 0 } ; y!(1) }"))
+    [(label, cont, store)] = step_process(p, Store(), no_input)
+    assert str(label) == "tau" and store.vars == {"i": int_lit(1)}
+    assert [str(l) for l, _, _ in step_process(cont, store, no_input)] == ["tau"]
 
 
 def test_system_init_creates_queues(atm, atm_domains):
@@ -171,8 +185,8 @@ def test_system_steps_queue_discipline(pop2, atm, multiparty, pop2_domains,
     starts = _corpus_starts([(pop2, pop2_domains), (atm, atm_domains),
                              (multiparty, multiparty_domains)])
     # no corpus queue ever holds two values, so this one checks the order
-    fifo = SysState(((0, parse_process("{ y!(1); y!(2) }")),
-                     (1, parse_process("y?(a). y?(b). 0"))), (("y", ()),))
+    fifo = SysState(((0, push(parse_process("{ y!(1); y!(2) }"))),
+                     (1, push(parse_process("y?(a). y?(b). 0")))), (("y", ()),))
     starts.append((fifo, Store()))
     steps = 0
     for state, store, succ in _reached(starts):
@@ -335,11 +349,12 @@ def test_subject_reduction_fuzz_sample(pop2, atm, pop2_domains, atm_domains):
     assert steps > 50
 
 
-# ------------------------------------------- canonical processes kept on Seq
+# ------------------------------------------------------- running processes
 
 def reference_canon(p):
-    """`proc_canon` as a plain recursion that keeps nothing on the nodes:
-    the oracle for the kept canonical forms."""
+    """The canonical form of p under the sequential monoid laws, as a
+    plain recursion: idle units dropped, `Seq` reassociated to the
+    right."""
     match p:
         case Seq(first, second):
             first = reference_canon(first)
@@ -355,30 +370,28 @@ def reference_canon(p):
             return p
 
 
-def test_kept_canonical_processes_agree_with_the_recursion():
+def _spine(p) -> tuple:
+    """The terms of a canonical process's `Seq` spine, head first."""
+    out = []
+    while isinstance(p, Seq):
+        out.append(p.first)
+        p = p.second
+    return tuple(out) if is_nil(p) else (*out, p)
+
+
+def test_the_stack_is_the_spine_of_the_canonical_form():
     """On 1,000 generated processes, and on each in sequence after the
-    one before it: the kept form is the oracle's, is returned again as
-    it is, and is its own canonical form."""
+    one before it: `push` gives the spine of the canonical form, holds
+    no `Seq` and no 0, and stacks a process on a rest as in sequence."""
     rng = random.Random(0)
     reshaped, before = 0, Branch(())
     for _ in range(1000):
         p = gen.gen_process(rng, depth=4)
         for q in (p, Seq(before, p)):
-            got = proc_canon(q)
-            assert got == reference_canon(q)
-            assert proc_canon(q) is got and proc_canon(got) is got
-            assert reference_canon(got) == got
-            reshaped += got != q
+            stack = push(q)
+            assert stack == _spine(reference_canon(q))
+            assert not any(isinstance(t, Seq) or is_nil(t) for t in stack)
+            assert push(q, push(before)) == push(Seq(q, before))
+            reshaped += stack != (q,)
         before = p
     assert reshaped > 300
-
-
-def test_pickled_processes_keep_no_canonical_form():
-    p = Seq(Seq(parse_process("a!(1)"), parse_process("b!(2)")),
-            parse_process("c!(3)"))
-    canon = proc_canon(p)
-    for node in (p, canon):
-        copy = pickle.loads(pickle.dumps(node))
-        assert copy == node
-        assert not set(DERIVED) & set(copy.__dict__)
-        assert proc_canon(copy) == canon

@@ -15,7 +15,7 @@ from chorus_wsi.pseudotype import normal_form
 from chorus_wsi.semantics import _then, type_steps
 from chorus_wsi.syntax.ast import (
     Accept, Arm, Branch, Const, Event, GChoice, GEnd, GlobalDef, If, Lit,
-    Request, Send, Seq, TIter, TSeq, UNIT, fU, fX, replace,
+    Request, Send, Seq, TIter, TSeq, UNIT, Var, bool_lit, fU, fX, replace,
 )
 from chorus_wsi.syntax import parse_expr, parse_module
 from chorus_wsi.cli import main
@@ -344,6 +344,24 @@ def test_typing_implies_covering_on_generated_implementations():
         cases += 1
         verdict = wsi_by_covering(gdef, role, proc, domains)
         assert verdict.holds(), (seed, role, str(verdict))
+    assert cases == 299
+
+
+def test_an_idle_if_before_the_session_body_changes_no_verdict():
+    """Each typed implementation of the test above, with `if idle then 0
+    else 0 ;` before its session body and `idle` a declared Bool, still
+    holds by typing and by covering: the idle branch steps silently into
+    the body."""
+    idle = If(Var("idle"), Branch(()), Branch(()))
+    cases = 0
+    for seed, gdef, role, proc, domains in _typed_implementations(range(300)):
+        padded = replace(proc, cont=Seq(idle, proc.cont))
+        wider = DomainDecl({**domains.domains,
+                            "idle": frozenset({bool_lit(True), bool_lit(False)})})
+        assert wsi_by_typing(gdef, role, padded, wider).holds(), (seed, role)
+        verdict = wsi_by_covering(gdef, role, padded, wider)
+        assert verdict.holds(), (seed, role, str(verdict))
+        cases += 1
     assert cases == 299
 
 
