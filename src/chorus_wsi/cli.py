@@ -14,17 +14,19 @@ was skipped; under `wsi --mode both` a rejection by typing still exits
 process, system or type), leave the entry global missing or ambiguous,
 give no role, or pass a bound below 1; `parse` also exits 2 on a module
 that parses but nests too deep to print.
+
+Importing this module loads only what every well-formed request runs.
+`parse_args` reads such a request from the `_COMMANDS` table itself and
+hands every other command line to argparse, which alone words help,
+usage and error texts; json, random and math are imported by the JSON
+output, `simulate` and a count too long to print, which use them.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
 import os
-import random
 import sys
-from pathlib import Path
+from types import SimpleNamespace
 
 from .guards import DomainDecl, EvalError, Store
 from .projection import NonProjectable, participants_ordered, project, well_formed
@@ -70,15 +72,24 @@ def _rejected(args, lines: list) -> int:
     does not take as parameters, a role that is not a participant) as
     its lines, or under --json as {"rejected": [lines]}; exit 1."""
     if args.json:
-        print(json.dumps({"rejected": lines}, indent=2))
+        print(_json({"rejected": lines}))
     else:
         for line in lines:
             print(_bad(line))
     return 1
 
 
+def _json(value, indent: int | None = 2) -> str:
+    """`json.dumps(value, indent=indent)`: json is loaded by the first
+    request that writes JSON, not by every request."""
+    import json
+    return json.dumps(value, indent=indent)
+
+
 def _load(path: str) -> ModuleDecl:
-    return parse_module(Path(path).read_text())
+    with open(path) as f:
+        text = f.read()
+    return parse_module(text)
 
 
 def _the_global(module: ModuleDecl, name: str | None) -> GlobalDef:
@@ -116,8 +127,8 @@ def runs_json(runs) -> str:
     def text(item) -> str:
         out = texts.get(item)
         if out is None:  # nested at depth 2: indent each line 4 more
-            out = texts[item] = json.dumps(run_to_json((item,))[0],
-                                           indent=2).replace("\n", "\n    ")
+            out = texts[item] = _json(run_to_json((item,))[0]).replace(
+                "\n", "\n    ")
         return out
 
     if not runs:
@@ -132,14 +143,14 @@ def runs_json(runs) -> str:
 def cmd_parse(args) -> int:
     module = _load(args.file)
     if args.json:
-        print(json.dumps({
+        print(_json({
             "domains": sorted(module.domains),
             "tables": sorted(module.tables),
             "globals": sorted(module.globals_),
             "types": sorted(module.types),
             "processes": sorted(module.processes),
             "systems": sorted(module.systems),
-        }, indent=2))
+        }))
     else:
         try:
             text = render_module(module)
@@ -162,7 +173,7 @@ def cmd_project(args) -> int:
         raise IllFormed(violations)
     local = remove_guards(normal_form(project(g, args.role), domains))
     if args.json:
-        print(json.dumps({"role": args.role, "type": render_type(local)}))
+        print(_json({"role": args.role, "type": render_type(local)}, indent=None))
     else:
         print(render_type(local))
     return 0
@@ -178,7 +189,7 @@ def cmd_normalize(args) -> int:
             raise UsageError(f"no type named {name!r}")
         out[name] = render_type(normal_form(module.types[name], domains))
     if args.json:
-        print(json.dumps(out, indent=2))
+        print(_json(out))
     else:
         for name in names:
             print(f"{name} = {out[name]}")
@@ -246,11 +257,12 @@ def cmd_typecheck(args) -> int:
             if not args.json:
                 print(_bad(f"{name}: {exc}"))
     if args.json:
-        print(json.dumps(results, indent=2))
+        print(_json(results))
     return 1 if failures else 0
 
 
 def cmd_simulate(args) -> int:
+    import random
     module = _load(args.file)
     # the seeded store draws a value for the aliases of the system's bodies
     domains = DomainDecl.from_module(module, (args.system,))
@@ -286,12 +298,13 @@ def cmd_simulate(args) -> int:
         error = f"evaluation error: {exc}"
     terminated = state.is_terminated()
     if args.trace:
-        Path(args.trace).write_text(json.dumps(trace, indent=2) + "\n")
+        with open(args.trace, "w") as f:
+            f.write(_json(trace) + "\n")
     if args.json:
         result = {"terminated": terminated, "steps": trace}
         if error:
             result["error"] = error
-        print(json.dumps(result, indent=2))
+        print(_json(result))
     else:
         for entry in trace:
             print(f"[{entry['component']}] {entry['label']}")
@@ -346,6 +359,7 @@ def _count(n: int):
     exponent."""
     if n < _PRINTABLE_COUNT:
         return n
+    import math
     e = int(math.log10(n)) - 4
     lead = (n >> e) // 5 ** e  # n // 10^e
     if not 10_000 <= lead < 100_000:  # the float log was one out
@@ -379,7 +393,7 @@ def cmd_cover(args) -> int:
             payload["missing"] = run_to_json(verdict.missing)
         if verdict.inconclusive:
             payload["inconclusive"] = True
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     elif verdict.holds():
         print(_ok(f"Holds@{args.unfold}: {n_global} global runs covered by "
                   f"{n_spec} specification runs"))
@@ -430,7 +444,7 @@ def cmd_wsi(args) -> int:
         code = code or (0 if verdict.holds() else
                         3 if verdict.inconclusive else 1)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     return code
 
 
@@ -442,6 +456,7 @@ def _positive(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, "
                                          f"got {text!r}")
     return value
@@ -480,23 +495,13 @@ _COMMANDS = {
 }
 
 
-def _arguments(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """`p` with the arguments of the subcommand `name`."""
-    func, _, arguments = _COMMANDS[name]
-    p.add_argument("file", help="a .chor module")
-    p.add_argument("--json", action="store_true", help="machine output")
-    for flag, options in arguments:
-        p.add_argument(flag, **options)
-    p.set_defaults(func=func, command=name)
-    return p
-
-
 def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     """The command-line parser, with only the subcommand named `only`, or
     with all of them when `only` names none.  The metavar then keeps all
     eight names in the usage line that an `unrecognized arguments` error
     prints; the full parser leaves it unset, so that its errors still
     call the list `command`."""
+    import argparse
     top = argparse.ArgumentParser(
         prog="chorus-wsi",
         description="Choreography projection, guard-sensitive session "
@@ -504,9 +509,14 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     one = only in _COMMANDS
     sub = top.add_subparsers(dest="command", required=True, metavar=(
         "{%s}" % ",".join(_COMMANDS) if one else None))
-    for name, (_, text, _) in _COMMANDS.items():
+    for name, (func, text, arguments) in _COMMANDS.items():
         if not one or name == only:
-            _arguments(sub.add_parser(name, help=text), name)
+            p = sub.add_parser(name, help=text)
+            p.add_argument("file", help="a .chor module")
+            p.add_argument("--json", action="store_true", help="machine output")
+            for flag, options in arguments:
+                p.add_argument(flag, **options)
+            p.set_defaults(func=func, command=name)
     # a fixed usage text, since argparse wraps the built one differently
     # from one Python version to the next; set after the subcommands,
     # whose own usage lines start from the top parser's
@@ -515,21 +525,57 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return top
 
 
-def parse_args(argv: list) -> argparse.Namespace:
-    """The request `argv` names, as `build_parser().parse_args(argv)`
-    reads it.  Where `argv[0]` names a subcommand, that subcommand's
-    parser alone reads the rest, as the full parser would hand it on:
-    building and using it takes about 0.24 ms, the top parser with it
-    0.42 ms and the full parser 1.8 ms, on a `project` request of a
-    2-core Xeon VM.  Only arguments that it leaves over need the top
-    parser, which words that error."""
-    name = argv[0] if argv else None
-    if name in _COMMANDS:
-        args, extra = _arguments(argparse.ArgumentParser(
-            prog=f"chorus-wsi {name}"), name).parse_known_args(argv[1:])
-        if not extra:
+def _read(argv: list) -> SimpleNamespace | None:
+    """The request `argv`, whose first word names a subcommand, with the
+    values its parser gives it; or None, where that parser may read it
+    otherwise or refuse it: a word starting with "-" that is no flag of
+    the subcommand, a value that starts with "-", fails its conversion
+    or is no choice, a second file, or a file or required option left
+    out."""
+    func, _, arguments = _COMMANDS[argv[0]]
+    flags = {flag: (options.get("dest", flag[2:]), options)
+             for flag, options in arguments}
+    args = {dest: options.get("default") for dest, options in flags.values()}
+    args.update(command=argv[0], func=func, json=False)
+    words = iter(argv[1:])
+    for word in words:
+        if word == "--json":
+            args["json"] = True
+        elif word in flags:
+            dest, options = flags[word]
+            text = next(words, "-")  # a missing value reads as a flag
+            if text.startswith("-"):
+                return None
+            try:
+                args[dest] = options.get("type", str)(text)
+            except Exception:  # argparse words the error, or raises it again
+                return None
+            if args[dest] not in options.get("choices", (args[dest],)):
+                return None
+        elif word.startswith("-") or "file" in args:
+            return None
+        else:
+            args["file"] = word
+    if "file" not in args or any(options.get("required") and args[dest] is None
+                                 for dest, options in flags.values()):
+        return None
+    return SimpleNamespace(**args)
+
+
+def parse_args(argv: list) -> SimpleNamespace | argparse.Namespace:
+    """The request `argv` names, with the values that
+    `build_parser().parse_args(argv)` gives it.  `_read` reads the
+    well-formed request from the flags, types, defaults, choices and
+    required options of `_COMMANDS`, as argparse would, without
+    importing it.  Whatever `_read` leaves (help, an error, "--", an
+    abbreviated flag, "--flag=value", a value starting with "-") goes to
+    argparse, with the parser of the named subcommand only where argv[0]
+    names one, so argparse words every help, usage and error text."""
+    if argv and argv[0] in _COMMANDS:
+        args = _read(argv)
+        if args is not None:
             return args
-    return build_parser(name).parse_args(argv)
+    return build_parser(argv[0] if argv else None).parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -49,6 +49,7 @@ from .syntax.ast import (
     TExternal, TInternal, TIter, TRUE, TSeq, conj, frozen_node, is_nil,
     is_true, neg, replace,
 )
+from .syntax.printer import render_expr
 from .syntax.subst import subst_process
 
 
@@ -78,7 +79,6 @@ class Label:
             "in": lambda: f"{self.channel}?{self.value}",
             "tau": lambda: "tau",
         }[self.kind]()
-        from .syntax.printer import render_expr
         return body if is_true(self.guard) else f"<{render_expr(self.guard)}>{body}"
 
 

@@ -23,8 +23,8 @@ Conventions:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from types import FunctionType
-from typing import NamedTuple, Optional, Union
 
 
 _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
@@ -203,7 +203,7 @@ class Sort:
     """Payload sort: Int, Bool, Str, Unit, Data, or List(elem)."""
 
     kind: str
-    elem: Optional["Sort"] = None
+    elem: Sort | None = None
 
     def __post_init__(self):
         assert self.kind in ("Int", "Bool", "Str", "Unit", "Data", "List")
@@ -315,7 +315,7 @@ class Range:
     hi: "Expr"
 
 
-Expr = Union[Var, Const, BinOp, UnOp, ListLit, Range]
+Expr = Var | Const | BinOp | UnOp | ListLit | Range
 
 # How tightly each expression operator binds, loosest first; the reader
 # (parser.py) and the printer (printer.py) both follow this one table.
@@ -464,7 +464,7 @@ class GEnd:
     pass
 
 
-GlobalType = Union[GChoice, GSeq, GIter, GEnd]
+GlobalType = GChoice | GSeq | GIter | GEnd
 
 
 def g_channels(g: GlobalType) -> frozenset:
@@ -527,7 +527,7 @@ class TEnd:
     guard: Expr = TRUE
 
 
-PseudoType = Union[TInternal, TExternal, TSeq, TIter, TEnd]
+PseudoType = TInternal | TExternal | TSeq | TIter | TEnd
 
 
 def pt_vars(t: PseudoType) -> frozenset:
@@ -614,7 +614,7 @@ class RepeatUntil:
     exit: "Branch"
 
 
-Process = Union[Request, Accept, Send, Branch, Seq, If, For, RepeatUntil]
+Process = Request | Accept | Send | Branch | Seq | If | For | RepeatUntil
 
 NIL = Branch(())
 
@@ -649,7 +649,7 @@ class Restrict:
     scope: "System"
 
 
-System = Union[Proc, Par, Queue, Restrict]
+System = Proc | Par | Queue | Restrict
 
 
 @frozen_node
@@ -664,24 +664,22 @@ class Ref:
 
 # -------------------------------------------------------- name summaries
 
-class Names(NamedTuple):
-    """The names of a process or system term, kept on it as `_names`.
-    A shared name u opened with role p (a request with role 0) is free
-    as "u[p]" too, a name that no binder can have.  A session binder
-    hides its channels from `free` only; an input or loop binder hides
-    its variable from `free` and `variables`.  A `Ref` has the free names
-    of the body it stands for, which is summarized before it (see
-    parser.py), and makes every term that holds it `pending`.  Freshening
-    walks a pending term whatever it binds (see subst.py), so a `Ref`
-    lists no binders, and summarizing a body as read does not join the
-    binders of the bodies it names."""
+class Names(namedtuple("Names", "binders repeats free variables shared pending")):
+    """The names of a process or system term, kept on it as `_names`:
+    `binders`, every name bound somewhere in the term; `repeats`,
+    whether two binders in the term bind one name; `free` (fn),
+    `variables` (fX) and `shared` (fU); and `pending`, whether the term
+    holds a `Ref`.  A shared name u opened with role p (a request with
+    role 0) is free as "u[p]" too, a name that no binder can have.  A
+    session binder hides its channels from `free` only; an input or loop
+    binder hides its variable from `free` and `variables`.  A `Ref` has
+    the free names of the body it stands for, which is summarized before
+    it (see parser.py), and makes every term that holds it `pending`.
+    Freshening walks a pending term whatever it binds (see subst.py), so
+    a `Ref` lists no binders, and summarizing a body as read does not
+    join the binders of the bodies it names."""
 
-    binders: frozenset    # every name bound somewhere in the term
-    repeats: bool         # whether two binders in the term bind one name
-    free: frozenset       # fn
-    variables: frozenset  # fX
-    shared: frozenset     # fU
-    pending: bool         # whether the term holds a `Ref`
+    __slots__ = ()
 
 
 # What a term itself contributes, by its class: the names it uses, the
@@ -814,8 +812,8 @@ class GlobalDef:
 class ProcessDef:
     name: str
     body: Process
-    role: Optional[str] = None  # from "plays p of GNAME"
-    global_name: Optional[str] = None
+    role: str | None = None  # from "plays p of GNAME"
+    global_name: str | None = None
 
 
 @frozen_node

@@ -100,9 +100,9 @@ the interpreter's stack allows is a `ParseError` too.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Mapping
 from itertools import islice
-from typing import NamedTuple
 
 from .ast import (
     Accept, Arm, BinOp, BOOL, Branch, Const, DATA, Expr, FALSE_LIT, For,
@@ -166,9 +166,8 @@ _TOKEN_RE = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*("
 _ESCAPE_RE = re.compile(r"\\([\s\S])")
 
 
-class Token(NamedTuple):
-    kind: str  # IDENT KEYWORD INT STRING DATA SYM EOF BAD
-    value: str
+# kind: IDENT KEYWORD INT STRING DATA SYM EOF BAD
+Token = namedtuple("Token", "kind value")
 
 
 # The token of each keyword, symbol and the end, built once: every

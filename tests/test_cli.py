@@ -1,7 +1,10 @@
 import argparse
 import json
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -914,6 +917,9 @@ VALUED = {"parse": "--json=1", "normalize": "--type"}
 def _surface_cases():
     for name in SUBCOMMANDS:
         valid = (name, *VALID[name])
+        file, options = VALID[name][0], VALID[name][1:]
+        named = "--type" if name == "normalize" else "--global"
+        count = "--steps" if name == "simulate" else "--unfold"
         for case, argv in [
                 ("no-file", (name,)),
                 ("help", (name, "-h")),
@@ -924,13 +930,22 @@ def _surface_cases():
                 ("unfold-0", (*valid, "--unfold", "0")),
                 ("steps-0", (*valid, "--steps", "0")),
                 ("extra-positional", (*valid, "extra")),
-                ("abbreviated", (*valid, "--uni", "2"))]:
+                ("abbreviated", (*valid, "--uni", "2")),
+                ("file-last", (name, *options, file)),
+                ("repeated", (*valid, named, "a", *options, named, "b")),
+                ("equals", (*valid, f"{named}=a")),
+                ("empty-value", (*valid, named, "")),
+                ("empty-count", (*valid, count, "")),
+                ("spaced-count", (*valid, count, " 5")),
+                ("negative-seed", (*valid, "--seed", "-1")),
+                ("json-twice", (*valid, "--json", "--json")),
+                ("dashes-before-file", (name, *options, "--", file))]:
             yield pytest.param(name, argv, id=f"{name}-{case}")
 
 
 def _parse_args(capsys, parser, argv):
     try:
-        outcome = parser.parse_args(list(argv))
+        outcome = vars(parser.parse_args(list(argv)))
     except SystemExit as exc:
         outcome = exc.code
     out = capsys.readouterr()
@@ -954,9 +969,9 @@ def test_one_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch,
     *[pytest.param(name, (name, *VALID[name], "-h", "--bogus"), id=f"{name}-help-first")
       for name in SUBCOMMANDS]])
 def test_main_reads_a_request_as_the_full_parser(capsys, monkeypatch, name, argv):
-    """`main` reads a request by its subcommand's parser alone, and gets
-    the exit status, output and Namespace of the parser with every
-    subcommand."""
+    """`main` reads a request by its own reader, or else by the parser
+    of its subcommand alone, and gets the exit status, output and
+    argument values of the parser with every subcommand."""
     monkeypatch.setenv("COLUMNS", "80")
     assert _parse_args(capsys, cli_mod, argv) == \
         _parse_args(capsys, build_parser(), argv)
@@ -1015,8 +1030,8 @@ def test_unrecognized_arguments_are_worded_by_the_top_parser(capsys, monkeypatch
 
 
 @pytest.mark.parametrize("argv, parsers", [
-    *[pytest.param((name, *VALID[name]), 1, id=name) for name in SUBCOMMANDS],
-    *[pytest.param((name, *VALID[name], "--bogus"), 3, id=f"{name}-unrecognized")
+    *[pytest.param((name, *VALID[name]), 0, id=name) for name in SUBCOMMANDS],
+    *[pytest.param((name, *VALID[name], "--bogus"), 2, id=f"{name}-unrecognized")
       for name in ("parse", "wsi")],
     pytest.param((), 9, id="empty"), pytest.param(("-h",), 9, id="help"),
     pytest.param(("bogus",), 9, id="bogus")])
@@ -1036,6 +1051,35 @@ def test_main_builds_the_named_subcommand_parser_only(capsys, monkeypatch,
         pass
     capsys.readouterr()
     assert len(built) == parsers
+
+
+# run `main` on the arguments after the checkout's src/ directory
+FRESH = ("import sys; sys.path.insert(0, sys.argv.pop(1)); "
+         "from chorus_wsi.cli import main; sys.exit(main())")
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_a_fresh_interpreter_answers_as_main_in_process(capsys, monkeypatch, name):
+    """A request run by a fresh `python -I`, which has imported only what
+    the command line imports, gets the exit status, output and error
+    text of `main` in this process, where the tests have imported
+    argparse, json, pathlib and typing: so no import that a request
+    needs is left out.  Asked of the valid request, with --json, of
+    help and of a bound below 1."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("CHORUS_COLOR", raising=False)
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    bound = "--steps" if name == "simulate" else "--unfold"
+    for argv in [(name, *VALID[name]), (name, *VALID[name], "--json"),
+                 (name, "-h"), (name, *VALID[name], bound, "0")]:
+        fresh = subprocess.run([sys.executable, "-I", "-c", FRESH, src, *argv],
+                               capture_output=True, text=True, timeout=60)
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert (fresh.returncode, fresh.stdout, fresh.stderr) == \
+            (code, *capsys.readouterr()), argv
 
 
 @pytest.mark.parametrize("argv, instances, calls, walks", [

@@ -16,9 +16,12 @@ list or set, so no answer or timing of one `cli.main` call can depend
 on an earlier call in the same process; every cache slot that records
 keep (`ast.DERIVED`) is both filled by `object.__setattr__` and read
 somewhere under src/, so a slot that nothing fills or nothing reads
-cannot linger; and no module imports
-`dataclasses`, nor does importing the command line load it or
-`inspect`, whose imports cost more than the program's own modules.
+cannot linger; and no module imports `dataclasses`, nor does importing
+the command line load it, `inspect`, argparse, gettext, json, math,
+pathlib, random or typing, which a well-formed request does not run
+(argparse words help and usage errors, json writes JSON, random seeds
+`simulate`, math prints a count past 10^4300) and whose imports cost
+as much as the program's own modules.
 
 Package `__init__` modules are skipped by the import check:
 re-exporting is their job.
@@ -627,11 +630,16 @@ def test_no_dataclasses_in_src():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Nor argparse (with gettext), json, math, pathlib, typing or
+    random, which a well-formed request does not run, in an interpreter
+    that has not loaded them for its `site` module."""
+    unused = {"argparse", "dataclasses", "gettext", "inspect", "json", "math",
+              "pathlib", "random", "typing"}
     code = (f"import sys; sys.path.insert(0, {str(SRC)!r}); "
             "import chorus_wsi.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), "
+            f"print(sorted({unused!r} & set(sys.modules)), "
             "chorus_wsi.cli.__file__)")
-    out = subprocess.run([sys.executable, "-I", "-c", code], check=True,
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], check=True,
                          capture_output=True, text=True).stdout.split()
     assert out == ["[]", str(SRC / "chorus_wsi" / "cli.py")]
 
