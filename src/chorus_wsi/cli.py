@@ -321,7 +321,7 @@ def _participants(module: ModuleDecl, named: GlobalDef | None, state,
     global is named and the module has no entry global or several, a
     requester plays no participant."""
     out = {}
-    for pid, stack in state.procs:
+    for pid, stack, _ in state.procs:
         for action, _, _ in step_process(stack, store, lambda _: ()):
             if action.kind == "acc":
                 out[pid] = action.role
@@ -495,28 +495,21 @@ _COMMANDS = {
 }
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser, with only the subcommand named `only`, or
-    with all of them when `only` names none.  The metavar then keeps all
-    eight names in the usage line that an `unrecognized arguments` error
-    prints; the full parser leaves it unset, so that its errors still
-    call the list `command`."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser."""
     import argparse
     top = argparse.ArgumentParser(
         prog="chorus-wsi",
         description="Choreography projection, guard-sensitive session "
                     "typing, and whole-spectrum implementation checking.")
-    one = only in _COMMANDS
-    sub = top.add_subparsers(dest="command", required=True, metavar=(
-        "{%s}" % ",".join(_COMMANDS) if one else None))
+    sub = top.add_subparsers(dest="command", required=True)
     for name, (func, text, arguments) in _COMMANDS.items():
-        if not one or name == only:
-            p = sub.add_parser(name, help=text)
-            p.add_argument("file", help="a .chor module")
-            p.add_argument("--json", action="store_true", help="machine output")
-            for flag, options in arguments:
-                p.add_argument(flag, **options)
-            p.set_defaults(func=func, command=name)
+        p = sub.add_parser(name, help=text)
+        p.add_argument("file", help="a .chor module")
+        p.add_argument("--json", action="store_true", help="machine output")
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func, command=name)
     # a fixed usage text, since argparse wraps the built one differently
     # from one Python version to the next; set after the subcommands,
     # whose own usage lines start from the top parser's
@@ -569,13 +562,12 @@ def parse_args(argv: list) -> SimpleNamespace | argparse.Namespace:
     required options of `_COMMANDS`, as argparse would, without
     importing it.  Whatever `_read` leaves (help, an error, "--", an
     abbreviated flag, "--flag=value", a value starting with "-") goes to
-    argparse, with the parser of the named subcommand only where argv[0]
-    names one, so argparse words every help, usage and error text."""
+    argparse, which words every help, usage and error text."""
     if argv and argv[0] in _COMMANDS:
         args = _read(argv)
         if args is not None:
             return args
-    return build_parser(argv[0] if argv else None).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

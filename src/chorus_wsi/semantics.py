@@ -8,21 +8,30 @@ action.  System steps resolve communication against per-channel queues
 which process can open a session: a session start joins one component's
 `req` step with exactly `arity` `acc` steps of other components on the
 same shared name, with pairwise-distinct roles and as many channels as
-the request.  Each step's continuation gets its label's channels
-replaced by fresh actuals `y@u<n>` (n counts the sessions opened); the
-store is the requester's step store (a `for` binder stays bound) plus
-the acceptors' bindings, with the session bound to the actuals; the
-label is the requester's, guard kept.  The substitution covers each
-term of the rest of the stack too, so a session binder must differ
-from the free names that follow it, as the parser's freshening makes
-it.  So no step renames the channels that an open binds: freshening
-keeps them apart from every other name of their body, `subst_process`
-leaves a later open of the same names alone (the next round of a
-loop), and each session's own actuals keep its queues apart from every
-other session's, whatever names the store holds.  A system step is
-reported as the component that moved and its process-level label, which
-is all that `chorus-wsi simulate` reads.  Covering's search (`wsi`) steps the checked process
-by `step_process` and its peers' projections by `type_steps`.  The
+the request.  Each component keeps a session map, as typing's context
+and covering's product state do: pairs of a channel name it opened and
+the actual channel `y@u<n>` (n counts the sessions opened).  A session
+start maps its label's channels to fresh actuals in the map of the
+requester and of each acceptor and pushes their continuations as they
+are; an input reads the queue of the actual channel its name maps to,
+and an input or output is reported over that channel.  The store is
+the requester's step store (a `for` binder stays bound) plus the
+acceptors' bindings, with the session bound to the actuals; the label
+is the requester's over the actuals, guard kept.
+
+The map holds for the rest of the stack too, so a session binder must
+differ from every free name that follows it.  The parser's freshening
+makes it so: it renames a binder that meets a name in scope, so a
+nested open that would rebind its session's names gets fresh ones
+(`request u[1](a). { request v[1](a). a!(1) ; a!(2) }` reads as
+`... v[1](a_2). a_2!(1) ; a!(2)`).  A later open of the same names,
+the next round of a loop, comes after the terms of the earlier session
+and remaps them, and each session's own actuals keep its queues apart
+from every other session's, whatever names the store holds.  A system
+step is reported as the component that moved and its process-level
+label, which is all that `chorus-wsi simulate` reads.  Covering's
+search (`wsi`) steps the checked process by `step_process` and its
+peers' projections by `type_steps`.  The
 specification stepper and the conditional simulation checker that the
 tests hold these against are in tests/conformance_reference.py.
 
@@ -50,7 +59,6 @@ from .syntax.ast import (
     is_true, neg, replace,
 )
 from .syntax.printer import render_expr
-from .syntax.subst import subst_process
 
 
 # ----------------------------------------------------------------- labels
@@ -165,7 +173,8 @@ class SysState:
     """Canonical runtime form of a system: numbered parallel components,
     channel queues, and the restrictions hoisted to the top."""
 
-    procs: tuple = ()        # of (component id, stack of the process)
+    procs: tuple = ()        # of (component id, stack of the process,
+                             #     session map: (name, actual) pairs)
     queues: tuple = ()       # sorted tuple of (chan, tuple[Lit])
     restricted: tuple = ()   # of (chans, shared)
 
@@ -173,7 +182,7 @@ class SysState:
         return dict(self.queues)
 
     def is_terminated(self) -> bool:
-        return not any(stack for _, stack in self.procs)
+        return not any(stack for _, stack, _ in self.procs)
 
 
 def to_state(s: System) -> SysState:
@@ -184,7 +193,7 @@ def to_state(s: System) -> SysState:
     def walk(node: System):
         match node:
             case Proc(p):
-                procs.append((len(procs), push(p)))
+                procs.append((len(procs), push(p), ()))
             case Par(left, right):
                 walk(left)
                 walk(right)
@@ -206,28 +215,33 @@ def _set_queues(queues: tuple, updates: dict) -> tuple:
 
 
 def _set_proc(procs: tuple, pid: int, stack: tuple) -> tuple:
-    return tuple((i, stack if i == pid else q) for i, q in procs)
+    return tuple((i, stack if i == pid else q, chans) for i, q, chans in procs)
 
 
 def system_steps(state: SysState, store: Store) -> list:
     """All one-step successors (component, action, state, store): the
     component that moved and its process-level label.  An output
-    appends to its channel's queue and an input consumes the head; a
-    session start is the requester's `req` over the actual channels."""
+    appends to its channel's queue and an input consumes the head, each
+    over the actual channel that the component's session map gives its
+    channel name; a session start is the requester's `req` over the
+    actual channels."""
     out: list = []
     queues = state.queue_map()
-
-    def queue_head(channel):
-        return queues.get(channel, ())[:1]
-
     opens: list = []
-    for pid, stack in state.procs:
+    for pid, stack, chans in state.procs:
+        actual = dict(chans)
+
+        def queue_head(channel):
+            return queues.get(actual.get(channel, channel), ())[:1]
+
         for action, cont, store2 in step_process(stack, store, queue_head):
             if action.kind in ("req", "acc"):
                 # a lone req or acc does not fire at system level: it
                 # joins a session start below
                 opens.append((pid, action, cont, store2))
                 continue
+            if action.channel in actual:
+                action = replace(action, channel=actual[action.channel])
             new_queues = state.queues
             if action.channel in queues:
                 q = queues[action.channel]
@@ -249,14 +263,14 @@ def system_steps(state: SysState, store: Store) -> list:
             continue  # incomplete or ambiguous cohorts do not synchronize
         actuals = tuple(f"{y}@{req.shared}{len(state.restricted)}"
                         for y in req.chans)
-        procs = dict(state.procs)
+        procs = {q: (stack, chans) for q, stack, chans in state.procs}
         new_vars = dict(store2.vars)  # keeps what the step bound (a `for` binder)
         for q, label, q_cont, q_store in [(pid, req, cont, store2)] + cohort:
-            cmap = dict(zip(label.chans, actuals))
-            procs[q] = tuple(subst_process(t, cmap) for t in q_cont)
+            chans = {**dict(procs[q][1]), **dict(zip(label.chans, actuals))}
+            procs[q] = (q_cont, tuple(chans.items()))
             new_vars.update((k, v) for k, v in q_store.vars.items()
                             if store.vars.get(k) != v)
-        new_state = SysState(tuple(procs.items()),
+        new_state = SysState(tuple((q, *proc) for q, proc in procs.items()),
                              _set_queues(state.queues, dict.fromkeys(actuals, ())),
                              state.restricted + ((actuals, req.shared),))
         sessions = {**store2.sessions, req.shared: actuals}

@@ -9,4 +9,4 @@ from .printer import (  # noqa: F401
     render_expr, render_global, render_module, render_process, render_system,
     render_type,
 )
-from .subst import freshen, subst_process  # noqa: F401
+from .subst import freshen  # noqa: F401

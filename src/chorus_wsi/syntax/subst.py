@@ -1,4 +1,4 @@
-"""Channel substitution and binder freshening.
+"""Binder freshening.
 
 A module's bodies are freshened as they are read (see parser.py): every
 binder (variables bound by receives and for-loops, session channels
@@ -62,40 +62,10 @@ itself, and an origin is always a declaration's own freshened body.
 from __future__ import annotations
 
 from .ast import (
-    Accept, Arm, BinOp, Branch, Const, For, If, ListLit, Par, Proc, Process,
+    Accept, Arm, BinOp, Branch, Const, For, If, ListLit, Par, Proc,
     Queue, Range, Ref, RepeatUntil, Request, Restrict, Send, Seq, UnOp, Var,
     names,
 )
-
-
-def subst_process(p: Process, cmap: dict) -> Process:
-    """Rename the free channels of p according to cmap.
-
-    Binders shadow: occurrences bound inside p are left alone.
-    """
-    if not cmap:
-        return p
-    match p:
-        case Request(shared, arity, chans, cont):
-            inner = {k: v for k, v in cmap.items() if k not in chans}
-            return Request(shared, arity, chans, subst_process(cont, inner))
-        case Accept(shared, role, chans, cont):
-            inner = {k: v for k, v in cmap.items() if k not in chans}
-            return Accept(shared, role, chans, subst_process(cont, inner))
-        case Send(channel, payload):
-            return Send(cmap.get(channel, channel), payload)
-        case Branch(arms):
-            return Branch(tuple(Arm(cmap.get(a.channel, a.channel), a.binder,
-                                    subst_process(a.cont, cmap)) for a in arms))
-        case Seq(first, second):
-            return Seq(subst_process(first, cmap), subst_process(second, cmap))
-        case If(cond, then, orelse):
-            return If(cond, subst_process(then, cmap), subst_process(orelse, cmap))
-        case For(binder, items, body):
-            return For(binder, items, subst_process(body, cmap))
-        case RepeatUntil(body, exit):
-            return RepeatUntil(subst_process(body, cmap), subst_process(exit, cmap))
-    raise TypeError(f"not a process: {p!r}")
 
 
 def freshen(term, renames: dict | None = None, bodies=None):

@@ -380,6 +380,6 @@ def system_runs(procs: dict, gdef, shared: str, store) -> dict:
                                names[act.channel], act.value.sort),)
             explore(state2, store2, session2, acc + event)
 
-    explore(SysState(tuple((i, push(p)) for i, p in enumerate(procs.values())),
+    explore(SysState(tuple((i, push(p), ()) for i, p in enumerate(procs.values())),
                      (), ()), store, None, ())
     return out

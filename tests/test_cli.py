@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import random
 import subprocess
 import sys
@@ -169,6 +170,147 @@ def test_simulate_opens_wrapped_sessions(capsys):
         assert payload["terminated"]
         assert {(e["component"], e["participant"]) for e in payload["steps"]
                 if e["label"] != "tau"} == {(0, "c"), (1, "s")}
+
+
+SESSIONS = """\
+// A nested open whose binder freshening renames, a loop that opens a
+// session each round, and two copies of one system side by side, where
+// each copy's `new` channel is renamed apart and a session may join a
+// requester of one copy with an acceptor of the other.
+process Outer = request u[1](a). { request v[1](a). a!(1) ; a!(2) }
+process OuterAcc = accept u[q](b). b?(x). 0
+process InnerAcc = accept v[q](d). d?(y). 0
+
+process Opener = for i in 1..3 { request w[1](c). c!(i) }
+process Acceptor = for i in 1..3 { accept w[q](c). c?(k). 0 }
+
+process Go = g!(1)
+process Once = request t[1](c). c!(2)
+process Late = g?(x). accept t[q](c). c?(k). 0
+system ONE = new (g)@z in { queue g = [] || Go || Once || Late }
+
+system NESTED = Outer || OuterAcc || InnerAcc
+system ROUNDS = Opener || Acceptor
+system TWICE = ONE || ONE
+"""
+
+# (system, seeds) -> the steps `simulate` prints for each of those seeds
+SESSION_RUNS = {
+    ("NESTED", (0, 2, 3)): """\
+[0] req u[1](a@u0)
+[0] req v[1](a_2@v1)
+[0] a_2@v1!1
+[2] a_2@v1?1
+[0] a@u0!2
+[1] a@u0?2
+terminated after 6 steps
+""",
+    ("NESTED", (1,)): """\
+[0] req u[1](a@u0)
+[0] req v[1](a_2@v1)
+[0] a_2@v1!1
+[0] a@u0!2
+[2] a_2@v1?1
+[1] a@u0?2
+terminated after 6 steps
+""",
+    ("ROUNDS", (0,)): """\
+[0] req w[1](c@w0)
+[0] c@w0!1
+[1] c@w0?1
+[0] req w[1](c@w1)
+[0] c@w1!2
+[1] c@w1?2
+[0] req w[1](c@w2)
+[0] c@w2!3
+[1] c@w2?3
+[0] tau
+[1] tau
+terminated after 11 steps
+""",
+    ("ROUNDS", (1, 2, 3)): """\
+[0] req w[1](c@w0)
+[0] c@w0!1
+[1] c@w0?1
+[0] req w[1](c@w1)
+[0] c@w1!2
+[1] c@w1?2
+[0] req w[1](c@w2)
+[0] c@w2!3
+[0] tau
+[1] c@w2?3
+[1] tau
+terminated after 11 steps
+""",
+    ("TWICE", (0,)): """\
+[3] g_2!1
+[5] g_2?1
+[0] g!1
+[1] req t[1](c@t2)
+[2] g?1
+[4] req t[1](c_3@t3)
+[4] c_3@t3!2
+[2] c_3@t3?2
+[1] c@t2!2
+[5] c@t2?2
+terminated after 10 steps
+""",
+    ("TWICE", (1,)): """\
+[0] g!1
+[2] g?1
+[1] req t[1](c@t2)
+[1] c@t2!2
+[3] g_2!1
+[5] g_2?1
+[4] req t[1](c_3@t3)
+[4] c_3@t3!2
+[2] c@t2?2
+[5] c_3@t3?2
+terminated after 10 steps
+""",
+    ("TWICE", (2,)): """\
+[0] g!1
+[2] g?1
+[3] g_2!1
+[1] req t[1](c@t2)
+[1] c@t2!2
+[5] g_2?1
+[4] req t[1](c_3@t3)
+[2] c@t2?2
+[4] c_3@t3!2
+[5] c_3@t3?2
+terminated after 10 steps
+""",
+    ("TWICE", (3,)): """\
+[0] g!1
+[2] g?1
+[1] req t[1](c@t2)
+[3] g_2!1
+[1] c@t2!2
+[2] c@t2?2
+[5] g_2?1
+[4] req t[1](c_3@t3)
+[4] c_3@t3!2
+[5] c_3@t3?2
+terminated after 10 steps
+""",
+}
+
+
+@pytest.mark.parametrize("system, seed", [
+    (system, seed) for system, seeds in SESSION_RUNS for seed in seeds])
+def test_simulate_nested_and_repeated_session_starts(tmp_path, capsys,
+                                                     system, seed):
+    """Each session start gives its channels fresh actuals: the inner
+    open of NESTED, freshened to `a_2`, leaves the outer session's `a`
+    bound to its own; each round of ROUNDS opens a new session on the
+    same name `c`; and in TWICE the copies keep their channels apart."""
+    module = tmp_path / "sessions.chor"
+    module.write_text(SESSIONS)
+    [want] = [out for (name, seeds), out in SESSION_RUNS.items()
+              if name == system and seed in seeds]
+    assert run(capsys, "simulate", str(module), "--system", system,
+               "--seed", str(seed)) == (0, want, "")
 
 
 def test_simulate_evaluation_error(tmp_path, capsys):
@@ -902,7 +1044,7 @@ def test_early_rejections_are_one_json_document(capsys, argv, lines):
         assert got.startswith(want)
 
 
-# ------------------------------------------------ one subcommand's parser
+# ------------------------------------------------------ reading a request
 
 VALID = {"parse": (ATM,), "project": (POP2, "--role", "s"),
          "normalize": (NORM,), "typecheck": (ATM, "--proc", "B1"),
@@ -952,16 +1094,6 @@ def _parse_args(capsys, parser, argv):
     return outcome, out.out, out.err
 
 
-@pytest.mark.parametrize("name, argv", _surface_cases())
-def test_one_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch,
-                                                          name, argv):
-    """The exit status, output and Namespace of the parser with only
-    `name` are those of the parser with every subcommand."""
-    monkeypatch.setenv("COLUMNS", "80")
-    assert _parse_args(capsys, build_parser(name), argv) == \
-        _parse_args(capsys, build_parser(), argv)
-
-
 @pytest.mark.parametrize("name, argv", [
     *_surface_cases(),
     *[pytest.param(name, (name, "--", *VALID[name]), id=f"{name}-dashes")
@@ -969,9 +1101,9 @@ def test_one_subcommand_parser_answers_as_the_full_parser(capsys, monkeypatch,
     *[pytest.param(name, (name, *VALID[name], "-h", "--bogus"), id=f"{name}-help-first")
       for name in SUBCOMMANDS]])
 def test_main_reads_a_request_as_the_full_parser(capsys, monkeypatch, name, argv):
-    """`main` reads a request by its own reader, or else by the parser
-    of its subcommand alone, and gets the exit status, output and
-    argument values of the parser with every subcommand."""
+    """`main` reads a request by its own reader, or else by argparse,
+    and gets the exit status, output and argument values of the
+    parser."""
     monkeypatch.setenv("COLUMNS", "80")
     assert _parse_args(capsys, cli_mod, argv) == \
         _parse_args(capsys, build_parser(), argv)
@@ -1031,12 +1163,15 @@ def test_unrecognized_arguments_are_worded_by_the_top_parser(capsys, monkeypatch
 
 @pytest.mark.parametrize("argv, parsers", [
     *[pytest.param((name, *VALID[name]), 0, id=name) for name in SUBCOMMANDS],
-    *[pytest.param((name, *VALID[name], "--bogus"), 2, id=f"{name}-unrecognized")
+    *[pytest.param((name, *VALID[name], "--bogus"), 9, id=f"{name}-unrecognized")
       for name in ("parse", "wsi")],
     pytest.param((), 9, id="empty"), pytest.param(("-h",), 9, id="help"),
     pytest.param(("bogus",), 9, id="bogus")])
-def test_main_builds_the_named_subcommand_parser_only(capsys, monkeypatch,
-                                                      argv, parsers):
+def test_main_builds_a_parser_only_for_what_it_cannot_read(capsys, monkeypatch,
+                                                          argv, parsers):
+    """A valid request builds no argparse parser; any other command
+    line builds the one parser: the top parser and one per
+    subcommand."""
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1080,6 +1215,40 @@ def test_a_fresh_interpreter_answers_as_main_in_process(capsys, monkeypatch, nam
             code = exc.code
         assert (fresh.returncode, fresh.stdout, fresh.stderr) == \
             (code, *capsys.readouterr()), argv
+
+
+HASH_SEEDED = [
+    ("simulate", POP2, "--system", "POP_FULL", "--seed", "3"),
+    ("simulate", POP2, "--system", "POP_FULL", "--seed", "3", "--json"),
+    ("wsi", POP2, "--proc", "CPop", "--json"),
+    ("cover", POP2, "--unfold", "2", "--json"),
+    ("typecheck", MP)]
+
+
+def test_output_does_not_depend_on_the_string_hash_seed():
+    """Fresh interpreters under PYTHONHASHSEED 0 to 3 give each request
+    the same exit status and output.  `-I` would ignore PYTHONHASHSEED
+    with every other PYTHON* variable, so the interpreters run with
+    `-s` and an environment that sets no other PYTHON* variable."""
+    src = str(Path(cli_mod.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    hashes, answers = set(), {}
+    for seed in range(4):
+        seeded = {**env, "PYTHONHASHSEED": str(seed)}
+        hashes.add(subprocess.run(
+            [sys.executable, "-s", "-c", "print(hash('chorus'))"], env=seeded,
+            capture_output=True, text=True, timeout=60).stdout)
+        for argv in HASH_SEEDED:
+            fresh = subprocess.run([sys.executable, "-s", "-c", FRESH, src, *argv],
+                                   env=seeded, capture_output=True, text=True,
+                                   timeout=60)
+            answers.setdefault(argv, set()).add((fresh.returncode, fresh.stdout,
+                                                 fresh.stderr))
+    assert len(hashes) == 4  # each seed took effect
+    for argv, outcomes in answers.items():
+        assert len(outcomes) == 1, argv
+        [(code, out, _)] = outcomes
+        assert code == 0 and out, argv
 
 
 @pytest.mark.parametrize("argv, instances, calls, walks", [

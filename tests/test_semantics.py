@@ -16,7 +16,7 @@ import srcheck
 from conformance_reference import (
     Counterexample, Holds, SpecEnv, conditional_simulation, step_spec,
 )
-from opener_reference import opener_peeking_steps
+from opener_reference import opener_peeking_steps, view
 
 D = gen.GUARD_DOMAINS
 
@@ -101,6 +101,9 @@ def test_system_init_creates_queues(atm, atm_domains):
     assert len(state2.queues) == 5
     assert all(q == () for _, q in state2.queues)
     assert action.shared == "atm"
+    # the requester and its acceptor map the opened names to the actuals
+    for _, _, chans in state2.procs:
+        assert {actual for _, actual in chans} == set(action.chans)
     assert set(action.chans) <= set(store2.vars) | set(store2.sessions) | set(
         y for ys in store2.sessions.values() for y in ys)
 
@@ -124,13 +127,14 @@ def test_system_queue_communication(pop2, pop2_domains):
 
 
 def _check_queue_discipline(state, store, component, action, state2):
-    before, after = dict(state.procs), dict(state2.procs)
+    before = {pid: (stack, chans) for pid, stack, chans in state.procs}
+    after = {pid: (stack, chans) for pid, stack, chans in state2.procs}
     moved = {pid for pid in before if before[pid] != after[pid]}
     queues, expected = state.queue_map(), state.queue_map()
     restricted = state.restricted
     if action.kind == "req":
         # the acceptors of the session move with the requester
-        acceptors = {pid for pid, p in state.procs
+        acceptors = {pid for pid, p, _ in state.procs
                      for label, _, _ in step_process(p, store, no_input)
                      if label.kind == "acc" and label.shared == action.shared}
         assert moved <= {component} | acceptors
@@ -185,8 +189,8 @@ def test_system_steps_queue_discipline(pop2, atm, multiparty, pop2_domains,
     starts = _corpus_starts([(pop2, pop2_domains), (atm, atm_domains),
                              (multiparty, multiparty_domains)])
     # no corpus queue ever holds two values, so this one checks the order
-    fifo = SysState(((0, push(parse_process("{ y!(1); y!(2) }"))),
-                     (1, push(parse_process("y?(a). y?(b). 0")))), (("y", ()),))
+    fifo = SysState(((0, push(parse_process("{ y!(1); y!(2) }")), ()),
+                     (1, push(parse_process("y?(a). y?(b). 0")), ())), (("y", ()),))
     starts.append((fifo, Store()))
     steps = 0
     for state, store, succ in _reached(starts):
@@ -199,13 +203,16 @@ def test_system_steps_queue_discipline(pop2, atm, multiparty, pop2_domains,
 def test_system_steps_match_the_opener_peeking_reference(
         pop2, atm, multiparty, pop2_domains, atm_domains, multiparty_domains):
     """Every corpus opener heads its process, so reading session starts
-    off the process LTS changes no step of a corpus system."""
+    off the process LTS changes no step of a corpus system; and binding
+    a session's channels by each component's map steps as substituting
+    the actuals into its terms does: each successor's view is the
+    reference's successor."""
     starts = _corpus_starts([(pop2, pop2_domains), (atm, atm_domains),
                              (multiparty, multiparty_domains)])
     states = starts_seen = 0
     for state, store, succ in _reached(starts):
         want = opener_peeking_steps(state, store)
-        assert [(c, a, s, st.key()) for c, a, s, st in succ] == \
+        assert [(c, a, view(s), st.key()) for c, a, s, st in succ] == \
             [(c, a, s, st.key()) for c, a, s, st in want]
         states += 1
         starts_seen += any(a.kind == "req" for _, a, _, _ in succ)
