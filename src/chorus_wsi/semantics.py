@@ -6,18 +6,20 @@ conjunction of the conditions taken by if-statements on the way to the
 action.  System steps resolve communication against per-channel queues
 (send appends, receive consumes the head).  Only `step_process` decides
 which process can open a session: a session start joins one component's
-`req` step with exactly `arity` `acc` steps of other components on the
-same shared name, with pairwise-distinct roles and as many channels as
-the request.  Each component keeps a session map, as typing's context
-and covering's product state do: pairs of a channel name it opened and
-the actual channel `y@u<n>` (n counts the sessions opened).  A session
-start maps its label's channels to fresh actuals in the map of the
-requester and of each acceptor and pushes their continuations as they
-are; an input reads the queue of the actual channel its name maps to,
-and an input or output is reported over that channel.  The store is
-the requester's step store (a `for` binder stays bound) plus the
-acceptors' bindings, with the session bound to the actuals; the label
-is the requester's over the actuals, guard kept.
+`req` step with `arity` `acc` steps of other components on the same
+shared name, with pairwise-distinct roles and as many channels as the
+request, and each such choice among the ready acceptors, taken in
+component order, is a start of its own.  Each component keeps a
+session map, as typing's context and covering's product state do:
+pairs of a channel name it opened and the actual channel `y@u<n>` (n
+counts the sessions opened).  A session start maps its label's
+channels to fresh actuals in the map of the requester and of each
+acceptor and pushes their continuations as they are; an input reads
+the queue of the actual channel its name maps to, and an input or
+output is reported over that channel.  The store is the requester's
+step store (a `for` binder stays bound) plus the acceptors' bindings,
+with the session bound to the actuals; the label is the requester's
+over the actuals, guard kept.
 
 The map holds for the rest of the stack too, so a session binder must
 differ from every free name that follows it.  The parser's freshening
@@ -50,6 +52,8 @@ an empty list does.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .guards import SortMismatch, Store, eval_expr
 from .syntax.ast import (
@@ -223,8 +227,9 @@ def system_steps(state: SysState, store: Store) -> list:
     component that moved and its process-level label.  An output
     appends to its channel's queue and an input consumes the head, each
     over the actual channel that the component's session map gives its
-    channel name; a session start is the requester's `req` over the
-    actual channels."""
+    channel name; a session start, one for each cohort of acceptors that
+    can join the request, is the requester's `req` over the actual
+    channels."""
     out: list = []
     queues = state.queue_map()
     opens: list = []
@@ -255,27 +260,26 @@ def system_steps(state: SysState, store: Store) -> list:
     for pid, req, cont, store2 in opens:
         if req.kind != "req":
             continue
-        cohort = [o for o in opens if o[1].kind == "acc"
-                  and o[1].shared == req.shared and o[0] != pid]
-        roles = {acc.role for _, acc, _, _ in cohort}
-        if len(cohort) != req.arity or len(roles) != len(cohort) \
-                or any(len(acc.chans) != len(req.chans) for _, acc, _, _ in cohort):
-            continue  # incomplete or ambiguous cohorts do not synchronize
+        ready = [o for o in opens if o[1].kind == "acc" and o[1].shared == req.shared
+                 and o[0] != pid and len(o[1].chans) == len(req.chans)]
         actuals = tuple(f"{y}@{req.shared}{len(state.restricted)}"
                         for y in req.chans)
-        procs = {q: (stack, chans) for q, stack, chans in state.procs}
-        new_vars = dict(store2.vars)  # keeps what the step bound (a `for` binder)
-        for q, label, q_cont, q_store in [(pid, req, cont, store2)] + cohort:
-            chans = {**dict(procs[q][1]), **dict(zip(label.chans, actuals))}
-            procs[q] = (q_cont, tuple(chans.items()))
-            new_vars.update((k, v) for k, v in q_store.vars.items()
-                            if store.vars.get(k) != v)
-        new_state = SysState(tuple((q, *proc) for q, proc in procs.items()),
-                             _set_queues(state.queues, dict.fromkeys(actuals, ())),
-                             state.restricted + ((actuals, req.shared),))
-        sessions = {**store2.sessions, req.shared: actuals}
-        out.append((pid, replace(req, chans=actuals), new_state,
-                    Store(new_vars, sessions, store2.tables)))
+        for cohort in combinations(ready, req.arity):
+            if len({acc.role for _, acc, _, _ in cohort}) != req.arity:
+                continue  # two acceptors of one role do not join one session
+            procs = {q: (stack, chans) for q, stack, chans in state.procs}
+            new_vars = dict(store2.vars)  # keeps what the step bound (a `for` binder)
+            for q, label, q_cont, q_store in [(pid, req, cont, store2), *cohort]:
+                chans = {**dict(procs[q][1]), **dict(zip(label.chans, actuals))}
+                procs[q] = (q_cont, tuple(chans.items()))
+                new_vars.update((k, v) for k, v in q_store.vars.items()
+                                if store.vars.get(k) != v)
+            new_state = SysState(tuple((q, *proc) for q, proc in procs.items()),
+                                 _set_queues(state.queues, dict.fromkeys(actuals, ())),
+                                 state.restricted + ((actuals, req.shared),))
+            sessions = {**store2.sessions, req.shared: actuals}
+            out.append((pid, replace(req, chans=actuals), new_state,
+                        Store(new_vars, sessions, store2.tables)))
     return out
 
 

@@ -3,6 +3,8 @@
 Expressions, global types (choreographies), pseudo-types (guarded local
 types), processes, and systems.  All nodes are records built by
 `frozen_node`: trees are immutable, hashable, and safely shareable.
+Their methods are copies of functions written out in this module
+(`_Templates`), so importing it compiles no source.
 The parser shares them: within one parse, equal expressions are one
 object (see parser.py), so what a node keeps (`DERIVED`) is computed
 once per distinct expression of the parse.  An expression keeps its
@@ -48,31 +50,145 @@ DERIVED = ("_hash", "_nf", "_vars", "_diagram", "_text", "_names",
 # A field default that stands for a new empty dict in each instance.
 NEW_DICT = object()
 
-
-def _methods(width: int, new_dicts: tuple = (), post_init: bool = False) -> tuple:
-    """The `__init__` and `__eq__` that `frozen_node` gives a record of
-    `width` fields named `_f0`, `_f1`, ...: the fields at the positions
-    in `new_dicts` default to `NEW_DICT`, and with `post_init`
-    `__init__` ends by calling `__post_init__`."""
-    names = [f"_f{i}" for i in range(width)]
-    sets = "".join(f"\n _set(self, {n!r}, {{}} if {n} is NEW_DICT else {n})"
-                   if i in new_dicts else f"\n _set(self, {n!r}, {n})"
-                   for i, n in enumerate(names))
-    if post_init:
-        sets += "\n self.__post_init__()"
-    mine, theirs = ("".join(f"{side}.{n}," for n in names)
-                    for side in ("self", "other"))
-    namespace = {"_set": object.__setattr__, "NEW_DICT": NEW_DICT}
-    exec(f"def __init__(self{''.join(', ' + n for n in names)}):{sets or ' pass'}\n"
-         "def __eq__(self, other):\n"
-         f" if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"
-         " return NotImplemented\n", namespace)
-    return namespace["__init__"], namespace["__eq__"]
+_set = object.__setattr__  # how the templates set a field of a frozen record
 
 
-# The templates of the records with up to 8 fields, no `NEW_DICT`
-# default and no `__post_init__`, by shape (see `frozen_node`).
-_TEMPLATES = {(width, (), False): _methods(width) for width in range(9)}
+class _Templates:
+    """The `__init__` and `__eq__` of each record shape that `frozen_node`
+    builds, over the placeholder fields `_f0`, `_f1`, ...: `init<n>` and
+    `eq<n>` are those of a plain record of n fields, `init_post2` calls
+    `__post_init__` after setting two fields (`Sort`), and `init_dicts3`
+    gives each of three fields defaulting to `NEW_DICT` a new dict
+    (`guards.Store`).  Each compiles to the bytecode of the method written
+    out for such a class with its own field names, flags included, as
+    test_records.py checks: so the templates keep this module's
+    `from __future__ import annotations`."""
+
+    def init0(self): pass
+
+    def eq0(self, other):
+        if other.__class__ is self.__class__:
+            return () == ()
+        return NotImplemented
+
+    def init1(self, _f0):
+        _set(self, "_f0", _f0)
+
+    def eq1(self, other):
+        if other.__class__ is self.__class__:
+            return (self._f0,) == (other._f0,)
+        return NotImplemented
+
+    def init2(self, _f0, _f1):
+        _set(self, "_f0", _f0)
+        _set(self, "_f1", _f1)
+
+    def eq2(self, other):
+        if other.__class__ is self.__class__:
+            return (self._f0, self._f1) == (other._f0, other._f1)
+        return NotImplemented
+
+    def init3(self, _f0, _f1, _f2):
+        _set(self, "_f0", _f0)
+        _set(self, "_f1", _f1)
+        _set(self, "_f2", _f2)
+
+    def eq3(self, other):
+        if other.__class__ is self.__class__:
+            return (self._f0, self._f1, self._f2) == (other._f0, other._f1, other._f2)
+        return NotImplemented
+
+    def init4(self, _f0, _f1, _f2, _f3):
+        _set(self, "_f0", _f0)
+        _set(self, "_f1", _f1)
+        _set(self, "_f2", _f2)
+        _set(self, "_f3", _f3)
+
+    def eq4(self, other):
+        if other.__class__ is self.__class__:
+            return ((self._f0, self._f1, self._f2, self._f3)
+                    == (other._f0, other._f1, other._f2, other._f3))
+        return NotImplemented
+
+    def init5(self, _f0, _f1, _f2, _f3, _f4):
+        _set(self, "_f0", _f0)
+        _set(self, "_f1", _f1)
+        _set(self, "_f2", _f2)
+        _set(self, "_f3", _f3)
+        _set(self, "_f4", _f4)
+
+    def eq5(self, other):
+        if other.__class__ is self.__class__:
+            return ((self._f0, self._f1, self._f2, self._f3, self._f4)
+                    == (other._f0, other._f1, other._f2, other._f3, other._f4))
+        return NotImplemented
+
+    def init6(self, _f0, _f1, _f2, _f3, _f4, _f5):
+        _set(self, "_f0", _f0)
+        _set(self, "_f1", _f1)
+        _set(self, "_f2", _f2)
+        _set(self, "_f3", _f3)
+        _set(self, "_f4", _f4)
+        _set(self, "_f5", _f5)
+
+    def eq6(self, other):
+        if other.__class__ is self.__class__:
+            return ((self._f0, self._f1, self._f2, self._f3, self._f4, self._f5)
+                    == (other._f0, other._f1, other._f2, other._f3, other._f4, other._f5))
+        return NotImplemented
+
+    def init7(self, _f0, _f1, _f2, _f3, _f4, _f5, _f6):
+        _set(self, "_f0", _f0)
+        _set(self, "_f1", _f1)
+        _set(self, "_f2", _f2)
+        _set(self, "_f3", _f3)
+        _set(self, "_f4", _f4)
+        _set(self, "_f5", _f5)
+        _set(self, "_f6", _f6)
+
+    def eq7(self, other):
+        if other.__class__ is self.__class__:
+            return ((self._f0, self._f1, self._f2, self._f3, self._f4, self._f5, self._f6)
+                    == (other._f0, other._f1, other._f2, other._f3, other._f4, other._f5,
+                        other._f6))
+        return NotImplemented
+
+    def init8(self, _f0, _f1, _f2, _f3, _f4, _f5, _f6, _f7):
+        _set(self, "_f0", _f0)
+        _set(self, "_f1", _f1)
+        _set(self, "_f2", _f2)
+        _set(self, "_f3", _f3)
+        _set(self, "_f4", _f4)
+        _set(self, "_f5", _f5)
+        _set(self, "_f6", _f6)
+        _set(self, "_f7", _f7)
+
+    def eq8(self, other):
+        if other.__class__ is self.__class__:
+            return ((self._f0, self._f1, self._f2, self._f3, self._f4, self._f5, self._f6,
+                     self._f7)
+                    == (other._f0, other._f1, other._f2, other._f3, other._f4, other._f5,
+                        other._f6, other._f7))
+        return NotImplemented
+
+    def init_post2(self, _f0, _f1):
+        _set(self, "_f0", _f0)
+        _set(self, "_f1", _f1)
+        self.__post_init__()
+
+    def init_dicts3(self, _f0, _f1, _f2):
+        _set(self, "_f0", {} if _f0 is NEW_DICT else _f0)
+        _set(self, "_f1", {} if _f1 is NEW_DICT else _f1)
+        _set(self, "_f2", {} if _f2 is NEW_DICT else _f2)
+
+    # the templates by shape: the number of fields, the positions of the
+    # fields that default to `NEW_DICT`, and whether there is a `__post_init__`
+    by_shape = {(0, (), False): (init0, eq0), (1, (), False): (init1, eq1),
+                (2, (), False): (init2, eq2), (3, (), False): (init3, eq3),
+                (4, (), False): (init4, eq4), (5, (), False): (init5, eq5),
+                (6, (), False): (init6, eq6), (7, (), False): (init7, eq7),
+                (8, (), False): (init8, eq8), (2, (), True): (init_post2, eq2),
+                (3, (0, 1, 2), False): (init_dicts3, eq3)}
 
 
 def frozen_node(cls):
@@ -93,22 +209,19 @@ def frozen_node(cls):
     raises AttributeError.  `replace` copies a record with some fields
     changed.
 
-    The two methods are not compiled per class, since compiling is most
-    of the cost of building one and their code depends only on the
-    record's shape: its number of fields, which of them default to
-    `NEW_DICT`, and whether it has a `__post_init__`.  `_methods`
-    compiles a template per shape, with placeholder field names; a class
-    gets copies of its template's functions whose code has the
-    placeholders renamed to its fields in the names and constants it
-    reads (its bytecode names them by index), with the class's defaults
-    and qualified name.  So the methods run the same bytecode as if
-    compiled from their own source, and the 47 record classes of the
-    package, of 9 shapes, compile 11 templates, not 47 sources.  The
-    plain shapes, up to 8 fields with no `NEW_DICT` and no
-    `__post_init__`, are compiled when this module is imported
-    (`_TEMPLATES`); a record of any other shape (`Sort`, `guards.Store`)
-    compiles its own when its class is built.  Nothing is compiled later
-    or on demand.
+    The two methods are not compiled per class: their code depends only
+    on the record's shape, its number of fields, which of them default
+    to `NEW_DICT`, and whether it has a `__post_init__`.  `_Templates`
+    writes out the methods of each shape a record of the package has
+    (plain records of 0 to 8 fields, `Sort`'s and `guards.Store`'s) over
+    placeholder field names, and this module's `.pyc` holds them
+    compiled.  A class gets copies of its shape's template functions
+    whose code has the placeholders renamed to its fields in the names
+    and constants it reads (its bytecode names them by index), with the
+    method's name and the class's defaults and qualified name.  So the
+    methods run the same bytecode as if compiled from their own source,
+    and building a record class compiles nothing; a class of a shape
+    with no template is refused with a TypeError when it is built.
 
     The hash is the hash of the tuple of field values, kept on the
     instance.  A field that is None hashes as a fixed constant rather
@@ -145,15 +258,19 @@ def frozen_node(cls):
     shape = (len(names), tuple(i for i, n in enumerate(names)
                                if cls.__dict__.get(n) is NEW_DICT),
              hasattr(cls, "__post_init__"))
+    if shape not in _Templates.by_shape:
+        raise TypeError(f"no record template for {cls.__qualname__} of shape {shape} "
+                        "(fields, NEW_DICT defaults, __post_init__)")
     rename = {f"_f{i}": n for i, n in enumerate(names)}
-    for template, argdefs in zip(_TEMPLATES.get(shape) or _methods(*shape),
-                                 (defaults or None, None)):
+    for name, template, argdefs in zip(("__init__", "__eq__"), _Templates.by_shape[shape],
+                                       (defaults or None, None)):
         code = template.__code__
-        code = code.replace(**{part: tuple(rename.get(x, x) for x in getattr(code, part))
-                               for part in ("co_varnames", "co_consts", "co_names")})
-        method = FunctionType(code, template.__globals__, template.__name__, argdefs)
-        method.__qualname__ = f"{cls.__qualname__}.{template.__name__}"
-        setattr(cls, template.__name__, method)
+        code = code.replace(co_name=name, **{
+            part: tuple(rename.get(x, x) for x in getattr(code, part))
+            for part in ("co_varnames", "co_consts", "co_names")})
+        method = FunctionType(code, template.__globals__, name, argdefs)
+        method.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, method)
     cls.__match_args__ = names
     for name in ("__hash__", "__repr__", "__setattr__", "__delattr__",
                  "__getstate__"):

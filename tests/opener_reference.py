@@ -17,6 +17,8 @@ agree step for step, up to the view (see test_semantics.py).
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from chorus_wsi.guards import Store
 from chorus_wsi.semantics import (
     Label, SysState, _set_proc, _set_queues, push, step_process,
@@ -107,30 +109,26 @@ def _init_steps(state: SysState, store: Store, requests: list,
     for pid in requests:
         p, prefix = procs[pid][0], procs[pid][1:]
         assert isinstance(p, Request)
-        partners = [q for q in accepts.get(p.shared, []) if q != pid]
-        roles = []
-        arity_ok = True
-        for q in partners:
-            acc = procs[q][0]
-            roles.append(acc.role)
-            arity_ok = arity_ok and len(acc.chans) == len(p.chans)
-        if not arity_ok or len(set(roles)) != len(roles):
-            continue
-        if len(partners) != p.arity:
-            continue
+        # each choice of `arity` acceptors with distinct roles and the
+        # request's channel count, in process order, starts a session
+        ready = [q for q in accepts.get(p.shared, [])
+                 if q != pid and len(procs[q][0].chans) == len(p.chans)]
         session_no = len(state.restricted)
         actuals = tuple(f"{y}@{p.shared}{session_no}" for y in p.chans)
-        new_procs = list(state.procs)
-        cont0 = subst_process(p.cont, cmap=dict(zip(p.chans, actuals)))
-        new_procs[pid] = (pid, push(cont0, prefix), ())
-        for q in partners:
-            acc, acc_prefix = procs[q][0], procs[q][1:]
-            cont = subst_process(acc.cont, cmap=dict(zip(acc.chans, actuals)))
-            new_procs[q] = (q, push(cont, acc_prefix), ())
-        queues = _set_queues(state.queues, dict.fromkeys(actuals, ()))
-        new_state = SysState(tuple(new_procs), queues,
-                             state.restricted + ((actuals, p.shared),))
-        out.append((pid, Label("req", shared=p.shared, arity=p.arity,
-                               chans=actuals),
-                    new_state, store.with_session(p.shared, actuals)))
+        for partners in combinations(ready, p.arity):
+            if len({procs[q][0].role for q in partners}) != p.arity:
+                continue
+            new_procs = list(state.procs)
+            cont0 = subst_process(p.cont, cmap=dict(zip(p.chans, actuals)))
+            new_procs[pid] = (pid, push(cont0, prefix), ())
+            for q in partners:
+                acc, acc_prefix = procs[q][0], procs[q][1:]
+                cont = subst_process(acc.cont, cmap=dict(zip(acc.chans, actuals)))
+                new_procs[q] = (q, push(cont, acc_prefix), ())
+            queues = _set_queues(state.queues, dict.fromkeys(actuals, ()))
+            new_state = SysState(tuple(new_procs), queues,
+                                 state.restricted + ((actuals, p.shared),))
+            out.append((pid, Label("req", shared=p.shared, arity=p.arity,
+                                   chans=actuals),
+                        new_state, store.with_session(p.shared, actuals)))
     return out

@@ -10,7 +10,7 @@ builds its `_State` with it, since that record leaves a field out of
 comparison, which only the reference builder supports.
 """
 
-from __future__ import annotations  # compiled_methods compiles as ast.py does
+from __future__ import annotations  # the future flag of ast.py's templates
 
 from dataclasses import dataclass, field, fields
 

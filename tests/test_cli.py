@@ -313,6 +313,20 @@ def test_simulate_nested_and_repeated_session_starts(tmp_path, capsys,
                "--seed", str(seed)) == (0, want, "")
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_simulate_two_copies_of_a_client_and_server(tmp_path, capsys, seed):
+    """Two acceptors ready for a request of arity 1 are two session
+    starts, either of which may be taken, so two copies of ROUNDS side
+    by side run to the end, as one copy does in 11 steps."""
+    module = tmp_path / "sessions.chor"
+    module.write_text(SESSIONS + "system ROUNDS_TWICE = ROUNDS || ROUNDS\n")
+    code, out, err = run(capsys, "simulate", str(module), "--system", "ROUNDS_TWICE",
+                         "--seed", str(seed))
+    assert (code, err) == (0, "")
+    assert out.count(" req w[1]") == 6
+    assert out.endswith("\nterminated after 22 steps\n")
+
+
 def test_simulate_evaluation_error(tmp_path, capsys):
     """An evaluation error stops the run after the steps taken, exits 1,
     and is reported rather than raised."""

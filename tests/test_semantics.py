@@ -219,6 +219,29 @@ def test_system_steps_match_the_opener_peeking_reference(
     assert states > 1000 and starts_seen > 10
 
 
+def test_each_cohort_of_ready_acceptors_starts_a_session():
+    """Two requesters of arity 2 and three acceptors ready on one shared
+    name, two of them of one role: each choice of two acceptors of
+    distinct roles is a start of its own, in process order, and every
+    state reached steps as in the reference."""
+    module = parse_module("process Client = request w[2](c). c!(1)\n"
+                          "process P = accept w[p](c). c?(k). 0\n"
+                          "process Q = accept w[q](c). 0\n"
+                          "system S = Client || P || Q || Client || P\n")
+    start = to_state(module.systems["S"].body)
+    starts = [(c, [q for (q, stack, _), (_, before, _) in zip(s.procs, start.procs)
+                   if stack != before])
+              for c, a, s, _ in system_steps(start, Store()) if a.kind == "req"]
+    assert starts == [(0, [0, 1, 2]), (0, [0, 2, 4]), (3, [1, 2, 3]), (3, [2, 3, 4])]
+    states = 0
+    for state, store, succ in _reached([(start, Store())]):
+        want = opener_peeking_steps(state, store)
+        assert [(c, a, view(s), st.key()) for c, a, s, st in succ] == \
+            [(c, a, s, st.key()) for c, a, s, st in want]
+        states += 1
+    assert states > 10
+
+
 def test_wrapped_requesters_simulate(wrapped_open):
     """A requester under an `if` or a `for` opens its session, so the
     simulation checker gets past the initial state."""
