@@ -54,8 +54,8 @@ from __future__ import annotations
 import itertools
 
 from .syntax.ast import (
-    BinOp, BOOL, Const, DATA, Expr, INT, Lit, ListLit, ModuleDecl, NEW_DICT,
-    Range, Sort, STR, UnOp, UNIT, Var, bool_lit, conj, expr_vars,
+    BinOp, BOOL, Const, DATA, Expr, INT, Lit, ListLit, ModuleDecl, Range,
+    Sort, STR, UnOp, UNIT, Var, bool_lit, conj, expr_vars,
     frozen_node, int_lit, list_sort, neg, str_lit,
 )
 
@@ -84,31 +84,24 @@ class UndeclaredVariable(EvalError):
 
 @frozen_node
 class Store:
-    """Runtime store: variable values plus session bindings per shared name.
+    """Runtime store: the value of each bound variable, and the tables
+    that interpret the unary operators declared in the module.
 
-    Expression evaluation depends only on the variable part, so session
-    bindings never influence eval results.  Tables interpret the unary
-    operators declared in the module.
+    A session's channels are bound by its components' session maps (see
+    `semantics`), not here: evaluation reads variables and tables only.
     """
 
-    vars: dict = NEW_DICT
-    sessions: dict = NEW_DICT  # shared name -> channel tuple
-    tables: dict = NEW_DICT
+    vars: dict
+    tables: dict
 
     def with_var(self, name: str, value: Lit) -> "Store":
         new = dict(self.vars)
         new[name] = value
-        return Store(new, self.sessions, self.tables)
-
-    def with_session(self, shared: str, chans: tuple) -> "Store":
-        new = dict(self.sessions)
-        new[shared] = chans
-        return Store(self.vars, new, self.tables)
+        return Store(new, self.tables)
 
     def key(self) -> tuple:
-        """A hashable form of the variable and session bindings."""
-        return (tuple(sorted(self.vars.items(), key=lambda kv: kv[0])),
-                tuple(sorted(self.sessions.items())))
+        """A hashable form of the variable bindings."""
+        return tuple(sorted(self.vars.items(), key=lambda kv: kv[0]))
 
 
 def _expect(lit: Lit, sort: Sort, what: str) -> Lit:

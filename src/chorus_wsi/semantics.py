@@ -18,8 +18,8 @@ acceptor and pushes their continuations as they are; an input reads
 the queue of the actual channel its name maps to, and an input or
 output is reported over that channel.  The store is the requester's
 step store (a `for` binder stays bound) plus the acceptors' bindings,
-with the session bound to the actuals; the label is the requester's
-over the actuals, guard kept.
+and binds no channel, since the session maps do; the label is the
+requester's over the actuals, guard kept.
 
 The map holds for the rest of the stack too, so a session binder must
 differ from every free name that follows it.  The parser's freshening
@@ -121,10 +121,10 @@ def step_process(stack: tuple, store: Store, oracle) -> list:
     match p:
         case Request(shared, arity, chans, cont):
             label = Label("req", shared=shared, arity=arity, chans=chans)
-            out.append((label, push(cont, rest), store.with_session(shared, chans)))
+            out.append((label, push(cont, rest), store))
         case Accept(shared, role, chans, cont):
             label = Label("acc", shared=shared, role=role, chans=chans)
-            out.append((label, push(cont, rest), store.with_session(shared, chans)))
+            out.append((label, push(cont, rest), store))
         case Send(channel, payload):
             value = eval_expr(payload, store)
             out.append((Label("out", channel=channel, value=value), rest, store))
@@ -277,9 +277,8 @@ def system_steps(state: SysState, store: Store) -> list:
             new_state = SysState(tuple((q, *proc) for q, proc in procs.items()),
                                  _set_queues(state.queues, dict.fromkeys(actuals, ())),
                                  state.restricted + ((actuals, req.shared),))
-            sessions = {**store2.sessions, req.shared: actuals}
             out.append((pid, replace(req, chans=actuals), new_state,
-                        Store(new_vars, sessions, store2.tables)))
+                        Store(new_vars, store2.tables)))
     return out
 
 

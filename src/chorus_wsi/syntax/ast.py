@@ -47,22 +47,19 @@ _NONE_HASH = 0x6E6F6E65  # stands for None in a node's hash
 DERIVED = ("_hash", "_nf", "_vars", "_diagram", "_text", "_names",
            "_exposed", "_parts", "_violations", "_origin")
 
-# A field default that stands for a new empty dict in each instance.
-NEW_DICT = object()
-
 _set = object.__setattr__  # how the templates set a field of a frozen record
 
 
 class _Templates:
     """The `__init__` and `__eq__` of each record shape that `frozen_node`
     builds, over the placeholder fields `_f0`, `_f1`, ...: `init<n>` and
-    `eq<n>` are those of a plain record of n fields, `init_post2` calls
-    `__post_init__` after setting two fields (`Sort`), and `init_dicts3`
-    gives each of three fields defaulting to `NEW_DICT` a new dict
-    (`guards.Store`).  Each compiles to the bytecode of the method written
-    out for such a class with its own field names, flags included, as
-    test_records.py checks: so the templates keep this module's
-    `from __future__ import annotations`."""
+    `eq<n>` are those of a plain record of n fields, for each n that a
+    record of the package has, and `init_post2` calls `__post_init__`
+    after setting two fields (`Sort`); test_records.py checks that each
+    serves a record of the package.  Each compiles to the bytecode of the
+    method written out for such a class with its own field names, flags
+    included, as test_records.py checks: so the templates keep this
+    module's `from __future__ import annotations`."""
 
     def init0(self): pass
 
@@ -123,36 +120,6 @@ class _Templates:
                     == (other._f0, other._f1, other._f2, other._f3, other._f4))
         return NotImplemented
 
-    def init6(self, _f0, _f1, _f2, _f3, _f4, _f5):
-        _set(self, "_f0", _f0)
-        _set(self, "_f1", _f1)
-        _set(self, "_f2", _f2)
-        _set(self, "_f3", _f3)
-        _set(self, "_f4", _f4)
-        _set(self, "_f5", _f5)
-
-    def eq6(self, other):
-        if other.__class__ is self.__class__:
-            return ((self._f0, self._f1, self._f2, self._f3, self._f4, self._f5)
-                    == (other._f0, other._f1, other._f2, other._f3, other._f4, other._f5))
-        return NotImplemented
-
-    def init7(self, _f0, _f1, _f2, _f3, _f4, _f5, _f6):
-        _set(self, "_f0", _f0)
-        _set(self, "_f1", _f1)
-        _set(self, "_f2", _f2)
-        _set(self, "_f3", _f3)
-        _set(self, "_f4", _f4)
-        _set(self, "_f5", _f5)
-        _set(self, "_f6", _f6)
-
-    def eq7(self, other):
-        if other.__class__ is self.__class__:
-            return ((self._f0, self._f1, self._f2, self._f3, self._f4, self._f5, self._f6)
-                    == (other._f0, other._f1, other._f2, other._f3, other._f4, other._f5,
-                        other._f6))
-        return NotImplemented
-
     def init8(self, _f0, _f1, _f2, _f3, _f4, _f5, _f6, _f7):
         _set(self, "_f0", _f0)
         _set(self, "_f1", _f1)
@@ -176,19 +143,12 @@ class _Templates:
         _set(self, "_f1", _f1)
         self.__post_init__()
 
-    def init_dicts3(self, _f0, _f1, _f2):
-        _set(self, "_f0", {} if _f0 is NEW_DICT else _f0)
-        _set(self, "_f1", {} if _f1 is NEW_DICT else _f1)
-        _set(self, "_f2", {} if _f2 is NEW_DICT else _f2)
-
-    # the templates by shape: the number of fields, the positions of the
-    # fields that default to `NEW_DICT`, and whether there is a `__post_init__`
-    by_shape = {(0, (), False): (init0, eq0), (1, (), False): (init1, eq1),
-                (2, (), False): (init2, eq2), (3, (), False): (init3, eq3),
-                (4, (), False): (init4, eq4), (5, (), False): (init5, eq5),
-                (6, (), False): (init6, eq6), (7, (), False): (init7, eq7),
-                (8, (), False): (init8, eq8), (2, (), True): (init_post2, eq2),
-                (3, (0, 1, 2), False): (init_dicts3, eq3)}
+    # the templates by shape: the number of fields, and whether there is
+    # a `__post_init__`
+    by_shape = {(0, False): (init0, eq0), (1, False): (init1, eq1),
+                (2, False): (init2, eq2), (3, False): (init3, eq3),
+                (4, False): (init4, eq4), (5, False): (init5, eq5),
+                (8, False): (init8, eq8), (2, True): (init_post2, eq2)}
 
 
 def frozen_node(cls):
@@ -197,7 +157,7 @@ def frozen_node(cls):
 
     The fields are the names annotated in the class body, in order, and
     `__match_args__` is their tuple.  A field's default is the value the
-    body assigns to it; `NEW_DICT` gives each instance a new empty dict.
+    body assigns to it.
     Only `__init__` and `__eq__` are generated, as `dataclass(frozen=True)`
     generates them: `__init__` sets each field with `object.__setattr__`
     (writing `__dict__` instead would slow every later read of a field)
@@ -210,18 +170,17 @@ def frozen_node(cls):
     changed.
 
     The two methods are not compiled per class: their code depends only
-    on the record's shape, its number of fields, which of them default
-    to `NEW_DICT`, and whether it has a `__post_init__`.  `_Templates`
-    writes out the methods of each shape a record of the package has
-    (plain records of 0 to 8 fields, `Sort`'s and `guards.Store`'s) over
-    placeholder field names, and this module's `.pyc` holds them
-    compiled.  A class gets copies of its shape's template functions
-    whose code has the placeholders renamed to its fields in the names
-    and constants it reads (its bytecode names them by index), with the
-    method's name and the class's defaults and qualified name.  So the
-    methods run the same bytecode as if compiled from their own source,
-    and building a record class compiles nothing; a class of a shape
-    with no template is refused with a TypeError when it is built.
+    on the record's shape, its number of fields and whether it has a
+    `__post_init__`.  `_Templates` writes out the methods of each shape a
+    record of the package has (plain records of 0 to 5 and of 8 fields,
+    and `Sort`'s) over placeholder field names, and this module's `.pyc`
+    holds them compiled.  A class gets copies of its shape's template
+    functions whose code has the placeholders renamed to its fields in
+    the names and constants it reads (its bytecode names them by index),
+    with the method's name and the class's defaults and qualified name.
+    So the methods run the same bytecode as if compiled from their own
+    source, and building a record class compiles nothing; a class of a
+    shape with no template is refused with a TypeError when it is built.
 
     The hash is the hash of the tuple of field values, kept on the
     instance.  A field that is None hashes as a fixed constant rather
@@ -255,12 +214,10 @@ def frozen_node(cls):
     # a KeyError names a field without a default that follows a default
     required = sum(n not in cls.__dict__ for n in names)
     defaults = tuple(cls.__dict__[n] for n in names[required:])
-    shape = (len(names), tuple(i for i, n in enumerate(names)
-                               if cls.__dict__.get(n) is NEW_DICT),
-             hasattr(cls, "__post_init__"))
+    shape = (len(names), hasattr(cls, "__post_init__"))
     if shape not in _Templates.by_shape:
         raise TypeError(f"no record template for {cls.__qualname__} of shape {shape} "
-                        "(fields, NEW_DICT defaults, __post_init__)")
+                        "(fields, __post_init__)")
     rename = {f"_f{i}": n for i, n in enumerate(names)}
     for name, template, argdefs in zip(("__init__", "__eq__"), _Templates.by_shape[shape],
                                        (defaults or None, None)):

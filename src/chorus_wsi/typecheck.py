@@ -627,6 +627,6 @@ def _one_item(items: Expr) -> bool:
     if expr_vars(items):
         return False
     try:
-        return list_length(items, Store()) == 1
+        return list_length(items, Store({}, {})) == 1
     except EvalError:
         return False

@@ -326,7 +326,7 @@ class _Product:
         self.no_chans = ids[None]
         self.start_peers = ids[tuple(ids[t] for _, t in peers)]
         self.start_queues = ids[tuple(() for _ in index)]
-        store = Store(tables=domains.tables)
+        store = Store({}, domains.tables)
         self.stores[ids[store.key()]] = store
         # with no process, the session starts open among the peers
         session = (self.no_chans, ids[()], ids[()]) if proc is not None \
@@ -397,7 +397,7 @@ class _Product:
                 if value.value is _PENDING:  # the binder waits for its draw
                     name = next(x for x, v in store.vars.items() if v is value)
                     store = Store({x: v for x, v in store.vars.items()
-                                   if x != name}, store.sessions, store.tables)
+                                   if x != name}, store.tables)
                     pending_set = frozenset(p for p in pending_set if p[0] != name) \
                         | {(name, value.sort)}
             proc2 = ids[cont]
@@ -406,7 +406,7 @@ class _Product:
             live = frozenset().union(*map(fX, ids.values[proc2]))
             if not live.issuperset(store.vars):  # drop what it never reads
                 store = Store({x: v for x, v in store.vars.items() if x in live},
-                              store.sessions, store.tables)
+                              store.tables)
             bindings2 = ids[store.key()]
             self.stores.setdefault(bindings2, store)
             # a variable the step bound is no longer pending

@@ -12,8 +12,9 @@ The tests check the system semantics and the typing against them:
   of witnesses step by it;
 - `conditional_simulation`, the bounded check that a specification
   conditionally simulates a system (acceptance criterion 6);
-- `consistent`, the consistency relation between a store, a sort
-  environment, an assumption and a specification (criterion 5).
+- `consistent`, the consistency relation between a store with the
+  sessions opened, a sort environment, an assumption and a
+  specification (criterion 5).
 
 They read a specification as the paper writes it, a `SpecEnv` of shared
 names, sessions and queues.  The typing engine keeps none: a test builds
@@ -37,6 +38,7 @@ from chorus_wsi.syntax.ast import (
     TSeq, frozen_node,
 )
 from chorus_wsi.typecheck import TypingError, instantiate
+from record_reference import reference_node
 
 
 # ------------------------------------------------------------ specifications
@@ -83,7 +85,7 @@ class SpecEnv:
 
 # ----------------------------------------------------- specification stepping
 
-@frozen_node
+@reference_node
 class SpecLabel:
     """A specification action; values are replaced by sorts and
     conditions do not occur.  Queue-mediated steps are tau but record
@@ -304,11 +306,15 @@ def _cons_type(store: Store, t: PseudoType) -> bool:
     raise TypeError(f"not a pseudo-type: {t!r}")
 
 
-def consistent(store: Store, gamma: dict, e: Expr, delta: SpecEnv) -> tuple:
-    """The four consistency clauses; returns (ok, list of failures)."""
+def consistent(store: Store, opened: dict, gamma: dict, e: Expr,
+               delta: SpecEnv) -> tuple:
+    """The four consistency clauses; returns (ok, list of failures).
+    `opened` maps each shared name a session was opened on to the
+    channels that the open binds: with the store's variables, they are
+    what the paper's store binds."""
     problems = []
-    bound = frozenset(store.vars) | frozenset(store.sessions) | frozenset(
-        y for chans in store.sessions.values() for y in chans)
+    bound = frozenset(store.vars) | frozenset(opened) | frozenset(
+        y for chans in opened.values() for y in chans)
     missing = (session_channels(delta) | set(delta.queue_map()) | set(gamma)) - bound
     if missing:
         problems.append(f"store does not bind {sorted(missing)}")

@@ -61,7 +61,7 @@ class _Product:
             else ("acc", None)
         self.queues = tuple((y, ()) for y in sorted(set(gdef.params)
                                                     | g_channels(g)))
-        store = Store(tables=domains.tables)
+        store = Store({}, domains.tables)
         self.start = _State(
             push(proc), store, store.key(),
             frozenset((x, None) for x in fX(proc) if x in domains.domains),
@@ -116,7 +116,7 @@ class _Product:
                 if value.value is _PENDING:
                     name = next(x for x, v in store.vars.items() if v is value)
                     store = Store({x: v for x, v in store.vars.items()
-                                   if x != name}, store.sessions, store.tables)
+                                   if x != name}, store.tables)
                     pending = frozenset(p for p in pending if p[0] != name) \
                         | {(name, value.sort)}
             out.append((event, _State(

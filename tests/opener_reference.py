@@ -130,5 +130,5 @@ def _init_steps(state: SysState, store: Store, requests: list,
                                  state.restricted + ((actuals, p.shared),))
             out.append((pid, Label("req", shared=p.shared, arity=p.arity,
                                    chans=actuals),
-                        new_state, store.with_session(p.shared, actuals)))
+                        new_state, store))
     return out

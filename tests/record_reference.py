@@ -7,14 +7,16 @@ of pickled state.
 class of `src/` with it, from the same class body, so test_records.py
 can compare the two builders on the same values.  `covering_reference`
 builds its `_State` with it, since that record leaves a field out of
-comparison, which only the reference builder supports.
+comparison, which only the reference builder supports, and
+`conformance_reference` its `SpecLabel`, since `frozen_node` has no
+template for a record of seven fields (no record of `src/` has one).
 """
 
 from __future__ import annotations  # the future flag of ast.py's templates
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-from chorus_wsi.syntax.ast import _NONE_HASH, DERIVED, NEW_DICT, Sort
+from chorus_wsi.syntax.ast import _NONE_HASH, DERIVED, Sort
 
 # what `frozen_node` puts on a class besides what its body defines
 BUILT = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__",
@@ -53,12 +55,8 @@ def is_record(cls) -> bool:
 
 def twin(cls):
     """The `frozen_node` class cls rebuilt by `reference_node` from its
-    class body: the same name, annotations, defaults (a `NEW_DICT`
-    default as a dict factory) and methods."""
+    class body: the same name, annotations, defaults and methods."""
     body = {k: v for k, v in vars(cls).items() if k not in BUILT}
-    for name in cls.__match_args__:
-        if body.get(name) is NEW_DICT:
-            body[name] = field(default_factory=dict)
     return reference_node(type(cls.__name__, (), body))
 
 
@@ -70,15 +68,12 @@ def compiled_methods(cls) -> tuple:
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
     params = "".join(f", {n}=_defaults[{n!r}]" if n in defaults else f", {n}"
                      for n in names)
-    sets = "".join(f"\n _set(self, {n!r}, {{}} if {n} is NEW_DICT else {n})"
-                   if defaults.get(n) is NEW_DICT else f"\n _set(self, {n!r}, {n})"
-                   for n in names)
+    sets = "".join(f"\n _set(self, {n!r}, {n})" for n in names)
     if hasattr(cls, "__post_init__"):
         sets += "\n self.__post_init__()"
     mine, theirs = ("".join(f"{side}.{n}," for n in names)
                     for side in ("self", "other"))
-    namespace = {"_set": object.__setattr__, "NEW_DICT": NEW_DICT,
-                 "_defaults": defaults}
+    namespace = {"_set": object.__setattr__, "_defaults": defaults}
     exec(f"def __init__(self{params}):{sets or ' pass'}\n"
          "def __eq__(self, other):\n"
          f" if other.__class__ is self.__class__: return ({mine}) == ({theirs})\n"

@@ -68,6 +68,7 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
     init_vars = {var: rng.choice(sorted(values, key=str))
                  for var, values in sorted(domains.domains.items())}
     store = Store(vars=init_vars, tables=domains.tables)
+    opened = {}  # shared name -> the channels its latest open bound
     delta = SpecEnv.make(shared, typecheck_process(gamma, TRUE, proc, shared,
                                                   domains), {})
     candidates = {delta}
@@ -127,13 +128,14 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
                 f"seed {seed}: no specification step matches {label}")
 
         # store monotonicity and label truthfulness on the way
-        if not {*store.vars, *store.sessions} <= {*store2.vars, *store2.sessions}:
+        if not store.vars.keys() <= store2.vars.keys():
             raise SRViolation(f"seed {seed}: store domain shrank at {label}")
         from chorus_wsi.guards import eval_expr
         if eval_expr(label.guard, store).value is not True:
             raise SRViolation(f"seed {seed}: condition of {label} not true")
 
         if label.kind in ("req", "acc"):
+            opened[label.shared] = label.chans
             gdef = shared[label.shared]
             g = instantiate(gdef, label.chans)
             from chorus_wsi.typecheck import participants_ordered
@@ -175,7 +177,7 @@ def fuzz_run(module, domains: DomainDecl, shared: dict, proc, seed: int,
                 f"  one successor: {_session_views(sample, domains)}")
 
         # consistency of the new store with the residual judgement
-        ok, problems = consistent(store2, gamma2, assumption2, resynth)
+        ok, problems = consistent(store2, opened, gamma2, assumption2, resynth)
         if not ok:
             raise SRViolation(
                 f"seed {seed}: store inconsistent after {label}: {problems}")

@@ -9,7 +9,8 @@ from chorus_wsi.guards import (
     equivalent, eval_expr, implies, is_unsat, list_condition_satisfiable,
     mutually_exclusive,
 )
-from chorus_wsi.syntax import parse_expr
+from chorus_wsi.semantics import push, step_process, system_steps, to_state
+from chorus_wsi.syntax import parse_expr, parse_module, parse_process
 from chorus_wsi.syntax.ast import (
     BOOL, BinOp, FALSE, FALSE_LIT, INT, Lit, TRUE, TRUE_LIT, UnOp, bool_lit,
     conj, expr_vars, int_lit, list_sort, neg, str_lit,
@@ -21,11 +22,11 @@ X03 = DomainDecl({"x": frozenset(int_lit(i) for i in range(4))})
 
 
 def test_eval_comparison():
-    assert eval_expr(parse_expr("x > 0"), Store({"x": int_lit(2)})) == bool_lit(True)
+    assert eval_expr(parse_expr("x > 0"), Store({"x": int_lit(2)}, {})) == bool_lit(True)
 
 
 def test_eval_head_of_list_literal():
-    assert eval_expr(parse_expr("hd([1, 2])"), Store()) == int_lit(1)
+    assert eval_expr(parse_expr("hd([1, 2])"), Store({}, {})) == int_lit(1)
 
 
 def test_eval_table_lookup(pop2, pop2_domains):
@@ -37,34 +38,50 @@ def test_eval_table_lookup(pop2, pop2_domains):
 
 def test_eval_undefined_on_missing_variable():
     with pytest.raises(Undefined) as err:
-        eval_expr(parse_expr("x + 1"), Store())
+        eval_expr(parse_expr("x + 1"), Store({}, {}))
     assert "x" in err.value.missing
 
 
 def test_eval_sort_mismatch():
     with pytest.raises(SortMismatch):
-        eval_expr(parse_expr("1 + true"), Store())
+        eval_expr(parse_expr("1 + true"), Store({}, {}))
 
 
 def test_eval_range_inclusive():
-    v = eval_expr(parse_expr("0..3"), Store())
+    v = eval_expr(parse_expr("0..3"), Store({}, {}))
     assert [x.value for x in v.value] == [0, 1, 2, 3]
 
 
 def test_eval_ignores_session_bindings():
-    e = parse_expr("x > 0")
-    a = Store({"x": int_lit(1)})
-    b = Store({"x": int_lit(1)}, sessions={"u": ("a", "b")})
-    assert eval_expr(e, a) == eval_expr(e, b)
+    """A process's session opens bind its channels in its session map,
+    not in the store: each open steps with the store it was given."""
+    store = Store({"x": int_lit(1)}, {})
+    stack = push(parse_process("request u[1](a, b). accept w[q](c). c!(x > 0)"))
+    for kind in ("req", "acc"):
+        [(label, stack, after)] = step_process(stack, store, lambda chan: [])
+        assert label.kind == kind and after is store
+    [(label, _, _)] = step_process(stack, store, lambda chan: [])
+    assert label.value == eval_expr(parse_expr("x > 0"), store) == bool_lit(True)
+
+
+_CLIENT_SERVER = parse_module("process Client = request w[1](c). c!(1)\n"
+                              "process Server = accept w[p](c). c?(k). 0\n"
+                              "system S = Client || Server\n")
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_eval_stable_under_session_part(seed):
+    """A guard evaluates alike before and after a system starts a
+    session: the start binds the session's channels in the session maps
+    of its components and keeps the store's variables as they were."""
     rng = random.Random(seed)
     e = gen.gen_guard(rng, depth=2)
     base = {"x": int_lit(rng.randrange(3)), "flag": bool_lit(rng.random() < 0.5)}
-    with_sessions = Store(base, sessions={"u": ("y1",), "w": ("y2",)})
-    assert eval_expr(e, Store(base)) == eval_expr(e, with_sessions)
+    start = to_state(_CLIENT_SERVER.systems["S"].body)
+    [(_, action, state, store)] = system_steps(start, Store(base, {}))
+    assert action.kind == "req" and all(chans for _, _, chans in state.procs)
+    assert store.vars == base
+    assert eval_expr(e, store) == eval_expr(e, Store(base, {}))
 
 
 def test_is_unsat_contradiction():

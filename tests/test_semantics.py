@@ -27,7 +27,7 @@ def no_input(channel):
 
 def test_step_send_evaluates_payload():
     p = parse_process("y!(1 + 1)")
-    steps = step_process(push(p), Store(), no_input)
+    steps = step_process(push(p), Store({}, {}), no_input)
     assert len(steps) == 1
     label, cont, _ = steps[0]
     assert label.kind == "out" and label.channel == "y"
@@ -37,12 +37,12 @@ def test_step_send_evaluates_payload():
 
 def test_step_nil_is_stuck():
     assert push(Branch(())) == ()
-    assert step_process((), Store(), no_input) == []
+    assert step_process((), Store({}, {}), no_input) == []
 
 
 def test_step_if_records_guard():
     p = parse_process("if x > 0 then y!(1) else z!(0)")
-    steps = step_process(push(p), Store({"x": int_lit(2)}), no_input)
+    steps = step_process(push(p), Store({"x": int_lit(2)}, {}), no_input)
     assert len(steps) == 1
     label, _, _ = steps[0]
     assert label.kind == "out" and label.channel == "y"
@@ -51,7 +51,7 @@ def test_step_if_records_guard():
 
 def test_step_else_records_negated_guard():
     p = parse_process("if x > 0 then y!(1) else z!(0)")
-    steps = step_process(push(p), Store({"x": int_lit(0)}), no_input)
+    steps = step_process(push(p), Store({"x": int_lit(0)}, {}), no_input)
     label, _, _ = steps[0]
     assert label.channel == "z"
     assert label.guard == parse_expr("not x > 0")
@@ -59,7 +59,7 @@ def test_step_else_records_negated_guard():
 
 def test_step_receive_uses_oracle():
     p = parse_process("y?(v). z!(v)")
-    steps = step_process(push(p), Store(), lambda chan: [int_lit(7)])
+    steps = step_process(push(p), Store({}, {}), lambda chan: [int_lit(7)])
     assert len(steps) == 1
     label, cont, store = steps[0]
     assert label.kind == "in" and label.value == int_lit(7)
@@ -68,12 +68,12 @@ def test_step_receive_uses_oracle():
 
 def test_step_for_unfolds_and_ends():
     p = parse_process("for i in 1..2 { y!(i) }")
-    steps = step_process(push(p), Store(), no_input)
+    steps = step_process(push(p), Store({}, {}), no_input)
     assert len(steps) == 1
     label, cont, _ = steps[0]
     assert label.kind == "out" and label.value == int_lit(1)
     empty = parse_process("for i in 1..0 { y!(i) }")
-    steps = step_process(push(empty), Store(), no_input)
+    steps = step_process(push(empty), Store({}, {}), no_input)
     assert [l.kind for l, _, _ in steps] == ["tau"]
 
 
@@ -83,20 +83,20 @@ def test_an_idle_branch_or_iteration_steps_silently():
     rest = push(parse_process("y!(1)"))
     p = push(parse_process("{ if x then 0 else 0 ; y!(1) }"))
     for value, label in ((True, "<x>tau"), (False, "<not x>tau")):
-        steps = step_process(p, Store({"x": bool_lit(value)}), no_input)
+        steps = step_process(p, Store({"x": bool_lit(value)}, {}), no_input)
         assert [(str(l), cont) for l, cont, _ in steps] == [(label, rest)]
     p = push(parse_process("{ for i in 1..2 { 0 } ; y!(1) }"))
-    [(label, cont, store)] = step_process(p, Store(), no_input)
+    [(label, cont, store)] = step_process(p, Store({}, {}), no_input)
     assert str(label) == "tau" and store.vars == {"i": int_lit(1)}
     assert [str(l) for l, _, _ in step_process(cont, store, no_input)] == ["tau"]
 
 
 def test_system_init_creates_queues(atm, atm_domains):
     state = to_state(atm.systems["ATM_DEP"].body)
-    store = Store(tables=atm_domains.tables)
+    store = Store({}, atm_domains.tables)
     succ = system_steps(state, store)
     assert len(succ) == 1
-    _, action, state2, store2 = succ[0]
+    _, action, state2, _ = succ[0]
     assert action.kind == "req"
     assert len(state2.queues) == 5
     assert all(q == () for _, q in state2.queues)
@@ -104,13 +104,11 @@ def test_system_init_creates_queues(atm, atm_domains):
     # the requester and its acceptor map the opened names to the actuals
     for _, _, chans in state2.procs:
         assert {actual for _, actual in chans} == set(action.chans)
-    assert set(action.chans) <= set(store2.vars) | set(store2.sessions) | set(
-        y for ys in store2.sessions.values() for y in ys)
 
 
 def test_system_queue_communication(pop2, pop2_domains):
     state = to_state(pop2.systems["POP_QUIT"].body)
-    store = Store(tables=pop2_domains.tables)
+    store = Store({}, pop2_domains.tables)
     path = []
     for _ in range(10):
         succ = system_steps(state, store)
@@ -191,7 +189,7 @@ def test_system_steps_queue_discipline(pop2, atm, multiparty, pop2_domains,
     # no corpus queue ever holds two values, so this one checks the order
     fifo = SysState(((0, push(parse_process("{ y!(1); y!(2) }")), ()),
                      (1, push(parse_process("y?(a). y?(b). 0")), ())), (("y", ()),))
-    starts.append((fifo, Store()))
+    starts.append((fifo, Store({}, {})))
     steps = 0
     for state, store, succ in _reached(starts):
         for component, action, state2, _ in succ:
@@ -231,10 +229,10 @@ def test_each_cohort_of_ready_acceptors_starts_a_session():
     start = to_state(module.systems["S"].body)
     starts = [(c, [q for (q, stack, _), (_, before, _) in zip(s.procs, start.procs)
                    if stack != before])
-              for c, a, s, _ in system_steps(start, Store()) if a.kind == "req"]
+              for c, a, s, _ in system_steps(start, Store({}, {})) if a.kind == "req"]
     assert starts == [(0, [0, 1, 2]), (0, [0, 2, 4]), (3, [1, 2, 3]), (3, [2, 3, 4])]
     states = 0
-    for state, store, succ in _reached([(start, Store())]):
+    for state, store, succ in _reached([(start, Store({}, {}))]):
         want = opener_peeking_steps(state, store)
         assert [(c, a, view(s), st.key()) for c, a, s, st in succ] == \
             [(c, a, s, st.key()) for c, a, s, st in want]
@@ -272,7 +270,7 @@ def test_conditional_wrapping_keeps_system_runs():
         selectors = set().union(*(domains.domains for *_, domains in impls))
         # odd seeds take the else side
         store = Store({**dict.fromkeys(selectors, bool_lit(True)),
-                       "b": bool_lit(seed % 2 == 0)})
+                       "b": bool_lit(seed % 2 == 0)}, {})
         runs = gen.system_runs(procs, gdef, "u", store)
         assert gen.system_runs(wrapped, gdef, "u", store) == runs, seed
         opened += any(runs.values())
@@ -281,7 +279,7 @@ def test_conditional_wrapping_keeps_system_runs():
 
 def test_closed_terminated_system_stuck():
     state = to_state(Proc(Branch(())))
-    assert system_steps(state, Store()) == []
+    assert system_steps(state, Store({}, {})) == []
 
 
 def test_step_spec_internal_choice_per_live_branch():
@@ -324,7 +322,7 @@ def test_step_spec_queue_communication():
 
 
 def test_simulation_trivial():
-    verdict = conditional_simulation(Proc(Branch(())), Store(),
+    verdict = conditional_simulation(Proc(Branch(())), Store({}, {}),
                                      SpecEnv.make({}, {}, {}), D, depth=5)
     assert isinstance(verdict, Holds)
 

@@ -207,7 +207,7 @@ def test_uncountable_specs_fall_back_to_enumeration(p, q, channels):
 def _impl_runs(iota: dict, shared: str, gdef, domains) -> set:
     """The event sequences of the maximal runs of the system that plays
     each role of gdef by iota's process, in the system semantics."""
-    return set(gen.system_runs(iota, gdef, shared, Store(tables=domains.tables)))
+    return set(gen.system_runs(iota, gdef, shared, Store({}, domains.tables)))
 
 
 def _quit_only(gdef) -> GlobalDef:

@@ -78,7 +78,7 @@ def test_passively_compatible():
 # --------------------------------------------------------------- consistency
 
 def test_consistent_empty():
-    ok, problems = consistent(Store(), {}, TRUE, SpecEnv.make())
+    ok, problems = consistent(Store({}, {}), {}, {}, TRUE, SpecEnv.make())
     assert ok, problems
 
 
@@ -88,16 +88,25 @@ def test_consistent_send_needs_one_live_branch():
     xneg = parse_expr("x <= 0")
     t = TInternal((TBranch(xpos, "y", INT, TEnd()),
                    TBranch(xneg, "z", INT, TEnd())))
-    store = Store({"x": int_lit(1), "y": int_lit(0), "z": int_lit(0)})
     delta = SpecEnv.make({}, {(("y", "z"), "p"): t}, {})
-    store = Store({"x": int_lit(1)}, sessions={"u": ("y", "z")})
-    ok, problems = consistent(store, {}, TRUE, delta)
+    store = Store({"x": int_lit(1)}, {})
+    ok, problems = consistent(store, {"u": ("y", "z")}, {}, TRUE, delta)
     assert ok, problems
 
 
+def test_consistent_needs_the_sessions_channels_bound():
+    """A session of the specification whose channels no open bound, nor
+    the store, breaks the store-binding clause."""
+    from chorus_wsi.syntax.ast import TBranch
+    t = TInternal((TBranch(TRUE, "y", INT, TEnd()), TBranch(TRUE, "z", INT, TEnd())))
+    delta = SpecEnv.make({}, {(("y", "z"), "p"): t}, {})
+    ok, problems = consistent(Store({"x": int_lit(1)}, {}), {}, {}, TRUE, delta)
+    assert not ok and problems == ["store does not bind ['y', 'z']"]
+
+
 def test_consistent_fails_on_false_assumption():
-    store = Store({"x": int_lit(1)})
-    ok, problems = consistent(store, {}, parse_expr("x = 0"), SpecEnv.make())
+    store = Store({"x": int_lit(1)}, {})
+    ok, problems = consistent(store, {}, {}, parse_expr("x = 0"), SpecEnv.make())
     assert not ok
     assert any("assumption" in p for p in problems)
 
@@ -107,8 +116,8 @@ def test_consistent_receive_needs_all_branches():
     xpos = parse_expr("x > 0")
     t = TExternal((TBranch(xpos, "y", INT, TEnd(xpos)),))
     delta = SpecEnv.make({}, {(("y",), "p"): t}, {})
-    bad = Store({"x": int_lit(0)}, sessions={"u": ("y",)})
-    ok, _problems = consistent(bad, {}, TRUE, delta)
+    bad = Store({"x": int_lit(0)}, {})
+    ok, _problems = consistent(bad, {"u": ("y",)}, {}, TRUE, delta)
     assert not ok
 
 

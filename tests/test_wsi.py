@@ -855,7 +855,7 @@ def test_covering_opens_only_sessions_the_system_semantics_opens(
             "channels": replace(cpop, chans=cpop.chans[:-1]),
             "accept": Accept(cpop.shared, "c", cpop.chans, cpop.cont)}[change]
     runs = gen.system_runs({"c": proc, "s": pop2.processes["Init"].body},
-                           g, "u", Store(tables=pop2_domains.tables))
+                           g, "u", Store({}, pop2_domains.tables))
     assert runs == {(): False}
     v = wsi_by_covering(g, "c", proc, pop2_domains)
     assert str(v) == {
