@@ -17,9 +17,10 @@ that parses but nests too deep to print.
 
 Importing this module loads only what every well-formed request runs.
 `parse_args` reads such a request from the `_COMMANDS` table itself and
-hands every other command line to argparse, which alone words help,
-usage and error texts; json, random and math are imported by the JSON
-output, `simulate` and a count too long to print, which use them.
+hands every other command line to argparse, which words help, usage
+and error texts but those of an invalid choice (`_invalid_choice`);
+json, random and math are imported by the JSON output, `simulate` and
+a count too long to print, which use them.
 """
 
 from __future__ import annotations
@@ -33,14 +34,14 @@ from .projection import NonProjectable, participants_ordered, project, well_form
 from .pseudotype import normal_form, remove_guards
 from .semantics import step_process, system_steps, to_state
 from .syntax import parse_module, render_module, render_type
-from .syntax.ast import Event, GlobalDef, ModuleDecl, TRUE, fU
+from .syntax.ast import Event, GlobalDef, ModuleDecl, TRUE
 from .syntax.parser import ParseError
 from .traces import (
     IllFormed, projection_env, run_count, run_str, runs_global,
     runs_spec, sorted_run_strs, sorted_runs,
 )
 from .typecheck import (
-    TypingError, gamma_from_domains, instantiate, shared_env, typecheck_process,
+    TypingError, gamma_from_domains, shared_env, typecheck_process,
     typecheck_system,
 )
 from .wsi import (
@@ -164,7 +165,7 @@ def cmd_project(args) -> int:
     module = _load(args.file)
     domains = DomainDecl.from_module(module)
     gdef = _the_global(module, args.global_name)
-    g = instantiate(gdef, gdef.params)
+    g = gdef.body
     if args.role not in participants_ordered(g):
         return _rejected(args, [f"{args.role!r} is not a participant of "
                                 f"{gdef.name}"])
@@ -330,14 +331,14 @@ def _participants(module: ModuleDecl, named: GlobalDef | None, state,
                     gdef = named or _the_global(module, None)
                 except UsageError:
                     continue
-                out[pid] = participants_ordered(instantiate(gdef, gdef.params))[0]
+                out[pid] = participants_ordered(gdef.body)[0]
     return out
 
 
 def cmd_traces(args) -> int:
     module = _load(args.file)
     gdef = _the_global(module, args.global_name)
-    g = instantiate(gdef, gdef.params)
+    g = gdef.body
     runs = runs_global(g, args.unfold)
     if args.json:
         print(runs_json(sorted_runs(runs)))
@@ -374,7 +375,7 @@ def cmd_cover(args) -> int:
     gdef = _the_global(module, args.global_name)
     if problem := fragment_problem(gdef):
         return _rejected(args, [problem])
-    g = instantiate(gdef, gdef.params)
+    g = gdef.body
     # the search takes its targets from the runs at bound 1, the skeletons
     # at every bound; only the counts depend on the bound.  runs_global
     # rejects an ill-formed g before anything projects it
@@ -414,7 +415,6 @@ def cmd_wsi(args) -> int:
     named = _the_global(module, args.global_name) if args.global_name else None
     gdef = module.globals_[decl.global_name] if decl.global_name \
         else named or _the_global(module, None)
-    shared_name = min(fU(decl.body), default=None)
     role = args.role or decl.role
     if role is None:
         raise UsageError("give --role or declare 'plays' on the process")
@@ -422,7 +422,7 @@ def cmd_wsi(args) -> int:
     payload = {}
     code = 0
     if args.mode in ("typing", "both"):
-        verdict = wsi_by_typing(gdef, role, decl.body, domains, shared_name)
+        verdict = wsi_by_typing(gdef, role, decl.body, domains)
         payload["typing"] = {"holds": verdict.holds(),
                              "detail": str(verdict)}
         if not args.json:
@@ -430,8 +430,7 @@ def cmd_wsi(args) -> int:
                                   else _bad(str(verdict))))
         code = code or (0 if verdict.holds() else 1)
     if args.mode in ("covering", "both"):
-        verdict = wsi_by_covering(gdef, role, decl.body, domains,
-                                  shared_name=shared_name)
+        verdict = wsi_by_covering(gdef, role, decl.body, domains)
         # covering does not depend on the unfold bound: it only labels a Holds
         detail = (f"Holds@{args.unfold} ({len(verdict.contexts)} contexts)"
                   if verdict.holds() else str(verdict))
@@ -462,6 +461,22 @@ def _positive(text: str) -> int:
     return value
 
 
+def _invalid_choice(value: str, choices) -> str:
+    """argparse's invalid-choice text as Python 3.11 words it: later
+    patch releases print the choices without quotes."""
+    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+_MODES = ("typing", "covering", "both")
+
+
+def _mode(text: str) -> str:
+    if text not in _MODES:
+        import argparse
+        raise argparse.ArgumentTypeError(_invalid_choice(text, _MODES))
+    return text
+
+
 _GLOBAL = ("--global", {"dest": "global_name",
                         "help": "entry global type (default: the unique one)"})
 _UNFOLD = {"type": _positive, "default": 2, "metavar": "K"}
@@ -489,8 +504,8 @@ _COMMANDS = {
         ("--unfold", {**_UNFOLD, "help": "the bound a covering Holds is "
                       "reported at (Holds@K); the verdict does not "
                       "depend on it"}),
-        ("--mode", {"choices": ("typing", "covering", "both"),
-                    "default": "both"}),
+        ("--mode", {"type": _mode, "default": "both",
+                    "metavar": "{%s}" % ",".join(_MODES)}),
         ("--proc", {"required": True}))),
 }
 
@@ -522,9 +537,8 @@ def _read(argv: list) -> SimpleNamespace | None:
     """The request `argv`, whose first word names a subcommand, with the
     values its parser gives it; or None, where that parser may read it
     otherwise or refuse it: a word starting with "-" that is no flag of
-    the subcommand, a value that starts with "-", fails its conversion
-    or is no choice, a second file, or a file or required option left
-    out."""
+    the subcommand, a value that starts with "-" or fails its
+    conversion, a second file, or a file or required option left out."""
     func, _, arguments = _COMMANDS[argv[0]]
     flags = {flag: (options.get("dest", flag[2:]), options)
              for flag, options in arguments}
@@ -543,8 +557,6 @@ def _read(argv: list) -> SimpleNamespace | None:
                 args[dest] = options.get("type", str)(text)
             except Exception:  # argparse words the error, or raises it again
                 return None
-            if args[dest] not in options.get("choices", (args[dest],)):
-                return None
         elif word.startswith("-") or "file" in args:
             return None
         else:
@@ -558,15 +570,20 @@ def _read(argv: list) -> SimpleNamespace | None:
 def parse_args(argv: list) -> SimpleNamespace | argparse.Namespace:
     """The request `argv` names, with the values that
     `build_parser().parse_args(argv)` gives it.  `_read` reads the
-    well-formed request from the flags, types, defaults, choices and
-    required options of `_COMMANDS`, as argparse would, without
-    importing it.  Whatever `_read` leaves (help, an error, "--", an
-    abbreviated flag, "--flag=value", a value starting with "-") goes to
-    argparse, which words every help, usage and error text."""
+    well-formed request from the flags, types, defaults and required
+    options of `_COMMANDS`, as argparse would, without importing it.
+    Whatever `_read` leaves (help, an error, "--", an abbreviated flag,
+    "--flag=value", a value starting with "-") goes to argparse, which
+    words every help, usage and error text but the invalid choices: a
+    first word that names no subcommand, and a `--mode` that is no
+    mode, are worded by `_invalid_choice` on every Python version."""
     if argv and argv[0] in _COMMANDS:
         args = _read(argv)
         if args is not None:
             return args
+    elif argv and not argv[0].startswith("-"):  # argparse reads it as the command
+        build_parser().error("argument command: "
+                             + _invalid_choice(argv[0], _COMMANDS))
     return build_parser().parse_args(argv)
 
 

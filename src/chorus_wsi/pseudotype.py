@@ -206,41 +206,6 @@ def remove_guards(t: PseudoType) -> PseudoType:
     raise TypeError(f"not a pseudo-type: {t!r}")
 
 
-# -------------------------------------------------------------- viability
-
-def passively_compatible_types(t1: PseudoType, t2: PseudoType) -> bool:
-    """Both external choices, over disjoint channel sets."""
-    if not (isinstance(t1, TExternal) and isinstance(t2, TExternal)):
-        return False
-    c1 = {b.channel for b in t1.branches}
-    c2 = {b.channel for b in t2.branches}
-    return not (c1 & c2)
-
-
-def viable(t: PseudoType, domains: DomainDecl = EMPTY_DOMAINS) -> bool:
-    """A viable pseudo-type never dead-ends: its normal form is end, a
-    choice of viable continuations, or a loop followed by a viable exit
-    with a consistent way to leave the loop.  The parts of a normal form
-    are decided as they are: normalizing one again gives a type of the
-    same shape, as it prunes nothing and only conjoins guards already
-    there."""
-    return _viable(normal_form(t, domains))
-
-
-def _viable(nf: PseudoType) -> bool:
-    match nf:
-        case TEnd():
-            return True
-        case TInternal(branches) | TExternal(branches):
-            return all(_viable(b.cont) for b in branches)
-        case TSeq(TIter(body), cont):
-            return _viable(body) and _viable(cont) \
-                and (passively_compatible_types(body, cont)
-                     or isinstance(body, TInternal))
-        case _:
-            return False
-
-
 # ---------------------------------------------------------------- equality
 
 def equiv(t1: PseudoType, t2: PseudoType,

@@ -66,7 +66,6 @@ from .syntax.ast import (
     Event, GChoice, GEnd, GIter, GSeq, GlobalDef, GlobalType, TEnd,
     TExternal, TInternal, TIter, TSeq, frozen_node,
 )
-from .typecheck import instantiate
 
 
 @frozen_node
@@ -283,9 +282,9 @@ def runs_global(g: GlobalType, unfold: int = 2, algebra=RUN_TUPLES):
 # ---------------------------------------------------- runs of specifications
 
 def projection_env(gdef: GlobalDef, domains: DomainDecl = EMPTY_DOMAINS) -> dict:
-    """The specification made of the projections of the instantiated
-    global type: each participant -> the normal form of its projection."""
-    g = instantiate(gdef, gdef.params)
+    """The specification made of the projections of the global type:
+    each participant -> the normal form of its projection."""
+    g = gdef.body
     return {p: normal_form(project(g, p), domains)
             for p in participants_ordered(g)}
 

@@ -13,6 +13,11 @@ it has ended) and its store, its pending variables, its session-channel
 map, the other roles' projections (normalized once, then stepped by
 `semantics.type_steps`), the queues, and the bitmask of the events of s
 matched so far.  A complete state with all of s matched is a witness.
+The session checked is the one on the least shared name the process
+opens, and the process must uniquely play the role in it.  The other
+roles' projections are checked only for well-formedness and
+projectability: a peer that dead-ends never reaches end, which every
+complete state needs, so the search alone refuses it.
 As in the system semantics, the session opens on a request with one
 acceptor per other role by the first participant, or on an accept by
 any other, naming as many channels as the global type: the side
@@ -153,7 +158,7 @@ from .guards import DomainDecl, EMPTY_DOMAINS, EvalError, Store, Undefined
 from .projection import (
     NonProjectable, channel_sorts, participants_ordered, project, well_formed,
 )
-from .pseudotype import normal_form, viable
+from .pseudotype import normal_form
 from .semantics import push, step_process, type_steps
 from .syntax.ast import (
     NIL, Accept, Branch, Event, For, GlobalDef, If, Lit, Process, RepeatUntil,
@@ -164,8 +169,8 @@ from .traces import (
     trace_leq,
 )
 from .typecheck import (
-    TypingError, exposed_channels, gamma_from_domains, instantiate,
-    open_problem, shared_env, typecheck_process, unique_role,
+    TypingError, exposed_channels, gamma_from_domains, open_problem,
+    shared_env, typecheck_process, unique_role,
 )
 
 
@@ -218,9 +223,9 @@ def fragment_problem(gdef: GlobalDef) -> str:
 
 
 def _role_problem(gdef: GlobalDef, role: str, proc: Process,
-                 shared_name: str) -> str | None:
+                 shared_name: str | None) -> str | None:
     """Why proc does not uniquely play the participant `role`, or None."""
-    parts = participants_ordered(instantiate(gdef, gdef.params))
+    parts = participants_ordered(gdef.body)
     if role not in parts:
         return f"{role!r} is not a participant of {gdef.name}"
     if shared_name not in fU(proc):
@@ -252,13 +257,12 @@ def _opens(p: Process, u: str) -> list:
 
 
 def wsi_by_typing(gdef: GlobalDef, role: str, proc: Process,
-                  domains: DomainDecl = EMPTY_DOMAINS,
-                  shared_name: str = "u") -> TypingVerdict:
+                  domains: DomainDecl = EMPTY_DOMAINS) -> TypingVerdict:
     """WSI by typing: a well-typed process that plays the role covers
     the role's whole spectrum.  As `typecheck` does, it types the
-    process with `gdef` for every shared name it opens; `shared_name`
-    is the one whose opens must fit the role."""
-    problem = _role_problem(gdef, role, proc, shared_name)
+    process with `gdef` for every shared name it opens; the opens on the
+    least of those names must play the role."""
+    problem = _role_problem(gdef, role, proc, min(fU(proc), default=None))
     if problem is not None:
         return TypingVerdict(False, role, TypingError("role", problem))
     gamma = gamma_from_domains(domains)
@@ -642,9 +646,10 @@ def _within(counts: Counter, other: Counter) -> bool:
     return all(other.get(e, 0) >= k for e, k in counts.items())
 
 
-def _search_inputs(gdef: GlobalDef, g, role: str, domains: DomainDecl):
+def _search_inputs(gdef: GlobalDef, role: str, domains: DomainDecl):
     """(sorted target skeletons, (role, normalized projection) of every
     other role) for the search, or a string that says why there are none."""
+    g = gdef.body
     violations = well_formed(g)
     if violations:
         return f"{gdef.name} is ill-formed: {IllFormed(violations)}"
@@ -653,24 +658,22 @@ def _search_inputs(gdef: GlobalDef, g, role: str, domains: DomainDecl):
         if q == role:
             continue
         try:
-            local = project(g, q)
+            peers.append((q, normal_form(project(g, q), domains)))
         except NonProjectable as exc:
             return f"{gdef.name} is not projectable on {q!r}: {exc}"
-        if not viable(local, domains):
-            return f"projection of {gdef.name} on {q!r} is not viable"
-        peers.append((q, normal_form(local, domains)))
     # a run at bound 1 has no optional segment: it is its own skeleton
     return sorted_runs(runs_global(g, 1)), tuple(peers)
 
 
 def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
-                    domains: DomainDecl = EMPTY_DOMAINS,
-                    shared_name: str = "u") -> CoveringVerdict:
-    """WSI by covering: Holds once every target skeleton has a witness."""
-    g = instantiate(gdef, gdef.params)
+                    domains: DomainDecl = EMPTY_DOMAINS) -> CoveringVerdict:
+    """WSI by covering: Holds once every target skeleton has a witness.
+    The session checked is the one on the least shared name the process
+    opens."""
+    shared_name = min(fU(proc), default=None)
     found = fragment_problem(gdef) or _role_problem(gdef, role, proc, shared_name) \
         or _open_problem(gdef, proc, shared_name) \
-        or _search_inputs(gdef, g, role, domains)
+        or _search_inputs(gdef, role, domains)
     if isinstance(found, str):
         return CoveringVerdict(False, missing=(), reason=found)
     targets, peers = found

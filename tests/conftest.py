@@ -35,6 +35,8 @@ UNDEFINED_BRANCH_GUARD = \
     pathlib.Path(__file__).resolve().parent / "undefined_branch_guard.chor"
 # a server whose guard applies `hd`, and a system that copies it
 HD_GUARD = pathlib.Path(__file__).resolve().parent / "hd_guard.chor"
+# a requester whose peer's projection is a loop of loops
+NESTED_LOOP = pathlib.Path(__file__).resolve().parent / "nested_loop.chor"
 # a module file that is not UTF-8 text (a Latin-1 e-acute in a comment);
 # not named *.chor, so the tests that read every module leave it out
 NOT_UTF8 = pathlib.Path(__file__).resolve().parent / "not_utf8.txt"

@@ -202,7 +202,7 @@ def reference_wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
                               shared_name: str = "u") -> CoveringVerdict:
     g = instantiate(gdef, gdef.params)
     found = _role_problem(gdef, role, proc, shared_name) \
-        or _search_inputs(gdef, g, role, domains)
+        or _search_inputs(gdef, role, domains)
     if isinstance(found, str):
         return CoveringVerdict(False, missing=(), reason=found)
     targets, peers = found

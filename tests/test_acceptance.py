@@ -197,10 +197,10 @@ def test_criterion_7_wsi_end_to_end(atm, atm_domains):
     g = atm.globals_["G_ATM"]
     b1 = atm.processes["B1"].body
     b2 = atm.processes["B2"].body
-    c1 = wsi_by_covering(g, "b", b1, atm_domains, shared_name="atm")
-    c2 = wsi_by_covering(g, "b", b2, atm_domains, shared_name="atm")
-    t1 = wsi_by_typing(g, "b", b1, atm_domains, "atm")
-    t2 = wsi_by_typing(g, "b", b2, atm_domains, "atm")
+    c1 = wsi_by_covering(g, "b", b1, atm_domains)
+    c2 = wsi_by_covering(g, "b", b2, atm_domains)
+    t1 = wsi_by_typing(g, "b", b1, atm_domains)
+    t2 = wsi_by_typing(g, "b", b2, atm_domains)
     missing_ok = (not c2.holds()) and \
         Event("b", "!", "ok", UNIT) in mandatory(c2.missing)
     ok = c1.holds() and missing_ok and t1.holds() and not t2.holds()

@@ -1128,6 +1128,11 @@ usage: chorus-wsi [-h]
                   {parse,project,normalize,typecheck,simulate,traces,cover,wsi}
                   ...
 """
+WSI_USAGE = """\
+usage: chorus-wsi wsi [-h] [--json] [--global GLOBAL_NAME] [--role ROLE]
+                      [--unfold K] [--mode {typing,covering,both}] --proc PROC
+                      file
+"""
 
 
 @pytest.mark.parametrize("argv, code, out, err", [
@@ -1136,6 +1141,9 @@ usage: chorus-wsi [-h]
     (("bogus",), 2, "", TOP_USAGE + "chorus-wsi: error: argument command: "
      "invalid choice: 'bogus' (choose from 'parse', 'project', 'normalize', "
      "'typecheck', 'simulate', 'traces', 'cover', 'wsi')\n"),
+    (("wsi", ATM, "--proc", "B1", "--mode", "bogus"), 2, "", WSI_USAGE
+     + "chorus-wsi wsi: error: argument --mode: invalid choice: 'bogus' "
+     "(choose from 'typing', 'covering', 'both')\n"),
     (("-h",), 0, TOP_USAGE + """
 Choreography projection, guard-sensitive session typing, and whole-spectrum
 implementation checking.
@@ -1154,8 +1162,11 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
 """, ""),
-], ids=["empty", "bogus", "help"])
+], ids=["empty", "bogus", "bogus-mode", "help"])
 def test_top_level_texts(capsys, monkeypatch, argv, code, out, err):
+    """The usage, help and error texts, the same on every supported
+    Python: `cli` words the invalid choices, whose quoting argparse
+    changed in later patch releases."""
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
@@ -1266,15 +1277,16 @@ def test_output_does_not_depend_on_the_string_hash_seed():
 
 
 @pytest.mark.parametrize("argv, instances, calls, walks", [
-    pytest.param(("cover", POP2, "--unfold", "2"), 2, 7, 3, id="cover"),
-    pytest.param(("wsi", POP2, "--proc", "Init"), 4, 11, 3, id="wsi")])
+    pytest.param(("cover", POP2, "--unfold", "2"), 0, 7, 3, id="cover"),
+    pytest.param(("wsi", POP2, "--proc", "Init"), 1, 11, 3, id="wsi")])
 def test_a_request_walks_each_global_once(capsys, monkeypatch, argv, instances,
                                           calls, walks):
-    """Instantiating a global declaration with its own parameters gives
-    its body itself, and the participants of a global type are found
-    once and kept on it, however often a request asks.  `cover` at bound
-    2 asks for them 7 times, 2 fewer than when it checked the global's
-    well-formedness at both bounds."""
+    """A request reads a global declaration's body itself: only typing a
+    session's open instantiates it, with the open's channels, which are
+    its parameters here, giving the body.  The participants of a global
+    type are found once and kept on it, however often a request asks.
+    `cover` at bound 2 asks for them 7 times, 2 fewer than when it
+    checked the global's well-formedness at both bounds."""
     instantiated, found = [], []
 
     def counted_instantiate(gdef, chans):

@@ -4,7 +4,7 @@ from chorus_wsi.guards import EMPTY_DOMAINS
 from chorus_wsi.projection import (
     NonProjectable, channel_sorts, participants, project, ready, well_formed,
 )
-from chorus_wsi.pseudotype import normal_form, remove_guards, viable
+from chorus_wsi.pseudotype import normal_form, remove_guards
 from chorus_wsi.syntax import parse_global, render_type
 from chorus_wsi.syntax.ast import (
     GBranch, GChoice, GEnd, GIter, GSeq, INT, STR, TEnd, TRUE, UNIT,
@@ -87,15 +87,6 @@ def test_duality_on_two_party_corpus(pop2, pop2_domains):
     g = instantiate(pop2.globals_["G_POP"], pop2.globals_["G_POP"].params)
     assert canonical(project(g, "c"), pop2_domains) == \
         canonical(dual(project(g, "s")), pop2_domains)
-
-
-def test_projections_viable(pop2, atm, pop2_domains, atm_domains):
-    for module, domains, name in ((pop2, pop2_domains, "G_POP"),
-                                  (atm, atm_domains, "G_ATM")):
-        gdef = module.globals_[name]
-        g = instantiate(gdef, gdef.params)
-        for p in participants(g):
-            assert viable(project(g, p), domains)
 
 
 def test_multiparty_literal_variant_not_projectable_on_authorizer(multiparty):

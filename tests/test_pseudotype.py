@@ -7,15 +7,14 @@ from hypothesis import given, settings, strategies as st
 import chorus_wsi.pseudotype as pt
 from chorus_wsi.guards import DomainDecl, EMPTY_DOMAINS, is_unsat, implies
 from chorus_wsi.pseudotype import (
-    NotMergeable, equiv, merge, normal_form, normalize, remove_guards, viable,
+    NotMergeable, equiv, merge, normal_form, normalize, remove_guards,
 )
 from chorus_wsi.syntax import parse_expr, parse_type
 from chorus_wsi.syntax.ast import (
     DERIVED, FALSE, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
     UNIT, INT, bool_lit, conj, int_lit, is_true,
 )
-from chorus_wsi.projection import NonProjectable, project, participants
-from chorus_wsi.typecheck import instantiate
+from chorus_wsi.projection import project, participants
 
 import gen
 from pseudotype_laws import is_local, sort_branches, strip_end_units, weight
@@ -247,65 +246,6 @@ def test_remove_guards_unmergeable_class():
     ))
     with pytest.raises(NotMergeable):
         remove_guards(t)
-
-
-# ---------------------------------------------------------------- viability
-
-def test_viable_end():
-    assert viable(TEnd(XPOS), D)
-
-
-def test_viable_projections_of_pop(pop2, pop2_domains):
-    gdef = pop2.globals_["G_POP"]
-    g = instantiate(gdef, gdef.params)
-    for p in participants(g):
-        assert viable(project(g, p), pop2_domains)
-
-
-def test_not_viable_overlapping_loop_exit():
-    body = parse_type("a?(Int). end")
-    cont = parse_type("a?(Str). end")  # same channel as the body
-    assert not viable(TSeq(TIter(body), cont), D)
-
-
-def _viable_renormalizing(t, domains) -> bool:
-    """`viable` as it was written first: each part of the normal form is
-    normalized again before it is decided."""
-    nf = normal_form(t, domains)
-    match nf:
-        case TEnd():
-            return True
-        case TInternal(branches) | TExternal(branches):
-            return all(_viable_renormalizing(b.cont, domains) for b in branches)
-        case TSeq(TIter(body), cont):
-            if not (_viable_renormalizing(body, domains)
-                    and _viable_renormalizing(cont, domains)):
-                return False
-            body_nf, cont_nf = normal_form(body, domains), normal_form(cont, domains)
-            return (pt.passively_compatible_types(body_nf, cont_nf)
-                    or isinstance(body_nf, TInternal))
-    return False
-
-
-def test_viable_decides_the_parts_of_one_normal_form(pop2, multiparty,
-                                                     pop2_domains,
-                                                     multiparty_domains):
-    """Differential: deciding viability on the parts of one normal form
-    answers as normalizing each part again, on seeded guarded
-    pseudo-types and on the projections of the POP2 globals."""
-    rng = random.Random(2718)
-    cases = [(gen.gen_pseudotype(rng, depth=4), D) for _ in range(1500)]
-    for module, domains in ((pop2, pop2_domains), (multiparty, multiparty_domains)):
-        for gdef in module.globals_.values():
-            g = instantiate(gdef, gdef.params)
-            for p in participants(g):
-                try:
-                    cases.append((project(g, p), domains))
-                except NonProjectable:
-                    pass
-    answers = [viable(t, domains) for t, domains in cases]
-    assert answers == [_viable_renormalizing(t, domains) for t, domains in cases]
-    assert 100 < sum(answers) < len(answers) - 100
 
 
 # ------------------------- algebraic laws of normalization and merge

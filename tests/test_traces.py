@@ -249,8 +249,7 @@ def test_runs_impl_b2_never_sends_ok(atm, atm_domains):
     assert runs
     for r in runs:
         assert ev("b", "!", "ok") not in r
-    v = wsi_by_covering(g, "b", atm.processes["B2"].body, atm_domains,
-                        shared_name="atm")
+    v = wsi_by_covering(g, "b", atm.processes["B2"].body, atm_domains)
     assert ev("b", "!", "ok") in mandatory(v.missing)
 
 

@@ -4,7 +4,7 @@ from chorus_wsi import guards
 from chorus_wsi.cli import main
 from chorus_wsi.guards import DomainDecl, Store
 from chorus_wsi.pseudotype import (
-    equiv, normal_form, normalize, passively_compatible_types, remove_guards,
+    equiv, normal_form, normalize, remove_guards,
 )
 from chorus_wsi.syntax import (
     parse_expr, parse_global, parse_module, parse_process, parse_type,
@@ -66,13 +66,6 @@ def test_active_internal_choice():
         _open_session_type("for i in 1..2 { b?(v). 0 }")
     assert err.value.rule == "VFor"
     assert "must start with an output choice" in err.value.message
-
-
-def test_passively_compatible():
-    body = parse_type("fold?(Str). end (&) read?(Int). end")
-    exit_ = parse_type("quit?(). end")
-    assert passively_compatible_types(body, exit_)
-    assert not passively_compatible_types(body, body)
 
 
 # --------------------------------------------------------------- consistency
