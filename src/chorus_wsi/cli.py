@@ -163,7 +163,6 @@ def cmd_parse(args) -> int:
 
 def cmd_project(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module)
     gdef = _the_global(module, args.global_name)
     g = gdef.body
     if args.role not in participants_ordered(g):
@@ -172,7 +171,7 @@ def cmd_project(args) -> int:
     violations = well_formed(g)
     if violations:
         raise IllFormed(violations)
-    local = remove_guards(normal_form(project(g, args.role), domains))
+    local = remove_guards(normal_form(project(g, args.role)))
     if args.json:
         print(_json({"role": args.role, "type": render_type(local)}, indent=None))
     else:
@@ -371,7 +370,6 @@ def _count(n: int):
 
 def cmd_cover(args) -> int:
     module = _load(args.file)
-    domains = DomainDecl.from_module(module)
     gdef = _the_global(module, args.global_name)
     if problem := fragment_problem(gdef):
         return _rejected(args, [problem])
@@ -380,12 +378,12 @@ def cmd_cover(args) -> int:
     # at every bound; only the counts depend on the bound.  runs_global
     # rejects an ill-formed g before anything projects it
     rg = runs_global(g, 1)
-    spec = projection_env(gdef, domains)
+    spec = projection_env(gdef)
     n_global = len(rg) if args.unfold == 1 else _count(run_count(
         lambda algebra: runs_global(g, args.unfold, algebra)))
     n_spec = _count(run_count(lambda algebra: runs_spec(
-        spec, gdef.params, args.unfold, domains, algebra)))
-    verdict = projections_cover(gdef, spec, sorted_runs(rg), domains)
+        spec, gdef.params, args.unfold, algebra)))
+    verdict = projections_cover(gdef, spec, sorted_runs(rg))
     code = 0 if verdict.holds() else 3 if verdict.inconclusive else 1
     if args.json:
         payload = {"holds": verdict.holds(), "global-runs": n_global,

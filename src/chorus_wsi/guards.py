@@ -155,12 +155,17 @@ def eval_expr(e: Expr, store: Store) -> Lit:
             for v in values:
                 _expect(v, elem, "list element")
             return Lit(list_sort(elem), values)
-        case Range(lo, hi):
-            lv = _expect(eval_expr(lo, store), INT, "range")
-            hv = _expect(eval_expr(hi, store), INT, "range")
+        case Range():
+            lv, hv = range_bounds(e, store)
             return Lit(list_sort(INT),
                        tuple(int_lit(i) for i in range(lv.value, hv.value + 1)))
     raise TypeError(f"not an expression: {e!r}")
+
+
+def range_bounds(r: Range, store: Store) -> tuple:
+    """The Int literals (lo, hi) that the bounds of r evaluate to."""
+    return (_expect(eval_expr(r.lo, store), INT, "range"),
+            _expect(eval_expr(r.hi, store), INT, "range"))
 
 
 def _eval_binop(op: str, lv: Lit, rv: Lit) -> Lit:
@@ -444,8 +449,7 @@ def list_length(items: Expr, store: Store) -> int:
     """The length of the list items evaluates to; a range's comes from
     its bounds, without building the range."""
     if isinstance(items, Range):
-        lo = _expect(eval_expr(items.lo, store), INT, "range")
-        hi = _expect(eval_expr(items.hi, store), INT, "range")
+        lo, hi = range_bounds(items, store)
         return max(0, hi.value - lo.value + 1)
     value = eval_expr(items, store)
     if value.sort.kind != "List":

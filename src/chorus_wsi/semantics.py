@@ -48,19 +48,21 @@ pushes its continuation onto the rest, an `if` branch or a `for`
 iteration is stepped as a stack run before the rest, and a loop puts
 itself back.  An `if` whose branch is idle, and a `for` iteration whose
 body is, steps silently into the rest (`<guard>tau`), as a `for` over
-an empty list does.
+an empty list does.  A `for` puts back the rest of its list, and the
+rest of a range `lo..hi` is the range of constants `lo+1..hi`, so
+stepping a range builds no list.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .guards import SortMismatch, Store, eval_expr
+from .guards import SortMismatch, Store, eval_expr, range_bounds
 from .syntax.ast import (
     Accept, Branch, Const, Expr, For, If, Lit, Par, Proc, Process, Queue,
-    RepeatUntil, Request, Restrict, Send, Seq, System, TBranch, TEnd,
-    TExternal, TInternal, TIter, TRUE, TSeq, conj, frozen_node, is_nil,
-    is_true, neg, replace,
+    Range, RepeatUntil, Request, Restrict, Send, Seq, System, TBranch, TEnd,
+    TExternal, TInternal, TIter, TRUE, TSeq, conj, frozen_node, int_lit,
+    is_nil, is_true, neg, replace,
 )
 from .syntax.printer import render_expr
 
@@ -139,14 +141,20 @@ def step_process(stack: tuple, store: Store, oracle) -> list:
             branch, guard = (then, cond) if test.value else (orelse, neg(cond))
             out += _enter(push(branch), rest, store, oracle, guard)
         case For(binder, items, body):
-            value = eval_expr(items, store)
-            if value.sort.kind != "List":
-                raise SortMismatch(f"iterating over non-list {value.sort}")
-            if not value.value:
+            if isinstance(items, Range):  # its rest is a range: no list is built
+                lo, hi = range_bounds(items, store)
+                head = lo if lo.value <= hi.value else None
+                tail = Range(Const(int_lit(lo.value + 1)), Const(hi))
+            else:
+                value = eval_expr(items, store)
+                if value.sort.kind != "List":
+                    raise SortMismatch(f"iterating over non-list {value.sort}")
+                head = value.value[0] if value.value else None
+                tail = Const(Lit(value.sort, value.value[1:]))
+            if head is None:
                 out.append((Label("tau"), rest, store))
             else:
-                head, tail = value.value[0], Lit(value.sort, value.value[1:])
-                out += _enter(push(body), (For(binder, Const(tail), body), *rest),
+                out += _enter(push(body), (For(binder, tail, body), *rest),
                               store.with_var(binder, head), oracle)
         case RepeatUntil(body, exit):
             exit_chans = {a.channel for a in exit.arms}

@@ -38,28 +38,32 @@ and `traces` prints it and covering reads its targets from it as built.
 
 A trace stands for its equivalence class modulo permutation of causally
 independent events, where two events are independent iff they are by
-different participants on different channels.  r1 is below r2 when the
-mandatory events of r1 embed into those of r2: injectively, onto equal
-events, keeping the order of every dependent pair of r1.  `trace_leq`
-decides it with a greedy matcher in one pass over r2: an event of r2
-matches the first unmatched copy of its label in r1 if every earlier
-event of r1 it depends on is matched, and is passed over otherwise.  A
-full match is an embedding, since it matches each dependent pair in
-order.  Conversely, copies of a label depend on each other, so an
-embedding maps them in order, and after each prefix of r2 the matcher
-has matched every event that the embedding maps into that prefix: the
-first unmatched copy is then the one the embedding maps there, and all
-it depends on is matched.  So the matcher matches all of r1 exactly
-when r1 is below r2.  The covering search (`wsi`) runs the same matcher
-one event at a time, over the tables of `matching_tables`.  The tests
-check it against a brute-force closure of the preorder's inference
-rules on small runs, and against a backtracking search over every
-embedding on seeded runs of up to 9 events.
+different participants on different channels.  Distinct runs of a
+global type at bound 1 are distinct traces: they agree up to the first
+choice they resolve apart, whose sender sends there on two different
+channels, and a trace never reorders one participant's events.
+
+r1 is below r2 when the mandatory events of r1 embed into those of r2:
+injectively, onto equal events, keeping the order of every dependent
+pair of r1.  `trace_leq` decides it with a greedy matcher in one pass
+over r2: an event of r2 matches the first unmatched copy of its label
+in r1 if every earlier event of r1 it depends on is matched, and is
+passed over otherwise.  A full match is an embedding, since it matches
+each dependent pair in order.  Conversely, copies of a label depend on
+each other, so an embedding maps them in order, and after each prefix
+of r2 the matcher has matched every event that the embedding maps into
+that prefix: the first unmatched copy is then the one the embedding
+maps there, and all it depends on is matched.  So the matcher matches
+all of r1 exactly when r1 is below r2.  The covering search (`wsi`)
+runs the same matcher one event at a time, over the tables of
+`matching_tables`.  The tests check it against a brute-force closure
+of the preorder's inference rules on small runs, and against a
+backtracking search over every embedding on seeded runs of up to 9
+events.
 """
 
 from __future__ import annotations
 
-from .guards import DomainDecl, EMPTY_DOMAINS
 from .projection import participants_ordered, project, well_formed
 from .pseudotype import normal_form
 from .syntax.ast import (
@@ -281,16 +285,16 @@ def runs_global(g: GlobalType, unfold: int = 2, algebra=RUN_TUPLES):
 
 # ---------------------------------------------------- runs of specifications
 
-def projection_env(gdef: GlobalDef, domains: DomainDecl = EMPTY_DOMAINS) -> dict:
+def projection_env(gdef: GlobalDef) -> dict:
     """The specification made of the projections of the global type:
-    each participant -> the normal form of its projection."""
+    each participant -> the normal form of its projection.  A
+    projection's guards are all the literal true, so no declared domain
+    could change a normal form."""
     g = gdef.body
-    return {p: normal_form(project(g, p), domains)
-            for p in participants_ordered(g)}
+    return {p: normal_form(project(g, p)) for p in participants_ordered(g)}
 
 
-def runs_spec(spec: dict, ys: tuple, unfold: int = 2,
-              domains: DomainDecl = EMPTY_DOMAINS, algebra=RUN_TUPLES):
+def runs_spec(spec: dict, ys: tuple, unfold: int = 2, algebra=RUN_TUPLES):
     """The annotated runs of the session over channels ys whose roles
     have the pseudo-types of `spec`, role -> pseudo-type, from empty
     queues, as a value of `algebra`.
@@ -301,13 +305,14 @@ def runs_spec(spec: dict, ys: tuple, unfold: int = 2,
     execution mandatory and up to unfold-1 optional ones.  Unlike the
     runs of a global type, two paths of a specification may give one
     run (see the module docstring), which the tuple build then holds
-    twice.
+    twice.  Each pseudo-type is normalized under no declared domain, as
+    the projections of `projection_env` are.
     """
     if unfold < 1:
         raise ValueError("the unfold bound must be at least 1")
-    sessions = {role: normal_form(t, domains) for role, t in spec.items()}
+    sessions = {role: normal_form(t) for role, t in spec.items()}
     return _spec_runs(_freeze_spec(sessions, dict.fromkeys(ys, ())), unfold,
-                      domains, algebra, {})
+                      algebra, {})
 
 
 def _freeze_spec(sessions: dict, queues: dict):
@@ -315,7 +320,7 @@ def _freeze_spec(sessions: dict, queues: dict):
             tuple(sorted(queues.items())))
 
 
-def _spec_runs(state, unfold: int, domains: DomainDecl, algebra, memo: dict):
+def _spec_runs(state, unfold: int, algebra, memo: dict):
     known = memo.get(state)
     if known is not None:
         return known
@@ -339,7 +344,7 @@ def _spec_runs(state, unfold: int, domains: DomainDecl, algebra, memo: dict):
     taken = []
     for role, pol, b in moves:
         new_sessions = dict(sessions)
-        new_sessions[role] = normal_form(b.cont, domains)
+        new_sessions[role] = normal_form(b.cont)
         new_queues = dict(queues)
         if pol == "!":
             new_queues[b.channel] = queues[b.channel] + (b.sort,)
@@ -353,7 +358,7 @@ def _spec_runs(state, unfold: int, domains: DomainDecl, algebra, memo: dict):
         if move not in taken:
             taken.append(move)
     out = algebra.choice(
-        ((ev,), _spec_runs(after, unfold, domains, algebra, memo))
+        ((ev,), _spec_runs(after, unfold, algebra, memo))
         for ev, after in taken)
 
     if not moves:
@@ -365,15 +370,14 @@ def _spec_runs(state, unfold: int, domains: DomainDecl, algebra, memo: dict):
             conts = {}
             for role, t in loopers.items():
                 it = t if isinstance(t, TIter) else t.first
-                bodies[role] = normal_form(it.body, domains)
+                bodies[role] = normal_form(it.body)
                 conts[role] = t.second if isinstance(t, TSeq) else TEnd()
             round_runs = _spec_runs(_freeze_spec(bodies, queues), unfold,
-                                    domains, algebra, {})
+                                    algebra, {})
             after = dict(sessions)
             for role, cont in conts.items():
-                after[role] = normal_form(cont, domains)
-            tails = _spec_runs(_freeze_spec(after, queues), unfold, domains,
-                               algebra, memo)
+                after[role] = normal_form(cont)
+            tails = _spec_runs(_freeze_spec(after, queues), unfold, algebra, memo)
             out = algebra.iterate(round_runs, tails, unfold)
         elif all(isinstance(t, TEnd) for t in sessions.values()) \
                 and all(not q for q in queues.values()):

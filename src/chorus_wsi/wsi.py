@@ -52,13 +52,16 @@ embedding maps events injectively onto equal events, so a target is
 never below a shorter one, below one of its own length only when the
 embedding is onto, that is when the two are the same trace, and below
 a longer one only when that one holds each of its events at least as
-often.  Two runs are the same trace exactly when their Foata forms are
-equal (Diekert and Rozenberg, *The Book of Traces*, 1995): the layers
-in which each event sits one past the last earlier event it depends
-on.  So a target is looked up by its Foata form among the searched
-targets of its length, and `trace_leq` is asked only of longer ones
-that hold its events; on n sequential choices, whose 2^n targets have
-one length, no target is compared with another.
+often.  Two distinct targets are never the same trace.  The walk that
+builds the runs of a global type at bound 1 decides only at choices,
+so two distinct runs agree up to the first choice they resolve apart,
+where the choice's sender sends on two different channels
+(well-formedness);
+the sender's events then differ at the same position, and a trace
+never reorders one participant's events, which all depend on each
+other.  So `trace_leq` is asked only of longer targets that hold the
+target's events; on n sequential choices, whose 2^n targets have one
+length, no target is compared with another.
 
 `projections_cover` runs the same search with no process to check: the
 session starts open, every role is a projection peer, and a witness is
@@ -104,13 +107,14 @@ normalizing `continuation ; sequel` gives, but for guards (`_then`
 drops a leading end, pushes the sequel into the branches of a choice
 and reassociates to the right, as normalization does).  A projection's
 guards are all built from the literal true, so normalizing it prunes
-no branch and only conjoins guards; `type_steps` reads no guard, and a
+no branch and only conjoins guards, whatever the declared domains, and
+it is normalized under none; `type_steps` reads no guard, and a
 peer's state is complete when it is end, whatever its guard.  So each
 continuation steps into the same events, channels and sorts, into
 continuations that normalize alike in turn, and is complete when the
 normalized one is: the events, the masks and the sends skipped at
-`QUEUE_BOUND` are those of stepping the normal forms.  Two
-continuations whose normal forms differ only in guards may be one state
+`QUEUE_BOUND` are those of stepping each normal form.  Two
+continuations whose normal form differs only in guards may be one state
 here, which merges only states with the same moves; the tests check
 that the verdicts, contexts and numbers of states expanded are those of
 normalizing each continuation.
@@ -530,8 +534,9 @@ class _Product:
 
     def witness(self, target: tuple, tables: tuple) -> tuple:
         """(a complete run that covers target, or None; whether a send
-        was skipped at the queue bound), searched with `tables`, the
-        `matching_tables` of target."""
+        was skipped at the queue bound; whether the search matched every
+        event of target), searched with `tables`, the `matching_tables`
+        of target."""
         n = len(target)
         copies, needs, full = tables
         copies = {self.events[ev]: bits for ev, bits in copies.items()}
@@ -546,7 +551,7 @@ class _Product:
             if mask == full and self.complete(sid):
                 run = self.path(parent, key)
                 if trace_leq(target, run, tables):
-                    return run, skipped
+                    return run, skipped, True
             found = moves.get(sid)
             if found is None:
                 found = moves[sid] = self.successors(sid)
@@ -566,7 +571,7 @@ class _Product:
                     parent[key2] = (key, ev)
                     heapq.heappush(frontier, (-mask2.bit_count(), extra2,
                                               len(parent), key2))
-        return None, skipped
+        return None, skipped, any(key & full == full for key in parent)
 
     def path(self, parent: dict, key: int) -> tuple:
         """The events on the way from the start to `key`."""
@@ -586,28 +591,19 @@ def _sent(queue: tuple) -> tuple:
 
 class _Seen:
     """The targets searched so far, and the test whether a target is
-    below one of them.  Runs of equal length are below each other
-    exactly when they are the same trace, when their Foata forms are
-    equal, so those are looked up by Foata form.  A longer one is asked
-    (`trace_leq`) only when it holds each event of the target at least
-    as often (`_within`).  A form or an event count is made only when a
+    below one of them.  Distinct targets are distinct traces (see the
+    module docstring), so only a longer one can be above it, and it is
+    asked (`trace_leq`) only when it holds each event of the target at
+    least as often (`_within`).  An event count is made only when a
     test needs it."""
 
     def __init__(self):
         self.seen: dict = {}  # length -> [[target, event ids, counts or None]]
-        self.forms: dict = {}  # length -> the Foata forms of those, once two
 
     def below(self, target: tuple, ids: list, tables: tuple) -> bool:
         """Is target, whose events have the ids `ids`, below a target
         seen before?  If not, it counts as seen from now on."""
-        n, form, counts = len(ids), None, None
-        same = self.seen.setdefault(n, [])
-        if same:
-            forms = self.forms.get(n) \
-                or self.forms.setdefault(n, {_foata(t, t_ids) for t, t_ids, _ in same})
-            form = _foata(target, ids)
-            if form in forms:
-                return True
+        n, counts = len(ids), None
         for m, longer in self.seen.items():
             if m > n:
                 counts = counts or Counter(ids)
@@ -615,28 +611,8 @@ class _Seen:
                     entry[2] = entry[2] or Counter(entry[1])
                     if _within(counts, entry[2]) and trace_leq(target, entry[0], tables):
                         return True
-        same.append([target, ids, counts])
-        if form is not None:
-            self.forms[n].add(form)
+        self.seen.setdefault(n, []).append([target, ids, counts])
         return False
-
-
-def _foata(target: tuple, ids: list) -> tuple:
-    """The Foata form of target, whose events have the ids `ids`: its
-    layers of event ids, each sorted, where an event's layer is one past
-    the last layer of the earlier events it depends on, those with its
-    participant or its channel.  Two runs are the same trace exactly
-    when their Foata forms are equal."""
-    by_role: dict = {}
-    by_chan: dict = {}
-    layers: list = []
-    for ev, e in zip(target, ids):
-        k = max(by_role.get(ev.participant, -1), by_chan.get(ev.channel, -1)) + 1
-        if k == len(layers):
-            layers.append([])
-        layers[k].append(e)
-        by_role[ev.participant] = by_chan[ev.channel] = k
-    return tuple(tuple(sorted(layer)) for layer in layers)
 
 
 def _within(counts: Counter, other: Counter) -> bool:
@@ -646,7 +622,7 @@ def _within(counts: Counter, other: Counter) -> bool:
     return all(other.get(e, 0) >= k for e, k in counts.items())
 
 
-def _search_inputs(gdef: GlobalDef, role: str, domains: DomainDecl):
+def _search_inputs(gdef: GlobalDef, role: str):
     """(sorted target skeletons, (role, normalized projection) of every
     other role) for the search, or a string that says why there are none."""
     g = gdef.body
@@ -658,7 +634,7 @@ def _search_inputs(gdef: GlobalDef, role: str, domains: DomainDecl):
         if q == role:
             continue
         try:
-            peers.append((q, normal_form(project(g, q), domains)))
+            peers.append((q, normal_form(project(g, q))))
         except NonProjectable as exc:
             return f"{gdef.name} is not projectable on {q!r}: {exc}"
     # a run at bound 1 has no optional segment: it is its own skeleton
@@ -673,22 +649,21 @@ def wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
     shared_name = min(fU(proc), default=None)
     found = fragment_problem(gdef) or _role_problem(gdef, role, proc, shared_name) \
         or _open_problem(gdef, proc, shared_name) \
-        or _search_inputs(gdef, role, domains)
+        or _search_inputs(gdef, role)
     if isinstance(found, str):
         return CoveringVerdict(False, missing=(), reason=found)
     targets, peers = found
     return _cover(_Product(gdef, role, proc, domains, shared_name, peers), targets)
 
 
-def projections_cover(gdef: GlobalDef, spec: dict, targets: list,
-                      domains: DomainDecl = EMPTY_DOMAINS) -> CoveringVerdict:
+def projections_cover(gdef: GlobalDef, spec: dict, targets: list) -> CoveringVerdict:
     """Do the projections of gdef realise it: has every target skeleton,
     in sorted order, a witness run of spec, the specification made of
     the projections (`traces.projection_env`, role -> normal form)?  The
     same search with no process to check: the session starts open and
     every role is a peer."""
     peers = tuple(spec.items())
-    return _cover(_Product(gdef, None, None, domains, None, peers), targets)
+    return _cover(_Product(gdef, None, None, EMPTY_DOMAINS, None, peers), targets)
 
 
 def _cover(product: _Product, targets: list) -> CoveringVerdict:
@@ -703,14 +678,16 @@ def _cover(product: _Product, targets: list) -> CoveringVerdict:
         if seen.below(target, ids, tables):
             continue
         try:
-            run, skipped = product.witness(target, tables)
+            run, skipped, matched = product.witness(target, tables)
         except EvalError as exc:  # a step of the process went wrong
             return CoveringVerdict(False, missing=target,
                                    reason=f"evaluation error: {exc}")
         if run is None:
             return CoveringVerdict(False, missing=target, reason=(
                 f"no witness with at most {QUEUE_BOUND} messages per queue"
-                if skipped else "branch unreachable under declared domains"),
+                if skipped else "every event of the target was matched, but no "
+                "run ended with every party done" if matched
+                else "branch unreachable under declared domains"),
                 inconclusive=skipped)
         witnesses.append((target, run))
     return CoveringVerdict(True, contexts=tuple(witnesses))

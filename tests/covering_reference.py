@@ -167,7 +167,7 @@ class _Product:
                     and not any(messages for _, messages in state.queues):
                 run = _path(parent, (state, mask))
                 if trace_leq(target, run):
-                    return run, skipped
+                    return run, skipped, True
             if state not in self.moves:
                 self.moves[state] = self.successors(state)
             moves, skip = self.moves[state]
@@ -185,7 +185,7 @@ class _Product:
                     parent[(after, mask2)] = ((state, mask), ev)
                     heapq.heappush(frontier, (-mask2.bit_count(), extra2,
                                               len(parent), after, mask2))
-        return None, skipped
+        return None, skipped, any(mask == full for _, mask in parent)
 
 
 def _path(parent: dict, key) -> tuple:
@@ -202,7 +202,7 @@ def reference_wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
                               shared_name: str = "u") -> CoveringVerdict:
     g = instantiate(gdef, gdef.params)
     found = _role_problem(gdef, role, proc, shared_name) \
-        or _search_inputs(gdef, role, domains)
+        or _search_inputs(gdef, role)
     if isinstance(found, str):
         return CoveringVerdict(False, missing=(), reason=found)
     targets, peers = found
@@ -212,14 +212,16 @@ def reference_wsi_by_covering(gdef: GlobalDef, role: str, proc: Process,
         if any(trace_leq(target, done) for done, _ in witnesses):
             continue
         try:
-            run, skipped = product.witness(target)
+            run, skipped, matched = product.witness(target)
         except EvalError as exc:
             return CoveringVerdict(False, missing=target,
                                    reason=f"evaluation error: {exc}")
         if run is None:
             return CoveringVerdict(False, missing=target, reason=(
                 f"no witness with at most {QUEUE_BOUND} messages per queue"
-                if skipped else "branch unreachable under declared domains"),
+                if skipped else "every event of the target was matched, but no "
+                "run ended with every party done" if matched
+                else "branch unreachable under declared domains"),
                 inconclusive=skipped)
         witnesses.append((target, run))
     return CoveringVerdict(True, contexts=tuple(witnesses))

@@ -93,27 +93,25 @@ def test_criterion_3_normalization_laws():
            time.perf_counter() - t0, 30.0)
 
 
-def test_criterion_4_coverage(pop2, pop2_domains, atm, atm_domains,
-                                      multiparty, multiparty_domains):
+def test_criterion_4_coverage(pop2, atm, multiparty):
     t0 = time.perf_counter()
     # the literal multiparty variant is not projectable on the
     # authorizer (it only acts in one branch of the top-level choice),
     # so the check is instantiated on the projectable refinement
     # G_POP_P.
     cases = [
-        (atm, atm_domains, "G_ATM"),
-        (pop2, pop2_domains, "G_POP"),
-        (multiparty, multiparty_domains, "G_POP_P"),
+        (atm, "G_ATM"),
+        (pop2, "G_POP"),
+        (multiparty, "G_POP_P"),
     ]
     ok = True
     detail = []
-    for module, domains, name in cases:
+    for module, name in cases:
         gdef = module.globals_[name]
         g = instantiate(gdef, gdef.params)
         for unfold in (1, 2):
             rg = runs_global(g, unfold)
-            rs = frozenset(runs_spec(projection_env(gdef, domains),
-                                     gdef.params, unfold, domains))
+            rs = frozenset(runs_spec(projection_env(gdef), gdef.params, unfold))
             verdict = covers(rg, rs)
             ok = ok and verdict.holds()
             detail.append(f"{name}@K={unfold}:{len(rg)}/{len(rs)}")

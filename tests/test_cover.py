@@ -42,7 +42,7 @@ def _replays(run: tuple, gdef: GlobalDef, domains: DomainDecl) -> bool:
     `step_spec`, ending with every session at end and every queue
     empty?"""
     envs = {SpecEnv.make({}, {(gdef.params, role): t for role, t
-                              in projection_env(gdef, domains).items()},
+                              in projection_env(gdef).items()},
                          dict.fromkeys(gdef.params, ()))}
     for ev in run:
         comm = ("out" if ev.polarity == "!" else "in", ev.channel, ev.sort)
@@ -80,18 +80,18 @@ def test_cover_agrees_with_the_covering_relation():
         g = instantiate(gdef, gdef.params)
         try:
             rg = runs_global(g, 1)
-            spec = projection_env(gdef, domains)
+            spec = projection_env(gdef)
         except (IllFormed, NonProjectable):
             continue
-        rs = frozenset(runs_spec(spec, gdef.params, 1, domains))
+        rs = frozenset(runs_spec(spec, gdef.params, 1))
         # a fragment (`cover` refuses one) takes its channels as no
         # parameters, so they have no queues and its specification no run
         empty = name in FLIPPED or bool(wsi.fragment_problem(gdef))
         assert (len(rs) == 0) == empty, name
         assert run_count(lambda algebra: runs_spec(
-            spec, gdef.params, 1, domains, algebra)) == len(rs), name
+            spec, gdef.params, 1, algebra)) == len(rs), name
         old = covers(rg, rs)
-        new = projections_cover(gdef, spec, sorted_runs(rg), domains)
+        new = projections_cover(gdef, spec, sorted_runs(rg))
         assert not new.inconclusive, name
         if old.holds():
             assert new.holds(), name
@@ -119,10 +119,10 @@ def test_cover_builds_no_specification_run_set(capsys, monkeypatch, tmp_path):
     whenever it is asked for runs rather than counts."""
     spec_runs = traces._spec_runs
 
-    def counts_only(state, unfold, domains, algebra, memo):
+    def counts_only(state, unfold, algebra, memo):
         if algebra is not RUN_COUNTS:
             raise AssertionError("specification runs were built")
-        return spec_runs(state, unfold, domains, algebra, memo)
+        return spec_runs(state, unfold, algebra, memo)
 
     monkeypatch.setattr(traces, "_spec_runs", counts_only)
     path = tmp_path / "choices.chor"

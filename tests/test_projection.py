@@ -1,11 +1,12 @@
 import pytest
 
-from chorus_wsi.guards import EMPTY_DOMAINS
+import conftest
+from chorus_wsi.guards import DomainDecl, EMPTY_DOMAINS
 from chorus_wsi.projection import (
     NonProjectable, channel_sorts, participants, project, ready, well_formed,
 )
 from chorus_wsi.pseudotype import normal_form, remove_guards
-from chorus_wsi.syntax import parse_global, render_type
+from chorus_wsi.syntax import parse_global, parse_module, render_type
 from chorus_wsi.syntax.ast import (
     GBranch, GChoice, GEnd, GIter, GSeq, INT, STR, TEnd, TRUE, UNIT,
 )
@@ -101,6 +102,27 @@ def test_multiparty_refinement_projects_on_all_roles(multiparty):
     g = instantiate(gdef, gdef.params)
     for p in participants(g):
         project(g, p)
+
+
+def test_projections_normalize_alike_under_the_module_domains():
+    """A projection's guards are all the literal true, so it has one
+    normal form under the module's domains and under none, on every
+    role of every global of every module: `project`, `cover` and the
+    peers of covering normalize projections under none."""
+    checked = 0
+    for path in conftest.MODULES:
+        module = parse_module(path.read_text())
+        domains = DomainDecl.from_module(module)
+        for gdef in module.globals_.values():
+            for p in sorted(participants(gdef.body)):
+                try:
+                    t = project(gdef.body, p)
+                except NonProjectable:
+                    continue
+                assert normal_form(t) == normal_form(project(gdef.body, p), domains), \
+                    (path.name, gdef.name, p)
+                checked += 1
+    assert checked == 51
 
 
 def test_channel_sorts(atm):

@@ -1,13 +1,16 @@
 import itertools
 import random
 
-from chorus_wsi.guards import Store
+import pytest
+
+from chorus_wsi.guards import SortMismatch, Store
 from chorus_wsi.semantics import (
     SysState, push, step_process, system_steps, to_state,
 )
 from chorus_wsi.syntax import parse_expr, parse_process, parse_module, parse_type
 from chorus_wsi.syntax.ast import (
-    Branch, INT, If, Proc, Seq, TRUE, Var, bool_lit, int_lit, is_nil,
+    Branch, Const, For, INT, If, Proc, Range, Seq, TRUE, Var, bool_lit, int_lit,
+    is_nil,
 )
 from chorus_wsi.typecheck import gamma_from_domains, typecheck_system
 
@@ -75,6 +78,34 @@ def test_step_for_unfolds_and_ends():
     empty = parse_process("for i in 1..0 { y!(i) }")
     steps = step_process(push(empty), Store({}, {}), no_input)
     assert [l.kind for l, _, _ in steps] == ["tau"]
+
+
+def _walk(stack: tuple) -> list:
+    """(label, store bindings, rest stack) of each step of a process
+    with one step at a time, to its end."""
+    store, out = Store({}, {}), []
+    while stack:
+        [(label, stack, store)] = step_process(stack, store, no_input)
+        out.append((str(label), store.vars, stack))
+    return out
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 3), (2, 2), (3, 1), (-1, 1)])
+def test_a_range_steps_as_its_list_without_building_it(lo, hi):
+    """Differential: `for` over a range takes the steps of the `for`
+    over the list of its values, with the same labels and stores, and
+    the rest of the loop is a range of constants, not a list."""
+    values = ", ".join(map(str, range(lo, hi + 1)))
+    ranged = _walk(push(parse_process(f"{{ for i in {lo}..{hi} {{ y!(i) }} ; z!(0) }}")))
+    listed = _walk(push(parse_process(f"{{ for i in [{values}] {{ y!(i) }} ; z!(0) }}")))
+    assert [step[:2] for step in ranged] == [step[:2] for step in listed]
+    loops = [rest[0] for _, _, rest in ranged if rest and isinstance(rest[0], For)]
+    assert len(loops) == max(0, hi - lo + 1)
+    assert all(isinstance(r.items, Range) and isinstance(r.items.lo, Const)
+               and isinstance(r.items.hi, Const) for r in loops)
+    with pytest.raises(SortMismatch, match="range: expected Int, got Bool"):
+        step_process(push(parse_process(f"for i in {lo}..true {{ y!(i) }}")),
+                     Store({}, {}), no_input)
 
 
 def test_an_idle_branch_or_iteration_steps_silently():

@@ -70,22 +70,20 @@ def test_runs_spec_single_communication():
     assert frozenset(runs) == frozenset({(ev("p", "!", "y", INT), ev("q", "?", "y", INT))})
 
 
-def test_runs_spec_atm_covers_global(atm, atm_domains):
+def test_runs_spec_atm_covers_global(atm):
     gdef = atm.globals_["G_ATM"]
     g = instantiate(gdef, gdef.params)
     rg = runs_global(g, 1)
-    rs = runs_spec(projection_env(gdef, atm_domains), gdef.params, 1,
-                   atm_domains)
+    rs = runs_spec(projection_env(gdef), gdef.params, 1)
     assert covers(rg, rs).holds()
 
 
 @pytest.mark.parametrize("unfold", [1, 2])
-def test_coverage_pop2(pop2, pop2_domains, unfold):
+def test_coverage_pop2(pop2, unfold):
     gdef = pop2.globals_["G_POP"]
     g = instantiate(gdef, gdef.params)
     rg = runs_global(g, unfold)
-    rs = runs_spec(projection_env(gdef, pop2_domains), gdef.params, unfold,
-                   pop2_domains)
+    rs = runs_spec(projection_env(gdef), gdef.params, unfold)
     assert covers(rg, rs).holds()
 
 

@@ -32,7 +32,7 @@ import conftest
 import gen
 import test_cover
 from covering_reference import reference_wsi_by_covering
-from covers_reference import covers, foata, independent
+from covers_reference import covers, foata
 
 
 def test_wsi_typing_atm(atm, atm_domains):
@@ -343,6 +343,21 @@ def test_covering_holds_with_a_second_session(order):
     and P never ends."""
     gdef, proc, domains = _second_session(order)
     assert wsi_by_covering(gdef, "p", proc, domains).holds()
+
+
+@pytest.mark.parametrize("order, reason", [
+    ("after", "every event of the target was matched, but no run ended "
+              "with every party done"),
+    ("before", "branch unreachable under declared domains"),
+], ids=["after", "before"])
+def test_covering_says_whether_the_target_was_matched(order, reason):
+    """While covering drops the open of the v session, P has no witness
+    for its first target.  With the v session after the checked one,
+    the search matches both events of the target and then cannot end;
+    with it before, P never reaches the checked session."""
+    gdef, proc, domains = _second_session(order)
+    assert str(wsi_by_covering(gdef, "p", proc, domains)) == \
+        f"MissingRun (p,a!Unit) (q,a?Unit): {reason}"
 
 
 def _projectable(gdef) -> bool:
@@ -678,16 +693,6 @@ def test_peers_stepped_without_normal_forms_decide_alike(monkeypatch):
     assert [len(p.moves) for p in products] == moves
 
 
-def _reordered(rng: random.Random, run: tuple) -> tuple:
-    """run with a few adjacent independent events swapped: the same trace."""
-    events = list(run)
-    for _ in range(len(events)):
-        i = rng.randrange(len(events) - 1) if len(events) > 1 else 0
-        if i + 1 < len(events) and independent(events[i], events[i + 1]):
-            events[i], events[i + 1] = events[i + 1], events[i]
-    return tuple(events)
-
-
 def _pair_loop_agrees(pool: list, outcomes: collections.Counter) -> None:
     """Asserts that `_Seen.below` answers, target by target of pool, as
     the pair loop that asks `trace_leq` of every earlier target it did
@@ -705,43 +710,47 @@ def _pair_loop_agrees(pool: list, outcomes: collections.Counter) -> None:
 
 
 def test_seen_targets_decide_subsumption_as_the_pair_loop():
-    """Property: on seeded lists of target skeletons built from
-    `gen.gen_run`, some of them an earlier one reordered (the same
-    trace) or with events left out (below it), and on the sorted targets
-    of every module role, generated role implementation and mutant
-    (1,601 targets, 3 of them below a longer earlier one), `_Seen.below`
+    """Property: on the sorted targets of every module role, generated
+    role implementation and mutant (1,601 targets, 3 of them below a
+    longer earlier one), `_Seen.below`, which asks only longer targets,
     answers as the pair loop."""
-    rng = random.Random(4242)
     outcomes = collections.Counter()
-    for _ in range(400):
-        pool = []
-        for _ in range(rng.randint(1, 10)):
-            earlier = rng.choice(pool) if pool else ()
-            pick = rng.random()
-            if earlier and pick < 0.3:
-                pool.append(_reordered(rng, earlier))
-            elif earlier and pick < 0.5:
-                pool.append(tuple(ev for ev in earlier if rng.random() < 0.7))
-            else:
-                pool.append(mandatory(gen.gen_run(rng, rng.randint(0, 8))))
-        _pair_loop_agrees(pool, outcomes)
-    assert min(outcomes["not below"], outcomes["same length"],
-               outcomes["longer"]) > 200, outcomes
-    outcomes.clear()
-    for _, gdef, role, _, domains, _ in _differential_cases():
-        found = wsi._search_inputs(gdef, role, domains)
+    for _, gdef, role, _, _, _ in _differential_cases():
+        found = wsi._search_inputs(gdef, role)
         if not isinstance(found, str):
             _pair_loop_agrees(found[0], outcomes)
     assert outcomes == {"not below": 1598, "longer": 3}
 
 
+def test_distinct_runs_of_a_global_are_distinct_traces():
+    """Property: no two distinct runs of `runs_global(g, 1)` have one
+    Foata form, that is are one trace, on every well-formed global of
+    the modules and of `gen.gen_global` seeds 0-2,999 (3,025 globals,
+    10,234 pairs of runs of one length), so `_Seen.below` need not
+    compare targets of one length."""
+    globals_ = [gdef.body for path in conftest.MODULES
+                for gdef in parse_module(path.read_text()).globals_.values()]
+    globals_ += [gen.gen_global(random.Random(seed)) for seed in range(3000)]
+    checked = pairs = 0
+    for g in globals_:
+        try:
+            runs = runs_global(g, 1)
+        except IllFormed:
+            continue
+        assert len({foata(run) for run in runs}) == len(runs), g
+        checked += 1
+        pairs += sum(k * (k - 1) // 2
+                     for k in collections.Counter(map(len, runs)).values())
+    assert (checked, pairs) == (3025, 10234)
+
+
 def test_covering_sequential_choices_compares_no_targets_of_one_length(
         tmp_path, monkeypatch):
     """`cover` on 10 sequential choices searches all 1,024 targets, all
-    of one length, each told apart from the earlier ones by its Foata
-    form: no event counts are compared and the matcher runs only to
-    confirm each witness (the pair loop made 523,776 `Counter`
-    comparisons)."""
+    of one length: distinct runs of a global are distinct traces, so no
+    target is compared with another, no event counts are compared and
+    the matcher runs only to confirm each witness (the pair loop made
+    523,776 `Counter` comparisons)."""
     calls = collections.Counter()
 
     def counted(name, fn):
