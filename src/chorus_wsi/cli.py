@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (analysis holds), 1 on an analysis rejection
 (typing error, covering failure, a global type that is not well formed,
-not projectable or, for covering, a fragment that uses channels it does
+not projectable or, on both paths, a fragment that uses channels it does
 not take as parameters) or a `simulate` run stopped by an evaluation
 error, 2 on usage or parse errors and on an evaluation error elsewhere
 (a guard that no declared domain decides, as `normalize` meets it;
@@ -41,12 +41,10 @@ from .traces import (
     runs_spec, sorted_run_strs, sorted_runs,
 )
 from .typecheck import (
-    TypingError, gamma_from_domains, shared_env, typecheck_process,
-    typecheck_system,
+    TypingError, fragment_problem, gamma_from_domains, shared_env,
+    typecheck_process, typecheck_system,
 )
-from .wsi import (
-    fragment_problem, projections_cover, wsi_by_covering, wsi_by_typing,
-)
+from .wsi import projections_cover, wsi_by_covering, wsi_by_typing
 
 
 class UsageError(Exception):

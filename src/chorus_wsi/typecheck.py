@@ -47,11 +47,9 @@ equality of guards and pseudo-types (merge, the arms of a receive) and
 holds or raises is fixed by its set of stores over the declared domains
 (see `guards`), which s maps onto those of the matching query (only
 which error is raised follows the order of the variables, and a failure
-is not stored); and instantiation of a global type, which renames its
-parameters and keeps its other channels, except where a binder has the
-name of such a channel and captures it.  So no entry is kept or read for
-a process whose binders, or whose origin's, meet a channel that a shared
-global keeps (`exposed_channels`).
+is not stored); and instantiation of a global type, which puts the
+channels of an open in place of the global's parameters, as a session
+opens only on a global that uses no other channel (`open_problem`).
 Session keys are iterated in set order, but a success handles each one
 without error, whatever the order.  So a copy succeeds in the same
 context exactly when its origin does.
@@ -73,7 +71,7 @@ from .syntax.ast import (
     PseudoType, Queue, Range, RepeatUntil, Request, Restrict, Send, Seq,
     Sort, System, TBranch, TEnd, TExternal, TInternal, TIter, TRUE, TSeq,
     UNIT, UnOp, Var, BinOp, Const, conj, expr_vars, fU, fn,
-    g_channels, is_true, list_sort, names, neg, pt_vars,
+    g_channels, is_true, list_sort, neg, pt_vars,
 )
 
 
@@ -176,8 +174,8 @@ def _need(actual: Sort, wanted: Sort, what: str, path: tuple):
 # ----------------------------------------------------------- typing engine
 
 def exposed_channels(gdef: GlobalDef) -> frozenset:
-    """The channels of gdef's body that are not its parameters, which
-    instantiation keeps as they are; kept on the declaration."""
+    """The channels of gdef's body that are not its parameters; kept on
+    the declaration."""
     found = gdef._exposed
     if found is None:
         found = frozenset(g_channels(gdef.body).difference(gdef.params))
@@ -194,8 +192,8 @@ def shared_env(gdef: GlobalDef, term) -> dict:
 def instantiate(gdef: GlobalDef, chans: tuple) -> GlobalType:
     """The global type with its channel parameters replaced by chans:
     the declared body itself when chans are the parameters.  It raises
-    nothing; `open_problem` says whether chans has one channel per
-    parameter."""
+    nothing; `open_problem` says whether gdef uses no other channel and
+    chans has one channel per parameter."""
     if chans == gdef.params:
         return gdef.body
     mapping = dict(zip(gdef.params, chans))
@@ -382,13 +380,23 @@ def _synth_process(ctx: _Ctx, p: Process) -> dict:
     raise TypeError(f"not a process: {p!r}")
 
 
+def fragment_problem(gdef: GlobalDef) -> str:
+    """Why gdef is no session, as it uses channels that it does not take
+    as parameters (a fragment that other globals inline), or ""."""
+    kept = ", ".join(sorted(exposed_channels(gdef)))
+    return kept and f"{gdef.name} uses channels that are not its parameters: {kept}"
+
+
 def open_problem(gdef: GlobalDef, p: Request | Accept) -> str | None:
     """Why p breaks the side conditions of VReq or VAcc on a session of
-    gdef, or None.  A request comes from gdef's first participant and
-    names an acceptor for each other one, an accept comes from any other
-    participant, and each names one channel per parameter of gdef.
-    Typing raises the reason under its rule, and covering gives it as
-    the reason why no context joins p."""
+    gdef, or None.  gdef uses no channel but its parameters, a request
+    comes from gdef's first participant and names an acceptor for each
+    other one, an accept comes from any other participant, and each
+    names one channel per parameter of gdef.  Typing raises the reason
+    under its rule, and covering gives it as the reason why no context
+    joins p."""
+    if problem := fragment_problem(gdef):
+        return problem
     if len(p.chans) != len(gdef.params):
         return (f"global {gdef.name} has {len(gdef.params)} session channels, "
                 f"got {len(p.chans)}")
@@ -419,7 +427,7 @@ def _open_session(ctx: _Ctx, p: Request | Accept) -> tuple:
     g = instantiate(gdef, p.chans)
     role = p.role if isinstance(p, Accept) else participants_ordered(gdef.body)[0]
     key = (tuple(p.chans), role)
-    try:  # a binder may take the name of a channel g keeps at another sort
+    try:  # gdef's body may use one parameter at two sorts
         inner = ctx.with_session(key, channel_sorts(g))
     except NonProjectable as exc:
         raise ctx.err(rule, f"{gdef.name} is not projectable: {exc}") from None
@@ -430,7 +438,7 @@ def _synth_open(ctx: _Ctx, p: Request | Accept) -> dict:
     entry = None
     if ctx.judged is not None and not ctx.chans and is_true(ctx.assumption):
         entry = _table_key(p, ctx.gamma, ctx.shared)
-        if entry is not None and ctx.judged.get(entry) is ctx.domains:
+        if ctx.judged.get(entry) is ctx.domains:
             return {}
     rule, gdef, g, key, inner = _open_session(ctx, p)
     role = key[1]
@@ -451,16 +459,10 @@ def _synth_open(ctx: _Ctx, p: Request | Accept) -> dict:
     return sessions
 
 
-def _table_key(p: Process, gamma: dict, shared: dict):
+def _table_key(p: Process, gamma: dict, shared: dict) -> tuple:
     """The key under which the judgement table keeps a success of the
-    session-opening p, or None where p is always judged afresh: where a
-    binder of p or of its origin would capture a channel that
-    instantiating a shared global keeps."""
-    origin = p._origin or p
-    kept = set().union(*map(exposed_channels, shared.values()))
-    if kept and not kept.isdisjoint(names(p).binders | names(origin).binders):
-        return None
-    return origin, frozenset(gamma.items()), tuple(sorted(shared.items()))
+    session-opening p."""
+    return p._origin or p, frozenset(gamma.items()), tuple(sorted(shared.items()))
 
 
 # ----------------------------------------------- local-type conformance check

@@ -21,9 +21,11 @@ complete state needs, so the search alone refuses it.
 As in the system semantics, the session opens on a request with one
 acceptor per other role by the first participant, or on an accept by
 any other, naming as many channels as the global type: the side
-conditions of VReq and VAcc, which `typecheck.open_problem` states.  A
-process with an open on the shared name that breaks them is answered
-with typing's reason before any search.  A free variable with a
+conditions of VReq and VAcc, which `typecheck.open_problem` states, with
+one more that both paths share, that the global type uses no channel
+but its parameters.  A global that breaks it is answered first, and a
+process with an open on the shared name that breaks the others is
+answered with typing's reason, before any search.  A free variable with a
 declared domain starts pending, and so does a variable that receives a
 peer's payload; it takes each candidate value at the first step that
 raises `Undefined` on it.  Any other evaluation error stops the search,
@@ -173,7 +175,7 @@ from .traces import (
     trace_leq,
 )
 from .typecheck import (
-    TypingError, exposed_channels, gamma_from_domains, open_problem,
+    TypingError, fragment_problem, gamma_from_domains, open_problem,
     shared_env, typecheck_process, unique_role,
 )
 
@@ -217,13 +219,6 @@ class CoveringVerdict:
         detail = f": {self.reason}" if self.reason else ""
         verdict = "Inconclusive" if self.inconclusive else "MissingRun"
         return f"{verdict} {run_str(self.missing)}{detail}"
-
-
-def fragment_problem(gdef: GlobalDef) -> str:
-    """Why gdef is no session, as it uses channels that it does not take
-    as parameters (a fragment that other globals inline), or ""."""
-    kept = ", ".join(sorted(exposed_channels(gdef)))
-    return kept and f"{gdef.name} uses channels that are not its parameters: {kept}"
 
 
 def _role_problem(gdef: GlobalDef, role: str, proc: Process,

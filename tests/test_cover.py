@@ -20,7 +20,7 @@ from chorus_wsi.traces import (
     IllFormed, RUN_COUNTS, projection_env, run_count, runs_global, runs_spec,
     sorted_runs, trace_leq,
 )
-from chorus_wsi.typecheck import instantiate
+from chorus_wsi.typecheck import fragment_problem, instantiate
 from chorus_wsi.wsi import projections_cover
 
 import conftest
@@ -86,7 +86,7 @@ def test_cover_agrees_with_the_covering_relation():
         rs = frozenset(runs_spec(spec, gdef.params, 1))
         # a fragment (`cover` refuses one) takes its channels as no
         # parameters, so they have no queues and its specification no run
-        empty = name in FLIPPED or bool(wsi.fragment_problem(gdef))
+        empty = name in FLIPPED or bool(fragment_problem(gdef))
         assert (len(rs) == 0) == empty, name
         assert run_count(lambda algebra: runs_spec(
             spec, gdef.params, 1, algebra)) == len(rs), name

@@ -10,7 +10,9 @@ value is computed for nothing; and no top-level function, class or
 assigned name under src/ is left that neither src/ nor tests/ uses, so
 dead API cannot linger; every top-level definition and method under
 src/ is reached from the command line's entry point, from code that runs
-on import or from a name that bench/ imports, so test-only API cannot
+on import or from a name that bench/ imports, and every function and
+class under src/, methods and nested functions included, is named in
+src/ or bench/ outside its own definition, so test-only API cannot
 linger either; no function mutates a module-level dict,
 list or set, so no answer or timing of one `cli.main` call can depend
 on an earlier call in the same process; every cache slot that records
@@ -28,6 +30,7 @@ re-exporting is their job.
 """
 
 import ast
+import collections
 import subprocess
 import sys
 from pathlib import Path
@@ -480,6 +483,56 @@ def test_every_definition_in_src_is_reached_from_a_request_or_the_benchmark():
                   and node.module.split(".")[0] == "chorus_wsi"
                   for alias in node.names}
     found = [f"{path}: {name}" for path, name in unreached_definitions(sources, roots)]
+    assert found == []
+
+
+def unnamed_definitions(sources: dict) -> list:
+    """(path, line, name) for each function or class, at any depth, of
+    the `defining` sources that no source names outside the definition
+    itself.  `sources` maps a path to (source, defining); a name is read
+    as a name or taken as an attribute (`_reads`).  Dunder names are
+    exempt: the language calls them."""
+    definitions, reads = [], collections.Counter()
+    for path, (source, defining) in sources.items():
+        tree = ast.parse(source)
+        if defining:
+            definitions += [(path, node) for node in ast.walk(tree)
+                            if isinstance(node, (*_FUNCTIONS, ast.ClassDef))
+                            and not _dunder(node.name)]
+        reads.update(_reads([tree]))
+    return sorted((path, d.lineno, d.name) for path, d in definitions
+                  if reads[d.name] == _reads([d]).count(d.name))
+
+
+def test_detector_flags_only_unnamed_definitions():
+    lib = ("class Box:\n"
+           "    def __len__(self):\n"
+           "        return 0\n"
+           "    def size(self):\n"
+           "        return self.size()\n"
+           "    def weight(self):\n"
+           "        return 1\n"
+           "def outer():\n"
+           "    def inner():\n"
+           "        return 0\n"
+           "    def spare():\n"
+           "        return inner()\n"
+           "    return Box\n"
+           "def tested():\n"
+           "    return 'outer'\n")
+    bench = "from lib import outer\nprint(outer().weight)\n"
+    sources = {"lib.py": (lib, True), "bench.py": (bench, False)}
+    assert unnamed_definitions(sources) == [
+        ("lib.py", 4, "size"), ("lib.py", 11, "spare"), ("lib.py", 14, "tested")]
+
+
+def test_every_definition_in_src_is_named_in_src_or_bench():
+    """No function or class, method and nested function included, is
+    left that only tests name."""
+    root = SRC.parent
+    sources = {str(p.relative_to(root)): (p.read_text(), p.is_relative_to(SRC))
+               for p in sorted(SRC.rglob("*.py")) + sorted((root / "bench").glob("*.py"))}
+    found = [f"{path}:{line}: {name}" for path, line, name in unnamed_definitions(sources)]
     assert found == []
 
 

@@ -444,22 +444,29 @@ _REBOUND_CHANNEL = """\
 global G(a) = p -> q : { a(Int). p -> q : { k(Bool). end } }
 process P plays q of G = accept u[q](k). k?(x). k?(y). 0
 """
+_TWO_SORTS = """\
+global G(a) = p -> q : { a(Int). p -> q : { a(Bool). end } }
+process P plays q of G = accept u[q](a). a?(x). a?(y). 0
+"""
 
 
 @pytest.mark.parametrize("module, line", [
     pytest.param(_TWO_SHARED_NAMES, "VEnd: the process stops where the "
                  "specification expects an input on ['c'] (at vacc u[q] / "
                  "session of q)", id="two-shared-names"),
-    pytest.param(_REBOUND_CHANNEL, "VAcc: G is not projectable: channel 'k' "
+    pytest.param(_REBOUND_CHANNEL, "VAcc: G uses channels that are not its "
+                 "parameters: k (at <top>)", id="rebound-channel"),
+    pytest.param(_TWO_SORTS, "VAcc: G is not projectable: channel 'a' "
                  "used at sorts Int and Bool (at <root>) (at <top>)",
-                 id="rebound-channel")])
+                 id="parameter-at-two-sorts")])
 def test_typecheck_and_wsi_typing_give_one_rejection(module, line, tmp_path,
                                                      capsys):
     """`typecheck` and `wsi --mode typing` judge a process under one
     specification: every shared name it opens has the global.  An open
-    whose channel binder takes the name of a channel the global keeps at
-    another sort is a typing rejection at the open, not an error that
-    escapes typing."""
+    on a global that uses a channel it does not take as a parameter is
+    rejected at the open, whatever the open's binders are named, and so
+    is an open on a global that uses one parameter at two sorts, as a
+    typing rejection, not an error that escapes typing."""
     path = tmp_path / "m.chor"
     path.write_text(module)
     assert main(["typecheck", str(path)]) == 1

@@ -14,15 +14,19 @@ from chorus_wsi.projection import NonProjectable, project
 from chorus_wsi.pseudotype import normal_form
 from chorus_wsi.semantics import _then, type_steps
 from chorus_wsi.syntax.ast import (
-    Accept, Arm, Branch, Const, Event, GChoice, GEnd, GlobalDef, If, Lit,
-    Request, Send, Seq, TIter, TSeq, UNIT, Var, bool_lit, fU, fX, replace,
+    TRUE, Accept, Arm, Branch, Const, Event, GChoice, GEnd, GlobalDef, If,
+    Lit, Par, Proc, Process, Queue, Request, Restrict, Send, Seq, System,
+    TIter, TSeq, UNIT, Var, bool_lit, fU, fX, replace,
 )
 from chorus_wsi.syntax import parse_expr, parse_module
 from chorus_wsi.cli import main
 from chorus_wsi.traces import (
     IllFormed, mandatory, matching_tables, run_str, runs_global, trace_leq,
 )
-from chorus_wsi.typecheck import instantiate, participants_ordered
+from chorus_wsi.typecheck import (
+    TypingError, fragment_problem, gamma_from_domains, instantiate,
+    participants_ordered, shared_env, typecheck_system,
+)
 from chorus_wsi.wsi import (
     QUEUE_BOUND, _role_problem,
     wsi_by_covering, wsi_by_typing,
@@ -31,8 +35,10 @@ from chorus_wsi.wsi import (
 import conftest
 import gen
 import test_cover
+import test_judgements
 from covering_reference import reference_wsi_by_covering
 from covers_reference import covers, foata
+from opener_reference import subst_process
 
 
 def test_wsi_typing_atm(atm, atm_domains):
@@ -228,7 +234,7 @@ def test_wsi_covering_names_a_fragment_global_as_cover_does(name, capsys):
     body = module.processes["Exit"].body
     fragments = 0
     for gdef in module.globals_.values():
-        reason = wsi.fragment_problem(gdef)
+        reason = fragment_problem(gdef)
         assert bool(reason) == (not gdef.params)
         if not reason:
             continue
@@ -305,6 +311,112 @@ def test_typing_implies_covering_across_corpus(request, unfold):
         g = instantiate(gdef, gdef.params)
         witnesses = [run for _, run in verdict.contexts]
         assert covers(runs_global(g, unfold), witnesses).holds(), proc
+
+
+def test_typing_implies_covering_on_a_global_with_kept_channels():
+    """K uses a channel it does not take as a parameter, so both paths
+    refuse every process over it, whether a binder (P3, P4) or a free
+    name (P2, P5) meets the kept `b` or not; typing holds only for P1,
+    over G, and covering holds there too."""
+    module = parse_module(test_judgements.CAPTURE)
+    domains = conftest.all_domains(module)
+    typed = []
+    for name, decl in module.processes.items():
+        gdef = module.globals_[decl.global_name]
+        if wsi_by_typing(gdef, decl.role, decl.body, domains).holds():
+            typed.append(name)
+            verdict = wsi_by_covering(gdef, decl.role, decl.body, domains)
+            assert verdict.holds(), (name, str(verdict))
+    assert typed == ["P1"]
+
+
+def _subst_system(s: System, cmap: dict) -> System:
+    """s with its free channels renamed by cmap."""
+    match s:
+        case Proc(p):
+            return Proc(subst_process(p, cmap))
+        case Par(left, right):
+            return Par(_subst_system(left, cmap), _subst_system(right, cmap))
+        case Queue(channel, values):
+            return Queue(cmap.get(channel, channel), values)
+        case Restrict(chans, shared, scope):
+            inner = {k: v for k, v in cmap.items() if k not in chans}
+            return Restrict(chans, shared, _subst_system(scope, inner))
+
+
+def _renamed_binders(term, fresh):
+    """term with every session-channel binder of a request or accept,
+    and every `new` binder, renamed to a name from fresh, which no
+    parsed name takes."""
+    if isinstance(term, Request | Accept | Restrict):
+        chans = tuple(f"{c}'{next(fresh)}" for c in term.chans)
+        cmap = dict(zip(term.chans, chans))
+        if isinstance(term, Restrict):
+            scope = _subst_system(term.scope, cmap)
+            return replace(term, chans=chans, scope=_renamed_binders(scope, fresh))
+        cont = subst_process(term.cont, cmap)
+        return replace(term, chans=chans, cont=_renamed_binders(cont, fresh))
+    if isinstance(term, Branch):
+        return Branch(tuple(replace(a, cont=_renamed_binders(a.cont, fresh))
+                            for a in term.arms))
+    return replace(term, **{f: _renamed_binders(v, fresh)
+                            for f in term.__match_args__
+                            if isinstance(v := getattr(term, f), Process | System)})
+
+
+def _system_typing(module, body, domains) -> tuple:
+    """(holds, rule) of `typecheck` on the system body: the first global
+    with parameters that types it, or else the rule that the last one
+    broke."""
+    rule = None
+    for gdef in module.globals_.values():
+        if gdef.params:
+            try:
+                typecheck_system(gamma_from_domains(domains), TRUE, body,
+                                 shared_env(gdef, body), domains)
+                return True, None
+            except TypingError as exc:
+                rule = exc.rule
+    return False, rule
+
+
+def _both_verdicts(module, term, decl, domains) -> tuple:
+    """Typing's (holds, rule) and covering's (holds, inconclusive,
+    contexts) on a process that plays a role, typing's (holds, rule) on
+    a system."""
+    if decl is None:
+        return _system_typing(module, term, domains)
+    gdef = module.globals_[decl.global_name]
+    typing = wsi_by_typing(gdef, decl.role, term, domains)
+    covering = wsi_by_covering(gdef, decl.role, term, domains)
+    return (typing.holds(), typing.error and typing.error.rule,
+            covering.holds(), covering.inconclusive, len(covering.contexts))
+
+
+def test_renamed_channel_binders_keep_both_verdicts():
+    """A metamorphic relation: renaming each channel binder of a process
+    or system to a fresh name changes no verdict.  Over every process
+    that plays a role and every system of the shipped modules and of
+    `test_judgements.CAPTURE`, where a binder meets a channel that a
+    global keeps (P3, P4), typing's (holds, rule) and covering's (holds,
+    inconclusive, number of contexts) of a process, and typing's (holds,
+    rule) of a system, are those of its renamed copy."""
+    texts = [(p.name, p.read_text()) for p in conftest.MODULES]
+    texts.append(("CAPTURE", test_judgements.CAPTURE))
+    fresh = itertools.count()
+    checked = collections.Counter()
+    for name, text in texts:
+        module = parse_module(text)
+        domains = conftest.all_domains(module)
+        terms = [(n, d.body, d) for n, d in module.processes.items() if d.role]
+        terms += [(n, d.body, None) for n, d in module.systems.items()]
+        for n, body, decl in terms:
+            renamed = _renamed_binders(body, fresh)
+            assert renamed != body or not fU(body), (name, n)
+            assert _both_verdicts(module, renamed, decl, domains) \
+                == _both_verdicts(module, body, decl, domains), (name, n)
+            checked["process" if decl else "system"] += 1
+    assert checked == {"process": 33, "system": 14}
 
 
 # P opens a session on v after or before the one on u, the least shared
